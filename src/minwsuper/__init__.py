@@ -20,7 +20,6 @@ from .superalgebra import LieSuperalgebra, build_algebra, validate
 from .wgen import (
     RELATION_SUITE,
     WElement,
-    build_constants,
     casimir_C,
     compute_c0,
     compute_epsilon,
@@ -51,7 +50,6 @@ __all__ = [
     "adjoin_sqrt",
     "build_algebra",
     "build_cartan_w",
-    "build_constants",
     "casimir_C",
     "center_basis",
     "compute_c0",

@@ -17,12 +17,12 @@ the Casimir in type odd, on the torus in type even) turns the raw
 projection into an algebra homomorphism.
 """
 
-import weakref
 from fractions import Fraction
 
 from .envelope import render_element
 from .errors import ConsistencyError, PreconditionError
 from .scalar import HALF, ONE, ZERO, scalar
+from .superalgebra import _mat_mul
 from .wgen import WElement, workspace
 
 EIGHTH = scalar(Fraction(1, 8))
@@ -286,15 +286,14 @@ def _relation_table(names, parities, slot_c, parity_type):
     return table
 
 
-_CARTAN = weakref.WeakKeyDictionary()
-
-
 def build_cartan_w(grading):
-    """Derive the presentation inside the quotient and certify it."""
-    cached = _CARTAN.get(grading)
-    if cached is not None:
-        return cached
+    """Derive the presentation inside the quotient and certify it.
+
+    Built once per grading and kept on its workspace.
+    """
     wal = workspace(grading)
+    if wal._cartan is not None:
+        return wal._cartan
     g, gr, pbw = wal.algebra, grading, wal.pbw
 
     def inj(vec):
@@ -351,9 +350,9 @@ def build_cartan_w(grading):
                     % (names[a], names[b], render_element(pbw, diff)))
 
     rendered = {n + "'": render_element(pbw, images[n]) for n in names}
-    cw = CartanWAlgebra(grading, names, parities, table, images, rendered)
-    _CARTAN[grading] = cw
-    return cw
+    wal._cartan = CartanWAlgebra(grading, names, parities, table, images,
+                                 rendered)
+    return wal._cartan
 
 
 def center_basis(cw):
@@ -399,12 +398,6 @@ class VLambdaModule:
             lam, self.level.render(), self.type_flag)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)),
-                           ZERO) for j in range(n)) for i in range(n))
-
-
 def simple_module(cw, lam, c=None):
     """The module with highest weight ``lam`` (and level ``c`` if even)."""
     hnames = [n for n in cw.names if n not in ("F", "C", "E")]
@@ -427,7 +420,7 @@ def simple_module(cw, lam, c=None):
         actions["F"] = ((ZERO, -ONE), (ONE, ZERO))
         mod = VLambdaModule(cw, lam, level, (1, 1), actions, "Q")
         ff = _mat_mul(actions["F"], actions["F"])
-        if ff != ((-ONE, ZERO), (ZERO, -ONE)):
+        if ff != [[-1, 0], [0, -1]]:
             raise ConsistencyError("odd involution squares to %r" % (ff,))
         return mod
     if c is None:
@@ -576,15 +569,12 @@ class RestrictedRootData:
         return ok
 
 
-_ROOTS = weakref.WeakKeyDictionary()
-
-
 def restricted_roots(grading):
-    """Weight data of the torus action on the whole algebra."""
-    cached = _ROOTS.get(grading)
-    if cached is not None:
-        return cached
+    """Weight data of the torus action on the whole algebra; built once
+    per grading and kept on its workspace."""
     wal = workspace(grading)
+    if wal._roots is not None:
+        return wal._roots
     gr = grading
     raising = (tuple(gr.fstars) + tuple(gr.gstars) + tuple(gr.xstars)
                + tuple(gr.ystars))
@@ -606,10 +596,9 @@ def restricted_roots(grading):
         raise ConsistencyError(
             "restricted roots do not split into raising weights and "
             "their negatives: %s" % sorted(roots - positive - negatives))
-    data = RestrictedRootData(grading, tuple(sorted(positive)),
-                              frozenset(roots))
-    _ROOTS[grading] = data
-    return data
+    wal._roots = RestrictedRootData(grading, tuple(sorted(positive)),
+                                    frozenset(roots))
+    return wal._roots
 
 
 def _survivor_slots(wal, cw):
@@ -641,18 +630,17 @@ def _image_of_casimir(wal, cw):
     """Casimir image: the abstract Casimir plus torus corrections."""
     gr = wal.grading
     acc = cw.gen("C")
-    hnames = [wal.algebra.labels[i] for i in gr.hes]
-    ginv = wal._gram_inverse()
-    for i in range(len(hnames)):
-        for j in range(len(hnames)):
-            if ginv[i][j]:
-                acc = acc + (cw.gen(hnames[i])
-                             * cw.gen(hnames[j])).scale(scalar(ginv[i][j]))
+    labels = wal.algebra.labels
     wd = wal.weight_data
+    for a, row in zip(wd.letters, wd.inverse):
+        for b, c in zip(wd.letters, row):
+            if c:
+                acc = acc + (cw.gen(labels[a])
+                             * cw.gen(labels[b])).scale(scalar(c))
     functional = tuple(2 * r + 4 * d
                        for r, d in zip(wd.rho_e0_bar, wd.delta_bar))
     for letter, coeff in wal.dual_cartan(functional).items():
-        acc = acc + cw.gen(wal.algebra.labels[letter]).scale(coeff)
+        acc = acc + cw.gen(labels[letter]).scale(coeff)
     return acc
 
 

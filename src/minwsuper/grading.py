@@ -13,16 +13,13 @@ from .errors import ConsistencyError, PreconditionError
 from .scalar import HALF, ONE, ZERO, FieldTower, Scalar, scalar
 from .superalgebra import (
     LinearSolver,
+    _rational_inverse,
     _rational_kernel,
     _solve_rational,
     minimal_root_candidates,
     root_decomposition,
     weight_form,
 )
-
-
-class GradingError(RuntimeError):
-    pass
 
 
 def select_minimal_root(g, hint=None):
@@ -32,7 +29,7 @@ def select_minimal_root(g, hint=None):
     """
     cands = minimal_root_candidates(g)
     if not cands:
-        raise GradingError("no minimal root exists for %s" % g.display)
+        raise PreconditionError("no minimal root exists for %s" % g.display)
     if hint is None:
         return cands[-1]
     if isinstance(hint, int):
@@ -51,6 +48,24 @@ def select_minimal_root(g, hint=None):
 
 def _neg(root):
     return tuple(-c for c in root)
+
+
+def _dual_basis(pairing, members, pos):
+    """Combinations D_i of the ``pos`` vectors with
+    pairing(D_i, members[j]) = delta_ij, from one inverted Gram matrix."""
+    if len(pos) != len(members):
+        raise ConsistencyError("unbalanced pairing: %d against %d vectors"
+                               % (len(pos), len(members)))
+    gram = [[pairing(p, q).as_fraction() for q in members] for p in pos]
+    duals = []
+    for row in _rational_inverse(gram):
+        vec = {}
+        for c, p in zip(row, pos):
+            if c:
+                for idx, val in p.items():
+                    vec[idx] = vec.get(idx, ZERO) + val * scalar(c)
+        duals.append({i: v for i, v in vec.items() if v})
+    return duals
 
 
 class MinimalGrading:
@@ -78,6 +93,8 @@ class MinimalGrading:
         self.rd = root_decomposition(g, theta)
         self.theta = theta
         self.tower = FieldTower()
+        # the wgen.WAlgebra workspace, set up by wgen.workspace on first use
+        self._workspace = None
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -93,7 +110,8 @@ class MinimalGrading:
         for root in rd.roots:
             d = 2 * pair(root, rd.theta) / tt
             if d.denominator != 1:
-                raise GradingError("non-integral eigenvalue at %s" % (root,))
+                raise ConsistencyError(
+                    "non-integral eigenvalue at %s" % (root,))
             self._ddeg[root] = int(d)
 
         cartan = list(g.cartan)
@@ -130,22 +148,8 @@ class MinimalGrading:
             """Duals in the (-theta - neg_root) space: <D_i, X_j> = delta."""
             star = _neg(tuple(a + b for a, b in zip(rd.theta, neg_root)))
             pos = [{i: ONE} for i in rd.spaces[star]]
-            m = len(members)
-            if len(pos) != m:
-                raise ConsistencyError("unbalanced pairing at %s" % (neg_root,))
-            gr = [[chi0(work.bracket(p, q)).as_fraction() for q in members]
-                  for p in pos]
-            duals = []
-            for i in range(m):
-                rhs = [Fraction(int(j == i)) for j in range(m)]
-                sol = _solve_rational([list(col) for col in zip(*gr)], rhs)
-                vec = {}
-                for c, p in zip(sol, pos):
-                    if c:
-                        for idx, val in p.items():
-                            vec[idx] = vec.get(idx, ZERO) + val * scalar(c)
-                duals.append({i: v for i, v in vec.items() if v})
-            return duals
+            return _dual_basis(lambda p, q: chi0(work.bracket(p, q)),
+                               members, pos)
 
         neg_even = sorted(r for r in rd.roots
                           if self._ddeg[r] == -1 and not rd.parity[r]
@@ -190,27 +194,12 @@ class MinimalGrading:
         pos_zero = sorted(r for r in rd.roots
                           if self._ddeg[r] == 0 and rd.is_positive(r))
 
-        def form_duals(root):
-            neg_m = [{j: ONE} for j in rd.spaces[_neg(root)]]
-            pos_m = [{j: ONE} for j in rd.spaces[root]]
-            gr = [[work.pair(p, q).as_fraction() for q in neg_m]
-                  for p in pos_m]
-            stars = []
-            for i in range(len(neg_m)):
-                rhs = [Fraction(int(j == i)) for j in range(len(neg_m))]
-                sol = _solve_rational([list(col) for col in zip(*gr)], rhs)
-                vec = {}
-                for c, p in zip(sol, pos_m):
-                    if c:
-                        for idx, val in p.items():
-                            vec[idx] = vec.get(idx, ZERO) + val * scalar(c)
-                stars.append({i: v for i, v in vec.items() if v})
-            return neg_m, stars
-
         xs, xstars, ys, ystars = [], [], [], []
         self._beta_even, self._beta_odd = [], []
         for root in pos_zero:
-            lows, highs = form_duals(root)
+            lows = [{j: ONE} for j in rd.spaces[_neg(root)]]
+            highs = _dual_basis(work.pair, lows,
+                                [{j: ONE} for j in rd.spaces[root]])
             if rd.parity[root]:
                 ys.extend(lows)
                 ystars.extend(highs)
@@ -390,12 +379,6 @@ def grade(g, theta=None):
     return MinimalGrading(g, theta)
 
 
-def build_sl2_triple(g, theta=None):
-    """The normalized triple plus the grading it came from."""
-    mg = grade(g, theta)
-    return mg.triple(), mg
-
-
 def neg_one_bases(grading):
     """The degree -1 letters and their duals: <z*_a, z_b> = delta_ab."""
     s, r = grading.s, grading.r
@@ -498,8 +481,9 @@ def compute_h0(grading):
 class WeightData:
     """delta, rho and rho_{e,0} restricted to h^e, plus the induced pairing.
 
-    Functionals are value tuples over the h^e letters; ``pair`` applies
-    the inverse Gram matrix of that basis.
+    Functionals are value tuples over the h^e letters.  The Gram matrix
+    of that basis is inverted once, here; ``inverse`` holds its rows,
+    ``dual`` applies it and ``pair`` is the induced form.
     """
 
     def __init__(self, letters, delta_bar, rho_bar, rho_e0_bar, gram):
@@ -508,12 +492,16 @@ class WeightData:
         self.rho_bar = rho_bar
         self.rho_e0_bar = rho_e0_bar
         self.gram = gram
+        self.inverse = _rational_inverse(gram)
+
+    def dual(self, psi):
+        """Coordinates over the h^e letters of the vector representing psi."""
+        return tuple(sum((r * Fraction(v) for r, v in zip(row, psi)),
+                         Fraction(0)) for row in self.inverse)
 
     def pair(self, phi, psi):
-        if not self.letters:
-            return Fraction(0)
-        x = _solve_rational([list(r) for r in self.gram], list(psi))
-        return sum(Fraction(a) * b for a, b in zip(phi, x))
+        return sum((Fraction(a) * b for a, b in zip(phi, self.dual(psi))),
+                   Fraction(0))
 
     def zero(self):
         return tuple(Fraction(0) for _ in self.letters)

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import PreconditionError
+
 _EMPTY = frozenset()
 
 
-class TowerCapacityError(ValueError):
+class TowerCapacityError(PreconditionError):
     """Raised when a tower would exceed its generator budget."""
 
 
@@ -222,6 +224,9 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a rational scalar equals its Fraction, so it must hash like it
+        if self.is_rational():
+            return hash(self._terms.get(_EMPTY, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- text form ------------------------------------------------------

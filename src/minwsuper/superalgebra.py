@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PreconditionError, UnsupportedFamilyError
+from .errors import (ConsistencyError, PreconditionError,
+                     UnsupportedFamilyError)
 from .scalar import Scalar, scalar
 
 ZERO = Scalar.zero()
@@ -658,10 +659,6 @@ class RootDatum:
         return len(self.spaces[root])
 
 
-class DecompositionError(RuntimeError):
-    pass
-
-
 def _weights_of_basis(g):
     """Weight vector of every basis index under ad of the Cartan basis."""
     weights = []
@@ -674,11 +671,11 @@ def _weights_of_basis(g):
             br = g.bracket_basis(t, i)
             extra = [k for k in br if k != i]
             if extra:
-                raise DecompositionError(
+                raise ConsistencyError(
                     "ad h%d is not diagonal on basis %d" % (t, i))
             ev = br.get(i, ZERO)
             if not ev.is_rational():
-                raise DecompositionError("irrational eigenvalue at %d" % i)
+                raise ConsistencyError("irrational eigenvalue at %d" % i)
             wt.append(ev.as_fraction())
         weights.append(tuple(wt))
     return weights
@@ -690,12 +687,16 @@ def cartan_gram(g):
     return [[g.form[a][b].as_fraction() for b in idx] for a in idx]
 
 
-def _solve_rational(matrix, rhs):
-    """Solve matrix * x = rhs exactly; matrix square nonsingular."""
+def _gauss_jordan(matrix, rhs):
+    """Reduce [matrix | rhs] until matrix is the identity; rhs is a list of
+    rows, and the reduced rows of the right block are returned."""
     n = len(matrix)
-    aug = [list(map(Fraction, matrix[i])) + [Fraction(rhs[i])] for i in range(n)]
+    aug = [list(map(Fraction, matrix[i])) + list(map(Fraction, rhs[i]))
+           for i in range(n)]
     for c in range(n):
-        pr = next(i for i in range(c, n) if aug[i][c])
+        pr = next((i for i in range(c, n) if aug[i][c]), None)
+        if pr is None:
+            raise PreconditionError("matrix is singular at column %d" % c)
         aug[c], aug[pr] = aug[pr], aug[c]
         pv = aug[c][c]
         aug[c] = [x / pv for x in aug[c]]
@@ -703,16 +704,28 @@ def _solve_rational(matrix, rhs):
             if i != c and aug[i][c]:
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][n] for i in range(n)]
+    return [row[n:] for row in aug]
+
+
+def _solve_rational(matrix, rhs):
+    """Solve matrix * x = rhs exactly; matrix square nonsingular."""
+    return [row[0] for row in _gauss_jordan(matrix, [[b] for b in rhs])]
+
+
+def _rational_inverse(matrix):
+    """Inverse of a square nonsingular rational matrix, as a list of rows."""
+    n = len(matrix)
+    return _gauss_jordan(matrix, [[Fraction(int(i == j)) for j in range(n)]
+                                  for i in range(n)])
 
 
 def weight_form(g):
     """The induced pairing on weight vectors, (a, b) = a^T Gc^{-1} b."""
-    gc = cartan_gram(g)
+    inv = _rational_inverse(cartan_gram(g))
 
     def pair(a, b):
-        x = _solve_rational(gc, list(b))
-        return sum(ai * xi for ai, xi in zip(a, x))
+        return sum(ai * sum(r * bj for r, bj in zip(row, b))
+                   for ai, row in zip(a, inv))
 
     return pair
 
@@ -757,22 +770,22 @@ def root_decomposition(g, theta=None):
         if weights[i] != zero:
             spaces.setdefault(weights[i], []).append(i)
         elif i not in g.cartan:
-            raise DecompositionError("weight-zero vector %d outside Cartan" % i)
+            raise ConsistencyError("weight-zero vector %d outside Cartan" % i)
     parity = {}
     for root, idxs in spaces.items():
         ps = {g.parity[i] for i in idxs}
         if len(ps) != 1:
-            raise DecompositionError("mixed parity root space at %s" % (root,))
+            raise ConsistencyError("mixed parity root space at %s" % (root,))
         parity[root] = ps.pop()
     roots = sorted(spaces)
     for root in roots:
         neg = tuple(-c for c in root)
         if neg not in spaces or parity[neg] != parity[root]:
-            raise DecompositionError("root negation symmetry fails at %s" % (root,))
+            raise ConsistencyError("root negation symmetry fails at %s" % (root,))
 
     cands = minimal_root_candidates(g, weights)
     if not cands:
-        raise DecompositionError("no minimal root available")
+        raise PreconditionError("no minimal root available")
     if theta is None:
         # canonical pick: coordinate-lex maximum (first sp / first block root)
         theta = cands[-1]
@@ -804,7 +817,7 @@ def root_decomposition(g, theta=None):
             simple.append(root)
     last = half if half in spaces else theta
     if last not in simple:
-        raise DecompositionError("adapted root is not simple")
+        raise ConsistencyError("adapted root is not simple")
     rest = sorted((r for r in simple if r != last), key=lambda r: (eta[r], r))
     simple = rest + [last]
     return RootDatum(g, roots, spaces, parity, theta, positive, simple)
@@ -867,14 +880,10 @@ def _generic_functional(g, roots, theta):
 # ---------------------------------------------------------------------------
 
 
-class ClassificationError(ValueError):
-    pass
-
-
 def classify_minimal_case(g, theta):
     """Parity type, centralizer label and complete-reducibility flag."""
     if theta not in minimal_root_candidates(g):
-        raise ClassificationError("theta %s is not a minimal root" % (theta,))
+        raise PreconditionError("theta %s is not a minimal root" % (theta,))
     weights = _weights_of_basis(g)
     pair = weight_form(g)
     tt = pair(theta, theta)
@@ -941,7 +950,7 @@ def _spo_block(twon, idx, g):
         comps = [Fraction(c) for c in label[2:-1].split(",")]
         n = twon // 2
         return "sp" if any(comps[:n]) else "so"
-    raise ClassificationError("unexpected basis label %r" % label)
+    raise ConsistencyError("unexpected basis label %r" % label)
 
 
 def _gl_block_is_first(g, idx):
@@ -950,4 +959,4 @@ def _gl_block_is_first(g, idx):
         a, b = (int(x) for x in label[1:].split(","))
         m = g.params[0]
         return a <= m and b <= m
-    raise ClassificationError("unexpected basis label %r" % label)
+    raise ConsistencyError("unexpected basis label %r" % label)

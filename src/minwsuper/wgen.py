@@ -12,14 +12,13 @@ expresses invariants in ordered monomials of the generators by
 triangular elimination along the filtration.
 """
 
-import weakref
 from fractions import Fraction
 
 from .envelope import PBWAlgebra, kazhdan_weights, render_element
 from .errors import ConsistencyError, PreconditionError
 from .grading import admissible_subalgebras, neg_one_bases, weights_delta_rho
 from .scalar import HALF, ONE, ZERO, Scalar, scalar
-from .superalgebra import LinearSolver, _solve_rational
+from .superalgebra import LinearSolver
 
 RELATION_SUITE = "minimal-w-relations/1"
 
@@ -102,22 +101,13 @@ class Generator:
         self.element = element
 
 
-class WConstants:
-    """Structural constants and the full commutator table."""
-
-    def __init__(self, c0, epsilon, weight_data, commutator_table):
-        self.c0 = c0
-        self.epsilon = epsilon
-        self.weight_data = weight_data
-        self.commutator_table = commutator_table
-
-
 class WAlgebra:
-    """Workspace tied to one minimal grading.
+    """Workspace tied to one minimal grading, which owns it.
 
     Holds the weighted normal-form algebra, the degree -1 dual bases
-    and lazily built generators; every public module function routes
-    through one of these so repeated queries share the caches.
+    and lazily built generators, plus the data derived from them
+    elsewhere; every public module function routes through the
+    grading's one workspace so repeated queries share the caches.
     """
 
     def __init__(self, grading):
@@ -144,6 +134,9 @@ class WAlgebra:
         self._wd = None
         self._cas = None
         self._table = None
+        # memo slots of cartanw.build_cartan_w and cartanw.restricted_roots
+        self._cartan = None
+        self._roots = None
 
     # -- quotient arithmetic --------------------------------------------
 
@@ -235,28 +228,11 @@ class WAlgebra:
             self._theta_cache[i] = cached
         return cached
 
-    def _gram_inverse(self):
-        hes = self.grading.hes
-        if not hes:
-            return []
-        gram = [[self.algebra.pair({a: ONE}, {b: ONE}).as_fraction()
-                 for b in hes] for a in hes]
-        cols = []
-        for j in range(len(hes)):
-            rhs = [Fraction(1 if i == j else 0) for i in range(len(hes))]
-            cols.append(_solve_rational(gram, rhs))
-        return [[cols[j][i] for j in range(len(hes))]
-                for i in range(len(hes))]
-
     def dual_cartan(self, values):
         """The h^e vector representing a functional through the form."""
-        hes = self.grading.hes
-        if not hes:
-            return {}
-        gram = [[self.algebra.pair({a: ONE}, {b: ONE}).as_fraction()
-                 for b in hes] for a in hes]
-        coeffs = _solve_rational(gram, [Fraction(v) for v in values])
-        return {h: scalar(c) for h, c in zip(hes, coeffs) if c}
+        wd = self.weight_data
+        return {h: scalar(c) for h, c in zip(wd.letters, wd.dual(values))
+                if c}
 
     def casimir(self):
         """The distinguished central element; leading coset 2e.
@@ -274,15 +250,12 @@ class WAlgebra:
                                                    pbw.inject(h))))
         acc = pbw.sub(acc, pbw.scale(scalar(Fraction(2 + gr.s - gr.r, 2)),
                                      pbw.inject(h)))
-        ginv = self._gram_inverse()
-        hes = gr.hes
-        for i in range(len(hes)):
-            for j in range(len(hes)):
-                if ginv[i][j]:
-                    acc = pbw.add(acc, pbw.scale(
-                        scalar(ginv[i][j]),
-                        pbw.mul(pbw.inject({hes[i]: ONE}),
-                                pbw.inject({hes[j]: ONE}))))
+        wd = self.weight_data
+        for a, row in zip(wd.letters, wd.inverse):
+            for b, c in zip(wd.letters, row):
+                if c:
+                    acc = pbw.add(acc, pbw.scale(scalar(c), pbw.mul(
+                        pbw.inject({a: ONE}), pbw.inject({b: ONE}))))
         for a, b, sign in (
                 [(x, xs, 1) for x, xs in zip(gr.xs, gr.xstars)]
                 + [(xs, x, 1) for x, xs in zip(gr.xs, gr.xstars)]
@@ -412,14 +385,13 @@ class WAlgebra:
             return self._cas
         gr, pbw = self.grading, self.pbw
         acc = {}
-        ginv = self._gram_inverse()
-        hes = gr.hes
-        for i in range(len(hes)):
-            for j in range(len(hes)):
-                if ginv[i][j]:
-                    prod = self.mul_raw(self.theta_letter(hes[i]).value,
-                                        self.theta_letter(hes[j]).value)
-                    acc = pbw.add(acc, pbw.scale(scalar(ginv[i][j]), prod))
+        wd = self.weight_data
+        for a, row in zip(wd.letters, wd.inverse):
+            for b, c in zip(wd.letters, row):
+                if c:
+                    prod = self.mul_raw(self.theta_letter(a).value,
+                                        self.theta_letter(b).value)
+                    acc = pbw.add(acc, pbw.scale(scalar(c), prod))
         for x, xs in zip(gr.xs, gr.xstars):
             acc = pbw.add(acc, self.mul_raw(self.theta_letter(x).value,
                                             self.theta_letter(xs).value))
@@ -467,15 +439,14 @@ class WAlgebra:
             raise PreconditionError("type even has no midline raiser")
         acc = pbw.scale(-QUARTER, self.casimir().value)
         acc = pbw.add(acc, {(): QUARTER * self.c0})
-        ginv = self._gram_inverse()
-        hes = gr.hes
-        for i in range(len(hes)):
-            for j in range(len(hes)):
-                if ginv[i][j]:
+        wd = self.weight_data
+        for a, row in zip(wd.letters, wd.inverse):
+            for b, c in zip(wd.letters, row):
+                if c:
                     acc = pbw.add(acc, pbw.scale(
-                        QUARTER * scalar(ginv[i][j]),
-                        self.mul_raw(self.theta_letter(hes[i]).value,
-                                     self.theta_letter(hes[j]).value)))
+                        QUARTER * scalar(c),
+                        self.mul_raw(self.theta_letter(a).value,
+                                     self.theta_letter(b).value)))
         for x, xs in zip(gr.xs, gr.xstars):
             acc = pbw.add(acc, pbw.scale(HALF, self.mul_raw(
                 self.theta_letter(x).value, self.theta_letter(xs).value)))
@@ -483,7 +454,7 @@ class WAlgebra:
             acc = pbw.add(acc, pbw.scale(HALF, self.mul_raw(
                 self.theta_letter(y).value, self.theta_letter(ys).value)))
         # net linear functional; its dual enters through the full generator
-        net = self.weight_data.zero()
+        net = wd.zero()
 
         def tilt(total, vals, sign):
             return tuple(t + sign * v for t, v in zip(total, vals))
@@ -826,16 +797,12 @@ class WAlgebra:
         return report
 
 
-_SPACES = weakref.WeakKeyDictionary()
-
-
 def workspace(grading):
-    """The cached per-grading workspace."""
-    wal = _SPACES.get(grading)
-    if wal is None:
-        wal = WAlgebra(grading)
-        _SPACES[grading] = wal
-    return wal
+    """The grading's one workspace, built on first use and kept on the
+    grading; the two reference each other and are freed together."""
+    if grading._workspace is None:
+        grading._workspace = WAlgebra(grading)
+    return grading._workspace
 
 
 def theta_v(grading, v):
@@ -880,16 +847,7 @@ def compute_c0(grading):
     return workspace(grading).c0
 
 
-def compute_epsilon(grading, constants=None):
-    if constants is not None:
-        wal = workspace(grading)
-        if grading.parity_type != "odd":
-            raise PreconditionError("shift constant only exists in type odd")
-        wd = constants.weight_data
-        val = constants.c0 + scalar(Fraction(1, 8))
-        val = val + scalar(2 * wd.pair(wd.rho_e0_bar, wd.delta_bar))
-        val = val + scalar(3 * wd.pair(wd.delta_bar, wd.delta_bar))
-        return val
+def compute_epsilon(grading):
     return workspace(grading).epsilon()
 
 
@@ -899,13 +857,6 @@ def pbw_coordinates(x):
 
 def evaluate_coordinates(grading, coords):
     return workspace(grading).evaluate_coordinates(coords)
-
-
-def build_constants(grading, include_table=True):
-    wal = workspace(grading)
-    eps = wal.epsilon() if grading.parity_type == "odd" else None
-    table = wal.commutator_table if include_table else None
-    return WConstants(wal.c0, eps, wal.weight_data, table)
 
 
 def verify_relations(grading):

@@ -1,7 +1,9 @@
 """Presentation, modules and the weight-zero projection."""
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -73,6 +75,19 @@ def test_generator_layout(gradings):
 def test_build_is_cached(gradings):
     gr = gradings["spo:2|3"]
     assert build_cartan_w(gr) is build_cartan_w(gr)
+
+
+def test_dropped_grading_is_released():
+    # the grading owns its workspace and everything cached on it, so
+    # dropping the grading frees the lot
+    gr = grade(build_algebra("osp:1|2"))
+    wgen.workspace(gr)
+    build_cartan_w(gr)
+    restricted_roots(gr)
+    ref = weakref.ref(gr)
+    del gr
+    gc.collect()
+    assert ref() is None
 
 
 def test_odd_squares():

@@ -312,6 +312,9 @@ def test_short_root_hint_rejected():
     with pytest.raises(PreconditionError) as err:
         select_minimal_root(g, short)
     assert "candidates" in str(err.value)
+    # psl(1|1) has no even root at all, so no minimal root to grade by
+    with pytest.raises(PreconditionError):
+        grade(build_algebra("psl:1|1"))
 
 
 def test_weight_fixtures(gradings):
@@ -372,7 +375,7 @@ def test_pairing_invariant_under_basis_change(gradings):
                 from minwsuper.superalgebra import _solve_rational
                 _solve_rational(a, [Fraction(0)] * n)
                 break
-            except StopIteration:
+            except PreconditionError:
                 continue
         def mat(v):
             return tuple(sum(a[i][j] * v[j] for j in range(n))

@@ -180,6 +180,13 @@ def test_sqrt_products_close():
     assert got == scalar(-2)
 
 
+def test_rational_hash_matches_fraction():
+    # equal values must hash alike, or sets and dict keys split them
+    assert len({scalar(1), 1}) == 1
+    assert hash(scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(ZERO) == hash(0)
+
+
 def test_tower_capacity():
     t = FieldTower((-1, 2, -3))
     assert t.adjoin_sqrt(-6) is t

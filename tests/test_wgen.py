@@ -241,16 +241,6 @@ def test_workspace_is_cached(gradings):
     assert wgen.workspace(mg) is wgen.workspace(mg)
 
 
-def test_build_constants_bundle(gradings):
-    mg = gradings["spo:2|3"]
-    wc = wgen.build_constants(mg)
-    assert wc.c0 == Fraction(9, 16)
-    assert wc.epsilon == Fraction(9, 16)
-    assert wc.commutator_table
-    light = wgen.build_constants(gradings["sl:2|1"], include_table=False)
-    assert light.epsilon is None and light.commutator_table is None
-
-
 def test_relation_suite_passes(gradings):
     for name in ["osp:1|2", "sl:2|1", "spo:2|3"]:
         rep = wgen.verify_relations(gradings[name])
