@@ -128,8 +128,12 @@ class PBWAlgebra:
         return out
 
     def _mul_word(self, wa, wb):
-        cur = {wa: ONE}
-        for x in wb:
+        """Normal form of the word product wa * wb; may be a cached dict
+        of the letter cache, so callers only read it."""
+        if not wb:
+            return {wa: ONE}
+        cur = self._mul_letter(wa, wb[0])
+        for x in wb[1:]:
             nxt = {}
             for w, c in cur.items():
                 for w2, c2 in self._mul_letter(w, x).items():

@@ -95,6 +95,8 @@ class MinimalGrading:
         self.tower = FieldTower()
         # the wgen.WAlgebra workspace, set up by wgen.workspace on first use
         self._workspace = None
+        # inverse of the simple-root matrix, set by simple_coefficients
+        self._simple_inverse = None
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -419,13 +421,18 @@ def admissible_subalgebras(grading):
 
 
 def simple_coefficients(grading, root):
-    """Expansion of a root over the simple system."""
-    simples = grading.rd.simple
-    k = len(simples)
-    matrix = [[Fraction(simples[i][j]) for i in range(k)] for j in range(k)]
-    if len(root) != k:
+    """Expansion of a root over the simple system, through the inverse of
+    the simple-root matrix, computed once per grading."""
+    if grading._simple_inverse is None:
+        simples = grading.rd.simple
+        k = len(simples)
+        grading._simple_inverse = _rational_inverse(
+            [[Fraction(simples[i][j]) for i in range(k)] for j in range(k)])
+    inverse = grading._simple_inverse
+    if len(root) != len(inverse):
         raise ConsistencyError("root length mismatch")
-    return _solve_rational(matrix, [Fraction(c) for c in root])
+    return [sum(r * Fraction(c) for r, c in zip(row, root))
+            for row in inverse]
 
 
 def theta_height(grading, root):
@@ -457,9 +464,8 @@ def compute_h0(grading):
 
     solver = LinearSolver(g.dim)
     for j in list(grading.hes) + [grading.hth]:
-        vec = grading._letter_vectors[j]
-        solver.add(j, [vec.get(i, ZERO) for i in range(g.dim)])
-    combo = solver.solve([base_vec.get(i, ZERO) for i in range(g.dim)])
+        solver.add(j, grading._letter_vectors[j])
+    combo = solver.solve(base_vec)
     if combo is None:
         raise ConsistencyError("h0 escaped the Cartan")
     h0 = {i: c for i, c in combo.items() if c}

@@ -61,55 +61,61 @@ def _rational_kernel(rows, ncols):
 
 
 class LinearSolver:
-    """Incremental exact row reduction over Scalar coefficients.
+    """Incremental exact row reduction over Scalar coefficients, sparse.
 
     Tracks a list of tagged vectors; solve() expresses a new vector in terms
-    of the tags (or reports failure).  Pivoting is plain first-nonzero, fine
-    at the dimensions in play here.
+    of the tags (or reports failure).  A vector is a dict of its nonzero
+    entries, keyed by any mutually ordered keys; a plain list is read as
+    the dict of its nonzero positions.  Every row is reduced against the
+    earlier ones and pivots on its smallest key, so one pass over the rows
+    in insertion order clears each pivot for good.  ``ambient_dim`` is the
+    length of list vectors and is only recorded.
     """
 
-    def __init__(self, ambient_dim):
+    def __init__(self, ambient_dim=None):
         self.dim = ambient_dim
-        self.rows = []  # (pivot index, normalized vector, combo dict tag -> Scalar)
+        self.rows = []  # (pivot key, normalized row dict, combo dict tag -> Scalar)
 
     def _reduce(self, vec):
-        residual = [scalar(x) for x in vec]
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        residual = {k: scalar(x) for k, x in items if x}
         expr = {}
-        for pivot, rowvec, rcombo in self.rows:
-            c = residual[pivot]
-            if c:
-                for k, rv in rowvec:
-                    residual[k] = residual[k] - c * rv
-                for tag, s in rcombo.items():
-                    acc = expr.get(tag, ZERO) + c * s
-                    if acc:
-                        expr[tag] = acc
-                    elif tag in expr:
-                        del expr[tag]
+        for pivot, row, rcombo in self.rows:
+            c = residual.get(pivot)
+            if c is None:
+                continue
+            for k, rv in row.items():
+                acc = residual.get(k, ZERO) - c * rv
+                if acc:
+                    residual[k] = acc
+                else:
+                    del residual[k]
+            for tag, s in rcombo.items():
+                acc = expr.get(tag, ZERO) + c * s
+                if acc:
+                    expr[tag] = acc
+                elif tag in expr:
+                    del expr[tag]
         return residual, expr
 
     def add(self, tag, vec):
         """Insert a tagged vector; returns False when dependent on earlier ones."""
         residual, expr = self._reduce(vec)
-        pivot = None
-        for k, x in enumerate(residual):
-            if x:
-                pivot = k
-                break
-        if pivot is None:
+        if not residual:
             return False
+        pivot = min(residual)
         pv = residual[pivot].inv()
-        rowvec = tuple((k, x * pv) for k, x in enumerate(residual) if x)
+        row = {k: x * pv for k, x in residual.items()}
         combo = {tag: pv}
         for t, s in expr.items():
             combo[t] = -s * pv
-        self.rows.append((pivot, rowvec, combo))
+        self.rows.append((pivot, row, combo))
         return True
 
     def solve(self, vec):
         """Coordinates of vec over the inserted tags, or None if outside the span."""
         residual, expr = self._reduce(vec)
-        if any(residual):
+        if residual:
             return None
         return expr
 
@@ -268,8 +274,7 @@ class LieSuperalgebra:
             if p is None:
                 raise PreconditionError("rebase vector %d is parity mixed" % t)
             parity.append(p)
-            dense = [vec.get(i, ZERO) for i in range(self.dim)]
-            if not solver.add(t, dense):
+            if not solver.add(t, vec):
                 raise PreconditionError("rebase vectors are dependent at %d" % t)
         bracket = {}
         for i in range(n):
@@ -277,8 +282,7 @@ class LieSuperalgebra:
                 z = self.bracket(new_basis[i], new_basis[j])
                 if not z:
                     continue
-                dense = [z.get(k, ZERO) for k in range(self.dim)]
-                coords = solver.solve(dense)
+                coords = solver.solve(z)
                 if coords is None:
                     raise PreconditionError("rebase span is not closed under bracket")
                 if coords:
@@ -583,13 +587,22 @@ def validate(g):
                 if br.get(k, ZERO) != -sign * rev.get(k, ZERO):
                     report.append("skew: [%d,%d] vs [%d,%d] at %d" % (i, j, j, i, k))
 
+    # a triple whose brackets are all zero satisfies both identities below
+    # trivially; the loop order, and so the report order, is kept
+    nonzero = {(i, j) for i in range(dim) for j in range(dim)
+               if g.bracket_basis(i, j)}
+    table = g.bracket_basis
+
     for i in range(dim):
         for j in range(dim):
+            ij = (i, j) in nonzero
             for k in range(dim):
-                lhs = g.bracket(basis[i], g.bracket(basis[j], basis[k]))
-                rhs = g.bracket(g.bracket(basis[i], basis[j]), basis[k])
+                if not (ij or (j, k) in nonzero or (i, k) in nonzero):
+                    continue
+                lhs = g.bracket(basis[i], table(j, k))
+                rhs = g.bracket(table(i, j), basis[k])
                 sgn = -1 if (g.parity[i] and g.parity[j]) else 1
-                for t, v in g.bracket(basis[j], g.bracket(basis[i], basis[k])).items():
+                for t, v in g.bracket(basis[j], table(i, k)).items():
                     acc = rhs.get(t, ZERO) + sgn * v
                     if acc:
                         rhs[t] = acc
@@ -609,9 +622,12 @@ def validate(g):
 
     for i in range(dim):
         for j in range(dim):
+            ij = (i, j) in nonzero
             for k in range(dim):
-                lhs = g.pair(g.bracket(basis[i], basis[j]), basis[k])
-                rhs = g.pair(basis[i], g.bracket(basis[j], basis[k]))
+                if not (ij or (j, k) in nonzero):
+                    continue
+                lhs = g.pair(table(i, j), basis[k])
+                rhs = g.pair(basis[i], table(j, k))
                 if lhs != rhs:
                     report.append("form not invariant at (%d,%d,%d)" % (i, j, k))
                     break

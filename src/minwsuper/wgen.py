@@ -6,10 +6,17 @@ generator map attaches a correcting tail to every centralizer element
 of degree 0 or 1; together with one Casimir element (and, in type odd,
 the bare midline coset) these close under supercommutators.
 
+Each basis letter is lifted by its tail formula and certified once; the
+lift of a combination of letters is the same combination of letter
+lifts, since the tail formulas and the twisted adjoint action are both
+linear.  The Casimir element is likewise built and certified once.
+
 ``verify_relations`` recomputes every commutator against the tabulated
 right-hand sides and reports exact residuals.  ``pbw_coordinates``
-expresses invariants in ordered monomials of the generators by
-triangular elimination along the filtration.
+expresses invariants in ordered monomials of the generators, peeling
+off one Kazhdan degree at a time: the top parts of the ordered monomials
+of each degree are reduced once per workspace into a sparse echelon
+keyed by normal word, and every later call only solves against it.
 """
 
 from fractions import Fraction
@@ -132,8 +139,12 @@ class WAlgebra:
         self._c0 = None
         self._c0_pairs = 0
         self._wd = None
+        self._casimir = None
         self._cas = None
         self._table = None
+        # Kazhdan degree -> LinearSolver over the top parts of the ordered
+        # monomials of that degree, keyed by normal word
+        self._layers = {}
         # memo slots of cartanw.build_cartan_w and cartanw.restricted_roots
         self._cartan = None
         self._roots = None
@@ -175,11 +186,8 @@ class WAlgebra:
 
     # -- generators -------------------------------------------------------
 
-    def theta_zero(self, v):
-        """Tail-corrected lift of a degree-0 centralizer element."""
-        if any(i not in self.ge0_letters for i in v):
-            raise PreconditionError("element is not in the degree-0 "
-                                    "centralizer span")
+    def _lift_zero(self, v):
+        """The tail formula for a degree-0 centralizer element."""
         g, pbw = self.algebra, self.pbw
         acc = pbw.inject(v)
         for z, zst in zip(self.nb["z"], self.nb["zstar"]):
@@ -187,12 +195,10 @@ class WAlgebra:
             if w:
                 acc = pbw.sub(acc, pbw.scale(
                     HALF, pbw.mul(pbw.inject(z), pbw.inject(w))))
-        return self.certify(self.project(acc), "refined")
+        return self.project(acc)
 
-    def theta_one(self, w):
-        """Tail-corrected lift of a degree-1 element."""
-        if any(i not in self.g1_letters for i in w):
-            raise PreconditionError("element is not in the degree-1 span")
+    def _lift_one(self, w):
+        """The tail formula for a degree-1 element."""
         g, pbw = self.algebra, self.pbw
         acc = pbw.inject(w)
         for z, zst in zip(self.nb["z"], self.nb["zstar"]):
@@ -213,18 +219,44 @@ class WAlgebra:
         acc = pbw.add(acc, pbw.scale(THIRD, cubic))
         wf = g.bracket(w, {self.grading.f: ONE})
         acc = pbw.sub(acc, pbw.scale(THIRD + THIRD, pbw.inject(wf)))
-        return self.certify(self.project(acc), "refined")
+        return self.project(acc)
+
+    def _combine_letters(self, x):
+        """Sum of c * theta_letter(i) over x; certified without a new check,
+        because the tail formulas and the twisted adjoint action are both
+        linear, so a combination of invariant letter lifts is invariant."""
+        pbw = self.pbw
+        acc = {}
+        for i, c in x.items():
+            acc = pbw.add(acc, pbw.scale(c, self.theta_letter(i).value))
+        return WElement(self, acc, pbw.kazhdan_degree(acc), "refined")
+
+    def theta_zero(self, v):
+        """Tail-corrected lift of a degree-0 centralizer element."""
+        if any(i not in self.ge0_letters for i in v):
+            raise PreconditionError("element is not in the degree-0 "
+                                    "centralizer span")
+        return self._combine_letters(v)
+
+    def theta_one(self, w):
+        """Tail-corrected lift of a degree-1 element."""
+        if any(i not in self.g1_letters for i in w):
+            raise PreconditionError("element is not in the degree-1 span")
+        return self._combine_letters(w)
 
     def theta_letter(self, i):
+        """Lift of one basis letter, built by its tail formula and certified
+        once per workspace."""
         cached = self._theta_cache.get(i)
         if cached is None:
             if i in self.ge0_letters:
-                cached = self.theta_zero({i: ONE})
+                value = self._lift_zero({i: ONE})
             elif i in self.g1_letters:
-                cached = self.theta_one({i: ONE})
+                value = self._lift_one({i: ONE})
             else:
                 raise PreconditionError("letter %s carries no generator"
                                         % self.algebra.labels[i])
+            cached = self.certify(value, "refined")
             self._theta_cache[i] = cached
         return cached
 
@@ -241,7 +273,10 @@ class WAlgebra:
         the dual-pair normalization used here, centrality alone leaves the
         constant free, so it is fixed to make the expansion hold exactly
         (the shift against the naive normal-ordered sum is (s-r)^2/16).
+        Built and certified once per workspace.
         """
+        if self._casimir is not None:
+            return self._casimir
         gr, g, pbw = self.grading, self.algebra, self.pbw
         h = {gr.hth: ONE}
         acc = {(): scalar(Fraction((gr.s - gr.r) ** 2, 16))}
@@ -270,7 +305,8 @@ class WAlgebra:
             if ez:
                 acc = pbw.add(acc, pbw.scale(
                     sign + sign, pbw.mul(pbw.inject(ez), pbw.inject(z))))
-        return self.certify(self.project(acc), "refined")
+        self._casimir = self.certify(self.project(acc), "refined")
+        return self._casimir
 
     def theta_mid(self):
         if self.grading.parity_type != "odd":
@@ -526,33 +562,28 @@ class WAlgebra:
         rec(0, target, [])
         return out
 
+    def _layer(self, d):
+        """Echelon of the degree-d top parts of the ordered monomials,
+        built on first use and kept for the life of the workspace."""
+        solver = self._layers.get(d)
+        if solver is None:
+            solver = LinearSolver()
+            for expo in self.monomials_of_weight(d):
+                top = {w: c for w, c in self.monomial(expo).items()
+                       if self.word_weight(w) == d}
+                if top:
+                    solver.add(expo, top)
+            self._layers[d] = solver
+        return solver
+
     def pbw_coordinates(self, value):
         """Exponent-tuple coordinates of a coset over ordered monomials."""
         coords = {}
         work = dict(value)
         while work:
             d = self.pbw.kazhdan_degree(work)
-            tops = []
-            words = set(w for w in work if self.word_weight(w) == d)
-            for expo in self.monomials_of_weight(d):
-                elem = self.monomial(expo)
-                top = {w: c for w, c in elem.items()
-                       if self.word_weight(w) == d}
-                if top:
-                    tops.append((expo, top))
-                    words.update(top)
-            index = {w: k for k, w in enumerate(sorted(words))}
-            solver = LinearSolver(len(index))
-            for expo, top in tops:
-                dense = [ZERO] * len(index)
-                for w, c in top.items():
-                    dense[index[w]] = c
-                solver.add(expo, dense)
-            target = [ZERO] * len(index)
-            for w, c in work.items():
-                if self.word_weight(w) == d:
-                    target[index[w]] = c
-            combo = solver.solve(target)
+            combo = self._layer(d).solve(
+                {w: c for w, c in work.items() if self.word_weight(w) == d})
             if combo is None:
                 raise ConsistencyError(
                     "straightening failed at filtration degree %d" % d)

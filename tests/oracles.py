@@ -83,4 +83,5 @@ def sympy_equals(value, expr):
         for atom in key:
             term *= sympy.sqrt(sympy.Integer(atom))
         total += term
-    return sympy.simplify(total - expr) == 0
+    # exact: equal only when sympy reduces the difference to 0
+    return sympy.expand(sympy.radsimp(total - expr)) == 0

@@ -199,4 +199,7 @@ def test_tower_capacity():
 def test_inverse_matches_sympy(a, b):
     prod = a * b
     if prod:
-        assert sympy_equals(prod.inv(), 1 / (to_sympy(a) * to_sympy(b)))
+        want = 1 / (to_sympy(a) * to_sympy(b))
+        assert sympy_equals(prod.inv(), want)
+        # negative control: an inverse off by one must not compare equal
+        assert not sympy_equals(prod.inv() + ONE, want)

@@ -60,6 +60,20 @@ def test_validate_detects_damage():
     tgt = next(iter(g._bracket[key]))
     g._bracket[key][tgt] = g._bracket[key][tgt] + ONE
     assert validate(g) != []
+    # a zero bracket made nonzero, skew-consistently so that only the
+    # Jacobi and invariance checks can see it, must be reported as well
+    g = build_algebra("sl:2|1")
+    i, j = next((i, j) for i in range(g.dim) for j in range(i + 1, g.dim)
+                if not g.bracket_basis(i, j)
+                and i not in g.cartan and j not in g.cartan)
+    k = next(k for k in range(g.dim)
+             if g.parity[k] == (g.parity[i] + g.parity[j]) % 2)
+    sign = -1 if g.parity[i] and g.parity[j] else 1
+    g._bracket[(i, j)] = {k: ONE}
+    g._bracket[(j, i)] = {k: -sign * ONE}
+    report = validate(g)
+    assert any(v.startswith("jacobi") for v in report)
+    assert any(v.startswith("form not invariant") for v in report)
 
 
 def test_bracket_bilinearity(algebras):

@@ -7,7 +7,7 @@ import pytest
 
 from minwsuper import wgen
 from minwsuper.envelope import render_element
-from minwsuper.errors import PreconditionError
+from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.grading import WeightData, grade
 from minwsuper.scalar import HALF, ONE, ZERO, scalar
 from minwsuper.superalgebra import build_algebra
@@ -113,14 +113,24 @@ def test_theta_F_needs_a_midline(gradings):
 
 
 def test_theta_v_is_linear(gradings):
-    mg = gradings["spo:2|3"]
-    wal = wgen.workspace(mg)
-    a, b = mg.xs[0], mg.hes[0]
-    two = ONE + ONE
-    lhs = wgen.theta_v(mg, {a: ONE, b: two})
-    rhs = wal.pbw.add(wgen.theta_v(mg, {a: ONE}).value,
-                      wal.pbw.scale(two, wgen.theta_v(mg, {b: ONE}).value))
-    assert lhs.value == rhs
+    # lifts are assembled from letter lifts; on a combination of letters
+    # they must agree with the tail formula applied to the whole element,
+    # and that direct lift must pass the invariance check on its own
+    coeffs = [ONE + ONE, scalar(Fraction(-1, 3)), ONE]
+    for name in ["spo:2|3", "sl:2|1"]:
+        mg = gradings[name]
+        wal = wgen.workspace(mg)
+        for letters, lift, direct in (
+                (wal.ge0_letters, wgen.theta_v, wal._lift_zero),
+                (wal.g1_letters, wgen.theta_w, wal._lift_one)):
+            x = dict(zip(letters, coeffs))
+            want = wal.certify(direct(x), "refined")
+            got = lift(mg, x)
+            assert got.value == want.value
+            assert (got.kdeg, got.flavor) == (want.kdeg, want.flavor)
+    # sl:2|1 has a single degree-0 letter, spo:2|3 several of each degree
+    wal = wgen.workspace(gradings["spo:2|3"])
+    assert min(len(wal.ge0_letters), len(wal.g1_letters)) >= 3
 
 
 def test_raiser_lift_small_case(gradings):
@@ -227,6 +237,34 @@ def test_monomial_counts_match_graded_dimension(gradings):
             got = sum(len(wal.monomials_of_weight(d))
                       for d in range(cap + 1))
             assert got == count_bounded_monomials(weights, odd, cap)
+
+
+def test_cached_straightener(gradings):
+    # the per-degree echelon layers cached on a workspace give the same
+    # coordinates as a fresh workspace, a second pass adds no layer, and
+    # an input outside the span still fails
+    for name in ["spo:2|3", "sl:2|1"]:
+        mg = gradings[name]
+        warm = wgen.workspace(mg)
+        table = warm.commutator_table
+        fresh = wgen.WAlgebra(grade(build_algebra(name)))
+        assert fresh.commutator_table == table
+        layers = len(warm._layers)
+        assert layers > 0
+        gens = warm.generators
+        for a in range(len(gens)):
+            for b in range(a, len(gens)):
+                comm = warm.comm_raw(gens[a].element.value,
+                                     gens[b].element.value)
+                assert warm.pbw_coordinates(comm) == \
+                    table[(gens[a].name, gens[b].name)]
+        assert len(warm._layers) == layers
+        # a bare degree -1 letter other than the midline one has weight 1,
+        # and no ordered monomial has that word as its top part
+        z = next(i for i in mg.us + mg.vs if i != mg.vmid)
+        assert warm.word_weight((z,)) == 1
+        with pytest.raises(ConsistencyError):
+            warm.pbw_coordinates({(z,): ONE})
 
 
 def test_commutator_table_covers_all_pairs(gradings):
