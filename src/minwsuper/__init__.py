@@ -15,7 +15,7 @@ from .cartanw import (
 )
 from .envelope import PBWAlgebra, kazhdan_weights
 from .grading import MinimalGrading, grade
-from .scalar import FieldTower, Scalar, adjoin_sqrt, scalar
+from .scalar import Scalar, scalar
 from .superalgebra import LieSuperalgebra, build_algebra, validate
 from .wgen import (
     RELATION_SUITE,
@@ -37,7 +37,6 @@ from .wgen import (
 __all__ = [
     "CartanWAlgebra",
     "CartanWElement",
-    "FieldTower",
     "LieSuperalgebra",
     "MinimalGrading",
     "NotHomogeneousError",
@@ -47,7 +46,6 @@ __all__ = [
     "Scalar",
     "VLambdaModule",
     "WElement",
-    "adjoin_sqrt",
     "build_algebra",
     "build_cartan_w",
     "casimir_C",

@@ -10,12 +10,11 @@ dual root-vector bases, and the weight functionals precomputed.
 from fractions import Fraction
 
 from .errors import ConsistencyError, PreconditionError
-from .scalar import HALF, ONE, ZERO, FieldTower, Scalar, scalar
+from .scalar import HALF, ONE, ZERO, scalar, sqrt
 from .superalgebra import (
     LinearSolver,
     _rational_inverse,
     _rational_kernel,
-    _solve_rational,
     minimal_root_candidates,
     root_decomposition,
     weight_form,
@@ -92,10 +91,9 @@ class MinimalGrading:
         self.base = g
         self.rd = root_decomposition(g, theta)
         self.theta = theta
-        self.tower = FieldTower()
         # the wgen.WAlgebra workspace, set up by wgen.workspace on first use
         self._workspace = None
-        # inverse of the simple-root matrix, set by simple_coefficients
+        # inverse of the simple-root matrix, set by simple_inverse
         self._simple_inverse = None
         self._build()
 
@@ -123,7 +121,8 @@ class MinimalGrading:
         # sl(2) part: e spans the theta space, f scaled so that [e, f] = h
         e_vec = {rd.spaces[rd.theta][0]: ONE}
         gram = [[work.form[a][b].as_fraction() for b in cartan] for a in cartan]
-        tcoef = _solve_rational(gram, [Fraction(c) for c in rd.theta])
+        tcoef = [sum(a * Fraction(c) for a, c in zip(row, rd.theta))
+                 for row in _rational_inverse(gram)]
         h_vec = {cartan[i]: scalar(c) for i, c in enumerate(tcoef) if c}
         f0 = {rd.spaces[_neg(rd.theta)][0]: ONE}
         comm = work.bracket(e_vec, f0)
@@ -188,8 +187,7 @@ class MinimalGrading:
                 raise ConsistencyError("middle root space is not a line")
             x = {idxs[0]: ONE}
             c = chi0(work.bracket(x, x)).as_fraction()
-            self.tower = self.tower.adjoin_sqrt(c)
-            rt = self.tower.sqrt(c)
+            rt = sqrt(c)
             vs[(self.r - 1) // 2] = {j: v / rt for j, v in x.items()}
 
         # degree 0 dual root-vector bases, against the invariant form
@@ -281,9 +279,7 @@ class MinimalGrading:
         self.spaces = {d: tuple(v) for d, v in spaces.items()}
 
         if self.r % 2:
-            self.tower = self.tower.adjoin_sqrt(-2)
-            rt2 = self.tower.sqrt(-2)
-            self.F = {self.vmid: rt2}
+            self.F = {self.vmid: sqrt(-2)}
             self.E = self.algebra.bracket(self.F, {self.e: ONE})
         else:
             self.F = self.E = None
@@ -420,15 +416,20 @@ def admissible_subalgebras(grading):
     }
 
 
-def simple_coefficients(grading, root):
-    """Expansion of a root over the simple system, through the inverse of
-    the simple-root matrix, computed once per grading."""
+def simple_inverse(grading):
+    """Inverse of the matrix whose columns are the simple roots, computed
+    once per grading."""
     if grading._simple_inverse is None:
         simples = grading.rd.simple
         k = len(simples)
         grading._simple_inverse = _rational_inverse(
             [[Fraction(simples[i][j]) for i in range(k)] for j in range(k)])
-    inverse = grading._simple_inverse
+    return grading._simple_inverse
+
+
+def simple_coefficients(grading, root):
+    """Expansion of a root over the simple system."""
+    inverse = simple_inverse(grading)
     if len(root) != len(inverse):
         raise ConsistencyError("root length mismatch")
     return [sum(r * Fraction(c) for r, c in zip(row, root))
@@ -454,15 +455,15 @@ def compute_h0(grading):
         raise PreconditionError("h0 is only defined for parity type odd")
     g, rd = grading.base, grading.rd
     cartan = list(g.cartan)
-    k = len(cartan)
-    rows = [[Fraction(a) for a in alpha] for alpha in rd.simple]
-    rhs = [Fraction(1)] * (k - 1) + [Fraction(0)]
-    sol = _solve_rational(rows, rhs)
+    # (alpha_j, x) = 1 for all but the last simple root and 0 for it; the
+    # matrix with the simple roots as rows is the transpose of the inverted one
+    inverse = simple_inverse(grading)
+    sol = [sum(row[i] for row in inverse[:-1]) for i in range(len(cartan))]
     base_vec = {cartan[i]: scalar(c) for i, c in enumerate(sol) if c}
     if theta_height(grading, rd.theta) != 0:
         raise ConsistencyError("theta is not twice the last simple root")
 
-    solver = LinearSolver(g.dim)
+    solver = LinearSolver()
     for j in list(grading.hes) + [grading.hth]:
         solver.add(j, grading._letter_vectors[j])
     combo = solver.solve(base_vec)

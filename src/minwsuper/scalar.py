@@ -5,22 +5,19 @@ every ``T`` is a set of square-free integer "atoms" and ``c_T`` is a
 :class:`fractions.Fraction`.  Multiplication combines atom sets by symmetric
 difference, picking up the product of the shared atoms (``sqrt(d)**2 = d``).
 
-A :class:`FieldTower` records which atoms are in play and keeps them
-multiplicatively independent modulo squares, so the resulting span really is
-a field and every nonzero element is invertible.
+:func:`sqrt` writes the square root of a rational as a rational multiple of
+one atom.  The engine takes only sqrt(-2) and the midline norm, which reduces
+to it.  Exact equality and inversion need the atoms in play to be
+multiplicatively independent modulo squares: two distinct square-free atoms
+always are, three need not be (sqrt(-1)*sqrt(2) and sqrt(-2) are one number
+written over different atoms).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PreconditionError
-
 _EMPTY = frozenset()
-
-
-class TowerCapacityError(PreconditionError):
-    """Raised when a tower would exceed its generator budget."""
 
 
 def _sqfree_split(n):
@@ -288,22 +285,15 @@ class Scalar:
             chunk = chunk[1:]
         if not chunk:
             raise ValueError("dangling sign in scalar literal")
-        coeff = Fraction(sign)
-        key = set()
+        term = Scalar.rational(sign)
         for factor in chunk.split("*"):
             if factor.startswith("sqrt(") and factor.endswith(")"):
-                outer, core = _sqfree_split(int(factor[5:-1]))
-                coeff *= outer
-                if core != 1:
-                    key ^= {core}
-                    if core not in key:
-                        # atom cancelled: sqrt(d)*sqrt(d) inside one term
-                        coeff *= core
+                term = term * sqrt(int(factor[5:-1]))
             elif factor:
-                coeff *= Fraction(factor)
+                term = term * Fraction(factor)
             else:
                 raise ValueError("empty factor in %r" % chunk)
-        return Scalar({frozenset(key): coeff})
+        return term
 
 
 _ZERO = Scalar()
@@ -318,88 +308,13 @@ def scalar(x):
     return res
 
 
-class FieldTower:
-    """Immutable list of square-free atoms whose square roots are available.
-
-    Atoms are pairwise multiplicatively independent modulo squares, which is
-    exactly the condition for Q(sqrt(d1), ..., sqrt(dk)) to be a field of
-    degree 2**k; adjoin_sqrt enforces it by reusing subsets of existing atoms
-    whenever the requested radical is already expressible.
-    """
-
-    MAX_GENERATORS = 3
-
-    __slots__ = ("generators",)
-
-    def __init__(self, generators=()):
-        self.generators = tuple(generators)
-
-    @staticmethod
-    def _reduce(d):
-        """sqrt(d) = mult * sqrt(core) with core a square-free integer."""
-        d = Fraction(d)
-        if d == 0:
-            raise ValueError("sqrt(0) needs no tower")
-        outer, core = _sqfree_split(d.numerator * d.denominator)
-        return core, Fraction(outer, d.denominator)
-
-    def _find(self, core):
-        """Subset of generators whose product has the given square-free core."""
-        if core == 1:
-            return _EMPTY, Fraction(1)
-        gens = self.generators
-        for mask in range(1, 1 << len(gens)):
-            prod = 1
-            sel = []
-            for i, g in enumerate(gens):
-                if mask >> i & 1:
-                    prod *= g
-                    sel.append(g)
-            outer, c = _sqfree_split(prod)
-            if c == core:
-                return frozenset(sel), Fraction(1, outer)
-        return None, None
-
-    def contains_sqrt(self, d):
-        core, _ = self._reduce(d)
-        return self._find(core)[0] is not None
-
-    def adjoin_sqrt(self, d):
-        """Tower containing sqrt(d); returns self when already present."""
-        core, _ = self._reduce(d)
-        if self._find(core)[0] is not None:
-            return self
-        if len(self.generators) >= self.MAX_GENERATORS:
-            raise TowerCapacityError(
-                "tower already has %d generators; cannot adjoin sqrt(%s)"
-                % (self.MAX_GENERATORS, d)
-            )
-        return FieldTower(self.generators + (core,))
-
-    def sqrt(self, d):
-        """sqrt(d) as a Scalar, if representable in this tower."""
-        core, mult = self._reduce(d)
-        key, fix = self._find(core)
-        if key is None:
-            raise ValueError(
-                "sqrt(%s) not available; adjoin it first (tower %r)"
-                % (d, self.generators)
-            )
-        return Scalar({key: mult * fix})
-
-    def __repr__(self):
-        return "FieldTower(%r)" % (self.generators,)
-
-    def __eq__(self, other):
-        return isinstance(other, FieldTower) and self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
-
-
-def adjoin_sqrt(tower, d):
-    """Functional form of :meth:`FieldTower.adjoin_sqrt`."""
-    return tower.adjoin_sqrt(d)
+def sqrt(q):
+    """sqrt(q) of a nonzero rational q, as mult * sqrt(core) with core a
+    square-free integer (no atom when q is a rational square)."""
+    q = Fraction(q)
+    outer, core = _sqfree_split(q.numerator * q.denominator)
+    key = _EMPTY if core == 1 else frozenset([core])
+    return Scalar({key: Fraction(outer, q.denominator)})
 
 
 ZERO = _ZERO

@@ -19,45 +19,8 @@ ONE = Scalar.one()
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra
+# exact linear algebra: one sparse echelon, with Fraction adapters
 # ---------------------------------------------------------------------------
-
-
-def _rational_kernel(rows, ncols):
-    """Basis of the right kernel of a rational matrix (rows of length ncols)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 class LinearSolver:
@@ -68,12 +31,11 @@ class LinearSolver:
     entries, keyed by any mutually ordered keys; a plain list is read as
     the dict of its nonzero positions.  Every row is reduced against the
     earlier ones and pivots on its smallest key, so one pass over the rows
-    in insertion order clears each pivot for good.  ``ambient_dim`` is the
-    length of list vectors and is only recorded.
+    in insertion order clears each pivot for good.  This is the package's
+    only elimination; the rational kernel and inverse below are adapters.
     """
 
-    def __init__(self, ambient_dim=None):
-        self.dim = ambient_dim
+    def __init__(self):
         self.rows = []  # (pivot key, normalized row dict, combo dict tag -> Scalar)
 
     def _reduce(self, vec):
@@ -124,8 +86,45 @@ class LinearSolver:
         return len(self.rows)
 
 
+def _rational_kernel(rows, ncols):
+    """Basis of the right kernel of a rational matrix (rows of length ncols).
+
+    Columns enter one solver in order; each column that depends on the
+    earlier ones gives e_c minus its unique expression over the independent
+    ones, which is the RREF free-column basis, in the same order.
+    """
+    solver = LinearSolver()
+    basis = []
+    for c in range(ncols):
+        column = {i: row[c] for i, row in enumerate(rows) if row[c]}
+        if solver.add(c, column):
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[c] = Fraction(1)
+        for t, x in solver.solve(column).items():
+            vec[t] = -x.as_fraction()
+        basis.append(tuple(vec))
+    return basis
+
+
+def _rational_inverse(matrix):
+    """Inverse of a square nonsingular rational matrix, as a list of rows:
+    row j solves x * matrix = e_j over the rows of the matrix."""
+    n = len(matrix)
+    solver = LinearSolver()
+    for i, row in enumerate(matrix):
+        if not solver.add(i, row):
+            raise PreconditionError("matrix is singular at row %d" % i)
+    inverse = []
+    for j in range(n):
+        combo = solver.solve({j: ONE})
+        inverse.append([combo[i].as_fraction() if i in combo else Fraction(0)
+                        for i in range(n)])
+    return inverse
+
+
 # ---------------------------------------------------------------------------
-# rational matrices (tuples of tuples of Fraction)
+# rational matrices (lists of rows of Fraction)
 # ---------------------------------------------------------------------------
 
 
@@ -267,7 +266,7 @@ class LieSuperalgebra:
         n = len(new_basis)
         if n != self.dim:
             raise PreconditionError("rebase needs a full basis")
-        solver = LinearSolver(self.dim)
+        solver = LinearSolver()
         parity = []
         for t, vec in enumerate(new_basis):
             p = self.element_parity(vec)
@@ -429,7 +428,7 @@ def _build_gl_family(kind, m, n):
 def _matrix_coords(basis_mats, targets, eliminators=()):
     """Coordinates of each target over basis_mats, modulo the eliminator span."""
     dim = len(basis_mats)
-    solver = LinearSolver(len(basis_mats[0]) ** 2)
+    solver = LinearSolver()
     for t, em in enumerate(eliminators):
         solver.add(("elim", t), _flatten(em))
     for i, bm in enumerate(basis_mats):
@@ -521,7 +520,7 @@ def _build_spo(twon, m):
     mats = list(cartan_mats)
     parity = [0] * k_c
     labels = ["H%d" % (i + 1) for i in range(k_c)]
-    solver = LinearSolver(d * d)
+    solver = LinearSolver()
     for i, hm in enumerate(cartan_mats):
         solver.add(i, _flatten(hm))
     for (wt, px) in sorted(weight_vecs, key=lambda key: (key[0], key[1])):
@@ -632,7 +631,7 @@ def validate(g):
                     report.append("form not invariant at (%d,%d,%d)" % (i, j, k))
                     break
 
-    solver = LinearSolver(dim)
+    solver = LinearSolver()
     for i in range(dim):
         solver.add(i, [g.form[i][j] for j in range(dim)])
     if solver.rank != dim:
@@ -701,38 +700,6 @@ def cartan_gram(g):
     """Gram matrix of the form restricted to the Cartan basis (Fractions)."""
     idx = g.cartan
     return [[g.form[a][b].as_fraction() for b in idx] for a in idx]
-
-
-def _gauss_jordan(matrix, rhs):
-    """Reduce [matrix | rhs] until matrix is the identity; rhs is a list of
-    rows, and the reduced rows of the right block are returned."""
-    n = len(matrix)
-    aug = [list(map(Fraction, matrix[i])) + list(map(Fraction, rhs[i]))
-           for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c]), None)
-        if pr is None:
-            raise PreconditionError("matrix is singular at column %d" % c)
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
-def _solve_rational(matrix, rhs):
-    """Solve matrix * x = rhs exactly; matrix square nonsingular."""
-    return [row[0] for row in _gauss_jordan(matrix, [[b] for b in rhs])]
-
-
-def _rational_inverse(matrix):
-    """Inverse of a square nonsingular rational matrix, as a list of rows."""
-    n = len(matrix)
-    return _gauss_jordan(matrix, [[Fraction(int(i == j)) for j in range(n)]
-                                  for i in range(n)])
 
 
 def weight_form(g):

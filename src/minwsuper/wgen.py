@@ -11,12 +11,13 @@ lift of a combination of letters is the same combination of letter
 lifts, since the tail formulas and the twisted adjoint action are both
 linear.  The Casimir element is likewise built and certified once.
 
-``verify_relations`` recomputes every commutator against the tabulated
-right-hand sides and reports exact residuals.  ``pbw_coordinates``
-expresses invariants in ordered monomials of the generators, peeling
-off one Kazhdan degree at a time: the top parts of the ordered monomials
-of each degree are reduced once per workspace into a sparse echelon
-keyed by normal word, and every later call only solves against it.
+``verify_relations`` reads every generator commutator back from the
+commutator table, checks it against the tabulated right-hand sides and
+reports exact residuals.  ``pbw_coordinates`` expresses invariants in
+ordered monomials of the generators, peeling off one Kazhdan degree at
+a time: the top parts of the ordered monomials of each degree are
+reduced once per workspace into a sparse echelon keyed by normal word,
+and every later call only solves against it.
 """
 
 from fractions import Fraction
@@ -674,13 +675,29 @@ class WAlgebra:
                 for b in range(a, len(letters)):
                     yield letters[a], letters[b]
 
+        table = self.commutator_table
+        letter_to_pos = {gen.letter: k for k, gen in enumerate(gens)
+                         if gen.letter is not None}
+
+        def comm(a, b):
+            """[gens[a], gens[b]], read back from the commutator table; a
+            reversed pair picks up the supersign -(-1)^{|a||b|}."""
+            lo, hi = min(a, b), max(a, b)
+            value = self.evaluate_coordinates(
+                table[(gens[lo].name, gens[hi].name)]).value
+            if a > b and not (gens[a].parity and gens[b].parity):
+                value = pbw.scale(-ONE, value)
+            return value
+
+        def comm_letters(a, b):
+            return comm(letter_to_pos[a], letter_to_pos[b])
+
         run("generator-invariance",
             ((gen.name, None) for gen in gens))
 
         cases = []
         for a, b in gen_pairs(self.ge0_letters):
-            lhs = self.comm_raw(self.theta_letter(a).value,
-                                self.theta_letter(b).value)
+            lhs = comm_letters(a, b)
             rhs = self.theta_zero(g.bracket({a: ONE}, {b: ONE})).value
             cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
                           pbw.sub(lhs, rhs)))
@@ -689,8 +706,7 @@ class WAlgebra:
         cases = []
         for a in self.ge0_letters:
             for b in self.g1_letters:
-                lhs = self.comm_raw(self.theta_letter(a).value,
-                                    self.theta_letter(b).value)
+                lhs = comm_letters(a, b)
                 rhs = self.theta_one(g.bracket({a: ONE}, {b: ONE})).value
                 cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
                               pbw.sub(lhs, rhs)))
@@ -698,17 +714,16 @@ class WAlgebra:
 
         cases = []
         for a, b in gen_pairs(self.g1_letters):
-            lhs = self.comm_raw(self.theta_letter(a).value,
-                                self.theta_letter(b).value)
+            lhs = comm_letters(a, b)
             rhs = self.pair_expansion({a: ONE}, {b: ONE})
             cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
                           pbw.sub(lhs, rhs)))
         run("degree1-pair-expansion", cases)
 
-        cas = self.casimir().value
+        pos_c = self.generator_index("C")
         run("casimir-central",
-            (("[C,%s]" % gen.name, self.comm_raw(cas, gen.element.value))
-             for gen in gens if gen.name != "C"))
+            (("[C,%s]" % gen.name, comm(pos_c, k))
+             for k, gen in enumerate(gens) if gen.name != "C"))
 
         run("casimir-vs-quadratic",
             (("[Cas,%s]" % g.labels[a],
@@ -717,13 +732,13 @@ class WAlgebra:
              for a in self.ge0_letters))
 
         if gr.parity_type == "odd":
-            mid = self.theta_mid().value
-            cases = [("[F,%s]" % gen.name,
-                      self.comm_raw(mid, gen.element.value))
-                     for gen in gens if gen.name not in ("F", "C")]
-            cases.append(("[F,C]", self.comm_raw(mid, cas)))
+            pos_f = self.generator_index("F")
+            cases = [("[F,%s]" % gen.name, comm(pos_f, k))
+                     for k, gen in enumerate(gens)
+                     if gen.name not in ("F", "C")]
+            cases.append(("[F,C]", comm(pos_f, pos_c)))
             cases.append(("[F,F]-1",
-                          pbw.sub(self.comm_raw(mid, mid), pbw.unit())))
+                          pbw.sub(comm(pos_f, pos_f), pbw.unit())))
             run("midline-relations", cases)
 
             cases = []
@@ -755,7 +770,6 @@ class WAlgebra:
             cases.append((g.labels[x], residual))
         run("degree0-ladder-cartan", cases)
 
-        table = self.commutator_table
         y_names = [gen.name for gen in gens
                    if gen.letter is not None and gen.name != "F"]
         if gr.parity_type == "odd":
@@ -776,9 +790,6 @@ class WAlgebra:
             run("table-midline-column", cases)
 
         cases = []
-        name_to_pos = {gen.name: k for k, gen in enumerate(gens)}
-        letter_to_pos = {gen.letter: k for k, gen in enumerate(gens)
-                         if gen.letter is not None}
         for a in range(len(gens)):
             for b in range(a, len(gens)):
                 ga, gb = gens[a], gens[b]

@@ -15,7 +15,7 @@ from minwsuper.cartanw import (CartanWElement, NotHomogeneousError,
                                simple_module)
 from minwsuper.errors import PreconditionError
 from minwsuper.grading import grade
-from minwsuper.scalar import HALF, ONE, ZERO, scalar
+from minwsuper.scalar import HALF, ONE, ZERO, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
 
 ODD_NAMES = ["osp:1|2", "spo:2|3", "spo:4|1"]
@@ -299,7 +299,7 @@ def test_projection_raiser_image(gradings):
     cw = build_cartan_w(gr)
     g = wal.algebra
     ve = g.bracket({gr.vmid: ONE}, {gr.e: ONE})
-    s2 = gr.tower.sqrt(-2)
+    s2 = sqrt(-2)
     img = project_pi(wgen.theta_w(gr, ve).as_finite(),
                      shifted=False).scale(s2)
     assert (img - cw.gen("E")).is_zero()
@@ -309,7 +309,7 @@ def test_projection_midline_image(gradings):
     gr = gradings["osp:1|2"]
     wal = wgen.workspace(gr)
     cw = build_cartan_w(gr)
-    s2 = gr.tower.sqrt(-2)
+    s2 = sqrt(-2)
     img = project_pi(wal.theta_mid(), shifted=False).scale(s2)
     assert (img - cw.gen("F")).is_zero()
 

@@ -9,11 +9,9 @@ from minwsuper.scalar import (
     HALF,
     ONE,
     ZERO,
-    FieldTower,
     Scalar,
-    TowerCapacityError,
-    adjoin_sqrt,
     scalar,
+    sqrt,
 )
 from oracles import sympy_equals
 
@@ -103,17 +101,15 @@ def test_coercion():
 def test_as_fraction():
     assert scalar(Fraction(5, 3)).as_fraction() == Fraction(5, 3)
     assert ZERO.as_fraction() == 0
-    t = FieldTower().adjoin_sqrt(-2)
     with pytest.raises(ValueError):
-        (ONE + t.sqrt(-2)).as_fraction()
+        (ONE + sqrt(-2)).as_fraction()
 
 
 # -- the documented inverse example ------------------------------------
 
 
 def test_inverse_of_one_plus_sqrt_minus_two():
-    t = FieldTower().adjoin_sqrt(-2)
-    r2 = t.sqrt(-2)
+    r2 = sqrt(-2)
     got = (ONE + r2).inv()
     third = Scalar.rational(Fraction(1, 3))
     assert got == third - third * r2
@@ -141,42 +137,31 @@ def test_parse_forms():
 
 
 def test_render_term_order_is_stable():
-    t = FieldTower((-1, 2, -3))
-    x = t.sqrt(2) - t.sqrt(-6) + scalar(7) + t.sqrt(-1) * 2
+    x = sqrt(2) - sqrt(2) * sqrt(-3) + scalar(7) + sqrt(-1) * 2
     # rational part first, then radicals by atom set
     assert x.render() == "7 + 2*sqrt(-1) + sqrt(2) - sqrt(-3)*sqrt(2)"
     assert Scalar.parse(x.render()) == x
 
 
-# -- towers --------------------------------------------------------------
-
-
-def test_adjoin_idempotent():
-    t0 = FieldTower()
-    t1 = adjoin_sqrt(t0, -2)
-    assert t1.generators == (-2,)
-    assert adjoin_sqrt(t1, -2) is t1
-    assert adjoin_sqrt(t1, -8) is t1  # -8 = 4 * -2
-    assert t1.contains_sqrt(-18)
-    assert not t1.contains_sqrt(3)
+# -- square roots --------------------------------------------------------
 
 
 def test_sqrt_values():
-    t = FieldTower().adjoin_sqrt(2)
-    assert t.sqrt(8) == Scalar({frozenset([2]): 2})
-    assert t.sqrt(2) * t.sqrt(2) == scalar(2)
-    assert t.sqrt(Fraction(1, 2)) == t.sqrt(2) * HALF
-    assert t.sqrt(9) == scalar(3)
-    assert FieldTower().sqrt(16) == scalar(4)
+    assert sqrt(8) == Scalar({frozenset([2]): 2})
+    assert sqrt(2) * sqrt(2) == scalar(2)
+    assert sqrt(Fraction(1, 2)) == sqrt(2) * HALF
+    assert sqrt(-18) == sqrt(-2) * 3  # the same atom as sqrt(-2)
+    assert sqrt(Fraction(-9, 4)) == Scalar({frozenset([-1]): Fraction(3, 2)})
+    assert sqrt(9) == scalar(3)
+    assert sqrt(16) == scalar(4)
     with pytest.raises(ValueError):
-        t.sqrt(3)
+        sqrt(0)
 
 
 def test_sqrt_products_close():
-    t = FieldTower((-1, 2, -3))
-    assert t.sqrt(-2) == t.sqrt(-1) * t.sqrt(2)
-    assert t.sqrt(6) == t.sqrt(2) * t.sqrt(-3) * t.sqrt(-1)
-    got = t.sqrt(-2) * t.sqrt(-2)
+    assert (sqrt(-1) * sqrt(2)) ** 2 == scalar(-2)
+    assert (sqrt(2) * sqrt(-3) * sqrt(-1)) ** 2 == scalar(6)
+    got = sqrt(-2) * sqrt(-2)
     assert got == scalar(-2)
 
 
@@ -185,13 +170,6 @@ def test_rational_hash_matches_fraction():
     assert len({scalar(1), 1}) == 1
     assert hash(scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
     assert hash(ZERO) == hash(0)
-
-
-def test_tower_capacity():
-    t = FieldTower((-1, 2, -3))
-    assert t.adjoin_sqrt(-6) is t
-    with pytest.raises(TowerCapacityError):
-        t.adjoin_sqrt(5)
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from minwsuper.errors import PreconditionError, UnsupportedFamilyError
 from minwsuper.scalar import ONE, scalar
 from minwsuper.superalgebra import (
+    _rational_inverse,
+    _rational_kernel,
     build_algebra,
     classify_minimal_case,
     minimal_root_candidates,
@@ -250,3 +254,62 @@ def test_r_s_match_grading_dimensions(algebras):
         assert (info["r"], info["s"]) == (r, s), desc
         assert s % 2 == 0
         assert (r % 2 == 1) == (info["parity_type"] == "odd")
+
+
+# -- the Fraction adapters over LinearSolver --------------------------------
+
+
+def _random_matrix(rng, nrows, ncols, rank):
+    """Seeded rational matrix of rank at most ``rank``: a product of random
+    nrows x rank and rank x ncols factors."""
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    return [[sum((row[t] * right[t][c] for t in range(rank)), Fraction(0))
+             for c in range(ncols)] for row in left]
+
+
+def _to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in rows])
+
+
+def _from_sympy(values):
+    return [Fraction(int(x.p), int(x.q)) for x in values]
+
+
+def test_rational_kernel_matches_sympy():
+    rng = random.Random(11)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rank = rng.randint(0, min(nrows, ncols))
+        rows = _random_matrix(rng, nrows, ncols, rank)
+        got = _rational_kernel(rows, ncols)
+        want = _to_sympy(rows).nullspace()
+        # the same free-column basis, vector for vector
+        assert [list(v) for v in got] == [_from_sympy(w) for w in want]
+        assert all(type(x) is Fraction for v in got for x in v)
+    basis = _rational_kernel([], 3)
+    assert basis == [tuple(Fraction(int(i == j)) for j in range(3))
+                     for i in range(3)]
+
+
+def test_rational_inverse_matches_sympy():
+    rng = random.Random(13)
+    singular = regular = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rank = n if rng.random() < 0.7 else rng.randint(0, n - 1)
+        m = _random_matrix(rng, n, n, rank)
+        if _to_sympy(m).det() == 0:
+            singular += 1
+            with pytest.raises(PreconditionError):
+                _rational_inverse(m)
+            continue
+        regular += 1
+        want = _to_sympy(m).inv()
+        got = _rational_inverse(m)
+        assert got == [_from_sympy(want.row(i)) for i in range(n)]
+        assert all(type(x) is Fraction for row in got for x in row)
+    assert singular and regular

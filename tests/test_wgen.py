@@ -280,8 +280,10 @@ def test_workspace_is_cached(gradings):
 
 
 def test_relation_suite_passes(gradings):
-    for name in ["osp:1|2", "sl:2|1", "spo:2|3"]:
-        rep = wgen.verify_relations(gradings[name])
+    for name in ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1", "psl:2|2",
+                 "gl:2|1", "sl:3|1", "spo:2|4"]:
+        mg = gradings.get(name) or grade(build_algebra(name))
+        rep = wgen.verify_relations(mg)
         assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
         assert rep["suite"] == wgen.RELATION_SUITE
         if name == "spo:2|3":
@@ -290,6 +292,26 @@ def test_relation_suite_passes(gradings):
         names = {i["id"] for i in rep["identities"]}
         assert "degree1-pair-expansion" in names
         assert "casimir-central" in names
+
+
+def test_verify_reads_the_table(gradings, monkeypatch):
+    # once the table exists, only the casimir-vs-quadratic brackets (one
+    # per degree-0 letter; theta_cas is not a generator) are recomputed
+    for name in ["spo:2|3", "sl:2|1", "spo:4|1"]:
+        wal = wgen.workspace(gradings[name])
+        wal.commutator_table
+        calls = []
+        comm_raw = wal.comm_raw
+
+        def counted(a, b):
+            calls.append((a, b))
+            return comm_raw(a, b)
+
+        monkeypatch.setattr(wal, "comm_raw", counted)
+        rep = wal.verify_relations()
+        monkeypatch.undo()
+        assert rep["ok"], name
+        assert len(calls) == len(wal.ge0_letters), name
 
 
 def test_relation_suite_failure_shape():
