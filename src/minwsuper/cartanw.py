@@ -22,7 +22,6 @@ from fractions import Fraction
 from .envelope import render_element
 from .errors import ConsistencyError, PreconditionError
 from .scalar import HALF, ONE, ZERO, scalar
-from .superalgebra import _mat_mul
 from .wgen import WElement, workspace
 
 EIGHTH = scalar(Fraction(1, 8))
@@ -419,7 +418,8 @@ def simple_module(cw, lam, c=None):
         actions["E"] = ((ZERO, ZERO), (ZERO, ZERO))
         actions["F"] = ((ZERO, -ONE), (ONE, ZERO))
         mod = VLambdaModule(cw, lam, level, (1, 1), actions, "Q")
-        ff = _mat_mul(actions["F"], actions["F"])
+        (p, q), (r, t) = actions["F"]
+        ff = [[p * p + q * r, p * q + q * t], [r * p + t * r, r * q + t * t]]
         if ff != [[-1, 0], [0, -1]]:
             raise ConsistencyError("odd involution squares to %r" % (ff,))
         return mod

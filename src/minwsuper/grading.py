@@ -15,34 +15,8 @@ from .superalgebra import (
     LinearSolver,
     _rational_inverse,
     _rational_kernel,
-    minimal_root_candidates,
     root_decomposition,
-    weight_form,
 )
-
-
-def select_minimal_root(g, hint=None):
-    """The canonical minimal root, or validate the caller's choice.
-
-    ``hint`` may be a root tuple or an index into the sorted root list.
-    """
-    cands = minimal_root_candidates(g)
-    if not cands:
-        raise PreconditionError("no minimal root exists for %s" % g.display)
-    if hint is None:
-        return cands[-1]
-    if isinstance(hint, int):
-        roots = sorted(root_decomposition(g).spaces)
-        try:
-            hint = roots[hint]
-        except IndexError:
-            raise PreconditionError("root index %d out of range" % hint)
-    hint = tuple(Fraction(c) for c in hint)
-    if hint not in cands:
-        raise PreconditionError(
-            "root %s is not minimal; valid candidates: %s"
-            % (hint, sorted(cands)))
-    return hint
 
 
 def _neg(root):
@@ -87,10 +61,9 @@ class MinimalGrading:
     """
 
     def __init__(self, g, theta=None):
-        theta = select_minimal_root(g, theta)
         self.base = g
         self.rd = root_decomposition(g, theta)
-        self.theta = theta
+        self.theta = self.rd.theta
         # the wgen.WAlgebra workspace, set up by wgen.workspace on first use
         self._workspace = None
         # inverse of the simple-root matrix, set by simple_inverse
@@ -101,7 +74,7 @@ class MinimalGrading:
 
     def _build(self):
         g, rd = self.base, self.rd
-        pair = weight_form(g)
+        pair = rd.pair
         tt = pair(rd.theta, rd.theta)
         self.scale = Fraction(2) / tt
         work = g.with_form_scaled(self.scale)

@@ -1,52 +1,56 @@
 """Exact arithmetic in small multi-quadratic extensions of the rationals.
 
-A :class:`Scalar` is a finite sum ``sum_T c_T * prod_{d in T} sqrt(d)`` where
-every ``T`` is a set of square-free integer "atoms" and ``c_T`` is a
-:class:`fractions.Fraction`.  Multiplication combines atom sets by symmetric
-difference, picking up the product of the shared atoms (``sqrt(d)**2 = d``).
+A :class:`Scalar` is a finite sum ``sum_k c_k * sqrt(k)`` over distinct
+square-free integers ``k`` (``k = 1`` is the rational part, and
+``sqrt(k)`` for negative ``k`` is ``i * sqrt(-k)``) with
+:class:`fractions.Fraction` coefficients ``c_k``.  The ``sqrt(k)`` are
+linearly independent over the rationals, so this form is canonical and
+exact equality is equality of the term dicts.  Multiplication uses
+``sqrt(m) * sqrt(n) = +-g * sqrt(mn / g**2)`` with ``g = gcd(m, n)``,
+negative when both ``m`` and ``n`` are.
 
 :func:`sqrt` writes the square root of a rational as a rational multiple of
-one atom.  The engine takes only sqrt(-2) and the midline norm, which reduces
-to it.  Exact equality and inversion need the atoms in play to be
-multiplicatively independent modulo squares: two distinct square-free atoms
-always are, three need not be (sqrt(-1)*sqrt(2) and sqrt(-2) are one number
-written over different atoms).
+one ``sqrt(k)``.  The engine takes only sqrt(-2) and the midline norm, which
+reduces to it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-_EMPTY = frozenset()
+
+def _factor(n):
+    """{prime: exponent} of abs(n), n nonzero."""
+    n = abs(n)
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def _sqfree_split(n):
     """Write n = outer**2 * core with core square-free; sign stays on core."""
     if n == 0:
         raise ValueError("0 has no square-free core")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    outer = 1
-    core = 1
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
+    outer = core = 1
+    for p, e in _factor(n).items():
         outer *= p ** (e // 2)
-        if e % 2:
-            core *= p
-        p += 1 if p == 2 else 2
-    core *= n
-    return outer, sign * core
+        core *= p ** (e % 2)
+    return outer, -core if n < 0 else core
 
 
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return Scalar({_EMPTY: Fraction(x)})
+        return Scalar._term(1, Fraction(x))
     return None
 
 
@@ -56,19 +60,23 @@ class Scalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, val in terms.items():
-                val = Fraction(val)
-                if val:
-                    clean[frozenset(key)] = val
-        self._terms = clean
+        """``terms`` maps nonzero integers k to the coefficient of sqrt(k)."""
+        total = _ZERO
+        for key, val in (terms or {}).items():
+            total = total + sqrt(key) * Fraction(val)
+        self._terms = total._terms
+
+    @staticmethod
+    def _term(core, val):
+        res = Scalar.__new__(Scalar)
+        res._terms = {core: val} if val else {}
+        return res
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rational(x):
-        return Scalar({_EMPTY: Fraction(x)})
+        return Scalar._term(1, Fraction(x))
 
     @staticmethod
     def zero():
@@ -84,7 +92,7 @@ class Scalar:
         return bool(self._terms)
 
     def is_rational(self):
-        return all(not key for key in self._terms)
+        return all(key == 1 for key in self._terms)
 
     def as_fraction(self):
         """The underlying rational; raises if radical terms are present."""
@@ -92,13 +100,7 @@ class Scalar:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError("scalar %s is not rational" % self)
-        return self._terms[_EMPTY]
-
-    def atoms(self):
-        out = set()
-        for key in self._terms:
-            out |= key
-        return out
+        return self._terms[1]
 
     # -- ring operations ----------------------------------------------
 
@@ -145,9 +147,14 @@ class Scalar:
         for ka, va in self._terms.items():
             for kb, vb in other._terms.items():
                 val = va * vb
-                for d in ka & kb:
-                    val *= d
-                key = ka ^ kb
+                if ka == 1:
+                    key = kb
+                elif kb == 1:
+                    key = ka
+                else:
+                    g = gcd(ka, kb)
+                    key = (ka // g) * (kb // g)
+                    val *= g if ka > 0 or kb > 0 else -g
                 acc = out.get(key)
                 tot = val if acc is None else acc + val
                 if tot:
@@ -160,31 +167,26 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def _flip(self, atom):
-        res = Scalar.__new__(Scalar)
-        res._terms = {
-            key: (-val if atom in key else val) for key, val in self._terms.items()
-        }
-        return res
-
     def inv(self):
-        """Multiplicative inverse via iterated conjugation over the atoms."""
+        """Multiplicative inverse by iterated conjugation: for q = -1 and
+        then each prime q of the keys, multiply by the conjugate that
+        negates sqrt(q), which leaves a product free of sqrt(q)."""
         if not self._terms:
             raise ZeroDivisionError("inverse of zero scalar")
+        primes = {p for key in self._terms for p in _factor(key)}
         num = _ONE
         cur = self
-        while True:
-            atoms = cur.atoms()
-            if not atoms:
-                break
-            conj = cur._flip(min(atoms))
+        for q in [-1] + sorted(primes):
+            negated = [key for key in cur._terms
+                       if (key < 0 if q < 0 else key % q == 0)]
+            if not negated:
+                continue
+            conj = Scalar.__new__(Scalar)
+            conj._terms = {key: (-val if key in negated else val)
+                           for key, val in cur._terms.items()}
             num = num * conj
             cur = cur * conj
-        rat = cur._terms.get(_EMPTY, Fraction(0))
-        if not rat:
-            # only reachable if atoms were not independent modulo squares
-            raise ArithmeticError("zero divisor: radical atoms are inconsistent")
-        return num * Scalar({_EMPTY: 1 / rat})
+        return num * Scalar._term(1, 1 / cur._terms[1])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -223,7 +225,7 @@ class Scalar:
     def __hash__(self):
         # a rational scalar equals its Fraction, so it must hash like it
         if self.is_rational():
-            return hash(self._terms.get(_EMPTY, 0))
+            return hash(self._terms.get(1, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- text form ------------------------------------------------------
@@ -233,10 +235,10 @@ class Scalar:
         if not self._terms:
             return "0"
         parts = []
-        for key in sorted(self._terms, key=lambda k: (len(k), sorted(k))):
+        for key in sorted(self._terms, key=lambda k: (k != 1, k)):
             val = self._terms[key]
             mag = val if val > 0 else -val
-            factors = ["sqrt(%d)" % d for d in sorted(key)]
+            factors = [] if key == 1 else ["sqrt(%d)" % key]
             if factors and mag == 1:
                 body = "*".join(factors)
             else:
@@ -296,8 +298,8 @@ class Scalar:
         return term
 
 
-_ZERO = Scalar()
-_ONE = Scalar({_EMPTY: Fraction(1)})
+_ZERO = Scalar._term(1, 0)
+_ONE = Scalar._term(1, Fraction(1))
 
 
 def scalar(x):
@@ -313,8 +315,7 @@ def sqrt(q):
     square-free integer (no atom when q is a rational square)."""
     q = Fraction(q)
     outer, core = _sqfree_split(q.numerator * q.denominator)
-    key = _EMPTY if core == 1 else frozenset([core])
-    return Scalar({key: Fraction(outer, q.denominator)})
+    return Scalar._term(core, Fraction(outer, q.denominator))
 
 
 ZERO = _ZERO

@@ -124,57 +124,26 @@ def _rational_inverse(matrix):
 
 
 # ---------------------------------------------------------------------------
-# rational matrices (lists of rows of Fraction)
+# sparse rational matrices: dicts {(row, col): Fraction} of nonzero entries;
+# (row, col) keys order like the row-major flattened index, so LinearSolver
+# pivots on them exactly as it would on the flattened matrix
 # ---------------------------------------------------------------------------
 
 
-def _zeros(n):
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _elem(n, a, b):
-    m = _zeros(n)
-    m[a][b] = Fraction(1)
-    return m
-
-
 def _mat_mul(x, y):
-    n = len(x)
-    out = _zeros(n)
-    for i in range(n):
-        xi = x[i]
-        oi = out[i]
-        for k in range(n):
-            c = xi[k]
-            if c:
-                yk = y[k]
-                for j in range(n):
-                    if yk[j]:
-                        oi[j] += c * yk[j]
-    return out
-
-
-def _mat_comb(ms, coeffs):
-    n = len(ms[0])
-    out = _zeros(n)
-    for m, c in zip(ms, coeffs):
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    if m[i][j]:
-                        out[i][j] += c * m[i][j]
-    return out
+    rows = {}
+    for (k, j), b in y.items():
+        rows.setdefault(k, []).append((j, b))
+    out = {}
+    for (i, k), a in x.items():
+        for j, b in rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + a * b
+    return {key: v for key, v in out.items() if v}
 
 
 def _supertrace(m, even_dim):
-    t = Fraction(0)
-    for i in range(len(m)):
-        t += m[i][i] if i < even_dim else -m[i][i]
-    return t
-
-
-def _flatten(m):
-    return tuple(x for row in m for x in row)
+    return sum((v if i < even_dim else -v for (i, j), v in m.items() if i == j),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +296,10 @@ class LieSuperalgebra:
 
 
 def parse_descriptor(text):
-    """Parse "family:p|q" into (family, (p, q)); osp swaps into spo form."""
+    """Parse "family:p|q" into (family, (p, q)); osp swaps into spo form.
+
+    This is the only validation of a descriptor: the builders trust it.
+    """
     if isinstance(text, (tuple, list)):
         fam, params = text[0], tuple(text[1])
     else:
@@ -345,12 +317,14 @@ def parse_descriptor(text):
         # osp(m|2n) preserves the same form as spo(2n|m)
         if len(params) != 2 or params[1] % 2:
             raise UnsupportedFamilyError("osp needs parameters m|2n")
-        m, twon = params
-        return "spo", (twon, m)
+        fam, params = "spo", (params[1], params[0])
     if fam not in ("gl", "sl", "psl", "spo"):
         raise UnsupportedFamilyError("family %r is not supported" % fam)
-    if len(params) != 2 or min(params) < 0 or max(params) < 1:
+    if len(params) != 2:
         raise UnsupportedFamilyError("%s needs exactly two parameters" % fam)
+    if min(params) < 1:
+        raise UnsupportedFamilyError(
+            "%s:%d|%d: both blocks must be nonempty" % ((fam,) + params))
     if fam in ("gl", "sl") and params[0] == params[1]:
         raise UnsupportedFamilyError(
             "%s(n|n) has a one dimensional center; use psl:%d|%d"
@@ -364,56 +338,40 @@ def parse_descriptor(text):
 
 def build_algebra(descriptor):
     fam, params = parse_descriptor(descriptor)
-    if fam == "gl":
-        return _build_gl_family("gl", *params)
-    if fam == "sl":
-        return _build_gl_family("sl", *params)
-    if fam == "psl":
-        return _build_gl_family("psl", *params)
-    return _build_spo(*params)
+    if fam == "spo":
+        return _build_spo(*params)
+    return _build_gl_family(fam, *params)
 
 
 def _build_gl_family(kind, m, n):
-    if m < 1 or n < 1:
-        raise UnsupportedFamilyError("%s(%d|%d): need both blocks nonempty" % (kind, m, n))
-    if kind in ("gl", "sl") and m == n:
-        raise UnsupportedFamilyError(
-            "%s(%d|%d) is excluded; use psl:%d|%d instead" % (kind, m, n, n, n))
-    if kind == "psl" and m != n:
-        raise UnsupportedFamilyError("psl needs equal block sizes")
     d = m + n
     par = lambda a: 0 if a < m else 1
 
     mats, parity, labels = [], [], []
     if kind == "gl":
         for a in range(d):
-            mats.append(_elem(d, a, a))
+            mats.append({(a, a): 1})
             parity.append(0)
             labels.append("H%d" % (a + 1))
         cartan = list(range(d))
     else:
         # coroot-style supertraceless diagonal basis
         for a in range(d - 1):
-            h = _zeros(d)
-            h[a][a] = Fraction(1)
-            h[a + 1][a + 1] = Fraction(1) if a == m - 1 else Fraction(-1)
-            mats.append(h)
+            mats.append({(a, a): 1, (a + 1, a + 1): 1 if a == m - 1 else -1})
             parity.append(0)
             labels.append("H%d" % (a + 1))
         cartan = list(range(d - 1))
     for a in range(d):
         for b in range(d):
             if a != b:
-                mats.append(_elem(d, a, b))
+                mats.append({(a, b): 1})
                 parity.append((par(a) + par(b)) % 2)
                 labels.append("E%d,%d" % (a + 1, b + 1))
 
     eliminators = []
     if kind == "psl":
         # quotient by the identity matrix: add it to the solver as a zero tag
-        ident = _zeros(d)
-        for a in range(d):
-            ident[a][a] = Fraction(1)
+        ident = {(a, a): 1 for a in range(d)}
         # drop one Cartan vector so the remaining mats project to a basis
         coords = _matrix_coords(mats, [ident])[0]
         drop = max(i for i in cartan if coords.get(i))
@@ -421,22 +379,20 @@ def _build_gl_family(kind, m, n):
         cartan = list(range(d - 2))
         eliminators = [ident]
 
-    fam_params = (m, n)
-    return _finish(kind, fam_params, mats, parity, labels, cartan, m, eliminators)
+    return _finish(kind, (m, n), mats, parity, labels, cartan, m, eliminators)
 
 
 def _matrix_coords(basis_mats, targets, eliminators=()):
     """Coordinates of each target over basis_mats, modulo the eliminator span."""
-    dim = len(basis_mats)
     solver = LinearSolver()
     for t, em in enumerate(eliminators):
-        solver.add(("elim", t), _flatten(em))
+        solver.add(("elim", t), em)
     for i, bm in enumerate(basis_mats):
-        if not solver.add(i, _flatten(bm)):
+        if not solver.add(i, bm):
             raise PreconditionError("matrix basis is dependent at %d" % i)
     out = []
     for tm in targets:
-        sol = solver.solve(_flatten(tm))
+        sol = solver.solve(tm)
         if sol is None:
             raise PreconditionError("target outside the matrix span")
         out.append({k: v for k, v in sol.items() if isinstance(k, int)})
@@ -446,17 +402,12 @@ def _matrix_coords(basis_mats, targets, eliminators=()):
 def _spo_form(twon, m):
     n = twon // 2
     d = twon + m
-    phi = _zeros(d)
-    for i in range(twon):
-        phi[i][twon - 1 - i] = Fraction(1) if i < n else Fraction(-1)
-    for j in range(m):
-        phi[twon + j][d - 1 - j] = Fraction(1)
+    phi = {(i, twon - 1 - i): 1 if i < n else -1 for i in range(twon)}
+    phi.update({(twon + j, d - 1 - j): 1 for j in range(m)})
     return phi
 
 
 def _build_spo(twon, m):
-    if twon < 2 or twon % 2 or m < 1:
-        raise UnsupportedFamilyError("spo(%d|%d): need even 2n >= 2 and m >= 1" % (twon, m))
     n = twon // 2
     d = twon + m
     par = lambda a: 0 if a < twon else 1
@@ -471,50 +422,38 @@ def _build_spo(twon, m):
         rows = []
         for a in range(d):
             for b in range(d):
-                row = [Fraction(0)] * len(positions)
+                row = [0] * len(positions)
                 for c in range(d):
-                    if phi[c][b] and (c, a) in pos_index:
-                        row[pos_index[(c, a)]] += phi[c][b]
-                    if phi[a][c] and (c, b) in pos_index:
+                    if (c, b) in phi and (c, a) in pos_index:
+                        row[pos_index[c, a]] += phi[c, b]
+                    if (a, c) in phi and (c, b) in pos_index:
                         sign = -1 if (px and par(a)) else 1
-                        row[pos_index[(c, b)]] += sign * phi[a][c]
+                        row[pos_index[c, b]] += sign * phi[a, c]
                 if any(row):
                     rows.append(row)
         for vec in _rational_kernel(rows, len(positions)):
-            x = _zeros(d)
-            for t, (c, a) in enumerate(positions):
-                if vec[t]:
-                    x[c][a] = vec[t]
-            kernel_mats[px].append(x)
+            kernel_mats[px].append(
+                {positions[t]: v for t, v in enumerate(vec) if v})
 
     # Cartan: diagonal members, written in the standard eps/delta order
-    cartan_mats = []
-    for i in range(n):
-        h = _zeros(d)
-        h[i][i] = Fraction(1)
-        h[twon - 1 - i][twon - 1 - i] = Fraction(-1)
-        cartan_mats.append(h)
-    for j in range(m // 2):
-        h = _zeros(d)
-        h[twon + j][twon + j] = Fraction(1)
-        h[d - 1 - j][d - 1 - j] = Fraction(-1)
-        cartan_mats.append(h)
+    cartan_mats = [{(i, i): 1, (twon - 1 - i, twon - 1 - i): -1}
+                   for i in range(n)]
+    cartan_mats += [{(twon + j, twon + j): 1, (d - 1 - j, d - 1 - j): -1}
+                    for j in range(m // 2)]
     k_c = len(cartan_mats)
 
     def weight_of(a, b):
-        return tuple(hm[a][a] - hm[b][b] for hm in cartan_mats)
+        return tuple(hm.get((a, a), 0) - hm.get((b, b), 0) for hm in cartan_mats)
 
     # split kernel vectors into Cartan weight components
     weight_vecs = {}
     for px in (0, 1):
         for x in kernel_mats[px]:
             comps = {}
-            for a in range(d):
-                for b in range(d):
-                    if x[a][b]:
-                        comps.setdefault(weight_of(a, b), _zeros(d))[a][b] = x[a][b]
+            for (a, b), v in x.items():
+                comps.setdefault(weight_of(a, b), {})[a, b] = v
             for wt, mat in comps.items():
-                if any(c != 0 for c in wt):
+                if any(wt):
                     weight_vecs.setdefault((wt, px), []).append(mat)
 
     mats = list(cartan_mats)
@@ -522,10 +461,10 @@ def _build_spo(twon, m):
     labels = ["H%d" % (i + 1) for i in range(k_c)]
     solver = LinearSolver()
     for i, hm in enumerate(cartan_mats):
-        solver.add(i, _flatten(hm))
-    for (wt, px) in sorted(weight_vecs, key=lambda key: (key[0], key[1])):
+        solver.add(i, hm)
+    for (wt, px) in sorted(weight_vecs):
         for mat in weight_vecs[(wt, px)]:
-            if solver.add(len(mats), _flatten(mat)):
+            if solver.add(len(mats), mat):
                 mats.append(mat)
                 parity.append(px)
                 labels.append("X(%s)" % ",".join(str(c) for c in wt))
@@ -536,27 +475,29 @@ def _build_spo(twon, m):
 def _finish(family, params, mats, parity, labels, cartan, even_dim, eliminators):
     """Compute structure constants and form from the matrix basis."""
     dim = len(mats)
-    bracket = {}
-    products = {}
-    for i in range(dim):
-        for j in range(dim):
-            products[(i, j)] = _mat_mul(mats[i], mats[j])
+    products = {(i, j): _mat_mul(mats[i], mats[j])
+                for i in range(dim) for j in range(dim)}
     targets = []
     keys = []
     for i in range(dim):
         for j in range(dim):
             sign = -1 if (parity[i] and parity[j]) else 1
-            z = [[products[(i, j)][a][b] - sign * products[(j, i)][a][b]
-                  for b in range(len(mats[0]))] for a in range(len(mats[0]))]
-            if any(any(row) for row in z):
+            z = dict(products[i, j])
+            for key, v in products[j, i].items():
+                acc = z.get(key, 0) - sign * v
+                if acc:
+                    z[key] = acc
+                else:
+                    del z[key]
+            if z:
                 targets.append(z)
                 keys.append((i, j))
-    coords = _matrix_coords(mats, targets, eliminators)
-    for key, co in zip(keys, coords):
+    bracket = {}
+    for key, co in zip(keys, _matrix_coords(mats, targets, eliminators)):
         if co:
-            bracket[key] = {k: v for k, v in sorted(co.items())}
+            bracket[key] = dict(sorted(co.items()))
     form = tuple(
-        tuple(scalar(_supertrace(products[(i, j)], even_dim)) for j in range(dim))
+        tuple(scalar(_supertrace(products[i, j], even_dim)) for j in range(dim))
         for i in range(dim)
     )
     return LieSuperalgebra(family, params, labels, parity, bracket, form, cartan)
@@ -654,11 +595,13 @@ class RootDatum:
 
     roots: list of weight tuples (Fractions over the Cartan basis), nonzero.
     spaces: root -> list of basis indices.  parity: root -> 0/1.
-    theta: the canonical minimal root; positive/simple per the convention
+    theta: the chosen minimal root; positive/simple per the convention
     that puts theta (or theta/2 in the odd case) last among the simples.
+    pair: the induced form on weight tuples (see weight_form).
     """
 
-    def __init__(self, g, roots, spaces, parity, theta, positive, simple):
+    def __init__(self, g, roots, spaces, parity, theta, positive, simple,
+                 pair):
         self.algebra = g
         self.roots = roots
         self.spaces = spaces
@@ -666,6 +609,7 @@ class RootDatum:
         self.theta = theta
         self.positive = positive
         self.simple = simple
+        self.pair = pair
 
     def is_positive(self, root):
         return root in self.positive
@@ -713,10 +657,12 @@ def weight_form(g):
     return pair
 
 
-def minimal_root_candidates(g, weights=None):
+def minimal_root_candidates(g, weights=None, pair=None):
     """Even roots theta with integral short ad-h_theta spectrum and dim g(2) = 1."""
-    weights = weights or _weights_of_basis(g)
-    pair = weight_form(g)
+    if weights is None:
+        weights = _weights_of_basis(g)
+    if pair is None:
+        pair = weight_form(g)
     zero = tuple(Fraction(0) for _ in g.cartan)
     seen = {}
     for i in range(g.dim):
@@ -745,8 +691,17 @@ def minimal_root_candidates(g, weights=None):
 
 
 def root_decomposition(g, theta=None):
-    """Roots, parities and the positive/simple system adapted to theta."""
+    """Roots, parities and the positive/simple system adapted to theta.
+
+    The one owner of the minimal-root policy: ``theta`` None picks the
+    canonical minimal root; a root tuple or an index into the sorted root
+    list is checked against the candidates.
+    """
     weights = _weights_of_basis(g)
+    pair = weight_form(g)
+    cands = minimal_root_candidates(g, weights, pair)
+    if not cands:
+        raise PreconditionError("no minimal root exists for %s" % g.display)
     zero = tuple(Fraction(0) for _ in g.cartan)
     spaces = {}
     for i in range(g.dim):
@@ -766,20 +721,23 @@ def root_decomposition(g, theta=None):
         if neg not in spaces or parity[neg] != parity[root]:
             raise ConsistencyError("root negation symmetry fails at %s" % (root,))
 
-    cands = minimal_root_candidates(g, weights)
-    if not cands:
-        raise PreconditionError("no minimal root available")
     if theta is None:
         # canonical pick: coordinate-lex maximum (first sp / first block root)
         theta = cands[-1]
-    elif theta not in cands:
-        raise PreconditionError(
-            "root %s is not minimal; candidates: %s" % (theta, cands))
+    else:
+        if isinstance(theta, int):
+            try:
+                theta = roots[theta]
+            except IndexError:
+                raise PreconditionError("root index %d out of range" % theta)
+        theta = tuple(Fraction(c) for c in theta)
+        if theta not in cands:
+            raise PreconditionError(
+                "root %s is not minimal; valid candidates: %s" % (theta, cands))
 
-    pair = weight_form(g)
     tt = pair(theta, theta)
     half = tuple(c / 2 for c in theta)
-    eta = _generic_functional(g, roots, theta)
+    eta = _generic_functional(g, roots, theta, pair)
     positive = set()
     for root in roots:
         key = eta[root]
@@ -803,7 +761,7 @@ def root_decomposition(g, theta=None):
         raise ConsistencyError("adapted root is not simple")
     rest = sorted((r for r in simple if r != last), key=lambda r: (eta[r], r))
     simple = rest + [last]
-    return RootDatum(g, roots, spaces, parity, theta, positive, simple)
+    return RootDatum(g, roots, spaces, parity, theta, positive, simple, pair)
 
 
 def _proportional(a, b):
@@ -831,14 +789,14 @@ def _diagonal_coordinates(g, root):
     return c
 
 
-def _generic_functional(g, roots, theta):
+def _generic_functional(g, roots, theta, pair):
     """Values of a functional vanishing on theta and nowhere else.
 
     Starts from strictly decreasing weights along the matrix diagonal
     (so the usual ordering of the standard basis functionals), then
-    projects out the theta component.  Degenerate seeds get bumped.
+    projects out the theta component, ``pair`` being the weight form.
+    Degenerate seeds get bumped.
     """
-    pair = weight_form(g)
     tt = pair(theta, theta)
     th = _diagonal_coordinates(g, theta)
     d = len(th)

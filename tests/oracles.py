@@ -74,14 +74,12 @@ def count_bounded_monomials(weights, odd_flags, cap):
 
 
 def sympy_equals(value, expr):
-    """Compare a Scalar against a sympy expression, atom by atom."""
+    """Compare a Scalar against a sympy expression, radical by radical."""
     import sympy
 
     total = sympy.Integer(0)
     for key, coeff in value._terms.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for atom in key:
-            term *= sympy.sqrt(sympy.Integer(atom))
-        total += term
+        total += (sympy.Rational(coeff.numerator, coeff.denominator)
+                  * sympy.sqrt(sympy.Integer(key)))
     # exact: equal only when sympy reduces the difference to 0
     return sympy.expand(sympy.radsimp(total - expr)) == 0

@@ -1,5 +1,7 @@
 """Minimal-root gradings: triples, pairings, subalgebras, weights."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -13,13 +15,14 @@ from minwsuper.grading import (
     compute_h0,
     grade,
     neg_one_bases,
-    select_minimal_root,
     theta_height,
     weights_delta_rho,
 )
 from minwsuper.scalar import ONE, ZERO, scalar
+from minwsuper import grading, superalgebra
 from minwsuper.superalgebra import (LinearSolver, _rational_inverse,
-                                    build_algebra, validate)
+                                    build_algebra, root_decomposition,
+                                    validate)
 
 NAMES = ["osp:1|2", "spo:2|3", "sl:2|1", "psl:2|2", "spo:2|4",
          "spo:4|1", "sl:2|3", "spo:4|2", "gl:2|1"]
@@ -287,9 +290,14 @@ def test_heights_are_integers(gradings):
 
 def test_minimal_root_hints():
     g = build_algebra("spo:2|3")
-    theta = select_minimal_root(g)
+    theta = root_decomposition(g).theta
     other = tuple(-c for c in theta)
-    assert select_minimal_root(g, other) == other
+    assert root_decomposition(g, other).theta == other
+    # an index into the sorted root list names the same root
+    roots = root_decomposition(g).roots
+    assert root_decomposition(g, roots.index(other)).theta == other
+    with pytest.raises(PreconditionError):
+        root_decomposition(g, len(roots))
     mg = grade(g, other)
     assert mg.theta == other
     nb = neg_one_bases(mg)
@@ -300,10 +308,9 @@ def test_minimal_root_hints():
 def test_short_root_hint_rejected():
     # the length-one even root of the orthogonal block is not minimal
     g = build_algebra("spo:2|3")
-    theta = select_minimal_root(g)
+    rd = root_decomposition(g)
+    theta = rd.theta
     short = None
-    from minwsuper.superalgebra import root_decomposition
-    rd = root_decomposition(g, theta)
     for root in rd.roots:
         if not rd.parity[root] and root != theta and root != tuple(
                 -c for c in theta):
@@ -311,7 +318,7 @@ def test_short_root_hint_rejected():
             break
     assert short is not None
     with pytest.raises(PreconditionError) as err:
-        select_minimal_root(g, short)
+        root_decomposition(g, short).theta
     assert "candidates" in str(err.value)
     # psl(1|1) has no even root at all, so no minimal root to grade by
     with pytest.raises(PreconditionError):
@@ -399,3 +406,49 @@ def test_grading_report(gradings):
     assert rep["subalgebra_dims"]["mprime"] == 2
     import json
     assert json.dumps(rep, sort_keys=True)
+
+
+# Regression freezes, not independent truths: sha256 digests of the base and
+# adapted to_json_dict() as the dense-matrix build produced them.  The
+# sparse matrix realization must reproduce every structure constant.
+FROZEN_ALGEBRA_DIGESTS = {
+    "osp:1|2": ("fdf043efa7d9e73ac35b3b68e386dfba77cab370faf5ad5a51f08ae49b861da0",
+                "d8226a6ede6830106472c09431250917ad8b26dcafde5615e7e1949dbad850f8"),
+    "sl:2|1": ("74ebb83212c05653fdf2cb88004a0b629d08b923330f56689ac94d61f2cb899f",
+               "1dc8c794aaa4ba7b1e99e836ac5e6aa54e23bcfc7922d5b3160155c63b0e30c0"),
+    "psl:2|2": ("f758d42055386108a525063e2ef59f44ee7d3e44758026dd48057a99182333d2",
+                "b58038f89800b9935fe0894b986edddc6568df93c2464502e4095c22ecb75758"),
+    "spo:4|3": ("cc2132a30e90fb91ae0c3327a52a5d027668707d9c6a30f387d57a6655319382",
+                "78eab7c2735a53014716470d8aff2ceea9e9def621f9853dc4ef37b6642b3166"),
+    "gl:3|1": ("e648e1012c64224c021ca74b8f0a6879878f906716e1c9c8dce0e0c78fcf669e",
+               "dc98476678fcbbc0b922627919993687047c460cf0e87613230aad940b546e33"),
+}
+
+
+def _json_digest(alg):
+    text = json.dumps(alg.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_structure_constants_frozen():
+    for name, want in FROZEN_ALGEBRA_DIGESTS.items():
+        g = build_algebra(name)
+        got = (_json_digest(g), _json_digest(grade(g).algebra))
+        assert got == want, name
+
+
+def test_grade_makes_one_root_pass(monkeypatch):
+    # the root datum owns the weights, the weight form and the candidates
+    calls = {}
+    for name in ("weight_form", "_weights_of_basis", "minimal_root_candidates"):
+        original = getattr(superalgebra, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        for module in (superalgebra, grading):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    grade(build_algebra("spo:2|3"))
+    assert calls == {"weight_form": 1, "_weights_of_basis": 1,
+                     "minimal_root_candidates": 1}

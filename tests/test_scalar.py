@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,13 @@ from minwsuper.scalar import (
 )
 from oracles import sympy_equals
 
+# every square-free product of the radicands -1, 2 and -3, 1 included
 ATOMS = (-1, 2, -3)
-KEYS = [
-    frozenset(sub)
+KEYS = sorted({
+    math.prod(sub)
     for r in range(len(ATOMS) + 1)
     for sub in itertools.combinations(ATOMS, r)
-]
+})
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 scalars = st.builds(Scalar, st.dictionaries(st.sampled_from(KEYS), coeffs, max_size=4))
@@ -30,10 +32,8 @@ nonzero = scalars.filter(bool)
 def to_sympy(value):
     total = sympy.Integer(0)
     for key, coeff in value._terms.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for atom in key:
-            term *= sympy.sqrt(sympy.Integer(atom))
-        total += term
+        total += (sympy.Rational(coeff.numerator, coeff.denominator)
+                  * sympy.sqrt(sympy.Integer(key)))
     return total
 
 
@@ -128,18 +128,17 @@ def test_render_parse_round_trip(a):
 def test_parse_forms():
     assert Scalar.parse("0") == ZERO
     assert Scalar.parse("-5/2") == scalar(Fraction(-5, 2))
-    assert Scalar.parse("sqrt(8)") == Scalar({frozenset([2]): 2})
-    assert Scalar.parse("1 + sqrt(2) - 3*sqrt(2)") == ONE - Scalar({frozenset([2]): 2})
-    assert Scalar.parse("2/3*sqrt(-1)*sqrt(2)") == Scalar(
-        {frozenset([-1, 2]): Fraction(2, 3)}
-    )
+    assert Scalar.parse("sqrt(8)") == Scalar({2: 2})
+    assert Scalar.parse("1 + sqrt(2) - 3*sqrt(2)") == ONE - Scalar({2: 2})
+    assert Scalar.parse("2/3*sqrt(-1)*sqrt(2)") == Scalar({-2: Fraction(2, 3)})
     assert Scalar.parse("sqrt(4)") == scalar(2)
 
 
 def test_render_term_order_is_stable():
     x = sqrt(2) - sqrt(2) * sqrt(-3) + scalar(7) + sqrt(-1) * 2
-    # rational part first, then radicals by atom set
-    assert x.render() == "7 + 2*sqrt(-1) + sqrt(2) - sqrt(-3)*sqrt(2)"
+    # rational part first, then radicals by radicand; sqrt(2)*sqrt(-3) is
+    # the one radical sqrt(-6)
+    assert x.render() == "7 - sqrt(-6) + 2*sqrt(-1) + sqrt(2)"
     assert Scalar.parse(x.render()) == x
 
 
@@ -147,11 +146,11 @@ def test_render_term_order_is_stable():
 
 
 def test_sqrt_values():
-    assert sqrt(8) == Scalar({frozenset([2]): 2})
+    assert sqrt(8) == Scalar({2: 2})
     assert sqrt(2) * sqrt(2) == scalar(2)
     assert sqrt(Fraction(1, 2)) == sqrt(2) * HALF
-    assert sqrt(-18) == sqrt(-2) * 3  # the same atom as sqrt(-2)
-    assert sqrt(Fraction(-9, 4)) == Scalar({frozenset([-1]): Fraction(3, 2)})
+    assert sqrt(-18) == sqrt(-2) * 3  # the same radical as sqrt(-2)
+    assert sqrt(Fraction(-9, 4)) == Scalar({-1: Fraction(3, 2)})
     assert sqrt(9) == scalar(3)
     assert sqrt(16) == scalar(4)
     with pytest.raises(ValueError):
@@ -163,6 +162,19 @@ def test_sqrt_products_close():
     assert (sqrt(2) * sqrt(-3) * sqrt(-1)) ** 2 == scalar(6)
     got = sqrt(-2) * sqrt(-2)
     assert got == scalar(-2)
+
+
+def test_dependent_radicals_are_one_number():
+    # regression: sqrt(-2) and sqrt(-1)*sqrt(2) were kept as distinct terms,
+    # so they compared unequal and their difference had no inverse
+    assert Scalar.parse("sqrt(-2)") == Scalar.parse("sqrt(-1)*sqrt(2)")
+    diff = sqrt(-2) - sqrt(-1) * sqrt(2)
+    assert diff == ZERO
+    with pytest.raises(ZeroDivisionError):
+        diff.inv()
+    x = sqrt(-1) + sqrt(2) + sqrt(-2) + sqrt(3) * sqrt(-6)
+    assert x * x.inv() == ONE
+    assert Scalar({-8: 1, 12: 1}) == 2 * sqrt(-2) + 2 * sqrt(3)
 
 
 def test_rational_hash_matches_fraction():

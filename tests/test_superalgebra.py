@@ -41,7 +41,8 @@ def test_descriptor_parsing():
     assert parse_descriptor("osp:3|2") == ("spo", (2, 3))
     assert parse_descriptor("osp:1|2") == ("spo", (2, 1))
     assert parse_descriptor("gl:2|1") == ("gl", (2, 1))
-    for bad in ("sl:2|2", "gl:3|3", "q:3", "d21a:1", "spo:3|2", "sl:2", "x"):
+    for bad in ("sl:2|2", "gl:3|3", "q:3", "d21a:1", "spo:3|2", "sl:2", "x",
+                "gl:0|3", "sl:0|2", "spo:0|3", "spo:2|0"):
         with pytest.raises(UnsupportedFamilyError):
             parse_descriptor(bad)
 
