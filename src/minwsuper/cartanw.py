@@ -19,7 +19,7 @@ projection into an algebra homomorphism.
 
 from fractions import Fraction
 
-from .envelope import render_element
+from .envelope import _acc, render_element
 from .errors import ConsistencyError, PreconditionError
 from .scalar import HALF, ONE, ZERO, scalar
 from .wgen import WElement, workspace
@@ -38,14 +38,6 @@ class NotHomogeneousError(PreconditionError):
         self.components = components
 
 
-def _acc_coords(out, expo, c):
-    cur = out.get(expo, ZERO) + c
-    if cur:
-        out[expo] = cur
-    else:
-        out.pop(expo, None)
-
-
 class CartanWElement:
     """Linear combination of ordered generator monomials."""
 
@@ -62,7 +54,7 @@ class CartanWElement:
         other = self.cw.coerce(other)
         out = dict(self.coords)
         for e, c in other.coords.items():
-            _acc_coords(out, e, c)
+            _acc(out, e, c)
         return CartanWElement(self.cw, out)
 
     def __sub__(self, other):
@@ -86,7 +78,7 @@ class CartanWElement:
         for ea, ca in self.coords.items():
             for eb, cb in other.coords.items():
                 for e, c in self.cw.mul_monomials(ea, eb):
-                    _acc_coords(out, e, ca * cb * c)
+                    _acc(out, e, ca * cb * c)
         return CartanWElement(self.cw, out)
 
     def __rmul__(self, other):

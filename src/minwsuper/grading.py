@@ -93,9 +93,9 @@ class MinimalGrading:
 
         # sl(2) part: e spans the theta space, f scaled so that [e, f] = h
         e_vec = {rd.spaces[rd.theta][0]: ONE}
-        gram = [[work.form[a][b].as_fraction() for b in cartan] for a in cartan]
+        # coroot of theta: the work form is the base form times scale
         tcoef = [sum(a * Fraction(c) for a, c in zip(row, rd.theta))
-                 for row in _rational_inverse(gram)]
+                 / self.scale for row in rd.inverse]
         h_vec = {cartan[i]: scalar(c) for i, c in enumerate(tcoef) if c}
         f0 = {rd.spaces[_neg(rd.theta)][0]: ONE}
         comm = work.bracket(e_vec, f0)
@@ -261,12 +261,11 @@ class MinimalGrading:
         """Common root (over the base Cartan) of a weight vector, or None."""
         found = None
         for i in vec:
-            for root, idxs in self.rd.spaces.items():
-                if i in idxs:
-                    if found is not None and found != root:
-                        raise ConsistencyError("mixed-root vector")
-                    found = root
-                    break
+            root = self.rd.weights[i]
+            if any(root):
+                if found not in (None, root):
+                    raise ConsistencyError("mixed-root vector")
+                found = root
         return found
 
     # -- queries -----------------------------------------------------------

@@ -300,16 +300,13 @@ def parse_descriptor(text):
 
     This is the only validation of a descriptor: the builders trust it.
     """
-    if isinstance(text, (tuple, list)):
-        fam, params = text[0], tuple(text[1])
-    else:
-        if ":" not in text:
-            raise UnsupportedFamilyError("bad algebra descriptor %r" % text)
-        fam, _, rest = text.partition(":")
-        try:
-            params = tuple(int(p) for p in rest.split("|"))
-        except ValueError:
-            raise UnsupportedFamilyError("bad parameters in %r" % text)
+    if not isinstance(text, str) or ":" not in text:
+        raise UnsupportedFamilyError("bad algebra descriptor %r" % (text,))
+    fam, _, rest = text.partition(":")
+    try:
+        params = tuple(int(p) for p in rest.split("|"))
+    except ValueError:
+        raise UnsupportedFamilyError("bad parameters in %r" % text)
     fam = fam.strip().lower()
     if fam in ("g3", "f4", "d21a", "d(2,1;a)", "q"):
         raise UnsupportedFamilyError("family %r is not supported" % fam)
@@ -595,13 +592,16 @@ class RootDatum:
 
     roots: list of weight tuples (Fractions over the Cartan basis), nonzero.
     spaces: root -> list of basis indices.  parity: root -> 0/1.
+    weights: the weight tuple of every basis index, zero on the Cartan.
     theta: the chosen minimal root; positive/simple per the convention
     that puts theta (or theta/2 in the odd case) last among the simples.
     pair: the induced form on weight tuples (see weight_form).
+    inverse: the inverse of the Cartan Gram matrix that ``pair`` applies,
+    as Fraction rows; the one inversion of that matrix per root pass.
     """
 
     def __init__(self, g, roots, spaces, parity, theta, positive, simple,
-                 pair):
+                 pair, weights):
         self.algebra = g
         self.roots = roots
         self.spaces = spaces
@@ -610,6 +610,8 @@ class RootDatum:
         self.positive = positive
         self.simple = simple
         self.pair = pair
+        self.weights = weights
+        self.inverse = pair.inverse
 
     def is_positive(self, root):
         return root in self.positive
@@ -647,13 +649,15 @@ def cartan_gram(g):
 
 
 def weight_form(g):
-    """The induced pairing on weight vectors, (a, b) = a^T Gc^{-1} b."""
+    """The induced pairing on weight vectors, (a, b) = a^T Gc^{-1} b; the
+    inverse Gc^{-1} rides along as ``pair.inverse``."""
     inv = _rational_inverse(cartan_gram(g))
 
     def pair(a, b):
         return sum(ai * sum(r * bj for r, bj in zip(row, b))
                    for ai, row in zip(a, inv))
 
+    pair.inverse = inv
     return pair
 
 
@@ -761,7 +765,8 @@ def root_decomposition(g, theta=None):
         raise ConsistencyError("adapted root is not simple")
     rest = sorted((r for r in simple if r != last), key=lambda r: (eta[r], r))
     simple = rest + [last]
-    return RootDatum(g, roots, spaces, parity, theta, positive, simple, pair)
+    return RootDatum(g, roots, spaces, parity, theta, positive, simple, pair,
+                     weights)
 
 
 def _proportional(a, b):
@@ -814,90 +819,3 @@ def _generic_functional(g, roots, theta, pair):
         if all(eta[r] for r in roots if not _proportional(r, theta)):
             return eta
         power += 1
-
-
-# ---------------------------------------------------------------------------
-# classification of the minimal case
-# ---------------------------------------------------------------------------
-
-
-def classify_minimal_case(g, theta):
-    """Parity type, centralizer label and complete-reducibility flag."""
-    if theta not in minimal_root_candidates(g):
-        raise PreconditionError("theta %s is not a minimal root" % (theta,))
-    weights = _weights_of_basis(g)
-    pair = weight_form(g)
-    tt = pair(theta, theta)
-    r = s = 0
-    theta_idx = None
-    for i in range(g.dim):
-        if i in g.cartan:
-            continue
-        ev = 2 * pair(weights[i], theta) / tt
-        if ev == -1:
-            if g.parity[i]:
-                r += 1
-            else:
-                s += 1
-        if ev == 2:
-            theta_idx = i
-    parity_type = "odd" if r % 2 else "even"
-
-    fam, (p1, p2) = g.family, g.params
-    if fam == "spo":
-        twon, m = p1, p2
-        n = twon // 2
-        sp_side = theta_idx is not None and _spo_block(twon, theta_idx, g) == "sp"
-        if sp_side:
-            if n == 1:
-                label = "trivial" if m == 1 else "so(%d)" % m
-                reducible = m != 2
-            else:
-                label = "spo(%d|%d)" % (twon - 2, m)
-                reducible = m == 1
-        else:
-            if m == 4:
-                label = "sl(2)+sp(%d)" % twon
-                reducible = True
-            else:
-                label = "osp(%d|%d)+sl(2)" % (m - 4, twon)
-                reducible = m == 5
-    elif fam == "psl":
-        nn = p1
-        label = "sl(2)" if nn == 2 else "sl(%d|%d)" % (nn - 2, nn)
-        reducible = nn == 2
-    else:
-        # gl / sl: find which diagonal block theta lives in
-        block_m = _gl_block_is_first(g, theta_idx)
-        a, b = (p1, p2) if block_m else (p2, p1)
-        core = "gl(%d)" % b if a == 2 else "gl(%d|%d)" % (a - 2, b)
-        label = core + "+gl(1)" if fam == "gl" else core
-        reducible = False
-    return {
-        "parity_type": parity_type,
-        "ge0_label": label,
-        "completely_reducible": reducible,
-        "r": r,
-        "s": s,
-    }
-
-
-def _spo_block(twon, idx, g):
-    """Which even block the root vector's matrix support lies in."""
-    label = g.labels[idx]
-    # root vectors carry their weight in the label; sp weights move the
-    # first n coordinates
-    if label.startswith("X("):
-        comps = [Fraction(c) for c in label[2:-1].split(",")]
-        n = twon // 2
-        return "sp" if any(comps[:n]) else "so"
-    raise ConsistencyError("unexpected basis label %r" % label)
-
-
-def _gl_block_is_first(g, idx):
-    label = g.labels[idx]
-    if label.startswith("E"):
-        a, b = (int(x) for x in label[1:].split(","))
-        m = g.params[0]
-        return a <= m and b <= m
-    raise ConsistencyError("unexpected basis label %r" % label)

@@ -22,7 +22,7 @@ and every later call only solves against it.
 
 from fractions import Fraction
 
-from .envelope import PBWAlgebra, kazhdan_weights, render_element
+from .envelope import PBWAlgebra, _acc, kazhdan_weights, render_element
 from .errors import ConsistencyError, PreconditionError
 from .grading import admissible_subalgebras, neg_one_bases, weights_delta_rho
 from .scalar import HALF, ONE, ZERO, Scalar, scalar
@@ -37,11 +37,7 @@ THIRD = scalar(Fraction(1, 3))
 def _vec_sub(x, y):
     out = dict(x)
     for i, c in y.items():
-        acc = out.get(i, ZERO) - c
-        if acc:
-            out[i] = acc
-        else:
-            out.pop(i, None)
+        _acc(out, i, -c)
     return out
 
 
@@ -267,6 +263,21 @@ class WAlgebra:
         return {h: scalar(c) for h, c in zip(wd.letters, wd.dual(values))
                 if c}
 
+    def _quadratic_pairs(self):
+        """(a, b, coeff): the g(0)# quadratic part, sum of coeff * a b, of
+        casimir and theta_cas.  The h^e letters pair through the inverse of
+        their Gram matrix; x x* and x* x come with +1, y y* with +1 and
+        y* y with -1."""
+        gr, wd = self.grading, self.weight_data
+        out = [(a, b, scalar(c))
+               for a, row in zip(wd.letters, wd.inverse)
+               for b, c in zip(wd.letters, row) if c]
+        out += [(x, xs, ONE) for x, xs in zip(gr.xs, gr.xstars)]
+        out += [(xs, x, ONE) for x, xs in zip(gr.xs, gr.xstars)]
+        out += [(y, ys, ONE) for y, ys in zip(gr.ys, gr.ystars)]
+        out += [(ys, y, -ONE) for y, ys in zip(gr.ys, gr.ystars)]
+        return out
+
     def casimir(self):
         """The distinguished central element; leading coset 2e.
 
@@ -286,19 +297,9 @@ class WAlgebra:
                                                    pbw.inject(h))))
         acc = pbw.sub(acc, pbw.scale(scalar(Fraction(2 + gr.s - gr.r, 2)),
                                      pbw.inject(h)))
-        wd = self.weight_data
-        for a, row in zip(wd.letters, wd.inverse):
-            for b, c in zip(wd.letters, row):
-                if c:
-                    acc = pbw.add(acc, pbw.scale(scalar(c), pbw.mul(
-                        pbw.inject({a: ONE}), pbw.inject({b: ONE}))))
-        for a, b, sign in (
-                [(x, xs, 1) for x, xs in zip(gr.xs, gr.xstars)]
-                + [(xs, x, 1) for x, xs in zip(gr.xs, gr.xstars)]
-                + [(y, ys, 1) for y, ys in zip(gr.ys, gr.ystars)]
-                + [(ys, y, -1) for y, ys in zip(gr.ys, gr.ystars)]):
-            term = pbw.mul(pbw.inject({a: ONE}), pbw.inject({b: ONE}))
-            acc = pbw.add(acc, term) if sign > 0 else pbw.sub(acc, term)
+        for a, b, c in self._quadratic_pairs():
+            acc = pbw.add(acc, pbw.scale(c, pbw.mul(pbw.inject({a: ONE}),
+                                                    pbw.inject({b: ONE}))))
         evec = {gr.e: ONE}
         for idx, (z, zst) in enumerate(zip(self.nb["z"], self.nb["zstar"])):
             sign = ONE if idx < gr.s else -ONE
@@ -420,25 +421,11 @@ class WAlgebra:
         """Quadratic Casimir assembled from the generators themselves."""
         if self._cas is not None:
             return self._cas
-        gr, pbw = self.grading, self.pbw
+        pbw = self.pbw
         acc = {}
-        wd = self.weight_data
-        for a, row in zip(wd.letters, wd.inverse):
-            for b, c in zip(wd.letters, row):
-                if c:
-                    prod = self.mul_raw(self.theta_letter(a).value,
-                                        self.theta_letter(b).value)
-                    acc = pbw.add(acc, pbw.scale(scalar(c), prod))
-        for x, xs in zip(gr.xs, gr.xstars):
-            acc = pbw.add(acc, self.mul_raw(self.theta_letter(x).value,
-                                            self.theta_letter(xs).value))
-            acc = pbw.add(acc, self.mul_raw(self.theta_letter(xs).value,
-                                            self.theta_letter(x).value))
-        for y, ys in zip(gr.ys, gr.ystars):
-            acc = pbw.add(acc, self.mul_raw(self.theta_letter(y).value,
-                                            self.theta_letter(ys).value))
-            acc = pbw.sub(acc, self.mul_raw(self.theta_letter(ys).value,
-                                            self.theta_letter(y).value))
+        for a, b, c in self._quadratic_pairs():
+            acc = pbw.add(acc, pbw.scale(c, self.mul_raw(
+                self.theta_letter(a).value, self.theta_letter(b).value)))
         self._cas = self.certify(acc, "refined")
         return self._cas
 
@@ -589,11 +576,7 @@ class WAlgebra:
                 raise ConsistencyError(
                     "straightening failed at filtration degree %d" % d)
             for expo, c in combo.items():
-                acc = coords.get(expo, ZERO) + c
-                if acc:
-                    coords[expo] = acc
-                else:
-                    coords.pop(expo, None)
+                _acc(coords, expo, c)
                 work = self.pbw.sub(work, self.pbw.scale(c,
                                                          self.monomial(expo)))
         return coords
@@ -813,11 +796,7 @@ class WAlgebra:
                     if wt > top or (wt == top and sum(expo) < 2):
                         diff[expo] = c
                 for expo, c in expected.items():
-                    acc = diff.get(expo, ZERO) - c
-                    if acc:
-                        diff[expo] = acc
-                    else:
-                        diff.pop(expo, None)
+                    _acc(diff, expo, -c)
                 cases.append(("[%s,%s]" % (ga.name, gb.name),
                               _render_coords(self, diff) if diff else None))
         run("table-linear-parts", cases)

@@ -438,7 +438,8 @@ def test_structure_constants_frozen():
 
 
 def test_grade_makes_one_root_pass(monkeypatch):
-    # the root datum owns the weights, the weight form and the candidates
+    # the root datum owns the weights, the weight form, the candidates and
+    # the one inverse of the Cartan Gram matrix
     calls = {}
     for name in ("weight_form", "_weights_of_basis", "minimal_root_candidates"):
         original = getattr(superalgebra, name)
@@ -449,6 +450,28 @@ def test_grade_makes_one_root_pass(monkeypatch):
         for module in (superalgebra, grading):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
-    grade(build_algebra("spo:2|3"))
+    inverted = []
+
+    def recorded(matrix, _original=superalgebra._rational_inverse):
+        inverted.append([list(row) for row in matrix])
+        return _original(matrix)
+    for module in (superalgebra, grading):
+        monkeypatch.setattr(module, "_rational_inverse", recorded)
+    g = build_algebra("spo:2|3")
+    grade(g)
     assert calls == {"weight_form": 1, "_weights_of_basis": 1,
                      "minimal_root_candidates": 1}
+
+    # inversions of the Cartan Gram matrix, or of any multiple of it such
+    # as the Gram matrix of the rescaled form
+    gram = superalgebra.cartan_gram(g)
+    k = len(gram)
+
+    def multiple_of_gram(m):
+        if len(m) != k or any(len(row) != k for row in m):
+            return False
+        a, b = next((a, b) for a in range(k) for b in range(k) if gram[a][b])
+        c = m[a][b] / gram[a][b]
+        return all(m[a][b] == c * gram[a][b]
+                   for a in range(k) for b in range(k))
+    assert sum(map(multiple_of_gram, inverted)) == 1

@@ -5,12 +5,13 @@ import pytest
 import sympy
 
 from minwsuper.errors import PreconditionError, UnsupportedFamilyError
+from minwsuper.grading import grade
 from minwsuper.scalar import ONE, scalar
 from minwsuper.superalgebra import (
+    LinearSolver,
     _rational_inverse,
     _rational_kernel,
     build_algebra,
-    classify_minimal_case,
     minimal_root_candidates,
     parse_descriptor,
     root_decomposition,
@@ -42,7 +43,9 @@ def test_descriptor_parsing():
     assert parse_descriptor("osp:1|2") == ("spo", (2, 1))
     assert parse_descriptor("gl:2|1") == ("gl", (2, 1))
     for bad in ("sl:2|2", "gl:3|3", "q:3", "d21a:1", "spo:3|2", "sl:2", "x",
-                "gl:0|3", "sl:0|2", "spo:0|3", "spo:2|0"):
+                "gl:0|3", "sl:0|2", "spo:0|3", "spo:2|0",
+                ("sl", (2.5, 1)), ("osp", (1, 2.0)), ("spo", (2, True)),
+                ("sl", ("2", "1")), ("gl", 5)):
         with pytest.raises(UnsupportedFamilyError):
             parse_descriptor(bad)
 
@@ -208,7 +211,13 @@ def test_theta_hint_respected(algebras):
     assert rd.simple[-1] == halves(other)
 
 
-# -- classification -------------------------------------------------------
+# -- classification ----------------------------------------------------------
+#
+# The g-natural labels are the minimal-grading table of Kac-Roan-Wakimoto,
+# "Quantum reduction for affine superalgebras", CMP 241 (2003).  The
+# grading holds g(0)# = g-natural as the h^e letters plus the dual root
+# letters, so each label is checked through its super-dimension, and the
+# completely reducible rows through the centre of g(0)#.
 
 CLASSIFY = {
     "osp:1|2": ("odd", "trivial", True, 1, 0),
@@ -221,22 +230,73 @@ CLASSIFY = {
     "spo:4|2": ("even", "spo(2|2)", False, 2, 2),
 }
 
+CLASSIFY_LARGE = {
+    "psl:3|3": ("even", "sl(1|3)", False, 6, 2),
+    "gl:2|1": ("even", "gl(1)+gl(1)", False, 2, 0),
+    "spo:2|2": ("even", "so(2)", False, 2, 0),
+    "spo:2|5": ("odd", "so(5)", True, 5, 0),
+    "gl:3|1": ("even", "gl(1|1)+gl(1)", False, 2, 2),
+}
+
+
+def label_superdim(label):
+    """(even, odd) dimension of a sum of the classical labels in CLASSIFY."""
+    even = odd = 0
+    for part in label.split("+"):
+        if part == "trivial":
+            continue
+        name, args = part[:-1].split("(")
+        a, b = (int(x) for x in (args + "|0").split("|")[:2])
+        if name in ("gl", "sl"):
+            even += a * a + b * b - (name == "sl")
+            odd += 2 * a * b
+        elif name == "so":
+            even += a * (a - 1) // 2
+        elif name == "spo":
+            # spo(2n|m): sp(2n) + so(m) even, C^2n x C^m odd
+            even += a * (a + 1) // 2 + b * (b - 1) // 2
+            odd += a * b
+        else:
+            raise ValueError(part)
+    return even, odd
+
+
+def centre_dim(gr):
+    """Dimension of the centre of g(0)#, from the adapted brackets."""
+    g = gr.algebra
+    letters = (list(gr.hes) + list(gr.xs) + list(gr.xstars) + list(gr.ys)
+               + list(gr.ystars))
+    solver = LinearSolver()
+    for z in letters:
+        # ad z on g(0)#, flattened; z is central when its image is zero
+        image = {(x, k): c for x in letters
+                 for k, c in g.bracket({z: ONE}, {x: ONE}).items()}
+        solver.add(z, image)
+    return len(letters) - solver.rank
+
+
+def check_classification(desc, g, row):
+    ptype, label, reducible, r, s = row
+    gr = grade(g)
+    assert gr.parity_type == ptype, desc
+    assert (gr.r, gr.s) == (r, s), desc
+    assert label_superdim(label) == (len(gr.hes) + 2 * gr.w, 2 * gr.l), desc
+    # the centre of a gl summand is its identity, that of so(2) is so(2)
+    centre = centre_dim(gr)
+    assert centre == sum(part.startswith("gl(") or part == "so(2)"
+                         for part in label.split("+")), desc
+    if reducible:
+        assert centre == 0, desc
+
 
 def test_classification(algebras):
-    for desc, (ptype, label, red, r, s) in CLASSIFY.items():
-        g = algebras[desc]
-        info = classify_minimal_case(g, root_decomposition(g).theta)
-        assert info["parity_type"] == ptype, desc
-        assert info["ge0_label"] == label, desc
-        assert info["completely_reducible"] is red, desc
-        assert (info["r"], info["s"]) == (r, s), desc
+    for desc, row in CLASSIFY.items():
+        check_classification(desc, algebras[desc], row)
 
 
 def test_classification_large():
-    g = build_algebra("psl:3|3")
-    info = classify_minimal_case(g, root_decomposition(g).theta)
-    assert info["ge0_label"] == "sl(1|3)"
-    assert not info["completely_reducible"]
+    for desc, row in CLASSIFY_LARGE.items():
+        check_classification(desc, build_algebra(desc), row)
 
 
 def test_r_s_match_grading_dimensions(algebras):
@@ -251,10 +311,11 @@ def test_r_s_match_grading_dimensions(algebras):
                     r += rd.multiplicity(root)
                 else:
                     s += rd.multiplicity(root)
-        info = classify_minimal_case(g, rd.theta)
-        assert (info["r"], info["s"]) == (r, s), desc
+        gr = grade(g)
+        assert (gr.r, gr.s) == (r, s), desc
+        assert gr.dims_per_degree()[-1] == (s, r), desc
         assert s % 2 == 0
-        assert (r % 2 == 1) == (info["parity_type"] == "odd")
+        assert (r % 2 == 1) == (gr.parity_type == "odd")
 
 
 # -- the Fraction adapters over LinearSolver --------------------------------
