@@ -9,6 +9,12 @@ exact equality is equality of the term dicts.  Multiplication uses
 ``sqrt(m) * sqrt(n) = +-g * sqrt(mn / g**2)`` with ``g = gcd(m, n)``,
 negative when both ``m`` and ``n`` are.
 
+Almost every number the engine meets is rational, so a rational Scalar
+skips the term dict: it holds a plain ``int`` (or a ``Fraction`` when not
+integral) and its arithmetic is one native operation.  Only a value with
+a nonzero radical term keeps the ``{k: Fraction}`` dict; see
+:class:`Scalar`.
+
 :func:`sqrt` writes the square root of a rational as a rational multiple of
 one ``sqrt(k)``.  The engine takes only sqrt(-2) and the midline norm, which
 reduces to it.
@@ -46,37 +52,77 @@ def _sqfree_split(n):
     return outer, -core if n < 0 else core
 
 
-def _coerce(x):
-    if isinstance(x, Scalar):
+_new = object.__new__
+
+
+def _wrap(v):
+    """The Scalar whose slot holds ``v``: a canonical rational or term dict.
+
+    The rational branches of ``+``, ``-`` and ``*`` inline this and
+    :func:`_canon`; the extra call was a measurable share of their cost."""
+    res = _new(Scalar)
+    res._v = v
+    return res
+
+
+def _canon(q):
+    """A rational as an int when integral, else as the Fraction."""
+    if q.__class__ is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def _value(x):
+    """The slot value of a Scalar, int or Fraction; None for other types."""
+    if x.__class__ is Scalar:
+        return x._v
+    if x.__class__ is int:
         return x
     if isinstance(x, (int, Fraction)):
-        return Scalar._term(1, Fraction(x))
+        return _canon(Fraction(x))
     return None
 
 
-class Scalar:
-    """Immutable exact number supporting +, -, *, /, ** and exact equality."""
+def _from_terms(terms):
+    """The Scalar of a term dict whose radical terms may have cancelled."""
+    if any(key != 1 for key in terms):
+        return _wrap(terms)
+    return _wrap(_canon(terms.get(1, 0)))
 
-    __slots__ = ("_terms",)
+
+class Scalar:
+    """Immutable exact number supporting +, -, *, /, ** and exact equality.
+
+    A Scalar has one slot.  A rational value sits there as a plain ``int``
+    when it is integral and as a :class:`~fractions.Fraction` otherwise, so
+    rational arithmetic is one native operation.  A value with a nonzero
+    radical term holds its term dict ``{k: Fraction}`` there instead; that
+    dict always has a key other than 1, so the two forms never overlap and
+    each number has exactly one representation.
+    """
+
+    __slots__ = ("_v",)
 
     def __init__(self, terms=None):
         """``terms`` maps nonzero integers k to the coefficient of sqrt(k)."""
         total = _ZERO
         for key, val in (terms or {}).items():
             total = total + sqrt(key) * Fraction(val)
-        self._terms = total._terms
+        self._v = total._v
 
-    @staticmethod
-    def _term(core, val):
-        res = Scalar.__new__(Scalar)
-        res._terms = {core: val} if val else {}
-        return res
+    @property
+    def _terms(self):
+        """{k: Fraction coefficient of sqrt(k)}, read-only; {} for zero."""
+        v = self._v
+        if v.__class__ is dict:
+            return v
+        return {1: Fraction(v)} if v else {}
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rational(x):
-        return Scalar._term(1, Fraction(x))
+        return _wrap(_canon(Fraction(x)))
 
     @staticmethod
     def zero():
@@ -89,63 +135,105 @@ class Scalar:
     # -- predicates ---------------------------------------------------
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._v)
 
     def is_rational(self):
-        return all(key == 1 for key in self._terms)
+        return self._v.__class__ is not dict
 
     def as_fraction(self):
         """The underlying rational; raises if radical terms are present."""
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
+        if self._v.__class__ is dict:
             raise ValueError("scalar %s is not rational" % self)
-        return self._terms[1]
+        return Fraction(self._v)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
+        a = self._v
+        b = other._v if other.__class__ is Scalar else _value(other)
+        if b is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, val in other._terms.items():
+        if a.__class__ is not dict:
+            if b.__class__ is not dict:
+                v = a + b
+                if v.__class__ is Fraction and v.denominator == 1:
+                    v = v.numerator
+                res = _new(Scalar)
+                res._v = v
+                return res
+            a, b = b, a
+        if b.__class__ is not dict:
+            # only the rational term moves, so the sum stays irrational
+            if not b:
+                return _wrap(a)
+            out = dict(a)
+            acc = out.get(1)
+            tot = Fraction(b) if acc is None else acc + b
+            if tot:
+                out[1] = tot
+            else:
+                del out[1]
+            return _wrap(out)
+        out = dict(a)
+        for key, val in b.items():
             acc = out.get(key)
             tot = val if acc is None else acc + val
             if tot:
                 out[key] = tot
             elif acc is not None:
                 del out[key]
-        res = Scalar.__new__(Scalar)
-        res._terms = out
-        return res
+        return _from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = Scalar.__new__(Scalar)
-        res._terms = {key: -val for key, val in self._terms.items()}
-        return res
+        v = self._v
+        if v.__class__ is not dict:
+            return _wrap(-v)
+        return _wrap({key: -val for key, val in v.items()})
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        b = other._v if other.__class__ is Scalar else _value(other)
+        if b is None:
             return NotImplemented
-        return self + (-other)
+        a = self._v
+        if a.__class__ is not dict and b.__class__ is not dict:
+            v = a - b
+            if v.__class__ is Fraction and v.denominator == 1:
+                v = v.numerator
+            res = _new(Scalar)
+            res._v = v
+            return res
+        return self + -_wrap(b)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        b = _value(other)
+        if b is None:
             return NotImplemented
-        return other + (-self)
+        return -self + _wrap(b)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
+        a = self._v
+        b = other._v if other.__class__ is Scalar else _value(other)
+        if b is None:
             return NotImplemented
+        if a.__class__ is not dict:
+            if b.__class__ is not dict:
+                v = a * b
+                if v.__class__ is Fraction and v.denominator == 1:
+                    v = v.numerator
+                res = _new(Scalar)
+                res._v = v
+                return res
+            a, b = b, a
+        if b.__class__ is not dict:
+            # a rational factor scales every term; none of them vanishes
+            if not b:
+                return _ZERO
+            return _wrap({key: val * b for key, val in a.items()})
         out = {}
-        for ka, va in self._terms.items():
-            for kb, vb in other._terms.items():
+        for ka, va in a.items():
+            for kb, vb in b.items():
                 val = va * vb
                 if ka == 1:
                     key = kb
@@ -161,44 +249,46 @@ class Scalar:
                     out[key] = tot
                 elif acc is not None:
                     del out[key]
-        res = Scalar.__new__(Scalar)
-        res._terms = out
-        return res
+        return _from_terms(out)
 
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse by iterated conjugation: for q = -1 and
-        then each prime q of the keys, multiply by the conjugate that
-        negates sqrt(q), which leaves a product free of sqrt(q)."""
-        if not self._terms:
+        """Multiplicative inverse.  A rational inverts natively; otherwise
+        by iterated conjugation: for q = -1 and then each prime q of the
+        keys, multiply by the conjugate that negates sqrt(q), which leaves
+        a product free of sqrt(q)."""
+        v = self._v
+        if not v:
             raise ZeroDivisionError("inverse of zero scalar")
-        primes = {p for key in self._terms for p in _factor(key)}
+        if v.__class__ is not dict:
+            return _wrap(_canon(1 / Fraction(v)))
+        primes = {p for key in v for p in _factor(key)}
         num = _ONE
         cur = self
         for q in [-1] + sorted(primes):
-            negated = [key for key in cur._terms
+            terms = cur._terms
+            negated = [key for key in terms
                        if (key < 0 if q < 0 else key % q == 0)]
             if not negated:
                 continue
-            conj = Scalar.__new__(Scalar)
-            conj._terms = {key: (-val if key in negated else val)
-                           for key, val in cur._terms.items()}
+            conj = _wrap({key: (-val if key in negated else val)
+                          for key, val in terms.items()})
             num = num * conj
             cur = cur * conj
-        return num * Scalar._term(1, 1 / cur._terms[1])
+        return num * cur.inv()
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
+        b = _value(other)
+        if b is None:
             return NotImplemented
-        return self * other.inv()
+        return self * _wrap(b).inv()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
+        b = _value(other)
+        if b is None:
             return NotImplemented
-        return other * self.inv()
+        return _wrap(b) * self.inv()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -217,26 +307,29 @@ class Scalar:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
+        b = other._v if other.__class__ is Scalar else _value(other)
+        if b is None:
             return NotImplemented
-        return self._terms == other._terms
+        # a term dict never equals a rational, and canonical forms are unique
+        return self._v == b
 
     def __hash__(self):
-        # a rational scalar equals its Fraction, so it must hash like it
-        if self.is_rational():
-            return hash(self._terms.get(1, 0))
-        return hash(frozenset(self._terms.items()))
+        # a rational scalar equals its int or Fraction, so it hashes like it
+        v = self._v
+        if v.__class__ is dict:
+            return hash(frozenset(v.items()))
+        return hash(v)
 
     # -- text form ------------------------------------------------------
 
     def render(self):
         """Canonical text form, e.g. ``1/3 - 1/3*sqrt(-2)``."""
-        if not self._terms:
-            return "0"
+        terms = self._v
+        if terms.__class__ is not dict:
+            return str(terms)
         parts = []
-        for key in sorted(self._terms, key=lambda k: (k != 1, k)):
-            val = self._terms[key]
+        for key in sorted(terms, key=lambda k: (k != 1, k)):
+            val = terms[key]
             mag = val if val > 0 else -val
             factors = [] if key == 1 else ["sqrt(%d)" % key]
             if factors and mag == 1:
@@ -298,16 +391,18 @@ class Scalar:
         return term
 
 
-_ZERO = Scalar._term(1, 0)
-_ONE = Scalar._term(1, Fraction(1))
+_ZERO = _wrap(0)
+_ONE = _wrap(1)
 
 
 def scalar(x):
     """Coerce an int, Fraction or Scalar to a Scalar."""
-    res = _coerce(x)
-    if res is None:
+    if x.__class__ is Scalar:
+        return x
+    v = _value(x)
+    if v is None:
         raise TypeError("cannot coerce %r to Scalar" % (x,))
-    return res
+    return _wrap(v)
 
 
 def sqrt(q):
@@ -315,7 +410,8 @@ def sqrt(q):
     square-free integer (no atom when q is a rational square)."""
     q = Fraction(q)
     outer, core = _sqfree_split(q.numerator * q.denominator)
-    return Scalar._term(core, Fraction(outer, q.denominator))
+    mult = Fraction(outer, q.denominator)
+    return Scalar.rational(mult) if core == 1 else _wrap({core: mult})
 
 
 ZERO = _ZERO

@@ -694,6 +694,27 @@ def minimal_root_candidates(g, weights=None, pair=None):
     return cands
 
 
+def _root_hint(theta, roots, rank):
+    """The root a theta hint names: an index into ``roots``, or a sequence
+    of ``rank`` ints or Fractions; anything else, bools included, is
+    rejected."""
+    if isinstance(theta, int) and not isinstance(theta, bool):
+        if not 0 <= theta < len(roots):
+            raise PreconditionError("root index %d out of range" % theta)
+        return roots[theta]
+    try:
+        entries = tuple(theta)
+    except TypeError:
+        entries = None
+    if entries is None or len(entries) != rank or any(
+            isinstance(c, bool) or not isinstance(c, (int, Fraction))
+            for c in entries):
+        raise PreconditionError(
+            "theta hint %r is neither a root index nor %d rationals"
+            % (theta, rank))
+    return tuple(Fraction(c) for c in entries)
+
+
 def root_decomposition(g, theta=None):
     """Roots, parities and the positive/simple system adapted to theta.
 
@@ -729,12 +750,7 @@ def root_decomposition(g, theta=None):
         # canonical pick: coordinate-lex maximum (first sp / first block root)
         theta = cands[-1]
     else:
-        if isinstance(theta, int):
-            try:
-                theta = roots[theta]
-            except IndexError:
-                raise PreconditionError("root index %d out of range" % theta)
-        theta = tuple(Fraction(c) for c in theta)
+        theta = _root_hint(theta, roots, len(g.cartan))
         if theta not in cands:
             raise PreconditionError(
                 "root %s is not minimal; valid candidates: %s" % (theta, cands))

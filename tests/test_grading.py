@@ -296,8 +296,11 @@ def test_minimal_root_hints():
     # an index into the sorted root list names the same root
     roots = root_decomposition(g).roots
     assert root_decomposition(g, roots.index(other)).theta == other
-    with pytest.raises(PreconditionError):
-        root_decomposition(g, len(roots))
+    # an index out of range, a float, a non-rational entry, a bool, a
+    # negative index and float entries are all typed rejects
+    for bad in (len(roots), 1.5, (1, "a"), True, -1, (2.0, 0.0)):
+        with pytest.raises(PreconditionError):
+            root_decomposition(g, bad)
     mg = grade(g, other)
     assert mg.theta == other
     nb = neg_one_bases(mg)

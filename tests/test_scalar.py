@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,10 @@ KEYS = sorted({
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 scalars = st.builds(Scalar, st.dictionaries(st.sampled_from(KEYS), coeffs, max_size=4))
 nonzero = scalars.filter(bool)
+irrational = scalars.filter(lambda a: not a.is_rational())
+# a rational as an int, a Fraction or an integral Fraction such as 4/2
+rationals = st.one_of(st.integers(-9, 9), coeffs,
+                      st.integers(-9, 9).map(lambda n: Fraction(2 * n, 2)))
 
 
 def to_sympy(value):
@@ -182,6 +187,35 @@ def test_rational_hash_matches_fraction():
     assert len({scalar(1), 1}) == 1
     assert hash(scalar(Fraction(1, 2))) == hash(Fraction(1, 2))
     assert hash(ZERO) == hash(0)
+
+
+# -- the rational fast path ---------------------------------------------
+
+
+@given(rationals, rationals)
+def test_rational_ops_match_fraction(p, q):
+    ops = [operator.add, operator.sub, operator.mul]
+    if q:
+        ops.append(operator.truediv)
+    for op in ops:
+        got = op(scalar(p), scalar(q))
+        want = op(Fraction(p), Fraction(q))
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got.is_rational()
+        assert got.render() == str(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rationals, irrational)
+def test_rational_times_irrational_matches_sympy(p, a):
+    got = scalar(p) * a
+    assert sympy_equals(got, p * to_sympy(a))
+    assert got.is_rational() == (p == 0)
+
+
+def test_integral_values_are_one_key():
+    assert len({scalar(2), Fraction(4, 2), 2}) == 1
 
 
 @settings(max_examples=15, deadline=None)
