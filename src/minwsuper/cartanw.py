@@ -19,9 +19,9 @@ projection into an algebra homomorphism.
 
 from fractions import Fraction
 
-from .envelope import _acc, render_element
+from .envelope import render_element
 from .errors import ConsistencyError, PreconditionError
-from .scalar import HALF, ONE, ZERO, scalar
+from .scalar import HALF, ONE, ZERO, acc, scalar
 from .wgen import WElement, workspace
 
 EIGHTH = scalar(Fraction(1, 8))
@@ -54,7 +54,7 @@ class CartanWElement:
         other = self.cw.coerce(other)
         out = dict(self.coords)
         for e, c in other.coords.items():
-            _acc(out, e, c)
+            acc(out, e, c)
         return CartanWElement(self.cw, out)
 
     def __sub__(self, other):
@@ -78,7 +78,7 @@ class CartanWElement:
         for ea, ca in self.coords.items():
             for eb, cb in other.coords.items():
                 for e, c in self.cw.mul_monomials(ea, eb):
-                    _acc(out, e, ca * cb * c)
+                    acc(out, e, ca * cb * c)
         return CartanWElement(self.cw, out)
 
     def __rmul__(self, other):

@@ -5,25 +5,22 @@ nondecreasing, odd letters never repeated) to scalars.  The letter order
 is the one fixed by the grading: ad-h degree descending, so e comes
 first and f last; that makes the nilpotent part trail every word, which
 is what the finite quotient needs.
+
+Straightening is letter by letter.  A product ``word * x`` that is already
+in normal order (``word`` empty, ``x`` after its last letter, or an even
+``x`` repeating it) is the word with ``x`` appended and is built on the spot;
+only products that need rewriting go into the letter cache.  A commutator
+is summed word pair by word pair, and a pair whose letters all supercommute
+is skipped, since its two products cancel exactly.
 """
 
-from fractions import Fraction
-
 from .errors import PreconditionError
-from .scalar import HALF, ONE, ZERO, Scalar, scalar
+from .scalar import HALF, ONE, acc, axpy, scalar
 
 
 def kazhdan_weights(grading):
     """Letter weights of the Kazhdan filtration: ad-h degree plus two."""
     return {i: d + 2 for i, d in enumerate(grading.degrees)}
-
-
-def _acc(out, word, c):
-    cur = out.get(word, ZERO) + c
-    if cur:
-        out[word] = cur
-    else:
-        out.pop(word, None)
 
 
 class PBWAlgebra:
@@ -41,12 +38,16 @@ class PBWAlgebra:
         self.pos = {x: p for p, x in enumerate(self.letters)}
         if len(self.pos) != len(self.letters):
             raise PreconditionError("repeated letters")
+        # letter -> the letters it does not supercommute with
+        self._partners = {a: set() for a in self.letters}
         for a in self.letters:
             for b in self.letters:
                 out = g.bracket({a: ONE}, {b: ONE})
                 if any(k not in self.pos for k in out):
                     raise PreconditionError(
                         "letters are not bracket closed at (%d, %d)" % (a, b))
+                if out:
+                    self._partners[a].add(b)
         self.weights = dict(weights) if weights else None
         self._cache = {}
 
@@ -79,7 +80,7 @@ class PBWAlgebra:
     def add(self, a, b):
         out = dict(a)
         for w, c in b.items():
-            _acc(out, w, c)
+            acc(out, w, c)
         return out
 
     def scale(self, c, a):
@@ -89,41 +90,36 @@ class PBWAlgebra:
         return {w: v * c for w, v in a.items()}
 
     def sub(self, a, b):
-        return self.add(a, self.scale(-1, b))
+        out = dict(a)
+        axpy(out, -ONE, b)
+        return out
 
     def _mul_letter(self, word, x):
-        key = (word, x)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        """Normal form of word * x.  A normal-order append is built fresh;
+        any other product is the letter cache's dict, so callers only read
+        it."""
         if not word:
-            out = {(x,): ONE}
+            return {(x,): ONE}
+        last = word[-1]
+        parity = self.g.parity
+        if self.pos[last] < self.pos[x] or (last == x and not parity[x]):
+            return {word + (x,): ONE}
+        key = (word, x)
+        out = self._cache.get(key)
+        if out is not None:
+            return out
+        out = {}
+        head = word[:-1]
+        if last == x:
+            # odd square: x x = [x, x] / 2
+            for k, ck in self.g.bracket_basis(x, x).items():
+                axpy(out, ck * HALF, self._mul_letter(head, k))
         else:
-            last = word[-1]
-            head = word[:-1]
-            if last == x:
-                if self.g.parity[x]:
-                    # odd square: x x = [x, x] / 2
-                    out = {}
-                    br = self.g.bracket({x: ONE}, {x: ONE})
-                    for k, ck in br.items():
-                        for w2, c2 in self._mul_letter(head, k).items():
-                            _acc(out, w2, c2 * ck * HALF)
-                else:
-                    out = {word + (x,): ONE}
-            elif self.pos[last] < self.pos[x]:
-                out = {word + (x,): ONE}
-            else:
-                out = {}
-                sign = -ONE if self.g.parity[last] and self.g.parity[x] \
-                    else ONE
-                for w1, c1 in self._mul_letter(head, x).items():
-                    for w2, c2 in self._mul_letter(w1, last).items():
-                        _acc(out, w2, c1 * c2 * sign)
-                br = self.g.bracket({last: ONE}, {x: ONE})
-                for k, ck in br.items():
-                    for w2, c2 in self._mul_letter(head, k).items():
-                        _acc(out, w2, c2 * ck)
+            sign = -ONE if parity[last] and parity[x] else ONE
+            for w1, c1 in self._mul_letter(head, x).items():
+                axpy(out, c1 * sign, self._mul_letter(w1, last))
+            for k, ck in self.g.bracket_basis(last, x).items():
+                axpy(out, ck, self._mul_letter(head, k))
         self._cache[key] = out
         return out
 
@@ -136,8 +132,7 @@ class PBWAlgebra:
         for x in wb[1:]:
             nxt = {}
             for w, c in cur.items():
-                for w2, c2 in self._mul_letter(w, x).items():
-                    _acc(nxt, w2, c * c2)
+                axpy(nxt, c, self._mul_letter(w, x))
             cur = nxt
         return cur
 
@@ -145,42 +140,33 @@ class PBWAlgebra:
         out = {}
         for wa, ca in a.items():
             for wb, cb in b.items():
-                c = ca * cb
-                if not c:
-                    continue
-                for w, cw in self._mul_word(wa, wb).items():
-                    _acc(out, w, c * cw)
+                axpy(out, ca * cb, self._mul_word(wa, wb))
         return out
 
     def from_words(self, pairs):
         """Normal form of arbitrary (word, coeff) pairs."""
         out = {}
         for word, coeff in pairs:
-            coeff = scalar(coeff)
-            if not coeff:
-                continue
-            for w, c in self._mul_word((), tuple(word)).items():
-                _acc(out, w, c * coeff)
+            axpy(out, scalar(coeff), self._mul_word((), tuple(word)))
         return out
 
     def commutator(self, a, b):
-        """The superbracket a b - (-1)^{|a||b|} b a, by parity components."""
+        """The superbracket a b - (-1)^{|a||b|} b a, summed word pair by
+        word pair: c wa wb - (-1)^{|wa||wb|} c wb wa for the coefficient c
+        of each pair.  A pair in which every letter of wa supercommutes
+        with every letter of wb contributes zero and is skipped."""
         out = {}
-        for pa in (0, 1):
-            aa = {w: c for w, c in a.items() if self.word_parity(w) == pa}
-            if not aa:
-                continue
-            for pb in (0, 1):
-                bb = {w: c for w, c in b.items() if self.word_parity(w) == pb}
-                if not bb:
+        partners = self._partners
+        bs = [(wb, cb, self.word_parity(wb)) for wb, cb in b.items()]
+        for wa, ca in a.items():
+            pa = self.word_parity(wa)
+            touched = set().union(*(partners[x] for x in wa))
+            for wb, cb, pb in bs:
+                if touched.isdisjoint(wb):
                     continue
-                piece = self.mul(aa, bb)
-                back = self.mul(bb, aa)
-                if pa and pb:
-                    piece = self.add(piece, back)
-                else:
-                    piece = self.sub(piece, back)
-                out = self.add(out, piece)
+                c = ca * cb
+                axpy(out, c, self._mul_word(wa, wb))
+                axpy(out, c if pa and pb else -c, self._mul_word(wb, wa))
         return out
 
     def ad(self, x, a):
@@ -206,7 +192,7 @@ class PBWAlgebra:
             scalefac = c
             for _ in range(m):
                 scalefac = scalefac * value
-            _acc(out, w[: len(w) - m], scalefac)
+            acc(out, w[: len(w) - m], scalefac)
         return out
 
     def is_invariant(self, a, ad_letters, project=None):

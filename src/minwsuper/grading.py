@@ -10,7 +10,7 @@ dual root-vector bases, and the weight functionals precomputed.
 from fractions import Fraction
 
 from .errors import ConsistencyError, PreconditionError
-from .scalar import HALF, ONE, ZERO, scalar, sqrt
+from .scalar import HALF, ONE, ZERO, acc, axpy, scalar, sqrt
 from .superalgebra import (
     LinearSolver,
     _rational_inverse,
@@ -34,10 +34,8 @@ def _dual_basis(pairing, members, pos):
     for row in _rational_inverse(gram):
         vec = {}
         for c, p in zip(row, pos):
-            if c:
-                for idx, val in p.items():
-                    vec[idx] = vec.get(idx, ZERO) + val * scalar(c)
-        duals.append({i: v for i, v in vec.items() if v})
+            axpy(vec, scalar(c), p)
+        duals.append(vec)
     return duals
 
 
@@ -310,12 +308,7 @@ class MinimalGrading:
         """Project onto the orthocomplement of h in g(0): x - (h, x) h / 2."""
         c = self.algebra.pair({self.hth: ONE}, x)
         out = dict(x)
-        if c:
-            cur = out.get(self.hth, ZERO) - c * HALF
-            if cur:
-                out[self.hth] = cur
-            else:
-                out.pop(self.hth, None)
+        acc(out, self.hth, -c * HALF)
         return out
 
     def restrict_weight(self, root):

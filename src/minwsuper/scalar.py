@@ -417,3 +417,45 @@ def sqrt(q):
 ZERO = _ZERO
 ONE = _ONE
 HALF = Scalar.rational(Fraction(1, 2))
+
+
+# -- sparse accumulation ---------------------------------------------------
+#
+# The package's sparse vectors are dicts of their nonzero entries; these two
+# are the one way to add into one.  An absent key takes the new value
+# itself, a sum that cancels deletes its key, a zero adds nothing, and so
+# no zero is ever stored.
+
+
+def acc(out, key, c):
+    """out[key] += c."""
+    if not c:
+        return
+    cur = out.get(key)
+    if cur is None:
+        out[key] = c
+        return
+    cur = cur + c
+    if cur:
+        out[key] = cur
+    else:
+        del out[key]
+
+
+def axpy(out, c, vec):
+    """out += c * vec, for a sparse dict ``vec``."""
+    if not c:
+        return
+    get = out.get
+    for key, v in vec.items():
+        cv = c * v
+        cur = get(key)
+        if cur is None:
+            if cv:
+                out[key] = cv
+            continue
+        cur = cur + cv
+        if cur:
+            out[key] = cur
+        else:
+            del out[key]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import (ConsistencyError, PreconditionError,
                      UnsupportedFamilyError)
-from .scalar import Scalar, scalar
+from .scalar import Scalar, axpy, scalar
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()
@@ -46,18 +46,8 @@ class LinearSolver:
             c = residual.get(pivot)
             if c is None:
                 continue
-            for k, rv in row.items():
-                acc = residual.get(k, ZERO) - c * rv
-                if acc:
-                    residual[k] = acc
-                else:
-                    del residual[k]
-            for tag, s in rcombo.items():
-                acc = expr.get(tag, ZERO) + c * s
-                if acc:
-                    expr[tag] = acc
-                elif tag in expr:
-                    del expr[tag]
+            axpy(residual, -c, row)
+            axpy(expr, c, rcombo)
         return residual, expr
 
     def add(self, tag, vec):
@@ -186,17 +176,12 @@ class LieSuperalgebra:
     def bracket(self, x, y):
         """[x, y] for sparse coordinate dicts; bilinear, signs live in the table."""
         out = {}
+        table = self._bracket
         for i, xi in x.items():
             for j, yj in y.items():
-                c = xi * yj
-                if not c:
-                    continue
-                for k, s in self._bracket.get((i, j), {}).items():
-                    acc = out.get(k, ZERO) + c * s
-                    if acc:
-                        out[k] = acc
-                    elif k in out:
-                        del out[k]
+                row = table.get((i, j))
+                if row:
+                    axpy(out, xi * yj, row)
         return out
 
     def pair(self, x, y):
@@ -528,7 +513,8 @@ def validate(g):
     # trivially; the loop order, and so the report order, is kept
     nonzero = {(i, j) for i in range(dim) for j in range(dim)
                if g.bracket_basis(i, j)}
-    table = g.bracket_basis
+    rows = g._bracket
+    none = {}
 
     for i in range(dim):
         for j in range(dim):
@@ -536,15 +522,16 @@ def validate(g):
             for k in range(dim):
                 if not (ij or (j, k) in nonzero or (i, k) in nonzero):
                     continue
-                lhs = g.bracket(basis[i], table(j, k))
-                rhs = g.bracket(table(i, j), basis[k])
-                sgn = -1 if (g.parity[i] and g.parity[j]) else 1
-                for t, v in g.bracket(basis[j], table(i, k)).items():
-                    acc = rhs.get(t, ZERO) + sgn * v
-                    if acc:
-                        rhs[t] = acc
-                    elif t in rhs:
-                        del rhs[t]
+                # [i, [j, k]] against [[i, j], k] + sgn [j, [i, k]]
+                lhs = {}
+                for t, v in rows.get((j, k), none).items():
+                    axpy(lhs, v, rows.get((i, t), none))
+                rhs = {}
+                for t, v in rows.get((i, j), none).items():
+                    axpy(rhs, v, rows.get((t, k), none))
+                sgn = -ONE if (g.parity[i] and g.parity[j]) else ONE
+                for t, v in rows.get((i, k), none).items():
+                    axpy(rhs, sgn * v, rows.get((j, t), none))
                 if lhs != rhs:
                     report.append("jacobi: (%d,%d,%d)" % (i, j, k))
 
@@ -563,8 +550,8 @@ def validate(g):
             for k in range(dim):
                 if not (ij or (j, k) in nonzero):
                     continue
-                lhs = g.pair(table(i, j), basis[k])
-                rhs = g.pair(basis[i], table(j, k))
+                lhs = g.pair(rows.get((i, j), none), basis[k])
+                rhs = g.pair(basis[i], rows.get((j, k), none))
                 if lhs != rhs:
                     report.append("form not invariant at (%d,%d,%d)" % (i, j, k))
                     break
@@ -667,6 +654,7 @@ def minimal_root_candidates(g, weights=None, pair=None):
         weights = _weights_of_basis(g)
     if pair is None:
         pair = weight_form(g)
+    inv = pair.inverse
     zero = tuple(Fraction(0) for _ in g.cartan)
     seen = {}
     for i in range(g.dim):
@@ -676,13 +664,15 @@ def minimal_root_candidates(g, weights=None, pair=None):
     for theta, idxs in seen.items():
         if any(g.parity[i] for i in idxs):
             continue
-        tt = pair(theta, theta)
+        # pair(alpha, theta) is alpha . Gc^{-1} theta; one product per theta
+        dual = [sum(r * tj for r, tj in zip(row, theta)) for row in inv]
+        tt = sum(ti * di for ti, di in zip(theta, dual))
         if not tt:
             continue
         ok = True
         top = 0
         for alpha, jdxs in seen.items():
-            ev = 2 * pair(alpha, theta) / tt
+            ev = 2 * sum(ai * di for ai, di in zip(alpha, dual)) / tt
             if ev.denominator != 1 or abs(ev) > 2:
                 ok = False
                 break

@@ -22,10 +22,10 @@ and every later call only solves against it.
 
 from fractions import Fraction
 
-from .envelope import PBWAlgebra, _acc, kazhdan_weights, render_element
+from .envelope import PBWAlgebra, kazhdan_weights, render_element
 from .errors import ConsistencyError, PreconditionError
 from .grading import admissible_subalgebras, neg_one_bases, weights_delta_rho
-from .scalar import HALF, ONE, ZERO, Scalar, scalar
+from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
 from .superalgebra import LinearSolver
 
 RELATION_SUITE = "minimal-w-relations/1"
@@ -36,8 +36,7 @@ THIRD = scalar(Fraction(1, 3))
 
 def _vec_sub(x, y):
     out = dict(x)
-    for i, c in y.items():
-        _acc(out, i, -c)
+    axpy(out, -ONE, y)
     return out
 
 
@@ -576,7 +575,7 @@ class WAlgebra:
                 raise ConsistencyError(
                     "straightening failed at filtration degree %d" % d)
             for expo, c in combo.items():
-                _acc(coords, expo, c)
+                acc(coords, expo, c)
                 work = self.pbw.sub(work, self.pbw.scale(c,
                                                          self.monomial(expo)))
         return coords
@@ -796,7 +795,7 @@ class WAlgebra:
                     if wt > top or (wt == top and sum(expo) < 2):
                         diff[expo] = c
                 for expo, c in expected.items():
-                    _acc(diff, expo, -c)
+                    acc(diff, expo, -c)
                 cases.append(("[%s,%s]" % (ga.name, gb.name),
                               _render_coords(self, diff) if diff else None))
         run("table-linear-parts", cases)

@@ -1,14 +1,16 @@
 """Straightening, Kazhdan filtration, finite quotient projection."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from minwsuper.envelope import PBWAlgebra, kazhdan_weights, render_element
 from minwsuper.errors import PreconditionError
 from minwsuper.grading import grade
-from minwsuper.scalar import HALF, ONE, ZERO, scalar
+from minwsuper.scalar import HALF, ONE, ZERO, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
+from minwsuper.wgen import workspace
 
 from oracles import free_normal_form
 
@@ -164,6 +166,57 @@ def test_commutator_matches_bracket(setups):
             lhs = pbw.commutator(pbw.inject({i: ONE}), pbw.inject({j: ONE}))
             rhs = pbw.inject(g.bracket({i: ONE}, {j: ONE}))
             assert lhs == rhs, (name, i, j)
+
+
+def _random_element(rng, pbw, dim):
+    """A mixed-parity element with int, Fraction and sqrt(-2) coefficients."""
+    kinds = (lambda: scalar(rng.randint(-3, 3)),
+             lambda: scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+             lambda: rng.randint(-2, 2) * sqrt(-2))
+    pairs = [(w, rng.choice(kinds)())
+             for w in _random_words(rng, dim, rng.randint(1, 4), 3)]
+    return pbw.from_words(pairs)
+
+
+def _by_parity(pbw, a):
+    return [{w: c for w, c in a.items() if pbw.word_parity(w) == p}
+            for p in (0, 1)]
+
+
+def test_commutator_matches_products(setups):
+    # the superbracket, extended bilinearly over the parity components:
+    # [a, b] = sum of a_p b_q - (-1)^{pq} b_q a_p
+    rng = random.Random(19)
+    for name, (mg, pbw) in setups.items():
+        dim = mg.algebra.dim
+        mixed = 0
+        for _ in range(12):
+            a = _random_element(rng, pbw, dim)
+            b = _random_element(rng, pbw, dim)
+            want = {}
+            for p, ap in enumerate(_by_parity(pbw, a)):
+                for q, bq in enumerate(_by_parity(pbw, b)):
+                    back = pbw.mul(bq, ap)
+                    if not (p and q):
+                        back = pbw.scale(-1, back)
+                    want = pbw.add(want, pbw.add(pbw.mul(ap, bq), back))
+            assert pbw.commutator(a, b) == want, name
+            mixed += pbw.element_parity(a) is None
+        assert mixed, name
+
+
+def test_letter_cache_holds_no_appends():
+    # a product already in normal order is built on the spot, never cached
+    wal = workspace(grade(build_algebra("spo:2|3")))
+    wal.commutator_table
+    pbw = wal.pbw
+    parity = pbw.g.parity
+    assert pbw._cache
+    for word, x in pbw._cache:
+        assert word, x
+        last = word[-1]
+        assert pbw.pos[last] >= pbw.pos[x], (word, x)
+        assert last != x or parity[x], (word, x)
 
 
 def test_render_element(setups):

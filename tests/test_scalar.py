@@ -12,6 +12,8 @@ from minwsuper.scalar import (
     ONE,
     ZERO,
     Scalar,
+    acc,
+    axpy,
     scalar,
     sqrt,
 )
@@ -227,3 +229,52 @@ def test_inverse_matches_sympy(a, b):
         assert sympy_equals(prod.inv(), want)
         # negative control: an inverse off by one must not compare equal
         assert not sympy_equals(prod.inv() + ONE, want)
+
+
+def test_acc_rules():
+    out = {}
+    acc(out, "a", scalar(3))
+    assert out == {"a": 3}
+    # an absent key stores the value itself, not a sum built from zero
+    c = scalar(Fraction(1, 2))
+    acc(out, "b", c)
+    assert out["b"] is c
+    acc(out, "a", scalar(2))
+    assert out == {"a": 5, "b": c}
+    # a sum that cancels deletes its key
+    acc(out, "a", scalar(-5))
+    assert out == {"b": c}
+    # a zero adds nothing, to a present or an absent key
+    acc(out, "b", ZERO)
+    acc(out, "z", ZERO)
+    assert out == {"b": c}
+    # irrational values accumulate and cancel the same way
+    r = sqrt(-2)
+    acc(out, "r", r)
+    acc(out, "r", r)
+    assert out["r"] == 2 * r and not out["r"].is_rational()
+    acc(out, "r", -2 * r)
+    assert out == {"b": c}
+
+
+def test_axpy_rules():
+    vec = {"a": ONE, "b": scalar(Fraction(-1, 3)), "c": sqrt(-2)}
+    out = {}
+    axpy(out, scalar(3), vec)
+    assert out == {"a": 3, "b": -1, "c": 3 * sqrt(-2)}
+    # a zero multiple is a no-op
+    axpy(out, ZERO, vec)
+    assert out == {"a": 3, "b": -1, "c": 3 * sqrt(-2)}
+    # cancelling entries are deleted, the others kept
+    axpy(out, scalar(-3), {"a": ONE, "c": sqrt(-2), "d": HALF})
+    assert out == {"b": -1, "d": Fraction(-3, 2)}
+    # an irrational multiple; no zero is ever stored
+    r = sqrt(-2)
+    axpy(out, r, {"b": ONE, "e": r})
+    assert out == {"b": r - 1, "d": Fraction(-3, 2), "e": -2}
+    axpy(out, -r, {"b": ONE, "e": r})
+    assert out == {"b": -1, "d": Fraction(-3, 2)}
+    assert all(out.values())
+    # a stored zero in the added vector is skipped, not copied
+    axpy(out, ONE, {"z": ZERO})
+    assert "z" not in out

@@ -61,13 +61,41 @@ def test_validate_clean(algebras):
         assert validate(g) == [], desc
 
 
+# Regression freezes, not independent truths: the full reports of the two
+# damaged sl:2|1 algebras of test_validate_detects_damage, strings and
+# order, read from the build whose Jacobi check still called
+# LieSuperalgebra.bracket on basis vectors.
+DAMAGED_CONSTANT_REPORT = [
+    "skew: [0,2] vs [2,0] at 2", "skew: [2,0] vs [0,2] at 2",
+    "jacobi: (0,2,4)", "jacobi: (0,2,5)", "jacobi: (0,2,6)", "jacobi: (0,3,7)",
+    "jacobi: (0,4,2)", "jacobi: (0,5,2)", "jacobi: (0,6,2)", "jacobi: (0,7,3)",
+    "jacobi: (2,0,0)", "jacobi: (2,0,1)", "jacobi: (2,4,2)", "jacobi: (3,0,7)",
+    "jacobi: (3,6,2)", "jacobi: (4,0,2)", "jacobi: (4,2,2)", "jacobi: (5,0,2)",
+    "jacobi: (6,0,2)", "jacobi: (6,3,2)", "jacobi: (7,0,3)",
+    "form not invariant at (0,2,4)", "form not invariant at (4,0,2)",
+]
+DAMAGED_ZERO_REPORT = [
+    "jacobi: (0,2,3)", "jacobi: (0,3,2)", "jacobi: (1,2,3)", "jacobi: (1,3,2)",
+    "jacobi: (2,0,3)", "jacobi: (2,1,3)", "jacobi: (2,3,0)", "jacobi: (2,3,1)",
+    "jacobi: (2,3,4)", "jacobi: (2,3,6)", "jacobi: (2,3,7)", "jacobi: (2,4,3)",
+    "jacobi: (2,6,3)", "jacobi: (2,7,3)", "jacobi: (3,0,2)", "jacobi: (3,1,2)",
+    "jacobi: (3,2,0)", "jacobi: (3,2,1)", "jacobi: (3,2,4)", "jacobi: (3,2,6)",
+    "jacobi: (3,2,7)", "jacobi: (3,3,7)", "jacobi: (3,4,2)", "jacobi: (3,6,2)",
+    "jacobi: (3,7,2)", "jacobi: (3,7,3)", "jacobi: (4,2,3)", "jacobi: (4,3,2)",
+    "jacobi: (6,2,3)", "jacobi: (6,3,2)", "jacobi: (7,2,3)", "jacobi: (7,3,2)",
+    "jacobi: (7,3,3)", "form not invariant at (2,3,6)",
+    "form not invariant at (3,2,6)", "form not invariant at (6,2,3)",
+    "form not invariant at (6,3,2)",
+]
+
+
 def test_validate_detects_damage():
     g = build_algebra("sl:2|1")
     # find a nonzero structure constant and corrupt it
     key = next(k for k, v in g._bracket.items() if v)
     tgt = next(iter(g._bracket[key]))
     g._bracket[key][tgt] = g._bracket[key][tgt] + ONE
-    assert validate(g) != []
+    assert validate(g) == DAMAGED_CONSTANT_REPORT
     # a zero bracket made nonzero, skew-consistently so that only the
     # Jacobi and invariance checks can see it, must be reported as well
     g = build_algebra("sl:2|1")
@@ -82,6 +110,7 @@ def test_validate_detects_damage():
     report = validate(g)
     assert any(v.startswith("jacobi") for v in report)
     assert any(v.startswith("form not invariant") for v in report)
+    assert report == DAMAGED_ZERO_REPORT
 
 
 def test_bracket_bilinearity(algebras):
