@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .envelope import render_element
 from .errors import ConsistencyError, PreconditionError
-from .scalar import HALF, ONE, ZERO, acc, scalar
+from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
 from .wgen import WElement, workspace
 
 EIGHTH = scalar(Fraction(1, 8))
@@ -51,14 +51,14 @@ class CartanWElement:
         return not self.coords
 
     def __add__(self, other):
-        other = self.cw.coerce(other)
         out = dict(self.coords)
-        for e, c in other.coords.items():
-            acc(out, e, c)
+        axpy(out, ONE, self.cw.coerce(other).coords)
         return CartanWElement(self.cw, out)
 
     def __sub__(self, other):
-        return self + self.cw.coerce(other).scale(-ONE)
+        out = dict(self.coords)
+        axpy(out, -ONE, self.cw.coerce(other).coords)
+        return CartanWElement(self.cw, out)
 
     def __neg__(self):
         return self.scale(-ONE)
@@ -85,22 +85,20 @@ class CartanWElement:
         return self.scale(other)
 
     def bracket(self, other):
-        """Supercommutator, extended bilinearly over monomials."""
-        out = self.cw.zero()
+        """Supercommutator, extended bilinearly over monomials:
+        c ea eb - (-1)^{|ea||eb|} c eb ea for each pair of terms."""
+        cw = self.cw
+        out = {}
         for ea, ca in self.coords.items():
-            pa = self.cw.monomial_parity(ea)
+            pa = cw.monomial_parity(ea)
             for eb, cb in other.coords.items():
-                pb = self.cw.monomial_parity(eb)
-                left = CartanWElement(self.cw, {ea: ca})
-                right = CartanWElement(self.cw, {eb: cb})
-                term = left * right
-                back = right * left
-                if pa and pb:
-                    term = term + back
-                else:
-                    term = term - back
-                out = out + term
-        return out
+                c = ca * cb
+                back = c if pa and cw.monomial_parity(eb) else -c
+                for e, d in cw.mul_monomials(ea, eb):
+                    acc(out, e, c * d)
+                for e, d in cw.mul_monomials(eb, ea):
+                    acc(out, e, back * d)
+        return CartanWElement(cw, out)
 
     def coefficient(self, expo):
         return self.coords.get(tuple(expo), ZERO)
@@ -227,19 +225,19 @@ class CartanWAlgebra:
 
     def shift(self, x):
         kind, data = self.shift_map()
-        out = self.zero()
+        out = {}
         for expo, c in x.coords.items():
             term = self.unit().scale(c)
             for k, n in enumerate(expo):
                 base = self.gen(self.names[k])
                 if kind == "C" and k == self._slot_c:
-                    base = base + self.unit().scale(data)
+                    base = base + data
                 elif kind == "h" and 0 <= k < len(data):
-                    base = base + self.unit().scale(scalar(data[k]))
+                    base = base + data[k]
                 for _ in range(n):
                     term = term * base
-            out = out + term
-        return out
+            axpy(out, ONE, term.coords)
+        return CartanWElement(self, out)
 
     # -- reporting ---------------------------------------------------------
 
@@ -295,23 +293,22 @@ def build_cartan_w(grading):
     for name, i in zip(hnames, gr.hes):
         images[name] = inj({i: ONE})
     h_word = inj({gr.hth: ONE})
-    c_val = pbw.scale(scalar(2), inj({gr.e: ONE}))
-    c_val = pbw.add(c_val, pbw.scale(HALF, pbw.mul(h_word, h_word)))
+    c_val = inj({gr.e: scalar(2)})
+    axpy(c_val, HALF, pbw.mul(h_word, h_word))
     if gr.parity_type == "odd":
         names = ("F",) + tuple(hnames) + ("C", "E")
         parities = (1,) + (0,) * len(hnames) + (0, 1)
         images["F"] = inj(gr.F)
-        e_val = pbw.add(inj(gr.E),
-                        pbw.scale(HALF, pbw.mul(inj(gr.F), h_word)))
-        e_val = pbw.sub(e_val, pbw.scale(scalar(Fraction(3, 4)),
-                                         inj(gr.F)))
+        e_val = inj(gr.E)
+        axpy(e_val, HALF, pbw.mul(inj(gr.F), h_word))
+        axpy(e_val, -scalar(Fraction(3, 4)), inj(gr.F))
         images["E"] = wal.project(e_val)
-        c_val = pbw.sub(c_val, pbw.scale(scalar(Fraction(3, 2)), h_word))
-        c_val = pbw.add(c_val, pbw.mul(inj(gr.F), inj(gr.E)))
+        axpy(c_val, -scalar(Fraction(3, 2)), h_word)
+        axpy(c_val, ONE, pbw.mul(inj(gr.F), inj(gr.E)))
     else:
         names = tuple(hnames) + ("C",)
         parities = (0,) * len(hnames) + (0,)
-        c_val = pbw.sub(c_val, h_word)
+        axpy(c_val, -ONE, h_word)
     images["C"] = wal.project(c_val)
 
     for name in names:
@@ -326,14 +323,12 @@ def build_cartan_w(grading):
     unit_expo = (0,) * len(names)
     for a in range(len(names)):
         for b in range(a, len(names)):
-            got = wal.comm_raw(images[names[a]], images[names[b]])
-            want = {}
+            diff = wal.comm_raw(images[names[a]], images[names[b]])
             for expo, c in table[(names[a], names[b])].items():
                 if expo == unit_expo:
-                    want = pbw.add(want, {(): c})
+                    acc(diff, (), -c)
                 else:
-                    want = pbw.add(want, pbw.scale(c, images["C"]))
-            diff = pbw.sub(got, want)
+                    axpy(diff, -c, images["C"])
             if diff:
                 raise ConsistencyError(
                     "derived bracket [%s',%s'] disagrees with the "
@@ -620,20 +615,17 @@ def _image_of_torus(wal, cw, letter):
 
 def _image_of_casimir(wal, cw):
     """Casimir image: the abstract Casimir plus torus corrections."""
-    gr = wal.grading
-    acc = cw.gen("C")
     labels = wal.algebra.labels
     wd = wal.weight_data
+    coords = dict(cw.gen("C").coords)
     for a, row in zip(wd.letters, wd.inverse):
         for b, c in zip(wd.letters, row):
-            if c:
-                acc = acc + (cw.gen(labels[a])
-                             * cw.gen(labels[b])).scale(scalar(c))
+            axpy(coords, c, (cw.gen(labels[a]) * cw.gen(labels[b])).coords)
     functional = tuple(2 * r + 4 * d
                        for r, d in zip(wd.rho_e0_bar, wd.delta_bar))
     for letter, coeff in wal.dual_cartan(functional).items():
-        acc = acc + cw.gen(labels[letter]).scale(coeff)
-    return acc
+        axpy(coords, coeff, cw.gen(labels[letter]).coords)
+    return CartanWElement(cw, coords)
 
 
 def project_pi(x, shifted=True):
@@ -653,7 +645,7 @@ def project_pi(x, shifted=True):
             "element has weight %s" % (wt,))
     survivors = _survivor_slots(wal, cw)
     keep = {slot for slot, _ in survivors}
-    out = cw.zero()
+    coords = {}
     for expo, c in wal.pbw_coordinates(x.value).items():
         if any(n and k not in keep for k, n in enumerate(expo)):
             continue
@@ -661,7 +653,8 @@ def project_pi(x, shifted=True):
         for slot, image in survivors:
             for _ in range(expo[slot]):
                 term = term * image
-        out = out + term
+        axpy(coords, ONE, term.coords)
+    out = CartanWElement(cw, coords)
     if shifted:
         out = cw.shift(out)
     return out

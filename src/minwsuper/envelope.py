@@ -29,6 +29,11 @@ class PBWAlgebra:
     ``letters`` restricts to a subalgebra; it must be closed under the
     bracket.  Multiplication is letter-by-letter with memoization, so
     repeated products of the same generators stay cheap.
+
+    Elements are plain dicts; the algebra only multiplies them.  Sums and
+    multiples are formed with ``scalar.acc``/``scalar.axpy`` into a dict
+    the caller owns, never into a product this algebra returned, which
+    may be a letter-cache entry.
     """
 
     def __init__(self, g, letters=None, weights=None):
@@ -76,23 +81,6 @@ class PBWAlgebra:
         return seen.pop() if seen else 0
 
     # -- arithmetic ---------------------------------------------------------
-
-    def add(self, a, b):
-        out = dict(a)
-        for w, c in b.items():
-            acc(out, w, c)
-        return out
-
-    def scale(self, c, a):
-        c = scalar(c)
-        if not c:
-            return {}
-        return {w: v * c for w, v in a.items()}
-
-    def sub(self, a, b):
-        out = dict(a)
-        axpy(out, -ONE, b)
-        return out
 
     def _mul_letter(self, word, x):
         """Normal form of word * x.  A normal-order append is built fresh;
@@ -182,17 +170,14 @@ class PBWAlgebra:
             return None
         return max(sum(self.weights[i] for i in w) for w in a)
 
-    def project_qfin(self, a, f_letter, value=ONE):
-        """Image in U/(U (f - value)); strips trailing runs of f."""
+    def project_qfin(self, a, f_letter):
+        """Image in U/(U (f - 1)); strips trailing runs of f."""
         out = {}
         for w, c in a.items():
-            m = 0
-            while m < len(w) and w[len(w) - 1 - m] == f_letter:
-                m += 1
-            scalefac = c
-            for _ in range(m):
-                scalefac = scalefac * value
-            acc(out, w[: len(w) - m], scalefac)
+            m = len(w)
+            while m and w[m - 1] == f_letter:
+                m -= 1
+            acc(out, w[:m], c)
         return out
 
     def is_invariant(self, a, ad_letters, project=None):
@@ -206,11 +191,11 @@ class PBWAlgebra:
         return None
 
 
-def render_element(pbw, a, labels=None):
+def render_element(pbw, a):
     """Sorted, human-readable form; mainly for reports and errors."""
     if not a:
         return "0"
-    labels = labels or pbw.g.labels
+    labels = pbw.g.labels
     parts = []
     for w in sorted(a, key=lambda w: (len(w), w)):
         body = "*".join(labels[i] for i in w) if w else "1"

@@ -478,9 +478,6 @@ class WeightData:
     def zero(self):
         return tuple(Fraction(0) for _ in self.letters)
 
-    def add(self, phi, psi):
-        return tuple(a + b for a, b in zip(phi, psi))
-
 
 def weights_delta_rho(grading):
     """The shift weights on h^e and the Gram matrix of the h^e letters."""
@@ -489,28 +486,28 @@ def weights_delta_rho(grading):
     rest = grading.restrict_weight
     zero = tuple(Fraction(0) for _ in grading.hes)
 
-    def acc(total, root, sign):
+    def shifted(total, root, sign):
         vals = rest(root)
         return tuple(t + sign * v for t, v in zip(total, vals))
 
     delta = zero
     for i in range(s // 2):
-        delta = acc(delta, grading.root_of_letter(grading.us[i]),
-                    Fraction(-1, 2))
+        delta = shifted(delta, grading.root_of_letter(grading.us[i]),
+                        Fraction(-1, 2))
     for i in range(r // 2):
-        delta = acc(delta, grading.root_of_letter(grading.vs[i]),
-                    Fraction(1, 2))
+        delta = shifted(delta, grading.root_of_letter(grading.vs[i]),
+                        Fraction(1, 2))
 
     rho = zero
     for root in grading.rd.positive:
         sign = Fraction(-1 if grading.rd.parity[root] else 1, 2)
-        rho = acc(rho, root, sign * grading.rd.multiplicity(root))
+        rho = shifted(rho, root, sign * grading.rd.multiplicity(root))
 
     rho_e0 = zero
     for root in grading._beta_even:
-        rho_e0 = acc(rho_e0, root, Fraction(1, 2))
+        rho_e0 = shifted(rho_e0, root, Fraction(1, 2))
     for root in grading._beta_odd:
-        rho_e0 = acc(rho_e0, root, Fraction(-1, 2))
+        rho_e0 = shifted(rho_e0, root, Fraction(-1, 2))
 
     gram = tuple(
         tuple(g.form[a][b].as_fraction() for b in grading.hes)

@@ -424,7 +424,12 @@ HALF = Scalar.rational(Fraction(1, 2))
 # The package's sparse vectors are dicts of their nonzero entries; these two
 # are the one way to add into one.  An absent key takes the new value
 # itself, a sum that cancels deletes its key, a zero adds nothing, and so
-# no zero is ever stored.
+# no zero is ever stored.  Coefficients may be Scalars, ints or Fractions.
+#
+# Both write into ``out`` in place, so ``out`` must be a dict the caller
+# owns: start from ``{}`` or ``dict(x)``.  Never accumulate into a dict a
+# cache holds (a PBW product, a cached monomial or generator lift, the
+# Casimir, a Cartan image, the coords of an existing element).
 
 
 def acc(out, key, c):

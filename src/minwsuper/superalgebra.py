@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import (ConsistencyError, PreconditionError,
                      UnsupportedFamilyError)
-from .scalar import Scalar, axpy, scalar
+from .scalar import Scalar, acc, axpy, scalar
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()
@@ -127,8 +127,8 @@ def _mat_mul(x, y):
     out = {}
     for (i, k), a in x.items():
         for j, b in rows.get(k, ()):
-            out[i, j] = out.get((i, j), 0) + a * b
-    return {key: v for key, v in out.items() if v}
+            acc(out, (i, j), a * b)
+    return out
 
 
 def _supertrace(m, even_dim):
@@ -463,14 +463,8 @@ def _finish(family, params, mats, parity, labels, cartan, even_dim, eliminators)
     keys = []
     for i in range(dim):
         for j in range(dim):
-            sign = -1 if (parity[i] and parity[j]) else 1
             z = dict(products[i, j])
-            for key, v in products[j, i].items():
-                acc = z.get(key, 0) - sign * v
-                if acc:
-                    z[key] = acc
-                else:
-                    del z[key]
+            axpy(z, 1 if (parity[i] and parity[j]) else -1, products[j, i])
             if z:
                 targets.append(z)
                 keys.append((i, j))

@@ -185,23 +185,21 @@ class WAlgebra:
     def _lift_zero(self, v):
         """The tail formula for a degree-0 centralizer element."""
         g, pbw = self.algebra, self.pbw
-        acc = pbw.inject(v)
+        out = pbw.inject(v)
         for z, zst in zip(self.nb["z"], self.nb["zstar"]):
             w = g.bracket(zst, v)
             if w:
-                acc = pbw.sub(acc, pbw.scale(
-                    HALF, pbw.mul(pbw.inject(z), pbw.inject(w))))
-        return self.project(acc)
+                axpy(out, -HALF, pbw.mul(pbw.inject(z), pbw.inject(w)))
+        return self.project(out)
 
     def _lift_one(self, w):
         """The tail formula for a degree-1 element."""
         g, pbw = self.algebra, self.pbw
-        acc = pbw.inject(w)
+        out = pbw.inject(w)
         for z, zst in zip(self.nb["z"], self.nb["zstar"]):
             zw = g.bracket(zst, w)
             if zw:
-                acc = pbw.sub(acc, pbw.mul(pbw.inject(z), pbw.inject(zw)))
-        cubic = {}
+                axpy(out, -ONE, pbw.mul(pbw.inject(z), pbw.inject(zw)))
         for za, zsa in zip(self.nb["z"], self.nb["zstar"]):
             inner = g.bracket(zsa, w)
             if not inner:
@@ -209,23 +207,22 @@ class WAlgebra:
             for zb, zsb in zip(self.nb["z"], self.nb["zstar"]):
                 core = g.bracket(zsb, inner)
                 if core:
-                    term = pbw.mul(pbw.mul(pbw.inject(za), pbw.inject(zb)),
-                                   pbw.inject(core))
-                    cubic = pbw.add(cubic, term)
-        acc = pbw.add(acc, pbw.scale(THIRD, cubic))
+                    axpy(out, THIRD, pbw.mul(
+                        pbw.mul(pbw.inject(za), pbw.inject(zb)),
+                        pbw.inject(core)))
         wf = g.bracket(w, {self.grading.f: ONE})
-        acc = pbw.sub(acc, pbw.scale(THIRD + THIRD, pbw.inject(wf)))
-        return self.project(acc)
+        axpy(out, -(THIRD + THIRD), pbw.inject(wf))
+        return self.project(out)
 
     def _combine_letters(self, x):
         """Sum of c * theta_letter(i) over x; certified without a new check,
         because the tail formulas and the twisted adjoint action are both
         linear, so a combination of invariant letter lifts is invariant."""
-        pbw = self.pbw
-        acc = {}
+        value = {}
         for i, c in x.items():
-            acc = pbw.add(acc, pbw.scale(c, self.theta_letter(i).value))
-        return WElement(self, acc, pbw.kazhdan_degree(acc), "refined")
+            axpy(value, c, self.theta_letter(i).value)
+        return WElement(self, value, self.pbw.kazhdan_degree(value),
+                        "refined")
 
     def theta_zero(self, v):
         """Tail-corrected lift of a degree-0 centralizer element."""
@@ -289,24 +286,20 @@ class WAlgebra:
         if self._casimir is not None:
             return self._casimir
         gr, g, pbw = self.grading, self.algebra, self.pbw
-        h = {gr.hth: ONE}
-        acc = {(): scalar(Fraction((gr.s - gr.r) ** 2, 16))}
-        acc = pbw.add(acc, pbw.inject({gr.e: ONE + ONE}))
-        acc = pbw.add(acc, pbw.scale(HALF, pbw.mul(pbw.inject(h),
-                                                   pbw.inject(h))))
-        acc = pbw.sub(acc, pbw.scale(scalar(Fraction(2 + gr.s - gr.r, 2)),
-                                     pbw.inject(h)))
+        h = pbw.inject({gr.hth: ONE})
+        out = {(): scalar(Fraction((gr.s - gr.r) ** 2, 16))}
+        acc(out, (gr.e,), ONE + ONE)
+        axpy(out, HALF, pbw.mul(h, h))
+        axpy(out, -scalar(Fraction(2 + gr.s - gr.r, 2)), h)
         for a, b, c in self._quadratic_pairs():
-            acc = pbw.add(acc, pbw.scale(c, pbw.mul(pbw.inject({a: ONE}),
-                                                    pbw.inject({b: ONE}))))
+            axpy(out, c, pbw.mul({(a,): ONE}, {(b,): ONE}))
         evec = {gr.e: ONE}
         for idx, (z, zst) in enumerate(zip(self.nb["z"], self.nb["zstar"])):
             sign = ONE if idx < gr.s else -ONE
             ez = g.bracket(evec, zst)
             if ez:
-                acc = pbw.add(acc, pbw.scale(
-                    sign + sign, pbw.mul(pbw.inject(ez), pbw.inject(z))))
-        self._casimir = self.certify(self.project(acc), "refined")
+                axpy(out, sign + sign, pbw.mul(pbw.inject(ez), pbw.inject(z)))
+        self._casimir = self.certify(self.project(out), "refined")
         return self._casimir
 
     def theta_mid(self):
@@ -320,38 +313,23 @@ class WAlgebra:
         """Ordered generator list; the module-basis order used everywhere."""
         if self._gens is not None:
             return self._gens
-        gr = self.grading
+        gr, g = self.grading, self.algebra
         out = []
 
-        def put(letter, element):
-            out.append(Generator(self.algebra.labels[letter], letter,
-                                 self.weights[letter],
-                                 self.algebra.parity[letter], element))
+        def put(*runs):
+            for letters in runs:
+                for i in letters:
+                    out.append(Generator(g.labels[i], i, self.weights[i],
+                                         g.parity[i], self.theta_letter(i)))
 
-        for i in gr.xs:
-            put(i, self.theta_letter(i))
-        for i in gr.ys:
-            put(i, self.theta_letter(i))
-        for i in gr.fs:
-            put(i, self.theta_letter(i))
-        for i in gr.gs:
-            put(i, self.theta_letter(i))
+        put(gr.xs, gr.ys, gr.fs, gr.gs)
         if gr.parity_type == "odd":
             out.append(Generator("F", gr.vmid, self.weights[gr.vmid], 1,
                                  self.theta_mid()))
-        for i in gr.hes:
-            put(i, self.theta_letter(i))
+        put(gr.hes)
         out.append(Generator("C", None, 4, 0, self.casimir()))
-        if gr.gmid is not None:
-            put(gr.gmid, self.theta_letter(gr.gmid))
-        for i in gr.fstars:
-            put(i, self.theta_letter(i))
-        for i in gr.gstars:
-            put(i, self.theta_letter(i))
-        for i in gr.xstars:
-            put(i, self.theta_letter(i))
-        for i in gr.ystars:
-            put(i, self.theta_letter(i))
+        put([] if gr.gmid is None else [gr.gmid], gr.fstars, gr.gstars,
+            gr.xstars, gr.ystars)
         self._gens = out
         return out
 
@@ -420,25 +398,25 @@ class WAlgebra:
         """Quadratic Casimir assembled from the generators themselves."""
         if self._cas is not None:
             return self._cas
-        pbw = self.pbw
-        acc = {}
+        value = {}
         for a, b, c in self._quadratic_pairs():
-            acc = pbw.add(acc, pbw.scale(c, self.mul_raw(
-                self.theta_letter(a).value, self.theta_letter(b).value)))
-        self._cas = self.certify(acc, "refined")
+            axpy(value, c, self.mul_raw(self.theta_letter(a).value,
+                                        self.theta_letter(b).value))
+        self._cas = self.certify(value, "refined")
         return self._cas
 
     # -- supercommutator right-hand sides ------------------------------------
 
     def pair_expansion(self, w1, w2):
         """Tabulated value of the bracket of two degree-1 generators."""
-        g, gr, pbw = self.algebra, self.grading, self.pbw
+        g, gr = self.algebra, self.grading
         t = g.pair(g.bracket(w1, w2), {gr.f: ONE})
-        acc = {}
+        out = {}
         if t:
-            core = pbw.sub(self.casimir().value, self.theta_cas().value)
-            core = pbw.sub(core, {(): self.c0})
-            acc = pbw.scale(HALF * t, core)
+            half_t = HALF * t
+            axpy(out, half_t, self.casimir().value)
+            axpy(out, -half_t, self.theta_cas().value)
+            acc(out, (), -half_t * self.c0)
         p1 = self.algebra.element_parity(w1)
         p2 = self.algebra.element_parity(w2)
         sign = -ONE if (p1 and p2) else ONE
@@ -446,36 +424,34 @@ class WAlgebra:
             a1 = gr.sharp(g.bracket(w1, z))
             b2 = gr.sharp(g.bracket(zst, w2))
             if a1 and b2:
-                acc = pbw.sub(acc, pbw.scale(HALF, self.mul_raw(
-                    self.theta_zero(a1).value, self.theta_zero(b2).value)))
+                axpy(out, -HALF, self.mul_raw(self.theta_zero(a1).value,
+                                              self.theta_zero(b2).value))
             a2 = gr.sharp(g.bracket(w2, z))
             b1 = gr.sharp(g.bracket(zst, w1))
             if a2 and b1:
-                acc = pbw.add(acc, pbw.scale(HALF * sign, self.mul_raw(
-                    self.theta_zero(a2).value, self.theta_zero(b1).value)))
-        return acc
+                axpy(out, HALF * sign, self.mul_raw(
+                    self.theta_zero(a2).value, self.theta_zero(b1).value))
+        return out
 
     def midline_square_expansion(self):
         """Closed form for the square of the midline-raiser generator."""
-        gr, g, pbw = self.grading, self.algebra, self.pbw
+        gr, g = self.grading, self.algebra
         if gr.gmid is None:
             raise PreconditionError("type even has no midline raiser")
-        acc = pbw.scale(-QUARTER, self.casimir().value)
-        acc = pbw.add(acc, {(): QUARTER * self.c0})
+        out = {}
+        axpy(out, -QUARTER, self.casimir().value)
+        acc(out, (), QUARTER * self.c0)
         wd = self.weight_data
         for a, row in zip(wd.letters, wd.inverse):
             for b, c in zip(wd.letters, row):
                 if c:
-                    acc = pbw.add(acc, pbw.scale(
-                        QUARTER * scalar(c),
-                        self.mul_raw(self.theta_letter(a).value,
-                                     self.theta_letter(b).value)))
-        for x, xs in zip(gr.xs, gr.xstars):
-            acc = pbw.add(acc, pbw.scale(HALF, self.mul_raw(
-                self.theta_letter(x).value, self.theta_letter(xs).value)))
-        for y, ys in zip(gr.ys, gr.ystars):
-            acc = pbw.add(acc, pbw.scale(HALF, self.mul_raw(
-                self.theta_letter(y).value, self.theta_letter(ys).value)))
+                    axpy(out, QUARTER * c,
+                         self.mul_raw(self.theta_letter(a).value,
+                                      self.theta_letter(b).value))
+        ladders = list(zip(gr.xs, gr.xstars)) + list(zip(gr.ys, gr.ystars))
+        for x, xs in ladders:
+            axpy(out, HALF, self.mul_raw(self.theta_letter(x).value,
+                                         self.theta_letter(xs).value))
         # net linear functional; its dual enters through the full generator
         net = wd.zero()
 
@@ -493,8 +469,8 @@ class WAlgebra:
             left = gr.sharp(g.bracket(gmid, u))
             right = gr.sharp(g.bracket(ustar, gmid))
             if left and right:
-                acc = pbw.sub(acc, self.mul_raw(
-                    self.theta_zero(left).value, self.theta_zero(right).value))
+                axpy(out, -ONE, self.mul_raw(self.theta_zero(left).value,
+                                             self.theta_zero(right).value))
         for i in range(gr.s // 2):
             net = tilt(net, gr.restrict_weight(gr.root_of_letter(gr.us[i])), -1)
         for i in range((gr.r - 1) // 2):
@@ -503,14 +479,13 @@ class WAlgebra:
             left = gr.sharp(g.bracket(gmid, v))
             right = gr.sharp(g.bracket(vstar, gmid))
             if left and right:
-                acc = pbw.sub(acc, self.mul_raw(
-                    self.theta_zero(left).value, self.theta_zero(right).value))
+                axpy(out, -ONE, self.mul_raw(self.theta_zero(left).value,
+                                             self.theta_zero(right).value))
         for i in range((gr.r - 1) // 2):
             net = tilt(net, gr.restrict_weight(gr.root_of_letter(gr.vs[i])), 1)
         if any(net):
-            acc = pbw.add(acc, pbw.scale(
-                QUARTER, self.theta_zero(self.dual_cartan(net)).value))
-        return acc
+            axpy(out, QUARTER, self.theta_zero(self.dual_cartan(net)).value)
+        return out
 
     # -- straightening ---------------------------------------------------
 
@@ -576,16 +551,15 @@ class WAlgebra:
                     "straightening failed at filtration degree %d" % d)
             for expo, c in combo.items():
                 acc(coords, expo, c)
-                work = self.pbw.sub(work, self.pbw.scale(c,
-                                                         self.monomial(expo)))
+                axpy(work, -c, self.monomial(expo))
         return coords
 
     def evaluate_coordinates(self, coords):
-        acc = {}
+        value = {}
         for expo, c in coords.items():
-            acc = self.pbw.add(acc, self.pbw.scale(c, self.monomial(expo)))
+            axpy(value, c, self.monomial(expo))
         flavor = "finite" if self.grading.parity_type == "odd" else "refined"
-        return WElement(self, acc, self.pbw.kazhdan_degree(acc), flavor)
+        return WElement(self, value, self.pbw.kazhdan_degree(value), flavor)
 
     @property
     def commutator_table(self):
@@ -668,7 +642,7 @@ class WAlgebra:
             value = self.evaluate_coordinates(
                 table[(gens[lo].name, gens[hi].name)]).value
             if a > b and not (gens[a].parity and gens[b].parity):
-                value = pbw.scale(-ONE, value)
+                value = _vec_sub({}, value)
             return value
 
         def comm_letters(a, b):
@@ -682,7 +656,7 @@ class WAlgebra:
             lhs = comm_letters(a, b)
             rhs = self.theta_zero(g.bracket({a: ONE}, {b: ONE})).value
             cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
-                          pbw.sub(lhs, rhs)))
+                          _vec_sub(lhs, rhs)))
         run("degree0-brackets", cases)
 
         cases = []
@@ -691,7 +665,7 @@ class WAlgebra:
                 lhs = comm_letters(a, b)
                 rhs = self.theta_one(g.bracket({a: ONE}, {b: ONE})).value
                 cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
-                              pbw.sub(lhs, rhs)))
+                              _vec_sub(lhs, rhs)))
         run("degree0-degree1-brackets", cases)
 
         cases = []
@@ -699,7 +673,7 @@ class WAlgebra:
             lhs = comm_letters(a, b)
             rhs = self.pair_expansion({a: ONE}, {b: ONE})
             cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
-                          pbw.sub(lhs, rhs)))
+                          _vec_sub(lhs, rhs)))
         run("degree1-pair-expansion", cases)
 
         pos_c = self.generator_index("C")
@@ -720,7 +694,7 @@ class WAlgebra:
                      if gen.name not in ("F", "C")]
             cases.append(("[F,C]", comm(pos_f, pos_c)))
             cases.append(("[F,F]-1",
-                          pbw.sub(comm(pos_f, pos_f), pbw.unit())))
+                          _vec_sub(comm(pos_f, pos_f), pbw.unit())))
             run("midline-relations", cases)
 
             cases = []
@@ -737,7 +711,7 @@ class WAlgebra:
             lhs = self.mul_raw(self.theta_letter(gr.gmid).value,
                                self.theta_letter(gr.gmid).value)
             run("raiser-square-expansion",
-                [("square", pbw.sub(lhs, self.midline_square_expansion()))])
+                [("square", _vec_sub(lhs, self.midline_square_expansion()))])
 
         cases = []
         for x, xs in list(zip(gr.xs, gr.xstars)) + list(zip(gr.ys,
@@ -845,22 +819,24 @@ def theta_cas(grading):
     return workspace(grading).theta_cas()
 
 
-def w_multiply(a, b):
+def _shared_workspace(a, b):
+    """The workspace of two elements that may be combined."""
     if a.wal is not b.wal:
         raise PreconditionError("elements live over different gradings")
     if a.flavor != b.flavor:
         raise PreconditionError("elements carry different invariance "
                                 "certificates; convert with as_finite")
-    return a.wal.certify(a.wal.mul_raw(a.value, b.value), a.flavor)
+    return a.wal
+
+
+def w_multiply(a, b):
+    wal = _shared_workspace(a, b)
+    return wal.certify(wal.mul_raw(a.value, b.value), a.flavor)
 
 
 def w_commutator(a, b):
-    if a.wal is not b.wal:
-        raise PreconditionError("elements live over different gradings")
-    if a.flavor != b.flavor:
-        raise PreconditionError("elements carry different invariance "
-                                "certificates; convert with as_finite")
-    return a.wal.certify(a.wal.comm_raw(a.value, b.value), a.flavor)
+    wal = _shared_workspace(a, b)
+    return wal.certify(wal.comm_raw(a.value, b.value), a.flavor)
 
 
 def compute_c0(grading):

@@ -15,7 +15,7 @@ from minwsuper.cartanw import (CartanWElement, NotHomogeneousError,
                                simple_module)
 from minwsuper.errors import PreconditionError
 from minwsuper.grading import grade
-from minwsuper.scalar import HALF, ONE, ZERO, scalar, sqrt
+from minwsuper.scalar import HALF, ONE, ZERO, axpy, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
 
 ODD_NAMES = ["osp:1|2", "spo:2|3", "spo:4|1"]
@@ -143,15 +143,15 @@ def test_central_preimages(gradings):
             return pbw.inject(v)
 
         h = inj({gr.hth: ONE})
-        omega = pbw.scale(q(2), pbw.mul(inj({gr.e: ONE}),
-                                        inj({gr.f: ONE})))
-        omega = pbw.add(omega, pbw.scale(HALF, pbw.mul(h, h)))
+        omega = {}
+        axpy(omega, q(2), pbw.mul(inj({gr.e: ONE}), inj({gr.f: ONE})))
+        axpy(omega, HALF, pbw.mul(h, h))
         if odd:
-            omega = pbw.sub(omega, pbw.scale(q(3, 2), h))
-            omega = pbw.add(omega, pbw.mul(inj(gr.F), inj(gr.E)))
+            axpy(omega, q(-3, 2), h)
+            axpy(omega, ONE, pbw.mul(inj(gr.F), inj(gr.E)))
             letters = [gr.e, gr.f, gr.hth, gr.vmid, gr.gmid]
         else:
-            omega = pbw.sub(omega, h)
+            axpy(omega, -ONE, h)
             letters = [gr.e, gr.f, gr.hth]
         letters += list(gr.hes)
         for i in letters:
@@ -237,16 +237,16 @@ def test_restricted_weight_mixed_split(gradings):
     pbw = wal.pbw
     mixed = wal.theta_letter(gr.xstars[0]).as_finite()
     th = wal.theta_letter(gr.hes[0]).as_finite()
-    x = wgen.WElement(wal, pbw.add(mixed.value, th.value),
-                      pbw.kazhdan_degree(pbw.add(mixed.value, th.value)),
-                      "finite")
+    value = dict(mixed.value)
+    axpy(value, ONE, th.value)
+    x = wgen.WElement(wal, value, pbw.kazhdan_degree(value), "finite")
     with pytest.raises(NotHomogeneousError) as info:
         restricted_weight(x)
     parts = info.value.components
     assert len(parts) == 2
     rebuilt = {}
     for part in parts.values():
-        rebuilt = pbw.add(rebuilt, part.value)
+        axpy(rebuilt, ONE, part.value)
     assert rebuilt == x.value
 
 
@@ -427,6 +427,46 @@ def test_element_arithmetic(gradings):
     assert x.coefficient((0, 0, 1, 0)) == q(-2)
     y = 3 * h - h.scale(3)
     assert y.is_zero()
+
+
+def _random_cartan_element(rng, cw):
+    """Several ordered monomials, odd slots at most once, with rational
+    and irrational coefficients."""
+    coords = {}
+    for _ in range(rng.randint(2, 4)):
+        expo = tuple(rng.randint(0, 1 if p else 2) for p in cw.parities)
+        coords[expo] = rng.choice([q(rng.randint(-4, 4), rng.randint(1, 3)),
+                                   sqrt(-2) * rng.randint(1, 3)])
+    return CartanWElement(cw, coords)
+
+
+def _by_parity(cw, x):
+    return [CartanWElement(cw, {e: c for e, c in x.coords.items()
+                                if cw.monomial_parity(e) == p})
+            for p in (0, 1)]
+
+
+def test_bracket_matches_products(gradings):
+    # [a, b] = sum over parity components of a_p b_q - (-1)^{pq} b_q a_p
+    rng = random.Random(31)
+    for name in ["osp:1|2", "spo:2|3", "sl:2|1"]:
+        cw = build_cartan_w(gradings[name])
+        live = 0
+        for _ in range(20):
+            a = _random_cartan_element(rng, cw)
+            b = _random_cartan_element(rng, cw)
+            want = cw.zero()
+            for p, ap in enumerate(_by_parity(cw, a)):
+                for r, br in enumerate(_by_parity(cw, b)):
+                    back = br * ap
+                    want = want + ap * br - (back.scale(-1) if p and r
+                                             else back)
+            got = a.bracket(b)
+            assert got == want, name
+            live += not got.is_zero()
+            assert a - b == a + b.scale(-1), name
+        # the even presentation is commutative; the odd ones are not
+        assert bool(live) == (cw.parity_type == "odd"), name
 
 
 def test_cross_algebra_mixing_rejected(gradings):

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from minwsuper import wgen
+from minwsuper.cartanw import build_cartan_w, project_pi, restricted_weight
 from minwsuper.envelope import render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.grading import WeightData, grade
-from minwsuper.scalar import HALF, ONE, ZERO, scalar
+from minwsuper.scalar import HALF, ONE, ZERO, axpy, scalar
 from minwsuper.superalgebra import build_algebra
 
 from oracles import count_bounded_monomials
@@ -140,10 +141,9 @@ def test_raiser_lift_small_case(gradings):
     got = wgen.theta_w(mg, {mg.gmid: ONE}).value
     pbw = wal.pbw
     want = pbw.inject({mg.gmid: ONE})
-    want = pbw.add(want, pbw.scale(HALF, pbw.mul(
-        pbw.inject({mg.hth: ONE}), pbw.inject({mg.vmid: ONE}))))
-    want = pbw.sub(want, pbw.scale(
-        HALF * HALF, pbw.inject({mg.vmid: ONE})))
+    axpy(want, HALF, pbw.mul(pbw.inject({mg.hth: ONE}),
+                             pbw.inject({mg.vmid: ONE})))
+    axpy(want, -HALF * HALF, pbw.inject({mg.vmid: ONE}))
     assert got == want
 
 
@@ -265,6 +265,49 @@ def test_cached_straightener(gradings):
         assert warm.word_weight((z,)) == 1
         with pytest.raises(ConsistencyError):
             warm.pbw_coordinates({(z,): ONE})
+
+
+def _cache_snapshot(wal, cw):
+    """Rendered copies of every cached value that sums read from."""
+    pbw = wal.pbw
+
+    def r(value):
+        return render_element(pbw, value)
+
+    return {
+        "letters": {key: r(v) for key, v in pbw._cache.items()},
+        "monomials": {key: r(v) for key, v in wal._mono_cache.items()},
+        "thetas": {key: r(v.value) for key, v in wal._theta_cache.items()},
+        "casimir": r(wal.casimir().value),
+        "theta_cas": r(wal.theta_cas().value),
+        "images": {key: r(v) for key, v in cw.images.items()},
+    }
+
+
+def test_cached_values_stay_read_only():
+    # every sum accumulates into a dict it owns, so a second round of the
+    # same work finds each cached value exactly as the first round left it
+    for name in ["spo:2|3", "sl:2|1"]:
+        mg = grade(build_algebra(name))
+        wal = wgen.workspace(mg)
+        cw = build_cartan_w(mg)
+        gens = [gen.element.as_finite() for gen in wal.generators]
+
+        def work():
+            assert wgen.verify_relations(mg)["ok"], name
+            for a in gens:
+                for b in gens:
+                    ab = wgen.w_multiply(a, b)
+                    back = wgen.evaluate_coordinates(
+                        mg, wgen.pbw_coordinates(ab))
+                    assert back.value == ab.value, name
+                    if not any(restricted_weight(ab)):
+                        project_pi(ab)
+
+        work()
+        before = _cache_snapshot(wal, cw)
+        work()
+        assert _cache_snapshot(wal, cw) == before, name
 
 
 def test_commutator_table_covers_all_pairs(gradings):
