@@ -12,9 +12,10 @@ an algebra whose cross-checks disagree with the tabulated relations.
 The second half of the module is the weight-zero projection: invariant
 cosets decompose along restricted weights, every ordered monomial that
 touches a letter with nonzero weight is dropped, and the survivors are
-rewritten in the abstract presentation.  A final generator shift (on
-the Casimir in type odd, on the torus in type even) turns the raw
-projection into an algebra homomorphism.
+rewritten in the abstract presentation through the images of the
+surviving slots, which are built once per presentation.  A final
+generator shift (on the Casimir in type odd, on the torus in type even)
+turns the raw projection into an algebra homomorphism.
 """
 
 from fractions import Fraction
@@ -71,9 +72,7 @@ class CartanWElement:
     def __mul__(self, other):
         if not isinstance(other, CartanWElement):
             return self.scale(other)
-        if other.cw is not self.cw:
-            raise PreconditionError("elements live over different "
-                                    "presentations")
+        other = self.cw.coerce(other)
         out = {}
         for ea, ca in self.coords.items():
             for eb, cb in other.coords.items():
@@ -88,6 +87,7 @@ class CartanWElement:
         """Supercommutator, extended bilinearly over monomials:
         c ea eb - (-1)^{|ea||eb|} c eb ea for each pair of terms."""
         cw = self.cw
+        other = cw.coerce(other)
         out = {}
         for ea, ca in self.coords.items():
             pa = cw.monomial_parity(ea)
@@ -148,6 +148,8 @@ class CartanWAlgebra:
         self.rendered_images = rendered_images
         self._idx = {n: k for k, n in enumerate(names)}
         self._shift = None
+        # memo slot of _survivor_slots
+        self._survivors = None
         if self.parity_type == "odd":
             self._slot_c = len(names) - 2
             self._slot_e = len(names) - 1
@@ -178,7 +180,12 @@ class CartanWAlgebra:
                                      for e, c in coords.items()})
 
     def coerce(self, x):
+        """x as an element of this presentation; a number becomes a
+        multiple of the unit."""
         if isinstance(x, CartanWElement):
+            if x.cw is not self:
+                raise PreconditionError("elements live over different "
+                                        "presentations")
             return x
         return self.unit().scale(scalar(x))
 
@@ -225,19 +232,15 @@ class CartanWAlgebra:
 
     def shift(self, x):
         kind, data = self.shift_map()
-        out = {}
-        for expo, c in x.coords.items():
-            term = self.unit().scale(c)
-            for k, n in enumerate(expo):
-                base = self.gen(self.names[k])
-                if kind == "C" and k == self._slot_c:
-                    base = base + data
-                elif kind == "h" and 0 <= k < len(data):
-                    base = base + data[k]
-                for _ in range(n):
-                    term = term * base
-            axpy(out, ONE, term.coords)
-        return CartanWElement(self, out)
+        images = []
+        for k, name in enumerate(self.names):
+            base = self.gen(name)
+            if kind == "C" and k == self._slot_c:
+                base = base + data
+            elif kind == "h" and k < len(data):
+                base = base + data[k]
+            images.append((k, base))
+        return _substitute(self, x.coords, images)
 
     # -- reporting ---------------------------------------------------------
 
@@ -431,10 +434,7 @@ def restricted_weight(x):
     for word, c in x.value.items():
         wt = zero
         for i in word:
-            root = gr.root_of_letter(i)
-            if root is not None:
-                wt = tuple(a + b for a, b in zip(wt,
-                                                 gr.restrict_weight(root)))
+            wt = tuple(a + b for a, b in zip(wt, gr.letter_weights[i]))
         comps.setdefault(wt, {})[word] = c
     if not comps:
         return zero
@@ -565,19 +565,9 @@ def restricted_roots(grading):
     gr = grading
     raising = (tuple(gr.fstars) + tuple(gr.gstars) + tuple(gr.xstars)
                + tuple(gr.ystars))
-    positive = set()
-    for i in raising:
-        wt = gr.restrict_weight(gr.root_of_letter(i))
-        if any(wt):
-            positive.add(wt)
-    roots = set()
-    for i in range(wal.algebra.dim):
-        root = gr.root_of_letter(i)
-        if root is None:
-            continue
-        wt = gr.restrict_weight(root)
-        if any(wt):
-            roots.add(wt)
+    positive = {gr.letter_weights[i] for i in raising
+                if any(gr.letter_weights[i])}
+    roots = {wt for wt in gr.letter_weights if any(wt)}
     negatives = {tuple(-v for v in wt) for wt in positive}
     if roots != positive | negatives:
         raise ConsistencyError(
@@ -588,8 +578,12 @@ def restricted_roots(grading):
     return wal._roots
 
 
-def _survivor_slots(wal, cw):
-    """Map from monomial slots onto presentation images, in slot order."""
+def _survivor_slots(cw):
+    """Map from monomial slots onto presentation images, in slot order;
+    built once per presentation and kept on it."""
+    if cw._survivors is not None:
+        return cw._survivors
+    wal = workspace(cw.grading)
     gr = wal.grading
     out = []
     if gr.parity_type == "odd":
@@ -603,6 +597,7 @@ def _survivor_slots(wal, cw):
         name = wal.algebra.labels[gr.gmid]
         coeff = gr.E[gr.gmid].inv()
         out.append((wal.generator_index(name), cw.gen("E").scale(coeff)))
+    cw._survivors = out
     return out
 
 
@@ -628,6 +623,19 @@ def _image_of_casimir(wal, cw):
     return CartanWElement(cw, coords)
 
 
+def _substitute(cw, coords, images):
+    """Sum over the (exponent tuple, c) terms of ``coords`` of c times the
+    ordered product of the (slot, image) pairs in ``images``."""
+    out = {}
+    for expo, c in coords.items():
+        term = cw.unit().scale(c)
+        for slot, image in images:
+            for _ in range(expo[slot]):
+                term = term * image
+        axpy(out, ONE, term.coords)
+    return CartanWElement(cw, out)
+
+
 def project_pi(x, shifted=True):
     """Image of a weight-zero invariant in the abstract presentation.
 
@@ -643,18 +651,11 @@ def project_pi(x, shifted=True):
         raise PreconditionError(
             "projection only applies at restricted weight zero; this "
             "element has weight %s" % (wt,))
-    survivors = _survivor_slots(wal, cw)
+    survivors = _survivor_slots(cw)
     keep = {slot for slot, _ in survivors}
-    coords = {}
-    for expo, c in wal.pbw_coordinates(x.value).items():
-        if any(n and k not in keep for k, n in enumerate(expo)):
-            continue
-        term = cw.unit().scale(c)
-        for slot, image in survivors:
-            for _ in range(expo[slot]):
-                term = term * image
-        axpy(coords, ONE, term.coords)
-    out = CartanWElement(cw, coords)
+    coords = {expo: c for expo, c in wal.pbw_coordinates(x.value).items()
+              if all(k in keep for k, n in enumerate(expo) if n)}
+    out = _substitute(cw, coords, survivors)
     if shifted:
         out = cw.shift(out)
     return out

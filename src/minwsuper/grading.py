@@ -56,6 +56,8 @@ class MinimalGrading:
       gs/gstars, gmid  -- odd analogues; gmid = [v_mid, e] when r is odd
       degrees          -- ad-h degree per basis letter
       spaces           -- degree -> tuple of letters
+      letter_weights   -- restricted weight (values on the hes letters)
+                          per basis letter, zero on the Cartan letters
     """
 
     def __init__(self, g, theta=None):
@@ -166,7 +168,6 @@ class MinimalGrading:
                           if self._ddeg[r] == 0 and rd.is_positive(r))
 
         xs, xstars, ys, ystars = [], [], [], []
-        self._beta_even, self._beta_odd = [], []
         for root in pos_zero:
             lows = [{j: ONE} for j in rd.spaces[_neg(root)]]
             highs = _dual_basis(work.pair, lows,
@@ -174,11 +175,9 @@ class MinimalGrading:
             if rd.parity[root]:
                 ys.extend(lows)
                 ystars.extend(highs)
-                self._beta_odd.extend([root] * len(lows))
             else:
                 xs.extend(lows)
                 xstars.extend(highs)
-                self._beta_even.extend([root] * len(lows))
         self.w = len(xs)
         self.l = len(ys)
 
@@ -242,6 +241,10 @@ class MinimalGrading:
         self.vmid = self.vs[(self.r - 1) // 2] if self.r % 2 else None
 
         self._roots_new = tuple(self._root_of(v) for _, v in order)
+        zero = tuple(Fraction(0) for _ in self.hes)
+        self.letter_weights = tuple(
+            zero if rt is None else self.restrict_weight(rt)
+            for rt in self._roots_new)
         self.degrees = tuple(
             self._ddeg[rt] if rt is not None else 0 for rt in self._roots_new)
         spaces = {}
@@ -483,31 +486,23 @@ def weights_delta_rho(grading):
     """The shift weights on h^e and the Gram matrix of the h^e letters."""
     g = grading.algebra
     s, r = grading.s, grading.r
-    rest = grading.restrict_weight
-    zero = tuple(Fraction(0) for _ in grading.hes)
+    half = Fraction(1, 2)
 
-    def shifted(total, root, sign):
-        vals = rest(root)
-        return tuple(t + sign * v for t, v in zip(total, vals))
+    def total(terms):
+        """Sum of c * letter_weights[i] over the (i, c) pairs."""
+        out = [Fraction(0)] * len(grading.hes)
+        for i, c in terms:
+            for k, v in enumerate(grading.letter_weights[i]):
+                out[k] += c * v
+        return tuple(out)
 
-    delta = zero
-    for i in range(s // 2):
-        delta = shifted(delta, grading.root_of_letter(grading.us[i]),
-                        Fraction(-1, 2))
-    for i in range(r // 2):
-        delta = shifted(delta, grading.root_of_letter(grading.vs[i]),
-                        Fraction(1, 2))
-
-    rho = zero
-    for root in grading.rd.positive:
-        sign = Fraction(-1 if grading.rd.parity[root] else 1, 2)
-        rho = shifted(rho, root, sign * grading.rd.multiplicity(root))
-
-    rho_e0 = zero
-    for root in grading._beta_even:
-        rho_e0 = shifted(rho_e0, root, Fraction(1, 2))
-    for root in grading._beta_odd:
-        rho_e0 = shifted(rho_e0, root, Fraction(-1, 2))
+    delta = total([(i, -half) for i in grading.us[: s // 2]]
+                  + [(i, half) for i in grading.vs[: r // 2]])
+    rho = total((i, -half if g.parity[i] else half)
+                for i in range(g.dim)
+                if grading.rd.is_positive(grading.root_of_letter(i)))
+    rho_e0 = total([(i, half) for i in grading.xstars]
+                   + [(i, -half) for i in grading.ystars])
 
     gram = tuple(
         tuple(g.form[a][b].as_fraction() for b in grading.hes)

@@ -429,7 +429,8 @@ HALF = Scalar.rational(Fraction(1, 2))
 # Both write into ``out`` in place, so ``out`` must be a dict the caller
 # owns: start from ``{}`` or ``dict(x)``.  Never accumulate into a dict a
 # cache holds (a PBW product, a cached monomial or generator lift, the
-# Casimir, a Cartan image, the coords of an existing element).
+# Casimir, a Cartan image, a survivor slot image of the projection, the
+# coords of an existing element).
 
 
 def acc(out, key, c):

@@ -452,37 +452,16 @@ class WAlgebra:
         for x, xs in ladders:
             axpy(out, HALF, self.mul_raw(self.theta_letter(x).value,
                                          self.theta_letter(xs).value))
-        # net linear functional; its dual enters through the full generator
-        net = wd.zero()
-
-        def tilt(total, vals, sign):
-            return tuple(t + sign * v for t, v in zip(total, vals))
-
-        for root in gr._beta_even:
-            net = tilt(net, gr.restrict_weight(root), 1)
-        for root in gr._beta_odd:
-            net = tilt(net, gr.restrict_weight(root), -1)
         gmid = {gr.gmid: ONE}
-        for i in range(gr.s // 2):
-            u = {gr.us[i]: ONE}
-            ustar = self.nb["zstar"][i]
-            left = gr.sharp(g.bracket(gmid, u))
-            right = gr.sharp(g.bracket(ustar, gmid))
+        for k in [*range(gr.s // 2), *range(gr.s, gr.s + gr.r // 2)]:
+            left = gr.sharp(g.bracket(gmid, self.nb["z"][k]))
+            right = gr.sharp(g.bracket(self.nb["zstar"][k], gmid))
             if left and right:
                 axpy(out, -ONE, self.mul_raw(self.theta_zero(left).value,
                                              self.theta_zero(right).value))
-        for i in range(gr.s // 2):
-            net = tilt(net, gr.restrict_weight(gr.root_of_letter(gr.us[i])), -1)
-        for i in range((gr.r - 1) // 2):
-            v = {gr.vs[i]: ONE}
-            vstar = self.nb["zstar"][gr.s + i]
-            left = gr.sharp(g.bracket(gmid, v))
-            right = gr.sharp(g.bracket(vstar, gmid))
-            if left and right:
-                axpy(out, -ONE, self.mul_raw(self.theta_zero(left).value,
-                                             self.theta_zero(right).value))
-        for i in range((gr.r - 1) // 2):
-            net = tilt(net, gr.restrict_weight(gr.root_of_letter(gr.vs[i])), 1)
+        # the linear part is the dual of 2 (rho_e0 + delta), entering
+        # through the full generator
+        net = tuple(2 * (a + b) for a, b in zip(wd.rho_e0_bar, wd.delta_bar))
         if any(net):
             axpy(out, QUARTER, self.theta_zero(self.dual_cartan(net)).value)
         return out
@@ -509,9 +488,9 @@ class WAlgebra:
         gens = self.generators
         out = []
 
-        def rec(k, rem, acc):
+        def rec(k, rem, prefix):
             if rem == 0:
-                out.append(tuple(acc + [0] * (len(gens) - k)))
+                out.append(tuple(prefix + [0] * (len(gens) - k)))
                 return
             if k == len(gens):
                 return
@@ -519,7 +498,7 @@ class WAlgebra:
             if gens[k].parity:
                 top = min(top, 1)
             for n in range(top, -1, -1):
-                rec(k + 1, rem - n * gens[k].weight, acc + [n])
+                rec(k + 1, rem - n * gens[k].weight, prefix + [n])
 
         rec(0, target, [])
         return out
@@ -721,8 +700,7 @@ class WAlgebra:
             if bad:
                 cases.append((g.labels[x], bad))
                 continue
-            beta = gr.restrict_weight(gr.root_of_letter(xs))
-            residual = _vec_sub(brk, self.dual_cartan(beta))
+            residual = _vec_sub(brk, self.dual_cartan(gr.letter_weights[xs]))
             cases.append((g.labels[x], residual))
         run("degree0-ladder-cartan", cases)
 

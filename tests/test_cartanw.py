@@ -474,6 +474,12 @@ def test_cross_algebra_mixing_rejected(gradings):
     b = build_cartan_w(gradings["osp:1|2"]).gen("C")
     with pytest.raises(PreconditionError):
         a * b
+    with pytest.raises(PreconditionError):
+        a + b
+    with pytest.raises(PreconditionError):
+        a - b
+    with pytest.raises(PreconditionError):
+        a.bracket(b)
 
 
 def test_json_dump(gradings):

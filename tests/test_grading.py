@@ -337,7 +337,7 @@ def test_weight_fixtures(gradings):
     mg = gradings["spo:2|3"]
     wd = weights_delta_rho(mg)
     # half the restriction of the single even positive root of degree zero
-    beta = mg._beta_even[0]
+    beta = mg.root_of_letter(mg.xstars[0])
     half_beta = tuple(Fraction(v, 2) for v in mg.restrict_weight(beta))
     assert wd.rho_e0_bar == half_beta
     assert wd.delta_bar == (Fraction(-1, 2),)
@@ -351,6 +351,45 @@ def test_rho_restriction_identity(gradings):
         rhs = tuple(r - 2 * d for r, d in zip(wd.rho_bar, wd.delta_bar))
         assert lhs == rhs, name
         assert mg.restrict_weight(mg.theta) == wd.zero(), name
+
+
+def test_letter_weights_match_per_root_sums(gradings):
+    # the per-root formulas the letter sums replaced, kept as an oracle
+    for name, mg in gradings.items():
+        wd = weights_delta_rho(mg)
+        rd, rest = mg.rd, mg.restrict_weight
+
+        def total(terms):
+            out = wd.zero()
+            for root, c in terms:
+                out = tuple(t + c * v for t, v in zip(out, rest(root)))
+            return out
+
+        for i, wt in enumerate(mg.letter_weights):
+            root = mg.root_of_letter(i)
+            assert wt == (wd.zero() if root is None else rest(root)), name
+        half = Fraction(1, 2)
+        low_u = [(mg.root_of_letter(i), -half) for i in mg.us[:mg.s // 2]]
+        low_v = [(mg.root_of_letter(i), half) for i in mg.vs[:mg.r // 2]]
+        assert wd.delta_bar == total(low_u + low_v), name
+        assert wd.rho_bar == total(
+            (root, (-half if rd.parity[root] else half)
+             * rd.multiplicity(root)) for root in rd.positive), name
+        ladder = [(root, (-1 if rd.parity[root] else 1)
+                   * rd.multiplicity(root)) for root in rd.positive
+                  if rd.pair(root, mg.theta) == 0]
+        assert wd.rho_e0_bar == total(
+            (root, c * half) for root, c in ladder), name
+        if mg.parity_type == "odd":
+            # the midline square's linear part, as four loops over roots
+            net = total(ladder
+                        + [(mg.root_of_letter(i), -1)
+                           for i in mg.us[:mg.s // 2]]
+                        + [(mg.root_of_letter(i), 1)
+                           for i in mg.vs[:(mg.r - 1) // 2]])
+            twice = tuple(2 * (a + b)
+                          for a, b in zip(wd.rho_e0_bar, wd.delta_bar))
+            assert net == twice, name
 
 
 def test_delta_from_dual_roots(gradings):

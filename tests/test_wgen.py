@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from minwsuper import wgen
+from minwsuper import cartanw, wgen
 from minwsuper.cartanw import build_cartan_w, project_pi, restricted_weight
 from minwsuper.envelope import render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
@@ -281,6 +281,9 @@ def _cache_snapshot(wal, cw):
         "casimir": r(wal.casimir().value),
         "theta_cas": r(wal.theta_cas().value),
         "images": {key: r(v) for key, v in cw.images.items()},
+        "survivors": [(slot, image.render())
+                      for slot, image in cartanw._survivor_slots(cw)],
+        "letter_weights": wal.grading.letter_weights,
     }
 
 
