@@ -13,9 +13,10 @@ The second half of the module is the weight-zero projection: invariant
 cosets decompose along restricted weights, every ordered monomial that
 touches a letter with nonzero weight is dropped, and the survivors are
 rewritten in the abstract presentation through the images of the
-surviving slots, which are built once per presentation.  A final
-generator shift (on the Casimir in type odd, on the torus in type even)
-turns the raw projection into an algebra homomorphism.
+surviving slots, which are built once per presentation.  A generator
+shift (on the Casimir in type odd, on the torus in type even) turns the
+raw projection into an algebra homomorphism; it is folded into a second
+set of slot images, so either projection is one substitution.
 """
 
 from fractions import Fraction
@@ -147,7 +148,6 @@ class CartanWAlgebra:
         self.images = images
         self.rendered_images = rendered_images
         self._idx = {n: k for k, n in enumerate(names)}
-        self._shift = None
         # memo slot of _survivor_slots
         self._survivors = None
         if self.parity_type == "odd":
@@ -174,10 +174,6 @@ class CartanWAlgebra:
 
     def generators(self):
         return [self.gen(n) for n in self.names]
-
-    def element(self, coords):
-        return CartanWElement(self, {tuple(e): scalar(c)
-                                     for e, c in coords.items()})
 
     def coerce(self, x):
         """x as an element of this presentation; a number becomes a
@@ -217,30 +213,6 @@ class CartanWAlgebra:
         merged[iC] += 1
         return [(tuple(merged), coeff * HALF),
                 (tuple(low), coeff * EIGHTH * HALF)]
-
-    # -- the homomorphism shift -------------------------------------------
-
-    def shift_map(self):
-        """Substitution closing the raw projection into a homomorphism."""
-        if self._shift is None:
-            if self.parity_type == "odd":
-                self._shift = ("C", workspace(self.grading).epsilon())
-            else:
-                wd = workspace(self.grading).weight_data
-                self._shift = ("h", tuple(-d for d in wd.delta_bar))
-        return self._shift
-
-    def shift(self, x):
-        kind, data = self.shift_map()
-        images = []
-        for k, name in enumerate(self.names):
-            base = self.gen(name)
-            if kind == "C" and k == self._slot_c:
-                base = base + data
-            elif kind == "h" and k < len(data):
-                base = base + data[k]
-            images.append((k, base))
-        return _substitute(self, x.coords, images)
 
     # -- reporting ---------------------------------------------------------
 
@@ -430,11 +402,15 @@ def restricted_weight(x):
     wal = x.wal
     gr = wal.grading
     zero = tuple(Fraction(0) for _ in gr.hes)
+    # letters of weight zero add nothing, so only the others are summed
+    moving = {i: wt for i, wt in enumerate(gr.letter_weights) if any(wt)}
     comps = {}
     for word, c in x.value.items():
         wt = zero
         for i in word:
-            wt = tuple(a + b for a, b in zip(wt, gr.letter_weights[i]))
+            step = moving.get(i)
+            if step is not None:
+                wt = tuple(a + b for a, b in zip(wt, step))
         comps.setdefault(wt, {})[word] = c
     if not comps:
         return zero
@@ -578,27 +554,43 @@ def restricted_roots(grading):
     return wal._roots
 
 
-def _survivor_slots(cw):
-    """Map from monomial slots onto presentation images, in slot order;
-    built once per presentation and kept on it."""
-    if cw._survivors is not None:
-        return cw._survivors
-    wal = workspace(cw.grading)
-    gr = wal.grading
-    out = []
-    if gr.parity_type == "odd":
-        out.append((wal.generator_index("F"),
-                    cw.gen("F").scale(gr.F[gr.vmid].inv())))
-    for i in gr.hes:
-        name = wal.algebra.labels[i]
-        out.append((wal.generator_index(name), _image_of_torus(wal, cw, i)))
-    out.append((wal.generator_index("C"), _image_of_casimir(wal, cw)))
-    if gr.parity_type == "odd":
-        name = wal.algebra.labels[gr.gmid]
-        coeff = gr.E[gr.gmid].inv()
-        out.append((wal.generator_index(name), cw.gen("E").scale(coeff)))
-    cw._survivors = out
-    return out
+def _survivor_slots(cw, shifted):
+    """Map from monomial slots onto presentation images, in slot order,
+    either raw or composed with the closing shift; both are built once
+    per presentation and kept on it.
+
+    The shift (C' to C' + epsilon in type odd, h' to h' - delta in type
+    even) enters by substituting it into each raw image once.  That
+    equals shifting a substituted product, because a surviving monomial
+    holds each odd slot at most once, F first and E last, so its product
+    never reduces an odd square.
+    """
+    if cw._survivors is None:
+        wal = workspace(cw.grading)
+        gr = wal.grading
+        raw = []
+        if gr.parity_type == "odd":
+            raw.append((wal.generator_index("F"),
+                        cw.gen("F").scale(gr.F[gr.vmid].inv())))
+        for i in gr.hes:
+            name = wal.algebra.labels[i]
+            raw.append((wal.generator_index(name),
+                        _image_of_torus(wal, cw, i)))
+        raw.append((wal.generator_index("C"), _image_of_casimir(wal, cw)))
+        if gr.parity_type == "odd":
+            name = wal.algebra.labels[gr.gmid]
+            coeff = gr.E[gr.gmid].inv()
+            raw.append((wal.generator_index(name), cw.gen("E").scale(coeff)))
+        shift = cw.generators()
+        if gr.parity_type == "odd":
+            shift[cw._slot_c] += wal.epsilon()
+        else:
+            for k, d in enumerate(wal.weight_data.delta_bar):
+                shift[k] -= d
+        shift = list(enumerate(shift))
+        cw._survivors = (raw, [(slot, _substitute(cw, image.coords, shift))
+                               for slot, image in raw])
+    return cw._survivors[bool(shifted)]
 
 
 def _image_of_torus(wal, cw, letter):
@@ -641,7 +633,7 @@ def project_pi(x, shifted=True):
 
     Monomials touching any slot outside the surviving set vanish; the
     rest are rewritten through the generator images.  With ``shifted``
-    the result is composed with the closing shift, giving the algebra
+    those images carry the closing shift, giving the algebra
     homomorphism rather than the bare linear projection.
     """
     wal = x.wal
@@ -651,11 +643,8 @@ def project_pi(x, shifted=True):
         raise PreconditionError(
             "projection only applies at restricted weight zero; this "
             "element has weight %s" % (wt,))
-    survivors = _survivor_slots(cw)
+    survivors = _survivor_slots(cw, shifted)
     keep = {slot for slot, _ in survivors}
     coords = {expo: c for expo, c in wal.pbw_coordinates(x.value).items()
               if all(k in keep for k, n in enumerate(expo) if n)}
-    out = _substitute(cw, coords, survivors)
-    if shifted:
-        out = cw.shift(out)
-    return out
+    return _substitute(cw, coords, survivors)

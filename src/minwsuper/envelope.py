@@ -157,10 +157,6 @@ class PBWAlgebra:
                 axpy(out, c if pa and pb else -c, self._mul_word(wb, wa))
         return out
 
-    def ad(self, x, a):
-        """ad of a letter-supported coordinate dict on an element."""
-        return self.commutator(self.inject(x), a)
-
     # -- filtration and quotients -------------------------------------------
 
     def kazhdan_degree(self, a):
@@ -183,7 +179,7 @@ class PBWAlgebra:
     def is_invariant(self, a, ad_letters, project=None):
         """None when every ad letter kills ``a``; else (letter, residual)."""
         for b in ad_letters:
-            res = self.ad({b: ONE}, a)
+            res = self.commutator(self.inject({b: ONE}), a)
             if project is not None:
                 res = project(res)
             if res:

@@ -9,14 +9,10 @@ dual root-vector bases, and the weight functionals precomputed.
 
 from fractions import Fraction
 
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar, sqrt
-from .superalgebra import (
-    LinearSolver,
-    _rational_inverse,
-    _rational_kernel,
-    root_decomposition,
-)
+from .superalgebra import (_rational_inverse, _rational_kernel,
+                           root_decomposition)
 
 
 def _neg(root):
@@ -66,8 +62,6 @@ class MinimalGrading:
         self.theta = self.rd.theta
         # the wgen.WAlgebra workspace, set up by wgen.workspace on first use
         self._workspace = None
-        # inverse of the simple-root matrix, set by simple_inverse
-        self._simple_inverse = None
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -89,7 +83,6 @@ class MinimalGrading:
 
         cartan = list(g.cartan)
         k = len(cartan)
-        self.k = k
 
         # sl(2) part: e spans the theta space, f scaled so that [e, f] = h
         e_vec = {rd.spaces[rd.theta][0]: ONE}
@@ -125,35 +118,29 @@ class MinimalGrading:
             return _dual_basis(lambda p, q: chi0(work.bracket(p, q)),
                                members, pos)
 
-        neg_even = sorted(r for r in rd.roots
-                          if self._ddeg[r] == -1 and not rd.parity[r]
-                          and not rd.is_positive(r))
-        neg_odd = sorted(r for r in rd.roots
-                         if self._ddeg[r] == -1 and rd.parity[r]
-                         and not rd.is_positive(r))
         half = tuple(-c / 2 for c in rd.theta)
 
-        us = [None] * self.s
-        i = 0
-        for root in neg_even:
-            members = [{j: ONE} for j in rd.spaces[root]]
-            for vec, dual in zip(members, dual_block(root, members)):
-                us[i] = vec
-                us[self.s - 1 - i] = dual
-                i += 1
-        if 2 * i != self.s:
-            raise ConsistencyError("even degree -1 pairing incomplete")
+        def paired_block(parity, size):
+            """Degree -1 basis of one parity: the root vectors of the
+            negative roots from the front, their duals mirrored from the
+            back, and the middle slot left to the midline (-theta/2)."""
+            out = [None] * size
+            i = 0
+            for root in sorted(r for r in rd.roots
+                               if self._ddeg[r] == -1 and r != half
+                               and rd.parity[r] == parity
+                               and not rd.is_positive(r)):
+                members = [{j: ONE} for j in rd.spaces[root]]
+                for vec, dual in zip(members, dual_block(root, members)):
+                    out[i] = vec
+                    out[size - 1 - i] = dual
+                    i += 1
+            return out, i
 
-        vs = [None] * self.r
-        i = 0
-        for root in neg_odd:
-            if root == half:
-                continue
-            members = [{j: ONE} for j in rd.spaces[root]]
-            for vec, dual in zip(members, dual_block(root, members)):
-                vs[i] = vec
-                vs[self.r - 1 - i] = dual
-                i += 1
+        us, paired = paired_block(0, self.s)
+        if 2 * paired != self.s:
+            raise ConsistencyError("even degree -1 pairing incomplete")
+        vs, _ = paired_block(1, self.r)
         if self.r % 2:
             idxs = rd.spaces[half]
             if len(idxs) != 1:
@@ -196,49 +183,40 @@ class MinimalGrading:
         if self.r % 2:
             gmid = work.bracket(vs[(self.r - 1) // 2], e_vec)
 
-        order = [("e", e_vec)]
-        order += [("fstar%d" % (i + 1), v) for i, v in enumerate(fstars)]
-        order += [("gstar%d" % (i + 1), v) for i, v in enumerate(gstars)]
-        if gmid is not None:
-            order.append(("gmid", gmid))
-        order += [("f%d" % (i + 1), v) for i, v in enumerate(fs)]
-        order += [("g%d" % (i + 1), v) for i, v in enumerate(gs)]
-        order += [("h%d" % (i + 1), v) for i, v in enumerate(hes)]
-        order.append(("hth", h_vec))
-        order += [("xstar%d" % (i + 1), v) for i, v in enumerate(xstars)]
-        order += [("ystar%d" % (i + 1), v) for i, v in enumerate(ystars)]
-        order += [("x%d" % (i + 1), v) for i, v in enumerate(xs)]
-        order += [("y%d" % (i + 1), v) for i, v in enumerate(ys)]
-        order += [("u%d" % (i + 1), v) for i, v in enumerate(us)]
-        order += [("v%d" % (i + 1), v) for i, v in enumerate(vs)]
-        order.append(("f", f_vec))
+        order = []
+
+        def put(label, vec):
+            order.append((label, vec))
+            return len(order) - 1
+
+        def put_run(prefix, vecs):
+            """Append the letters prefix1, prefix2, ...; their indices."""
+            return tuple(put("%s%d" % (prefix, i + 1), v)
+                         for i, v in enumerate(vecs))
+
+        self.e = put("e", e_vec)
+        self.fstars = put_run("fstar", fstars)
+        self.gstars = put_run("gstar", gstars)
+        self.gmid = put("gmid", gmid) if gmid is not None else None
+        self.fs = put_run("f", fs)
+        self.gs = put_run("g", gs)
+        self.hes = put_run("h", hes)
+        self.hth = put("hth", h_vec)
+        self.xstars = put_run("xstar", xstars)
+        self.ystars = put_run("ystar", ystars)
+        self.xs = put_run("x", xs)
+        self.ys = put_run("y", ys)
+        self.us = put_run("u", us)
+        self.vs = put_run("v", vs)
+        self.f = put("f", f_vec)
+        self.vmid = self.vs[(self.r - 1) // 2] if self.r % 2 else None
         if len(order) != g.dim:
             raise ConsistencyError(
                 "adapted basis has %d of %d vectors" % (len(order), g.dim))
-        labels = [lab for lab, _ in order]
-        new_cartan = tuple(labels.index("h%d" % (i + 1)) for i in range(k - 1))
-        new_cartan += (labels.index("hth"),)
-        self.algebra = work.rebase([v for _, v in order], new_cartan,
-                                   labels=labels)
+        self.algebra = work.rebase([v for _, v in order],
+                                   self.hes + (self.hth,),
+                                   labels=[lab for lab, _ in order])
         self._letter_vectors = tuple(dict(v) for _, v in order)
-
-        at = labels.index
-        self.e = at("e")
-        self.f = at("f")
-        self.hth = at("hth")
-        self.hes = tuple(at("h%d" % (i + 1)) for i in range(k - 1))
-        self.fs = tuple(at("f%d" % (i + 1)) for i in range(len(fs)))
-        self.fstars = tuple(at("fstar%d" % (i + 1)) for i in range(len(fstars)))
-        self.gs = tuple(at("g%d" % (i + 1)) for i in range(len(gs)))
-        self.gstars = tuple(at("gstar%d" % (i + 1)) for i in range(len(gstars)))
-        self.gmid = at("gmid") if gmid is not None else None
-        self.xs = tuple(at("x%d" % (i + 1)) for i in range(self.w))
-        self.xstars = tuple(at("xstar%d" % (i + 1)) for i in range(self.w))
-        self.ys = tuple(at("y%d" % (i + 1)) for i in range(self.l))
-        self.ystars = tuple(at("ystar%d" % (i + 1)) for i in range(self.l))
-        self.us = tuple(at("u%d" % (i + 1)) for i in range(self.s))
-        self.vs = tuple(at("v%d" % (i + 1)) for i in range(self.r))
-        self.vmid = self.vs[(self.r - 1) // 2] if self.r % 2 else None
 
         self._roots_new = tuple(self._root_of(v) for _, v in order)
         zero = tuple(Fraction(0) for _ in self.hes)
@@ -275,12 +253,6 @@ class MinimalGrading:
         """chi(x) = (e, x) in the rescaled form."""
         return self.algebra.pair({self.e: ONE}, x)
 
-    def degree_of(self, x):
-        ds = {self.degrees[i] for i in x}
-        if len(ds) > 1:
-            raise PreconditionError("inhomogeneous element %s" % (x,))
-        return ds.pop() if ds else None
-
     def root_of_letter(self, i):
         """Root of letter i over the base Cartan; None on the Cartan."""
         return self._roots_new[i]
@@ -292,13 +264,6 @@ class MinimalGrading:
             idxs = self.spaces.get(d, ())
             ev = sum(1 for i in idxs if g.parity[i] == 0)
             out[d] = (ev, len(idxs) - ev)
-        return out
-
-    def triple(self):
-        """(e, h, f) as coordinate dicts, extended by (E, F) when r is odd."""
-        out = ({self.e: ONE}, {self.hth: ONE}, {self.f: ONE})
-        if self.parity_type == "odd":
-            out = out + (self.E, self.F)
         return out
 
     def centralizer_letters(self):
@@ -382,75 +347,6 @@ def admissible_subalgebras(grading):
         "nzero": tuple([grading.f] + lset),
         "l": tuple(lset),
     }
-
-
-def simple_inverse(grading):
-    """Inverse of the matrix whose columns are the simple roots, computed
-    once per grading."""
-    if grading._simple_inverse is None:
-        simples = grading.rd.simple
-        k = len(simples)
-        grading._simple_inverse = _rational_inverse(
-            [[Fraction(simples[i][j]) for i in range(k)] for j in range(k)])
-    return grading._simple_inverse
-
-
-def simple_coefficients(grading, root):
-    """Expansion of a root over the simple system."""
-    inverse = simple_inverse(grading)
-    if len(root) != len(inverse):
-        raise ConsistencyError("root length mismatch")
-    return [sum(r * Fraction(c) for r, c in zip(row, root))
-            for row in inverse]
-
-
-def theta_height(grading, root):
-    """Sum of simple coefficients, the theta/2 slot excluded."""
-    n = simple_coefficients(grading, root)
-    ht = sum(n[:-1])
-    if ht.denominator != 1:
-        raise ConsistencyError("non-integral height at %s" % (root,))
-    return int(ht)
-
-
-def compute_h0(grading):
-    """The unique h0 in h^e with [h0, e_alpha] = ht_theta(alpha) e_alpha.
-
-    Only defined for parity type odd, where theta/2 is the last simple
-    root; its coefficient is dropped from the height.
-    """
-    if grading.parity_type != "odd":
-        raise PreconditionError("h0 is only defined for parity type odd")
-    g, rd = grading.base, grading.rd
-    cartan = list(g.cartan)
-    # (alpha_j, x) = 1 for all but the last simple root and 0 for it; the
-    # matrix with the simple roots as rows is the transpose of the inverted one
-    inverse = simple_inverse(grading)
-    sol = [sum(row[i] for row in inverse[:-1]) for i in range(len(cartan))]
-    base_vec = {cartan[i]: scalar(c) for i, c in enumerate(sol) if c}
-    if theta_height(grading, rd.theta) != 0:
-        raise ConsistencyError("theta is not twice the last simple root")
-
-    solver = LinearSolver()
-    for j in list(grading.hes) + [grading.hth]:
-        solver.add(j, grading._letter_vectors[j])
-    combo = solver.solve(base_vec)
-    if combo is None:
-        raise ConsistencyError("h0 escaped the Cartan")
-    h0 = {i: c for i, c in combo.items() if c}
-    if h0.get(grading.hth):
-        raise ConsistencyError("h0 has a component along h_theta")
-
-    alg = grading.algebra
-    for i in range(alg.dim):
-        root = grading.root_of_letter(i)
-        if root is None:
-            continue
-        want = theta_height(grading, root)
-        got = alg.bracket(h0, {i: ONE})
-        if got != ({i: scalar(want)} if want else {}):
-            raise ConsistencyError("h0 eigenvalue check failed at %d" % i)
-    return h0
 
 
 class WeightData:

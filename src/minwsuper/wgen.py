@@ -830,7 +830,21 @@ def pbw_coordinates(x):
 
 
 def evaluate_coordinates(grading, coords):
-    return workspace(grading).evaluate_coordinates(coords)
+    """The coset with the given coordinates over the ordered generator
+    monomials; each key holds one non-negative int exponent per
+    generator, at most 1 on an odd one."""
+    wal = workspace(grading)
+    gens = wal.generators
+    odd = [k for k, gen in enumerate(gens) if gen.parity]
+    for expo in coords:
+        if not (type(expo) is tuple and len(expo) == len(gens)
+                and all(type(n) is int and n >= 0 for n in expo)
+                and all(expo[k] <= 1 for k in odd)):
+            raise PreconditionError(
+                "exponent tuple %r does not hold one non-negative int per "
+                "generator (%d), at most 1 on an odd one"
+                % (expo, len(gens)))
+    return wal.evaluate_coordinates(coords)
 
 
 def verify_relations(grading):

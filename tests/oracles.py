@@ -3,12 +3,17 @@
 Everything in here deliberately avoids the package's own algorithms:
 the word rewriter works on whole words without memoization, scanning
 for the last inversion instead of multiplying letter by letter, and
-the dimension counts are plain generating-function walks.
+the dimension counts are plain generating-function walks.  The
+theta-height chain at the end (simple-root coefficients, heights and the
+grading element h0 of type odd) reads a grading in a way no package code
+needs; it uses the package's exact solvers.
 """
 
 from fractions import Fraction
 
-from minwsuper.scalar import Scalar, scalar
+from minwsuper.errors import ConsistencyError, PreconditionError
+from minwsuper.scalar import ONE, Scalar, scalar
+from minwsuper.superalgebra import LinearSolver, _rational_inverse
 
 
 def free_normal_form(word, coeff, order, bracket, parity):
@@ -83,3 +88,69 @@ def sympy_equals(value, expr):
                   * sympy.sqrt(sympy.Integer(key)))
     # exact: equal only when sympy reduces the difference to 0
     return sympy.expand(sympy.radsimp(total - expr)) == 0
+
+
+def simple_inverse(grading):
+    """Inverse of the matrix whose columns are the simple roots."""
+    simples = grading.rd.simple
+    k = len(simples)
+    return _rational_inverse(
+        [[Fraction(simples[i][j]) for i in range(k)] for j in range(k)])
+
+
+def simple_coefficients(grading, root):
+    """Expansion of a root over the simple system."""
+    inverse = simple_inverse(grading)
+    if len(root) != len(inverse):
+        raise ConsistencyError("root length mismatch")
+    return [sum(r * Fraction(c) for r, c in zip(row, root))
+            for row in inverse]
+
+
+def theta_height(grading, root):
+    """Sum of simple coefficients, the theta/2 slot excluded."""
+    n = simple_coefficients(grading, root)
+    ht = sum(n[:-1])
+    if ht.denominator != 1:
+        raise ConsistencyError("non-integral height at %s" % (root,))
+    return int(ht)
+
+
+def compute_h0(grading):
+    """The unique h0 in h^e with [h0, e_alpha] = ht_theta(alpha) e_alpha.
+
+    Only defined for parity type odd, where theta/2 is the last simple
+    root; its coefficient is dropped from the height.
+    """
+    if grading.parity_type != "odd":
+        raise PreconditionError("h0 is only defined for parity type odd")
+    g, rd = grading.base, grading.rd
+    cartan = list(g.cartan)
+    # (alpha_j, x) = 1 for all but the last simple root and 0 for it; the
+    # matrix with the simple roots as rows is the transpose of the inverted one
+    inverse = simple_inverse(grading)
+    sol = [sum(row[i] for row in inverse[:-1]) for i in range(len(cartan))]
+    base_vec = {cartan[i]: scalar(c) for i, c in enumerate(sol) if c}
+    if theta_height(grading, rd.theta) != 0:
+        raise ConsistencyError("theta is not twice the last simple root")
+
+    solver = LinearSolver()
+    for j in list(grading.hes) + [grading.hth]:
+        solver.add(j, grading._letter_vectors[j])
+    combo = solver.solve(base_vec)
+    if combo is None:
+        raise ConsistencyError("h0 escaped the Cartan")
+    h0 = {i: c for i, c in combo.items() if c}
+    if h0.get(grading.hth):
+        raise ConsistencyError("h0 has a component along h_theta")
+
+    alg = grading.algebra
+    for i in range(alg.dim):
+        root = grading.root_of_letter(i)
+        if root is None:
+            continue
+        want = theta_height(grading, root)
+        got = alg.bracket(h0, {i: ONE})
+        if got != ({i: scalar(want)} if want else {}):
+            raise ConsistencyError("h0 eigenvalue check failed at %d" % i)
+    return h0

@@ -330,11 +330,25 @@ def test_projection_critical_bracket(gradings):
 
 
 def test_projection_even_shift_restores_torus(gradings):
-    gr = gradings["sl:2|1"]
-    wal = wgen.workspace(gr)
-    cw = build_cartan_w(gr)
-    th = wal.theta_letter(gr.hes[0]).as_finite()
-    assert (project_pi(th) - cw.gen("h1")).is_zero()
+    # h' -> h' - delta cancels the delta of every raw torus image
+    for name in EVEN_NAMES:
+        gr = gradings[name]
+        wal = wgen.workspace(gr)
+        cw = build_cartan_w(gr)
+        for i in gr.hes:
+            th = wal.theta_letter(i).as_finite()
+            assert project_pi(th) == cw.gen(wal.algebra.labels[i]), name
+
+
+def test_projection_odd_shift_moves_casimir(gradings):
+    # C' -> C' + epsilon moves the Casimir image by epsilon times the unit
+    for name in ODD_NAMES:
+        gr = gradings[name]
+        wal = wgen.workspace(gr)
+        cw = build_cartan_w(gr)
+        cas = wal.casimir().as_finite()
+        moved = project_pi(cas) - project_pi(cas, shifted=False)
+        assert moved == cw.unit().scale(wal.epsilon()), name
 
 
 def test_projection_rejects_nonzero_weight(gradings):

@@ -227,6 +227,25 @@ def test_coordinates_of_unit(gradings):
         wgen.evaluate_coordinates(mg, {})) == {}
 
 
+def test_evaluate_coordinates_rejects_bad_exponents():
+    mg = grade(build_algebra("sl:2|1"))
+    wal = wgen.workspace(mg)
+    gens = wal.generators
+    assert len(gens) == 4
+    odd = next(k for k, gen in enumerate(gens) if gen.parity)
+    twice = [0] * len(gens)
+    twice[odd] = 2
+    cached = dict(wal._mono_cache)
+    # too short, too long, negative, a bool, a float, an odd square
+    for expo in [(1,), (0, 0, 0, 0, 1), (-1, 0, 0, 0), (True, 0, 0, 0),
+                 (1.0, 0, 0, 0), tuple(twice)]:
+        with pytest.raises(PreconditionError):
+            wgen.evaluate_coordinates(mg, {expo: ONE})
+    with pytest.raises(PreconditionError):
+        wgen.evaluate_coordinates(mg, {(0, 0, 0, 0): ONE, (1,): ONE})
+    assert wal._mono_cache == cached
+
+
 def test_monomial_counts_match_graded_dimension(gradings):
     for name in ["osp:1|2", "sl:2|1", "spo:2|3"]:
         wal = wgen.workspace(gradings[name])
@@ -281,8 +300,10 @@ def _cache_snapshot(wal, cw):
         "casimir": r(wal.casimir().value),
         "theta_cas": r(wal.theta_cas().value),
         "images": {key: r(v) for key, v in cw.images.items()},
-        "survivors": [(slot, image.render())
-                      for slot, image in cartanw._survivor_slots(cw)],
+        "survivors": [(slot, image.render()) for slot, image
+                      in cartanw._survivor_slots(cw, False)],
+        "shifted_survivors": [(slot, image.render()) for slot, image
+                              in cartanw._survivor_slots(cw, True)],
         "letter_weights": wal.grading.letter_weights,
     }
 
