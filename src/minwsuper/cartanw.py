@@ -24,7 +24,7 @@ from fractions import Fraction
 from .envelope import render_element
 from .errors import ConsistencyError, PreconditionError
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from .wgen import WElement, workspace
+from .wgen import WElement, _check_exponents, workspace
 
 EIGHTH = scalar(Fraction(1, 8))
 
@@ -41,11 +41,13 @@ class NotHomogeneousError(PreconditionError):
 
 
 class CartanWElement:
-    """Linear combination of ordered generator monomials."""
+    """Linear combination of ordered generator monomials.  The constructor
+    checks every exponent key; the arithmetic builds through ``_wrap``."""
 
     __slots__ = ("cw", "coords")
 
     def __init__(self, cw, coords):
+        _check_exponents(coords, cw.parities)
         self.cw = cw
         self.coords = {e: c for e, c in coords.items() if c}
 
@@ -55,20 +57,20 @@ class CartanWElement:
     def __add__(self, other):
         out = dict(self.coords)
         axpy(out, ONE, self.cw.coerce(other).coords)
-        return CartanWElement(self.cw, out)
+        return _wrap(self.cw, out)
 
     def __sub__(self, other):
         out = dict(self.coords)
         axpy(out, -ONE, self.cw.coerce(other).coords)
-        return CartanWElement(self.cw, out)
+        return _wrap(self.cw, out)
 
     def __neg__(self):
         return self.scale(-ONE)
 
     def scale(self, c):
         c = scalar(c)
-        return CartanWElement(self.cw, {e: c * v
-                                        for e, v in self.coords.items()})
+        return _wrap(self.cw, {e: c * v for e, v in self.coords.items()}
+                     if c else {})
 
     def __mul__(self, other):
         if not isinstance(other, CartanWElement):
@@ -79,7 +81,7 @@ class CartanWElement:
             for eb, cb in other.coords.items():
                 for e, c in self.cw.mul_monomials(ea, eb):
                     acc(out, e, ca * cb * c)
-        return CartanWElement(self.cw, out)
+        return _wrap(self.cw, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -99,7 +101,7 @@ class CartanWElement:
                     acc(out, e, c * d)
                 for e, d in cw.mul_monomials(eb, ea):
                     acc(out, e, back * d)
-        return CartanWElement(cw, out)
+        return _wrap(cw, out)
 
     def coefficient(self, expo):
         return self.coords.get(tuple(expo), ZERO)
@@ -127,6 +129,13 @@ class CartanWElement:
 
     def __repr__(self):
         return "CartanWElement(%s)" % self.render()
+
+
+def _wrap(cw, coords):
+    """The element over straightened, zero-free ``coords``, unchecked."""
+    x = object.__new__(CartanWElement)
+    x.cw, x.coords = cw, coords
+    return x
 
 
 class CartanWAlgebra:
@@ -160,17 +169,17 @@ class CartanWAlgebra:
     # -- element constructors -------------------------------------------
 
     def zero(self):
-        return CartanWElement(self, {})
+        return _wrap(self, {})
 
     def unit(self):
-        return CartanWElement(self, {(0,) * len(self.names): ONE})
+        return _wrap(self, {(0,) * len(self.names): ONE})
 
     def gen(self, name):
         if name not in self._idx:
             raise PreconditionError("no generator named %r" % name)
         expo = [0] * len(self.names)
         expo[self._idx[name]] = 1
-        return CartanWElement(self, {tuple(expo): ONE})
+        return _wrap(self, {tuple(expo): ONE})
 
     def generators(self):
         return [self.gen(n) for n in self.names]
@@ -612,7 +621,7 @@ def _image_of_casimir(wal, cw):
                        for r, d in zip(wd.rho_e0_bar, wd.delta_bar))
     for letter, coeff in wal.dual_cartan(functional).items():
         axpy(coords, coeff, cw.gen(labels[letter]).coords)
-    return CartanWElement(cw, coords)
+    return _wrap(cw, coords)
 
 
 def _substitute(cw, coords, images):
@@ -625,7 +634,7 @@ def _substitute(cw, coords, images):
             for _ in range(expo[slot]):
                 term = term * image
         axpy(out, ONE, term.coords)
-    return CartanWElement(cw, out)
+    return _wrap(cw, out)
 
 
 def project_pi(x, shifted=True):

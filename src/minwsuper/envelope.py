@@ -24,11 +24,11 @@ def kazhdan_weights(grading):
 
 
 class PBWAlgebra:
-    """U(g) (or U of a letter-closed subalgebra) with straightening.
+    """U(g) with straightening; the letters are the basis indices of g.
 
-    ``letters`` restricts to a subalgebra; it must be closed under the
-    bracket.  Multiplication is letter-by-letter with memoization, so
-    repeated products of the same generators stay cheap.
+    ``weights`` maps each letter to its Kazhdan weight.  Multiplication is
+    letter-by-letter with memoization, so repeated products of the same
+    generators stay cheap.
 
     Elements are plain dicts; the algebra only multiplies them.  Sums and
     multiples are formed with ``scalar.acc``/``scalar.axpy`` into a dict
@@ -36,24 +36,12 @@ class PBWAlgebra:
     may be a letter-cache entry.
     """
 
-    def __init__(self, g, letters=None, weights=None):
+    def __init__(self, g, weights):
         self.g = g
-        self.letters = tuple(letters) if letters is not None else tuple(
-            range(g.dim))
-        self.pos = {x: p for p, x in enumerate(self.letters)}
-        if len(self.pos) != len(self.letters):
-            raise PreconditionError("repeated letters")
         # letter -> the letters it does not supercommute with
-        self._partners = {a: set() for a in self.letters}
-        for a in self.letters:
-            for b in self.letters:
-                out = g.bracket({a: ONE}, {b: ONE})
-                if any(k not in self.pos for k in out):
-                    raise PreconditionError(
-                        "letters are not bracket closed at (%d, %d)" % (a, b))
-                if out:
-                    self._partners[a].add(b)
-        self.weights = dict(weights) if weights else None
+        self._partners = {a: {b for b in range(g.dim) if g.bracket_basis(a, b)}
+                          for a in range(g.dim)}
+        self.weights = dict(weights)
         self._cache = {}
 
     # -- basic elements ----------------------------------------------------
@@ -65,7 +53,7 @@ class PBWAlgebra:
         """A coordinate dict over letters, as a degree-one element."""
         out = {}
         for i, c in x.items():
-            if i not in self.pos:
+            if i not in self._partners:  # one key per letter
                 raise PreconditionError("letter %s not in this algebra" % i)
             if c:
                 out[(i,)] = c
@@ -90,7 +78,7 @@ class PBWAlgebra:
             return {(x,): ONE}
         last = word[-1]
         parity = self.g.parity
-        if self.pos[last] < self.pos[x] or (last == x and not parity[x]):
+        if last < x or (last == x and not parity[x]):
             return {word + (x,): ONE}
         key = (word, x)
         out = self._cache.get(key)
@@ -160,8 +148,6 @@ class PBWAlgebra:
     # -- filtration and quotients -------------------------------------------
 
     def kazhdan_degree(self, a):
-        if self.weights is None:
-            raise PreconditionError("no letter weights attached")
         if not a:
             return None
         return max(sum(self.weights[i] for i in w) for w in a)

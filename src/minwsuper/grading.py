@@ -401,6 +401,6 @@ def weights_delta_rho(grading):
                    + [(i, -half) for i in grading.ystars])
 
     gram = tuple(
-        tuple(g.form[a][b].as_fraction() for b in grading.hes)
+        tuple(g.form.get((a, b), ZERO).as_fraction() for b in grading.hes)
         for a in grading.hes)
     return WeightData(grading.hes, delta, rho, rho_e0, gram)

@@ -12,10 +12,7 @@ from fractions import Fraction
 
 from .errors import (ConsistencyError, PreconditionError,
                      UnsupportedFamilyError)
-from .scalar import Scalar, acc, axpy, scalar
-
-ZERO = Scalar.zero()
-ONE = Scalar.one()
+from .scalar import ONE, ZERO, acc, axpy, scalar
 
 
 # ---------------------------------------------------------------------------
@@ -28,19 +25,18 @@ class LinearSolver:
 
     Tracks a list of tagged vectors; solve() expresses a new vector in terms
     of the tags (or reports failure).  A vector is a dict of its nonzero
-    entries, keyed by any mutually ordered keys; a plain list is read as
-    the dict of its nonzero positions.  Every row is reduced against the
-    earlier ones and pivots on its smallest key, so one pass over the rows
-    in insertion order clears each pivot for good.  This is the package's
-    only elimination; the rational kernel and inverse below are adapters.
+    entries, keyed by any mutually ordered keys.  Every row is reduced
+    against the earlier ones and pivots on its smallest key, so one pass
+    over the rows in insertion order clears each pivot for good.  This is
+    the package's only elimination; the rational kernel and inverse below
+    are adapters.
     """
 
     def __init__(self):
         self.rows = []  # (pivot key, normalized row dict, combo dict tag -> Scalar)
 
     def _reduce(self, vec):
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        residual = {k: scalar(x) for k, x in items if x}
+        residual = {k: scalar(x) for k, x in vec.items() if x}
         expr = {}
         for pivot, row, rcombo in self.rows:
             c = residual.get(pivot)
@@ -103,7 +99,7 @@ def _rational_inverse(matrix):
     n = len(matrix)
     solver = LinearSolver()
     for i, row in enumerate(matrix):
-        if not solver.add(i, row):
+        if not solver.add(i, dict(enumerate(row))):
             raise PreconditionError("matrix is singular at row %d" % i)
     inverse = []
     for j in range(n):
@@ -156,7 +152,7 @@ class LieSuperalgebra:
         self.parity = tuple(parity)
         self.dim = len(labels)
         self._bracket = bracket  # dict (i, j) -> dict k -> Scalar
-        self.form = form  # tuple of tuples of Scalar
+        self.form = form  # dict (i, j) -> Scalar, nonzero entries only
         self.cartan = tuple(cartan)
         self.display = display or "%s:%s" % (family, "|".join(map(str, params)))
 
@@ -187,11 +183,12 @@ class LieSuperalgebra:
     def pair(self, x, y):
         """Invariant form (x, y)."""
         tot = ZERO
+        form = self.form
         for i, xi in x.items():
-            row = self.form[i]
             for j, yj in y.items():
-                if row[j]:
-                    tot = tot + xi * yj * row[j]
+                v = form.get((i, j))
+                if v is not None:
+                    tot = tot + xi * yj * v
         return tot
 
     def element_parity(self, x):
@@ -201,12 +198,9 @@ class LieSuperalgebra:
             return seen.pop()
         return None if seen else 0
 
-    def basis_element(self, i):
-        return {i: ONE}
-
     def with_form_scaled(self, c):
         c = scalar(c)
-        form = tuple(tuple(v * c for v in row) for row in self.form)
+        form = {key: v * c for key, v in self.form.items()}
         g = LieSuperalgebra(self.family, self.params, self.labels, self.parity,
                             self._bracket, form, self.cartan, self.display)
         return g
@@ -240,10 +234,8 @@ class LieSuperalgebra:
                     raise PreconditionError("rebase span is not closed under bracket")
                 if coords:
                     bracket[(i, j)] = coords
-        form = tuple(
-            tuple(self.pair(new_basis[i], new_basis[j]) for j in range(n))
-            for i in range(n)
-        )
+        form = {(i, j): v for i in range(n) for j in range(n)
+                if (v := self.pair(new_basis[i], new_basis[j]))}
         labels = labels or ["b%d" % i for i in range(n)]
         return LieSuperalgebra(self.family, self.params, labels, parity,
                                bracket, form, new_cartan, self.display)
@@ -253,11 +245,8 @@ class LieSuperalgebra:
         for (i, j) in sorted(self._bracket):
             for k in sorted(self._bracket[(i, j)]):
                 bracket_rows.append([i, j, k, self._bracket[(i, j)][k].render()])
-        form_rows = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.form[i][j]:
-                    form_rows.append([i, j, self.form[i][j].render()])
+        form_rows = [[i, j, v.render()]
+                     for (i, j), v in sorted(self.form.items())]
         return {
             "family": self.family,
             "params": list(self.params),
@@ -472,10 +461,8 @@ def _finish(family, params, mats, parity, labels, cartan, even_dim, eliminators)
     for key, co in zip(keys, _matrix_coords(mats, targets, eliminators)):
         if co:
             bracket[key] = dict(sorted(co.items()))
-    form = tuple(
-        tuple(scalar(_supertrace(products[i, j], even_dim)) for j in range(dim))
-        for i in range(dim)
-    )
+    form = {key: scalar(v) for key, m in products.items()
+            if (v := _supertrace(m, even_dim))}
     return LieSuperalgebra(family, params, labels, parity, bracket, form, cartan)
 
 
@@ -488,7 +475,6 @@ def validate(g):
     """Check all structural identities; returns a list of violation strings."""
     report = []
     dim = g.dim
-    basis = [g.basis_element(i) for i in range(dim)]
 
     for i in range(dim):
         for j in range(dim):
@@ -503,7 +489,7 @@ def validate(g):
                 if br.get(k, ZERO) != -sign * rev.get(k, ZERO):
                     report.append("skew: [%d,%d] vs [%d,%d] at %d" % (i, j, j, i, k))
 
-    # a triple whose brackets are all zero satisfies both identities below
+    # a triple whose brackets are all zero satisfies the Jacobi identity
     # trivially; the loop order, and so the report order, is kept
     nonzero = {(i, j) for i in range(dim) for j in range(dim)
                if g.bracket_basis(i, j)}
@@ -529,30 +515,41 @@ def validate(g):
                 if lhs != rhs:
                     report.append("jacobi: (%d,%d,%d)" % (i, j, k))
 
-    for i in range(dim):
-        for j in range(dim):
-            v = g.form[i][j]
-            if g.parity[i] != g.parity[j] and v:
-                report.append("form not even at (%d,%d)" % (i, j))
-            sign = -1 if (g.parity[i] and g.parity[j]) else 1
-            if v != sign * g.form[j][i]:
-                report.append("form not supersymmetric at (%d,%d)" % (i, j))
+    # only a stored entry or its transpose can break evenness or
+    # supersymmetry; sorted, they keep the row-major report order
+    form = g.form
+    for i, j in sorted(set(form) | {(j, i) for i, j in form}):
+        v = form.get((i, j), ZERO)
+        if g.parity[i] != g.parity[j] and v:
+            report.append("form not even at (%d,%d)" % (i, j))
+        sign = -1 if (g.parity[i] and g.parity[j]) else 1
+        if v != sign * form.get((j, i), ZERO):
+            report.append("form not supersymmetric at (%d,%d)" % (i, j))
 
+    # invariance per (i, j): the vector ([i,j], k) - (i, [j,k]) over k,
+    # from the form rows and the bracket rows of j read by output index
+    form_rows = {}
+    for (i, j), v in form.items():
+        form_rows.setdefault(i, {})[j] = v
+    by_output = {}  # (j, t) -> {k: [j,k]_t}
+    for (j, k), row in rows.items():
+        for t, c in row.items():
+            by_output.setdefault((j, t), {})[k] = c
     for i in range(dim):
+        row_i = form_rows.get(i, none)
         for j in range(dim):
-            ij = (i, j) in nonzero
-            for k in range(dim):
-                if not (ij or (j, k) in nonzero):
-                    continue
-                lhs = g.pair(rows.get((i, j), none), basis[k])
-                rhs = g.pair(basis[i], rows.get((j, k), none))
-                if lhs != rhs:
-                    report.append("form not invariant at (%d,%d,%d)" % (i, j, k))
-                    break
+            diff = {}
+            for t, c in rows.get((i, j), none).items():
+                axpy(diff, c, form_rows.get(t, none))
+            for t, f in row_i.items():
+                axpy(diff, -f, by_output.get((j, t), none))
+            if diff:
+                report.append("form not invariant at (%d,%d,%d)"
+                              % (i, j, min(diff)))
 
     solver = LinearSolver()
     for i in range(dim):
-        solver.add(i, [g.form[i][j] for j in range(dim)])
+        solver.add(i, form_rows.get(i, none))
     if solver.rank != dim:
         report.append("form degenerate: rank %d of %d" % (solver.rank, dim))
 
@@ -626,7 +623,7 @@ def _weights_of_basis(g):
 def cartan_gram(g):
     """Gram matrix of the form restricted to the Cartan basis (Fractions)."""
     idx = g.cartan
-    return [[g.form[a][b].as_fraction() for b in idx] for a in idx]
+    return [[g.form.get((a, b), ZERO).as_fraction() for b in idx] for a in idx]
 
 
 def weight_form(g):

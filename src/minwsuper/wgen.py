@@ -829,21 +829,25 @@ def pbw_coordinates(x):
     return x.wal.pbw_coordinates(x.value)
 
 
+def _check_exponents(keys, parities):
+    """Raise unless each key holds one non-negative int exponent per
+    generator of the given parities, at most 1 on an odd one."""
+    for expo in keys:
+        if not (type(expo) is tuple and len(expo) == len(parities)
+                and all(type(n) is int and n >= 0 for n in expo)
+                and all(n <= 1 for n, p in zip(expo, parities) if p)):
+            raise PreconditionError(
+                "exponent tuple %r does not hold one non-negative int per "
+                "generator (%d), at most 1 on an odd one"
+                % (expo, len(parities)))
+
+
 def evaluate_coordinates(grading, coords):
     """The coset with the given coordinates over the ordered generator
     monomials; each key holds one non-negative int exponent per
     generator, at most 1 on an odd one."""
     wal = workspace(grading)
-    gens = wal.generators
-    odd = [k for k, gen in enumerate(gens) if gen.parity]
-    for expo in coords:
-        if not (type(expo) is tuple and len(expo) == len(gens)
-                and all(type(n) is int and n >= 0 for n in expo)
-                and all(expo[k] <= 1 for k in odd)):
-            raise PreconditionError(
-                "exponent tuple %r does not hold one non-negative int per "
-                "generator (%d), at most 1 on an odd one"
-                % (expo, len(gens)))
+    _check_exponents(coords, [gen.parity for gen in wal.generators])
     return wal.evaluate_coordinates(coords)
 
 

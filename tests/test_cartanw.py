@@ -443,6 +443,25 @@ def test_element_arithmetic(gradings):
     assert y.is_zero()
 
 
+def test_element_rejects_bad_exponents(gradings):
+    even = build_cartan_w(gradings["sl:2|1"])
+    odd = build_cartan_w(gradings["spo:2|3"])
+    assert len(even.names) == 2 and len(odd.names) == 4
+    # a slot too many, an odd square, a negative exponent
+    for cw, expo in ((even, (0, 0, 1)), (odd, (2, 0, 0, 0)),
+                     (odd, (0, -1, 0, 0))):
+        with pytest.raises(PreconditionError):
+            CartanWElement(cw, {expo: ONE})
+    # a bool or a float is not an int exponent
+    for expo in ((True, 0), (0, 1.0)):
+        with pytest.raises(PreconditionError):
+            CartanWElement(even, {expo: ONE})
+    assert CartanWElement(even, {(0, 0): ONE}) == even.unit()
+    F = odd.gen("F")
+    assert CartanWElement(odd, {(1, 0, 0, 0): ONE}) == F
+    assert F * F == odd.unit().scale(q(-1))
+
+
 def _random_cartan_element(rng, cw):
     """Several ordered monomials, odd slots at most once, with rational
     and irrational coefficients."""

@@ -1,0 +1,57 @@
+"""Opt-in correctness sweep over the supported ladder.
+
+Every descriptor of 50 dims or fewer among gl/sl m|n (m, n <= 5, m != n),
+psl n|n (n <= 4) and spo 2n|m (2n <= 10, m <= 7) must build to an algebra
+that ``validate`` passes, and its relation report must be ``ok``.  The
+sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
+
+    MINWSUPER_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
+"""
+
+import os
+
+import pytest
+
+from minwsuper import wgen
+from minwsuper.grading import grade
+from minwsuper.superalgebra import build_algebra, validate
+
+MAX_DIM = 50
+
+
+def _dim(family, p, q):
+    if family == "gl":
+        return (p + q) ** 2
+    if family == "sl":
+        return (p + q) ** 2 - 1
+    if family == "psl":
+        return 4 * p * p - 2
+    n = p // 2  # spo 2n|m: sp(2n) + so(m) even, C^2n x C^m odd
+    return n * (2 * n + 1) + q * (q - 1) // 2 + 2 * n * q
+
+
+def ladder():
+    rows = [(fam, m, n) for fam in ("gl", "sl")
+            for m in range(1, 6) for n in range(1, 6) if m != n]
+    # psl:1|1 is abelian and has no minimal root, so the rows start at 2|2
+    rows += [("psl", n, n) for n in range(2, 5)]
+    rows += [("spo", twon, m) for twon in range(2, 11, 2) for m in range(1, 8)]
+    return ["%s:%d|%d" % row for row in rows if _dim(*row) <= MAX_DIM]
+
+
+def test_ladder_rows():
+    rows = ladder()
+    assert len(rows) == len(set(rows)) == 51
+    assert {"sl:3|4", "psl:3|3", "spo:8|1", "spo:4|6"} <= set(rows)
+    assert build_algebra("spo:4|6").dim == _dim("spo", 4, 6) == 49
+
+
+@pytest.mark.skipif(os.environ.get("MINWSUPER_SWEEP") != "1",
+                    reason="ladder sweep runs only with MINWSUPER_SWEEP=1")
+@pytest.mark.parametrize("desc", ladder())
+def test_ladder_validates_and_verifies(desc):
+    g = build_algebra(desc)
+    assert g.dim <= MAX_DIM, desc
+    assert validate(g) == [], desc
+    rep = wgen.verify_relations(grade(g))
+    assert rep["ok"], [i for i in rep["identities"] if i["failures"]]

@@ -6,7 +6,7 @@ import sympy
 
 from minwsuper.errors import PreconditionError, UnsupportedFamilyError
 from minwsuper.grading import grade
-from minwsuper.scalar import ONE, scalar
+from minwsuper.scalar import ONE, ZERO, scalar
 from minwsuper.superalgebra import (
     LinearSolver,
     _rational_inverse,
@@ -113,6 +113,38 @@ def test_validate_detects_damage():
     assert report == DAMAGED_ZERO_REPORT
 
 
+# Regression freezes, not independent truths: the full reports of two
+# damaged sl:2|1 forms, strings and order, read from the build that still
+# stored the form as a dense dim x dim tuple and checked invariance one
+# (i, j, k) triple at a time.
+DAMAGED_DIAGONAL_FORM_REPORT = [
+    "form not invariant at (%s)" % t for t in (
+        "0,2,4", "0,3,6", "0,4,2", "0,6,3", "2,4,0", "3,6,0", "4,2,0",
+        "6,3,0")
+]
+DAMAGED_ODD_FORM_REPORT = [
+    "form not even at (0,3)", "form not supersymmetric at (0,3)",
+    "form not supersymmetric at (3,0)",
+] + [
+    "form not invariant at (%s)" % t for t in (
+        "0,0,3", "0,1,3", "0,2,5", "0,3,0", "0,5,2", "2,4,3", "3,6,3",
+        "4,2,3", "6,3,3")
+]
+
+
+def test_validate_detects_form_damage():
+    # a diagonal Cartan entry grown by one: still even and supersymmetric
+    g = build_algebra("sl:2|1")
+    assert (0, 0) in g.form
+    g.form[(0, 0)] = g.form[(0, 0)] + ONE
+    assert validate(g) == DAMAGED_DIAGONAL_FORM_REPORT
+    # an entry pairing an even with an odd letter, stored one way only
+    g = build_algebra("sl:2|1")
+    assert (g.parity[0], g.parity[3]) == (0, 1) and (0, 3) not in g.form
+    g.form[(0, 3)] = ONE
+    assert validate(g) == DAMAGED_ODD_FORM_REPORT
+
+
 def test_bracket_bilinearity(algebras):
     g = algebras["spo:2|3"]
     x = {0: scalar(2), 3: scalar(Fraction(-1, 2))}
@@ -129,10 +161,11 @@ def test_bracket_bilinearity(algebras):
 
 def test_form_matches_pair(algebras):
     g = algebras["sl:2|1"]
+    assert all(g.form.values())
     for i in range(g.dim):
         for j in range(g.dim):
-            got = g.pair(g.basis_element(i), g.basis_element(j))
-            assert got == g.form[i][j]
+            got = g.pair({i: ONE}, {j: ONE})
+            assert got == g.form.get((i, j), ZERO)
 
 
 # -- root systems --------------------------------------------------------
