@@ -68,45 +68,28 @@ class MinimalGrading:
 
     def _build(self):
         g, rd = self.base, self.rd
-        pair = rd.pair
-        tt = pair(rd.theta, rd.theta)
-        self.scale = Fraction(2) / tt
-        work = g.with_form_scaled(self.scale)
-
-        self._ddeg = {}
-        for root in rd.roots:
-            d = 2 * pair(root, rd.theta) / tt
-            if d.denominator != 1:
-                raise ConsistencyError(
-                    "non-integral eigenvalue at %s" % (root,))
-            self._ddeg[root] = int(d)
-
         cartan = list(g.cartan)
         k = len(cartan)
 
-        # sl(2) part: e spans the theta space, f scaled so that [e, f] = h
-        e_vec = {rd.spaces[rd.theta][0]: ONE}
-        # coroot of theta: the work form is the base form times scale
-        tcoef = [sum(a * Fraction(c) for a, c in zip(row, rd.theta))
-                 / self.scale for row in rd.inverse]
-        h_vec = {cartan[i]: scalar(c) for i, c in enumerate(tcoef) if c}
-        f0 = {rd.spaces[_neg(rd.theta)][0]: ONE}
-        comm = work.bracket(e_vec, f0)
-        ratio = None
-        for i, c in comm.items():
-            if c:
-                ratio = h_vec.get(i, ZERO) / c
-                break
-        if ratio is None or not ratio:
-            raise ConsistencyError("[e, f] misses the coroot direction")
-        f_vec = {i: c * ratio for i, c in f0.items()}
-        if work.bracket(e_vec, f_vec) != h_vec:
+        # sl(2) part: e spans the theta space, f is scaled so that [e, f]
+        # is the coroot h, and the form so that (e, f) = 1, which makes
+        # (theta, theta) = 2
+        e_idx = rd.spaces[rd.theta][0]
+        f_idx = rd.spaces[_neg(rd.theta)][0]
+        e_vec = {e_idx: ONE}
+        h_vec = rd.coroot
+        t, c = next(iter(g.bracket_basis(e_idx, f_idx).items()))
+        f_vec = {f_idx: h_vec[t] / c}
+        if g.bracket(e_vec, f_vec) != h_vec:
             raise ConsistencyError("triple normalization failed")
+        self.scale = g.pair(e_vec, f_vec).inv().as_fraction()
+        work = g.with_form_scaled(self.scale)
+        degree = rd.degree
 
         self.s = sum(rd.multiplicity(r) for r in rd.roots
-                     if self._ddeg[r] == -1 and not rd.parity[r])
+                     if degree[r] == -1 and not rd.parity[r])
         self.r = sum(rd.multiplicity(r) for r in rd.roots
-                     if self._ddeg[r] == -1 and rd.parity[r])
+                     if degree[r] == -1 and rd.parity[r])
         self.parity_type = "odd" if self.r % 2 else "even"
 
         chi0 = lambda x: work.pair(e_vec, x)
@@ -127,7 +110,7 @@ class MinimalGrading:
             out = [None] * size
             i = 0
             for root in sorted(r for r in rd.roots
-                               if self._ddeg[r] == -1 and r != half
+                               if degree[r] == -1 and r != half
                                and rd.parity[r] == parity
                                and not rd.is_positive(r)):
                 members = [{j: ONE} for j in rd.spaces[root]]
@@ -152,7 +135,7 @@ class MinimalGrading:
 
         # degree 0 dual root-vector bases, against the invariant form
         pos_zero = sorted(r for r in rd.roots
-                          if self._ddeg[r] == 0 and rd.is_positive(r))
+                          if degree[r] == 0 and rd.is_positive(r))
 
         xs, xstars, ys, ystars = [], [], [], []
         for root in pos_zero:
@@ -224,7 +207,7 @@ class MinimalGrading:
             zero if rt is None else self.restrict_weight(rt)
             for rt in self._roots_new)
         self.degrees = tuple(
-            self._ddeg[rt] if rt is not None else 0 for rt in self._roots_new)
+            degree[rt] if rt is not None else 0 for rt in self._roots_new)
         spaces = {}
         for i, d in enumerate(self.degrees):
             spaces.setdefault(d, []).append(i)

@@ -199,11 +199,13 @@ class LieSuperalgebra:
         return None if seen else 0
 
     def with_form_scaled(self, c):
+        """The same algebra with the form times c; it owns its bracket rows."""
         c = scalar(c)
         form = {key: v * c for key, v in self.form.items()}
-        g = LieSuperalgebra(self.family, self.params, self.labels, self.parity,
-                            self._bracket, form, self.cartan, self.display)
-        return g
+        bracket = {key: dict(row) for key, row in self._bracket.items()}
+        return LieSuperalgebra(self.family, self.params, self.labels,
+                               self.parity, bracket, form, self.cartan,
+                               self.display)
 
     def rebase(self, new_basis, new_cartan, labels=None):
         """Rewrite the algebra on a new ordered basis (list of coordinate dicts).
@@ -573,13 +575,14 @@ class RootDatum:
     weights: the weight tuple of every basis index, zero on the Cartan.
     theta: the chosen minimal root; positive/simple per the convention
     that puts theta (or theta/2 in the odd case) last among the simples.
-    pair: the induced form on weight tuples (see weight_form).
-    inverse: the inverse of the Cartan Gram matrix that ``pair`` applies,
-    as Fraction rows; the one inversion of that matrix per root pass.
+    coroot: h = [e_theta, e_-theta] scaled so that theta(h) = 2, as a
+    coordinate dict over the Cartan letters; it does not depend on the
+    scale of the form.
+    degree: root -> alpha(h), the ad-h degree 2(alpha, theta)/(theta, theta).
     """
 
     def __init__(self, g, roots, spaces, parity, theta, positive, simple,
-                 pair, weights):
+                 coroot, degree, weights):
         self.algebra = g
         self.roots = roots
         self.spaces = spaces
@@ -587,9 +590,9 @@ class RootDatum:
         self.theta = theta
         self.positive = positive
         self.simple = simple
-        self.pair = pair
+        self.coroot = coroot
+        self.degree = degree
         self.weights = weights
-        self.inverse = pair.inverse
 
     def is_positive(self, root):
         return root in self.positive
@@ -620,59 +623,52 @@ def _weights_of_basis(g):
     return weights
 
 
-def cartan_gram(g):
-    """Gram matrix of the form restricted to the Cartan basis (Fractions)."""
-    idx = g.cartan
-    return [[g.form.get((a, b), ZERO).as_fraction() for b in idx] for a in idx]
+def minimal_root_candidates(g, weights):
+    """Even roots theta with integral short ad-h spectrum and dim g(2) = 1.
 
-
-def weight_form(g):
-    """The induced pairing on weight vectors, (a, b) = a^T Gc^{-1} b; the
-    inverse Gc^{-1} rides along as ``pair.inverse``."""
-    inv = _rational_inverse(cartan_gram(g))
-
-    def pair(a, b):
-        return sum(ai * sum(r * bj for r, bj in zip(row, b))
-                   for ai, row in zip(a, inv))
-
-    pair.inverse = inv
-    return pair
-
-
-def minimal_root_candidates(g, weights=None, pair=None):
-    """Even roots theta with integral short ad-h_theta spectrum and dim g(2) = 1."""
-    if weights is None:
-        weights = _weights_of_basis(g)
-    if pair is None:
-        pair = weight_form(g)
-    inv = pair.inverse
+    h is the coroot [e_theta, e_-theta], read from the bracket table and
+    scaled so that theta(h) = 2.  By invariance it is (e, f) times the
+    vector dual to theta, so alpha(h) = 2(alpha, theta)/(theta, theta)
+    with no form and no inverse.  Returns a dict, sorted by root, of
+    theta -> (coroot over the Cartan letters, root -> degree).
+    """
+    position = {c: t for t, c in enumerate(g.cartan)}
     zero = tuple(Fraction(0) for _ in g.cartan)
     seen = {}
     for i in range(g.dim):
         if weights[i] != zero:
             seen.setdefault(weights[i], []).append(i)
-    cands = []
+    cands = {}
     for theta, idxs in seen.items():
         if any(g.parity[i] for i in idxs):
             continue
-        # pair(alpha, theta) is alpha . Gc^{-1} theta; one product per theta
-        dual = [sum(r * tj for r, tj in zip(row, theta)) for row in inv]
-        tt = sum(ti * di for ti, di in zip(theta, dual))
-        if not tt:
+        neg = seen.get(tuple(-c for c in theta))
+        if not neg:
             continue
-        ok = True
+        h = {}
+        for i, c in g.bracket_basis(idxs[0], neg[0]).items():
+            if i not in position:
+                raise ConsistencyError(
+                    "[e, f] leaves the Cartan at %s" % (theta,))
+            h[position[i]] = c.as_fraction()
+        height = sum(c * theta[t] for t, c in h.items())
+        if not height:
+            continue
+        h = {t: 2 * c / height for t, c in h.items()}
+        degree = {}
         top = 0
         for alpha, jdxs in seen.items():
-            ev = 2 * sum(ai * di for ai, di in zip(alpha, dual)) / tt
+            ev = sum(c * alpha[t] for t, c in h.items())
             if ev.denominator != 1 or abs(ev) > 2:
-                ok = False
                 break
+            degree[alpha] = int(ev)
             if ev == 2:
                 top += len(jdxs)
-        if ok and top == 1:
-            cands.append(theta)
-    cands.sort()
-    return cands
+        else:
+            if top == 1:
+                coroot = {g.cartan[t]: scalar(c) for t, c in sorted(h.items())}
+                cands[theta] = coroot, degree
+    return dict(sorted(cands.items()))
 
 
 def _root_hint(theta, roots, rank):
@@ -704,8 +700,7 @@ def root_decomposition(g, theta=None):
     list is checked against the candidates.
     """
     weights = _weights_of_basis(g)
-    pair = weight_form(g)
-    cands = minimal_root_candidates(g, weights, pair)
+    cands = minimal_root_candidates(g, weights)
     if not cands:
         raise PreconditionError("no minimal root exists for %s" % g.display)
     zero = tuple(Fraction(0) for _ in g.cartan)
@@ -729,20 +724,20 @@ def root_decomposition(g, theta=None):
 
     if theta is None:
         # canonical pick: coordinate-lex maximum (first sp / first block root)
-        theta = cands[-1]
+        theta = max(cands)
     else:
         theta = _root_hint(theta, roots, len(g.cartan))
         if theta not in cands:
-            raise PreconditionError(
-                "root %s is not minimal; valid candidates: %s" % (theta, cands))
+            raise PreconditionError("root %s is not minimal; valid "
+                                    "candidates: %s" % (theta, list(cands)))
+    coroot, degree = cands[theta]
 
-    tt = pair(theta, theta)
     half = tuple(c / 2 for c in theta)
-    eta = _generic_functional(g, roots, theta, pair)
+    eta = _generic_functional(g, roots, theta, degree)
     positive = set()
     for root in roots:
         key = eta[root]
-        if key > 0 or (key == 0 and 2 * pair(root, theta) / tt > 0):
+        if key > 0 or (key == 0 and degree[root] > 0):
             positive.add(root)
 
     pos_list = sorted(positive)
@@ -762,8 +757,8 @@ def root_decomposition(g, theta=None):
         raise ConsistencyError("adapted root is not simple")
     rest = sorted((r for r in simple if r != last), key=lambda r: (eta[r], r))
     simple = rest + [last]
-    return RootDatum(g, roots, spaces, parity, theta, positive, simple, pair,
-                     weights)
+    return RootDatum(g, roots, spaces, parity, theta, positive, simple, coroot,
+                     degree, weights)
 
 
 def _proportional(a, b):
@@ -791,15 +786,14 @@ def _diagonal_coordinates(g, root):
     return c
 
 
-def _generic_functional(g, roots, theta, pair):
+def _generic_functional(g, roots, theta, degree):
     """Values of a functional vanishing on theta and nowhere else.
 
     Starts from strictly decreasing weights along the matrix diagonal
     (so the usual ordering of the standard basis functionals), then
-    projects out the theta component, ``pair`` being the weight form.
-    Degenerate seeds get bumped.
+    projects out the theta component along the coroot, whose value on a
+    root is ``degree[root]`` (2 on theta).  Degenerate seeds get bumped.
     """
-    tt = pair(theta, theta)
     th = _diagonal_coordinates(g, theta)
     d = len(th)
     power = 1
@@ -810,7 +804,7 @@ def _generic_functional(g, roots, theta, pair):
         def value(root):
             c = _diagonal_coordinates(g, root)
             e0 = sum(wi * ci for wi, ci in zip(w, c))
-            return e0 - base * pair(root, theta) / tt
+            return e0 - base * Fraction(degree[root], 2)
 
         eta = {root: value(root) for root in roots}
         if all(eta[r] for r in roots if not _proportional(r, theta)):

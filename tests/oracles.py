@@ -3,16 +3,18 @@
 Everything in here deliberately avoids the package's own algorithms:
 the word rewriter works on whole words without memoization, scanning
 for the last inversion instead of multiplying letter by letter, and
-the dimension counts are plain generating-function walks.  The
-theta-height chain at the end (simple-root coefficients, heights and the
-grading element h0 of type odd) reads a grading in a way no package code
-needs; it uses the package's exact solvers.
+the dimension counts are plain generating-function walks, and the
+minimal-root test pairs roots through the inverted Cartan Gram matrix
+where the package reads the coroot [e_theta, e_-theta].  The theta-height
+chain at the end (simple-root coefficients, heights and the grading
+element h0 of type odd) reads a grading in a way no package code needs;
+it uses the package's exact solvers.
 """
 
 from fractions import Fraction
 
 from minwsuper.errors import ConsistencyError, PreconditionError
-from minwsuper.scalar import ONE, Scalar, scalar
+from minwsuper.scalar import ONE, ZERO, Scalar, scalar
 from minwsuper.superalgebra import LinearSolver, _rational_inverse
 
 
@@ -88,6 +90,56 @@ def sympy_equals(value, expr):
                   * sympy.sqrt(sympy.Integer(key)))
     # exact: equal only when sympy reduces the difference to 0
     return sympy.expand(sympy.radsimp(total - expr)) == 0
+
+
+def cartan_gram(g):
+    """Gram matrix of the form restricted to the Cartan basis (Fractions)."""
+    idx = g.cartan
+    return [[g.form.get((a, b), ZERO).as_fraction() for b in idx] for a in idx]
+
+
+def weight_form(g):
+    """The induced pairing on weight vectors, (a, b) = a^T Gc^{-1} b."""
+    inv = _rational_inverse(cartan_gram(g))
+
+    def pair(a, b):
+        return sum(ai * sum(r * bj for r, bj in zip(row, b))
+                   for ai, row in zip(a, inv))
+    return pair
+
+
+def gram_minimal_roots(g, weights):
+    """Even roots theta with integral short spectrum and dim g(2) = 1,
+    found through the inverse Gc^{-1} of the Cartan Gram matrix.
+
+    Same shape as ``minimal_root_candidates``: theta -> (coroot, degree),
+    sorted by theta, where the coroot is 2 Gc^{-1} theta / (theta, theta)
+    over the Cartan letters and alpha has degree
+    2 (alpha, theta) / (theta, theta).
+    """
+    inv = _rational_inverse(cartan_gram(g))
+    zero = tuple(Fraction(0) for _ in g.cartan)
+    seen = {}
+    for i in range(g.dim):
+        if weights[i] != zero:
+            seen.setdefault(weights[i], []).append(i)
+    out = {}
+    for theta, idxs in sorted(seen.items()):
+        if any(g.parity[i] for i in idxs):
+            continue
+        dual = [sum(r * tj for r, tj in zip(row, theta)) for row in inv]
+        tt = sum(ti * di for ti, di in zip(theta, dual))
+        if not tt:
+            continue
+        degree = {alpha: 2 * sum(ai * di for ai, di in zip(alpha, dual)) / tt
+                  for alpha in seen}
+        if any(d.denominator != 1 or abs(d) > 2 for d in degree.values()):
+            continue
+        if sum(len(seen[a]) for a, d in degree.items() if d == 2) != 1:
+            continue
+        coroot = {c: scalar(2 * d / tt) for c, d in zip(g.cartan, dual) if d}
+        out[theta] = (coroot, degree)
+    return out
 
 
 def simple_inverse(grading):

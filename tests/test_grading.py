@@ -17,12 +17,12 @@ from minwsuper.grading import (
     weights_delta_rho,
 )
 from minwsuper.scalar import ONE, ZERO, scalar
-from minwsuper import grading, superalgebra
+from minwsuper import grading, superalgebra, wgen
 from minwsuper.superalgebra import (LinearSolver, _rational_inverse,
                                     build_algebra, root_decomposition,
                                     validate)
 
-from oracles import compute_h0, theta_height
+from oracles import cartan_gram, compute_h0, theta_height
 
 NAMES = ["osp:1|2", "spo:2|3", "sl:2|1", "psl:2|2", "spo:2|4",
          "spo:4|1", "sl:2|3", "spo:4|2", "gl:2|1"]
@@ -374,7 +374,7 @@ def test_letter_weights_match_per_root_sums(gradings):
              * rd.multiplicity(root)) for root in rd.positive), name
         ladder = [(root, (-1 if rd.parity[root] else 1)
                    * rd.multiplicity(root)) for root in rd.positive
-                  if rd.pair(root, mg.theta) == 0]
+                  if rd.degree[root] == 0]
         assert wd.rho_e0_bar == total(
             (root, c * half) for root, c in ladder), name
         if mg.parity_type == "odd":
@@ -476,11 +476,29 @@ def test_structure_constants_frozen():
         assert got == want, name
 
 
+def test_grade_ignores_the_form_scale():
+    # the adapted form is normalized by (e, f) = 1, so grading a rescaled
+    # form gives the same letters, structure constants, c0 and epsilon
+    for name in ("sl:2|1", "spo:2|3", "psl:2|2", "spo:4|3"):
+        g = build_algebra(name)
+        base = grade(g)
+        want = base.algebra.to_json_dict()
+        odd = base.parity_type == "odd"
+        c0 = wgen.compute_c0(base)
+        eps = wgen.compute_epsilon(base) if odd else None
+        for c in (2, 3, -1, Fraction(1, 3)):
+            gr = grade(g.with_form_scaled(c))
+            assert gr.algebra.to_json_dict() == want, (name, c)
+            assert wgen.compute_c0(gr) == c0, (name, c)
+            if odd:
+                assert wgen.compute_epsilon(gr) == eps, (name, c)
+
+
 def test_grade_makes_one_root_pass(monkeypatch):
-    # the root datum owns the weights, the weight form, the candidates and
-    # the one inverse of the Cartan Gram matrix
+    # the root datum owns the weights, the candidates with their coroots
+    # and degrees, and no inverse of the Cartan Gram matrix
     calls = {}
-    for name in ("weight_form", "_weights_of_basis", "minimal_root_candidates"):
+    for name in ("_weights_of_basis", "minimal_root_candidates"):
         original = getattr(superalgebra, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -498,12 +516,12 @@ def test_grade_makes_one_root_pass(monkeypatch):
         monkeypatch.setattr(module, "_rational_inverse", recorded)
     g = build_algebra("spo:2|3")
     grade(g)
-    assert calls == {"weight_form": 1, "_weights_of_basis": 1,
-                     "minimal_root_candidates": 1}
+    assert calls == {"_weights_of_basis": 1, "minimal_root_candidates": 1}
+    assert inverted
 
     # inversions of the Cartan Gram matrix, or of any multiple of it such
     # as the Gram matrix of the rescaled form
-    gram = superalgebra.cartan_gram(g)
+    gram = cartan_gram(g)
     k = len(gram)
 
     def multiple_of_gram(m):
@@ -513,4 +531,4 @@ def test_grade_makes_one_root_pass(monkeypatch):
         c = m[a][b] / gram[a][b]
         return all(m[a][b] == c * gram[a][b]
                    for a in range(k) for b in range(k))
-    assert sum(map(multiple_of_gram, inverted)) == 1
+    assert sum(map(multiple_of_gram, inverted)) == 0

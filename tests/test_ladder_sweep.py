@@ -2,7 +2,8 @@
 
 Every descriptor of 50 dims or fewer among gl/sl m|n (m, n <= 5, m != n),
 psl n|n (n <= 4) and spo 2n|m (2n <= 10, m <= 7) must build to an algebra
-that ``validate`` passes, and its relation report must be ``ok``.  The
+that ``validate`` passes, its root pass must agree with the Gram-inverse
+oracle, and its relation report must be ``ok``.  The
 sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
 
     MINWSUPER_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
@@ -14,7 +15,11 @@ import pytest
 
 from minwsuper import wgen
 from minwsuper.grading import grade
-from minwsuper.superalgebra import build_algebra, validate
+from minwsuper.superalgebra import (_weights_of_basis, build_algebra,
+                                    minimal_root_candidates,
+                                    root_decomposition, validate)
+
+from oracles import gram_minimal_roots, weight_form
 
 MAX_DIM = 50
 
@@ -53,5 +58,14 @@ def test_ladder_validates_and_verifies(desc):
     g = build_algebra(desc)
     assert g.dim <= MAX_DIM, desc
     assert validate(g) == [], desc
+    weights = _weights_of_basis(g)
+    cands = minimal_root_candidates(g, weights)
+    want = gram_minimal_roots(g, weights)
+    assert list(cands) == list(want) and cands == want, desc
+    rd = root_decomposition(g)
+    pair = weight_form(g)
+    tt = pair(rd.theta, rd.theta)
+    assert all(rd.degree[a] == 2 * pair(a, rd.theta) / tt
+               for a in rd.roots), desc
     rep = wgen.verify_relations(grade(g))
     assert rep["ok"], [i for i in rep["identities"] if i["failures"]]

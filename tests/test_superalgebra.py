@@ -11,13 +11,15 @@ from minwsuper.superalgebra import (
     LinearSolver,
     _rational_inverse,
     _rational_kernel,
+    _weights_of_basis,
     build_algebra,
     minimal_root_candidates,
     parse_descriptor,
     root_decomposition,
     validate,
-    weight_form,
 )
+
+from oracles import gram_minimal_roots, weight_form
 
 DIMS = {
     "osp:1|2": (3, 2),
@@ -145,6 +147,22 @@ def test_validate_detects_form_damage():
     assert validate(g) == DAMAGED_ODD_FORM_REPORT
 
 
+def test_form_scaled_copy_owns_its_brackets():
+    # a bracket row written into one algebra leaves the other intact
+    for damaged in ("base", "scaled"):
+        base = build_algebra("sl:2|1")
+        pair = {"base": base, "scaled": base.with_form_scaled(2)}
+        other = pair["scaled" if damaged == "base" else "base"]
+        rows = other.to_json_dict()["bracket"]
+        g = pair[damaged]
+        key = next(k for k, v in g._bracket.items() if v)
+        tgt = next(iter(g._bracket[key]))
+        g._bracket[key][tgt] = g._bracket[key][tgt] + ONE
+        assert validate(g) == DAMAGED_CONSTANT_REPORT, damaged
+        assert other.to_json_dict()["bracket"] == rows, damaged
+        assert validate(other) == [], damaged
+
+
 def test_bracket_bilinearity(algebras):
     g = algebras["spo:2|3"]
     x = {0: scalar(2), 3: scalar(Fraction(-1, 2))}
@@ -255,7 +273,7 @@ def test_simple_roots_indecomposable(algebras):
 
 def test_minimal_candidates(algebras):
     g = algebras["osp:1|2"]
-    cands = minimal_root_candidates(g)
+    cands = minimal_root_candidates(g, _weights_of_basis(g))
     rd = root_decomposition(g)
     assert rd.theta in cands
     assert tuple(-c for c in rd.theta) in cands
@@ -266,11 +284,26 @@ def test_minimal_candidates(algebras):
 
 def test_theta_hint_respected(algebras):
     g = algebras["spo:2|3"]
-    cands = minimal_root_candidates(g)
+    cands = minimal_root_candidates(g, _weights_of_basis(g))
     other = next(c for c in cands if c != root_decomposition(g).theta)
     rd = root_decomposition(g, theta=other)
     assert rd.theta == other
     assert rd.simple[-1] == halves(other)
+
+
+def test_root_pass_matches_gram_oracle(algebras):
+    # the coroot [e_theta, e_-theta] gives the same candidates, coroots and
+    # degrees as pairing through the inverted Cartan Gram matrix
+    for desc, g in algebras.items():
+        weights = _weights_of_basis(g)
+        cands = minimal_root_candidates(g, weights)
+        want = gram_minimal_roots(g, weights)
+        assert list(cands) == list(want) and cands == want, desc
+        rd = root_decomposition(g)
+        pair = weight_form(g)
+        tt = pair(rd.theta, rd.theta)
+        assert all(rd.degree[a] == 2 * pair(a, rd.theta) / tt
+                   for a in rd.roots), desc
 
 
 # -- classification ----------------------------------------------------------

@@ -29,6 +29,11 @@ C0_VALUES = {
     "psl:2|2": Fraction(1),
     "spo:2|5": Fraction(19, 16),
     "gl:2|1": Fraction(1, 4),
+    # regression freezes of the current build, the values perfbench gates
+    "spo:4|3": Fraction(-1, 16),
+    "sl:3|2": Fraction(1, 4),
+    "spo:2|4": Fraction(7, 8),
+    "spo:2|6": Fraction(3, 2),
 }
 
 EPSILON_VALUES = {
@@ -37,6 +42,8 @@ EPSILON_VALUES = {
     "spo:4|1": Fraction(1, 16),
     "spo:6|1": Fraction(9, 16),
     "spo:2|5": Fraction(25, 16),
+    # regression freeze of the current build, the value perfbench gates
+    "spo:4|3": Fraction(1, 16),
 }
 
 
@@ -348,7 +355,8 @@ def test_workspace_is_cached(gradings):
 
 def test_relation_suite_passes(gradings):
     for name in ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1", "psl:2|2",
-                 "gl:2|1", "sl:3|1", "spo:2|4"]:
+                 "gl:2|1", "sl:3|1", "spo:2|4", "spo:2|5", "spo:4|3",
+                 "spo:6|1", "sl:3|2"]:
         mg = gradings.get(name) or grade(build_algebra(name))
         rep = wgen.verify_relations(mg)
         assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
