@@ -24,7 +24,8 @@ from fractions import Fraction
 from .envelope import render_element
 from .errors import ConsistencyError, PreconditionError
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from .wgen import WElement, _check_exponents, workspace
+from .superalgebra import LinearSolver, _rational_inverse, _rational_tuple
+from .wgen import WElement, _check_exponents, _workspace_of, workspace
 
 EIGHTH = scalar(Fraction(1, 8))
 
@@ -42,13 +43,15 @@ class NotHomogeneousError(PreconditionError):
 
 class CartanWElement:
     """Linear combination of ordered generator monomials.  The constructor
-    checks every exponent key; the arithmetic builds through ``_wrap``."""
+    checks every exponent key and coerces every coefficient to a Scalar;
+    the arithmetic builds through ``_wrap``."""
 
     __slots__ = ("cw", "coords")
 
     def __init__(self, cw, coords):
         _check_exponents(coords, cw.parities)
         self.cw = cw
+        coords = {e: scalar(c) for e, c in coords.items()}
         self.coords = {e: c for e, c in coords.items() if c}
 
     def is_zero(self):
@@ -408,7 +411,7 @@ def restricted_weight(x):
     Raises :class:`NotHomogeneousError` with the weight decomposition
     when several weights occur.
     """
-    wal = x.wal
+    wal = _workspace_of(x)
     gr = wal.grading
     zero = tuple(Fraction(0) for _ in gr.hes)
     # letters of weight zero add nothing, so only the others are summed
@@ -432,94 +435,69 @@ def restricted_weight(x):
         % (len(split), sorted(split)), split)
 
 
-def _positive_functional(vectors):
-    """Rational functional with value >= 1 on every vector, or None.
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
-    Plain Fourier-Motzkin elimination; the systems here are tiny (a
-    handful of restricted roots in rank at most a few).
-    """
-    if not vectors:
-        return ()
-    d = len(vectors[0])
-    rows = [(tuple(Fraction(a) for a in alpha), Fraction(1))
-            for alpha in vectors]
-    stack = []
-    for var in range(d - 1, 0, -1):
-        lows, highs, keep = [], [], []
-        for coeffs, const in rows:
-            c = coeffs[var]
-            head = coeffs[:var]
-            if c > 0:
-                lows.append((tuple(-a / c for a in head), const / c))
-            elif c < 0:
-                highs.append((tuple(-a / c for a in head), const / c))
-            else:
-                keep.append((head, const))
-        stack.append((var, lows, highs))
-        rows = keep + [
-            (tuple(h - l for h, l in zip(hc, lc)), lk - hk)
-            for lc, lk in lows for hc, hk in highs]
-    lo = hi = None
-    for coeffs, const in rows:
-        c = coeffs[0]
-        if c > 0 and (lo is None or const / c > lo):
-            lo = const / c
-        elif c < 0 and (hi is None or const / c < hi):
-            hi = const / c
-        elif c == 0 and const > 0:
-            return None
-    if lo is None:
-        lo = hi if hi is not None else Fraction(0)
-    if hi is not None and lo > hi:
-        return None
-    out = [Fraction(0)] * d
-    out[0] = lo
-    for var, lows, highs in reversed(stack):
-        lo_v = hi_v = None
-        for bc, bk in lows:
-            val = bk + sum(c * out[j] for j, c in enumerate(bc))
-            if lo_v is None or val > lo_v:
-                lo_v = val
-        for bc, bk in highs:
-            val = bk + sum(c * out[j] for j, c in enumerate(bc))
-            if hi_v is None or val < hi_v:
-                hi_v = val
-        if lo_v is None:
-            lo_v = hi_v if hi_v is not None else Fraction(0)
-        out[var] = lo_v
-    return tuple(out)
+
+def _positive_functional(grading):
+    """Coordinates l over the h^e letters of the t in h^e with
+    l . restrict(alpha) = alpha(t) = rd.eta[alpha] on every root.  The
+    independent restricted weights alpha_i of positive roots give a Gram
+    system whose solution y makes l = sum_i y_i alpha_i, the t in their
+    span (a direction of h^e, such as a centre, may be seen by no root)."""
+    rd = grading.rd
+    solver = LinearSolver()
+    basis, values = [], []
+    for root in sorted(rd.positive):
+        wt = grading.restrict_weight(root)
+        if solver.add(len(basis), dict(enumerate(wt))):
+            basis.append(wt)
+            values.append(rd.eta[root])
+    gram = [[_dot(a, b) for b in basis] for a in basis]
+    y = [_dot(row, values) for row in _rational_inverse(gram)]
+    return tuple(_dot(y, [a[k] for a in basis])
+                 for k in range(len(grading.hes)))
 
 
 class RestrictedRootData:
     """Nonzero weights of the level torus with the dominance order.
 
     ``positive`` holds the weights of the raising letters; dominance
-    asks for a nonnegative integer combination of those.  A strictly
-    positive functional on the positive set bounds the search, so the
-    comparator always terminates.
+    asks for a nonnegative integer combination of those.  The root pass's
+    functional must be positive on each of them; it bounds the search, so
+    the comparator always terminates.
     """
 
     def __init__(self, grading, positive, roots):
         self.grading = grading
         self.positive = positive
         self.roots = roots
-        self._ell = _positive_functional(positive)
+        self._ell = _positive_functional(grading)
         self._memo = {}
-        if self._ell is None:
+        if any(self._height(alpha) <= 0 for alpha in positive):
             raise ConsistencyError(
-                "positive restricted roots are not contained in an open "
-                "half-space; the dominance order would not be a partial "
-                "order: %s" % (positive,))
+                "the root pass's functional is not positive on every "
+                "raising weight; the dominance order would not be a "
+                "partial order: %s" % (positive,))
+        self._order = sorted(positive, key=self._height, reverse=True)
 
     def _height(self, phi):
-        return sum(a * b for a, b in zip(self._ell, phi))
+        return _dot(self._ell, phi)
 
     def dominates(self, lam, mu):
-        """True when lam - mu is a nonnegative integer root combination."""
-        diff = tuple(Fraction(a) - Fraction(b) for a, b in zip(lam, mu))
-        return self._expressible(0, diff)
+        """True when lam - mu is a nonnegative integer root combination.
+
+        Each weight holds one int or Fraction per h^e letter.
+        """
+        lam, mu = (_rational_tuple(x, len(self.grading.hes), "weight %r "
+                                   "is not one int or Fraction per h^e "
+                                   "letter (%d)") for x in (lam, mu))
+        return self._expressible(0, tuple(a - b for a, b in zip(lam, mu)))
 
     def _expressible(self, idx, diff):
+        """Whether diff is a nonnegative integer combination of the roots
+        from ``_order[idx]`` on.  They come by falling height, so the last,
+        which would branch most, is solved for directly."""
         if not any(diff):
             return True
         key = (idx, diff)
@@ -527,16 +505,19 @@ class RestrictedRootData:
         if hit is not None:
             return hit
         ok = False
-        if idx < len(self.positive) and self._height(diff) > 0:
-            alpha = self.positive[idx]
-            step = self._height(alpha)
-            top = int(self._height(diff) / step)
-            for n in range(top, -1, -1):
-                rest = tuple(d - n * a for d, a in zip(diff, alpha))
-                if self._height(rest) >= 0 and self._expressible(idx + 1,
-                                                                 rest):
-                    ok = True
-                    break
+        height = self._height(diff)
+        if idx < len(self._order) and height > 0:
+            alpha = self._order[idx]
+            top = height / self._height(alpha)
+            if idx + 1 == len(self._order):
+                ok = (top.denominator == 1
+                      and diff == tuple(top * a for a in alpha))
+            else:
+                for n in range(int(top), -1, -1):
+                    rest = tuple(d - n * a for d, a in zip(diff, alpha))
+                    if self._expressible(idx + 1, rest):
+                        ok = True
+                        break
         self._memo[key] = ok
         return ok
 
@@ -645,7 +626,7 @@ def project_pi(x, shifted=True):
     those images carry the closing shift, giving the algebra
     homomorphism rather than the bare linear projection.
     """
-    wal = x.wal
+    wal = _workspace_of(x)
     cw = build_cartan_w(wal.grading)
     wt = restricted_weight(x)
     if any(wt):

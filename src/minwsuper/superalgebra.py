@@ -579,10 +579,13 @@ class RootDatum:
     coordinate dict over the Cartan letters; it does not depend on the
     scale of the form.
     degree: root -> alpha(h), the ad-h degree 2(alpha, theta)/(theta, theta).
+    eta: root -> Fraction, the linear functional defining the positive
+    system; it vanishes on theta and on no root off the theta line, so it
+    is alpha -> alpha(t) for one t in h^e, the kernel of theta.
     """
 
     def __init__(self, g, roots, spaces, parity, theta, positive, simple,
-                 coroot, degree, weights):
+                 coroot, degree, eta, weights):
         self.algebra = g
         self.roots = roots
         self.spaces = spaces
@@ -592,6 +595,7 @@ class RootDatum:
         self.simple = simple
         self.coroot = coroot
         self.degree = degree
+        self.eta = eta
         self.weights = weights
 
     def is_positive(self, root):
@@ -671,6 +675,20 @@ def minimal_root_candidates(g, weights):
     return dict(sorted(cands.items()))
 
 
+def _rational_tuple(x, n, message):
+    """``x`` as n Fractions; anything but a sequence of n ints or
+    Fractions, bools included, raises ``message % (x, n)``."""
+    try:
+        entries = tuple(x)
+    except TypeError:
+        entries = None
+    if entries is None or len(entries) != n or any(
+            isinstance(c, bool) or not isinstance(c, (int, Fraction))
+            for c in entries):
+        raise PreconditionError(message % (x, n))
+    return tuple(Fraction(c) for c in entries)
+
+
 def _root_hint(theta, roots, rank):
     """The root a theta hint names: an index into ``roots``, or a sequence
     of ``rank`` ints or Fractions; anything else, bools included, is
@@ -679,17 +697,8 @@ def _root_hint(theta, roots, rank):
         if not 0 <= theta < len(roots):
             raise PreconditionError("root index %d out of range" % theta)
         return roots[theta]
-    try:
-        entries = tuple(theta)
-    except TypeError:
-        entries = None
-    if entries is None or len(entries) != rank or any(
-            isinstance(c, bool) or not isinstance(c, (int, Fraction))
-            for c in entries):
-        raise PreconditionError(
-            "theta hint %r is neither a root index nor %d rationals"
-            % (theta, rank))
-    return tuple(Fraction(c) for c in entries)
+    return _rational_tuple(
+        theta, rank, "theta hint %r is neither a root index nor %d rationals")
 
 
 def root_decomposition(g, theta=None):
@@ -758,15 +767,7 @@ def root_decomposition(g, theta=None):
     rest = sorted((r for r in simple if r != last), key=lambda r: (eta[r], r))
     simple = rest + [last]
     return RootDatum(g, roots, spaces, parity, theta, positive, simple, coroot,
-                     degree, weights)
-
-
-def _proportional(a, b):
-    for i in range(len(a)):
-        for j in range(len(a)):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
+                     degree, eta, weights)
 
 
 def _diagonal_coordinates(g, root):
@@ -793,6 +794,7 @@ def _generic_functional(g, roots, theta, degree):
     (so the usual ordering of the standard basis functionals), then
     projects out the theta component along the coroot, whose value on a
     root is ``degree[root]`` (2 on theta).  Degenerate seeds get bumped.
+    A root lies on the theta line exactly when 2 alpha = alpha(h) theta.
     """
     th = _diagonal_coordinates(g, theta)
     d = len(th)
@@ -807,6 +809,7 @@ def _generic_functional(g, roots, theta, degree):
             return e0 - base * Fraction(degree[root], 2)
 
         eta = {root: value(root) for root in roots}
-        if all(eta[r] for r in roots if not _proportional(r, theta)):
+        if all(eta[r] for r in roots
+               if any(2 * a != degree[r] * t for a, t in zip(r, theta))):
             return eta
         power += 1

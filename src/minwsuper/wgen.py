@@ -797,9 +797,17 @@ def theta_cas(grading):
     return workspace(grading).theta_cas()
 
 
+def _workspace_of(x):
+    """The workspace of a W-algebra element; anything else is rejected."""
+    if not isinstance(x, WElement):
+        raise PreconditionError("expected a WElement, got %s"
+                                % type(x).__name__)
+    return x.wal
+
+
 def _shared_workspace(a, b):
     """The workspace of two elements that may be combined."""
-    if a.wal is not b.wal:
+    if _workspace_of(a) is not _workspace_of(b):
         raise PreconditionError("elements live over different gradings")
     if a.flavor != b.flavor:
         raise PreconditionError("elements carry different invariance "
@@ -826,7 +834,7 @@ def compute_epsilon(grading):
 
 
 def pbw_coordinates(x):
-    return x.wal.pbw_coordinates(x.value)
+    return _workspace_of(x).pbw_coordinates(x.value)
 
 
 def _check_exponents(keys, parities):

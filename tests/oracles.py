@@ -3,7 +3,8 @@
 Everything in here deliberately avoids the package's own algorithms:
 the word rewriter works on whole words without memoization, scanning
 for the last inversion instead of multiplying letter by letter, and
-the dimension counts are plain generating-function walks, and the
+the dimension counts are plain generating-function walks, dominance
+is checked against every root combination in a small box, and the
 minimal-root test pairs roots through the inverted Cartan Gram matrix
 where the package reads the coroot [e_theta, e_-theta].  The theta-height
 chain at the end (simple-root coefficients, heights and the grading
@@ -90,6 +91,17 @@ def sympy_equals(value, expr):
                   * sympy.sqrt(sympy.Integer(key)))
     # exact: equal only when sympy reduces the difference to 0
     return sympy.expand(sympy.radsimp(total - expr)) == 0
+
+
+def root_combinations(positive, top):
+    """Every distinct sum of the weight tuples in ``positive`` with
+    coefficients 0..top each, found by enumeration, with no height
+    function: a set of Fraction tuples, the zero tuple included."""
+    sums = {tuple(Fraction(0) for _ in positive[0])} if positive else set()
+    for alpha in positive:
+        sums = {tuple(s + n * a for s, a in zip(base, alpha))
+                for base in sums for n in range(top + 1)}
+    return sums
 
 
 def cartan_gram(g):

@@ -15,8 +15,10 @@ from minwsuper.cartanw import (CartanWElement, NotHomogeneousError,
                                simple_module)
 from minwsuper.errors import PreconditionError
 from minwsuper.grading import grade
-from minwsuper.scalar import HALF, ONE, ZERO, axpy, scalar, sqrt
+from minwsuper.scalar import HALF, ONE, ZERO, Scalar, axpy, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
+
+from oracles import root_combinations
 
 ODD_NAMES = ["osp:1|2", "spo:2|3", "spo:4|1"]
 EVEN_NAMES = ["sl:2|1", "gl:2|1", "psl:2|2"]
@@ -279,6 +281,34 @@ def test_dominance_rank_two(gradings):
     assert not rr.dominates((lam[0] + 1, lam[1] + 1), lam)
 
 
+@pytest.mark.parametrize("name, theta, top", [
+    ("gl:2|1", None, 4), ("spo:4|1", None, 4), ("sl:3|1", None, 3),
+    ("psl:3|3", None, 1), ("spo:4|3", (0, 2, 0), 2)])
+def test_dominance_matches_root_combinations(name, theta, top):
+    # every non-negative integer combination of the positive restricted
+    # roots with coefficients up to top, from plain enumeration
+    rr = restricted_roots(grade(build_algebra(name), theta))
+    rank = len(rr.grading.hes)
+    combos = root_combinations(rr.positive, top)
+    assert len(combos) > 1
+    lam = tuple(Fraction(k + 1, 2) for k in range(rank))
+    for combo in combos:
+        up = tuple(a + c for a, c in zip(lam, combo))
+        assert rr.dominates(up, lam), (name, combo)
+        assert rr.dominates(lam, up) == (not any(combo)), (name, combo)
+
+
+def test_dominance_rejects_malformed_weights(gradings):
+    rr = restricted_roots(gradings["spo:4|1"])
+    assert len(rr.grading.hes) == 1
+    # too long, too short, a bool, a float, a Scalar, not a sequence
+    for lam, mu in (((2, 5), (0,)), ((0,), ()), ((True,), (0,)),
+                    ((0,), (0.5,)), ((ONE,), (0,)), (2, (0,))):
+        with pytest.raises(PreconditionError):
+            rr.dominates(lam, mu)
+    assert rr.dominates((2,), (Fraction(1),))
+
+
 # -- the projection -------------------------------------------------------
 
 
@@ -460,6 +490,36 @@ def test_element_rejects_bad_exponents(gradings):
     F = odd.gen("F")
     assert CartanWElement(odd, {(1, 0, 0, 0): ONE}) == F
     assert F * F == odd.unit().scale(q(-1))
+
+
+def test_element_coerces_coefficients(gradings):
+    cw = build_cartan_w(gradings["spo:4|1"])
+    unit = (0,) * len(cw.names)
+    x = CartanWElement(cw, {unit: 2, (0, 1, 0, 0): Fraction(1, 3),
+                            (0, 0, 1, 0): 0})
+    assert x == cw.unit().scale(2) + cw.gen("h1").scale(q(1, 3))
+    assert isinstance(x.coefficient(unit), Scalar)
+    assert x.render() == "(2)*1 + (1/3)*h1'"
+    assert repr(x) == "CartanWElement((2)*1 + (1/3)*h1')"
+    with pytest.raises(TypeError):
+        CartanWElement(cw, {unit: 0.5})
+
+
+def test_workspace_functions_reject_other_elements(gradings):
+    # a CartanWElement where a WElement belongs is a typed error, not an
+    # AttributeError
+    gr = gradings["spo:4|1"]
+    wrong = build_cartan_w(gr).gen("C")
+    right = wgen.casimir_C(gr)
+    calls = [lambda: project_pi(wrong), lambda: restricted_weight(wrong),
+             lambda: wgen.pbw_coordinates(wrong),
+             lambda: wgen.w_multiply(wrong, right),
+             lambda: wgen.w_multiply(right, wrong),
+             lambda: wgen.w_commutator(wrong, right),
+             lambda: wgen.w_commutator(right, wrong)]
+    for call in calls:
+        with pytest.raises(PreconditionError):
+            call()
 
 
 def _random_cartan_element(rng, cw):

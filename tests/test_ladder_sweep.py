@@ -3,8 +3,10 @@
 Every descriptor of 50 dims or fewer among gl/sl m|n (m, n <= 5, m != n),
 psl n|n (n <= 4) and spo 2n|m (2n <= 10, m <= 7) must build to an algebra
 that ``validate`` passes, its root pass must agree with the Gram-inverse
-oracle, and its relation report must be ``ok``.  The
-sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
+oracle, its restricted roots must build (the root pass's functional is
+positive on every raising weight), and its relation report must be
+``ok``.  The sweep takes minutes, so it runs only with
+``MINWSUPER_SWEEP=1`` set:
 
     MINWSUPER_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
 """
@@ -14,6 +16,7 @@ import os
 import pytest
 
 from minwsuper import wgen
+from minwsuper.cartanw import restricted_roots
 from minwsuper.grading import grade
 from minwsuper.superalgebra import (_weights_of_basis, build_algebra,
                                     minimal_root_candidates,
@@ -67,5 +70,7 @@ def test_ladder_validates_and_verifies(desc):
     tt = pair(rd.theta, rd.theta)
     assert all(rd.degree[a] == 2 * pair(a, rd.theta) / tt
                for a in rd.roots), desc
-    rep = wgen.verify_relations(grade(g))
+    gr = grade(g)
+    restricted_roots(gr)
+    rep = wgen.verify_relations(gr)
     assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
