@@ -299,7 +299,7 @@ def build_cartan_w(grading):
     images["C"] = wal.project(c_val)
 
     for name in names:
-        bad = wal.project(pbw.commutator(inj({gr.f: ONE}), images[name]))
+        bad = wal.project(pbw.ad(gr.f, images[name]))
         if bad:
             raise ConsistencyError(
                 "derived %s' is not invariant under the lowest root "
@@ -635,6 +635,6 @@ def project_pi(x, shifted=True):
             "element has weight %s" % (wt,))
     survivors = _survivor_slots(cw, shifted)
     keep = {slot for slot, _ in survivors}
-    coords = {expo: c for expo, c in wal.pbw_coordinates(x.value).items()
+    coords = {expo: c for expo, c in x._coordinates().items()
               if all(k in keep for k, n in enumerate(expo) if n)}
     return _substitute(cw, coords, survivors)

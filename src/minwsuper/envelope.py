@@ -12,6 +12,13 @@ in normal order (``word`` empty, ``x`` after its last letter, or an even
 only products that need rewriting go into the letter cache.  A commutator
 is summed word pair by word pair, and a pair whose letters all supercommute
 is skipped, since its two products cancel exactly.
+
+The adjoint action of one letter, ``ad(x, a) = [x, a]``, is what the
+invariance check of every W-algebra element asks for, and it meets the
+same few words again and again.  So each [x, w] for a letter x and a
+normal word w is built once, as x w - (-1)^{|x||w|} w x, and kept in the
+adjoint cache next to the letter cache; a word whose letters all
+supercommute with x has [x, w] = 0 and is neither built nor cached.
 """
 
 from .errors import PreconditionError
@@ -43,6 +50,8 @@ class PBWAlgebra:
                           for a in range(g.dim)}
         self.weights = dict(weights)
         self._cache = {}
+        # (letter, normal word) -> [letter, word], never empty
+        self._ad_cache = {}
 
     # -- basic elements ----------------------------------------------------
 
@@ -145,6 +154,28 @@ class PBWAlgebra:
                 axpy(out, c if pa and pb else -c, self._mul_word(wb, wa))
         return out
 
+    def ad(self, x, a):
+        """[x, a] for the letter x, as the sum of c [x, w] over the terms
+        c w of ``a``, each [x, w] read from the adjoint cache."""
+        out = {}
+        partners = self._partners[x]
+        cache = self._ad_cache
+        odd = self.g.parity[x]
+        for w, c in a.items():
+            if partners.isdisjoint(w):
+                continue
+            key = (x, w)
+            vec = cache.get(key)
+            if vec is None:
+                vec = dict(self._mul_word((x,), w))
+                axpy(vec, ONE if odd and self.word_parity(w) else -ONE,
+                     self._mul_letter(w, x))
+                if not vec:
+                    continue
+                cache[key] = vec
+            axpy(out, c, vec)
+        return out
+
     # -- filtration and quotients -------------------------------------------
 
     def kazhdan_degree(self, a):
@@ -165,7 +196,7 @@ class PBWAlgebra:
     def is_invariant(self, a, ad_letters, project=None):
         """None when every ad letter kills ``a``; else (letter, residual)."""
         for b in ad_letters:
-            res = self.commutator(self.inject({b: ONE}), a)
+            res = self.ad(b, a)
             if project is not None:
                 res = project(res)
             if res:

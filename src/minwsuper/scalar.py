@@ -428,9 +428,10 @@ HALF = Scalar.rational(Fraction(1, 2))
 #
 # Both write into ``out`` in place, so ``out`` must be a dict the caller
 # owns: start from ``{}`` or ``dict(x)``.  Never accumulate into a dict a
-# cache holds (a PBW product, a cached monomial or generator lift, the
-# Casimir, a Cartan image, a survivor slot image of the projection, the
-# coords of an existing element).
+# cache holds (a PBW product, an adjoint-cache [x, w], a cached monomial or
+# generator lift, the Casimir, a Cartan image, a survivor slot image of the
+# projection, the coords of an existing element, the coordinate memo of a
+# W-algebra element).
 
 
 def acc(out, key, c):
@@ -453,8 +454,11 @@ def axpy(out, c, vec):
     if not c:
         return
     get = out.get
+    # a Scalar c times the shared ONE of a normal-order append is c itself;
+    # an int or Fraction c is still multiplied, so every entry is a Scalar
+    one = _ONE if c.__class__ is Scalar else None
     for key, v in vec.items():
-        cv = c * v
+        cv = c if v is one else c * v
         cur = get(key)
         if cur is None:
             if cv:

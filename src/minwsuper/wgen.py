@@ -63,16 +63,18 @@ class WElement:
     ``value`` is a normal-form dict free of the lowest root vector;
     ``flavor`` records which twisted adjoint action certified it
     ("refined" for the full degree -1 block, "finite" for the block
-    with the midline letter removed).
+    with the midline letter removed).  Its coordinates over the ordered
+    generator monomials are straightened on first use and kept.
     """
 
-    __slots__ = ("wal", "value", "kdeg", "flavor")
+    __slots__ = ("wal", "value", "kdeg", "flavor", "_coords")
 
-    def __init__(self, wal, value, kdeg, flavor):
+    def __init__(self, wal, value, kdeg, flavor, coords=None):
         self.wal = wal
         self.value = value
         self.kdeg = kdeg
         self.flavor = flavor
+        self._coords = coords
 
     def is_zero(self):
         return not self.value
@@ -83,7 +85,15 @@ class WElement:
         if (self.flavor == "finite"
                 or self.wal.grading.parity_type == "even"):
             return self
-        return WElement(self.wal, self.value, self.kdeg, "finite")
+        return WElement(self.wal, self.value, self.kdeg, "finite",
+                        self._coords)
+
+    def _coordinates(self):
+        """``pbw_coordinates`` of the value, straightened once; callers
+        only read the dict."""
+        if self._coords is None:
+            self._coords = self.wal.pbw_coordinates(self.value)
+        return self._coords
 
     def __eq__(self, other):
         return (isinstance(other, WElement) and self.wal is other.wal
@@ -834,7 +844,10 @@ def compute_epsilon(grading):
 
 
 def pbw_coordinates(x):
-    return _workspace_of(x).pbw_coordinates(x.value)
+    """A fresh dict of the coordinates of ``x`` over the ordered
+    generator monomials."""
+    _workspace_of(x)
+    return dict(x._coordinates())
 
 
 def _check_exponents(keys, parities):

@@ -158,6 +158,7 @@ def test_quadratic_casimir_invariance(setups):
     assert res is not None  # sl2 Casimir is not the full Casimir here
     letter, residual = res
     assert letter == mg.vmid and residual
+    assert residual == pbw.commutator(pbw.inject({mg.vmid: ONE}), omega)
 
 
 def test_commutator_matches_bracket(setups):
@@ -205,6 +206,30 @@ def test_commutator_matches_products(setups):
             assert pbw.commutator(a, b) == want, name
             mixed += pbw.element_parity(a) is None
         assert mixed, name
+
+
+def test_ad_matches_commutator():
+    # [x, a] read from the adjoint cache is the superbracket with the
+    # letter, for every letter (odd ones, whose [x, x] reduces an odd
+    # square, and the lowest root vector f among them)
+    rng = random.Random(23)
+    for name in ["osp:1|2", "sl:2|1", "spo:2|3", "psl:2|2"]:
+        mg = grade(build_algebra(name))
+        pbw = PBWAlgebra(mg.algebra, weights=kazhdan_weights(mg))
+        dim = mg.algebra.dim
+        odd_squares = 0
+        for _ in range(2):
+            a = _random_element(rng, pbw, dim)
+            for x in range(dim):
+                b = dict(a)
+                axpy(b, ONE, pbw.from_words([((x,), ONE),
+                                             ((x, rng.randrange(dim)), HALF)]))
+                want = pbw.commutator(pbw.inject({x: ONE}), b)
+                assert pbw.ad(x, b) == want, (name, x)
+                odd_squares += mg.algebra.parity[x] and (x,) in b
+        assert odd_squares, name
+        assert pbw.ad(mg.f, {}) == {}
+        assert pbw._ad_cache and all(pbw._ad_cache.values()), name
 
 
 def test_letter_cache_holds_no_appends():

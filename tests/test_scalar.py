@@ -278,3 +278,22 @@ def test_axpy_rules():
     # a stored zero in the added vector is skipped, not copied
     axpy(out, ONE, {"z": ZERO})
     assert "z" not in out
+
+
+def test_axpy_keeps_a_scalar_multiple_of_one():
+    # a Scalar times the shared ONE is stored as that Scalar itself; an
+    # int or a Fraction multiple is still multiplied, so every stored
+    # coefficient is a Scalar
+    third = scalar(Fraction(1, 3))
+    for c in (scalar(Fraction(-2, 3)), 4, Fraction(5, 2)):
+        out = {}
+        axpy(out, c, {"one": ONE, "third": third})
+        assert out == {"one": c, "third": c * third}, c
+        assert all(type(v) is Scalar for v in out.values()), c
+        if type(c) is Scalar:
+            assert out["one"] is c
+    # an irrational Scalar too, and a present key still sums
+    r = sqrt(-2)
+    out = {"one": ONE}
+    axpy(out, r, {"one": ONE, "new": ONE})
+    assert out["new"] is r and out["one"] == r + 1

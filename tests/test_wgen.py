@@ -302,6 +302,7 @@ def _cache_snapshot(wal, cw):
 
     return {
         "letters": {key: r(v) for key, v in pbw._cache.items()},
+        "adjoints": {key: r(v) for key, v in pbw._ad_cache.items()},
         "monomials": {key: r(v) for key, v in wal._mono_cache.items()},
         "thetas": {key: r(v.value) for key, v in wal._theta_cache.items()},
         "casimir": r(wal.casimir().value),
@@ -339,6 +340,71 @@ def test_cached_values_stay_read_only():
         before = _cache_snapshot(wal, cw)
         work()
         assert _cache_snapshot(wal, cw) == before, name
+
+
+def test_second_certify_adds_no_cache_entry(gradings):
+    wal = wgen.workspace(gradings["spo:2|3"])
+    gens = [gen.element for gen in wal.generators]
+    value = wal.mul_raw(gens[-1].value, gens[0].value)
+    first = wal.certify(value, "refined")
+    sizes = (len(wal.pbw._cache), len(wal.pbw._ad_cache))
+    assert sizes[1]
+    second = wal.certify(value, "refined")
+    assert (len(wal.pbw._cache), len(wal.pbw._ad_cache)) == sizes
+    assert second == first
+
+
+def test_certify_reports_the_commutator_residual(gradings):
+    # a coset the action does not kill raises with the residual of the
+    # superbracket with the first letter that leaves one
+    wal = wgen.workspace(gradings["spo:2|3"])
+    value = {(wal.grading.e,): ONE}
+    letters = wal.invariance_letters("refined")
+    bad = next(b for b in letters if wal.project(
+        wal.pbw.commutator(wal.pbw.inject({b: ONE}), value)))
+    residual = wal.project(wal.pbw.commutator(wal.pbw.inject({bad: ONE}),
+                                              value))
+    with pytest.raises(ConsistencyError) as err:
+        wal.certify(value, "refined")
+    assert str(err.value).endswith(
+        "ad %s leaves %s" % (wal.algebra.labels[bad],
+                             render_element(wal.pbw, residual)))
+
+
+def test_coordinates_are_straightened_once(gradings, monkeypatch):
+    mg = gradings["spo:2|3"]
+    assert mg.parity_type == "odd"
+    wal = wgen.workspace(mg)
+    build_cartan_w(mg)
+    gens = [gen.element.as_finite() for gen in wal.generators]
+    products = [wgen.w_multiply(a, b) for a in gens for b in gens]
+    x = max((p for p in products if not any(restricted_weight(p))),
+            key=lambda p: len(p.value))
+    pi_x = project_pi(wgen.WElement(wal, x.value, x.kdeg, x.flavor))
+    gen = wal.generators[-1].element
+    refined = wgen.WElement(wal, gen.value, gen.kdeg, gen.flavor)
+    calls = []
+    straighten = wgen.WAlgebra.pbw_coordinates
+
+    def spy(self, value):
+        calls.append(value)
+        return straighten(self, value)
+
+    monkeypatch.setattr(wgen.WAlgebra, "pbw_coordinates", spy)
+    coords = wgen.pbw_coordinates(x)
+    assert project_pi(x) == pi_x
+    assert len(calls) == 1
+    # the caller owns the returned dict: changing it changes nothing later
+    want = dict(coords)
+    coords.clear()
+    assert wgen.pbw_coordinates(x) == want
+    assert project_pi(x) == pi_x
+    assert len(calls) == 1
+    # as_finite keeps the coordinates its source already found
+    assert refined.flavor == "refined"
+    want = wgen.pbw_coordinates(refined)
+    assert wgen.pbw_coordinates(refined.as_finite()) == want
+    assert len(calls) == 2
 
 
 def test_commutator_table_covers_all_pairs(gradings):
