@@ -24,7 +24,7 @@ from fractions import Fraction
 from .envelope import render_element
 from .errors import ConsistencyError, PreconditionError
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from .superalgebra import LinearSolver, _rational_inverse, _rational_tuple
+from .superalgebra import LinearSolver, _indecomposable, _rational_tuple
 from .wgen import WElement, _check_exponents, _workspace_of, workspace
 
 EIGHTH = scalar(Fraction(1, 8))
@@ -435,54 +435,44 @@ def restricted_weight(x):
         % (len(split), sorted(split)), split)
 
 
-def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _positive_functional(grading):
-    """Coordinates l over the h^e letters of the t in h^e with
-    l . restrict(alpha) = alpha(t) = rd.eta[alpha] on every root.  The
-    independent restricted weights alpha_i of positive roots give a Gram
-    system whose solution y makes l = sum_i y_i alpha_i, the t in their
-    span (a direction of h^e, such as a centre, may be seen by no root)."""
-    rd = grading.rd
-    solver = LinearSolver()
-    basis, values = [], []
-    for root in sorted(rd.positive):
-        wt = grading.restrict_weight(root)
-        if solver.add(len(basis), dict(enumerate(wt))):
-            basis.append(wt)
-            values.append(rd.eta[root])
-    gram = [[_dot(a, b) for b in basis] for a in basis]
-    y = [_dot(row, values) for row in _rational_inverse(gram)]
-    return tuple(_dot(y, [a[k] for a in basis])
-                 for k in range(len(grading.hes)))
-
-
 class RestrictedRootData:
     """Nonzero weights of the level torus with the dominance order.
 
-    ``positive`` holds the weights of the raising letters; dominance
-    asks for a nonnegative integer combination of those.  The root pass's
-    functional must be positive on each of them; it bounds the search, so
-    the comparator always terminates.
+    ``positive`` holds the weights of the raising letters and ``simple``
+    the indecomposable ones among them, those that are not the sum of two
+    positive weights.  Building certifies that they are simple roots: they
+    are linearly independent, and every positive weight has nonnegative
+    integer coordinates over them.  lam dominates mu when lam - mu is a
+    nonnegative integer combination of positive weights, so exactly when
+    one solve of lam - mu over ``simple`` gives nonnegative integer
+    coordinates.  The sum of the dual basis is positive on every positive
+    weight, so this is a partial order.
     """
 
     def __init__(self, grading, positive, roots):
         self.grading = grading
         self.positive = positive
         self.roots = roots
-        self._ell = _positive_functional(grading)
-        self._memo = {}
-        if any(self._height(alpha) <= 0 for alpha in positive):
-            raise ConsistencyError(
-                "the root pass's functional is not positive on every "
-                "raising weight; the dominance order would not be a "
-                "partial order: %s" % (positive,))
-        self._order = sorted(positive, key=self._height, reverse=True)
+        self.simple = _indecomposable(positive)
+        self._solver = LinearSolver()
+        for k, alpha in enumerate(self.simple):
+            if not self._solver.add(k, dict(enumerate(alpha))):
+                raise ConsistencyError(
+                    "the indecomposable restricted roots are linearly "
+                    "dependent: %s" % (self.simple,))
+        for alpha in positive:
+            if not self._over_simple(alpha):
+                raise ConsistencyError(
+                    "restricted root %s is not a nonnegative integer "
+                    "combination of the simple ones %s" % (alpha, self.simple))
 
-    def _height(self, phi):
-        return _dot(self._ell, phi)
+    def _over_simple(self, diff):
+        """Whether diff has nonnegative integer coordinates over ``simple``."""
+        coords = self._solver.solve(dict(enumerate(diff)))
+        if coords is None:
+            return False
+        return all(x.denominator == 1 and x >= 0
+                   for x in (c.as_fraction() for c in coords.values()))
 
     def dominates(self, lam, mu):
         """True when lam - mu is a nonnegative integer root combination.
@@ -492,34 +482,7 @@ class RestrictedRootData:
         lam, mu = (_rational_tuple(x, len(self.grading.hes), "weight %r "
                                    "is not one int or Fraction per h^e "
                                    "letter (%d)") for x in (lam, mu))
-        return self._expressible(0, tuple(a - b for a, b in zip(lam, mu)))
-
-    def _expressible(self, idx, diff):
-        """Whether diff is a nonnegative integer combination of the roots
-        from ``_order[idx]`` on.  They come by falling height, so the last,
-        which would branch most, is solved for directly."""
-        if not any(diff):
-            return True
-        key = (idx, diff)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        ok = False
-        height = self._height(diff)
-        if idx < len(self._order) and height > 0:
-            alpha = self._order[idx]
-            top = height / self._height(alpha)
-            if idx + 1 == len(self._order):
-                ok = (top.denominator == 1
-                      and diff == tuple(top * a for a in alpha))
-            else:
-                for n in range(int(top), -1, -1):
-                    rest = tuple(d - n * a for d, a in zip(diff, alpha))
-                    if self._expressible(idx + 1, rest):
-                        ok = True
-                        break
-        self._memo[key] = ok
-        return ok
+        return self._over_simple(tuple(a - b for a, b in zip(lam, mu)))
 
 
 def restricted_roots(grading):

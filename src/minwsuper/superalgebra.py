@@ -579,13 +579,10 @@ class RootDatum:
     coordinate dict over the Cartan letters; it does not depend on the
     scale of the form.
     degree: root -> alpha(h), the ad-h degree 2(alpha, theta)/(theta, theta).
-    eta: root -> Fraction, the linear functional defining the positive
-    system; it vanishes on theta and on no root off the theta line, so it
-    is alpha -> alpha(t) for one t in h^e, the kernel of theta.
     """
 
     def __init__(self, g, roots, spaces, parity, theta, positive, simple,
-                 coroot, degree, eta, weights):
+                 coroot, degree, weights):
         self.algebra = g
         self.roots = roots
         self.spaces = spaces
@@ -595,7 +592,6 @@ class RootDatum:
         self.simple = simple
         self.coroot = coroot
         self.degree = degree
-        self.eta = eta
         self.weights = weights
 
     def is_positive(self, root):
@@ -749,25 +745,23 @@ def root_decomposition(g, theta=None):
         if key > 0 or (key == 0 and degree[root] > 0):
             positive.add(root)
 
-    pos_list = sorted(positive)
-    pos_set = set(pos_list)
-    simple = []
-    for root in pos_list:
-        decomposable = False
-        for b in pos_list:
-            rem = tuple(r - bb for r, bb in zip(root, b))
-            if rem != zero and rem in pos_set:
-                decomposable = True
-                break
-        if not decomposable:
-            simple.append(root)
+    simple = _indecomposable(positive)
     last = half if half in spaces else theta
     if last not in simple:
         raise ConsistencyError("adapted root is not simple")
     rest = sorted((r for r in simple if r != last), key=lambda r: (eta[r], r))
     simple = rest + [last]
     return RootDatum(g, roots, spaces, parity, theta, positive, simple, coroot,
-                     degree, eta, weights)
+                     degree, weights)
+
+
+def _indecomposable(positive):
+    """The members of ``positive`` (nonzero weight tuples) that are not the
+    sum of two members, sorted."""
+    pos = set(positive)
+    return [root for root in sorted(pos)
+            if not any(tuple(r - b for r, b in zip(root, beta)) in pos
+                       for beta in pos)]
 
 
 def _diagonal_coordinates(g, root):

@@ -10,10 +10,10 @@ import pytest
 
 from minwsuper import cartanw, wgen
 from minwsuper.cartanw import (CartanWElement, NotHomogeneousError,
-                               build_cartan_w, center_basis, project_pi,
-                               restricted_roots, restricted_weight,
-                               simple_module)
-from minwsuper.errors import PreconditionError
+                               RestrictedRootData, build_cartan_w,
+                               center_basis, project_pi, restricted_roots,
+                               restricted_weight, simple_module)
+from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.grading import grade
 from minwsuper.scalar import HALF, ONE, ZERO, Scalar, axpy, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
@@ -283,7 +283,8 @@ def test_dominance_rank_two(gradings):
 
 @pytest.mark.parametrize("name, theta, top", [
     ("gl:2|1", None, 4), ("spo:4|1", None, 4), ("sl:3|1", None, 3),
-    ("psl:3|3", None, 1), ("spo:4|3", (0, 2, 0), 2)])
+    ("psl:3|3", None, 1), ("spo:4|3", (0, 2, 0), 2),
+    ("sl:2|4", (-2, 1, 0, 0, 0), 1), ("sl:2|4", (2, -1, 0, 0, 0), 1)])
 def test_dominance_matches_root_combinations(name, theta, top):
     # every non-negative integer combination of the positive restricted
     # roots with coefficients up to top, from plain enumeration
@@ -296,6 +297,22 @@ def test_dominance_matches_root_combinations(name, theta, top):
         up = tuple(a + c for a, c in zip(lam, combo))
         assert rr.dominates(up, lam), (name, combo)
         assert rr.dominates(lam, up) == (not any(combo)), (name, combo)
+
+
+@pytest.mark.parametrize("name, positive, reason", [
+    # two indecomposable roots on a rank-one torus
+    ("spo:4|1", ((2,), (3,)), "dependent"),
+    # three indecomposable roots on a rank-two torus
+    ("gl:2|1", ((1, 0), (0, 1), (1, 2)), "dependent"),
+    # (2,) = (1,) + (1,) and (1,) = (2,) + (-1,), so (-1,) alone is
+    # indecomposable and (1,) has coordinate -1 over it
+    ("spo:4|1", ((-1,), (1,), (2,)), "not a nonnegative integer")])
+def test_restricted_roots_reject_non_simplicial(gradings, name, positive,
+                                               reason):
+    positive = tuple(tuple(Fraction(c) for c in a) for a in positive)
+    roots = frozenset(positive) | {tuple(-c for c in a) for a in positive}
+    with pytest.raises(ConsistencyError, match=reason):
+        RestrictedRootData(gradings[name], positive, roots)
 
 
 def test_dominance_rejects_malformed_weights(gradings):

@@ -3,10 +3,11 @@
 Every descriptor of 50 dims or fewer among gl/sl m|n (m, n <= 5, m != n),
 psl n|n (n <= 4) and spo 2n|m (2n <= 10, m <= 7) must build to an algebra
 that ``validate`` passes, its root pass must agree with the Gram-inverse
-oracle, its restricted roots must build (the root pass's functional is
-positive on every raising weight), and its relation report must be
-``ok``.  The sweep takes minutes, so it runs only with
-``MINWSUPER_SWEEP=1`` set:
+oracle, and its relation report must be ``ok``.  On the grading of every
+minimal root, the restricted roots must build, which certifies that the
+positive ones are simplicial: the indecomposable ones are independent,
+and every positive one is a nonnegative integer combination of them.
+The sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
 
     MINWSUPER_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
 """
@@ -70,7 +71,8 @@ def test_ladder_validates_and_verifies(desc):
     tt = pair(rd.theta, rd.theta)
     assert all(rd.degree[a] == 2 * pair(a, rd.theta) / tt
                for a in rd.roots), desc
-    gr = grade(g)
-    restricted_roots(gr)
-    rep = wgen.verify_relations(gr)
+    for theta in cands:
+        # building them certifies that the positive ones are simplicial
+        restricted_roots(grade(g, theta))
+    rep = wgen.verify_relations(grade(g))
     assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
