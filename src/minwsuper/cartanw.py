@@ -160,14 +160,16 @@ class CartanWAlgebra:
         self.images = images
         self.rendered_images = rendered_images
         self._idx = {n: k for k, n in enumerate(names)}
+        self._slot_c = self._idx["C"]
+        # odd slot k -> the (step, c) terms of x x = [x, x] / 2; each step
+        # trades the square at k for a central monomial
+        self._squares = {
+            k: [(tuple(n - 2 * (j == k) for j, n in enumerate(expo)),
+                 c * HALF)
+                for expo, c in relations[(names[k], names[k])].items()]
+            for k, p in enumerate(parities) if p}
         # memo slot of _survivor_slots
         self._survivors = None
-        if self.parity_type == "odd":
-            self._slot_c = len(names) - 2
-            self._slot_e = len(names) - 1
-        else:
-            self._slot_c = len(names) - 1
-            self._slot_e = None
 
     # -- element constructors -------------------------------------------
 
@@ -205,26 +207,20 @@ class CartanWAlgebra:
     def mul_monomials(self, ea, eb):
         """Straightened product of two ordered monomials.
 
-        Torus and Casimir slots are central; the two odd slots square
-        to scalars (lowering) or to an affine Casimir term (raising).
+        Even slots are central.  Moving an odd letter of ``eb`` left past
+        a later odd letter of ``ea`` costs a sign, and an odd square x x
+        is [x, x] / 2, read from the certified relation table, whose odd
+        squares are central.
         """
-        if self.parity_type == "even":
-            return [(tuple(a + b for a, b in zip(ea, eb)), ONE)]
-        iE = self._slot_e
-        iC = self._slot_c
-        sign = -ONE if (ea[iE] and eb[0]) else ONE
-        merged = [a + b for a, b in zip(ea, eb)]
-        coeff = sign
-        if merged[0] == 2:
-            coeff = -coeff
-            merged[0] = 0
-        if merged[iE] < 2:
-            return [(tuple(merged), coeff)]
-        merged[iE] = 0
-        low = list(merged)
-        merged[iC] += 1
-        return [(tuple(merged), coeff * HALF),
-                (tuple(low), coeff * EIGHTH * HALF)]
+        odd = self._squares
+        flips = sum(ea[k] * eb[j] for k in odd for j in odd if j < k)
+        merged = tuple(a + b for a, b in zip(ea, eb))
+        terms = [(merged, -ONE if flips % 2 else ONE)]
+        for k, steps in self._squares.items():
+            if merged[k] == 2:
+                terms = [(tuple(a + d for a, d in zip(expo, step)), c * h)
+                         for expo, c in terms for step, h in steps]
+        return terms
 
     # -- reporting ---------------------------------------------------------
 
@@ -246,7 +242,7 @@ class CartanWAlgebra:
         }
 
 
-def _relation_table(names, parities, slot_c, parity_type):
+def _relation_table(names, parity_type):
     """Tabulated supercommutators; everything not listed is zero."""
     table = {}
     zero_expo = (0,) * len(names)
@@ -254,11 +250,9 @@ def _relation_table(names, parities, slot_c, parity_type):
         for b in range(a, len(names)):
             table[(names[a], names[b])] = {}
     if parity_type == "odd":
-        c_expo = list(zero_expo)
-        c_expo[slot_c] = 1
+        c_expo = tuple(int(n == "C") for n in names)
         table[("F", "F")] = {zero_expo: scalar(-2)}
-        table[(names[-1], names[-1])] = {tuple(c_expo): ONE,
-                                         zero_expo: EIGHTH}
+        table[("E", "E")] = {c_expo: ONE, zero_expo: EIGHTH}
     return table
 
 
@@ -305,8 +299,7 @@ def build_cartan_w(grading):
                 "derived %s' is not invariant under the lowest root "
                 "vector: %s" % (name, render_element(pbw, bad)))
 
-    slot_c = len(names) - (2 if gr.parity_type == "odd" else 1)
-    table = _relation_table(names, parities, slot_c, gr.parity_type)
+    table = _relation_table(names, gr.parity_type)
     unit_expo = (0,) * len(names)
     for a in range(len(names)):
         for b in range(a, len(names)):
@@ -329,11 +322,9 @@ def build_cartan_w(grading):
 
 
 def center_basis(cw):
-    """Torus generators plus the Casimir; certified by commuting."""
-    if cw.parity_type == "odd":
-        central = [cw.gen(n) for n in cw.names[1:-1]]
-    else:
-        central = [cw.gen(n) for n in cw.names]
+    """Torus generators plus the Casimir, the even slots; certified by
+    commuting."""
+    central = [cw.gen(n) for n, p in zip(cw.names, cw.parities) if not p]
     gens = cw.generators()
     for elem in central:
         for gen in gens:
@@ -558,9 +549,8 @@ def _image_of_casimir(wal, cw):
     labels = wal.algebra.labels
     wd = wal.weight_data
     coords = dict(cw.gen("C").coords)
-    for a, row in zip(wd.letters, wd.inverse):
-        for b, c in zip(wd.letters, row):
-            axpy(coords, c, (cw.gen(labels[a]) * cw.gen(labels[b])).coords)
+    for a, b, c in wd.casimir_pairs:
+        axpy(coords, c, (cw.gen(labels[a]) * cw.gen(labels[b])).coords)
     functional = tuple(2 * r + 4 * d
                        for r, d in zip(wd.rho_e0_bar, wd.delta_bar))
     for letter, coeff in wal.dual_cartan(functional).items():

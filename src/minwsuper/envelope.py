@@ -17,8 +17,9 @@ The adjoint action of one letter, ``ad(x, a) = [x, a]``, is what the
 invariance check of every W-algebra element asks for, and it meets the
 same few words again and again.  So each [x, w] for a letter x and a
 normal word w is built once, as x w - (-1)^{|x||w|} w x, and kept in the
-adjoint cache next to the letter cache; a word whose letters all
-supercommute with x has [x, w] = 0 and is neither built nor cached.
+adjoint cache next to the letter cache, empty when the two products
+cancel; a word whose letters all supercommute with x has [x, w] = 0 and
+is neither built nor cached.
 """
 
 from .errors import PreconditionError
@@ -50,7 +51,7 @@ class PBWAlgebra:
                           for a in range(g.dim)}
         self.weights = dict(weights)
         self._cache = {}
-        # (letter, normal word) -> [letter, word], never empty
+        # (letter, normal word) -> [letter, word], empty when it cancels
         self._ad_cache = {}
 
     # -- basic elements ----------------------------------------------------
@@ -170,8 +171,6 @@ class PBWAlgebra:
                 vec = dict(self._mul_word((x,), w))
                 axpy(vec, ONE if odd and self.word_parity(w) else -ONE,
                      self._mul_letter(w, x))
-                if not vec:
-                    continue
                 cache[key] = vec
             axpy(out, c, vec)
         return out

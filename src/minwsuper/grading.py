@@ -338,6 +338,9 @@ class WeightData:
     Functionals are value tuples over the h^e letters.  The Gram matrix
     of that basis is inverted once, here; ``inverse`` holds its rows,
     ``dual`` applies it and ``pair`` is the induced form.
+    ``casimir_pairs`` holds the h^e part of the g(0)# Casimir, the sum of
+    c * a b over its (a, b, Scalar c) triples, one per nonzero entry of
+    the inverse.
     """
 
     def __init__(self, letters, delta_bar, rho_bar, rho_e0_bar, gram):
@@ -347,6 +350,9 @@ class WeightData:
         self.rho_e0_bar = rho_e0_bar
         self.gram = gram
         self.inverse = _rational_inverse(gram)
+        self.casimir_pairs = tuple(
+            (a, b, scalar(c)) for a, row in zip(letters, self.inverse)
+            for b, c in zip(letters, row) if c)
 
     def dual(self, psi):
         """Coordinates over the h^e letters of the vector representing psi."""

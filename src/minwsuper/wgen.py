@@ -272,12 +272,10 @@ class WAlgebra:
     def _quadratic_pairs(self):
         """(a, b, coeff): the g(0)# quadratic part, sum of coeff * a b, of
         casimir and theta_cas.  The h^e letters pair through the inverse of
-        their Gram matrix; x x* and x* x come with +1, y y* with +1 and
-        y* y with -1."""
-        gr, wd = self.grading, self.weight_data
-        out = [(a, b, scalar(c))
-               for a, row in zip(wd.letters, wd.inverse)
-               for b, c in zip(wd.letters, row) if c]
+        their Gram matrix (``WeightData.casimir_pairs``); x x* and x* x
+        come with +1, y y* with +1 and y* y with -1."""
+        gr = self.grading
+        out = list(self.weight_data.casimir_pairs)
         out += [(x, xs, ONE) for x, xs in zip(gr.xs, gr.xstars)]
         out += [(xs, x, ONE) for x, xs in zip(gr.xs, gr.xstars)]
         out += [(y, ys, ONE) for y, ys in zip(gr.ys, gr.ystars)]
@@ -444,24 +442,29 @@ class WAlgebra:
         return out
 
     def midline_square_expansion(self):
-        """Closed form for the square of the midline-raiser generator."""
+        """Closed form for the square of the midline-raiser generator:
+
+            -C/4 + c0/4 + Theta_Cas/4 + Theta((2 delta)^v)/4
+              - sum_k Theta(#[g_mid, z_k]) Theta(#[z*_k, g_mid]),
+
+        with k over the first half of each dual basis.  Written out, the
+        square holds a quarter of the h^e part of Theta_Cas and half of
+        each ladder product Theta_x Theta_x* and Theta_y Theta_y*.  Each
+        such half is a quarter of its symmetrized term in Theta_Cas,
+        Theta_x Theta_x* + Theta_x* Theta_x or Theta_y Theta_y* -
+        Theta_y* Theta_y, plus a quarter of the supercommutator
+        [Theta_x, Theta_x*] or [Theta_y, Theta_y*].  Those degree-0
+        brackets are Theta of [x, x*] and [y, y*], which sum to
+        -(2 rho_e0)^v; that cancels the rho_e0 half of the linear term
+        Theta((2 rho_e0 + 2 delta)^v)/4 and leaves its delta half.
+        """
         gr, g = self.grading, self.algebra
         if gr.gmid is None:
             raise PreconditionError("type even has no midline raiser")
         out = {}
         axpy(out, -QUARTER, self.casimir().value)
         acc(out, (), QUARTER * self.c0)
-        wd = self.weight_data
-        for a, row in zip(wd.letters, wd.inverse):
-            for b, c in zip(wd.letters, row):
-                if c:
-                    axpy(out, QUARTER * c,
-                         self.mul_raw(self.theta_letter(a).value,
-                                      self.theta_letter(b).value))
-        ladders = list(zip(gr.xs, gr.xstars)) + list(zip(gr.ys, gr.ystars))
-        for x, xs in ladders:
-            axpy(out, HALF, self.mul_raw(self.theta_letter(x).value,
-                                         self.theta_letter(xs).value))
+        axpy(out, QUARTER, self.theta_cas().value)
         gmid = {gr.gmid: ONE}
         for k in [*range(gr.s // 2), *range(gr.s, gr.s + gr.r // 2)]:
             left = gr.sharp(g.bracket(gmid, self.nb["z"][k]))
@@ -469,11 +472,9 @@ class WAlgebra:
             if left and right:
                 axpy(out, -ONE, self.mul_raw(self.theta_zero(left).value,
                                              self.theta_zero(right).value))
-        # the linear part is the dual of 2 (rho_e0 + delta), entering
-        # through the full generator
-        net = tuple(2 * (a + b) for a, b in zip(wd.rho_e0_bar, wd.delta_bar))
-        if any(net):
-            axpy(out, QUARTER, self.theta_zero(self.dual_cartan(net)).value)
+        delta2 = tuple(2 * d for d in self.weight_data.delta_bar)
+        if any(delta2):
+            axpy(out, QUARTER, self.theta_zero(self.dual_cartan(delta2)).value)
         return out
 
     # -- straightening ---------------------------------------------------

@@ -9,14 +9,19 @@ minimal-root test pairs roots through the inverted Cartan Gram matrix
 where the package reads the coroot [e_theta, e_-theta].  The theta-height
 chain at the end (simple-root coefficients, heights and the grading
 element h0 of type odd) reads a grading in a way no package code needs;
-it uses the package's exact solvers.
+it uses the package's exact solvers.  The raiser-square reference
+spells out the ladder products and the rho_e0 term that the package
+reads off Theta_Cas, and the weight-zero pool holds the products the
+projection pi is checked on.
 """
 
 from fractions import Fraction
 
+from minwsuper.cartanw import restricted_weight
 from minwsuper.errors import ConsistencyError, PreconditionError
-from minwsuper.scalar import ONE, ZERO, Scalar, scalar
+from minwsuper.scalar import HALF, ONE, ZERO, Scalar, acc, axpy, scalar
 from minwsuper.superalgebra import LinearSolver, _rational_inverse
+from minwsuper.wgen import w_multiply
 
 
 def free_normal_form(word, coeff, order, bracket, parity):
@@ -218,3 +223,57 @@ def compute_h0(grading):
         if got != ({i: scalar(want)} if want else {}):
             raise ConsistencyError("h0 eigenvalue check failed at %d" % i)
     return h0
+
+
+def raiser_square_reference(wal):
+    """Theta(g_mid)^2 by the explicit formula: -C/4 + c0/4, a quarter of
+    the h^e Casimir over the inverse Gram matrix, half of each ladder
+    product Theta_x Theta_x* and Theta_y Theta_y*, minus the products
+    Theta(#[g_mid, z_k]) Theta(#[z*_k, g_mid]) over the first half of
+    each dual basis, and a quarter of Theta of the dual of
+    2 (rho_e0 + delta).  The package reads the ladder sum and rho_e0 off
+    Theta_Cas instead."""
+    gr, g, wd = wal.grading, wal.algebra, wal.weight_data
+    quarter = scalar(Fraction(1, 4))
+    out = {}
+    axpy(out, -quarter, wal.casimir().value)
+    acc(out, (), quarter * wal.c0)
+    for a, row in zip(wd.letters, wd.inverse):
+        for b, c in zip(wd.letters, row):
+            if c:
+                axpy(out, quarter * c,
+                     wal.mul_raw(wal.theta_letter(a).value,
+                                 wal.theta_letter(b).value))
+    ladders = list(zip(gr.xs, gr.xstars)) + list(zip(gr.ys, gr.ystars))
+    for x, xs in ladders:
+        axpy(out, HALF, wal.mul_raw(wal.theta_letter(x).value,
+                                    wal.theta_letter(xs).value))
+    gmid = {gr.gmid: ONE}
+    for k in [*range(gr.s // 2), *range(gr.s, gr.s + gr.r // 2)]:
+        left = gr.sharp(g.bracket(gmid, wal.nb["z"][k]))
+        right = gr.sharp(g.bracket(wal.nb["zstar"][k], gmid))
+        if left and right:
+            axpy(out, -ONE, wal.mul_raw(wal.theta_zero(left).value,
+                                        wal.theta_zero(right).value))
+    net = tuple(2 * (a + b) for a, b in zip(wd.rho_e0_bar, wd.delta_bar))
+    if any(net):
+        axpy(out, quarter, wal.theta_zero(wal.dual_cartan(net)).value)
+    return out
+
+
+def weight_zero_pool(wal):
+    """The weight-zero generators, and the products a b of generators of
+    opposite nonzero restricted weight, as elements certified for the
+    finite action: the products the projection pi is tested on."""
+    gens = [g.element.as_finite() for g in wal.generators]
+    pool = []
+    for a in gens:
+        wa = restricted_weight(a)
+        if not any(wa):
+            pool.append(a)
+            continue
+        for b in gens:
+            wb = restricted_weight(b)
+            if all(x + y == 0 for x, y in zip(wa, wb)):
+                pool.append(w_multiply(a, b))
+    return pool

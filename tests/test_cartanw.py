@@ -18,7 +18,7 @@ from minwsuper.grading import grade
 from minwsuper.scalar import HALF, ONE, ZERO, Scalar, axpy, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
 
-from oracles import root_combinations
+from oracles import root_combinations, weight_zero_pool
 
 ODD_NAMES = ["osp:1|2", "spo:2|3", "spo:4|1"]
 EVEN_NAMES = ["sl:2|1", "gl:2|1", "psl:2|2"]
@@ -92,15 +92,15 @@ def test_dropped_grading_is_released():
     assert ref() is None
 
 
-def test_odd_squares():
-    gr = grade(build_algebra("osp:1|2"))
-    cw = build_cartan_w(gr)
-    F, E = cw.gen("F"), cw.gen("E")
-    assert (F * F + cw.unit()).is_zero()
-    want = (cw.gen("C") + cw.unit().scale(q(1, 8))).scale(HALF)
-    assert (E * E - want).is_zero()
-    # anticommutation of the odd pair
-    assert (E * F + F * E).is_zero()
+def test_odd_squares(gradings):
+    for name in ODD_NAMES:
+        cw = build_cartan_w(gradings[name])
+        F, E = cw.gen("F"), cw.gen("E")
+        assert (F * F + cw.unit()).is_zero(), name
+        want = (cw.gen("C") + cw.unit().scale(q(1, 8))).scale(HALF)
+        assert (E * E - want).is_zero(), name
+        # anticommutation of the odd pair
+        assert (E * F + F * E).is_zero(), name
 
 
 # -- center -------------------------------------------------------------
@@ -425,25 +425,10 @@ def test_kernel_membership(gradings):
         assert killed == project_pi(elem).is_zero()
 
 
-def _weight_zero_pool(wal):
-    gens = [g.element.as_finite() for g in wal.generators]
-    pool = []
-    for a in gens:
-        wa = restricted_weight(a)
-        if not any(wa):
-            pool.append(a)
-            continue
-        for b in gens:
-            wb = restricted_weight(b)
-            if all(x + y == 0 for x, y in zip(wa, wb)):
-                pool.append(wgen.w_multiply(a, b))
-    return pool
-
-
 def test_projection_multiplicative_odd(gradings):
     gr = gradings["spo:2|3"]
     wal = wgen.workspace(gr)
-    pool = _weight_zero_pool(wal)
+    pool = weight_zero_pool(wal)
     rng = random.Random(23)
     for _ in range(100):
         x, y = rng.choice(pool), rng.choice(pool)
@@ -455,7 +440,7 @@ def test_projection_multiplicative_odd(gradings):
 def test_projection_multiplicative_even(gradings):
     gr = gradings["sl:2|1"]
     wal = wgen.workspace(gr)
-    pool = _weight_zero_pool(wal)
+    pool = weight_zero_pool(wal)
     rng = random.Random(29)
     for _ in range(30):
         x, y = rng.choice(pool), rng.choice(pool)

@@ -213,6 +213,7 @@ def test_ad_matches_commutator():
     # letter, for every letter (odd ones, whose [x, x] reduces an odd
     # square, and the lowest root vector f among them)
     rng = random.Random(23)
+    cancelled = 0
     for name in ["osp:1|2", "sl:2|1", "spo:2|3", "psl:2|2"]:
         mg = grade(build_algebra(name))
         pbw = PBWAlgebra(mg.algebra, weights=kazhdan_weights(mg))
@@ -229,7 +230,14 @@ def test_ad_matches_commutator():
                 odd_squares += mg.algebra.parity[x] and (x,) in b
         assert odd_squares, name
         assert pbw.ad(mg.f, {}) == {}
-        assert pbw._ad_cache and all(pbw._ad_cache.values()), name
+        # every cached [x, w], an empty one included, is the superbracket
+        assert pbw._ad_cache, name
+        for (x, w), vec in pbw._ad_cache.items():
+            assert vec == pbw.commutator(pbw.inject({x: ONE}),
+                                         {w: ONE}), (name, x, w)
+            cancelled += not vec
+    # a bracket whose two products cancel is kept too, not rebuilt
+    assert cancelled
 
 
 def test_letter_cache_holds_no_appends():

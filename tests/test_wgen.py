@@ -13,7 +13,7 @@ from minwsuper.grading import WeightData, grade
 from minwsuper.scalar import HALF, ONE, ZERO, axpy, scalar
 from minwsuper.superalgebra import build_algebra
 
-from oracles import count_bounded_monomials
+from oracles import count_bounded_monomials, raiser_square_reference
 
 NAMES = ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1", "psl:2|2", "gl:2|1"]
 
@@ -167,6 +167,16 @@ def test_raiser_square_fixture(gradings):
     lin[cpos] = 1
     assert coords == {tuple(lin): scalar(Fraction(-1, 4)),
                       tuple(zero): scalar(Fraction(-1, 64))}
+
+
+@pytest.mark.parametrize("name", ["osp:1|2", "spo:2|3", "spo:4|1", "spo:2|5",
+                                  "spo:4|3", "spo:6|1"])
+def test_raiser_square_matches_reference(name):
+    # the closed form read off Theta_Cas equals the explicit ladder sum
+    # on the odd algebras of the relation suite
+    wal = wgen.workspace(grade(build_algebra(name)))
+    assert wal.grading.parity_type == "odd"
+    assert wal.midline_square_expansion() == raiser_square_reference(wal)
 
 
 def test_casimir_commutes(gradings):
