@@ -25,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import PreconditionError
+
 
 def _factor(n):
     """{prime: exponent} of abs(n), n nonzero."""
@@ -349,8 +351,20 @@ class Scalar:
 
     @staticmethod
     def parse(text):
-        """Inverse of :meth:`render`; accepts the same flat sum-of-terms grammar."""
-        s = text.replace(" ", "")
+        """Inverse of :meth:`render`; accepts the same flat sum-of-terms grammar.
+
+        A malformed literal raises ``PreconditionError`` naming it.
+        """
+        if not isinstance(text, str):
+            raise PreconditionError("scalar literal %r is not a string" % (text,))
+        try:
+            return Scalar._parse_sum(text.replace(" ", ""))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PreconditionError(
+                "bad scalar literal %r: %s" % (text, exc)) from exc
+
+    @staticmethod
+    def _parse_sum(s):
         if not s:
             raise ValueError("empty scalar literal")
         # split on top-level + and - (no parentheses except inside sqrt())
@@ -379,7 +393,7 @@ class Scalar:
                 sign = -sign
             chunk = chunk[1:]
         if not chunk:
-            raise ValueError("dangling sign in scalar literal")
+            raise ValueError("dangling sign")
         term = Scalar.rational(sign)
         for factor in chunk.split("*"):
             if factor.startswith("sqrt(") and factor.endswith(")"):

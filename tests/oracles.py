@@ -12,7 +12,10 @@ element h0 of type odd) reads a grading in a way no package code needs;
 it uses the package's exact solvers.  The raiser-square reference
 spells out the ladder products and the rho_e0 term that the package
 reads off Theta_Cas, and the weight-zero pool holds the products the
-projection pi is checked on.
+projection pi is checked on.  ``validate_reference`` is ``validate`` as it
+was before it certified the Jacobi identity from a generating set: it
+checks every triple; ``generated_dimension`` closes a span under the
+brackets of all its pairs rather than under left-normed brackets.
 """
 
 from fractions import Fraction
@@ -277,3 +280,113 @@ def weight_zero_pool(wal):
             if all(x + y == 0 for x, y in zip(wa, wb)):
                 pool.append(w_multiply(a, b))
     return pool
+
+
+def generated_dimension(g, letters):
+    """Dimension of the subalgebra that ``letters`` generate under the
+    stored bracket: the span of the letters, enlarged by the bracket of
+    every pair of its spanning vectors until it is closed."""
+    solver = LinearSolver()
+    span = []
+    for x in letters:
+        if solver.add(len(span), {x: ONE}):
+            span.append({x: ONE})
+    old = new = 0
+    while new < len(span) < g.dim:
+        # the pairs with a vector that entered in the last round
+        old, new = new, len(span)
+        for a in range(new):
+            for b in range(old if a < old else 0, new):
+                z = g.bracket(span[a], span[b])
+                if solver.add(len(span), z):
+                    span.append(z)
+    return solver.rank
+
+
+def validate_reference(g):
+    """The full-loop ``validate``: every Jacobi triple (i, j, k) is checked,
+    with no generating set.  Returns a list of violation strings."""
+    report = []
+    dim = g.dim
+
+    for i in range(dim):
+        for j in range(dim):
+            pij = (g.parity[i] + g.parity[j]) % 2
+            br = g.bracket_basis(i, j)
+            for k in br:
+                if g.parity[k] != pij:
+                    report.append("parity: [%d,%d] hits index %d" % (i, j, k))
+            sign = -1 if (g.parity[i] and g.parity[j]) else 1
+            rev = g.bracket_basis(j, i)
+            for k in set(br) | set(rev):
+                if br.get(k, ZERO) != -sign * rev.get(k, ZERO):
+                    report.append("skew: [%d,%d] vs [%d,%d] at %d" % (i, j, j, i, k))
+
+    # a triple with no stored bracket row satisfies the Jacobi identity
+    # trivially (an empty stored row adds nothing to either side); the
+    # loop order, and so the report order, is kept
+    rows = g._bracket
+    none = {}
+
+    for i in range(dim):
+        for j in range(dim):
+            ij = (i, j) in rows
+            for k in range(dim):
+                if not (ij or (j, k) in rows or (i, k) in rows):
+                    continue
+                # [i, [j, k]] against [[i, j], k] + sgn [j, [i, k]]
+                lhs = {}
+                for t, v in rows.get((j, k), none).items():
+                    axpy(lhs, v, rows.get((i, t), none))
+                rhs = {}
+                for t, v in rows.get((i, j), none).items():
+                    axpy(rhs, v, rows.get((t, k), none))
+                sgn = -ONE if (g.parity[i] and g.parity[j]) else ONE
+                for t, v in rows.get((i, k), none).items():
+                    axpy(rhs, sgn * v, rows.get((j, t), none))
+                if lhs != rhs:
+                    report.append("jacobi: (%d,%d,%d)" % (i, j, k))
+
+    # only a stored entry or its transpose can break evenness or
+    # supersymmetry; sorted, they keep the row-major report order
+    form = g.form
+    for i, j in sorted(set(form) | {(j, i) for i, j in form}):
+        v = form.get((i, j), ZERO)
+        if g.parity[i] != g.parity[j] and v:
+            report.append("form not even at (%d,%d)" % (i, j))
+        sign = -1 if (g.parity[i] and g.parity[j]) else 1
+        if v != sign * form.get((j, i), ZERO):
+            report.append("form not supersymmetric at (%d,%d)" % (i, j))
+
+    # invariance per (i, j): the vector ([i,j], k) - (i, [j,k]) over k,
+    # from the form rows and the bracket rows of j read by output index
+    form_rows = {}
+    for (i, j), v in form.items():
+        form_rows.setdefault(i, {})[j] = v
+    by_output = {}  # (j, t) -> {k: [j,k]_t}
+    for (j, k), row in rows.items():
+        for t, c in row.items():
+            by_output.setdefault((j, t), {})[k] = c
+    for i in range(dim):
+        row_i = form_rows.get(i, none)
+        for j in range(dim):
+            diff = {}
+            for t, c in rows.get((i, j), none).items():
+                axpy(diff, c, form_rows.get(t, none))
+            for t, f in row_i.items():
+                axpy(diff, -f, by_output.get((j, t), none))
+            if diff:
+                report.append("form not invariant at (%d,%d,%d)"
+                              % (i, j, min(diff)))
+
+    solver = LinearSolver()
+    for i in range(dim):
+        solver.add(i, form_rows.get(i, none))
+    if solver.rank != dim:
+        report.append("form degenerate: rank %d of %d" % (solver.rank, dim))
+
+    for a in g.cartan:
+        for b in g.cartan:
+            if g.bracket_basis(a, b):
+                report.append("cartan not abelian at (%d,%d)" % (a, b))
+    return report

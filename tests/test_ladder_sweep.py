@@ -2,8 +2,10 @@
 
 Every descriptor of 50 dims or fewer among gl/sl m|n (m, n <= 5, m != n),
 psl n|n (n <= 4) and spo 2n|m (2n <= 10, m <= 7) must build to an algebra
-that ``validate`` passes, its root pass must agree with the Gram-inverse
-oracle, and its relation report must be ``ok``.  On the grading of every
+that ``validate`` passes on its certificate path: the letters it checks
+the Jacobi identity for generate the algebra, and the full triple loop
+never runs.  Its root pass must agree with the Gram-inverse oracle, and
+its relation report must be ``ok``.  On the grading of every
 minimal root, the restricted roots must build, which certifies that the
 positive ones are simplicial: the indecomposable ones are independent,
 and every positive one is a nonnegative integer combination of them.
@@ -23,15 +25,16 @@ import random
 
 import pytest
 
-from minwsuper import wgen
+from minwsuper import superalgebra, wgen
 from minwsuper.cartanw import project_pi, restricted_roots
 from minwsuper.grading import grade
-from minwsuper.superalgebra import (_weights_of_basis, build_algebra,
+from minwsuper.superalgebra import (_generating_letters, _seed_letters,
+                                    _weights_of_basis, build_algebra,
                                     minimal_root_candidates,
                                     root_decomposition, validate)
 
-from oracles import (gram_minimal_roots, raiser_square_reference,
-                     weight_form, weight_zero_pool)
+from oracles import (generated_dimension, gram_minimal_roots,
+                     raiser_square_reference, weight_form, weight_zero_pool)
 
 MAX_DIM = 50
 # the products pi is checked on per odd row, and their top Kazhdan degree
@@ -69,10 +72,20 @@ def test_ladder_rows():
 @pytest.mark.skipif(os.environ.get("MINWSUPER_SWEEP") != "1",
                     reason="ladder sweep runs only with MINWSUPER_SWEEP=1")
 @pytest.mark.parametrize("desc", ladder())
-def test_ladder_validates_and_verifies(desc):
+def test_ladder_validates_and_verifies(desc, monkeypatch):
     g = build_algebra(desc)
     assert g.dim <= MAX_DIM, desc
-    assert validate(g) == [], desc
+    letters = _generating_letters(g, _seed_letters(g))
+    assert generated_dimension(g, letters) == g.dim, desc
+    calls = []
+    real = superalgebra._jacobi_failures
+    with monkeypatch.context() as patch:
+        patch.setattr(superalgebra, "_jacobi_failures",
+                      lambda g, first: calls.append(list(first))
+                      or real(g, first))
+        assert validate(g) == [], desc
+    # one call, with the generating letters: no fallback to the full loop
+    assert calls == [letters], desc
     weights = _weights_of_basis(g)
     cands = minimal_root_candidates(g, weights)
     want = gram_minimal_roots(g, weights)

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from minwsuper.errors import PreconditionError
 from minwsuper.scalar import (
     HALF,
     ONE,
@@ -139,6 +140,25 @@ def test_parse_forms():
     assert Scalar.parse("1 + sqrt(2) - 3*sqrt(2)") == ONE - Scalar({2: 2})
     assert Scalar.parse("2/3*sqrt(-1)*sqrt(2)") == Scalar({-2: Fraction(2, 3)})
     assert Scalar.parse("sqrt(4)") == scalar(2)
+
+
+@pytest.mark.parametrize("literal", [
+    "1/0", "abc", "sqrt(x)", "sqrt(0)", "sqrt(1/2)", "2**3", "", "-",
+    "1 + ", "sqrt(2", "2*sqrt(3)/0",
+])
+def test_parse_rejects_malformed_literals(literal):
+    # one typed error for every malformed literal, naming it; still a
+    # ValueError, so callers that catch ValueError keep working
+    with pytest.raises(PreconditionError) as info:
+        Scalar.parse(literal)
+    assert repr(literal) in str(info.value)
+    assert isinstance(info.value, ValueError)
+
+
+def test_parse_rejects_non_strings():
+    for bad in (None, 3, Fraction(1, 2)):
+        with pytest.raises(PreconditionError):
+            Scalar.parse(bad)
 
 
 def test_render_term_order_is_stable():

@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from minwsuper import superalgebra
 from minwsuper.errors import PreconditionError, UnsupportedFamilyError
 from minwsuper.grading import grade
-from minwsuper.scalar import ONE, ZERO, scalar
+from minwsuper.scalar import ONE, ZERO, acc, scalar
 from minwsuper.superalgebra import (
     LinearSolver,
+    _generating_letters,
     _rational_inverse,
     _rational_kernel,
+    _seed_letters,
     _weights_of_basis,
     build_algebra,
     minimal_root_candidates,
@@ -19,7 +22,8 @@ from minwsuper.superalgebra import (
     validate,
 )
 
-from oracles import gram_minimal_roots, weight_form
+from oracles import (generated_dimension, gram_minimal_roots,
+                     validate_reference, weight_form)
 
 DIMS = {
     "osp:1|2": (3, 2),
@@ -161,6 +165,126 @@ def test_form_scaled_copy_owns_its_brackets():
         assert validate(g) == DAMAGED_CONSTANT_REPORT, damaged
         assert other.to_json_dict()["bracket"] == rows, damaged
         assert validate(other) == [], damaged
+
+
+def _spy_jacobi(monkeypatch):
+    """Record the ``first`` letters of every ``_jacobi_failures`` call."""
+    calls = []
+    real = superalgebra._jacobi_failures
+
+    def spy(g, first):
+        calls.append(list(first))
+        return real(g, first)
+    monkeypatch.setattr(superalgebra, "_jacobi_failures", spy)
+    return calls
+
+
+def test_clean_validate_checks_only_the_generating_letters(algebras,
+                                                          monkeypatch):
+    calls = _spy_jacobi(monkeypatch)
+    for desc, g in algebras.items():
+        letters = _generating_letters(g, _seed_letters(g))
+        assert generated_dimension(g, letters) == g.dim, desc
+        assert len(letters) < g.dim, desc
+        del calls[:]
+        assert validate(g) == [], desc
+        assert calls == [letters], desc
+
+
+def test_closure_extends_the_seed():
+    # gl:2|1 is sl:2|1 plus a centre, which no root letter reaches;
+    # the letters of psl:3|3's lex-positive simple roots generate 24 of
+    # its 34 dims
+    for desc, extra in (("gl:2|1", 1), ("psl:3|3", 2)):
+        g = build_algebra(desc)
+        seed = _seed_letters(g)
+        letters = _generating_letters(g, seed)
+        assert letters[:len(seed)] == seed, desc
+        assert len(letters) == len(seed) + extra, desc
+        assert generated_dimension(g, seed) < g.dim, desc
+        assert generated_dimension(g, letters) == g.dim, desc
+    g = build_algebra("gl:2|1")
+    assert _generating_letters(g, _seed_letters(g))[-1] in g.cartan
+
+
+def test_cartan_letters_alone_do_not_generate(algebras):
+    for desc, g in algebras.items():
+        cartan = list(g.cartan)
+        assert generated_dimension(g, cartan) == len(cartan) < g.dim, desc
+        letters = _generating_letters(g, cartan)
+        assert letters[:len(cartan)] == cartan, desc
+        assert len(letters) > len(cartan), desc
+        assert generated_dimension(g, letters) == g.dim, desc
+
+
+def test_damage_outside_the_generating_letters_is_reported(monkeypatch):
+    # a skew-consistent change to a row of two letters outside X: no
+    # parity or skew report, so a triple with i in X must catch it
+    g = build_algebra("sl:2|3")
+    letters = set(_generating_letters(g, _seed_letters(g)))
+    key = next((i, j) for (i, j), row in sorted(g._bracket.items())
+               if i not in letters and j not in letters and i != j)
+    t = next(iter(g._bracket[key]))
+    sign = -1 if g.parity[key[0]] and g.parity[key[1]] else 1
+    acc(g._bracket[key], t, ONE)
+    acc(g._bracket[key[::-1]], t, -sign * ONE)
+    calls = _spy_jacobi(monkeypatch)
+    report = validate(g)
+    assert any(v.startswith("jacobi") for v in report)
+    assert report == validate_reference(g)
+    assert len(calls) == 2 and calls[1] == list(range(g.dim))
+
+
+def _damage_constant(g, rng):
+    """One stored structure constant off by one; half the time its skew
+    partner moves with it."""
+    (i, j), row = rng.choice(sorted(g._bracket.items()))
+    k = rng.choice(sorted(row))
+    delta = rng.choice((ONE, -ONE))
+    acc(row, k, delta)
+    if i != j and rng.random() < 0.5:
+        sign = -1 if g.parity[i] and g.parity[j] else 1
+        acc(g._bracket.setdefault((j, i), {}), k, -sign * delta)
+
+
+def _damage_zero_row(g, rng):
+    """A zero bracket made nonzero, skew-consistently, with the parity of
+    its output right."""
+    i, j = rng.choice([(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)
+                       if not g.bracket_basis(i, j)])
+    k = rng.choice([k for k in range(g.dim)
+                    if g.parity[k] == (g.parity[i] + g.parity[j]) % 2])
+    c = scalar(rng.choice((1, -1, 2, Fraction(1, 2))))
+    sign = -1 if g.parity[i] and g.parity[j] else 1
+    g._bracket[(i, j)] = {k: c}
+    g._bracket[(j, i)] = {k: -sign * c}
+
+
+def _damage_cartan_row(g, rng):
+    """[h, x] for a Cartan letter h given a component off x, of the parity
+    of x, skew-consistently: ad h is no longer diagonal."""
+    h = rng.choice(g.cartan)
+    x = rng.choice([x for x in range(g.dim) if g.bracket_basis(h, x)])
+    k = rng.choice([k for k in range(g.dim)
+                    if k != x and g.parity[k] == g.parity[x]])
+    acc(g._bracket.setdefault((h, x), {}), k, ONE)
+    acc(g._bracket.setdefault((x, h), {}), k, -ONE)
+
+
+DAMAGES = (_damage_constant, _damage_zero_row, _damage_cartan_row)
+
+
+@pytest.mark.parametrize("desc", ["osp:1|2", "sl:2|1", "gl:2|1", "spo:2|3",
+                                  "psl:2|2", "spo:4|1"])
+def test_validate_matches_the_full_loop_on_damage(desc):
+    rng = random.Random(desc)
+    for damage in DAMAGES:
+        for _ in range(4):
+            g = build_algebra(desc)
+            damage(g, rng)
+            report = validate(g)
+            assert report, (desc, damage.__name__)
+            assert report == validate_reference(g), (desc, damage.__name__)
 
 
 def test_bracket_bilinearity(algebras):
