@@ -14,10 +14,10 @@ linear.  The Casimir element is likewise built and certified once.
 ``verify_relations`` reads every generator commutator back from the
 commutator table, checks it against the tabulated right-hand sides and
 reports exact residuals.  ``pbw_coordinates`` expresses invariants in
-ordered monomials of the generators, peeling off one Kazhdan degree at
-a time: the top parts of the ordered monomials of each degree are
-reduced once per workspace into a sparse echelon keyed by normal word,
-and every later call only solves against it.
+ordered monomials of the generators by a triangular peel: the top part
+of an ordered monomial is led by the product of its generators' leading
+letters, so the leading word of a coset's top part names the next
+monomial to subtract.  Only the ordered monomials themselves are kept.
 """
 
 from fractions import Fraction
@@ -26,7 +26,6 @@ from .envelope import PBWAlgebra, kazhdan_weights, render_element
 from .errors import ConsistencyError, PreconditionError
 from .grading import admissible_subalgebras, neg_one_bases, weights_delta_rho
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from .superalgebra import LinearSolver
 
 RELATION_SUITE = "minimal-w-relations/1"
 
@@ -140,6 +139,7 @@ class WAlgebra:
         self.g1_letters = tuple(g1)
         self._centralizer = frozenset(grading.centralizer_letters())
         self._theta_cache = {}
+        # exponent tuple -> ordered monomial, the one straightening cache
         self._mono_cache = {}
         self._gens = None
         self._c0 = None
@@ -148,9 +148,6 @@ class WAlgebra:
         self._casimir = None
         self._cas = None
         self._table = None
-        # Kazhdan degree -> LinearSolver over the top parts of the ordered
-        # monomials of that degree, keyed by normal word
-        self._layers = {}
         # memo slots of cartanw.build_cartan_w and cartanw.restricted_roots
         self._cartan = None
         self._roots = None
@@ -495,53 +492,52 @@ class WAlgebra:
         self._mono_cache[expo] = elem
         return elem
 
-    def monomials_of_weight(self, target):
-        gens = self.generators
-        out = []
-
-        def rec(k, rem, prefix):
-            if rem == 0:
-                out.append(tuple(prefix + [0] * (len(gens) - k)))
-                return
-            if k == len(gens):
-                return
-            top = rem // gens[k].weight
-            if gens[k].parity:
-                top = min(top, 1)
-            for n in range(top, -1, -1):
-                rec(k + 1, rem - n * gens[k].weight, prefix + [n])
-
-        rec(0, target, [])
-        return out
-
-    def _layer(self, d):
-        """Echelon of the degree-d top parts of the ordered monomials,
-        built on first use and kept for the life of the workspace."""
-        solver = self._layers.get(d)
-        if solver is None:
-            solver = LinearSolver()
-            for expo in self.monomials_of_weight(d):
-                top = {w: c for w, c in self.monomial(expo).items()
-                       if self.word_weight(w) == d}
-                if top:
-                    solver.add(expo, top)
-            self._layers[d] = solver
-        return solver
-
     def pbw_coordinates(self, value):
-        """Exponent-tuple coordinates of a coset over ordered monomials."""
+        """Exponent-tuple coordinates of a coset over ordered monomials.
+
+        Theta_a leads with its letter a, F with v_mid and C with 2e; a word
+        is leading-only when its letters are g^e letters or v_mid, and its
+        key is (number of e, -number of v_mid).  A commutator drops the
+        Kazhdan weight by 2, so the top part of an ordered monomial is the
+        signed, sorted product of its factors' top parts.  Every tail word
+        of a lettered generator leaves g^e (the generator-shapes identity),
+        so a leading-only top tail word holds v_mid, and C's top tails hold
+        no e.  Keys add, so the product of the leading letters is the
+        unique max-key leading-only top word, with coefficient +-2^m, and
+        the max-key leading-only top word of a coset names the next
+        monomial to subtract.  Only real monomials are subtracted, so the
+        result is exact; a word that no monomial leads, or one met twice,
+        raises ``ConsistencyError``.
+        """
+        gr, gens = self.grading, self.generators
+        pos = {gen.letter: k for k, gen in enumerate(gens)
+               if gen.letter is not None}
+        pos[gr.e] = self.generator_index("C")
         coords = {}
+        peeled = set()
         work = dict(value)
         while work:
             d = self.pbw.kazhdan_degree(work)
-            combo = self._layer(d).solve(
-                {w: c for w, c in work.items() if self.word_weight(w) == d})
-            if combo is None:
+            lead = [w for w in work if self.word_weight(w) == d
+                    and all(i in pos for i in w)]
+            if not lead:
                 raise ConsistencyError(
                     "straightening failed at filtration degree %d" % d)
-            for expo, c in combo.items():
-                acc(coords, expo, c)
-                axpy(work, -c, self.monomial(expo))
+            word = max(lead, key=lambda w: (w.count(gr.e),
+                                            -w.count(gr.vmid)))
+            expo = [0] * len(gens)
+            for i in word:
+                expo[pos[i]] += 1
+            expo = tuple(expo)
+            mono = self.monomial(expo)
+            if word in peeled or word not in mono:
+                raise ConsistencyError(
+                    "straightening cannot peel %s off at filtration degree "
+                    "%d" % (render_monomial(self, expo), d))
+            peeled.add(word)
+            c = work[word] / mono[word]
+            coords[expo] = c
+            axpy(work, -c, mono)
         return coords
 
     def evaluate_coordinates(self, coords):
@@ -569,7 +565,8 @@ class WAlgebra:
     # -- the relation suite ----------------------------------------------
 
     def _shape_report(self, gen):
-        """Leading-monomial shape of one generator lift."""
+        """Leading-monomial shape of one generator lift, which the peel
+        of ``pbw_coordinates`` relies on."""
         value = dict(gen.element.value)
         if gen.letter is not None:
             lead = value.pop((gen.letter,), ZERO)

@@ -12,10 +12,14 @@ element h0 of type odd) reads a grading in a way no package code needs;
 it uses the package's exact solvers.  The raiser-square reference
 spells out the ladder products and the rho_e0 term that the package
 reads off Theta_Cas, and the weight-zero pool holds the products the
-projection pi is checked on.  ``validate_reference`` is ``validate`` as it
-was before it certified the Jacobi identity from a generating set: it
-checks every triple; ``generated_dimension`` closes a span under the
-brackets of all its pairs rather than under left-normed brackets.
+projection pi is checked on.  ``pbw_coordinates_reference`` is the
+straightener as it was before the leading-word peel: it echelons the top
+parts of every ordered monomial of each Kazhdan degree and solves against
+them, with nothing kept between calls.  ``validate_reference`` is
+``validate`` as it was before it certified the Jacobi identity from a
+generating set: it checks every triple; ``generated_dimension`` closes a
+span under the brackets of all its pairs rather than under left-normed
+brackets.
 """
 
 from fractions import Fraction
@@ -390,3 +394,51 @@ def validate_reference(g):
             if g.bracket_basis(a, b):
                 report.append("cartan not abelian at (%d,%d)" % (a, b))
     return report
+
+
+def monomials_of_weight(wal, target):
+    """Every ordered-monomial exponent tuple of Kazhdan degree ``target``,
+    odd generators at most once."""
+    gens = wal.generators
+    out = []
+
+    def rec(k, rem, prefix):
+        if rem == 0:
+            out.append(tuple(prefix + [0] * (len(gens) - k)))
+            return
+        if k == len(gens):
+            return
+        top = rem // gens[k].weight
+        if gens[k].parity:
+            top = min(top, 1)
+        for n in range(top, -1, -1):
+            rec(k + 1, rem - n * gens[k].weight, prefix + [n])
+
+    rec(0, target, [])
+    return out
+
+
+def pbw_coordinates_reference(wal, value):
+    """Coordinates of a coset over the ordered monomials, one Kazhdan
+    degree at a time: the top parts of all ordered monomials of the top
+    degree go into one echelon, the top part of the coset is solved
+    against it, and the solved combination is subtracted."""
+    coords = {}
+    work = dict(value)
+    while work:
+        d = wal.pbw.kazhdan_degree(work)
+        solver = LinearSolver()
+        for expo in monomials_of_weight(wal, d):
+            top = {w: c for w, c in wal.monomial(expo).items()
+                   if wal.word_weight(w) == d}
+            if top:
+                solver.add(expo, top)
+        combo = solver.solve(
+            {w: c for w, c in work.items() if wal.word_weight(w) == d})
+        if combo is None:
+            raise ConsistencyError(
+                "straightening failed at filtration degree %d" % d)
+        for expo, c in combo.items():
+            acc(coords, expo, c)
+            axpy(work, -c, wal.monomial(expo))
+    return coords

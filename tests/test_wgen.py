@@ -13,7 +13,9 @@ from minwsuper.grading import WeightData, grade
 from minwsuper.scalar import HALF, ONE, ZERO, axpy, scalar
 from minwsuper.superalgebra import build_algebra
 
-from oracles import count_bounded_monomials, raiser_square_reference
+from oracles import (count_bounded_monomials, monomials_of_weight,
+                     pbw_coordinates_reference, raiser_square_reference,
+                     weight_zero_pool)
 
 NAMES = ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1", "psl:2|2", "gl:2|1"]
 
@@ -270,23 +272,21 @@ def test_monomial_counts_match_graded_dimension(gradings):
         weights = [g.weight for g in gens]
         odd = [g.parity for g in gens]
         for cap in range(0, 9):
-            got = sum(len(wal.monomials_of_weight(d))
+            got = sum(len(monomials_of_weight(wal, d))
                       for d in range(cap + 1))
             assert got == count_bounded_monomials(weights, odd, cap)
 
 
 def test_cached_straightener(gradings):
-    # the per-degree echelon layers cached on a workspace give the same
-    # coordinates as a fresh workspace, a second pass adds no layer, and
-    # an input outside the span still fails
+    # a warm workspace gives the same coordinates as a fresh one, its
+    # table straightens again to itself, and an input outside the span
+    # still fails
     for name in ["spo:2|3", "sl:2|1"]:
         mg = gradings[name]
         warm = wgen.workspace(mg)
         table = warm.commutator_table
         fresh = wgen.WAlgebra(grade(build_algebra(name)))
         assert fresh.commutator_table == table
-        layers = len(warm._layers)
-        assert layers > 0
         gens = warm.generators
         for a in range(len(gens)):
             for b in range(a, len(gens)):
@@ -294,13 +294,75 @@ def test_cached_straightener(gradings):
                                      gens[b].element.value)
                 assert warm.pbw_coordinates(comm) == \
                     table[(gens[a].name, gens[b].name)]
-        assert len(warm._layers) == layers
         # a bare degree -1 letter other than the midline one has weight 1,
         # and no ordered monomial has that word as its top part
         z = next(i for i in mg.us + mg.vs if i != mg.vmid)
         assert warm.word_weight((z,)) == 1
         with pytest.raises(ConsistencyError):
             warm.pbw_coordinates({(z,): ONE})
+
+
+@pytest.mark.parametrize("name", ["osp:1|2", "sl:2|1", "gl:2|1", "spo:2|3",
+                                  "spo:4|1"])
+def test_peel_matches_echelon_reference(name):
+    # the leading-word peel and the per-degree echelon give the same
+    # coordinates on every table entry and every product of pool pairs
+    wal = wgen.WAlgebra(grade(build_algebra(name)))
+    gens = wal.generators
+    for a in range(len(gens)):
+        for b in range(a, len(gens)):
+            comm = wal.comm_raw(gens[a].element.value, gens[b].element.value)
+            assert wal.commutator_table[(gens[a].name, gens[b].name)] == \
+                pbw_coordinates_reference(wal, comm)
+    pool = weight_zero_pool(wal)
+    for x in pool:
+        for y in pool:
+            xy = wgen.w_multiply(x, y).value
+            assert wal.pbw_coordinates(xy) == \
+                pbw_coordinates_reference(wal, xy), name
+
+
+def test_peel_rejects_dependent_generators():
+    # two generators lifted to the same element Theta_a + Theta_b leave
+    # Theta_a outside the span of the ordered monomials: the peel trades
+    # a for b and back, and must stop at the repeated word
+    wal = wgen.WAlgebra(grade(build_algebra("spo:2|3")))
+    gens = wal.generators
+    a, b = next((p, q) for p in range(len(gens))
+                for q in range(p + 1, len(gens))
+                if gens[p].letter in wal.ge0_letters
+                and gens[q].letter in wal.ge0_letters
+                and (gens[p].weight, gens[p].parity)
+                == (gens[q].weight, gens[q].parity))
+    theta_a = wal.theta_letter(gens[a].letter)
+    both = wal.theta_zero({gens[a].letter: ONE, gens[b].letter: ONE})
+    gens[a].element = gens[b].element = both
+    with pytest.raises(ConsistencyError):
+        wal.pbw_coordinates(theta_a.value)
+
+
+def test_high_degree_pool_products():
+    # products of Kazhdan degree 8 and more on spo:8|1, where an echelon
+    # of every ordered monomial of the degree holds 28,865 monomials at
+    # degree 8: their coordinates evaluate back and pi is multiplicative.
+    # Degree 10 at most keeps it to seconds: w_multiply alone takes
+    # several seconds on a degree-12 product
+    mg = grade(build_algebra("spo:8|1"))
+    pool = weight_zero_pool(wgen.workspace(mg))
+    pairs = [(x, y) for x in pool for y in pool if 8 <= x.kdeg + y.kdeg <= 10]
+    random.Random(8).shuffle(pairs)
+    checked = []
+    for x, y in pairs:
+        xy = wgen.w_multiply(x, y)
+        if xy.kdeg < 8:
+            continue
+        back = wgen.evaluate_coordinates(mg, wgen.pbw_coordinates(xy))
+        assert back.value == xy.value
+        assert project_pi(xy) == project_pi(x) * project_pi(y)
+        checked.append(xy.kdeg)
+        if len(checked) == 6:
+            break
+    assert len(checked) == 6
 
 
 def _cache_snapshot(wal, cw):
