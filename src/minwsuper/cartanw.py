@@ -20,6 +20,7 @@ set of slot images, so either projection is one substitution.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .envelope import render_element
 from .errors import ConsistencyError, PreconditionError
@@ -85,6 +86,12 @@ class CartanWElement:
                 for e, c in self.cw.mul_monomials(ea, eb):
                     acc(out, e, ca * cb * c)
         return _wrap(self.cw, out)
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rsub__(self, other):
+        return self.cw.coerce(other) - self
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -244,11 +251,8 @@ class CartanWAlgebra:
 
 def _relation_table(names, parity_type):
     """Tabulated supercommutators; everything not listed is zero."""
-    table = {}
+    table = {pair: {} for pair in combinations_with_replacement(names, 2)}
     zero_expo = (0,) * len(names)
-    for a in range(len(names)):
-        for b in range(a, len(names)):
-            table[(names[a], names[b])] = {}
     if parity_type == "odd":
         c_expo = tuple(int(n == "C") for n in names)
         table[("F", "F")] = {zero_expo: scalar(-2)}
@@ -301,19 +305,17 @@ def build_cartan_w(grading):
 
     table = _relation_table(names, gr.parity_type)
     unit_expo = (0,) * len(names)
-    for a in range(len(names)):
-        for b in range(a, len(names)):
-            diff = wal.comm_raw(images[names[a]], images[names[b]])
-            for expo, c in table[(names[a], names[b])].items():
-                if expo == unit_expo:
-                    acc(diff, (), -c)
-                else:
-                    axpy(diff, -c, images["C"])
-            if diff:
-                raise ConsistencyError(
-                    "derived bracket [%s',%s'] disagrees with the "
-                    "tabulated relation by %s"
-                    % (names[a], names[b], render_element(pbw, diff)))
+    for a, b in combinations_with_replacement(names, 2):
+        diff = wal.comm_raw(images[a], images[b])
+        for expo, c in table[(a, b)].items():
+            if expo == unit_expo:
+                acc(diff, (), -c)
+            else:
+                axpy(diff, -c, images["C"])
+        if diff:
+            raise ConsistencyError(
+                "derived bracket [%s',%s'] disagrees with the tabulated "
+                "relation by %s" % (a, b, render_element(pbw, diff)))
 
     rendered = {n + "'": render_element(pbw, images[n]) for n in names}
     wal._cartan = CartanWAlgebra(grading, names, parities, table, images,

@@ -1,4 +1,5 @@
-"""Shared exception types; the CLI maps these onto exit codes."""
+"""Shared exception types, which the CLI maps onto exit codes, and the
+argument type check that raises ``PreconditionError``."""
 
 
 class UnsupportedFamilyError(ValueError):
@@ -11,3 +12,12 @@ class PreconditionError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; signals a bug, not bad input."""
+
+
+def check_type(x, cls):
+    """``x`` itself when it is a ``cls``; otherwise a PreconditionError
+    that names the type it has."""
+    if not isinstance(x, cls):
+        raise PreconditionError("expected a %s, got %s"
+                                % (cls.__name__, type(x).__name__))
+    return x

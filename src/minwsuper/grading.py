@@ -9,10 +9,10 @@ dual root-vector bases, and the weight functionals precomputed.
 
 from fractions import Fraction
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_type
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar, sqrt
-from .superalgebra import (_rational_inverse, _rational_kernel,
-                           root_decomposition)
+from .superalgebra import (LieSuperalgebra, _rational_inverse,
+                           _rational_kernel, root_decomposition)
 
 
 def _neg(root):
@@ -57,7 +57,7 @@ class MinimalGrading:
     """
 
     def __init__(self, g, theta=None):
-        self.base = g
+        self.base = check_type(g, LieSuperalgebra)
         self.rd = root_decomposition(g, theta)
         self.theta = self.rd.theta
         # the wgen.WAlgebra workspace, set up by wgen.workspace on first use

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (ConsistencyError, PreconditionError,
-                     UnsupportedFamilyError)
+                     UnsupportedFamilyError, check_type)
 from .scalar import ONE, ZERO, acc, axpy, scalar
 
 
@@ -568,7 +568,7 @@ def validate(g):
     checked and the report is the same as the full loop's.
     """
     report = []
-    dim = g.dim
+    dim = check_type(g, LieSuperalgebra).dim
 
     for i in range(dim):
         for j in range(dim):

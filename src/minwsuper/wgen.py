@@ -12,8 +12,9 @@ lifts, since the tail formulas and the twisted adjoint action are both
 linear.  The Casimir element is likewise built and certified once.
 
 ``verify_relations`` reads every generator commutator back from the
-commutator table, checks it against the tabulated right-hand sides and
-reports exact residuals.  ``pbw_coordinates`` expresses invariants in
+commutator table by generator position, through one index built with
+the generator list, checks it against the tabulated right-hand sides
+and reports exact residuals.  ``pbw_coordinates`` expresses invariants in
 ordered monomials of the generators by a triangular peel: the top part
 of an ordered monomial is led by the product of its generators' leading
 letters, so the leading word of a coset's top part names the next
@@ -21,10 +22,12 @@ monomial to subtract.  Only the ordered monomials themselves are kept.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 from .envelope import PBWAlgebra, kazhdan_weights, render_element
-from .errors import ConsistencyError, PreconditionError
-from .grading import admissible_subalgebras, neg_one_bases, weights_delta_rho
+from .errors import ConsistencyError, PreconditionError, check_type
+from .grading import (MinimalGrading, admissible_subalgebras, neg_one_bases,
+                      weights_delta_rho)
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
 
 RELATION_SUITE = "minimal-w-relations/1"
@@ -141,7 +144,11 @@ class WAlgebra:
         self._theta_cache = {}
         # exponent tuple -> ordered monomial, the one straightening cache
         self._mono_cache = {}
+        # the generator list, with name -> position and leading letter ->
+        # position (C under e), built together
         self._gens = None
+        self._name_pos = None
+        self._lead_pos = None
         self._c0 = None
         self._c0_pairs = 0
         self._wd = None
@@ -225,6 +232,7 @@ class WAlgebra:
         """Sum of c * theta_letter(i) over x; certified without a new check,
         because the tail formulas and the twisted adjoint action are both
         linear, so a combination of invariant letter lifts is invariant."""
+        x = {i: scalar(c) for i, c in x.items()}
         value = {}
         for i, c in x.items():
             axpy(value, c, self.theta_letter(i).value)
@@ -335,14 +343,17 @@ class WAlgebra:
         out.append(Generator("C", None, 4, 0, self.casimir()))
         put([] if gr.gmid is None else [gr.gmid], gr.fstars, gr.gstars,
             gr.xstars, gr.ystars)
+        self._name_pos = {gen.name: k for k, gen in enumerate(out)}
+        self._lead_pos = {gr.e if gen.letter is None else gen.letter: k
+                          for k, gen in enumerate(out)}
         self._gens = out
         return out
 
     def generator_index(self, name):
-        for k, gen in enumerate(self.generators):
-            if gen.name == name:
-                return k
-        raise PreconditionError("no generator named %r" % name)
+        self.generators  # builds the position maps with the list
+        if name not in self._name_pos:
+            raise PreconditionError("no generator named %r" % name)
+        return self._name_pos[name]
 
     # -- structural constants ----------------------------------------------
 
@@ -509,10 +520,7 @@ class WAlgebra:
         result is exact; a word that no monomial leads, or one met twice,
         raises ``ConsistencyError``.
         """
-        gr, gens = self.grading, self.generators
-        pos = {gen.letter: k for k, gen in enumerate(gens)
-               if gen.letter is not None}
-        pos[gr.e] = self.generator_index("C")
+        gr, gens, pos = self.grading, self.generators, self._lead_pos
         coords = {}
         peeled = set()
         work = dict(value)
@@ -551,15 +559,11 @@ class WAlgebra:
     def commutator_table(self):
         """Coordinates of every pairwise supercommutator of generators."""
         if self._table is None:
-            gens = self.generators
-            table = {}
-            for a in range(len(gens)):
-                for b in range(a, len(gens)):
-                    comm = self.comm_raw(gens[a].element.value,
-                                         gens[b].element.value)
-                    table[(gens[a].name, gens[b].name)] = \
-                        self.pbw_coordinates(comm)
-            self._table = table
+            self._table = {
+                (ga.name, gb.name): self.pbw_coordinates(
+                    self.comm_raw(ga.element.value, gb.element.value))
+                for ga, gb in combinations_with_replacement(
+                    self.generators, 2)}
         return self._table
 
     # -- the relation suite ----------------------------------------------
@@ -591,7 +595,8 @@ class WAlgebra:
 
     def verify_relations(self):
         gr, g, pbw = self.grading, self.algebra, self.pbw
-        gens = self.generators
+        gens, lead = self.generators, self._lead_pos
+        table = self.commutator_table
         identities = []
 
         def describe(residual):
@@ -603,70 +608,46 @@ class WAlgebra:
                               for i, c in sorted(residual.items()))
 
         def run(ident, cases):
-            failures = []
-            count = 0
-            for label, residual in cases:
-                count += 1
-                if residual:
-                    failures.append({"case": label,
-                                     "residual": describe(residual)})
-            identities.append({"id": ident, "cases": count,
-                               "failures": failures})
+            cases = list(cases)
+            identities.append({"id": ident, "cases": len(cases), "failures": [
+                {"case": label, "residual": describe(residual)}
+                for label, residual in cases if residual]})
 
-        def gen_pairs(letters):
-            for a in range(len(letters)):
-                for b in range(a, len(letters)):
-                    yield letters[a], letters[b]
-
-        table = self.commutator_table
-        letter_to_pos = {gen.letter: k for k, gen in enumerate(gens)
-                         if gen.letter is not None}
+        def entry(a, b):
+            """Coordinates of [gens[a], gens[b]], read from the commutator
+            table; a reversed pair picks up the supersign -(-1)^{|a||b|}."""
+            coords = table[(gens[min(a, b)].name, gens[max(a, b)].name)]
+            if a > b and not (gens[a].parity and gens[b].parity):
+                return {e: -c for e, c in coords.items()}
+            return coords
 
         def comm(a, b):
-            """[gens[a], gens[b]], read back from the commutator table; a
-            reversed pair picks up the supersign -(-1)^{|a||b|}."""
-            lo, hi = min(a, b), max(a, b)
-            value = self.evaluate_coordinates(
-                table[(gens[lo].name, gens[hi].name)]).value
-            if a > b and not (gens[a].parity and gens[b].parity):
-                value = _vec_sub({}, value)
-            return value
+            return self.evaluate_coordinates(entry(a, b)).value
 
-        def comm_letters(a, b):
-            return comm(letter_to_pos[a], letter_to_pos[b])
+        def brackets(ident, pairs, rhs):
+            """[Theta_a, Theta_b] against rhs({a: 1}, {b: 1}) per letter
+            pair."""
+            run(ident, (("[%s,%s]" % (g.labels[a], g.labels[b]),
+                         _vec_sub(comm(lead[a], lead[b]),
+                                  rhs({a: ONE}, {b: ONE})))
+                        for a, b in pairs))
 
         run("generator-invariance",
             ((gen.name, None) for gen in gens))
-
-        cases = []
-        for a, b in gen_pairs(self.ge0_letters):
-            lhs = comm_letters(a, b)
-            rhs = self.theta_zero(g.bracket({a: ONE}, {b: ONE})).value
-            cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
-                          _vec_sub(lhs, rhs)))
-        run("degree0-brackets", cases)
-
-        cases = []
-        for a in self.ge0_letters:
-            for b in self.g1_letters:
-                lhs = comm_letters(a, b)
-                rhs = self.theta_one(g.bracket({a: ONE}, {b: ONE})).value
-                cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
-                              _vec_sub(lhs, rhs)))
-        run("degree0-degree1-brackets", cases)
-
-        cases = []
-        for a, b in gen_pairs(self.g1_letters):
-            lhs = comm_letters(a, b)
-            rhs = self.pair_expansion({a: ONE}, {b: ONE})
-            cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
-                          _vec_sub(lhs, rhs)))
-        run("degree1-pair-expansion", cases)
+        brackets("degree0-brackets",
+                 combinations_with_replacement(self.ge0_letters, 2),
+                 lambda x, y: self.theta_zero(g.bracket(x, y)).value)
+        brackets("degree0-degree1-brackets",
+                 product(self.ge0_letters, self.g1_letters),
+                 lambda x, y: self.theta_one(g.bracket(x, y)).value)
+        brackets("degree1-pair-expansion",
+                 combinations_with_replacement(self.g1_letters, 2),
+                 self.pair_expansion)
 
         pos_c = self.generator_index("C")
         run("casimir-central",
             (("[C,%s]" % gen.name, comm(pos_c, k))
-             for k, gen in enumerate(gens) if gen.name != "C"))
+             for k, gen in enumerate(gens) if k != pos_c))
 
         run("casimir-vs-quadratic",
             (("[Cas,%s]" % g.labels[a],
@@ -676,24 +657,19 @@ class WAlgebra:
 
         if gr.parity_type == "odd":
             pos_f = self.generator_index("F")
-            cases = [("[F,%s]" % gen.name, comm(pos_f, k))
-                     for k, gen in enumerate(gens)
-                     if gen.name not in ("F", "C")]
-            cases.append(("[F,C]", comm(pos_f, pos_c)))
-            cases.append(("[F,F]-1",
-                          _vec_sub(comm(pos_f, pos_f), pbw.unit())))
-            run("midline-relations", cases)
+            run("midline-relations",
+                [("[F,%s]" % gen.name, comm(pos_f, k))
+                 for k, gen in enumerate(gens) if k not in (pos_f, pos_c)]
+                + [("[F,C]", comm(pos_f, pos_c)),
+                   ("[F,F]-1", _vec_sub(comm(pos_f, pos_f), pbw.unit()))])
 
-            cases = []
             gmid = {gr.gmid: ONE}
-            vmid = {gr.vmid: ONE}
-            veve = g.bracket(gmid, gmid)
-            cases.append(("[[v,e],[v,e]]+e",
-                          _vec_sub(veve, {gr.e: -ONE})))
-            vev = g.bracket(gmid, vmid)
-            cases.append(("[[v,e],v]+h/2",
-                          _vec_sub(vev, {gr.hth: -HALF})))
-            run("midline-lie-identities", cases)
+            run("midline-lie-identities",
+                [("[[v,e],[v,e]]+e",
+                  _vec_sub(g.bracket(gmid, gmid), {gr.e: -ONE})),
+                 ("[[v,e],v]+h/2",
+                  _vec_sub(g.bracket(gmid, {gr.vmid: ONE}),
+                           {gr.hth: -HALF}))])
 
             lhs = self.mul_raw(self.theta_letter(gr.gmid).value,
                                self.theta_letter(gr.gmid).value)
@@ -701,69 +677,53 @@ class WAlgebra:
                 [("square", _vec_sub(lhs, self.midline_square_expansion()))])
 
         cases = []
-        for x, xs in list(zip(gr.xs, gr.xstars)) + list(zip(gr.ys,
-                                                            gr.ystars)):
+        for x, xs in [*zip(gr.xs, gr.xstars), *zip(gr.ys, gr.ystars)]:
             brk = g.bracket({xs: ONE}, {x: ONE})
             bad = {i: c for i, c in brk.items() if i not in gr.hes}
-            if bad:
-                cases.append((g.labels[x], bad))
-                continue
-            residual = _vec_sub(brk, self.dual_cartan(gr.letter_weights[xs]))
-            cases.append((g.labels[x], residual))
+            cases.append((g.labels[x], bad or _vec_sub(
+                brk, self.dual_cartan(gr.letter_weights[xs]))))
         run("degree0-ladder-cartan", cases)
 
-        y_names = [gen.name for gen in gens
-                   if gen.letter is not None and gen.name != "F"]
         if gr.parity_type == "odd":
             cases = []
-            for gen in gens:
-                key = tuple(sorted((gen.name, "F"),
-                                   key=[g2.name for g2 in gens].index))
-                entry = dict(table[key])
-                if gen.name == "F":
-                    unit = entry.pop(tuple(0 for _ in gens), None)
-                    ok = unit == ONE and not entry
+            for k, gen in enumerate(gens):
+                rest = dict(entry(min(k, pos_f), max(k, pos_f)))
+                if k == pos_f:
+                    ok = rest.pop((0,) * len(gens), None) == ONE and not rest
                     cases.append(("[F,F]",
-                                  None if ok else _render_coords(self, entry)))
-                elif gen.name != "C":
+                                  None if ok else _render_coords(self, rest)))
+                elif k != pos_c:
                     cases.append(("[%s,F]" % gen.name,
-                                  _render_coords(self, entry) if entry
-                                  else None))
+                                  rest and _render_coords(self, rest)))
             run("table-midline-column", cases)
 
         cases = []
-        for a in range(len(gens)):
-            for b in range(a, len(gens)):
-                ga, gb = gens[a], gens[b]
-                if ga.name not in y_names or gb.name not in y_names:
-                    continue
-                brk = g.bracket({ga.letter: ONE}, {gb.letter: ONE})
-                if g.pair(brk, {gr.f: ONE}):
-                    continue
-                expected = {}
-                for i, c in brk.items():
-                    expo = [0] * len(gens)
-                    expo[letter_to_pos[i]] = 1
-                    expected[tuple(expo)] = c
-                # only the leading filtration layer is pinned down; the
-                # exact identities above cover everything of lower weight
-                top = ga.weight + gb.weight - 2
-                diff = {}
-                for expo, c in table[(ga.name, gb.name)].items():
-                    wt = sum(n * gens[k].weight
-                             for k, n in enumerate(expo))
-                    if wt > top or (wt == top and sum(expo) < 2):
-                        diff[expo] = c
-                for expo, c in expected.items():
-                    acc(diff, expo, -c)
-                cases.append(("[%s,%s]" % (ga.name, gb.name),
-                              _render_coords(self, diff) if diff else None))
+        lettered = [k for k, gen in enumerate(gens)
+                    if gen.letter is not None and gen.name != "F"]
+        for a, b in combinations_with_replacement(lettered, 2):
+            ga, gb = gens[a], gens[b]
+            brk = g.bracket({ga.letter: ONE}, {gb.letter: ONE})
+            if g.pair(brk, {gr.f: ONE}):
+                continue
+            # only the leading filtration layer is pinned down; the
+            # exact identities above cover everything of lower weight
+            top = ga.weight + gb.weight - 2
+            diff = {}
+            for expo, c in entry(a, b).items():
+                wt = sum(n * gens[k].weight for k, n in enumerate(expo))
+                if wt > top or (wt == top and sum(expo) < 2):
+                    diff[expo] = c
+            for i, c in brk.items():
+                acc(diff, tuple(int(k == lead[i]) for k in range(len(gens))),
+                    -c)
+            cases.append(("[%s,%s]" % (ga.name, gb.name),
+                          diff and _render_coords(self, diff)))
         run("table-linear-parts", cases)
 
         run("generator-shapes",
             ((gen.name, self._shape_report(gen)) for gen in gens))
 
-        report = {
+        return {
             "algebra": g.display,
             "parity_type": gr.parity_type,
             "suite": RELATION_SUITE,
@@ -774,12 +734,12 @@ class WAlgebra:
             "identities": identities,
             "ok": all(not ident["failures"] for ident in identities),
         }
-        return report
 
 
 def workspace(grading):
     """The grading's one workspace, built on first use and kept on the
     grading; the two reference each other and are freed together."""
+    check_type(grading, MinimalGrading)
     if grading._workspace is None:
         grading._workspace = WAlgebra(grading)
     return grading._workspace
@@ -807,10 +767,7 @@ def theta_cas(grading):
 
 def _workspace_of(x):
     """The workspace of a W-algebra element; anything else is rejected."""
-    if not isinstance(x, WElement):
-        raise PreconditionError("expected a WElement, got %s"
-                                % type(x).__name__)
-    return x.wal
+    return check_type(x, WElement).wal
 
 
 def _shared_workspace(a, b):
@@ -867,7 +824,7 @@ def evaluate_coordinates(grading, coords):
     generator, at most 1 on an odd one."""
     wal = workspace(grading)
     _check_exponents(coords, [gen.parity for gen in wal.generators])
-    return wal.evaluate_coordinates(coords)
+    return wal.evaluate_coordinates({e: scalar(c) for e, c in coords.items()})
 
 
 def verify_relations(grading):

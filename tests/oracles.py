@@ -15,7 +15,8 @@ reads off Theta_Cas, and the weight-zero pool holds the products the
 projection pi is checked on.  ``pbw_coordinates_reference`` is the
 straightener as it was before the leading-word peel: it echelons the top
 parts of every ordered monomial of each Kazhdan degree and solves against
-them, with nothing kept between calls.  ``validate_reference`` is
+them; a caller may pass a dict that keeps those echelons between calls on
+one workspace.  ``validate_reference`` is
 ``validate`` as it was before it certified the Jacobi identity from a
 generating set: it checks every triple; ``generated_dimension`` closes a
 span under the brackets of all its pairs rather than under left-normed
@@ -418,21 +419,26 @@ def monomials_of_weight(wal, target):
     return out
 
 
-def pbw_coordinates_reference(wal, value):
+def pbw_coordinates_reference(wal, value, echelons=None):
     """Coordinates of a coset over the ordered monomials, one Kazhdan
     degree at a time: the top parts of all ordered monomials of the top
     degree go into one echelon, the top part of the coset is solved
-    against it, and the solved combination is subtracted."""
+    against it, and the solved combination is subtracted.  ``echelons``,
+    a dict owned by the caller for one workspace, keeps the echelon of
+    each degree for later calls."""
     coords = {}
     work = dict(value)
+    echelons = {} if echelons is None else echelons
     while work:
         d = wal.pbw.kazhdan_degree(work)
-        solver = LinearSolver()
-        for expo in monomials_of_weight(wal, d):
-            top = {w: c for w, c in wal.monomial(expo).items()
-                   if wal.word_weight(w) == d}
-            if top:
-                solver.add(expo, top)
+        solver = echelons.get(d)
+        if solver is None:
+            solver = echelons[d] = LinearSolver()
+            for expo in monomials_of_weight(wal, d):
+                top = {w: c for w, c in wal.monomial(expo).items()
+                       if wal.word_weight(w) == d}
+                if top:
+                    solver.add(expo, top)
         combo = solver.solve(
             {w: c for w, c in work.items() if wal.word_weight(w) == d})
         if combo is None:

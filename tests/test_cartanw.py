@@ -475,6 +475,23 @@ def test_element_arithmetic(gradings):
     assert y.is_zero()
 
 
+def test_element_reflected_arithmetic(gradings):
+    # a number on the left means the same multiple of the unit as on the
+    # right: 1 + x, 2 - x and scalar(1) + x, like x + 1 and 2 * x
+    cw = build_cartan_w(gradings["spo:2|3"])
+    h = cw.gen("h1")
+    for one in (1, Fraction(1), ONE):
+        assert one + h == h + one == h + cw.unit()
+        assert one - h == cw.unit() - h
+        assert h - one == h - cw.unit()
+    assert 2 - h == cw.unit().scale(2) - h
+    assert (q(1, 2) - h) + (h - q(1, 2)) == cw.zero()
+    with pytest.raises(TypeError):
+        0.5 + h
+    with pytest.raises(TypeError):
+        0.5 - h
+
+
 def test_element_rejects_bad_exponents(gradings):
     even = build_cartan_w(gradings["sl:2|1"])
     odd = build_cartan_w(gradings["spo:2|3"])

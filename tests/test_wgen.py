@@ -1,5 +1,7 @@
 """Invariant generators, the quadratic constants, straightening."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -10,8 +12,8 @@ from minwsuper.cartanw import build_cartan_w, project_pi, restricted_weight
 from minwsuper.envelope import render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.grading import WeightData, grade
-from minwsuper.scalar import HALF, ONE, ZERO, axpy, scalar
-from minwsuper.superalgebra import build_algebra
+from minwsuper.scalar import HALF, ONE, ZERO, acc, axpy, scalar
+from minwsuper.superalgebra import build_algebra, validate
 
 from oracles import (count_bounded_monomials, monomials_of_weight,
                      pbw_coordinates_reference, raiser_square_reference,
@@ -114,6 +116,55 @@ def test_theta_v_rejects_wrong_degree(gradings):
         wgen.theta_v(mg, {mg.e: ONE})
     with pytest.raises(PreconditionError):
         wgen.theta_w(mg, {mg.hth: ONE})
+
+
+def test_lifts_and_coordinates_coerce_coefficients(gradings):
+    # coefficients are coerced to Scalar, as CartanWElement does: an int
+    # or Fraction gives the same element as its Scalar, and a float is a
+    # TypeError, even a float zero
+    mg = gradings["spo:2|3"]
+    x, g = mg.xs[0], mg.gs[0]
+    half = scalar(Fraction(1, 2))
+    assert wgen.theta_v(mg, {x: Fraction(1, 2)}) == \
+        wgen.theta_v(mg, {x: half})
+    assert wgen.theta_w(mg, {g: 2}) == wgen.theta_w(mg, {g: ONE + ONE})
+    zero = (0,) * len(wgen.workspace(mg).generators)
+    assert wgen.evaluate_coordinates(mg, {zero: Fraction(1, 2)}) == \
+        wgen.evaluate_coordinates(mg, {zero: half})
+    for bad in (0.0, 0.5):
+        with pytest.raises(TypeError):
+            wgen.theta_v(mg, {x: bad})
+        with pytest.raises(TypeError):
+            wgen.theta_w(mg, {g: bad})
+        with pytest.raises(TypeError):
+            wgen.evaluate_coordinates(mg, {zero: bad})
+
+
+TYPED_CALLS = {
+    "workspace": wgen.workspace,
+    "build_cartan_w": cartanw.build_cartan_w,
+    "restricted_roots": cartanw.restricted_roots,
+    "theta_v": lambda x: wgen.theta_v(x, {}),
+    "theta_w": lambda x: wgen.theta_w(x, {}),
+    "casimir_C": wgen.casimir_C,
+    "theta_F": wgen.theta_F,
+    "theta_cas": wgen.theta_cas,
+    "compute_c0": wgen.compute_c0,
+    "compute_epsilon": wgen.compute_epsilon,
+    "evaluate_coordinates": lambda x: wgen.evaluate_coordinates(x, {}),
+    "verify_relations": wgen.verify_relations,
+    "grade": grade,
+    "validate": validate,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPED_CALLS))
+@pytest.mark.parametrize("arg", [None, "spo:2|3"])
+def test_wrong_argument_types_are_typed_errors(name, arg):
+    # a descriptor string or None where an algebra or a grading belongs
+    # names the type it got, rather than raising a bare AttributeError
+    with pytest.raises(PreconditionError, match=type(arg).__name__):
+        TYPED_CALLS[name](arg)
 
 
 def test_theta_F_needs_a_midline(gradings):
@@ -306,20 +357,22 @@ def test_cached_straightener(gradings):
                                   "spo:4|1"])
 def test_peel_matches_echelon_reference(name):
     # the leading-word peel and the per-degree echelon give the same
-    # coordinates on every table entry and every product of pool pairs
+    # coordinates on every table entry and every product of pool pairs;
+    # the reference keeps its per-degree echelons across the calls
     wal = wgen.WAlgebra(grade(build_algebra(name)))
     gens = wal.generators
+    echelons = {}
     for a in range(len(gens)):
         for b in range(a, len(gens)):
             comm = wal.comm_raw(gens[a].element.value, gens[b].element.value)
             assert wal.commutator_table[(gens[a].name, gens[b].name)] == \
-                pbw_coordinates_reference(wal, comm)
+                pbw_coordinates_reference(wal, comm, echelons)
     pool = weight_zero_pool(wal)
     for x in pool:
         for y in pool:
             xy = wgen.w_multiply(x, y).value
             assert wal.pbw_coordinates(xy) == \
-                pbw_coordinates_reference(wal, xy), name
+                pbw_coordinates_reference(wal, xy, echelons), name
 
 
 def test_peel_rejects_dependent_generators():
@@ -540,6 +593,45 @@ def test_relation_suite_failure_shape():
         assert "degree1-pair-expansion" in bad
     finally:
         wal._c0 = good
+
+
+# Regression freezes, not independent truths: sha256 digests of the whole
+# relation report, failures and residual strings included, under three
+# kinds of damage: c0 + 1, +1 on the unit term of every table entry, and
+# +1 on every single-generator term of every table entry.  The unit
+# damage also shows the supersign of a reversed table read.
+DAMAGED_REPORT_DIGESTS = {
+    ("osp:1|2", "c0"): "a41e811e30753ce8b1b1e08e96e0f0cffe4c5200ce9a7afb609e6fd6616944f6",
+    ("osp:1|2", "unit"): "5fda0ec125a1525206e2861cdab9a6ef6ec90581ab2abaf23123dd6901d1bb26",
+    ("osp:1|2", "linear"): "debcae41fadb7af6e0aba824dcb3bbd5ca1b8c87ec7e4692cf58e056d6b205f9",
+    ("sl:2|1", "c0"): "6f5b5f419d76600bba7ff8360cfe232091511c305c87516a8284befc743fc24d",
+    ("sl:2|1", "unit"): "efc8a1b71920bd290937e7f64ad1f1e7f065d124ff5255a785e00959d0b3b51d",
+    ("sl:2|1", "linear"): "9e201d7a78e475921c5495e723f5b8c15bfebaba06c9477798b394a1102060df",
+    ("gl:2|1", "c0"): "b7c6ca92b2b5ca52e81045285e8f0155d7e8d73d3de2f8136b58c964d03d8cd9",
+    ("gl:2|1", "unit"): "0875691bf73223ce1f40f60c313249deaa41cc94b1703ffe9b050b656473bfb4",
+    ("gl:2|1", "linear"): "7b16d28d119f636bc43bda150ebec091ed6f8a6fd6d82a086483bb27c89d8f9a",
+    ("spo:2|3", "c0"): "4602da5fb717b4b0ab48bc05b9c48379e1c51480b19c2fb6829e22c698f625b5",
+    ("spo:2|3", "unit"): "7834b162b26521e039ccd99b5ff276728b4da56a77841ab13c0242f5b1f137e8",
+    ("spo:2|3", "linear"): "5411322280176a9cb29e907e00d8e041d1095595585640ca744cd90187fd7610",
+}
+
+
+@pytest.mark.parametrize("name,damage", sorted(DAMAGED_REPORT_DIGESTS))
+def test_damaged_reports_frozen(name, damage):
+    wal = wgen.WAlgebra(grade(build_algebra(name)))
+    if damage == "c0":
+        wal._c0 = wal.c0 + 1
+    else:
+        unit = (0,) * len(wal.generators)
+        for entry in wal.commutator_table.values():
+            for expo in ([unit] if damage == "unit"
+                         else [e for e in entry if sum(e) == 1]):
+                acc(entry, expo, ONE)
+    rep = wal.verify_relations()
+    assert not rep["ok"]
+    text = json.dumps(rep, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        DAMAGED_REPORT_DIGESTS[(name, damage)]
 
 
 def _sheared(wd, rng):
