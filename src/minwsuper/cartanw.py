@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .envelope import render_element
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError, check_type
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
 from .superalgebra import LinearSolver, _indecomposable, _rational_tuple
 from .wgen import WElement, _check_exponents, _workspace_of, workspace
@@ -326,6 +326,7 @@ def build_cartan_w(grading):
 def center_basis(cw):
     """Torus generators plus the Casimir, the even slots; certified by
     commuting."""
+    check_type(cw, CartanWAlgebra)
     central = [cw.gen(n) for n, p in zip(cw.names, cw.parities) if not p]
     gens = cw.generators()
     for elem in central:
@@ -366,6 +367,7 @@ class VLambdaModule:
 
 def simple_module(cw, lam, c=None):
     """The module with highest weight ``lam`` (and level ``c`` if even)."""
+    check_type(cw, CartanWAlgebra)
     hnames = [n for n in cw.names if n not in ("F", "C", "E")]
     lam = tuple(scalar(v) for v in lam)
     if len(lam) != len(hnames):

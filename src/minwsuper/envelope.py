@@ -9,9 +9,7 @@ is what the finite quotient needs.
 Straightening is letter by letter.  A product ``word * x`` that is already
 in normal order (``word`` empty, ``x`` after its last letter, or an even
 ``x`` repeating it) is the word with ``x`` appended and is built on the spot;
-only products that need rewriting go into the letter cache.  A commutator
-is summed word pair by word pair, and a pair whose letters all supercommute
-is skipped, since its two products cancel exactly.
+only products that need rewriting go into the letter cache.
 
 The adjoint action of one letter, ``ad(x, a) = [x, a]``, is what the
 invariance check of every W-algebra element asks for, and it meets the
@@ -20,6 +18,13 @@ normal word w is built once, as x w - (-1)^{|x||w|} w x, and kept in the
 adjoint cache next to the letter cache, empty when the two products
 cancel; a word whose letters all supercommute with x has [x, w] = 0 and
 is neither built nor cached.
+
+A commutator [a, b] follows the super-Leibniz rule: each letter of a word
+of ``a`` is replaced in turn by its bracket with one parity part of ``b``,
+read through ``ad``, with the sign of moving that part past the letters
+after it.  So the adjoint cache is also the commutator's memo, and the
+two full products of a word pair, whose leading terms cancel, are never
+formed.
 """
 
 from .errors import PreconditionError
@@ -137,22 +142,37 @@ class PBWAlgebra:
         return out
 
     def commutator(self, a, b):
-        """The superbracket a b - (-1)^{|a||b|} b a, summed word pair by
-        word pair: c wa wb - (-1)^{|wa||wb|} c wb wa for the coefficient c
-        of each pair.  A pair in which every letter of wa supercommutes
-        with every letter of wb contributes zero and is skipped."""
+        """The superbracket a b - (-1)^{|a||b|} b a by the super-Leibniz
+        rule: for each word x_1...x_m of ``a`` and each parity part b_p of
+        ``b``, the sum over i of (-1)^{p |x_{i+1}...x_m|} x_1...x_{i-1}
+        [x_i, b_p] x_{i+1}...x_m.  Each [x_i, b_p] is read through ``ad``
+        once per letter and part, so the two full products of a word pair,
+        whose leading terms cancel, are never formed."""
+        parity = self.g.parity
+        parts = {}
+        for wb, cb in b.items():
+            parts.setdefault(self.word_parity(wb), {})[wb] = cb
+        memo = {}
         out = {}
-        partners = self._partners
-        bs = [(wb, cb, self.word_parity(wb)) for wb, cb in b.items()]
         for wa, ca in a.items():
-            pa = self.word_parity(wa)
-            touched = set().union(*(partners[x] for x in wa))
-            for wb, cb, pb in bs:
-                if touched.isdisjoint(wb):
-                    continue
-                c = ca * cb
-                axpy(out, c, self._mul_word(wa, wb))
-                axpy(out, c if pa and pb else -c, self._mul_word(wb, wa))
+            for p, bp in parts.items():
+                odd_tail = 0
+                for i in range(len(wa) - 1, -1, -1):
+                    x = wa[i]
+                    inner = memo.get((x, p))
+                    if inner is None:
+                        inner = memo[(x, p)] = self.ad(x, bp)
+                    if inner:
+                        head, tail = wa[:i], wa[i + 1:]
+                        mid = inner
+                        if head:
+                            mid = {}
+                            for u, cu in inner.items():
+                                axpy(mid, cu, self._mul_word(head, u))
+                        c = -ca if p and odd_tail else ca
+                        for w, cw in mid.items():
+                            axpy(out, c * cw, self._mul_word(w, tail))
+                    odd_tail ^= parity[x]
         return out
 
     def ad(self, x, a):

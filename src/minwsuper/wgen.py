@@ -11,10 +11,14 @@ lift of a combination of letters is the same combination of letter
 lifts, since the tail formulas and the twisted adjoint action are both
 linear.  The Casimir element is likewise built and certified once.
 
-``verify_relations`` reads every generator commutator back from the
-commutator table by generator position, through one index built with
-the generator list, checks it against the tabulated right-hand sides
-and reports exact residuals.  ``pbw_coordinates`` expresses invariants in
+``closed_form_table`` states every generator supercommutator in
+closed form, from the structure constants of g and c0 alone: the
+presentation by Theta_v, Theta_w, C and F.  ``verify_relations`` reads
+the commutator table, straightened from the lifts in U(g), by generator
+position through one index built with the generator list.  Its bracket
+groups report the U(g) value of the difference between the two tables;
+coordinates over ordered monomials are unique, so equal entries certify
+the presentation.  ``pbw_coordinates`` expresses invariants in
 ordered monomials of the generators by a triangular peel: the top part
 of an ordered monomial is led by the product of its generators' leading
 letters, so the leading word of a coset's top part names the next
@@ -155,6 +159,7 @@ class WAlgebra:
         self._casimir = None
         self._cas = None
         self._table = None
+        self._closed = None
         # memo slots of cartanw.build_cartan_w and cartanw.restricted_roots
         self._cartan = None
         self._roots = None
@@ -423,31 +428,87 @@ class WAlgebra:
 
     # -- supercommutator right-hand sides ------------------------------------
 
-    def pair_expansion(self, w1, w2):
-        """Tabulated value of the bracket of two degree-1 generators."""
-        g, gr = self.algebra, self.grading
-        t = g.pair(g.bracket(w1, w2), {gr.f: ONE})
-        out = {}
-        if t:
-            half_t = HALF * t
-            axpy(out, half_t, self.casimir().value)
-            axpy(out, -half_t, self.theta_cas().value)
-            acc(out, (), -half_t * self.c0)
-        p1 = self.algebra.element_parity(w1)
-        p2 = self.algebra.element_parity(w2)
-        sign = -ONE if (p1 and p2) else ONE
-        for z, zst in zip(self.nb["z"], self.nb["zstar"]):
-            a1 = gr.sharp(g.bracket(w1, z))
-            b2 = gr.sharp(g.bracket(zst, w2))
-            if a1 and b2:
-                axpy(out, -HALF, self.mul_raw(self.theta_zero(a1).value,
-                                              self.theta_zero(b2).value))
-            a2 = gr.sharp(g.bracket(w2, z))
-            b1 = gr.sharp(g.bracket(zst, w1))
-            if a2 and b1:
-                axpy(out, HALF * sign, self.mul_raw(
-                    self.theta_zero(a2).value, self.theta_zero(b1).value))
-        return out
+    @property
+    def closed_form_table(self):
+        """The commutator table in closed form, keyed like
+        ``commutator_table`` and built from the structure constants of g
+        and c0 alone; it never reads the straightened table.
+
+        C's row is zero, and so is F's but for [F, F] = 1.  A degree-0
+        generator with a degree-0 or degree-1 one gives Theta of their
+        bracket.  Two degree-1 generators w1, w2 give the pair expansion
+
+            t/2 (C - Theta_Cas - c0)
+              - 1/2 sum_k Theta(#[w1, z_k]) Theta(#[z*_k, w2])
+              + (-1)^{|w1||w2|}/2 sum_k Theta(#[w2, z_k]) Theta(#[z*_k, w1]),
+
+        with t = ([w1, w2], f) and Theta_Cas summed over
+        ``_quadratic_pairs``.  A product Theta_a Theta_b of degree-0 letters
+        at positions p and q is the ordered monomial when p < q or p = q is
+        even, and half of Theta([a, a]) when p = q is odd.  When p > q it is
+        the ordered monomial, negated when both are odd, plus Theta([a, b]).
+        """
+        if self._closed is not None:
+            return self._closed
+        g, gr, gens = self.algebra, self.grading, self.generators
+        pos, parity = self._lead_pos, g.parity
+
+        def mono(*ks):
+            expo = [0] * len(gens)
+            for k in ks:
+                expo[k] += 1
+            return tuple(expo)
+
+        def theta(x, c=ONE):
+            return {mono(pos[i]): c * ci for i, ci in x.items()}
+
+        def product(a, b):
+            p, q = pos[a], pos[b]
+            if p < q or (p == q and not parity[a]):
+                return {mono(p, q): ONE}
+            if p == q:
+                return theta(g.bracket_basis(a, a), HALF)
+            out = theta(g.bracket_basis(a, b))
+            acc(out, mono(p, q), -ONE if parity[a] and parity[b] else ONE)
+            return out
+
+        def products(out, c, x, y):
+            for a, ca in x.items():
+                for b, cb in y.items():
+                    axpy(out, c * ca * cb, product(a, b))
+
+        cas = {}
+        for a, b, c in self._quadratic_pairs():
+            axpy(cas, c, product(a, b))
+
+        def pair(w1, w2):
+            out = {}
+            t = g.pair(g.bracket({w1: ONE}, {w2: ONE}), {gr.f: ONE})
+            if t:
+                half_t = HALF * t
+                acc(out, mono(self.generator_index("C")), half_t)
+                axpy(out, -half_t, cas)
+                acc(out, mono(), -half_t * self.c0)
+            half_sign = -HALF if parity[w1] and parity[w2] else HALF
+            for z, zst in zip(self.nb["z"], self.nb["zstar"]):
+                products(out, -HALF, gr.sharp(g.bracket({w1: ONE}, z)),
+                         gr.sharp(g.bracket(zst, {w2: ONE})))
+                products(out, half_sign, gr.sharp(g.bracket({w2: ONE}, z)),
+                         gr.sharp(g.bracket(zst, {w1: ONE})))
+            return out
+
+        table = {}
+        for ga, gb in combinations_with_replacement(gens, 2):
+            key = (ga.name, gb.name)
+            if "C" in key or "F" in key:
+                table[key] = {mono(): ONE} if key == ("F", "F") else {}
+            elif ga.letter in self.g1_letters and gb.letter in self.g1_letters:
+                table[key] = pair(ga.letter, gb.letter)
+            else:
+                table[key] = theta(g.bracket({ga.letter: ONE},
+                                             {gb.letter: ONE}))
+        self._closed = table
+        return table
 
     def midline_square_expansion(self):
         """Closed form for the square of the midline-raiser generator:
@@ -596,7 +657,7 @@ class WAlgebra:
     def verify_relations(self):
         gr, g, pbw = self.grading, self.algebra, self.pbw
         gens, lead = self.generators, self._lead_pos
-        table = self.commutator_table
+        table, closed = self.commutator_table, self.closed_form_table
         identities = []
 
         def describe(residual):
@@ -613,10 +674,11 @@ class WAlgebra:
                 {"case": label, "residual": describe(residual)}
                 for label, residual in cases if residual]})
 
-        def entry(a, b):
-            """Coordinates of [gens[a], gens[b]], read from the commutator
-            table; a reversed pair picks up the supersign -(-1)^{|a||b|}."""
-            coords = table[(gens[min(a, b)].name, gens[max(a, b)].name)]
+        def entry(a, b, source=table):
+            """Coordinates of [gens[a], gens[b]], read from ``source``, the
+            commutator table or its closed form; a reversed pair picks up
+            the supersign -(-1)^{|a||b|}."""
+            coords = source[(gens[min(a, b)].name, gens[max(a, b)].name)]
             if a > b and not (gens[a].parity and gens[b].parity):
                 return {e: -c for e, c in coords.items()}
             return coords
@@ -624,25 +686,25 @@ class WAlgebra:
         def comm(a, b):
             return self.evaluate_coordinates(entry(a, b)).value
 
-        def brackets(ident, pairs, rhs):
-            """[Theta_a, Theta_b] against rhs({a: 1}, {b: 1}) per letter
-            pair."""
-            run(ident, (("[%s,%s]" % (g.labels[a], g.labels[b]),
-                         _vec_sub(comm(lead[a], lead[b]),
-                                  rhs({a: ONE}, {b: ONE})))
-                        for a, b in pairs))
+        def brackets(ident, pairs):
+            """[Theta_a, Theta_b] against its closed form per letter pair:
+            the U(g) value of the difference of the two entries."""
+            cases = []
+            for a, b in pairs:
+                diff = dict(entry(lead[a], lead[b]))
+                axpy(diff, -ONE, entry(lead[a], lead[b], closed))
+                cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
+                              self.evaluate_coordinates(diff).value))
+            run(ident, cases)
 
         run("generator-invariance",
             ((gen.name, None) for gen in gens))
         brackets("degree0-brackets",
-                 combinations_with_replacement(self.ge0_letters, 2),
-                 lambda x, y: self.theta_zero(g.bracket(x, y)).value)
+                 combinations_with_replacement(self.ge0_letters, 2))
         brackets("degree0-degree1-brackets",
-                 product(self.ge0_letters, self.g1_letters),
-                 lambda x, y: self.theta_one(g.bracket(x, y)).value)
+                 product(self.ge0_letters, self.g1_letters))
         brackets("degree1-pair-expansion",
-                 combinations_with_replacement(self.g1_letters, 2),
-                 self.pair_expansion)
+                 combinations_with_replacement(self.g1_letters, 2))
 
         pos_c = self.generator_index("C")
         run("casimir-central",

@@ -448,3 +448,23 @@ def pbw_coordinates_reference(wal, value, echelons=None):
             acc(coords, expo, c)
             axpy(work, -c, wal.monomial(expo))
     return coords
+
+
+def commutator_reference(pbw, a, b):
+    """The superbracket a b - (-1)^{|a||b|} b a, summed word pair by
+    word pair: c wa wb - (-1)^{|wa||wb|} c wb wa for the coefficient c
+    of each pair.  A pair in which every letter of wa supercommutes
+    with every letter of wb contributes zero and is skipped."""
+    out = {}
+    partners = pbw._partners
+    bs = [(wb, cb, pbw.word_parity(wb)) for wb, cb in b.items()]
+    for wa, ca in a.items():
+        pa = pbw.word_parity(wa)
+        touched = set().union(*(partners[x] for x in wa))
+        for wb, cb, pb in bs:
+            if touched.isdisjoint(wb):
+                continue
+            c = ca * cb
+            axpy(out, c, pbw._mul_word(wa, wb))
+            axpy(out, c if pa and pb else -c, pbw._mul_word(wb, wa))
+    return out

@@ -12,7 +12,7 @@ from minwsuper.scalar import HALF, ONE, ZERO, axpy, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
 from minwsuper.wgen import workspace
 
-from oracles import free_normal_form
+from oracles import commutator_reference, free_normal_form
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +210,8 @@ def test_commutator_matches_products(setups):
 
 def test_ad_matches_commutator():
     # [x, a] read from the adjoint cache is the superbracket with the
-    # letter, for every letter (odd ones, whose [x, x] reduces an odd
+    # letter, as the word-pair reference sums it (``commutator`` itself
+    # reads ``ad``), for every letter (odd ones, whose [x, x] reduces an odd
     # square, and the lowest root vector f among them)
     rng = random.Random(23)
     cancelled = 0
@@ -225,7 +226,7 @@ def test_ad_matches_commutator():
                 b = dict(a)
                 axpy(b, ONE, pbw.from_words([((x,), ONE),
                                              ((x, rng.randrange(dim)), HALF)]))
-                want = pbw.commutator(pbw.inject({x: ONE}), b)
+                want = commutator_reference(pbw, pbw.inject({x: ONE}), b)
                 assert pbw.ad(x, b) == want, (name, x)
                 odd_squares += mg.algebra.parity[x] and (x,) in b
         assert odd_squares, name
@@ -233,11 +234,56 @@ def test_ad_matches_commutator():
         # every cached [x, w], an empty one included, is the superbracket
         assert pbw._ad_cache, name
         for (x, w), vec in pbw._ad_cache.items():
-            assert vec == pbw.commutator(pbw.inject({x: ONE}),
-                                         {w: ONE}), (name, x, w)
+            assert vec == commutator_reference(pbw, pbw.inject({x: ONE}),
+                                               {w: ONE}), (name, x, w)
             cancelled += not vec
     # a bracket whose two products cancel is kept too, not rebuilt
     assert cancelled
+
+
+KERNEL_NAMES = ["osp:1|2", "sl:2|1", "spo:2|3", "psl:2|2"]
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_commutator_matches_reference_on_lifts(name):
+    # the super-Leibniz commutator against the word-pair reference, on
+    # every ordered pair of generator lifts, and on Theta_Cas (many words
+    # on the left) against every degree-0 lift, in both orders
+    wal = workspace(grade(build_algebra(name)))
+    pbw = wal.pbw
+    lifts = [gen.element.value for gen in wal.generators]
+    for a in lifts:
+        for b in lifts:
+            assert pbw.commutator(a, b) == commutator_reference(pbw, a, b)
+    cas = wal.theta_cas().value
+    for x in wal.ge0_letters:
+        lift = wal.theta_letter(x).value
+        assert pbw.commutator(cas, lift) == \
+            commutator_reference(pbw, cas, lift), x
+        assert pbw.commutator(lift, cas) == \
+            commutator_reference(pbw, lift, cas), x
+
+
+def test_commutator_matches_reference_on_mixed_elements():
+    # seeded elements of mixed parity with several words, the empty word
+    # among them, on a fresh algebra each
+    rng = random.Random(37)
+    for name in KERNEL_NAMES:
+        mg = grade(build_algebra(name))
+        pbw = PBWAlgebra(mg.algebra, weights=kazhdan_weights(mg))
+        dim = mg.algebra.dim
+        mixed = 0
+        for _ in range(8):
+            a = {(): scalar(rng.randint(1, 3))}
+            while len(a) < 4:
+                axpy(a, ONE, _random_element(rng, pbw, dim))
+            assert () in a
+            b = _random_element(rng, pbw, dim)
+            assert pbw.commutator(a, b) == commutator_reference(pbw, a, b)
+            assert pbw.commutator(b, a) == commutator_reference(pbw, b, a)
+            mixed += (pbw.element_parity(a) is None
+                      and pbw.element_parity(b) is None)
+        assert mixed, name
 
 
 def test_letter_cache_holds_no_appends():

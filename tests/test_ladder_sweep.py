@@ -4,8 +4,10 @@ Every descriptor of 50 dims or fewer among gl/sl m|n (m, n <= 5, m != n),
 psl n|n (n <= 4) and spo 2n|m (2n <= 10, m <= 7) must build to an algebra
 that ``validate`` passes on its certificate path: the letters it checks
 the Jacobi identity for generate the algebra, and the full triple loop
-never runs.  Its root pass must agree with the Gram-inverse oracle, and
-its relation report must be ``ok``.  On the grading of every
+never runs.  Its root pass must agree with the Gram-inverse oracle, its
+relation report must be ``ok``, and its commutator table in closed form
+must equal the one straightened from the lifts in U(g), entry for entry.
+On the grading of every
 minimal root, the restricted roots must build, which certifies that the
 positive ones are simplicial: the indecomposable ones are independent,
 and every positive one is a nonnegative integer combination of them.
@@ -99,6 +101,7 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
     wal = wgen.workspace(grade(g))
     rep = wal.verify_relations()
     assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
+    assert wal.closed_form_table == wal.commutator_table, desc
     if wal.grading.parity_type == "odd":
         assert wal.midline_square_expansion() == \
             raiser_square_reference(wal), desc

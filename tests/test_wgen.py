@@ -143,6 +143,8 @@ def test_lifts_and_coordinates_coerce_coefficients(gradings):
 TYPED_CALLS = {
     "workspace": wgen.workspace,
     "build_cartan_w": cartanw.build_cartan_w,
+    "center_basis": cartanw.center_basis,
+    "simple_module": lambda x: cartanw.simple_module(x, (0,)),
     "restricted_roots": cartanw.restricted_roots,
     "theta_v": lambda x: wgen.theta_v(x, {}),
     "theta_w": lambda x: wgen.theta_w(x, {}),
@@ -161,8 +163,9 @@ TYPED_CALLS = {
 @pytest.mark.parametrize("name", sorted(TYPED_CALLS))
 @pytest.mark.parametrize("arg", [None, "spo:2|3"])
 def test_wrong_argument_types_are_typed_errors(name, arg):
-    # a descriptor string or None where an algebra or a grading belongs
-    # names the type it got, rather than raising a bare AttributeError
+    # a descriptor string or None where an algebra, a grading or a Cartan
+    # subquotient belongs names the type it got, rather than raising a
+    # bare AttributeError
     with pytest.raises(PreconditionError, match=type(arg).__name__):
         TYPED_CALLS[name](arg)
 
@@ -544,10 +547,14 @@ def test_workspace_is_cached(gradings):
     assert wgen.workspace(mg) is wgen.workspace(mg)
 
 
+# the Tier-1 slice of the relation suite
+RELATION_SLICE = ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1", "psl:2|2",
+                  "gl:2|1", "sl:3|1", "spo:2|4", "spo:2|5", "spo:4|3",
+                  "spo:6|1", "sl:3|2"]
+
+
 def test_relation_suite_passes(gradings):
-    for name in ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1", "psl:2|2",
-                 "gl:2|1", "sl:3|1", "spo:2|4", "spo:2|5", "spo:4|3",
-                 "spo:6|1", "sl:3|2"]:
+    for name in RELATION_SLICE:
         mg = gradings.get(name) or grade(build_algebra(name))
         rep = wgen.verify_relations(mg)
         assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
@@ -558,6 +565,29 @@ def test_relation_suite_passes(gradings):
         names = {i["id"] for i in rep["identities"]}
         assert "degree1-pair-expansion" in names
         assert "casimir-central" in names
+
+
+def test_closed_form_equals_straightened_table(gradings):
+    # the presentation in closed form, entry for entry the table
+    # straightened from the lifts in U(g), as the same coordinate dicts
+    for name in RELATION_SLICE:
+        wal = wgen.workspace(gradings.get(name) or grade(build_algebra(name)))
+        closed = wal.closed_form_table
+        assert wal.closed_form_table is closed
+        assert closed == wal.commutator_table, name
+
+
+def test_closed_form_never_reads_the_table(monkeypatch):
+    # built from the structure constants and c0 alone: no table, and no
+    # commutator in U(g)
+    for name in ["spo:2|3", "sl:2|1"]:
+        wal = wgen.WAlgebra(grade(build_algebra(name)))
+        wal.generators
+        monkeypatch.setattr(wal, "comm_raw", None)
+        closed = wal.closed_form_table
+        monkeypatch.undo()
+        assert wal._table is None, name
+        assert closed == wal.commutator_table, name
 
 
 def test_verify_reads_the_table(gradings, monkeypatch):
