@@ -15,14 +15,16 @@ linear.  The Casimir element is likewise built and certified once.
 closed form, from the structure constants of g and c0 alone: the
 presentation by Theta_v, Theta_w, C and F.  ``verify_relations`` reads
 the commutator table, straightened from the lifts in U(g), by generator
-position through one index built with the generator list.  Its bracket
-groups report the U(g) value of the difference between the two tables;
-coordinates over ordered monomials are unique, so equal entries certify
-the presentation.  ``pbw_coordinates`` expresses invariants in
-ordered monomials of the generators by a triangular peel: the top part
-of an ordered monomial is led by the product of its generators' leading
-letters, so the leading word of a coset's top part names the next
-monomial to subtract.  Only the ordered monomials themselves are kept.
+position, and every group that checks a table entry reads the entry
+minus its closed form; coordinates over ordered monomials are unique,
+so equal entries certify the presentation.  The raiser square
+Theta(g_mid)^2 is formed from the lifts and must be half the closed
+(g_mid, g_mid) entry, since Theta(g_mid) is odd.  ``pbw_coordinates``
+expresses invariants in ordered monomials of the generators by a
+triangular peel: the top part of an ordered monomial is led by the
+product of its generators' leading letters, so the leading word of a
+coset's top part names the next monomial to subtract.  Only the ordered
+monomials themselves are kept.
 """
 
 from fractions import Fraction
@@ -36,7 +38,6 @@ from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
 
 RELATION_SUITE = "minimal-w-relations/1"
 
-QUARTER = scalar(Fraction(1, 4))
 THIRD = scalar(Fraction(1, 3))
 
 
@@ -447,6 +448,8 @@ class WAlgebra:
         at positions p and q is the ordered monomial when p < q or p = q is
         even, and half of Theta([a, a]) when p = q is odd.  When p > q it is
         the ordered monomial, negated when both are odd, plus Theta([a, b]).
+        ``verify_relations`` reads every table entry minus this one, and
+        checks Theta(g_mid)^2 against half the (g_mid, g_mid) entry.
         """
         if self._closed is not None:
             return self._closed
@@ -481,6 +484,12 @@ class WAlgebra:
         for a, b, c in self._quadratic_pairs():
             axpy(cas, c, product(a, b))
 
+        # #[w, z_k] and #[z*_k, w] for every degree-1 letter w, over k
+        left = {w: [gr.sharp(g.bracket({w: ONE}, z)) for z in self.nb["z"]]
+                for w in self.g1_letters}
+        right = {w: [gr.sharp(g.bracket(zst, {w: ONE}))
+                     for zst in self.nb["zstar"]] for w in self.g1_letters}
+
         def pair(w1, w2):
             out = {}
             t = g.pair(g.bracket({w1: ONE}, {w2: ONE}), {gr.f: ONE})
@@ -490,11 +499,10 @@ class WAlgebra:
                 axpy(out, -half_t, cas)
                 acc(out, mono(), -half_t * self.c0)
             half_sign = -HALF if parity[w1] and parity[w2] else HALF
-            for z, zst in zip(self.nb["z"], self.nb["zstar"]):
-                products(out, -HALF, gr.sharp(g.bracket({w1: ONE}, z)),
-                         gr.sharp(g.bracket(zst, {w2: ONE})))
-                products(out, half_sign, gr.sharp(g.bracket({w2: ONE}, z)),
-                         gr.sharp(g.bracket(zst, {w1: ONE})))
+            for l1, r2, l2, r1 in zip(left[w1], right[w2], left[w2],
+                                      right[w1]):
+                products(out, -HALF, l1, r2)
+                products(out, half_sign, l2, r1)
             return out
 
         table = {}
@@ -509,42 +517,6 @@ class WAlgebra:
                                              {gb.letter: ONE}))
         self._closed = table
         return table
-
-    def midline_square_expansion(self):
-        """Closed form for the square of the midline-raiser generator:
-
-            -C/4 + c0/4 + Theta_Cas/4 + Theta((2 delta)^v)/4
-              - sum_k Theta(#[g_mid, z_k]) Theta(#[z*_k, g_mid]),
-
-        with k over the first half of each dual basis.  Written out, the
-        square holds a quarter of the h^e part of Theta_Cas and half of
-        each ladder product Theta_x Theta_x* and Theta_y Theta_y*.  Each
-        such half is a quarter of its symmetrized term in Theta_Cas,
-        Theta_x Theta_x* + Theta_x* Theta_x or Theta_y Theta_y* -
-        Theta_y* Theta_y, plus a quarter of the supercommutator
-        [Theta_x, Theta_x*] or [Theta_y, Theta_y*].  Those degree-0
-        brackets are Theta of [x, x*] and [y, y*], which sum to
-        -(2 rho_e0)^v; that cancels the rho_e0 half of the linear term
-        Theta((2 rho_e0 + 2 delta)^v)/4 and leaves its delta half.
-        """
-        gr, g = self.grading, self.algebra
-        if gr.gmid is None:
-            raise PreconditionError("type even has no midline raiser")
-        out = {}
-        axpy(out, -QUARTER, self.casimir().value)
-        acc(out, (), QUARTER * self.c0)
-        axpy(out, QUARTER, self.theta_cas().value)
-        gmid = {gr.gmid: ONE}
-        for k in [*range(gr.s // 2), *range(gr.s, gr.s + gr.r // 2)]:
-            left = gr.sharp(g.bracket(gmid, self.nb["z"][k]))
-            right = gr.sharp(g.bracket(self.nb["zstar"][k], gmid))
-            if left and right:
-                axpy(out, -ONE, self.mul_raw(self.theta_zero(left).value,
-                                             self.theta_zero(right).value))
-        delta2 = tuple(2 * d for d in self.weight_data.delta_bar)
-        if any(delta2):
-            axpy(out, QUARTER, self.theta_zero(self.dual_cartan(delta2)).value)
-        return out
 
     # -- straightening ---------------------------------------------------
 
@@ -683,19 +655,18 @@ class WAlgebra:
                 return {e: -c for e, c in coords.items()}
             return coords
 
-        def comm(a, b):
-            return self.evaluate_coordinates(entry(a, b)).value
+        def diff(a, b):
+            """The table entry of [gens[a], gens[b]] minus its closed form."""
+            out = dict(entry(a, b))
+            axpy(out, -ONE, entry(a, b, closed))
+            return out
 
         def brackets(ident, pairs):
-            """[Theta_a, Theta_b] against its closed form per letter pair:
-            the U(g) value of the difference of the two entries."""
-            cases = []
-            for a, b in pairs:
-                diff = dict(entry(lead[a], lead[b]))
-                axpy(diff, -ONE, entry(lead[a], lead[b], closed))
-                cases.append(("[%s,%s]" % (g.labels[a], g.labels[b]),
-                              self.evaluate_coordinates(diff).value))
-            run(ident, cases)
+            """[Theta_a, Theta_b] against its closed form per letter pair."""
+            run(ident, (("[%s,%s]" % (g.labels[a], g.labels[b]),
+                         self.evaluate_coordinates(
+                             diff(lead[a], lead[b])).value)
+                        for a, b in pairs))
 
         run("generator-invariance",
             ((gen.name, None) for gen in gens))
@@ -708,7 +679,8 @@ class WAlgebra:
 
         pos_c = self.generator_index("C")
         run("casimir-central",
-            (("[C,%s]" % gen.name, comm(pos_c, k))
+            (("[C,%s]" % gen.name,
+              self.evaluate_coordinates(diff(pos_c, k)).value)
              for k, gen in enumerate(gens) if k != pos_c))
 
         run("casimir-vs-quadratic",
@@ -719,11 +691,11 @@ class WAlgebra:
 
         if gr.parity_type == "odd":
             pos_f = self.generator_index("F")
+            others = [k for k in range(len(gens)) if k not in (pos_f, pos_c)]
             run("midline-relations",
-                [("[F,%s]" % gen.name, comm(pos_f, k))
-                 for k, gen in enumerate(gens) if k not in (pos_f, pos_c)]
-                + [("[F,C]", comm(pos_f, pos_c)),
-                   ("[F,F]-1", _vec_sub(comm(pos_f, pos_f), pbw.unit()))])
+                (("[F,%s]%s" % (gens[k].name, "-1" if k == pos_f else ""),
+                  self.evaluate_coordinates(diff(pos_f, k)).value)
+                 for k in others + [pos_c, pos_f]))
 
             gmid = {gr.gmid: ONE}
             run("midline-lie-identities",
@@ -733,10 +705,12 @@ class WAlgebra:
                   _vec_sub(g.bracket(gmid, {gr.vmid: ONE}),
                            {gr.hth: -HALF}))])
 
-            lhs = self.mul_raw(self.theta_letter(gr.gmid).value,
-                               self.theta_letter(gr.gmid).value)
-            run("raiser-square-expansion",
-                [("square", _vec_sub(lhs, self.midline_square_expansion()))])
+            # Theta(g_mid) is odd, so its square is half its self-bracket
+            raiser = self.theta_letter(gr.gmid).value
+            square = self.mul_raw(raiser, raiser)
+            axpy(square, -HALF, self.evaluate_coordinates(
+                entry(lead[gr.gmid], lead[gr.gmid], closed)).value)
+            run("raiser-square-expansion", [("square", square)])
 
         cases = []
         for x, xs in [*zip(gr.xs, gr.xstars), *zip(gr.ys, gr.ystars)]:
@@ -749,14 +723,14 @@ class WAlgebra:
         if gr.parity_type == "odd":
             cases = []
             for k, gen in enumerate(gens):
-                rest = dict(entry(min(k, pos_f), max(k, pos_f)))
+                coords = diff(min(k, pos_f), max(k, pos_f))
                 if k == pos_f:
-                    ok = rest.pop((0,) * len(gens), None) == ONE and not rest
-                    cases.append(("[F,F]",
-                                  None if ok else _render_coords(self, rest)))
+                    # unit term dropped, as the frozen unit-damage digests pin
+                    cases.append(("[F,F]", coords and _render_coords(
+                        self, {e: c for e, c in coords.items() if any(e)})))
                 elif k != pos_c:
                     cases.append(("[%s,F]" % gen.name,
-                                  rest and _render_coords(self, rest)))
+                                  coords and _render_coords(self, coords)))
             run("table-midline-column", cases)
 
         cases = []
@@ -764,22 +738,19 @@ class WAlgebra:
                     if gen.letter is not None and gen.name != "F"]
         for a, b in combinations_with_replacement(lettered, 2):
             ga, gb = gens[a], gens[b]
-            brk = g.bracket({ga.letter: ONE}, {gb.letter: ONE})
-            if g.pair(brk, {gr.f: ONE}):
+            if g.pair(g.bracket({ga.letter: ONE}, {gb.letter: ONE}),
+                      {gr.f: ONE}):
                 continue
             # only the leading filtration layer is pinned down; the
             # exact identities above cover everything of lower weight
             top = ga.weight + gb.weight - 2
-            diff = {}
-            for expo, c in entry(a, b).items():
+            window = {}
+            for expo, c in diff(a, b).items():
                 wt = sum(n * gens[k].weight for k, n in enumerate(expo))
                 if wt > top or (wt == top and sum(expo) < 2):
-                    diff[expo] = c
-            for i, c in brk.items():
-                acc(diff, tuple(int(k == lead[i]) for k in range(len(gens))),
-                    -c)
+                    window[expo] = c
             cases.append(("[%s,%s]" % (ga.name, gb.name),
-                          diff and _render_coords(self, diff)))
+                          window and _render_coords(self, window)))
         run("table-linear-parts", cases)
 
         run("generator-shapes",

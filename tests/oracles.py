@@ -10,12 +10,13 @@ where the package reads the coroot [e_theta, e_-theta].  The theta-height
 chain at the end (simple-root coefficients, heights and the grading
 element h0 of type odd) reads a grading in a way no package code needs;
 it uses the package's exact solvers.  The raiser-square reference
-spells out the ladder products and the rho_e0 term that the package
-reads off Theta_Cas, and the weight-zero pool holds the products the
-projection pi is checked on.  ``pbw_coordinates_reference`` is the
-straightener as it was before the leading-word peel: it echelons the top
-parts of every ordered monomial of each Kazhdan degree and solves against
-them; a caller may pass a dict that keeps those echelons between calls on
+spells out Theta(g_mid)^2 term by term, where the package reads it as
+half the closed-form (g_mid, g_mid) entry, and the weight-zero pool
+holds the products the projection pi is checked on.
+``pbw_coordinates_reference`` is the straightener as it was before the
+leading-word peel: it echelons the top parts of every ordered monomial
+of each Kazhdan degree and solves against them; a caller may pass a
+dict that keeps those echelons between calls on
 one workspace.  ``validate_reference`` is
 ``validate`` as it was before it certified the Jacobi identity from a
 generating set: it checks every triple; ``generated_dimension`` closes a
@@ -239,8 +240,8 @@ def raiser_square_reference(wal):
     product Theta_x Theta_x* and Theta_y Theta_y*, minus the products
     Theta(#[g_mid, z_k]) Theta(#[z*_k, g_mid]) over the first half of
     each dual basis, and a quarter of Theta of the dual of
-    2 (rho_e0 + delta).  The package reads the ladder sum and rho_e0 off
-    Theta_Cas instead."""
+    2 (rho_e0 + delta).  The package reads the square as half the
+    closed-form (g_mid, g_mid) entry instead."""
     gr, g, wd = wal.grading, wal.algebra, wal.weight_data
     quarter = scalar(Fraction(1, 4))
     out = {}

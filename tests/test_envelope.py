@@ -15,13 +15,14 @@ from minwsuper.wgen import workspace
 from oracles import commutator_reference, free_normal_form
 
 
+def _setup(name):
+    mg = grade(build_algebra(name))
+    return mg, PBWAlgebra(mg.algebra, weights=kazhdan_weights(mg))
+
+
 @pytest.fixture(scope="module")
 def setups():
-    out = {}
-    for name in ["osp:1|2", "spo:2|3", "sl:2|1"]:
-        mg = grade(build_algebra(name))
-        out[name] = (mg, PBWAlgebra(mg.algebra, weights=kazhdan_weights(mg)))
-    return out
+    return {name: _setup(name) for name in ["osp:1|2", "spo:2|3", "sl:2|1"]}
 
 
 def _random_words(rng, dim, count, maxlen=6):
@@ -52,7 +53,8 @@ def test_inject_rejects_outside_letters(setups):
 
 def test_matches_free_rewriter(setups):
     rng = random.Random(11)
-    for name, (mg, pbw) in setups.items():
+    more = {name: _setup(name) for name in ["psl:2|2", "spo:4|1"]}
+    for name, (mg, pbw) in [*setups.items(), *more.items()]:
         g = mg.algebra
         bracket = lambda i, j: g.bracket({i: ONE}, {j: ONE})
         parity = lambda i: g.parity[i]

@@ -4,18 +4,20 @@ Every descriptor of 50 dims or fewer among gl/sl m|n (m, n <= 5, m != n),
 psl n|n (n <= 4) and spo 2n|m (2n <= 10, m <= 7) must build to an algebra
 that ``validate`` passes on its certificate path: the letters it checks
 the Jacobi identity for generate the algebra, and the full triple loop
-never runs.  Its root pass must agree with the Gram-inverse oracle, its
-relation report must be ``ok``, and its commutator table in closed form
-must equal the one straightened from the lifts in U(g), entry for entry.
-On the grading of every
-minimal root, the restricted roots must build, which certifies that the
-positive ones are simplicial: the indecomposable ones are independent,
-and every positive one is a nonnegative integer combination of them.
-On every row of parity type odd, the raiser square must equal its
-explicit reference, and pi must be multiplicative on seeded products of
-the weight-zero pool, drawn among all its pairs, up to Kazhdan degree 12:
-straightening peels one ordered monomial per leading word, so no
-degree is too large to coordinate.
+never runs.  Its root pass must agree with the Gram-inverse oracle.  On
+its grading's rebased adapted algebra, PBW normal forms of seeded words
+of length 2 to 4 must equal those of the free rewriter in ``oracles``.
+Its relation report must be ``ok``, and its commutator table in closed
+form must equal the one straightened from the lifts in U(g), entry for
+entry.  On the grading of every minimal root, the restricted roots must
+build, which certifies that the positive ones are simplicial: the
+indecomposable ones are independent, and every positive one is a
+nonnegative integer combination of them.  On every row of parity type
+odd, half the closed-form (g_mid, g_mid) entry must equal the explicit
+raiser-square reference, since Theta(g_mid) is odd, and pi must be
+multiplicative on seeded products of the weight-zero pool, drawn among
+all its pairs, up to Kazhdan degree 12: straightening peels one ordered
+monomial per leading word, so no degree is too large to coordinate.
 The sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
 
     MINWSUPER_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
@@ -29,15 +31,19 @@ import pytest
 from minwsuper import superalgebra, wgen
 from minwsuper.cartanw import project_pi, restricted_roots
 from minwsuper.grading import grade
+from minwsuper.scalar import HALF, ONE, axpy
 from minwsuper.superalgebra import (_generating_letters, _seed_letters,
                                     _weights_of_basis, build_algebra,
                                     minimal_root_candidates,
                                     root_decomposition, validate)
 
-from oracles import (generated_dimension, gram_minimal_roots,
-                     raiser_square_reference, weight_form, weight_zero_pool)
+from oracles import (free_normal_form, generated_dimension,
+                     gram_minimal_roots, raiser_square_reference, weight_form,
+                     weight_zero_pool)
 
 MAX_DIM = 50
+# the words the PBW normal form is checked on per row
+FREE_WORDS = 10
 # the products pi is checked on per odd row
 PI_PRODUCTS = 6
 
@@ -99,12 +105,23 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
         # building them certifies that the positive ones are simplicial
         restricted_roots(grade(g, theta))
     wal = wgen.workspace(grade(g))
+    adapted = wal.algebra
+    rng = random.Random(desc)
+    for _ in range(FREE_WORDS):
+        word = [rng.randrange(adapted.dim) for _ in range(rng.randint(2, 4))]
+        assert wal.pbw.from_words([(word, ONE)]) == free_normal_form(
+            word, ONE, range(adapted.dim),
+            lambda i, j: adapted.bracket({i: ONE}, {j: ONE}),
+            lambda i: adapted.parity[i]), (desc, word)
     rep = wal.verify_relations()
     assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
     assert wal.closed_form_table == wal.commutator_table, desc
     if wal.grading.parity_type == "odd":
-        assert wal.midline_square_expansion() == \
-            raiser_square_reference(wal), desc
+        gmid = adapted.labels[wal.grading.gmid]
+        half = {}
+        axpy(half, HALF, wal.evaluate_coordinates(
+            wal.closed_form_table[(gmid, gmid)]).value)
+        assert half == raiser_square_reference(wal), desc
         pool = weight_zero_pool(wal)
         pairs = [(x, y) for x in pool for y in pool]
         for x, y in random.Random(desc).sample(pairs, PI_PRODUCTS):

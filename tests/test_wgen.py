@@ -228,11 +228,15 @@ def test_raiser_square_fixture(gradings):
 @pytest.mark.parametrize("name", ["osp:1|2", "spo:2|3", "spo:4|1", "spo:2|5",
                                   "spo:4|3", "spo:6|1"])
 def test_raiser_square_matches_reference(name):
-    # the closed form read off Theta_Cas equals the explicit ladder sum
-    # on the odd algebras of the relation suite
+    # half the closed (g_mid, g_mid) entry, Theta(g_mid) being odd, equals
+    # the explicit ladder sum on the odd algebras of the relation suite
     wal = wgen.workspace(grade(build_algebra(name)))
     assert wal.grading.parity_type == "odd"
-    assert wal.midline_square_expansion() == raiser_square_reference(wal)
+    gmid = wal.algebra.labels[wal.grading.gmid]
+    half = {}
+    axpy(half, HALF, wal.evaluate_coordinates(
+        wal.closed_form_table[(gmid, gmid)]).value)
+    assert half == raiser_square_reference(wal)
 
 
 def test_casimir_commutes(gradings):
@@ -591,23 +595,32 @@ def test_closed_form_never_reads_the_table(monkeypatch):
 
 
 def test_verify_reads_the_table(gradings, monkeypatch):
-    # once the table exists, only the casimir-vs-quadratic brackets (one
-    # per degree-0 letter; theta_cas is not a generator) are recomputed
-    for name in ["spo:2|3", "sl:2|1", "spo:4|1"]:
-        wal = wgen.workspace(gradings[name])
+    # on a warm workspace, only the casimir-vs-quadratic brackets (one per
+    # degree-0 letter; theta_cas is not a generator) are recomputed, and
+    # the one U(g) product is the raiser square's left side in type odd
+    for name in ["spo:2|3", "sl:2|1", "spo:4|1", "spo:2|5"]:
+        wal = wgen.workspace(gradings.get(name) or grade(build_algebra(name)))
         wal.commutator_table
-        calls = []
-        comm_raw = wal.comm_raw
+        wal.closed_form_table
+        wal.theta_cas()
+        calls = {"comm_raw": 0, "mul_raw": 0}
 
-        def counted(a, b):
-            calls.append((a, b))
-            return comm_raw(a, b)
+        def counted(method):
+            real = getattr(wal, method)
 
-        monkeypatch.setattr(wal, "comm_raw", counted)
+            def call(a, b):
+                calls[method] += 1
+                return real(a, b)
+            return call
+
+        for method in calls:
+            monkeypatch.setattr(wal, method, counted(method))
         rep = wal.verify_relations()
         monkeypatch.undo()
         assert rep["ok"], name
-        assert len(calls) == len(wal.ge0_letters), name
+        assert calls == {"comm_raw": len(wal.ge0_letters),
+                         "mul_raw": int(wal.grading.parity_type == "odd")}, \
+            name
 
 
 def test_relation_suite_failure_shape():
