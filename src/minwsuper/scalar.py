@@ -2,17 +2,19 @@
 
 A :class:`Scalar` is a finite sum ``sum_k c_k * sqrt(k)`` over distinct
 square-free integers ``k`` (``k = 1`` is the rational part, and
-``sqrt(k)`` for negative ``k`` is ``i * sqrt(-k)``) with
-:class:`fractions.Fraction` coefficients ``c_k``.  The ``sqrt(k)`` are
-linearly independent over the rationals, so this form is canonical and
-exact equality is equality of the term dicts.  Multiplication uses
-``sqrt(m) * sqrt(n) = +-g * sqrt(mn / g**2)`` with ``g = gcd(m, n)``,
-negative when both ``m`` and ``n`` are.
+``sqrt(k)`` for negative ``k`` is ``i * sqrt(-k)``) with rational
+coefficients ``c_k``.  The ``sqrt(k)`` are linearly independent over the
+rationals, so this form is canonical and exact equality is equality of the
+term dicts.  Multiplication uses ``sqrt(m) * sqrt(n) = +-g * sqrt(mn / g**2)``
+with ``g = gcd(m, n)``, negative when both ``m`` and ``n`` are.
 
-Almost every number the engine meets is rational, so a rational Scalar
-skips the term dict: it holds a plain ``int`` (or a ``Fraction`` when not
-integral) and its arithmetic is one native operation.  Only a value with
-a nonzero radical term keeps the ``{k: Fraction}`` dict; see
+Every rational here, a Scalar's own value or a term coefficient, is
+canonical: an ``int`` when integral, else a :class:`fractions.Fraction` in
+lowest terms.  :func:`_qmul`, :func:`_qadd` and :func:`_qneg` are the one
+kernel for them.  They work on the ints, cancel by gcd once and build a
+non-integral result through ``Fraction``'s slots (:func:`_frac`), so no
+operation dispatches through ``Fraction``'s operators or renormalizes.
+Only a value with a nonzero radical term keeps a term dict; see
 :class:`Scalar`.
 
 :func:`sqrt` writes the square root of a rational as a rational multiple of
@@ -57,11 +59,70 @@ def _sqfree_split(n):
 _new = object.__new__
 
 
+def _frac(n, d):
+    """The Fraction n/d for coprime n and d > 1, set through its slots."""
+    f = _new(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+def _qmul(a, b):
+    """a * b for canonical rationals: cross-cancel, then multiply."""
+    if a.__class__ is int:
+        if b.__class__ is int:
+            return a * b
+        na, da = a, 1
+    else:
+        na, da = a._numerator, a._denominator
+    if b.__class__ is int:
+        nb, db = b, 1
+    else:
+        nb, db = b._numerator, b._denominator
+    g = gcd(na, db)
+    h = gcd(nb, da)
+    d = (da // h) * (db // g)
+    n = (na // g) * (nb // h)
+    return n if d == 1 else _frac(n, d)
+
+
+def _qadd(a, b):
+    """a + b for canonical rationals, reduced by the gcd of the denominators."""
+    if a.__class__ is int:
+        if b.__class__ is int:
+            return a + b
+        na, da = a, 1
+    else:
+        na, da = a._numerator, a._denominator
+    if b.__class__ is int:
+        nb, db = b, 1
+    else:
+        nb, db = b._numerator, b._denominator
+    g = gcd(da, db)
+    if g == 1:
+        # coprime denominators, at least one > 1: already in lowest terms
+        return _frac(na * db + nb * da, da * db)
+    s = da // g
+    n = na * (db // g) + nb * s
+    # any common factor of n and the denominator s * db divides g
+    h = gcd(n, g)
+    d = s * (db // h)
+    return n // h if d == 1 else _frac(n // h, d)
+
+
+def _qneg(a):
+    """-a for a canonical rational."""
+    if a.__class__ is int:
+        return -a
+    return _frac(-a._numerator, a._denominator)
+
+
 def _wrap(v):
     """The Scalar whose slot holds ``v``: a canonical rational or term dict.
 
-    The rational branches of ``+``, ``-`` and ``*`` inline this and
-    :func:`_canon`; the extra call was a measurable share of their cost."""
+    The rational branches of ``+``, ``-`` and ``*`` inline this and the
+    kernel's int-by-int case; the extra call was a measurable share of
+    their cost."""
     res = _new(Scalar)
     res._v = v
     return res
@@ -89,18 +150,19 @@ def _from_terms(terms):
     """The Scalar of a term dict whose radical terms may have cancelled."""
     if any(key != 1 for key in terms):
         return _wrap(terms)
-    return _wrap(_canon(terms.get(1, 0)))
+    return _wrap(terms.get(1, 0))
 
 
 class Scalar:
     """Immutable exact number supporting +, -, *, /, ** and exact equality.
 
     A Scalar has one slot.  A rational value sits there as a plain ``int``
-    when it is integral and as a :class:`~fractions.Fraction` otherwise, so
-    rational arithmetic is one native operation.  A value with a nonzero
-    radical term holds its term dict ``{k: Fraction}`` there instead; that
-    dict always has a key other than 1, so the two forms never overlap and
-    each number has exactly one representation.
+    when it is integral and as a :class:`~fractions.Fraction` in lowest
+    terms otherwise, and its arithmetic is one call of the int kernel.  A
+    value with a nonzero radical term holds its term dict ``{k: c}`` there
+    instead, each ``c`` nonzero and canonical in the same way; that dict
+    always has a key other than 1, so the two forms never overlap and each
+    number has exactly one representation.
     """
 
     __slots__ = ("_v",)
@@ -114,7 +176,7 @@ class Scalar:
 
     @property
     def _terms(self):
-        """{k: Fraction coefficient of sqrt(k)}, read-only; {} for zero."""
+        """{k: rational coefficient of sqrt(k)}, read-only; {} for zero."""
         v = self._v
         if v.__class__ is dict:
             return v
@@ -157,11 +219,9 @@ class Scalar:
             return NotImplemented
         if a.__class__ is not dict:
             if b.__class__ is not dict:
-                v = a + b
-                if v.__class__ is Fraction and v.denominator == 1:
-                    v = v.numerator
                 res = _new(Scalar)
-                res._v = v
+                res._v = (a + b if a.__class__ is b.__class__ is int
+                          else _qadd(a, b))
                 return res
             a, b = b, a
         if b.__class__ is not dict:
@@ -170,7 +230,7 @@ class Scalar:
                 return _wrap(a)
             out = dict(a)
             acc = out.get(1)
-            tot = Fraction(b) if acc is None else acc + b
+            tot = b if acc is None else _qadd(acc, b)
             if tot:
                 out[1] = tot
             else:
@@ -179,7 +239,7 @@ class Scalar:
         out = dict(a)
         for key, val in b.items():
             acc = out.get(key)
-            tot = val if acc is None else acc + val
+            tot = val if acc is None else _qadd(acc, val)
             if tot:
                 out[key] = tot
             elif acc is not None:
@@ -191,8 +251,8 @@ class Scalar:
     def __neg__(self):
         v = self._v
         if v.__class__ is not dict:
-            return _wrap(-v)
-        return _wrap({key: -val for key, val in v.items()})
+            return _wrap(_qneg(v))
+        return _wrap({key: _qneg(val) for key, val in v.items()})
 
     def __sub__(self, other):
         b = other._v if other.__class__ is Scalar else _value(other)
@@ -200,11 +260,9 @@ class Scalar:
             return NotImplemented
         a = self._v
         if a.__class__ is not dict and b.__class__ is not dict:
-            v = a - b
-            if v.__class__ is Fraction and v.denominator == 1:
-                v = v.numerator
             res = _new(Scalar)
-            res._v = v
+            res._v = (a - b if a.__class__ is b.__class__ is int
+                      else _qadd(a, _qneg(b)))
             return res
         return self + -_wrap(b)
 
@@ -221,22 +279,20 @@ class Scalar:
             return NotImplemented
         if a.__class__ is not dict:
             if b.__class__ is not dict:
-                v = a * b
-                if v.__class__ is Fraction and v.denominator == 1:
-                    v = v.numerator
                 res = _new(Scalar)
-                res._v = v
+                res._v = (a * b if a.__class__ is b.__class__ is int
+                          else _qmul(a, b))
                 return res
             a, b = b, a
         if b.__class__ is not dict:
             # a rational factor scales every term; none of them vanishes
             if not b:
                 return _ZERO
-            return _wrap({key: val * b for key, val in a.items()})
+            return _wrap({key: _qmul(val, b) for key, val in a.items()})
         out = {}
         for ka, va in a.items():
             for kb, vb in b.items():
-                val = va * vb
+                val = _qmul(va, vb)
                 if ka == 1:
                     key = kb
                 elif kb == 1:
@@ -244,9 +300,9 @@ class Scalar:
                 else:
                     g = gcd(ka, kb)
                     key = (ka // g) * (kb // g)
-                    val *= g if ka > 0 or kb > 0 else -g
+                    val = _qmul(val, g if ka > 0 or kb > 0 else -g)
                 acc = out.get(key)
-                tot = val if acc is None else acc + val
+                tot = val if acc is None else _qadd(acc, val)
                 if tot:
                     out[key] = tot
                 elif acc is not None:
@@ -274,7 +330,7 @@ class Scalar:
                        if (key < 0 if q < 0 else key % q == 0)]
             if not negated:
                 continue
-            conj = _wrap({key: (-val if key in negated else val)
+            conj = _wrap({key: (_qneg(val) if key in negated else val)
                           for key, val in terms.items()})
             num = num * conj
             cur = cur * conj
@@ -424,8 +480,8 @@ def sqrt(q):
     square-free integer (no atom when q is a rational square)."""
     q = Fraction(q)
     outer, core = _sqfree_split(q.numerator * q.denominator)
-    mult = Fraction(outer, q.denominator)
-    return Scalar.rational(mult) if core == 1 else _wrap({core: mult})
+    mult = _canon(Fraction(outer, q.denominator))
+    return _wrap(mult if core == 1 else {core: mult})
 
 
 ZERO = _ZERO
@@ -469,11 +525,34 @@ def axpy(out, c, vec):
         return
     get = out.get
     # a Scalar c times the shared ONE of a normal-order append is c itself;
-    # an int or Fraction c is still multiplied, so every entry is a Scalar
-    one = _ONE if c.__class__ is Scalar else None
+    # an int or Fraction c is still multiplied, so every entry is a Scalar.
+    # A rational Scalar c, a rational Scalar entry and a rational Scalar (or
+    # absent) sum meet in the int kernel; any other mix takes the operators.
+    one = q = None
+    if c.__class__ is Scalar:
+        one = _ONE
+        if c._v.__class__ is not dict:
+            q = c._v
     for key, v in vec.items():
-        cv = c if v is one else c * v
         cur = get(key)
+        if v is one:
+            cv = c
+        elif (q is not None and v.__class__ is Scalar
+              and v._v.__class__ is not dict
+              and (cur is None or cur.__class__ is Scalar
+                   and cur._v.__class__ is not dict)):
+            w = _qmul(q, v._v)
+            if cur is not None:
+                w = _qadd(cur._v, w)
+            if w:
+                res = _new(Scalar)
+                res._v = w
+                out[key] = res
+            elif cur is not None:
+                del out[key]
+            continue
+        else:
+            cv = c * v
         if cur is None:
             if cv:
                 out[key] = cv

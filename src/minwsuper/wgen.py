@@ -723,12 +723,8 @@ class WAlgebra:
         if gr.parity_type == "odd":
             cases = []
             for k, gen in enumerate(gens):
-                coords = diff(min(k, pos_f), max(k, pos_f))
-                if k == pos_f:
-                    # unit term dropped, as the frozen unit-damage digests pin
-                    cases.append(("[F,F]", coords and _render_coords(
-                        self, {e: c for e, c in coords.items() if any(e)})))
-                elif k != pos_c:
+                if k != pos_c:
+                    coords = diff(min(k, pos_f), max(k, pos_f))
                     cases.append(("[%s,F]" % gen.name,
                                   coords and _render_coords(self, coords)))
             run("table-midline-column", cases)

@@ -13,6 +13,10 @@ from minwsuper.scalar import (
     ONE,
     ZERO,
     Scalar,
+    _frac,
+    _qadd,
+    _qmul,
+    _qneg,
     acc,
     axpy,
     scalar,
@@ -238,6 +242,96 @@ def test_rational_times_irrational_matches_sympy(p, a):
 
 def test_integral_values_are_one_key():
     assert len({scalar(2), Fraction(4, 2), 2}) == 1
+
+
+# -- the int kernel ------------------------------------------------------
+
+
+def canonical(q):
+    """A rational in the kernel's form: an int when integral, else the
+    Fraction."""
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def is_canonical(x):
+    if type(x) is int:
+        return True
+    return (type(x) is Fraction and x.denominator > 1
+            and math.gcd(x.numerator, x.denominator) == 1)
+
+
+# canonical kernel operands: ints, Fractions and integral values with
+# zeros, signs and common factors in reach of the cross-cancellation
+kernel_operands = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=36),
+    st.integers(-6, 6).map(lambda n: Fraction(6 * n, 3)),
+).map(canonical)
+
+
+@given(kernel_operands, kernel_operands)
+def test_kernel_matches_fraction(p, q):
+    for got, want in [(_qmul(p, q), Fraction(p) * Fraction(q)),
+                      (_qadd(p, q), Fraction(p) + Fraction(q)),
+                      (_qneg(p), -Fraction(p))]:
+        assert got == want
+        assert is_canonical(got), (p, q, got)
+        assert hash(got) == hash(want)
+        # a rational Scalar hashes like its Fraction
+        assert hash(scalar(got)) == hash(want)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(2, 10**6))
+def test_frac_is_a_fraction(n, d):
+    want = Fraction(n, d)
+    if want.denominator == 1:
+        return
+    got = _frac(want.numerator, want.denominator)
+    assert type(got) is Fraction
+    assert got == want and want == got
+    assert (got.numerator, got.denominator) == (
+        want.numerator, want.denominator)
+    assert hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert got + 1 == want + 1 and got * 2 == want * 2
+
+
+def radical_coefficients_canonical(x):
+    v = x._v
+    return v.__class__ is not dict or all(
+        c and is_canonical(c) for c in v.values())
+
+
+@given(scalars, scalars, rationals)
+def test_radical_coefficients_are_canonical(a, b, p):
+    # never a zero and never an integral Fraction among the term coefficients
+    results = [a, -a, a + b, a - b, a * b, a * p, a + p, p - a,
+               Scalar.parse(a.render())]
+    if a:
+        results.append(a.inv())
+    if p:
+        results.append(sqrt(p))
+    for x in results:
+        assert radical_coefficients_canonical(x), x._v
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.one_of(
+    rationals, scalars)), max_size=6), st.one_of(rationals, scalars))
+def test_axpy_matches_operators(entries, c):
+    # the kernel path of axpy gives what the Scalar operators give
+    # odd keys hold Scalars, even keys whatever was drawn; the sum starts
+    # rational at keys 0 and 1, irrational at 2 and absent at 3
+    vec = {key: scalar(v) if key % 2 else v for key, v in entries}
+    out = {0: scalar(3), 1: ONE, 2: sqrt(-2)}
+    want = dict(out)
+    axpy(out, scalar(c), vec)
+    for key, v in vec.items():
+        want[key] = want.get(key, ZERO) + scalar(c) * v
+    assert out == {k: v for k, v in want.items() if v}
+    assert all(type(v) is Scalar and v for v in out.values())
+    assert all(is_canonical(v._v) or radical_coefficients_canonical(v)
+               for v in out.values())
 
 
 @settings(max_examples=15, deadline=None)

@@ -645,7 +645,7 @@ def test_relation_suite_failure_shape():
 # damage also shows the supersign of a reversed table read.
 DAMAGED_REPORT_DIGESTS = {
     ("osp:1|2", "c0"): "a41e811e30753ce8b1b1e08e96e0f0cffe4c5200ce9a7afb609e6fd6616944f6",
-    ("osp:1|2", "unit"): "5fda0ec125a1525206e2861cdab9a6ef6ec90581ab2abaf23123dd6901d1bb26",
+    ("osp:1|2", "unit"): "bde8eef133b47f52ec6f25398b5be95c72e4fc54236c3e9bfdf3abfd000935d7",
     ("osp:1|2", "linear"): "debcae41fadb7af6e0aba824dcb3bbd5ca1b8c87ec7e4692cf58e056d6b205f9",
     ("sl:2|1", "c0"): "6f5b5f419d76600bba7ff8360cfe232091511c305c87516a8284befc743fc24d",
     ("sl:2|1", "unit"): "efc8a1b71920bd290937e7f64ad1f1e7f065d124ff5255a785e00959d0b3b51d",
@@ -654,7 +654,7 @@ DAMAGED_REPORT_DIGESTS = {
     ("gl:2|1", "unit"): "0875691bf73223ce1f40f60c313249deaa41cc94b1703ffe9b050b656473bfb4",
     ("gl:2|1", "linear"): "7b16d28d119f636bc43bda150ebec091ed6f8a6fd6d82a086483bb27c89d8f9a",
     ("spo:2|3", "c0"): "4602da5fb717b4b0ab48bc05b9c48379e1c51480b19c2fb6829e22c698f625b5",
-    ("spo:2|3", "unit"): "7834b162b26521e039ccd99b5ff276728b4da56a77841ab13c0242f5b1f137e8",
+    ("spo:2|3", "unit"): "5b882dd2b25e360730e5190f58f83af23bf4e406a7f31475167b01b927847a17",
     ("spo:2|3", "linear"): "5411322280176a9cb29e907e00d8e041d1095595585640ca744cd90187fd7610",
 }
 
