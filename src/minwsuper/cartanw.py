@@ -22,7 +22,7 @@ set of slot images, so either projection is one substitution.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .envelope import render_element
+from .envelope import PBWAlgebra, from_exponents, render_element
 from .errors import ConsistencyError, PreconditionError, check_type
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
 from .superalgebra import LinearSolver, _indecomposable, _rational_tuple
@@ -77,15 +77,7 @@ class CartanWElement:
                      if c else {})
 
     def __mul__(self, other):
-        if not isinstance(other, CartanWElement):
-            return self.scale(other)
-        other = self.cw.coerce(other)
-        out = {}
-        for ea, ca in self.coords.items():
-            for eb, cb in other.coords.items():
-                for e, c in self.cw.mul_monomials(ea, eb):
-                    acc(out, e, ca * cb * c)
-        return _wrap(self.cw, out)
+        return self.cw._apply(self.cw.pbw.mul, self, other)
 
     def __radd__(self, other):
         return self + other
@@ -97,21 +89,8 @@ class CartanWElement:
         return self.scale(other)
 
     def bracket(self, other):
-        """Supercommutator, extended bilinearly over monomials:
-        c ea eb - (-1)^{|ea||eb|} c eb ea for each pair of terms."""
-        cw = self.cw
-        other = cw.coerce(other)
-        out = {}
-        for ea, ca in self.coords.items():
-            pa = cw.monomial_parity(ea)
-            for eb, cb in other.coords.items():
-                c = ca * cb
-                back = c if pa and cw.monomial_parity(eb) else -c
-                for e, d in cw.mul_monomials(ea, eb):
-                    acc(out, e, c * d)
-                for e, d in cw.mul_monomials(eb, ea):
-                    acc(out, e, back * d)
-        return _wrap(cw, out)
+        """Supercommutator, extended bilinearly over the parity parts."""
+        return self.cw._apply(self.cw.pbw.commutator, self, other)
 
     def coefficient(self, expo):
         return self.coords.get(tuple(expo), ZERO)
@@ -154,7 +133,8 @@ class CartanWAlgebra:
     Generators are ordered as the monomial slots: the odd lowering
     generator first, then the torus, the Casimir, and the odd raising
     generator last.  Type even keeps only torus and Casimir and is
-    commutative.
+    commutative.  Elements multiply in ``pbw``, the presented algebra of
+    the certified relation table.
     """
 
     def __init__(self, grading, names, parities, relations, images,
@@ -168,13 +148,7 @@ class CartanWAlgebra:
         self.rendered_images = rendered_images
         self._idx = {n: k for k, n in enumerate(names)}
         self._slot_c = self._idx["C"]
-        # odd slot k -> the (step, c) terms of x x = [x, x] / 2; each step
-        # trades the square at k for a central monomial
-        self._squares = {
-            k: [(tuple(n - 2 * (j == k) for j, n in enumerate(expo)),
-                 c * HALF)
-                for expo, c in relations[(names[k], names[k])].items()]
-            for k, p in enumerate(parities) if p}
+        self.pbw = PBWAlgebra.presented(names, parities, relations)
         # memo slot of _survivor_slots
         self._survivors = None
 
@@ -211,23 +185,10 @@ class CartanWAlgebra:
 
     # -- arithmetic -------------------------------------------------------
 
-    def mul_monomials(self, ea, eb):
-        """Straightened product of two ordered monomials.
-
-        Even slots are central.  Moving an odd letter of ``eb`` left past
-        a later odd letter of ``ea`` costs a sign, and an odd square x x
-        is [x, x] / 2, read from the certified relation table, whose odd
-        squares are central.
-        """
-        odd = self._squares
-        flips = sum(ea[k] * eb[j] for k in odd for j in odd if j < k)
-        merged = tuple(a + b for a, b in zip(ea, eb))
-        terms = [(merged, -ONE if flips % 2 else ONE)]
-        for k, steps in self._squares.items():
-            if merged[k] == 2:
-                terms = [(tuple(a + d for a, d in zip(expo, step)), c * h)
-                         for expo, c in terms for step, h in steps]
-        return terms
+    def _apply(self, op, a, b):
+        """``op``, a product of the presented algebra, on two elements."""
+        words = [from_exponents(x.coords) for x in (a, self.coerce(b))]
+        return _wrap(self, self.pbw.exponents(op(*words)))
 
     # -- reporting ---------------------------------------------------------
 

@@ -25,6 +25,15 @@ read through ``ad``, with the sign of moving that part past the letters
 after it.  So the adjoint cache is also the commutator's memo, and the
 two full products of a word pair, whose leading terms cancel, are never
 formed.
+
+The same rule straightens any presentation: letters with parities and a
+bracket row [a, b] over normal words per pair.  U(g) hands out g's rows
+in place as one-letter words; ``PBWAlgebra.presented`` reads the upper
+triangle over exponent tuples in which U(g, e) and its Cartan subquotient
+state their relations, the reversed pair with the supersign.  For a table
+not known to come from an algebra, associativity on triples of letters is
+the overlap check of the diamond lemma (de Graaf, *Lie Algebras: Theory
+and Algorithms*, ch. 6).
 """
 
 from .errors import PreconditionError
@@ -36,8 +45,15 @@ def kazhdan_weights(grading):
     return {i: d + 2 for i, d in enumerate(grading.degrees)}
 
 
+def from_exponents(coords):
+    """A dict over exponent tuples as one over the normal words."""
+    return {sum(((k,) * n for k, n in enumerate(e) if n), ()): c
+            for e, c in coords.items()}
+
+
 class PBWAlgebra:
     """U(g) with straightening; the letters are the basis indices of g.
+    ``presented`` builds the algebra of a presentation instead.
 
     ``weights`` maps each letter to its Kazhdan weight.  Multiplication is
     letter-by-letter with memoization, so repeated products of the same
@@ -50,11 +66,37 @@ class PBWAlgebra:
     """
 
     def __init__(self, g, weights):
+        bracket = g.bracket_basis
+        self._start(g.parity, g.dim, bracket,
+                    lambda a, b: [((k,), c) for k, c in bracket(a, b).items()])
         self.g = g
-        # letter -> the letters it does not supercommute with
-        self._partners = {a: {b for b in range(g.dim) if g.bracket_basis(a, b)}
-                          for a in range(g.dim)}
         self.weights = dict(weights)
+
+    @classmethod
+    def presented(cls, names, parities, table):
+        """The algebra on letters 0, 1, ... named ``names``, of the given
+        parities, with [x_i, x_j] = ``table[(names[i], names[j])]`` over
+        exponent tuples for i <= j, 0 where it has none; no g or weights."""
+        pos = {n: k for k, n in enumerate(names)}
+        rows = {(pos[a], pos[b]): from_exponents(entry)
+                for (a, b), entry in table.items() if entry}
+        for (i, j), row in list(rows.items()):
+            if i != j:
+                rows[j, i] = {w: c if parities[i] and parities[j] else -c
+                              for w, c in row.items()}
+        pbw = object.__new__(cls)
+        row = lambda a, b: rows.get((a, b), {}).items()
+        pbw._start(tuple(parities), len(names), row, row)
+        pbw.g = pbw.weights = None
+        return pbw
+
+    def _start(self, parity, n, nonzero, row):
+        self.parity = parity
+        # (a, b) -> the (normal word, coefficient) terms of [a, b]
+        self._row = row
+        # letter -> the letters it does not supercommute with
+        self._partners = {a: {b for b in range(n) if nonzero(a, b)}
+                          for a in range(n)}
         self._cache = {}
         # (letter, normal word) -> [letter, word], empty when it cancels
         self._ad_cache = {}
@@ -74,8 +116,13 @@ class PBWAlgebra:
                 out[(i,)] = c
         return out
 
+    def exponents(self, a):
+        """``a`` over exponent tuples, the count of each letter per word."""
+        letters = range(len(self.parity))
+        return {tuple(map(w.count, letters)): c for w, c in a.items()}
+
     def word_parity(self, word):
-        return sum(self.g.parity[i] for i in word) % 2
+        return sum(self.parity[i] for i in word) % 2
 
     def element_parity(self, a):
         seen = {self.word_parity(w) for w in a}
@@ -92,7 +139,7 @@ class PBWAlgebra:
         if not word:
             return {(x,): ONE}
         last = word[-1]
-        parity = self.g.parity
+        parity = self.parity
         if last < x or (last == x and not parity[x]):
             return {word + (x,): ONE}
         key = (word, x)
@@ -103,14 +150,14 @@ class PBWAlgebra:
         head = word[:-1]
         if last == x:
             # odd square: x x = [x, x] / 2
-            for k, ck in self.g.bracket_basis(x, x).items():
-                axpy(out, ck * HALF, self._mul_letter(head, k))
+            for u, cu in self._row(x, x):
+                axpy(out, cu * HALF, self._mul_word(head, u))
         else:
             sign = -ONE if parity[last] and parity[x] else ONE
             for w1, c1 in self._mul_letter(head, x).items():
                 axpy(out, c1 * sign, self._mul_letter(w1, last))
-            for k, ck in self.g.bracket_basis(last, x).items():
-                axpy(out, ck, self._mul_letter(head, k))
+            for u, cu in self._row(last, x):
+                axpy(out, cu, self._mul_word(head, u))
         self._cache[key] = out
         return out
 
@@ -148,7 +195,7 @@ class PBWAlgebra:
         [x_i, b_p] x_{i+1}...x_m.  Each [x_i, b_p] is read through ``ad``
         once per letter and part, so the two full products of a word pair,
         whose leading terms cancel, are never formed."""
-        parity = self.g.parity
+        parity = self.parity
         parts = {}
         for wb, cb in b.items():
             parts.setdefault(self.word_parity(wb), {})[wb] = cb
@@ -181,7 +228,7 @@ class PBWAlgebra:
         out = {}
         partners = self._partners[x]
         cache = self._ad_cache
-        odd = self.g.parity[x]
+        odd = self.parity[x]
         for w, c in a.items():
             if partners.isdisjoint(w):
                 continue

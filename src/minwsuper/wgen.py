@@ -444,12 +444,11 @@ class WAlgebra:
               + (-1)^{|w1||w2|}/2 sum_k Theta(#[w2, z_k]) Theta(#[z*_k, w1]),
 
         with t = ([w1, w2], f) and Theta_Cas summed over
-        ``_quadratic_pairs``.  A product Theta_a Theta_b of degree-0 letters
-        at positions p and q is the ordered monomial when p < q or p = q is
-        even, and half of Theta([a, a]) when p = q is odd.  When p > q it is
-        the ordered monomial, negated when both are odd, plus Theta([a, b]).
-        ``verify_relations`` reads every table entry minus this one, and
-        checks Theta(g_mid)^2 against half the (g_mid, g_mid) entry.
+        ``_quadratic_pairs``.  The products Theta_a Theta_b of degree-0
+        letters are straightened in the presented algebra of the entries
+        built before the pair expansions, Theta's degree-0 brackets among
+        them.  ``verify_relations`` reads every table entry minus this one,
+        and checks Theta(g_mid)^2 against half the (g_mid, g_mid) entry.
         """
         if self._closed is not None:
             return self._closed
@@ -457,32 +456,28 @@ class WAlgebra:
         pos, parity = self._lead_pos, g.parity
 
         def mono(*ks):
-            expo = [0] * len(gens)
-            for k in ks:
-                expo[k] += 1
-            return tuple(expo)
+            return tuple(map(ks.count, range(len(gens))))
 
-        def theta(x, c=ONE):
-            return {mono(pos[i]): c * ci for i, ci in x.items()}
+        table, pairs = {}, []
+        for ga, gb in combinations_with_replacement(gens, 2):
+            key = (ga.name, gb.name)
+            if "C" in key or "F" in key:
+                table[key] = {mono(): ONE} if key == ("F", "F") else {}
+            elif ga.letter in self.g1_letters and gb.letter in self.g1_letters:
+                table[key] = {}  # the pair expansion, below
+                pairs.append((key, ga.letter, gb.letter))
+            else:
+                table[key] = {mono(pos[i]): c for i, c in g.bracket(
+                    {ga.letter: ONE}, {gb.letter: ONE}).items()}
+        zero = PBWAlgebra.presented([gen.name for gen in gens],
+                                    [gen.parity for gen in gens], table)
 
-        def product(a, b):
-            p, q = pos[a], pos[b]
-            if p < q or (p == q and not parity[a]):
-                return {mono(p, q): ONE}
-            if p == q:
-                return theta(g.bracket_basis(a, a), HALF)
-            out = theta(g.bracket_basis(a, b))
-            acc(out, mono(p, q), -ONE if parity[a] and parity[b] else ONE)
-            return out
+        def lift(x):
+            """Theta of a degree-0 vector, over one-letter words."""
+            return {(pos[i],): c for i, c in x.items()}
 
-        def products(out, c, x, y):
-            for a, ca in x.items():
-                for b, cb in y.items():
-                    axpy(out, c * ca * cb, product(a, b))
-
-        cas = {}
-        for a, b, c in self._quadratic_pairs():
-            axpy(cas, c, product(a, b))
+        cas = zero.from_words(((pos[a], pos[b]), c)
+                              for a, b, c in self._quadratic_pairs())
 
         # #[w, z_k] and #[z*_k, w] for every degree-1 letter w, over k
         left = {w: [gr.sharp(g.bracket({w: ONE}, z)) for z in self.nb["z"]]
@@ -495,26 +490,18 @@ class WAlgebra:
             t = g.pair(g.bracket({w1: ONE}, {w2: ONE}), {gr.f: ONE})
             if t:
                 half_t = HALF * t
-                acc(out, mono(self.generator_index("C")), half_t)
+                acc(out, (self.generator_index("C"),), half_t)
                 axpy(out, -half_t, cas)
-                acc(out, mono(), -half_t * self.c0)
+                acc(out, (), -half_t * self.c0)
             half_sign = -HALF if parity[w1] and parity[w2] else HALF
             for l1, r2, l2, r1 in zip(left[w1], right[w2], left[w2],
                                       right[w1]):
-                products(out, -HALF, l1, r2)
-                products(out, half_sign, l2, r1)
-            return out
+                axpy(out, -HALF, zero.mul(lift(l1), lift(r2)))
+                axpy(out, half_sign, zero.mul(lift(l2), lift(r1)))
+            return zero.exponents(out)
 
-        table = {}
-        for ga, gb in combinations_with_replacement(gens, 2):
-            key = (ga.name, gb.name)
-            if "C" in key or "F" in key:
-                table[key] = {mono(): ONE} if key == ("F", "F") else {}
-            elif ga.letter in self.g1_letters and gb.letter in self.g1_letters:
-                table[key] = pair(ga.letter, gb.letter)
-            else:
-                table[key] = theta(g.bracket({ga.letter: ONE},
-                                             {gb.letter: ONE}))
+        for key, w1, w2 in pairs:
+            table[key] = pair(w1, w2)
         self._closed = table
         return table
 

@@ -21,7 +21,10 @@ one workspace.  ``validate_reference`` is
 ``validate`` as it was before it certified the Jacobi identity from a
 generating set: it checks every triple; ``generated_dimension`` closes a
 span under the brackets of all its pairs rather than under left-normed
-brackets.
+brackets.  ``cartan_product_reference`` multiplies two ordered monomials
+of the Cartan subquotient by the sign-and-odd-square rule that the
+subquotient used before it multiplied through the presented algebra of
+its relation table.
 """
 
 from fractions import Fraction
@@ -468,4 +471,27 @@ def commutator_reference(pbw, a, b):
             c = ca * cb
             axpy(out, c, pbw._mul_word(wa, wb))
             axpy(out, c if pa and pb else -c, pbw._mul_word(wb, wa))
+    return out
+
+
+def cartan_product_reference(cw, ea, eb):
+    """The straightened product of two ordered monomials of the Cartan
+    subquotient ``cw``, as a dict over exponent tuples.  Even slots are
+    central.  Moving an odd letter of ``eb`` left past a later odd letter
+    of ``ea`` costs a sign, and an odd square x x is [x, x] / 2, read
+    from the certified relation table, whose odd squares are central."""
+    odd = [k for k, p in enumerate(cw.parities) if p]
+    flips = sum(ea[k] * eb[j] for k in odd for j in odd if j < k)
+    merged = tuple(a + b for a, b in zip(ea, eb))
+    terms = [(merged, -ONE if flips % 2 else ONE)]
+    for k in odd:
+        if merged[k] == 2:
+            square = cw.relations[(cw.names[k], cw.names[k])]
+            terms = [(tuple(a + d - 2 * (j == k)
+                            for j, (a, d) in enumerate(zip(expo, step))),
+                      c * h * HALF)
+                     for expo, c in terms for step, h in square.items()]
+    out = {}
+    for expo, c in terms:
+        acc(out, expo, c)
     return out

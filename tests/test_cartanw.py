@@ -1,6 +1,7 @@
 """Presentation, modules and the weight-zero projection."""
 
 import gc
+import itertools
 import json
 import random
 import weakref
@@ -18,7 +19,8 @@ from minwsuper.grading import grade
 from minwsuper.scalar import HALF, ONE, ZERO, Scalar, axpy, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
 
-from oracles import root_combinations, weight_zero_pool
+from oracles import (cartan_product_reference, root_combinations,
+                     weight_zero_pool)
 
 ODD_NAMES = ["osp:1|2", "spo:2|3", "spo:4|1"]
 EVEN_NAMES = ["sl:2|1", "gl:2|1", "psl:2|2"]
@@ -579,6 +581,26 @@ def test_bracket_matches_products(gradings):
             assert a - b == a + b.scale(-1), name
         # the even presentation is commutative; the odd ones are not
         assert bool(live) == (cw.parity_type == "odd"), name
+
+
+@pytest.mark.parametrize("name", ["osp:1|2", "spo:2|3", "sl:2|1", "psl:2|2"])
+def test_products_match_sign_and_square_rule(gradings, name):
+    # every pair of ordered monomials with exponents up to 2, up to 1 on
+    # an odd slot: the product and the bracket through the presented
+    # algebra equal those of the sign-and-odd-square rule
+    cw = build_cartan_w(gradings[name])
+    monos = list(itertools.product(*(range(2 if p else 3)
+                                     for p in cw.parities)))
+    for ea in monos:
+        a = CartanWElement(cw, {ea: ONE})
+        for eb in monos:
+            b = CartanWElement(cw, {eb: ONE})
+            ab = cartan_product_reference(cw, ea, eb)
+            assert (a * b).coords == ab, (name, ea, eb)
+            odd = cw.monomial_parity(ea) and cw.monomial_parity(eb)
+            axpy(ab, ONE if odd else -ONE,
+                 cartan_product_reference(cw, eb, ea))
+            assert a.bracket(b).coords == ab, (name, ea, eb)
 
 
 def test_cross_algebra_mixing_rejected(gradings):

@@ -64,6 +64,25 @@ def test_matches_free_rewriter(setups):
             assert mine == free, (name, word)
 
 
+@pytest.mark.parametrize("name", ["spo:2|3", "sl:2|1", "psl:2|2"])
+def test_presented_reads_reversed_rows(name):
+    # g's own upper-triangle bracket table, letters as generators and
+    # one-letter exponent tuples as entries, straightens as U(g) does: a
+    # reversed (j, i) row read with the wrong supersign breaks this
+    mg, pbw = _setup(name)
+    g = mg.algebra
+    letters = range(g.dim)
+    table = {(i, j): {tuple(int(n == k) for n in letters): c
+                      for k, c in g.bracket_basis(i, j).items()}
+             for i in letters for j in letters if i <= j}
+    presented = PBWAlgebra.presented(list(letters), g.parity, table)
+    rng = random.Random(name)
+    for _ in range(20):
+        word = [rng.randrange(g.dim) for _ in range(rng.randint(2, 5))]
+        assert presented.from_words([(word, ONE)]) == \
+            pbw.from_words([(word, ONE)]), (name, word)
+
+
 def test_normal_words_are_sorted(setups):
     rng = random.Random(5)
     mg, pbw = setups["sl:2|1"]

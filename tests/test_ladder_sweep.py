@@ -9,7 +9,9 @@ its grading's rebased adapted algebra, PBW normal forms of seeded words
 of length 2 to 4 must equal those of the free rewriter in ``oracles``.
 Its relation report must be ``ok``, and its commutator table in closed
 form must equal the one straightened from the lifts in U(g), entry for
-entry.  On the grading of every minimal root, the restricted roots must
+entry.  The presented algebra of that closed form, U(g, e) on ordered
+generator monomials, must be associative on seeded triples of
+generators: the overlap check of the diamond lemma.  On the grading of every minimal root, the restricted roots must
 build, which certifies that the positive ones are simplicial: the
 indecomposable ones are independent, and every positive one is a
 nonnegative integer combination of them.  On every row of parity type
@@ -30,6 +32,7 @@ import pytest
 
 from minwsuper import superalgebra, wgen
 from minwsuper.cartanw import project_pi, restricted_roots
+from minwsuper.envelope import PBWAlgebra
 from minwsuper.grading import grade
 from minwsuper.scalar import HALF, ONE, axpy
 from minwsuper.superalgebra import (_generating_letters, _seed_letters,
@@ -46,6 +49,8 @@ MAX_DIM = 50
 FREE_WORDS = 10
 # the products pi is checked on per odd row
 PI_PRODUCTS = 6
+# the generator triples the presented U(g, e) must associate on per row
+TRIPLES = 200
 
 
 def _dim(family, p, q):
@@ -116,6 +121,15 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
     rep = wal.verify_relations()
     assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
     assert wal.closed_form_table == wal.commutator_table, desc
+    gens = wal.generators
+    uge = PBWAlgebra.presented([gen.name for gen in gens],
+                               [gen.parity for gen in gens],
+                               wal.closed_form_table)
+    rng = random.Random(desc)
+    for _ in range(TRIPLES):
+        x, y, z = ({(rng.randrange(len(gens)),): ONE} for _ in range(3))
+        assert uge.mul(uge.mul(x, y), z) == uge.mul(x, uge.mul(y, z)), \
+            (desc, x, y, z)
     if wal.grading.parity_type == "odd":
         gmid = adapted.labels[wal.grading.gmid]
         half = {}

@@ -9,7 +9,7 @@ import pytest
 
 from minwsuper import cartanw, wgen
 from minwsuper.cartanw import build_cartan_w, project_pi, restricted_weight
-from minwsuper.envelope import render_element
+from minwsuper.envelope import PBWAlgebra, from_exponents, render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.grading import WeightData, grade
 from minwsuper.scalar import HALF, ONE, ZERO, acc, axpy, scalar
@@ -276,6 +276,37 @@ def test_multiply_is_associative(gradings):
         left = wgen.w_multiply(wgen.w_multiply(a, b), c)
         right = wgen.w_multiply(a, wgen.w_multiply(b, c))
         assert left.value == right.value
+
+
+@pytest.mark.parametrize("name", ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1",
+                                  "psl:2|2", "sl:3|1", "spo:2|5"])
+def test_presentation_multiplies_like_straightening(name):
+    # the presented algebra of the closed-form table is U(g, e) on ordered
+    # monomials: a product of two of 1-3 generators has the coordinates
+    # that straightening their product in U(g) gives, and products of
+    # three associate
+    wal = wgen.workspace(grade(build_algebra(name)))
+    gens = wal.generators
+    uge = PBWAlgebra.presented([gen.name for gen in gens],
+                               [gen.parity for gen in gens],
+                               wal.closed_form_table)
+    rng = random.Random(name)
+
+    def monomial():
+        expo = [0] * len(gens)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(gens))
+            expo[k] = 1 if gens[k].parity else expo[k] + 1
+        return tuple(expo)
+
+    for _ in range(10):
+        a, b = monomial(), monomial()
+        got = uge.mul(from_exponents({a: ONE}), from_exponents({b: ONE}))
+        assert uge.exponents(got) == wal.pbw_coordinates(
+            wal.mul_raw(wal.monomial(a), wal.monomial(b))), (name, a, b)
+    for _ in range(10):
+        x, y, z = (from_exponents({monomial(): ONE}) for _ in range(3))
+        assert uge.mul(uge.mul(x, y), z) == uge.mul(x, uge.mul(y, z)), name
 
 
 def test_straightening_round_trips(gradings):
