@@ -67,7 +67,7 @@ class PBWAlgebra:
 
     def __init__(self, g, weights):
         bracket = g.bracket_basis
-        self._start(g.parity, g.dim, bracket,
+        self._start(g.parity, bracket,
                     lambda a, b: [((k,), c) for k, c in bracket(a, b).items()])
         self.g = g
         self.weights = dict(weights)
@@ -86,17 +86,18 @@ class PBWAlgebra:
                               for w, c in row.items()}
         pbw = object.__new__(cls)
         row = lambda a, b: rows.get((a, b), {}).items()
-        pbw._start(tuple(parities), len(names), row, row)
+        pbw._start(tuple(parities), row, row)
         pbw.g = pbw.weights = None
         return pbw
 
-    def _start(self, parity, n, nonzero, row):
+    def _start(self, parity, nonzero, row):
         self.parity = parity
         # (a, b) -> the (normal word, coefficient) terms of [a, b]
         self._row = row
-        # letter -> the letters it does not supercommute with
-        self._partners = {a: {b for b in range(n) if nonzero(a, b)}
-                          for a in range(n)}
+        self._nonzero = nonzero
+        # letter -> the letters it does not supercommute with, built on the
+        # letter's first ``ad``
+        self._partners = {}
         self._cache = {}
         # (letter, normal word) -> [letter, word], empty when it cancels
         self._ad_cache = {}
@@ -110,7 +111,7 @@ class PBWAlgebra:
         """A coordinate dict over letters, as a degree-one element."""
         out = {}
         for i, c in x.items():
-            if i not in self._partners:  # one key per letter
+            if i not in range(len(self.parity)):
                 raise PreconditionError("letter %s not in this algebra" % i)
             if c:
                 out[(i,)] = c
@@ -226,7 +227,10 @@ class PBWAlgebra:
         """[x, a] for the letter x, as the sum of c [x, w] over the terms
         c w of ``a``, each [x, w] read from the adjoint cache."""
         out = {}
-        partners = self._partners[x]
+        partners = self._partners.get(x)
+        if partners is None:
+            partners = self._partners[x] = {
+                b for b in range(len(self.parity)) if self._nonzero(x, b)}
         cache = self._ad_cache
         odd = self.parity[x]
         for w, c in a.items():

@@ -17,14 +17,16 @@ presentation by Theta_v, Theta_w, C and F.  ``verify_relations`` reads
 the commutator table, straightened from the lifts in U(g), by generator
 position, and every group that checks a table entry reads the entry
 minus its closed form; coordinates over ordered monomials are unique,
-so equal entries certify the presentation.  The raiser square
-Theta(g_mid)^2 is formed from the lifts and must be half the closed
-(g_mid, g_mid) entry, since Theta(g_mid) is odd.  ``pbw_coordinates``
-expresses invariants in ordered monomials of the generators by a
-triangular peel: the top part of an ordered monomial is led by the
-product of its generators' leading letters, so the leading word of a
-coset's top part names the next monomial to subtract.  Only the ordered
-monomials themselves are kept.
+so equal entries certify the presentation.  Theta_Cas, the Casimir of
+g(0)# lifted by Theta, is stated once, in the closed form's presented
+algebra, and the report brackets it there with every degree-0
+generator.  The raiser square Theta(g_mid)^2 is formed from the lifts
+and must be half the closed (g_mid, g_mid) entry, since Theta(g_mid) is
+odd.  ``pbw_coordinates`` expresses invariants in ordered monomials of
+the generators by a triangular peel: the top part of an ordered
+monomial is led by the product of its generators' leading letters, so
+the leading word of a coset's top part names the next monomial to
+subtract.  Only the ordered monomials themselves are kept.
 """
 
 from fractions import Fraction
@@ -282,9 +284,10 @@ class WAlgebra:
 
     def _quadratic_pairs(self):
         """(a, b, coeff): the g(0)# quadratic part, sum of coeff * a b, of
-        casimir and theta_cas.  The h^e letters pair through the inverse of
-        their Gram matrix (``WeightData.casimir_pairs``); x x* and x* x
-        come with +1, y y* with +1 and y* y with -1."""
+        C and of Theta_Cas (``closed_form_table``).  The h^e letters pair
+        through the inverse of their Gram matrix
+        (``WeightData.casimir_pairs``); x x* and x* x come with +1, y y*
+        with +1 and y* y with -1."""
         gr = self.grading
         out = list(self.weight_data.casimir_pairs)
         out += [(x, xs, ONE) for x, xs in zip(gr.xs, gr.xstars)]
@@ -416,17 +419,6 @@ class WAlgebra:
         val = val + scalar(3 * wd.pair(wd.delta_bar, wd.delta_bar))
         return val
 
-    def theta_cas(self):
-        """Quadratic Casimir assembled from the generators themselves."""
-        if self._cas is not None:
-            return self._cas
-        value = {}
-        for a, b, c in self._quadratic_pairs():
-            axpy(value, c, self.mul_raw(self.theta_letter(a).value,
-                                        self.theta_letter(b).value))
-        self._cas = self.certify(value, "refined")
-        return self._cas
-
     # -- supercommutator right-hand sides ------------------------------------
 
     @property
@@ -445,20 +437,21 @@ class WAlgebra:
 
         with t = ([w1, w2], f) and Theta_Cas summed over
         ``_quadratic_pairs``.  The products Theta_a Theta_b of degree-0
-        letters are straightened in the presented algebra of the entries
-        built before the pair expansions, Theta's degree-0 brackets among
-        them.  ``verify_relations`` reads every table entry minus this one,
-        and checks Theta(g_mid)^2 against half the (g_mid, g_mid) entry.
+        letters are straightened in the presented algebra of Theta's
+        degree-0 brackets; that algebra and Theta_Cas in it are kept in
+        ``_cas``.  ``verify_relations`` reads every table entry minus this
+        one, brackets that Theta_Cas with each degree-0 generator, and
+        checks Theta(g_mid)^2 against half the (g_mid, g_mid) entry.
         """
         if self._closed is not None:
             return self._closed
         g, gr, gens = self.algebra, self.grading, self.generators
-        pos, parity = self._lead_pos, g.parity
+        pos, parity, ge0 = self._lead_pos, g.parity, self.ge0_letters
 
         def mono(*ks):
             return tuple(map(ks.count, range(len(gens))))
 
-        table, pairs = {}, []
+        table, pairs, degree0 = {}, [], {}
         for ga, gb in combinations_with_replacement(gens, 2):
             key = (ga.name, gb.name)
             if "C" in key or "F" in key:
@@ -469,8 +462,10 @@ class WAlgebra:
             else:
                 table[key] = {mono(pos[i]): c for i, c in g.bracket(
                     {ga.letter: ONE}, {gb.letter: ONE}).items()}
+                if ga.letter in ge0 and gb.letter in ge0:
+                    degree0[key] = table[key]
         zero = PBWAlgebra.presented([gen.name for gen in gens],
-                                    [gen.parity for gen in gens], table)
+                                    [gen.parity for gen in gens], degree0)
 
         def lift(x):
             """Theta of a degree-0 vector, over one-letter words."""
@@ -478,6 +473,7 @@ class WAlgebra:
 
         cas = zero.from_words(((pos[a], pos[b]), c)
                               for a, b, c in self._quadratic_pairs())
+        self._cas = (zero, cas)
 
         # #[w, z_k] and #[z*_k, w] for every degree-1 letter w, over k
         left = {w: [gr.sharp(g.bracket({w: ONE}, z)) for z in self.nb["z"]]
@@ -670,10 +666,11 @@ class WAlgebra:
               self.evaluate_coordinates(diff(pos_c, k)).value)
              for k, gen in enumerate(gens) if k != pos_c))
 
+        zero, cas = self._cas
         run("casimir-vs-quadratic",
             (("[Cas,%s]" % g.labels[a],
-              self.comm_raw(self.theta_cas().value,
-                            self.theta_letter(a).value))
+              self.evaluate_coordinates(zero.exponents(
+                  zero.commutator(cas, {(lead[a],): ONE}))).value)
              for a in self.ge0_letters))
 
         if gr.parity_type == "odd":
@@ -775,10 +772,6 @@ def casimir_C(grading):
 
 def theta_F(grading):
     return workspace(grading).theta_mid()
-
-
-def theta_cas(grading):
-    return workspace(grading).theta_cas()
 
 
 def _workspace_of(x):

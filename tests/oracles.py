@@ -11,7 +11,9 @@ chain at the end (simple-root coefficients, heights and the grading
 element h0 of type odd) reads a grading in a way no package code needs;
 it uses the package's exact solvers.  The raiser-square reference
 spells out Theta(g_mid)^2 term by term, where the package reads it as
-half the closed-form (g_mid, g_mid) entry, and the weight-zero pool
+half the closed-form (g_mid, g_mid) entry; ``theta_cas_reference``
+multiplies Theta_Cas from the lifts in U(g), where the package brackets
+the one of the closed form's presented algebra; and the weight-zero pool
 holds the products the projection pi is checked on.
 ``pbw_coordinates_reference`` is the straightener as it was before the
 leading-word peel: it echelons the top parts of every ordered monomial
@@ -30,6 +32,7 @@ its relation table.
 from fractions import Fraction
 
 from minwsuper.cartanw import restricted_weight
+from minwsuper.envelope import render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.scalar import HALF, ONE, ZERO, Scalar, acc, axpy, scalar
 from minwsuper.superalgebra import LinearSolver, _rational_inverse
@@ -273,6 +276,31 @@ def raiser_square_reference(wal):
     return out
 
 
+def theta_cas_reference(wal):
+    """Theta_Cas in U(g): the sum of c Theta_a Theta_b over the
+    workspace's ``_quadratic_pairs``, each product multiplied from the
+    letter lifts, certified for the twisted adjoint action.  The package
+    forms Theta_Cas only in the presented algebra of the closed form."""
+    value = {}
+    for a, b, c in wal._quadratic_pairs():
+        axpy(value, c, wal.mul_raw(wal.theta_letter(a).value,
+                                   wal.theta_letter(b).value))
+    return wal.certify(value, "refined").value
+
+
+def casimir_vs_quadratic_reference(wal):
+    """The report's casimir-vs-quadratic group read from U(g): the
+    commutator of ``theta_cas_reference`` with the lift of every degree-0
+    letter, each nonzero one a failure with its rendered residual."""
+    cas = theta_cas_reference(wal)
+    cases = [("[Cas,%s]" % wal.algebra.labels[a],
+              wal.comm_raw(cas, wal.theta_letter(a).value))
+             for a in wal.ge0_letters]
+    return {"id": "casimir-vs-quadratic", "cases": len(cases), "failures": [
+        {"case": label, "residual": render_element(wal.pbw, residual)}
+        for label, residual in cases if residual]}
+
+
 def weight_zero_pool(wal):
     """The weight-zero generators, and the products a b of generators of
     opposite nonzero restricted weight, as elements certified for the
@@ -458,9 +486,12 @@ def commutator_reference(pbw, a, b):
     """The superbracket a b - (-1)^{|a||b|} b a, summed word pair by
     word pair: c wa wb - (-1)^{|wa||wb|} c wb wa for the coefficient c
     of each pair.  A pair in which every letter of wa supercommutes
-    with every letter of wb contributes zero and is skipped."""
+    with every letter of wb contributes zero and is skipped; which
+    letters supercommute is read from the bracket rows."""
     out = {}
-    partners = pbw._partners
+    letters = range(len(pbw.parity))
+    partners = {x: {y for y in letters if pbw._row(x, y)}
+                for x in {x for wa in a for x in wa}}
     bs = [(wb, cb, pbw.word_parity(wb)) for wb, cb in b.items()]
     for wa, ca in a.items():
         pa = pbw.word_parity(wa)

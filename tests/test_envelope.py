@@ -12,7 +12,8 @@ from minwsuper.scalar import HALF, ONE, ZERO, axpy, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
 from minwsuper.wgen import workspace
 
-from oracles import commutator_reference, free_normal_form
+from oracles import (commutator_reference, free_normal_form,
+                     theta_cas_reference)
 
 
 def _setup(name):
@@ -49,6 +50,17 @@ def test_inject_rejects_outside_letters(setups):
     for bad in (dim, -1, "e"):
         with pytest.raises(PreconditionError):
             pbw.inject({mg.e: ONE, bad: ONE})
+
+
+def test_partner_sets_are_built_on_first_ad():
+    # only a letter that ``ad`` was asked about gets its partner set
+    mg = grade(build_algebra("spo:2|3"))
+    g = mg.algebra
+    pbw = PBWAlgebra(g, weights=kazhdan_weights(mg))
+    assert pbw._partners == {}
+    pbw.ad(mg.e, {(mg.f,): ONE})
+    assert pbw._partners == {mg.e: {b for b in range(g.dim)
+                                    if g.bracket_basis(mg.e, b)}}
 
 
 def test_matches_free_rewriter(setups):
@@ -276,7 +288,7 @@ def test_commutator_matches_reference_on_lifts(name):
     for a in lifts:
         for b in lifts:
             assert pbw.commutator(a, b) == commutator_reference(pbw, a, b)
-    cas = wal.theta_cas().value
+    cas = theta_cas_reference(wal)
     for x in wal.ge0_letters:
         lift = wal.theta_letter(x).value
         assert pbw.commutator(cas, lift) == \

@@ -9,10 +9,13 @@ its grading's rebased adapted algebra, PBW normal forms of seeded words
 of length 2 to 4 must equal those of the free rewriter in ``oracles``.
 Its relation report must be ``ok``, and its commutator table in closed
 form must equal the one straightened from the lifts in U(g), entry for
-entry.  The presented algebra of that closed form, U(g, e) on ordered
-generator monomials, must be associative on seeded triples of
-generators: the overlap check of the diamond lemma.  On the grading of every minimal root, the restricted roots must
-build, which certifies that the positive ones are simplicial: the
+entry.  Theta_Cas multiplied from the lifts in U(g) must commute there
+with every degree-0 lift, as the report's closed-form Theta_Cas does in
+the presented algebra.  The presented algebra of that closed form,
+U(g, e) on ordered generator monomials, must be associative on seeded
+triples of generators: the overlap check of the diamond lemma.  On the
+grading of every minimal root, the restricted roots must build, which
+certifies that the positive ones are simplicial: the
 indecomposable ones are independent, and every positive one is a
 nonnegative integer combination of them.  On every row of parity type
 odd, half the closed-form (g_mid, g_mid) entry must equal the explicit
@@ -40,9 +43,9 @@ from minwsuper.superalgebra import (_generating_letters, _seed_letters,
                                     minimal_root_candidates,
                                     root_decomposition, validate)
 
-from oracles import (free_normal_form, generated_dimension,
-                     gram_minimal_roots, raiser_square_reference, weight_form,
-                     weight_zero_pool)
+from oracles import (casimir_vs_quadratic_reference, free_normal_form,
+                     generated_dimension, gram_minimal_roots,
+                     raiser_square_reference, weight_form, weight_zero_pool)
 
 MAX_DIM = 50
 # the words the PBW normal form is checked on per row
@@ -121,6 +124,7 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
     rep = wal.verify_relations()
     assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
     assert wal.closed_form_table == wal.commutator_table, desc
+    assert casimir_vs_quadratic_reference(wal)["failures"] == [], desc
     gens = wal.generators
     uge = PBWAlgebra.presented([gen.name for gen in gens],
                                [gen.parity for gen in gens],

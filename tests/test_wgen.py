@@ -15,9 +15,9 @@ from minwsuper.grading import WeightData, grade
 from minwsuper.scalar import HALF, ONE, ZERO, acc, axpy, scalar
 from minwsuper.superalgebra import build_algebra, validate
 
-from oracles import (count_bounded_monomials, monomials_of_weight,
-                     pbw_coordinates_reference, raiser_square_reference,
-                     weight_zero_pool)
+from oracles import (casimir_vs_quadratic_reference, count_bounded_monomials,
+                     monomials_of_weight, pbw_coordinates_reference,
+                     raiser_square_reference, weight_zero_pool)
 
 NAMES = ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1", "psl:2|2", "gl:2|1"]
 
@@ -150,7 +150,6 @@ TYPED_CALLS = {
     "theta_w": lambda x: wgen.theta_w(x, {}),
     "casimir_C": wgen.casimir_C,
     "theta_F": wgen.theta_F,
-    "theta_cas": wgen.theta_cas,
     "compute_c0": wgen.compute_c0,
     "compute_epsilon": wgen.compute_epsilon,
     "evaluate_coordinates": lambda x: wgen.evaluate_coordinates(x, {}),
@@ -469,7 +468,6 @@ def _cache_snapshot(wal, cw):
         "monomials": {key: r(v) for key, v in wal._mono_cache.items()},
         "thetas": {key: r(v.value) for key, v in wal._theta_cache.items()},
         "casimir": r(wal.casimir().value),
-        "theta_cas": r(wal.theta_cas().value),
         "images": {key: r(v) for key, v in cw.images.items()},
         "survivors": [(slot, image.render()) for slot, image
                       in cartanw._survivor_slots(cw, False)],
@@ -612,6 +610,52 @@ def test_closed_form_equals_straightened_table(gradings):
         assert closed == wal.commutator_table, name
 
 
+def _casimir_group(rep):
+    [group] = [i for i in rep["identities"]
+               if i["id"] == "casimir-vs-quadratic"]
+    return group
+
+
+def test_theta_cas_commutes_in_ug(gradings):
+    # Theta_Cas multiplied from the lifts in U(g) commutes there with
+    # every degree-0 lift, and the report, which brackets the closed
+    # form's Theta_Cas instead, reads the same group
+    for name in RELATION_SLICE:
+        wal = wgen.workspace(gradings.get(name) or grade(build_algebra(name)))
+        want = casimir_vs_quadratic_reference(wal)
+        assert want["failures"] == [], name
+        assert _casimir_group(wal.verify_relations()) == want, name
+
+
+def _damaged_pairs(pairs):
+    """Each copy of ``pairs`` with one pair dropped, negated or doubled."""
+    for k, (a, b, c) in enumerate(pairs):
+        for new in ([], [(a, b, -c)], [(a, b, c + c)]):
+            yield pairs[:k] + new + pairs[k + 1:]
+
+
+@pytest.mark.parametrize("name", ["sl:2|1", "spo:2|3", "psl:2|2", "spo:4|1",
+                                  "gl:2|1", "sl:3|1"])
+def test_casimir_group_matches_ug_under_damage(name):
+    # with the quadratic part of Theta_Cas damaged after the generators
+    # (C among them) are built, the group bracketed in the presented
+    # algebra equals the one of U(g) commutators, failures and residual
+    # strings included; a damage is caught unless g(0)# is abelian
+    mg = grade(build_algebra(name))
+    base = wgen.WAlgebra(mg)
+    abelian = not any(mg.algebra.bracket({a: ONE}, {b: ONE})
+                      for a in base.ge0_letters for b in base.ge0_letters)
+    caught = 0
+    for damaged in _damaged_pairs(base._quadratic_pairs()):
+        wal = wgen.WAlgebra(mg)
+        wal.generators
+        wal._quadratic_pairs = lambda pairs=damaged: list(pairs)
+        group = _casimir_group(wal.verify_relations())
+        assert group == casimir_vs_quadratic_reference(wal), (name, damaged)
+        caught += bool(group["failures"])
+    assert abelian != bool(caught), name
+
+
 def test_closed_form_never_reads_the_table(monkeypatch):
     # built from the structure constants and c0 alone: no table, and no
     # commutator in U(g)
@@ -626,14 +670,13 @@ def test_closed_form_never_reads_the_table(monkeypatch):
 
 
 def test_verify_reads_the_table(gradings, monkeypatch):
-    # on a warm workspace, only the casimir-vs-quadratic brackets (one per
-    # degree-0 letter; theta_cas is not a generator) are recomputed, and
-    # the one U(g) product is the raiser square's left side in type odd
+    # on a warm workspace no U(g) commutator is formed: casimir-vs-quadratic
+    # brackets Theta_Cas in the closed form's presented algebra, and the
+    # one U(g) product is the raiser square's left side in type odd
     for name in ["spo:2|3", "sl:2|1", "spo:4|1", "spo:2|5"]:
         wal = wgen.workspace(gradings.get(name) or grade(build_algebra(name)))
         wal.commutator_table
         wal.closed_form_table
-        wal.theta_cas()
         calls = {"comm_raw": 0, "mul_raw": 0}
 
         def counted(method):
@@ -649,7 +692,7 @@ def test_verify_reads_the_table(gradings, monkeypatch):
         rep = wal.verify_relations()
         monkeypatch.undo()
         assert rep["ok"], name
-        assert calls == {"comm_raw": len(wal.ge0_letters),
+        assert calls == {"comm_raw": 0,
                          "mul_raw": int(wal.grading.parity_type == "odd")}, \
             name
 
