@@ -13,10 +13,8 @@ The second half of the module is the weight-zero projection: invariant
 cosets decompose along restricted weights, every ordered monomial that
 touches a letter with nonzero weight is dropped, and the survivors are
 rewritten in the abstract presentation through the images of the
-surviving slots, which are built once per presentation.  A generator
-shift (on the Casimir in type odd, on the torus in type even) turns the
-raw projection into an algebra homomorphism; it is folded into a second
-set of slot images, so either projection is one substitution.
+surviving slots, which are built once per presentation and carry the
+closing shift that makes the projection an algebra homomorphism.
 """
 
 from fractions import Fraction
@@ -27,9 +25,6 @@ from .errors import ConsistencyError, PreconditionError, check_type
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
 from .superalgebra import LinearSolver, _indecomposable, _rational_tuple
 from .wgen import WElement, _check_exponents, _workspace_of, workspace
-
-EIGHTH = scalar(Fraction(1, 8))
-
 
 class NotHomogeneousError(PreconditionError):
     """Raised for elements mixing several restricted weights.
@@ -147,7 +142,6 @@ class CartanWAlgebra:
         self.images = images
         self.rendered_images = rendered_images
         self._idx = {n: k for k, n in enumerate(names)}
-        self._slot_c = self._idx["C"]
         self.pbw = PBWAlgebra.presented(names, parities, relations)
         # memo slot of _survivor_slots
         self._survivors = None
@@ -217,7 +211,7 @@ def _relation_table(names, parity_type):
     if parity_type == "odd":
         c_expo = tuple(int(n == "C") for n in names)
         table[("F", "F")] = {zero_expo: scalar(-2)}
-        table[("E", "E")] = {c_expo: ONE, zero_expo: EIGHTH}
+        table[("E", "E")] = {c_expo: ONE, zero_expo: scalar(Fraction(1, 8))}
     return table
 
 
@@ -337,22 +331,26 @@ def simple_module(cw, lam, c=None):
             "%d needed)" % (len(lam), len(hnames)))
     if cw.parity_type == "odd":
         if c is not None:
-            raise PreconditionError("the Casimir level is forced to -1/8 "
-                                    "here; a free level only exists in "
-                                    "type even")
-        level = -EIGHTH
+            raise PreconditionError("the Casimir level is forced here; a "
+                                    "free level only exists in type even")
+        unit = (0,) * len(cw.names)
+        # E acts by 0, so [E', E'] = C' + its unit term acts by 0
+        level = -cw.relations[("E", "E")].get(unit, ZERO)
         actions = {}
         for name, v in zip(hnames, lam):
             actions[name] = ((v, ZERO), (ZERO, v))
         actions["C"] = ((level, ZERO), (ZERO, level))
         actions["E"] = ((ZERO, ZERO), (ZERO, ZERO))
         actions["F"] = ((ZERO, -ONE), (ONE, ZERO))
-        mod = VLambdaModule(cw, lam, level, (1, 1), actions, "Q")
         (p, q), (r, t) = actions["F"]
-        ff = [[p * p + q * r, p * q + q * t], [r * p + t * r, r * q + t * t]]
-        if ff != [[-1, 0], [0, -1]]:
-            raise ConsistencyError("odd involution squares to %r" % (ff,))
-        return mod
+        ff = ((p * p + q * r, p * q + q * t), (r * p + t * r, r * q + t * t))
+        # F' F' is half of [F', F'], a multiple of the unit
+        half = HALF * cw.relations[("F", "F")].get(unit, ZERO)
+        if ff != ((half, ZERO), (ZERO, half)):
+            raise ConsistencyError(
+                "the odd generator squares to %r, not to half of [F',F'] "
+                "= %s" % (ff, half.render()))
+        return VLambdaModule(cw, lam, level, (1, 1), actions, "Q")
     if c is None:
         raise PreconditionError("type even needs an explicit Casimir level")
     level = scalar(c)
@@ -463,86 +461,57 @@ def restricted_roots(grading):
     return wal._roots
 
 
-def _survivor_slots(cw, shifted):
-    """Map from monomial slots onto presentation images, in slot order,
-    either raw or composed with the closing shift; both are built once
-    per presentation and kept on it.
+def _survivor_slots(cw):
+    """(slot, image) pairs from the surviving monomial slots onto the
+    presentation, in slot order; built once per presentation and kept on
+    it.
 
-    The shift (C' to C' + epsilon in type odd, h' to h' - delta in type
-    even) enters by substituting it into each raw image once.  That
-    equals shifting a substituted product, because a surviving monomial
-    holds each odd slot at most once, F first and E last, so its product
-    never reduces an odd square.
+    Each image is the raw projection of its slot, read at the generators
+    under the closing shift of ``project_pi``: F' and E' over the midline
+    coefficients, h' + delta(h) for each h^e letter h, and for the
+    Casimir C' plus the h^e Casimir pairs and the h' of
+    dual(2 rho_e0 + 4 delta).  Every formula is linear in C', F' and E'
+    and quadratic only in the commuting h', so this is the raw image
+    with the shift substituted into it.
     """
     if cw._survivors is None:
         wal = workspace(cw.grading)
-        gr = wal.grading
-        raw = []
-        if gr.parity_type == "odd":
-            raw.append((wal.generator_index("F"),
-                        cw.gen("F").scale(gr.F[gr.vmid].inv())))
-        for i in gr.hes:
-            name = wal.algebra.labels[i]
-            raw.append((wal.generator_index(name),
-                        _image_of_torus(wal, cw, i)))
-        raw.append((wal.generator_index("C"), _image_of_casimir(wal, cw)))
-        if gr.parity_type == "odd":
-            name = wal.algebra.labels[gr.gmid]
-            coeff = gr.E[gr.gmid].inv()
-            raw.append((wal.generator_index(name), cw.gen("E").scale(coeff)))
-        shift = cw.generators()
-        if gr.parity_type == "odd":
-            shift[cw._slot_c] += wal.epsilon()
-        else:
-            for k, d in enumerate(wal.weight_data.delta_bar):
-                shift[k] -= d
-        shift = list(enumerate(shift))
-        cw._survivors = (raw, [(slot, _substitute(cw, image.coords, shift))
-                               for slot, image in raw])
-    return cw._survivors[bool(shifted)]
+        gr, wd = wal.grading, wal.weight_data
+        labels = wal.algebra.labels
+        odd = gr.parity_type == "odd"
+        torus = {i: cw.gen(labels[i]) if odd else cw.gen(labels[i]) - d
+                 for i, d in zip(gr.hes, wd.delta_bar)}
+        cas = cw.gen("C") + wal.epsilon() if odd else cw.gen("C")
+        for a, b, c in wd.casimir_pairs:
+            cas += (torus[a] * torus[b]).scale(c)
+        functional = tuple(2 * r + 4 * d
+                           for r, d in zip(wd.rho_e0_bar, wd.delta_bar))
+        for letter, c in wal.dual_cartan(functional).items():
+            cas += torus[letter].scale(c)
+        slots = [(wal.generator_index(labels[i]), torus[i] + d)
+                 for i, d in zip(gr.hes, wd.delta_bar)]
+        slots.append((wal.generator_index("C"), cas))
+        if odd:
+            slots.insert(0, (wal.generator_index("F"),
+                             cw.gen("F").scale(gr.F[gr.vmid].inv())))
+            slots.append((wal.generator_index(labels[gr.gmid]),
+                          cw.gen("E").scale(gr.E[gr.gmid].inv())))
+        cw._survivors = slots
+    return cw._survivors
 
 
-def _image_of_torus(wal, cw, letter):
-    wd = wal.weight_data
-    pos = list(wal.grading.hes).index(letter)
-    name = wal.algebra.labels[letter]
-    return cw.gen(name) + cw.unit().scale(scalar(wd.delta_bar[pos]))
+def project_pi(x):
+    """pi: the image of a weight-zero invariant in the abstract
+    presentation, an algebra homomorphism.
 
-
-def _image_of_casimir(wal, cw):
-    """Casimir image: the abstract Casimir plus torus corrections."""
-    labels = wal.algebra.labels
-    wd = wal.weight_data
-    coords = dict(cw.gen("C").coords)
-    for a, b, c in wd.casimir_pairs:
-        axpy(coords, c, (cw.gen(labels[a]) * cw.gen(labels[b])).coords)
-    functional = tuple(2 * r + 4 * d
-                       for r, d in zip(wd.rho_e0_bar, wd.delta_bar))
-    for letter, coeff in wal.dual_cartan(functional).items():
-        axpy(coords, coeff, cw.gen(labels[letter]).coords)
-    return _wrap(cw, coords)
-
-
-def _substitute(cw, coords, images):
-    """Sum over the (exponent tuple, c) terms of ``coords`` of c times the
-    ordered product of the (slot, image) pairs in ``images``."""
-    out = {}
-    for expo, c in coords.items():
-        term = cw.unit().scale(c)
-        for slot, image in images:
-            for _ in range(expo[slot]):
-                term = term * image
-        axpy(out, ONE, term.coords)
-    return _wrap(cw, out)
-
-
-def project_pi(x, shifted=True):
-    """Image of a weight-zero invariant in the abstract presentation.
-
-    Monomials touching any slot outside the surviving set vanish; the
-    rest are rewritten through the generator images.  With ``shifted``
-    those images carry the closing shift, giving the algebra
-    homomorphism rather than the bare linear projection.
+    A restricted weight is read as its values on the h^e letters
+    (``MinimalGrading.letter_weights``), and ``x`` must have weight 0.
+    Its monomials touching any slot outside the surviving set vanish;
+    the rest are rewritten through the slot images, which carry the
+    closing shift: C' to C' + epsilon when r = dim g(-1)_1 is odd, and
+    h' to h' - delta when r is even.  Without the shift the projection is
+    linear but not multiplicative.  So pi(Theta(h)) is h' + delta(h) when
+    r is odd and h' when r is even.
     """
     wal = _workspace_of(x)
     cw = build_cartan_w(wal.grading)
@@ -551,8 +520,15 @@ def project_pi(x, shifted=True):
         raise PreconditionError(
             "projection only applies at restricted weight zero; this "
             "element has weight %s" % (wt,))
-    survivors = _survivor_slots(cw, shifted)
+    survivors = _survivor_slots(cw)
     keep = {slot for slot, _ in survivors}
-    coords = {expo: c for expo, c in x._coordinates().items()
-              if all(k in keep for k, n in enumerate(expo) if n)}
-    return _substitute(cw, coords, survivors)
+    out = {}
+    for expo, c in x._coordinates().items():
+        if any(n and k not in keep for k, n in enumerate(expo)):
+            continue
+        term = cw.unit()
+        for slot, image in survivors:
+            for _ in range(expo[slot]):
+                term = term * image
+        axpy(out, c, term.coords)
+    return _wrap(cw, out)

@@ -81,3 +81,7 @@ def relations(ctx, descriptor):
 def cartan(descriptor):
     """The Cartan subquotient presentation and the images of pi."""
     _echo(build_cartan_w(_graded(descriptor)).as_json_dict())
+
+
+if __name__ == "__main__":
+    main(prog_name="minwsuper")

@@ -36,12 +36,14 @@ the overlap check of the diamond lemma (de Graaf, *Lie Algebras: Theory
 and Algorithms*, ch. 6).
 """
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_type
+from .grading import MinimalGrading
 from .scalar import HALF, ONE, acc, axpy, scalar
 
 
 def kazhdan_weights(grading):
     """Letter weights of the Kazhdan filtration: ad-h degree plus two."""
+    check_type(grading, MinimalGrading)
     return {i: d + 2 for i, d in enumerate(grading.degrees)}
 
 

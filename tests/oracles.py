@@ -17,9 +17,9 @@ the one of the closed form's presented algebra; and the weight-zero pool
 holds the products the projection pi is checked on.
 ``pbw_coordinates_reference`` is the straightener as it was before the
 leading-word peel: it echelons the top parts of every ordered monomial
-of each Kazhdan degree and solves against them; a caller may pass a
-dict that keeps those echelons between calls on
-one workspace.  ``validate_reference`` is
+of each Kazhdan degree and restricted weight and solves against them; a
+caller may pass a dict that keeps those echelons between calls on one
+workspace.  ``validate_reference`` is
 ``validate`` as it was before it certified the Jacobi identity from a
 generating set: it checks every triple; ``generated_dimension`` closes a
 span under the brackets of all its pairs rather than under left-normed
@@ -453,20 +453,43 @@ def monomials_of_weight(wal, target):
 
 def pbw_coordinates_reference(wal, value, echelons=None):
     """Coordinates of a coset over the ordered monomials, one Kazhdan
-    degree at a time: the top parts of all ordered monomials of the top
-    degree go into one echelon, the top part of the coset is solved
-    against it, and the solved combination is subtracted.  ``echelons``,
-    a dict owned by the caller for one workspace, keeps the echelon of
-    each degree for later calls."""
+    degree at a time: the top parts of the ordered monomials of the top
+    degree and of the coset's restricted weight go into one echelon, the
+    top part of the coset is solved against it, and the solved
+    combination is subtracted.  The weights are sums of
+    ``grading.letter_weights``, and a coset whose words have several
+    weights raises ``PreconditionError``.  ``echelons``, a dict owned by
+    the caller for one workspace, keeps the echelon of each (degree,
+    weight) for later calls."""
     coords = {}
     work = dict(value)
     echelons = {} if echelons is None else echelons
+    letter_weights = wal.grading.letter_weights
+    zero = tuple(Fraction(0) for _ in wal.grading.hes)
+
+    def weight(counts):
+        # the sum of n times the weight of letter i over the (i, n) pairs
+        out = zero
+        for i, n in counts:
+            out = tuple(a + n * b for a, b in zip(out, letter_weights[i]))
+        return out
+
+    weights = {weight((i, 1) for i in w) for w in work}
+    if len(weights) > 1:
+        raise PreconditionError("the coset mixes the restricted weights %s"
+                                % sorted(weights))
+    wt = weights.pop() if weights else zero
+    # C is the one generator without a letter, and it has weight zero
+    letters = [gen.letter for gen in wal.generators]
     while work:
         d = wal.pbw.kazhdan_degree(work)
-        solver = echelons.get(d)
+        solver = echelons.get((d, wt))
         if solver is None:
-            solver = echelons[d] = LinearSolver()
+            solver = echelons[(d, wt)] = LinearSolver()
             for expo in monomials_of_weight(wal, d):
+                if weight((i, n) for i, n in zip(letters, expo)
+                          if n and i is not None) != wt:
+                    continue
                 top = {w: c for w, c in wal.monomial(expo).items()
                        if wal.word_weight(w) == d}
                 if top:

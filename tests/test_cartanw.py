@@ -183,6 +183,18 @@ def test_simple_module_odd(gradings):
     assert mod.action("h1") == ((q(5, 2), ZERO), (ZERO, q(5, 2)))
 
 
+def test_simple_module_checks_the_odd_square(gradings):
+    # F acts by a square root of -1, which is half the certified [F', F']
+    # entry; a presentation with that entry doubled is refused
+    cw = build_cartan_w(gradings["spo:2|3"])
+    table = dict(cw.relations)
+    table[("F", "F")] = {e: c + c for e, c in table[("F", "F")].items()}
+    damaged = cartanw.CartanWAlgebra(cw.grading, cw.names, cw.parities,
+                                     table, cw.images, cw.rendered_images)
+    with pytest.raises(ConsistencyError, match="squares to"):
+        simple_module(damaged, [0])
+
+
 def test_simple_module_even(gradings):
     cw = build_cartan_w(gradings["gl:2|1"])
     mod = simple_module(cw, [1, -2], c=Fraction(7, 3))
@@ -336,7 +348,7 @@ def test_projection_torus_image(gradings):
     wal = wgen.workspace(gr)
     cw = build_cartan_w(gr)
     th = wal.theta_letter(gr.hes[0]).as_finite()
-    img = project_pi(th, shifted=False)
+    img = project_pi(th)
     delta = wal.weight_data.delta_bar[0]
     want = cw.gen("h1") + cw.unit().scale(scalar(delta))
     assert (img - want).is_zero()
@@ -349,8 +361,7 @@ def test_projection_raiser_image(gradings):
     g = wal.algebra
     ve = g.bracket({gr.vmid: ONE}, {gr.e: ONE})
     s2 = sqrt(-2)
-    img = project_pi(wgen.theta_w(gr, ve).as_finite(),
-                     shifted=False).scale(s2)
+    img = project_pi(wgen.theta_w(gr, ve).as_finite()).scale(s2)
     assert (img - cw.gen("E")).is_zero()
 
 
@@ -359,7 +370,7 @@ def test_projection_midline_image(gradings):
     wal = wgen.workspace(gr)
     cw = build_cartan_w(gr)
     s2 = sqrt(-2)
-    img = project_pi(wal.theta_mid(), shifted=False).scale(s2)
+    img = project_pi(wal.theta_mid()).scale(s2)
     assert (img - cw.gen("F")).is_zero()
 
 
@@ -390,14 +401,23 @@ def test_projection_even_shift_restores_torus(gradings):
 
 
 def test_projection_odd_shift_moves_casimir(gradings):
-    # C' -> C' + epsilon moves the Casimir image by epsilon times the unit
+    # C' -> C' + epsilon moves the raw Casimir image, C' plus the h^e
+    # Casimir pairs plus the h' of dual(2 rho_e0 + 4 delta), by epsilon
+    # times the unit; the torus does not move in type odd
     for name in ODD_NAMES:
         gr = gradings[name]
         wal = wgen.workspace(gr)
         cw = build_cartan_w(gr)
+        wd, labels = wal.weight_data, wal.algebra.labels
+        raw = cw.gen("C")
+        for a, b, c in wd.casimir_pairs:
+            raw += (cw.gen(labels[a]) * cw.gen(labels[b])).scale(c)
+        functional = tuple(2 * r + 4 * d
+                           for r, d in zip(wd.rho_e0_bar, wd.delta_bar))
+        for letter, c in wal.dual_cartan(functional).items():
+            raw += cw.gen(labels[letter]).scale(c)
         cas = wal.casimir().as_finite()
-        moved = project_pi(cas) - project_pi(cas, shifted=False)
-        assert moved == cw.unit().scale(wal.epsilon()), name
+        assert project_pi(cas) == raw + wal.epsilon(), name
 
 
 def test_projection_rejects_nonzero_weight(gradings):

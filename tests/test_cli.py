@@ -1,6 +1,9 @@
 """The console script: the package's JSON on stdout, error types as exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
@@ -10,6 +13,10 @@ from minwsuper.errors import ConsistencyError
 from minwsuper.grading import grade
 from minwsuper.superalgebra import build_algebra
 from minwsuper.wgen import verify_relations
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def run(*args):
@@ -59,3 +66,23 @@ def test_relations_exits_one_unless_ok(monkeypatch):
     result = run("relations", "osp:1|2")
     assert result.exit_code == 1
     assert json.loads(result.stdout)["ok"] is False
+
+
+def run_module(module, *args):
+    """``python -m module args`` over the source tree."""
+    return subprocess.run([sys.executable, "-m", module, *args],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+
+
+def test_module_forms_run_the_cli():
+    # both the package and its cli module run as scripts from a source
+    # checkout, with the console script's exit codes
+    want = verify_relations(grade(build_algebra("osp:1|2")))
+    for module in ("minwsuper", "minwsuper.cli"):
+        done = run_module(module, "relations", "osp:1|2")
+        assert done.returncode == 0, (module, done.stderr)
+        assert json.loads(done.stdout) == json.loads(json.dumps(want))
+        done = run_module(module, "grading", "g3:1")
+        assert (done.returncode, done.stdout) == (2, ""), module
+        assert "'g3' is not supported" in done.stderr

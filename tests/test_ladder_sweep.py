@@ -19,10 +19,11 @@ certifies that the positive ones are simplicial: the
 indecomposable ones are independent, and every positive one is a
 nonnegative integer combination of them.  On every row of parity type
 odd, half the closed-form (g_mid, g_mid) entry must equal the explicit
-raiser-square reference, since Theta(g_mid) is odd, and pi must be
-multiplicative on seeded products of the weight-zero pool, drawn among
-all its pairs, up to Kazhdan degree 12: straightening peels one ordered
-monomial per leading word, so no degree is too large to coordinate.
+raiser-square reference, since Theta(g_mid) is odd.  On every row, pi
+must be multiplicative on seeded products of the weight-zero pool, drawn
+among all its pairs, up to Kazhdan degree 12: straightening peels one
+ordered monomial per leading word, so no degree is too large to
+coordinate.
 The sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
 
     MINWSUPER_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
@@ -50,7 +51,7 @@ from oracles import (casimir_vs_quadratic_reference, free_normal_form,
 MAX_DIM = 50
 # the words the PBW normal form is checked on per row
 FREE_WORDS = 10
-# the products pi is checked on per odd row
+# the products pi is checked on per row
 PI_PRODUCTS = 6
 # the generator triples the presented U(g, e) must associate on per row
 TRIPLES = 200
@@ -140,8 +141,8 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
         axpy(half, HALF, wal.evaluate_coordinates(
             wal.closed_form_table[(gmid, gmid)]).value)
         assert half == raiser_square_reference(wal), desc
-        pool = weight_zero_pool(wal)
-        pairs = [(x, y) for x in pool for y in pool]
-        for x, y in random.Random(desc).sample(pairs, PI_PRODUCTS):
-            assert project_pi(wgen.w_multiply(x, y)) == \
-                project_pi(x) * project_pi(y), desc
+    pool = weight_zero_pool(wal)
+    pairs = [(x, y) for x in pool for y in pool]
+    for x, y in random.Random(desc).sample(pairs, PI_PRODUCTS):
+        assert project_pi(wgen.w_multiply(x, y)) == \
+            project_pi(x) * project_pi(y), desc

@@ -9,7 +9,8 @@ import pytest
 
 from minwsuper import cartanw, wgen
 from minwsuper.cartanw import build_cartan_w, project_pi, restricted_weight
-from minwsuper.envelope import PBWAlgebra, from_exponents, render_element
+from minwsuper.envelope import (PBWAlgebra, from_exponents, kazhdan_weights,
+                               render_element)
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.grading import WeightData, grade
 from minwsuper.scalar import HALF, ONE, ZERO, acc, axpy, scalar
@@ -155,6 +156,7 @@ TYPED_CALLS = {
     "evaluate_coordinates": lambda x: wgen.evaluate_coordinates(x, {}),
     "verify_relations": wgen.verify_relations,
     "grade": grade,
+    "kazhdan_weights": kazhdan_weights,
     "validate": validate,
 }
 
@@ -470,9 +472,7 @@ def _cache_snapshot(wal, cw):
         "casimir": r(wal.casimir().value),
         "images": {key: r(v) for key, v in cw.images.items()},
         "survivors": [(slot, image.render()) for slot, image
-                      in cartanw._survivor_slots(cw, False)],
-        "shifted_survivors": [(slot, image.render()) for slot, image
-                              in cartanw._survivor_slots(cw, True)],
+                      in cartanw._survivor_slots(cw)],
         "letter_weights": wal.grading.letter_weights,
     }
 
