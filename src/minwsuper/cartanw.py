@@ -19,6 +19,7 @@ closing shift that makes the projection an algebra homomorphism.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .envelope import PBWAlgebra, from_exponents, render_element
 from .errors import ConsistencyError, PreconditionError, check_type
@@ -366,23 +367,24 @@ def restricted_weight(x):
     when several weights occur.
     """
     wal = _workspace_of(x)
-    gr = wal.grading
-    zero = tuple(Fraction(0) for _ in gr.hes)
-    # letters of weight zero add nothing, so only the others are summed
-    moving = {i: wt for i, wt in enumerate(gr.letter_weights) if any(wt)}
+    if wal._moving is None:
+        # letters of weight zero add nothing, so only the others are
+        # summed, as ints over one common denominator
+        lw = wal.grading.letter_weights
+        den = lcm(*(c.denominator for wt in lw for c in wt))
+        wal._moving = den, {i: tuple(int(c * den) for c in wt)
+                            for i, wt in enumerate(lw) if any(wt)}
+    den, moving = wal._moving
+    zero = (0,) * len(wal.grading.hes)
     comps = {}
     for word, c in x.value.items():
-        wt = zero
-        for i in word:
-            step = moving.get(i)
-            if step is not None:
-                wt = tuple(a + b for a, b in zip(wt, step))
+        steps = [moving[i] for i in word if i in moving]
+        wt = tuple(map(sum, zip(*steps))) if steps else zero
         comps.setdefault(wt, {})[word] = c
-    if not comps:
-        return zero
-    if len(comps) == 1:
-        return next(iter(comps))
-    split = {wt: WElement(wal, part, wal.pbw.kazhdan_degree(part), x.flavor)
+    if len(comps) < 2:
+        return tuple(Fraction(n, den) for n in next(iter(comps), zero))
+    split = {tuple(Fraction(n, den) for n in wt):
+             WElement(wal, part, wal.pbw.kazhdan_degree(part), x.flavor)
              for wt, part in sorted(comps.items())}
     raise NotHomogeneousError(
         "not homogeneous: %d distinct restricted weights %s"

@@ -13,30 +13,39 @@ linear.  The Casimir element is likewise built and certified once.
 
 ``closed_form_table`` states every generator supercommutator in
 closed form, from the structure constants of g and c0 alone: the
-presentation by Theta_v, Theta_w, C and F.  ``verify_relations`` reads
-the commutator table, straightened from the lifts in U(g), by generator
-position, and every group that checks a table entry reads the entry
-minus its closed form; coordinates over ordered monomials are unique,
-so equal entries certify the presentation.  Theta_Cas, the Casimir of
-g(0)# lifted by Theta, is stated once, in the closed form's presented
-algebra, and the report brackets it there with every degree-0
-generator.  The raiser square Theta(g_mid)^2 is formed from the lifts
-and must be half the closed (g_mid, g_mid) entry, since Theta(g_mid) is
-odd.  ``pbw_coordinates`` expresses invariants in ordered monomials of
-the generators by a triangular peel: the top part of an ordered
-monomial is led by the product of its generators' leading letters, so
-the leading word of a coset's top part names the next monomial to
-subtract.  Only the ordered monomials themselves are kept.
+presentation by Theta_v, Theta_w, C and F.  ``commutator_table``, the
+brackets of the lifts, certifies the closed form from a generating set,
+as ``superalgebra.validate`` certifies Jacobi: every generator is reached
+from seeds X by closed brackets with them, the pairs with a seed (and
+those among C and F) are formed in U(g), every other pair is derived by
+the super Jacobi identity in the closed form's presented algebra, and
+induction on (Kazhdan weight sum, reaching position) proves the rest.
+Any failed check falls back to straightening every pair in U(g).
+``verify_relations`` reads that table by generator position, and every
+group that checks a table entry reads the entry minus its closed form;
+coordinates over ordered monomials are unique, so equal entries certify
+the presentation.  Theta_Cas, the Casimir of g(0)# lifted by Theta, is
+stated once, in the closed form's presented algebra, and the report
+brackets it there with every degree-0 generator.  The raiser square
+Theta(g_mid)^2 is formed from the lifts and must be half the closed
+(g_mid, g_mid) entry, since Theta(g_mid) is odd.  ``pbw_coordinates``
+expresses invariants in ordered monomials of the generators by a
+triangular peel: the top part of an ordered monomial is led by the
+product of its generators' leading letters, so the leading word of a
+coset's top part names the next monomial to subtract.  Only the ordered
+monomials themselves are kept.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .envelope import PBWAlgebra, kazhdan_weights, render_element
+from .envelope import (PBWAlgebra, from_exponents, kazhdan_weights,
+                       render_element)
 from .errors import ConsistencyError, PreconditionError, check_type
 from .grading import (MinimalGrading, admissible_subalgebras, neg_one_bases,
                       weights_delta_rho)
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
+from .superalgebra import LinearSolver, _indecomposable
 
 RELATION_SUITE = "minimal-w-relations/1"
 
@@ -47,6 +56,15 @@ def _vec_sub(x, y):
     out = dict(x)
     axpy(out, -ONE, y)
     return out
+
+
+def _entry(gens, source, a, b):
+    """Coordinates of [gens[a], gens[b]] in ``source``, a table keyed by
+    ordered name pairs; a reversed pair picks up -(-1)^{|a||b|}."""
+    coords = source[(gens[min(a, b)].name, gens[max(a, b)].name)]
+    if a > b and not (gens[a].parity and gens[b].parity):
+        return {e: -c for e, c in coords.items()}
+    return coords
 
 
 def render_monomial(wal, expo):
@@ -163,9 +181,11 @@ class WAlgebra:
         self._cas = None
         self._table = None
         self._closed = None
-        # memo slots of cartanw.build_cartan_w and cartanw.restricted_roots
+        # memo slots of cartanw.build_cartan_w, cartanw.restricted_roots
+        # and cartanw.restricted_weight
         self._cartan = None
         self._roots = None
+        self._moving = None
 
     # -- quotient arithmetic --------------------------------------------
 
@@ -571,16 +591,125 @@ class WAlgebra:
         flavor = "finite" if self.grading.parity_type == "odd" else "refined"
         return WElement(self, value, self.pbw.kazhdan_degree(value), flavor)
 
-    @property
-    def commutator_table(self):
-        """Coordinates of every pairwise supercommutator of generators."""
-        if self._table is None:
-            self._table = {
-                (ga.name, gb.name): self.pbw_coordinates(
+    def _straightened_table(self):
+        """Every pairwise supercommutator of generators, straightened from
+        the lifts in U(g)."""
+        return {(ga.name, gb.name): self.pbw_coordinates(
                     self.comm_raw(ga.element.value, gb.element.value))
                 for ga, gb in combinations_with_replacement(
                     self.generators, 2)}
+
+    def _reach(self, closed):
+        """(X, reaching order, recipes), as ``commutator_table`` says;
+        a recipe maps (x, r) to mu and (s, None) to nu."""
+        gens, lw = self.generators, self.grading.letter_weights
+        todo = [k for k, gen in enumerate(gens)
+                if gen.letter is not None and gen.name != "F"]
+        wt = {k: lw[gens[k].letter] for k in todo if gens[k].weight == 2}
+        zero = tuple(0 for _ in self.grading.hes)
+        simple = set(_indecomposable(w for w in wt.values() if w > zero))
+        pending = [k for k, w in wt.items()
+                   if w in simple or tuple(-c for c in w) in simple]
+        solver, seeds, order, done, recipes = LinearSolver(), [], [], [], {}
+        while len(order) < len(todo):
+            for x in pending:
+                solver.add((x, None), {x: ONE})
+                seeds.append(x)
+                order.append(x)
+                done.append(0)
+            for t, r in enumerate(order):
+                for x in seeds[done[t]:]:
+                    vec = _entry(gens, closed, x, r)
+                    if (gens[x].weight + gens[r].weight < 6
+                            and all(sum(e) == 1 for e in vec)):
+                        solver.add((x, r), {e.index(1): c
+                                            for e, c in vec.items()})
+                done[t] = len(seeds)
+            reached = len(order)
+            for y in todo:
+                if y not in recipes and y not in seeds:
+                    combo = solver.solve({y: ONE})
+                    if combo is not None:
+                        recipes[y] = combo
+                        order.append(y)
+                        done.append(0)
+            pending = [] if len(order) > reached else [
+                y for y in todo if y not in order][:1]
+        return set(seeds), order, recipes
+
+    @property
+    def commutator_table(self):
+        """Coordinates of every pairwise supercommutator of generators.
+
+        Certified from ``closed_form_table``, E(p, q) the closed entry
+        of [p, q].  The seeds X start as the degree-0 generators whose
+        restricted weight is plus or minus an indecomposable lex-positive
+        one.  A lettered generator y is reached, in order, once Theta_y
+        = sum mu E(x, r) + sum nu Theta_s over seeds x, s and reached r,
+        with E(x, r) linear and not of two degree-1 generators (one
+        solve); while nothing new is reached, the first unreached
+        generator joins X.  The pairs with a seed, and (C, C), (C, F),
+        (F, F), are straightened in U(g) and must equal E.  Every other
+        pair (y, b), y reached first, must satisfy super Jacobi,
+
+            Q = sum mu ([x, E(r, b)] - (-1)^{|x||r|} [r, E(x, b)])
+                + sum nu E(s, b) == E(y, b),
+
+        in the presented algebra of E, where Q is not formed when its
+        entries are empty.  Q reads pairs of a seed, pairs (r, k) with r
+        reached before y and weight sum at most that of (y, b), and rows
+        met in straightening, of a smaller weight sum.  So induction on
+        (Kazhdan weight sum, reaching position of the earlier member)
+        proves every E(y, b).  The table holds the U(g) entries and owned
+        copies of the closed ones.  Any failed check falls back to
+        ``_straightened_table``, so a damaged closed form gives the same
+        table, and the same report, as before.
+        """
+        if self._table is None:
+            self._table = self._certified_table()
+            if self._table is None:
+                self._table = self._straightened_table()
         return self._table
+
+    def _certified_table(self):
+        """The table proved equal to the closed form, or None."""
+        gens, closed = self.generators, self.closed_form_table
+        seeds, order, recipes = self._reach(closed)
+        rank = {k: t for t, k in enumerate(order)}
+        uge = PBWAlgebra.presented([gen.name for gen in gens],
+                                   [gen.parity for gen in gens], closed)
+
+        def bracket(x, coords):
+            """[x, coords] in the presented algebra, over exponents."""
+            return uge.exponents(uge.commutator({(x,): ONE},
+                                                from_exponents(coords)))
+
+        table = {}
+        for p, q in combinations_with_replacement(range(len(gens)), 2):
+            key = (gens[p].name, gens[q].name)
+            y, b = sorted((p, q), key=lambda k: rank.get(k, len(gens)))
+            if y not in recipes or b in seeds:
+                table[key] = self.pbw_coordinates(self.comm_raw(
+                    gens[p].element.value, gens[q].element.value))
+                if table[key] != closed[key]:
+                    return None
+                continue
+            got = {}
+            for (x, r), c in recipes[y].items():
+                xb = _entry(gens, closed, x, b)
+                if r is None:
+                    axpy(got, c, xb)
+                    continue
+                rb = _entry(gens, closed, r, b)
+                if rb:
+                    axpy(got, c, bracket(x, rb))
+                if xb:
+                    axpy(got, c if gens[x].parity and gens[r].parity else -c,
+                         bracket(r, xb))
+            if got != _entry(gens, closed, y, b):
+                return None
+            table[key] = dict(closed[key])
+        return table
 
     # -- the relation suite ----------------------------------------------
 
@@ -629,19 +758,10 @@ class WAlgebra:
                 {"case": label, "residual": describe(residual)}
                 for label, residual in cases if residual]})
 
-        def entry(a, b, source=table):
-            """Coordinates of [gens[a], gens[b]], read from ``source``, the
-            commutator table or its closed form; a reversed pair picks up
-            the supersign -(-1)^{|a||b|}."""
-            coords = source[(gens[min(a, b)].name, gens[max(a, b)].name)]
-            if a > b and not (gens[a].parity and gens[b].parity):
-                return {e: -c for e, c in coords.items()}
-            return coords
-
         def diff(a, b):
             """The table entry of [gens[a], gens[b]] minus its closed form."""
-            out = dict(entry(a, b))
-            axpy(out, -ONE, entry(a, b, closed))
+            out = dict(_entry(gens, table, a, b))
+            axpy(out, -ONE, _entry(gens, closed, a, b))
             return out
 
         def brackets(ident, pairs):
@@ -693,7 +813,7 @@ class WAlgebra:
             raiser = self.theta_letter(gr.gmid).value
             square = self.mul_raw(raiser, raiser)
             axpy(square, -HALF, self.evaluate_coordinates(
-                entry(lead[gr.gmid], lead[gr.gmid], closed)).value)
+                _entry(gens, closed, lead[gr.gmid], lead[gr.gmid])).value)
             run("raiser-square-expansion", [("square", square)])
 
         cases = []

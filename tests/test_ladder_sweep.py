@@ -7,19 +7,25 @@ the Jacobi identity for generate the algebra, and the full triple loop
 never runs.  Its root pass must agree with the Gram-inverse oracle.  On
 its grading's rebased adapted algebra, PBW normal forms of seeded words
 of length 2 to 4 must equal those of the free rewriter in ``oracles``.
-Its relation report must be ``ok``, and its commutator table in closed
-form must equal the one straightened from the lifts in U(g), entry for
-entry.  Theta_Cas multiplied from the lifts in U(g) must commute there
-with every degree-0 lift, as the report's closed-form Theta_Cas does in
+Its relation report must be ``ok``, its commutator table must be
+certified from a generating set, with no fallback to straightening every
+pair, and its commutator table in closed form must equal the one
+straightened from the lifts in U(g), entry for entry.  Theta_Cas
+multiplied from the lifts in U(g) must commute there with every
+degree-0 lift, as the report's closed-form Theta_Cas does in
 the presented algebra.  The presented algebra of that closed form,
 U(g, e) on ordered generator monomials, must be associative on seeded
 triples of generators: the overlap check of the diamond lemma.  On the
 grading of every minimal root, the restricted roots must build, which
 certifies that the positive ones are simplicial: the
 indecomposable ones are independent, and every positive one is a
-nonnegative integer combination of them.  On every row of parity type
-odd, half the closed-form (g_mid, g_mid) entry must equal the explicit
-raiser-square reference, since Theta(g_mid) is odd.  On every row, pi
+nonnegative integer combination of them.  A class of minimal roots is
+a value of (parity type, r, s); on one root of every class other than
+the default grading's, the relation report must be ``ok`` on the
+certificate path, the closed form must equal the straightened table,
+and c0 (and epsilon in type odd) must match ``EXTRA_CLASSES``.  On
+every row of parity type odd, half the closed-form (g_mid, g_mid)
+entry must equal the explicit raiser-square reference, since Theta(g_mid) is odd.  On every row, pi
 must be multiplicative on seeded products of the weight-zero pool, drawn
 among all its pairs, up to Kazhdan degree 12: straightening peels one
 ordered monomial per leading word, so no degree is too large to
@@ -49,6 +55,33 @@ from oracles import (casimir_vs_quadratic_reference, free_normal_form,
                      raiser_square_reference, weight_form, weight_zero_pool)
 
 MAX_DIM = 50
+# descriptor -> {(parity type, r, s): (c0, epsilon or None)} for each
+# class of minimal roots other than the default grading's, as
+# ``Scalar.render`` prints them: regression freezes of the current build
+EXTRA_CLASSES = {
+    "gl:2|3": {("even", 4, 2): ("1/4", None)},
+    "gl:2|4": {("even", 4, 4): ("-1/2", None)},
+    "gl:2|5": {("even", 4, 6): ("-5/4", None)},
+    "gl:3|2": {("even", 6, 0): ("7/4", None)},
+    "gl:3|4": {("even", 6, 4): ("1/4", None)},
+    "gl:4|2": {("even", 8, 0): ("5/2", None)},
+    "gl:4|3": {("even", 8, 2): ("7/4", None)},
+    "gl:5|2": {("even", 10, 0): ("13/4", None)},
+    "sl:2|3": {("even", 4, 2): ("1/4", None)},
+    "sl:2|4": {("even", 4, 4): ("-1/2", None)},
+    "sl:2|5": {("even", 4, 6): ("-5/4", None)},
+    "sl:3|2": {("even", 6, 0): ("7/4", None)},
+    "sl:3|4": {("even", 6, 4): ("1/4", None)},
+    "sl:4|2": {("even", 8, 0): ("5/2", None)},
+    "sl:4|3": {("even", 8, 2): ("7/4", None)},
+    "sl:5|2": {("even", 10, 0): ("13/4", None)},
+    "spo:2|5": {("even", 4, 2): ("1", None)},
+    "spo:2|6": {("even", 4, 4): ("0", None)},
+    "spo:2|7": {("even", 4, 6): ("-1", None)},
+    "spo:4|4": {("even", 8, 0): ("4", None)},
+    "spo:4|5": {("even", 8, 2): ("3", None)},
+    "spo:4|6": {("even", 8, 4): ("2", None)},
+}
 # the words the PBW normal form is checked on per row
 FREE_WORDS = 10
 # the products pi is checked on per row
@@ -82,6 +115,29 @@ def test_ladder_rows():
     assert len(rows) == len(set(rows)) == 51
     assert {"sl:3|4", "psl:3|3", "spo:8|1", "spo:4|6"} <= set(rows)
     assert build_algebra("spo:4|6").dim == _dim("spo", 4, 6) == 49
+    # the gl and sl rows m|n with m, n >= 2, and six spo rows
+    assert set(EXTRA_CLASSES) == {
+        row for row in rows if row[:3] in ("gl:", "sl:")
+        and min(map(int, row[3:].split("|"))) >= 2} | {
+        "spo:2|5", "spo:2|6", "spo:2|7", "spo:4|4", "spo:4|5", "spo:4|6"}
+    assert sum(map(len, EXTRA_CLASSES.values())) == 22
+
+
+def _certified_report(wal, monkeypatch):
+    """The relation report of ``wal``, asserting that its commutator
+    table was certified without a fallback, and that the closed form
+    equals the table straightened from every pair."""
+    calls = []
+    real = wgen.WAlgebra._straightened_table
+    with monkeypatch.context() as patch:
+        patch.setattr(wgen.WAlgebra, "_straightened_table",
+                      lambda self: calls.append(self) or real(self))
+        rep = wal.verify_relations()
+    assert calls == [], wal.algebra.display
+    assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
+    assert wal.closed_form_table == wal.commutator_table
+    assert wal.closed_form_table == wal._straightened_table()
+    return rep
 
 
 @pytest.mark.skipif(os.environ.get("MINWSUPER_SWEEP") != "1",
@@ -110,10 +166,20 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
     tt = pair(rd.theta, rd.theta)
     assert all(rd.degree[a] == 2 * pair(a, rd.theta) / tt
                for a in rd.roots), desc
+    default = grade(g)
+    classes = {}
     for theta in cands:
+        gr = grade(g, theta)
         # building them certifies that the positive ones are simplicial
-        restricted_roots(grade(g, theta))
-    wal = wgen.workspace(grade(g))
+        restricted_roots(gr)
+        classes.setdefault((gr.parity_type, gr.r, gr.s), gr)
+    extra = {}
+    for key, gr in classes.items():
+        if key != (default.parity_type, default.r, default.s):
+            rep = _certified_report(wgen.workspace(gr), monkeypatch)
+            extra[key] = (rep["c0"], rep["epsilon"])
+    assert extra == EXTRA_CLASSES.get(desc, {}), desc
+    wal = wgen.workspace(default)
     adapted = wal.algebra
     rng = random.Random(desc)
     for _ in range(FREE_WORDS):
@@ -122,9 +188,7 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
             word, ONE, range(adapted.dim),
             lambda i, j: adapted.bracket({i: ONE}, {j: ONE}),
             lambda i: adapted.parity[i]), (desc, word)
-    rep = wal.verify_relations()
-    assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
-    assert wal.closed_form_table == wal.commutator_table, desc
+    _certified_report(wal, monkeypatch)
     assert casimir_vs_quadratic_reference(wal)["failures"] == [], desc
     gens = wal.generators
     uge = PBWAlgebra.presented([gen.name for gen in gens],

@@ -602,11 +602,13 @@ def test_relation_suite_passes(gradings):
 
 def test_closed_form_equals_straightened_table(gradings):
     # the presentation in closed form, entry for entry the table
-    # straightened from the lifts in U(g), as the same coordinate dicts
+    # straightened from the lifts in U(g), as the same coordinate dicts,
+    # and the certified table
     for name in RELATION_SLICE:
         wal = wgen.workspace(gradings.get(name) or grade(build_algebra(name)))
         closed = wal.closed_form_table
         assert wal.closed_form_table is closed
+        assert closed == wal._straightened_table(), name
         assert closed == wal.commutator_table, name
 
 
@@ -666,17 +668,18 @@ def test_closed_form_never_reads_the_table(monkeypatch):
         closed = wal.closed_form_table
         monkeypatch.undo()
         assert wal._table is None, name
-        assert closed == wal.commutator_table, name
+        assert closed == wal._straightened_table(), name
 
 
 def test_verify_reads_the_table(gradings, monkeypatch):
     # on a warm workspace no U(g) commutator is formed: casimir-vs-quadratic
     # brackets Theta_Cas in the closed form's presented algebra, and the
-    # one U(g) product is the raiser square's left side in type odd
+    # one U(g) product is the raiser square's left side in type odd; one
+    # report warms both tables and the ordered monomials it evaluates,
+    # which the certified table does not all build
     for name in ["spo:2|3", "sl:2|1", "spo:4|1", "spo:2|5"]:
         wal = wgen.workspace(gradings.get(name) or grade(build_algebra(name)))
-        wal.commutator_table
-        wal.closed_form_table
+        wal.verify_relations()
         calls = {"comm_raw": 0, "mul_raw": 0}
 
         def counted(method):
@@ -749,6 +752,49 @@ def test_damaged_reports_frozen(name, damage):
     text = json.dumps(rep, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         DAMAGED_REPORT_DIGESTS[(name, damage)]
+
+
+def _damaged_workspaces(name, sample):
+    """(label, workspace) for c0 + 1 and for +1 on the unit term of each
+    closed entry in a seeded sample of ``sample`` of them, applied
+    before the commutator table is built."""
+    wal = wgen.WAlgebra(grade(build_algebra(name)))
+    wal._c0 = wal.c0 + 1
+    yield "c0", wal
+    keys = sorted(wal.closed_form_table)
+    unit = (0,) * len(wal.generators)
+    for key in random.Random(name).sample(keys, min(sample, len(keys))):
+        wal = wgen.WAlgebra(grade(build_algebra(name)))
+        acc(wal.closed_form_table[key], unit, ONE)
+        yield key, wal
+
+
+@pytest.mark.parametrize("name,sample", [("sl:2|1", 10), ("spo:2|3", 8),
+                                         ("spo:2|5", 8)])
+def test_damaged_closed_form_falls_back(name, sample, monkeypatch):
+    # a damaged closed entry or c0 fails a U(g) pair or a derived check,
+    # so the table is straightened from every pair, and the report is the
+    # one read from that table
+    calls = []
+    real = wgen.WAlgebra._straightened_table
+    monkeypatch.setattr(wgen.WAlgebra, "_straightened_table",
+                        lambda self: calls.append(self) or real(self))
+    for label, wal in _damaged_workspaces(name, sample):
+        rep = wal.verify_relations()
+        assert calls == [wal], (name, label)
+        wal._table = real(wal)
+        assert wal.verify_relations() == rep, (name, label)
+        calls.clear()
+    # the certified table holds owned copies: damaging it in place, as
+    # test_damaged_reports_frozen does, leaves the closed form as it was
+    wal = wgen.WAlgebra(grade(build_algebra(name)))
+    want = {key: dict(entry) for key, entry in wal.closed_form_table.items()}
+    unit = (0,) * len(wal.generators)
+    for entry in wal.commutator_table.values():
+        acc(entry, unit, ONE)
+    assert calls == []
+    assert wal.closed_form_table == want
+    assert not wal.verify_relations()["ok"]
 
 
 def _sheared(wd, rng):
