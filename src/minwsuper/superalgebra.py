@@ -8,6 +8,7 @@ from an explicit matrix basis rather than copied from tables.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (ConsistencyError, PreconditionError,
@@ -210,8 +211,11 @@ class LieSuperalgebra:
     def rebase(self, new_basis, new_cartan, labels=None):
         """Rewrite the algebra on a new ordered basis (list of coordinate dicts).
 
-        Every new vector must be parity homogeneous; brackets and the form
-        are recomputed exactly.
+        Every new vector must be parity homogeneous, and the n vectors
+        independent.  Each old letter is solved over the new basis once:
+        those n rows are the inverse of the change of basis, and the
+        coordinates of a bracket are the same combination of them as the
+        bracket is of the old letters.  Brackets and the form are exact.
         """
         n = len(new_basis)
         if n != self.dim:
@@ -225,17 +229,15 @@ class LieSuperalgebra:
             parity.append(p)
             if not solver.add(t, vec):
                 raise PreconditionError("rebase vectors are dependent at %d" % t)
+        inverse = [solver.solve({a: ONE}) for a in range(n)]
         bracket = {}
         for i in range(n):
             for j in range(n):
-                z = self.bracket(new_basis[i], new_basis[j])
-                if not z:
-                    continue
-                coords = solver.solve(z)
-                if coords is None:
-                    raise PreconditionError("rebase span is not closed under bracket")
+                coords = {}
+                for a, c in self.bracket(new_basis[i], new_basis[j]).items():
+                    axpy(coords, c, inverse[a])
                 if coords:
-                    bracket[(i, j)] = coords
+                    bracket[(i, j)] = dict(sorted(coords.items()))
         form = {(i, j): v for i in range(n) for j in range(n)
                 if (v := self.pair(new_basis[i], new_basis[j]))}
         labels = labels or ["b%d" % i for i in range(n)]
@@ -527,26 +529,48 @@ def _generating_letters(g, seed):
 
 def _jacobi_failures(g, first):
     """A "jacobi: (i,j,k)" line for every triple with i in ``first`` where
-    [i, [j, k]] differs from [[i, j], k] + sgn [j, [i, k]], in loop order."""
-    # a triple with no stored bracket row satisfies the Jacobi identity
-    # trivially (an empty stored row adds nothing to either side)
+    [i, [j, k]] differs from [[i, j], k] + sgn [j, [i, k]], in loop order.
+
+    Only the triples where some term reads a stored row are visited, j
+    and then k ascending, so the lines come in the dense loop's order.
+    With P the stored partners of i, [i, [j, k]] needs a component of
+    [j, k] in P; [[i, j], k] needs j in P and [t, k] stored for a t in
+    [i, j]; [j, [i, k]] needs k in P and [j, t] stored for a t in [i, k].
+    On every other triple all three sides are empty, so it holds.
+    """
     rows = g._bracket
     none = {}
-    dim = g.dim
+    right, left, by_output = {}, {}, {}
+    for (j, k), row in rows.items():
+        right.setdefault(j, []).append(k)
+        left.setdefault(k, []).append(j)
+        for t in row:
+            by_output.setdefault(t, []).append((j, k))
     failures = []
     for i in first:
-        for j in range(dim):
-            ij = (i, j) in rows
-            for k in range(dim):
-                if not (ij or (j, k) in rows or (i, k) in rows):
-                    continue
+        partners = right.get(i, ())
+        triples = {}
+        for t in partners:
+            for j, k in by_output.get(t, ()):
+                triples.setdefault(j, set()).add(k)
+        for j in partners:
+            ks = triples.setdefault(j, set())
+            for t in rows[(i, j)]:
+                ks.update(right.get(t, ()))
+        for k in partners:
+            for t in rows[(i, k)]:
+                for j in left.get(t, ()):
+                    triples.setdefault(j, set()).add(k)
+        for j in sorted(triples):
+            ij = rows.get((i, j), none)
+            sgn = -ONE if (g.parity[i] and g.parity[j]) else ONE
+            for k in sorted(triples[j]):
                 lhs = {}
                 for t, v in rows.get((j, k), none).items():
                     axpy(lhs, v, rows.get((i, t), none))
                 rhs = {}
-                for t, v in rows.get((i, j), none).items():
+                for t, v in ij.items():
                     axpy(rhs, v, rows.get((t, k), none))
-                sgn = -ONE if (g.parity[i] and g.parity[j]) else ONE
                 for t, v in rows.get((i, k), none).items():
                     axpy(rhs, sgn * v, rows.get((j, t), none))
                 if lhs != rhs:
@@ -565,28 +589,31 @@ def validate(g):
     every triple holds.  X comes from ``_generating_letters``, whose span
     of left-normed brackets has rank dim.  If the parity or skew check
     reports anything, or a triple with i in X fails, every triple is
-    checked and the report is the same as the full loop's.
+    checked and the report is the same as the full loop's.  Either way
+    only the triples where some side reads a stored bracket row are
+    visited: on the others both sides are empty, so the identity holds.
     """
     report = []
     dim = check_type(g, LieSuperalgebra).dim
 
-    for i in range(dim):
-        for j in range(dim):
-            pij = (g.parity[i] + g.parity[j]) % 2
-            br = g.bracket_basis(i, j)
-            for k in br:
-                if g.parity[k] != pij:
-                    report.append("parity: [%d,%d] hits index %d" % (i, j, k))
-            sign = -1 if (g.parity[i] and g.parity[j]) else 1
-            rev = g.bracket_basis(j, i)
-            for k in set(br) | set(rev):
-                if br.get(k, ZERO) != -sign * rev.get(k, ZERO):
-                    report.append("skew: [%d,%d] vs [%d,%d] at %d" % (i, j, j, i, k))
+    # only a stored row or its transpose can break parity or skew
+    # symmetry; sorted, they keep the row-major report order
+    rows = g._bracket
+    for i, j in sorted(set(rows) | {(j, i) for i, j in rows}):
+        pij = (g.parity[i] + g.parity[j]) % 2
+        br = g.bracket_basis(i, j)
+        for k in br:
+            if g.parity[k] != pij:
+                report.append("parity: [%d,%d] hits index %d" % (i, j, k))
+        sign = -1 if (g.parity[i] and g.parity[j]) else 1
+        rev = g.bracket_basis(j, i)
+        for k in set(br) | set(rev):
+            if br.get(k, ZERO) != -sign * rev.get(k, ZERO):
+                report.append("skew: [%d,%d] vs [%d,%d] at %d" % (i, j, j, i, k))
 
     if report or _jacobi_failures(g, _generating_letters(g, _seed_letters(g))):
         report += _jacobi_failures(g, range(dim))
 
-    rows = g._bracket
     none = {}
 
     # only a stored entry or its transpose can break evenness or
@@ -701,45 +728,59 @@ def minimal_root_candidates(g, weights):
     h is the coroot [e_theta, e_-theta], read from the bracket table and
     scaled so that theta(h) = 2.  By invariance it is (e, f) times the
     vector dual to theta, so alpha(h) = 2(alpha, theta)/(theta, theta)
-    with no form and no inverse.  Returns a dict, sorted by root, of
-    theta -> (coroot over the Cartan letters, root -> degree).
+    with no form and no inverse.  The pass runs on int weights over one
+    common denominator, which alpha(h) does not see.  Returns a dict,
+    sorted by root, of theta -> (coroot over the Cartan letters,
+    root -> degree).
     """
     position = {c: t for t, c in enumerate(g.cartan)}
-    zero = tuple(Fraction(0) for _ in g.cartan)
-    seen = {}
-    for i in range(g.dim):
-        if weights[i] != zero:
-            seen.setdefault(weights[i], []).append(i)
+    den = math.lcm(*(c.denominator for w in weights for c in w))
+    seen = {}  # int weight -> (weight, its letters)
+    for i, w in enumerate(weights):
+        if any(w):
+            key = tuple(c.numerator * (den // c.denominator) for c in w)
+            seen.setdefault(key, (w, []))[1].append(i)
+    roots = dict.fromkeys(w for w, _ in seen.values())
     cands = {}
-    for theta, idxs in seen.items():
+    for theta, (root, idxs) in seen.items():
         if any(g.parity[i] for i in idxs):
             continue
         neg = seen.get(tuple(-c for c in theta))
         if not neg:
             continue
         h = {}
-        for i, c in g.bracket_basis(idxs[0], neg[0]).items():
+        for i, c in g.bracket_basis(idxs[0], neg[1][0]).items():
             if i not in position:
                 raise ConsistencyError(
-                    "[e, f] leaves the Cartan at %s" % (theta,))
+                    "[e, f] leaves the Cartan at %s" % (root,))
             h[position[i]] = c.as_fraction()
-        height = sum(c * theta[t] for t, c in h.items())
+        # alpha(h) = 2 (h . alpha) / (h . theta), on h over its denominator
+        hden = math.lcm(*(c.denominator for c in h.values()))
+        hint = [(t, c.numerator * (hden // c.denominator)) for t, c in h.items()]
+        height = sum(c * theta[t] for t, c in hint)
         if not height:
             continue
-        h = {t: 2 * c / height for t, c in h.items()}
         degree = {}
         top = 0
-        for alpha, jdxs in seen.items():
-            ev = sum(c * alpha[t] for t, c in h.items())
-            if ev.denominator != 1 or abs(ev) > 2:
+        for alpha, (_, jdxs) in seen.items():
+            ev, rest = divmod(2 * sum(c * alpha[t] for t, c in hint), height)
+            if rest or abs(ev) > 2:
                 break
-            degree[alpha] = int(ev)
+            if ev:
+                degree[alpha] = ev
             if ev == 2:
                 top += len(jdxs)
         else:
             if top == 1:
-                coroot = {g.cartan[t]: scalar(c) for t, c in sorted(h.items())}
-                cands[theta] = coroot, degree
+                scale = Fraction(2 * den * hden, height)
+                coroot = {g.cartan[t]: scalar(c * scale)
+                          for t, c in sorted(h.items())}
+                # keys copied from a dict keep their hashes: only the
+                # nonzero degrees hash a Fraction root again
+                out = dict.fromkeys(roots, 0)
+                for alpha, d in degree.items():
+                    out[seen[alpha][0]] = d
+                cands[root] = coroot, out
     return dict(sorted(cands.items()))
 
 

@@ -21,7 +21,9 @@ of each Kazhdan degree and restricted weight and solves against them; a
 caller may pass a dict that keeps those echelons between calls on one
 workspace.  ``validate_reference`` is
 ``validate`` as it was before it certified the Jacobi identity from a
-generating set: it checks every triple; ``generated_dimension`` closes a
+generating set: it checks every triple; ``rebase_reference`` solves
+every bracket over the new basis, where the package combines the
+solved old letters; ``generated_dimension`` closes a
 span under the brackets of all its pairs rather than under left-normed
 brackets.  ``cartan_product_reference`` multiplies two ordered monomials
 of the Cartan subquotient by the sign-and-odd-square rule that the
@@ -35,7 +37,8 @@ from minwsuper.cartanw import restricted_weight
 from minwsuper.envelope import render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.scalar import HALF, ONE, ZERO, Scalar, acc, axpy, scalar
-from minwsuper.superalgebra import LinearSolver, _rational_inverse
+from minwsuper.superalgebra import (LieSuperalgebra, LinearSolver,
+                                   _rational_inverse)
 from minwsuper.wgen import w_multiply
 
 
@@ -427,6 +430,34 @@ def validate_reference(g):
             if g.bracket_basis(a, b):
                 report.append("cartan not abelian at (%d,%d)" % (a, b))
     return report
+
+
+def rebase_reference(g, new_basis, new_cartan, labels=None):
+    """``LieSuperalgebra.rebase`` as it was before it inverted the change
+    of basis once: one solve over the new basis per nonzero bracket."""
+    n = len(new_basis)
+    solver = LinearSolver()
+    parity = []
+    for t, vec in enumerate(new_basis):
+        parity.append(g.element_parity(vec))
+        if not solver.add(t, vec):
+            raise PreconditionError("rebase vectors are dependent at %d" % t)
+    bracket = {}
+    for i in range(n):
+        for j in range(n):
+            z = g.bracket(new_basis[i], new_basis[j])
+            if not z:
+                continue
+            coords = solver.solve(z)
+            if coords is None:
+                raise PreconditionError("rebase span is not closed under bracket")
+            if coords:
+                bracket[(i, j)] = coords
+    form = {(i, j): v for i in range(n) for j in range(n)
+            if (v := g.pair(new_basis[i], new_basis[j]))}
+    labels = labels or ["b%d" % i for i in range(n)]
+    return LieSuperalgebra(g.family, g.params, labels, parity, bracket, form,
+                           new_cartan, g.display)
 
 
 def monomials_of_weight(wal, target):

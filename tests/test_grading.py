@@ -22,7 +22,7 @@ from minwsuper.superalgebra import (LinearSolver, _rational_inverse,
                                     build_algebra, root_decomposition,
                                     validate)
 
-from oracles import cartan_gram, compute_h0, theta_height
+from oracles import cartan_gram, compute_h0, rebase_reference, theta_height
 
 NAMES = ["osp:1|2", "spo:2|3", "sl:2|1", "psl:2|2", "spo:2|4",
          "spo:4|1", "sl:2|3", "spo:4|2", "gl:2|1"]
@@ -52,6 +52,19 @@ def _smul(c, x):
 def test_rebased_algebra_still_validates(gradings):
     for name in ["osp:1|2", "spo:2|3", "psl:2|2", "spo:4|2"]:
         assert validate(gradings[name].algebra) == []
+
+
+def test_rebase_matches_one_solve_per_bracket(gradings):
+    # combining the solved old letters gives the rows and form that
+    # solving each bracket over the new basis gives, value for value
+    for name, mg in gradings.items():
+        alg = mg.algebra
+        ref = rebase_reference(mg.base.with_form_scaled(mg.scale),
+                               list(mg._letter_vectors), alg.cartan,
+                               labels=alg.labels)
+        assert alg.parity == ref.parity, name
+        assert alg._bracket == ref._bracket, name
+        assert alg.form == ref.form, name
 
 
 def test_triple_normalization(gradings):

@@ -33,6 +33,13 @@ coordinate.
 The sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
 
     MINWSUPER_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
+
+The big rows psl:7|7 (dim 194) and spo:14|7 (dim 224) run with
+``MINWSUPER_BIG=1``: ``validate`` is clean on its generating-set path,
+and the relation report is ``ok`` with its commutator table certified
+from a generating set.
+
+    MINWSUPER_BIG=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
 """
 
 import os
@@ -55,6 +62,7 @@ from oracles import (casimir_vs_quadratic_reference, free_normal_form,
                      raiser_square_reference, weight_form, weight_zero_pool)
 
 MAX_DIM = 50
+BIG_ROWS = ["psl:7|7", "spo:14|7"]
 # descriptor -> {(parity type, r, s): (c0, epsilon or None)} for each
 # class of minimal roots other than the default grading's, as
 # ``Scalar.render`` prints them: regression freezes of the current build
@@ -123,10 +131,25 @@ def test_ladder_rows():
     assert sum(map(len, EXTRA_CLASSES.values())) == 22
 
 
+def _clean_on_generating_letters(g, monkeypatch):
+    """Assert that ``validate(g)`` is clean and checks the Jacobi identity
+    in one call, for letters that generate g: no fallback to the full
+    loop."""
+    letters = _generating_letters(g, _seed_letters(g))
+    assert generated_dimension(g, letters) == g.dim, g.display
+    calls = []
+    real = superalgebra._jacobi_failures
+    with monkeypatch.context() as patch:
+        patch.setattr(superalgebra, "_jacobi_failures",
+                      lambda g, first: calls.append(list(first))
+                      or real(g, first))
+        assert validate(g) == [], g.display
+    assert calls == [letters], g.display
+
+
 def _certified_report(wal, monkeypatch):
     """The relation report of ``wal``, asserting that its commutator
-    table was certified without a fallback, and that the closed form
-    equals the table straightened from every pair."""
+    table was certified without a fallback and equals the closed form."""
     calls = []
     real = wgen.WAlgebra._straightened_table
     with monkeypatch.context() as patch:
@@ -136,8 +159,16 @@ def _certified_report(wal, monkeypatch):
     assert calls == [], wal.algebra.display
     assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
     assert wal.closed_form_table == wal.commutator_table
-    assert wal.closed_form_table == wal._straightened_table()
     return rep
+
+
+@pytest.mark.skipif(os.environ.get("MINWSUPER_BIG") != "1",
+                    reason="big rows run only with MINWSUPER_BIG=1")
+@pytest.mark.parametrize("desc", BIG_ROWS)
+def test_big_row_validates_and_verifies(desc, monkeypatch):
+    g = build_algebra(desc)
+    _clean_on_generating_letters(g, monkeypatch)
+    _certified_report(wgen.workspace(grade(g)), monkeypatch)
 
 
 @pytest.mark.skipif(os.environ.get("MINWSUPER_SWEEP") != "1",
@@ -146,17 +177,7 @@ def _certified_report(wal, monkeypatch):
 def test_ladder_validates_and_verifies(desc, monkeypatch):
     g = build_algebra(desc)
     assert g.dim <= MAX_DIM, desc
-    letters = _generating_letters(g, _seed_letters(g))
-    assert generated_dimension(g, letters) == g.dim, desc
-    calls = []
-    real = superalgebra._jacobi_failures
-    with monkeypatch.context() as patch:
-        patch.setattr(superalgebra, "_jacobi_failures",
-                      lambda g, first: calls.append(list(first))
-                      or real(g, first))
-        assert validate(g) == [], desc
-    # one call, with the generating letters: no fallback to the full loop
-    assert calls == [letters], desc
+    _clean_on_generating_letters(g, monkeypatch)
     weights = _weights_of_basis(g)
     cands = minimal_root_candidates(g, weights)
     want = gram_minimal_roots(g, weights)
@@ -176,7 +197,9 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
     extra = {}
     for key, gr in classes.items():
         if key != (default.parity_type, default.r, default.s):
-            rep = _certified_report(wgen.workspace(gr), monkeypatch)
+            other = wgen.workspace(gr)
+            rep = _certified_report(other, monkeypatch)
+            assert other.closed_form_table == other._straightened_table()
             extra[key] = (rep["c0"], rep["epsilon"])
     assert extra == EXTRA_CLASSES.get(desc, {}), desc
     wal = wgen.workspace(default)
@@ -189,6 +212,7 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
             lambda i, j: adapted.bracket({i: ONE}, {j: ONE}),
             lambda i: adapted.parity[i]), (desc, word)
     _certified_report(wal, monkeypatch)
+    assert wal.closed_form_table == wal._straightened_table()
     assert casimir_vs_quadratic_reference(wal)["failures"] == [], desc
     gens = wal.generators
     uge = PBWAlgebra.presented([gen.name for gen in gens],

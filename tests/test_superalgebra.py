@@ -7,7 +7,7 @@ import sympy
 from minwsuper import superalgebra
 from minwsuper.errors import PreconditionError, UnsupportedFamilyError
 from minwsuper.grading import grade
-from minwsuper.scalar import ONE, ZERO, acc, scalar
+from minwsuper.scalar import ONE, ZERO, Scalar, acc, scalar
 from minwsuper.superalgebra import (
     LinearSolver,
     _generating_letters,
@@ -167,6 +167,21 @@ def test_form_scaled_copy_owns_its_brackets():
         assert validate(other) == [], damaged
 
 
+def test_rebase_rejects_a_basis_it_cannot_invert():
+    g = build_algebra("sl:2|1")
+    letters = [{i: ONE} for i in range(g.dim)]
+    assert g.rebase(letters, g.cartan).to_json_dict()["bracket"] == \
+        g.to_json_dict()["bracket"]
+    with pytest.raises(PreconditionError, match="full basis"):
+        g.rebase(letters[:-1], g.cartan)
+    odd = g.parity.index(1)
+    mixed = letters[:1] + [{0: ONE, odd: ONE}] + letters[2:]
+    with pytest.raises(PreconditionError, match="vector 1 is parity mixed"):
+        g.rebase(mixed, g.cartan)
+    with pytest.raises(PreconditionError, match="dependent at 2"):
+        g.rebase(letters[:2] + [{0: ONE, 1: ONE}] + letters[3:], g.cartan)
+
+
 def _spy_jacobi(monkeypatch):
     """Record the ``first`` letters of every ``_jacobi_failures`` call."""
     calls = []
@@ -275,7 +290,8 @@ DAMAGES = (_damage_constant, _damage_zero_row, _damage_cartan_row)
 
 
 @pytest.mark.parametrize("desc", ["osp:1|2", "sl:2|1", "gl:2|1", "spo:2|3",
-                                  "psl:2|2", "spo:4|1"])
+                                  "psl:2|2", "spo:4|1", "sl:3|2", "spo:4|3",
+                                  "psl:3|3"])
 def test_validate_matches_the_full_loop_on_damage(desc):
     rng = random.Random(desc)
     for damage in DAMAGES:
@@ -428,6 +444,22 @@ def test_root_pass_matches_gram_oracle(algebras):
         tt = pair(rd.theta, rd.theta)
         assert all(rd.degree[a] == 2 * pair(a, rd.theta) / tt
                    for a in rd.roots), desc
+
+
+def test_root_pass_types():
+    # the Gram-oracle equality cannot tell 1 from Fraction(1): roots are
+    # Fraction tuples, degrees ints and coroot values Scalars
+    for desc in ("gl:3|1", "psl:3|3", "spo:4|3"):
+        g = build_algebra(desc)
+        cands = minimal_root_candidates(g, _weights_of_basis(g))
+        assert cands, desc
+        for theta, (coroot, degree) in cands.items():
+            assert type(theta) is tuple, desc
+            assert all(type(c) is Fraction for c in theta), desc
+            assert all(type(alpha) is tuple and all(
+                type(c) is Fraction for c in alpha) for alpha in degree), desc
+            assert all(type(d) is int for d in degree.values()), desc
+            assert all(type(c) is Scalar for c in coroot.values()), desc
 
 
 # -- classification ----------------------------------------------------------
