@@ -473,58 +473,69 @@ def _finish(family, params, mats, parity, labels, cartan, even_dim, eliminators)
 # ---------------------------------------------------------------------------
 
 
+def _seeds(weights):
+    """The keys of ``weights``, a dict of weight tuples, whose weight is
+    plus or minus an indecomposable lex-positive one, in key order."""
+    simple = set(_indecomposable(w for w in weights.values()
+                                 if w > (0,) * len(w)))
+    return [k for k, w in weights.items()
+            if w in simple or tuple(-c for c in w) in simple]
+
+
 def _seed_letters(g):
-    """The letters whose weight is plus or minus an indecomposable
-    lex-positive root, in index order; none when the Cartan letters do not
-    act diagonally with rational weights."""
+    """The ``_seeds`` of the letters' weights; none when the Cartan
+    letters do not act diagonally with rational weights."""
     try:
         weights = _weights_of_basis(g)
     except ConsistencyError:
         return []
-    zero = tuple(Fraction(0) for _ in g.cartan)
-    simple = set(_indecomposable(w for w in weights if w > zero))
-    return [i for i in range(g.dim)
-            if weights[i] in simple or tuple(-c for c in weights[i]) in simple]
+    return _seeds(dict(enumerate(weights)))
 
 
-def _generating_letters(g, seed):
-    """``seed`` extended to letters that generate g under the stored bracket.
+def _reach(todo, seeds, bracket):
+    """(X, order, recipes): letters X that generate ``todo`` under
+    ``bracket``, every letter of ``todo`` in the order it is reached, and
+    how each letter outside X is reached.
 
-    The left-normed brackets [x1, [x2, ... [x_{r-1}, x_r]]] with every x in
-    the letters enter one solver; while their span has rank < dim, the
-    first letter outside it joins the letters and the closure goes on.
-    Each spanning vector is one such bracket, so it is homogeneous as soon
-    as every stored bracket row is.
+    X starts as ``seeds``, which are reached at once.  Each round brackets
+    every x in X with every reached r and solves, in one growing solver,
+    e_y = sum mu bracket(x, r) + sum nu e_s over x, s in X; every letter
+    y that solves is reached, and its recipe maps (x, r) to mu and
+    (s, None) to nu.  A round that reaches nothing adds the first
+    unreached letter to X.  ``bracket(x, r)`` is a dict over letters, or
+    empty or None for a pair the caller does not use.
+
+    So a check is needed only on X.  If ad_x and ad_w are superderivations,
+    so is ad_[x,w] = [ad_x, ad_w] for homogeneous x and w (Kac 1977;
+    Scheunert, LNM 716), and so is a sum of them.  So an identity that
+    holds with each x in X first holds, by induction on the reaching
+    order, with every letter first: a recipe reads only letters reached
+    before its own.
     """
-    dim = g.dim
-    rows = g._bracket
-    none = {}
-    solver = LinearSolver()
-    letters = []
-    span = []  # left-normed brackets, each outside the span of the earlier
-    done = []  # span[t] has been bracketed with letters[:done[t]]
-    pending = list(seed)
-    while True:
+    solver, X, order, recipes = LinearSolver(), [], [], {}
+    pending, nx, nr = list(seeds), 0, 0
+    while len(order) < len(todo):
         for x in pending:
-            letters.append(x)
-            if solver.add(len(span), {x: ONE}):
-                span.append({x: ONE})
-                done.append(0)
-        t = 0
-        while t < len(span) and solver.rank < dim:
-            while done[t] < len(letters) and solver.rank < dim:
-                x = letters[done[t]]
-                done[t] += 1
-                z = {}
-                for s, v in span[t].items():
-                    axpy(z, v, rows.get((x, s), none))
-                if solver.add(len(span), z):
-                    span.append(z)
-                    done.append(0)
-            t += 1
-        if solver.rank == dim:
-            return letters
-        pending = [next(k for k in range(dim) if solver.solve({k: ONE}) is None)]
+            solver.add((x, None), {x: ONE})
+        X += pending
+        order += pending
+        # r bracketed in an earlier round still needs the newer x
+        for t, r in enumerate(order):
+            for x in X[nx if t < nr else 0:]:
+                vec = bracket(x, r)
+                if vec:
+                    solver.add((x, r), vec)
+        nx, nr = len(X), len(order)
+        reached = set(order)
+        for y in todo:
+            if y not in reached:
+                combo = solver.solve({y: ONE})
+                if combo is not None:
+                    recipes[y] = combo
+                    order.append(y)
+        pending = [] if len(order) > nr else [
+            y for y in todo if y not in reached][:1]
+    return X, order, recipes
 
 
 def _jacobi_failures(g, first):
@@ -582,12 +593,10 @@ def validate(g):
     """Check all structural identities; returns a list of violation strings.
 
     The super Jacobi identity with x first says that ad_x is a
-    superderivation of the stored bracket.  If ad_x and ad_w are, then so
-    is ad_[x,w] = [ad_x, ad_w] for homogeneous x and w (Kac 1977;
-    Scheunert, LNM 716).  So when every stored bracket is homogeneous and
-    the triples with i in a set X of letters that generates g all hold,
-    every triple holds.  X comes from ``_generating_letters``, whose span
-    of left-normed brackets has rank dim.  If the parity or skew check
+    superderivation of the stored bracket, so when every stored bracket
+    is homogeneous it is checked only for the letters X that ``_reach``
+    finds over the stored rows from the ``_seed_letters``; its docstring
+    gives the argument.  If the parity or skew check
     reports anything, or a triple with i in X fails, every triple is
     checked and the report is the same as the full loop's.  Either way
     only the triples where some side reads a stored bracket row are
@@ -611,7 +620,8 @@ def validate(g):
             if br.get(k, ZERO) != -sign * rev.get(k, ZERO):
                 report.append("skew: [%d,%d] vs [%d,%d] at %d" % (i, j, j, i, k))
 
-    if report or _jacobi_failures(g, _generating_letters(g, _seed_letters(g))):
+    if report or _jacobi_failures(g, _reach(
+            range(dim), _seed_letters(g), lambda x, r: rows.get((x, r)))[0]):
         report += _jacobi_failures(g, range(dim))
 
     none = {}

@@ -15,8 +15,10 @@ linear.  The Casimir element is likewise built and certified once.
 closed form, from the structure constants of g and c0 alone: the
 presentation by Theta_v, Theta_w, C and F.  ``commutator_table``, the
 brackets of the lifts, certifies the closed form from a generating set,
-as ``superalgebra.validate`` certifies Jacobi: every generator is reached
-from seeds X by closed brackets with them, the pairs with a seed (and
+by the argument of ``superalgebra._reach`` that lets
+``superalgebra.validate`` check Jacobi on generating letters alone:
+every generator is reached from seeds X by closed brackets with them,
+the pairs with a seed (and
 those among C and F) are formed in U(g), every other pair is derived by
 the super Jacobi identity in the closed form's presented algebra, and
 induction on (Kazhdan weight sum, reaching position) proves the rest.
@@ -45,7 +47,7 @@ from .errors import ConsistencyError, PreconditionError, check_type
 from .grading import (MinimalGrading, admissible_subalgebras, neg_one_bases,
                       weights_delta_rho)
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from .superalgebra import LinearSolver, _indecomposable
+from .superalgebra import _reach, _seeds
 
 RELATION_SUITE = "minimal-w-relations/1"
 
@@ -600,55 +602,33 @@ class WAlgebra:
                     self.generators, 2)}
 
     def _reach(self, closed):
-        """(X, reaching order, recipes), as ``commutator_table`` says;
-        a recipe maps (x, r) to mu and (s, None) to nu."""
+        """``superalgebra._reach`` over the lettered generators but F,
+        from the seeds among the degree-0 ones, by the linear closed
+        entries of weight sum below 6."""
         gens, lw = self.generators, self.grading.letter_weights
         todo = [k for k, gen in enumerate(gens)
                 if gen.letter is not None and gen.name != "F"]
-        wt = {k: lw[gens[k].letter] for k in todo if gens[k].weight == 2}
-        zero = tuple(0 for _ in self.grading.hes)
-        simple = set(_indecomposable(w for w in wt.values() if w > zero))
-        pending = [k for k, w in wt.items()
-                   if w in simple or tuple(-c for c in w) in simple]
-        solver, seeds, order, done, recipes = LinearSolver(), [], [], [], {}
-        while len(order) < len(todo):
-            for x in pending:
-                solver.add((x, None), {x: ONE})
-                seeds.append(x)
-                order.append(x)
-                done.append(0)
-            for t, r in enumerate(order):
-                for x in seeds[done[t]:]:
-                    vec = _entry(gens, closed, x, r)
-                    if (gens[x].weight + gens[r].weight < 6
-                            and all(sum(e) == 1 for e in vec)):
-                        solver.add((x, r), {e.index(1): c
-                                            for e, c in vec.items()})
-                done[t] = len(seeds)
-            reached = len(order)
-            for y in todo:
-                if y not in recipes and y not in seeds:
-                    combo = solver.solve({y: ONE})
-                    if combo is not None:
-                        recipes[y] = combo
-                        order.append(y)
-                        done.append(0)
-            pending = [] if len(order) > reached else [
-                y for y in todo if y not in order][:1]
-        return set(seeds), order, recipes
+
+        def bracket(x, r):
+            if gens[x].weight + gens[r].weight < 6:
+                vec = _entry(gens, closed, x, r)
+                if all(sum(e) == 1 for e in vec):
+                    return {e.index(1): c for e, c in vec.items()}
+
+        return _reach(todo, _seeds({k: lw[gens[k].letter] for k in todo
+                                    if gens[k].weight == 2}), bracket)
 
     @property
     def commutator_table(self):
         """Coordinates of every pairwise supercommutator of generators.
 
         Certified from ``closed_form_table``, E(p, q) the closed entry
-        of [p, q].  The seeds X start as the degree-0 generators whose
-        restricted weight is plus or minus an indecomposable lex-positive
-        one.  A lettered generator y is reached, in order, once Theta_y
-        = sum mu E(x, r) + sum nu Theta_s over seeds x, s and reached r,
-        with E(x, r) linear and not of two degree-1 generators (one
-        solve); while nothing new is reached, the first unreached
-        generator joins X.  The pairs with a seed, and (C, C), (C, F),
+        of [p, q].  ``superalgebra._reach`` reaches every lettered
+        generator y but F from seeds X, the degree-0 generators whose
+        restricted weights are its ``_seeds``, through the entries
+        E(x, r) that are linear and not of two degree-1 generators:
+        Theta_y = sum mu E(x, r) + sum nu Theta_s over x, s in X and r
+        reached before y.  The pairs with a seed, and (C, C), (C, F),
         (F, F), are straightened in U(g) and must equal E.  Every other
         pair (y, b), y reached first, must satisfy super Jacobi,
 

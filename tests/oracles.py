@@ -24,11 +24,14 @@ workspace.  ``validate_reference`` is
 generating set: it checks every triple; ``rebase_reference`` solves
 every bracket over the new basis, where the package combines the
 solved old letters; ``generated_dimension`` closes a
-span under the brackets of all its pairs rather than under left-normed
-brackets.  ``cartan_product_reference`` multiplies two ordered monomials
-of the Cartan subquotient by the sign-and-odd-square rule that the
-subquotient used before it multiplied through the presented algebra of
-its relation table.
+span under the brackets of all its pairs rather than reaching basis
+letters by brackets with a generating set, and
+``assert_exact_recipes`` sums the recipes of that reaching with
+``axpy``, where the package solves for them.
+``cartan_product_reference`` multiplies two ordered monomials of the
+Cartan subquotient by the sign-and-odd-square rule that the subquotient
+used before it multiplied through the presented algebra of its relation
+table.
 """
 
 from fractions import Fraction
@@ -342,6 +345,34 @@ def generated_dimension(g, letters):
                     span.append(z)
     return solver.rank
 
+
+
+def assert_exact_recipes(todo, seeds, entry, reach):
+    """Assert that ``reach``, the (X, order, recipes) of
+    ``superalgebra._reach`` over ``todo`` from ``seeds``, is exact, with
+    no solver: ``order`` holds every member of ``todo`` once, X starts
+    with the seeds and lies in ``order``, every letter outside X has a
+    recipe, and each recipe, summed with ``axpy`` as
+    sum mu entry(x, r) + sum nu e_s, is e_y and reads only x, s in X and
+    r reached before y.  ``entry(x, r)`` reads the bracket over letters
+    straight from the caller's table."""
+    letters, order, recipes = reach
+    assert sorted(order) == sorted(todo)
+    assert len(set(order)) == len(order)
+    assert letters[:len(seeds)] == list(seeds)
+    assert set(letters) <= set(order)
+    assert set(recipes) == set(order) - set(letters)
+    rank = {y: t for t, y in enumerate(order)}
+    for y, combo in recipes.items():
+        got = {}
+        for (x, r), c in combo.items():
+            assert x in letters, (y, x)
+            if r is None:
+                acc(got, x, c)
+            else:
+                assert rank[r] < rank[y], (y, r)
+                axpy(got, c, entry(x, r))
+        assert got == {y: ONE}, y
 
 def validate_reference(g):
     """The full-loop ``validate``: every Jacobi triple (i, j, k) is checked,

@@ -3,8 +3,9 @@
 Every descriptor of 50 dims or fewer among gl/sl m|n (m, n <= 5, m != n),
 psl n|n (n <= 4) and spo 2n|m (2n <= 10, m <= 7) must build to an algebra
 that ``validate`` passes on its certificate path: the letters it checks
-the Jacobi identity for generate the algebra, and the full triple loop
-never runs.  Its root pass must agree with the Gram-inverse oracle.  On
+the Jacobi identity for generate the algebra, every other letter is
+reached from them by an exact recipe, and the full triple loop never
+runs.  Its root pass must agree with the Gram-inverse oracle.  On
 its grading's rebased adapted algebra, PBW normal forms of seeded words
 of length 2 to 4 must equal those of the free rewriter in ``oracles``.
 Its relation report must be ``ok``, its commutator table must be
@@ -36,8 +37,8 @@ The sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
 
 The big rows psl:7|7 (dim 194) and spo:14|7 (dim 224) run with
 ``MINWSUPER_BIG=1``: ``validate`` is clean on its generating-set path,
-and the relation report is ``ok`` with its commutator table certified
-from a generating set.
+with exact recipes, and the relation report is ``ok`` with its
+commutator table certified from a generating set.
 
     MINWSUPER_BIG=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
 """
@@ -52,13 +53,12 @@ from minwsuper.cartanw import project_pi, restricted_roots
 from minwsuper.envelope import PBWAlgebra
 from minwsuper.grading import grade
 from minwsuper.scalar import HALF, ONE, axpy
-from minwsuper.superalgebra import (_generating_letters, _seed_letters,
-                                    _weights_of_basis, build_algebra,
-                                    minimal_root_candidates,
+from minwsuper.superalgebra import (_reach, _seed_letters, _weights_of_basis,
+                                    build_algebra, minimal_root_candidates,
                                     root_decomposition, validate)
 
-from oracles import (casimir_vs_quadratic_reference, free_normal_form,
-                     generated_dimension, gram_minimal_roots,
+from oracles import (assert_exact_recipes, casimir_vs_quadratic_reference,
+                     free_normal_form, generated_dimension, gram_minimal_roots,
                      raiser_square_reference, weight_form, weight_zero_pool)
 
 MAX_DIM = 50
@@ -133,9 +133,14 @@ def test_ladder_rows():
 
 def _clean_on_generating_letters(g, monkeypatch):
     """Assert that ``validate(g)`` is clean and checks the Jacobi identity
-    in one call, for letters that generate g: no fallback to the full
-    loop."""
-    letters = _generating_letters(g, _seed_letters(g))
+    in one call, for letters that generate g, reached by exact recipes:
+    no fallback to the full loop."""
+    rows = g._bracket
+    seed = _seed_letters(g)
+    reach = _reach(range(g.dim), seed, lambda x, r: rows.get((x, r)))
+    letters = reach[0]
+    assert_exact_recipes(range(g.dim), seed,
+                         lambda x, r: rows.get((x, r), {}), reach)
     assert generated_dimension(g, letters) == g.dim, g.display
     calls = []
     real = superalgebra._jacobi_failures

@@ -10,9 +10,9 @@ from minwsuper.grading import grade
 from minwsuper.scalar import ONE, ZERO, Scalar, acc, scalar
 from minwsuper.superalgebra import (
     LinearSolver,
-    _generating_letters,
     _rational_inverse,
     _rational_kernel,
+    _reach,
     _seed_letters,
     _weights_of_basis,
     build_algebra,
@@ -22,8 +22,8 @@ from minwsuper.superalgebra import (
     validate,
 )
 
-from oracles import (generated_dimension, gram_minimal_roots,
-                     validate_reference, weight_form)
+from oracles import (assert_exact_recipes, generated_dimension,
+                     gram_minimal_roots, validate_reference, weight_form)
 
 DIMS = {
     "osp:1|2": (3, 2),
@@ -194,11 +194,22 @@ def _spy_jacobi(monkeypatch):
     return calls
 
 
+def _letters(g, seed):
+    """``_reach``'s X from ``seed`` under the stored bracket rows, as
+    ``validate`` finds it."""
+    return _reach(range(g.dim), seed, _row_bracket(g))[0]
+
+
+def _row_bracket(g):
+    rows = g._bracket
+    return lambda x, r: rows.get((x, r))
+
+
 def test_clean_validate_checks_only_the_generating_letters(algebras,
                                                           monkeypatch):
     calls = _spy_jacobi(monkeypatch)
     for desc, g in algebras.items():
-        letters = _generating_letters(g, _seed_letters(g))
+        letters = _letters(g, _seed_letters(g))
         assert generated_dimension(g, letters) == g.dim, desc
         assert len(letters) < g.dim, desc
         del calls[:]
@@ -213,30 +224,50 @@ def test_closure_extends_the_seed():
     for desc, extra in (("gl:2|1", 1), ("psl:3|3", 2)):
         g = build_algebra(desc)
         seed = _seed_letters(g)
-        letters = _generating_letters(g, seed)
+        letters = _letters(g, seed)
         assert letters[:len(seed)] == seed, desc
         assert len(letters) == len(seed) + extra, desc
         assert generated_dimension(g, seed) < g.dim, desc
         assert generated_dimension(g, letters) == g.dim, desc
     g = build_algebra("gl:2|1")
-    assert _generating_letters(g, _seed_letters(g))[-1] in g.cartan
+    assert _letters(g, _seed_letters(g))[-1] in g.cartan
 
 
 def test_cartan_letters_alone_do_not_generate(algebras):
     for desc, g in algebras.items():
         cartan = list(g.cartan)
         assert generated_dimension(g, cartan) == len(cartan) < g.dim, desc
-        letters = _generating_letters(g, cartan)
+        letters = _letters(g, cartan)
         assert letters[:len(cartan)] == cartan, desc
         assert len(letters) > len(cartan), desc
         assert generated_dimension(g, letters) == g.dim, desc
+
+
+def test_reaching_recipes_are_exact(algebras):
+    # every recipe, summed from the stored rows, is its letter, from the
+    # seeds validate uses and from the Cartan letters alone
+    for desc, g in algebras.items():
+        for seed in (_seed_letters(g), list(g.cartan)):
+            reach = _reach(range(g.dim), seed, _row_bracket(g))
+            assert_exact_recipes(range(g.dim), seed,
+                                 lambda x, r: g._bracket.get((x, r), {}),
+                                 reach)
+
+
+def test_generating_letter_counts():
+    # the size of X, which sets the work of a clean Jacobi check:
+    # frozen from the build that first certified Jacobi this way
+    for desc, size in (("gl:2|1", 5), ("psl:3|3", 10), ("spo:8|1", 8),
+                       ("sl:3|4", 12), ("gl:3|4", 13)):
+        g = build_algebra(desc)
+        assert len(_letters(g, _seed_letters(g))) == size, desc
 
 
 def test_damage_outside_the_generating_letters_is_reported(monkeypatch):
     # a skew-consistent change to a row of two letters outside X: no
     # parity or skew report, so a triple with i in X must catch it
     g = build_algebra("sl:2|3")
-    letters = set(_generating_letters(g, _seed_letters(g)))
+    letters = set(_letters(g, _seed_letters(g)))
     key = next((i, j) for (i, j), row in sorted(g._bracket.items())
                if i not in letters and j not in letters and i != j)
     t = next(iter(g._bracket[key]))

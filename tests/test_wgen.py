@@ -14,11 +14,12 @@ from minwsuper.envelope import (PBWAlgebra, from_exponents, kazhdan_weights,
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.grading import WeightData, grade
 from minwsuper.scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from minwsuper.superalgebra import build_algebra, validate
+from minwsuper.superalgebra import _seeds, build_algebra, validate
 
-from oracles import (casimir_vs_quadratic_reference, count_bounded_monomials,
-                     monomials_of_weight, pbw_coordinates_reference,
-                     raiser_square_reference, weight_zero_pool)
+from oracles import (assert_exact_recipes, casimir_vs_quadratic_reference,
+                     count_bounded_monomials, monomials_of_weight,
+                     pbw_coordinates_reference, raiser_square_reference,
+                     weight_zero_pool)
 
 NAMES = ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1", "psl:2|2", "gl:2|1"]
 
@@ -669,6 +670,46 @@ def test_closed_form_never_reads_the_table(monkeypatch):
         monkeypatch.undo()
         assert wal._table is None, name
         assert closed == wal._straightened_table(), name
+
+
+@pytest.mark.parametrize("name", ["spo:2|3", "sl:2|1", "spo:2|5",
+                                  "psl:3|3"])
+def test_certificate_recipes_are_exact(name):
+    # each generator the certificate reaches equals its recipe, summed
+    # from the closed entries, as the derived Jacobi checks assume
+    wal = wgen.WAlgebra(grade(build_algebra(name)))
+    gens, closed = wal.generators, wal.closed_form_table
+    todo = [k for k, gen in enumerate(gens)
+            if gen.letter is not None and gen.name != "F"]
+    reach = wal._reach(closed)
+
+    def entry(x, r):
+        vec = wgen._entry(gens, closed, x, r)
+        assert all(sum(e) == 1 for e in vec), (x, r)
+        return {e.index(1): c for e, c in vec.items()}
+
+    lw = wal.grading.letter_weights
+    seeds = _seeds({k: lw[gens[k].letter] for k in todo
+                    if gens[k].weight == 2})
+    assert_exact_recipes(todo, seeds, entry, reach)
+
+
+@pytest.mark.parametrize("name,pairs", [("spo:2|3", 24), ("spo:2|5", 78),
+                                        ("psl:3|3", 165), ("spo:8|1", 234)])
+def test_certificate_straightens_few_pairs(name, pairs, monkeypatch):
+    # the U(g) pairs, a seed's or among C and F, are the certificate's
+    # work; every other pair is derived: frozen from the build that first
+    # certified the table from a generating set
+    wal = wgen.WAlgebra(grade(build_algebra(name)))
+    wal.generators, wal.closed_form_table
+    calls = []
+    real = wal.comm_raw
+    monkeypatch.setattr(wal, "comm_raw",
+                        lambda a, b: calls.append(1) or real(a, b))
+    table = wal.commutator_table
+    n = len(wal.generators)
+    assert (len(calls), len(table)) == (pairs, n * (n + 1) // 2)
+    assert table == wal.closed_form_table
 
 
 def test_verify_reads_the_table(gradings, monkeypatch):
