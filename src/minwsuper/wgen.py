@@ -18,10 +18,10 @@ brackets of the lifts, certifies the closed form from a generating set,
 by the argument of ``superalgebra._reach`` that lets
 ``superalgebra.validate`` check Jacobi on generating letters alone:
 every generator is reached from seeds X by closed brackets with them,
-the pairs with a seed (and
-those among C and F) are formed in U(g), every other pair is derived by
-the super Jacobi identity in the closed form's presented algebra, and
-induction on (Kazhdan weight sum, reaching position) proves the rest.
+the pairs with a seed (and those among C and F) are formed in U(g),
+every other pair is derived by the super Jacobi identity in the closed
+form's presented algebra, and induction on (Kazhdan weight sum,
+reaching position) proves the rest.
 Any failed check falls back to straightening every pair in U(g).
 ``verify_relations`` reads that table by generator position, and every
 group that checks a table entry reads the entry minus its closed form;
