@@ -3,7 +3,10 @@
 Supported families: gl(m|n) and sl(m|n) with m != n, psl(n|n), and
 spo(2n|m) acting on C^(2n|m) (the same algebra as osp(m|2n); osp:1|2 is the
 alias of spo:2|1).  Brackets and the supertrace form are always computed
-from an explicit matrix basis rather than copied from tables.
+from an explicit matrix basis rather than copied from tables.  Each
+builder keeps every vector it builds: spo's kernel vectors are weight
+vectors as they come (``_build_spo``), and psl leaves out the one sl
+Cartan letter that the identity matrix makes redundant (``_finish``).
 """
 
 from __future__ import annotations
@@ -328,12 +331,14 @@ def _build_gl_family(kind, m, n):
             labels.append("H%d" % (a + 1))
         cartan = list(range(d))
     else:
-        # coroot-style supertraceless diagonal basis
-        for a in range(d - 1):
+        # coroot-style supertraceless diagonal basis; psl leaves out
+        # H_{2n-1} (see _finish)
+        rank = d - 2 if kind == "psl" else d - 1
+        for a in range(rank):
             mats.append({(a, a): 1, (a + 1, a + 1): 1 if a == m - 1 else -1})
             parity.append(0)
             labels.append("H%d" % (a + 1))
-        cartan = list(range(d - 1))
+        cartan = list(range(rank))
     for a in range(d):
         for b in range(d):
             if a != b:
@@ -341,35 +346,9 @@ def _build_gl_family(kind, m, n):
                 parity.append((par(a) + par(b)) % 2)
                 labels.append("E%d,%d" % (a + 1, b + 1))
 
-    eliminators = []
-    if kind == "psl":
-        # quotient by the identity matrix: add it to the solver as a zero tag
-        ident = {(a, a): 1 for a in range(d)}
-        # drop one Cartan vector so the remaining mats project to a basis
-        coords = _matrix_coords(mats, [ident])[0]
-        drop = max(i for i in cartan if coords.get(i))
-        del mats[drop], parity[drop], labels[drop]
-        cartan = list(range(d - 2))
-        eliminators = [ident]
-
+    # psl is the quotient by the identity matrix
+    eliminators = [{(a, a): 1 for a in range(d)}] if kind == "psl" else []
     return _finish(kind, (m, n), mats, parity, labels, cartan, m, eliminators)
-
-
-def _matrix_coords(basis_mats, targets, eliminators=()):
-    """Coordinates of each target over basis_mats, modulo the eliminator span."""
-    solver = LinearSolver()
-    for t, em in enumerate(eliminators):
-        solver.add(("elim", t), em)
-    for i, bm in enumerate(basis_mats):
-        if not solver.add(i, bm):
-            raise PreconditionError("matrix basis is dependent at %d" % i)
-    out = []
-    for tm in targets:
-        sol = solver.solve(tm)
-        if sol is None:
-            raise PreconditionError("target outside the matrix span")
-        out.append({k: v for k, v in sol.items() if isinstance(k, int)})
-    return out
 
 
 def _spo_form(twon, m):
@@ -381,13 +360,32 @@ def _spo_form(twon, m):
 
 
 def _build_spo(twon, m):
+    """spo(2n|m) as the matrices X with B(Xu, v) + (-1)^{|X||u|} B(u, Xv)
+    = 0, solved entrywise for each parity of X.
+
+    The condition at (a, b) reads the positions (a', b) and (b', a),
+    with i' the index that B pairs with i, and the Cartan weight of both
+    is -eps_a - eps_b.  So the condition matrix is block-diagonal by
+    weight (Kac 1977), every kernel vector of ``_rational_kernel`` has
+    one weight, read off any of its entries, and those of nonzero weight
+    are independent of the Cartan.  The weight-zero ones span the
+    Cartan, which is written out instead, in the eps/delta order.
+    """
     n = twon // 2
     d = twon + m
     par = lambda a: 0 if a < twon else 1
     phi = _spo_form(twon, m)
 
-    # solve B(Xu, v) + (-1)^{|X||u|} B(u, Xv) = 0 entrywise for each parity
-    kernel_mats = {0: [], 1: []}
+    cartan_mats = [{(i, i): 1, (twon - 1 - i, twon - 1 - i): -1}
+                   for i in range(n)]
+    cartan_mats += [{(twon + j, twon + j): 1, (d - 1 - j, d - 1 - j): -1}
+                    for j in range(m // 2)]
+    k_c = len(cartan_mats)
+
+    def weight_of(a, b):
+        return tuple(hm.get((a, a), 0) - hm.get((b, b), 0) for hm in cartan_mats)
+
+    roots = []  # (weight, parity, kernel position, matrix)
     for px in (0, 1):
         positions = [(c, a) for c in range(d) for a in range(d)
                      if (par(c) + par(a)) % 2 == px]
@@ -404,65 +402,51 @@ def _build_spo(twon, m):
                         row[pos_index[c, b]] += sign * phi[a, c]
                 if any(row):
                     rows.append(row)
-        for vec in _rational_kernel(rows, len(positions)):
-            kernel_mats[px].append(
-                {positions[t]: v for t, v in enumerate(vec) if v})
+        for t, vec in enumerate(_rational_kernel(rows, len(positions))):
+            mat = {positions[s]: v for s, v in enumerate(vec) if v}
+            wt = weight_of(*next(iter(mat)))
+            if any(wt):
+                roots.append((wt, px, t, mat))
+    roots.sort(key=lambda root: root[:3])
 
-    # Cartan: diagonal members, written in the standard eps/delta order
-    cartan_mats = [{(i, i): 1, (twon - 1 - i, twon - 1 - i): -1}
-                   for i in range(n)]
-    cartan_mats += [{(twon + j, twon + j): 1, (d - 1 - j, d - 1 - j): -1}
-                    for j in range(m // 2)]
-    k_c = len(cartan_mats)
-
-    def weight_of(a, b):
-        return tuple(hm.get((a, a), 0) - hm.get((b, b), 0) for hm in cartan_mats)
-
-    # split kernel vectors into Cartan weight components
-    weight_vecs = {}
-    for px in (0, 1):
-        for x in kernel_mats[px]:
-            comps = {}
-            for (a, b), v in x.items():
-                comps.setdefault(weight_of(a, b), {})[a, b] = v
-            for wt, mat in comps.items():
-                if any(wt):
-                    weight_vecs.setdefault((wt, px), []).append(mat)
-
-    mats = list(cartan_mats)
-    parity = [0] * k_c
-    labels = ["H%d" % (i + 1) for i in range(k_c)]
-    solver = LinearSolver()
-    for i, hm in enumerate(cartan_mats):
-        solver.add(i, hm)
-    for (wt, px) in sorted(weight_vecs):
-        for mat in weight_vecs[(wt, px)]:
-            if solver.add(len(mats), mat):
-                mats.append(mat)
-                parity.append(px)
-                labels.append("X(%s)" % ",".join(str(c) for c in wt))
-
+    mats = cartan_mats + [mat for *_, mat in roots]
+    parity = [0] * k_c + [px for _, px, _, _ in roots]
+    labels = (["H%d" % (i + 1) for i in range(k_c)]
+              + ["X(%s)" % ",".join(map(str, wt)) for wt, *_ in roots])
     return _finish("spo", (twon, m), mats, parity, labels, list(range(k_c)), twon, [])
 
 
 def _finish(family, params, mats, parity, labels, cartan, even_dim, eliminators):
-    """Compute structure constants and form from the matrix basis."""
+    """Compute structure constants and form from the matrix basis,
+    taken modulo the span of ``eliminators``.
+
+    psl(n|n) is sl(n|n) modulo the identity matrix.  Over the sl Cartan
+    letters the identity has coefficient -1 on H_{2n-1} (+1 when n = 1),
+    the largest letter it touches, so the sl basis without H_{2n-1} is
+    a basis modulo the identity.
+    """
+    solver = LinearSolver()
+    for t, em in enumerate(eliminators):
+        solver.add(("elim", t), em)
+    for i, bm in enumerate(mats):
+        if not solver.add(i, bm):
+            raise PreconditionError("matrix basis is dependent at %d" % i)
     dim = len(mats)
     products = {(i, j): _mat_mul(mats[i], mats[j])
                 for i in range(dim) for j in range(dim)}
-    targets = []
-    keys = []
+    bracket = {}
     for i in range(dim):
         for j in range(dim):
             z = dict(products[i, j])
             axpy(z, 1 if (parity[i] and parity[j]) else -1, products[j, i])
-            if z:
-                targets.append(z)
-                keys.append((i, j))
-    bracket = {}
-    for key, co in zip(keys, _matrix_coords(mats, targets, eliminators)):
-        if co:
-            bracket[key] = dict(sorted(co.items()))
+            if not z:
+                continue
+            sol = solver.solve(z)
+            if sol is None:
+                raise PreconditionError("target outside the matrix span")
+            co = {k: v for k, v in sol.items() if isinstance(k, int)}
+            if co:
+                bracket[i, j] = dict(sorted(co.items()))
     form = {key: scalar(v) for key, m in products.items()
             if (v := _supertrace(m, even_dim))}
     return LieSuperalgebra(family, params, labels, parity, bracket, form, cartan)
@@ -879,12 +863,16 @@ def root_decomposition(g, theta=None):
 
 
 def _indecomposable(positive):
-    """The members of ``positive`` (nonzero weight tuples) that are not the
-    sum of two members, sorted."""
+    """The members of ``positive`` (nonzero weight tuples of ints or
+    Fractions) that are not the sum of two members, sorted.  The
+    differences are taken on int tuples over one common denominator."""
     pos = set(positive)
-    return [root for root in sorted(pos)
-            if not any(tuple(r - b for r, b in zip(root, beta)) in pos
-                       for beta in pos)]
+    den = math.lcm(*(c.denominator for w in pos for c in w))
+    scaled = {tuple(c.numerator * (den // c.denominator) for c in w): w
+              for w in pos}
+    return sorted(w for key, w in scaled.items()
+                  if not any(tuple(r - b for r, b in zip(key, beta)) in scaled
+                             for beta in scaled))
 
 
 def _diagonal_coordinates(g, root):

@@ -31,18 +31,23 @@ must be multiplicative on seeded products of the weight-zero pool, drawn
 among all its pairs, up to Kazhdan degree 12: straightening peels one
 ordered monomial per leading word, so no degree is too large to
 coordinate.
+The JSON of every row's matrix realization, taken together, must match
+one frozen SHA-256, and that of the big rows below another.
 The sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
 
     MINWSUPER_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
 
 The big rows psl:7|7 (dim 194) and spo:14|7 (dim 224) run with
 ``MINWSUPER_BIG=1``: ``validate`` is clean on its generating-set path,
-with exact recipes, and the relation report is ``ok`` with its
-commutator table certified from a generating set.
+with exact recipes, the relation report is ``ok`` with its
+commutator table certified from a generating set, and their
+realizations match their frozen SHA-256.
 
     MINWSUPER_BIG=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
 """
 
+import hashlib
+import json
 import os
 import random
 
@@ -90,6 +95,12 @@ EXTRA_CLASSES = {
     "spo:4|5": {("even", 8, 2): ("3", None)},
     "spo:4|6": {("even", 8, 4): ("2", None)},
 }
+# Regression freezes, not independent truths: one sha256 over the sorted
+# JSON of every realization in ``ladder()`` order, and one over the big rows
+LADDER_REALIZATIONS_DIGEST = \
+    "c88455be981f4041dd866dc349b5ae926361e1d909535e583a3edfd7efee9147"
+BIG_REALIZATIONS_DIGEST = \
+    "6c474a294d5c190edb7656f66d085af8b51717269783e3860e993e3af6ef80b1"
 # the words the PBW normal form is checked on per row
 FREE_WORDS = 10
 # the products pi is checked on per row
@@ -165,6 +176,26 @@ def _certified_report(wal, monkeypatch):
     assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
     assert wal.closed_form_table == wal.commutator_table
     return rep
+
+
+def _realizations_digest(rows):
+    digest = hashlib.sha256()
+    for desc in rows:
+        digest.update(json.dumps(build_algebra(desc).to_json_dict(),
+                                 sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.skipif(os.environ.get("MINWSUPER_BIG") != "1",
+                    reason="big rows run only with MINWSUPER_BIG=1")
+def test_big_realizations_frozen():
+    assert _realizations_digest(BIG_ROWS) == BIG_REALIZATIONS_DIGEST
+
+
+@pytest.mark.skipif(os.environ.get("MINWSUPER_SWEEP") != "1",
+                    reason="ladder sweep runs only with MINWSUPER_SWEEP=1")
+def test_ladder_realizations_frozen():
+    assert _realizations_digest(ladder()) == LADDER_REALIZATIONS_DIGEST
 
 
 @pytest.mark.skipif(os.environ.get("MINWSUPER_BIG") != "1",

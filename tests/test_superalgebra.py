@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from minwsuper.grading import grade
 from minwsuper.scalar import ONE, ZERO, Scalar, acc, scalar
 from minwsuper.superalgebra import (
     LinearSolver,
+    _indecomposable,
     _rational_inverse,
     _rational_kernel,
     _reach,
@@ -60,6 +63,34 @@ def test_dimensions(algebras):
     for desc, (ev, od) in DIMS.items():
         g = algebras[desc]
         assert (g.dim_even, g.dim_odd) == (ev, od), desc
+
+
+# Regression freezes, not independent truths: sha256 digests of
+# json.dumps(to_json_dict(), sort_keys=True) of each realization, which
+# any rewrite of a builder must reproduce: gl, sl in both block orders,
+# psl from 1|1 (no Cartan letters) up, and spo of both parities of m
+FROZEN_REALIZATION_DIGESTS = {
+    "osp:1|2": "fdf043efa7d9e73ac35b3b68e386dfba77cab370faf5ad5a51f08ae49b861da0",
+    "gl:2|1": "f30e554970ab9d8fbd5b5afe064dab2136696550355a05ddf9a34a9b58f64077",
+    "sl:1|4": "51c1f01472109b81f0ca9796c3ceac55b3fd329e1daaec8207462987cf986454",
+    "sl:3|2": "8093af4467a90bd56a457f0126d0cfca5ffd8d58cb76a79f4b84cd5bcaea57cc",
+    "psl:1|1": "c9e5b8e8aee514027dc43c2aff08b1c7b4ec2451b1567080a56d2a1f3b48171d",
+    "psl:2|2": "f758d42055386108a525063e2ef59f44ee7d3e44758026dd48057a99182333d2",
+    "psl:3|3": "361d6c5a37c4e359668a9418386e85f91eabeae3d279bf655441cac67475cd9b",
+    "psl:4|4": "d277dd05ca7530a147722ec181ec6a393979dcccd13ba14594fcaea4072d6f77",
+    "spo:2|3": "e1308715ef12ae4c57ff3870f3f6a58f22ea4987468eb96a2cb5b4d985475c8b",
+    "spo:2|6": "47153754efb74f6116ad99acfb5d5e5d54d596a9c6713a6a5984fe8242e6e153",
+    "spo:4|3": "cc2132a30e90fb91ae0c3327a52a5d027668707d9c6a30f387d57a6655319382",
+    "spo:6|2": "358a621e05ffdbb4ef8200e250bc1e7b7b4319d1f1535e709febbc72fe052aab",
+    "spo:8|1": "f28a51050588d8c942803945f8b7414b85478438975349208222bfb306b41a3f",
+}
+
+
+@pytest.mark.parametrize("desc", sorted(FROZEN_REALIZATION_DIGESTS))
+def test_realizations_frozen(desc):
+    text = json.dumps(build_algebra(desc).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        FROZEN_REALIZATION_DIGESTS[desc]
 
 
 def test_validate_clean(algebras):
@@ -440,6 +471,24 @@ def test_simple_roots_indecomposable(algebras):
                     continue
                 b = tuple(x - y for x, y in zip(s, a))
                 assert not rd.is_positive(b), (desc, s, a)
+
+
+def test_indecomposable_over_mixed_denominators():
+    # ints and Fractions of several denominators, against the pairwise
+    # differences taken on the tuples themselves; the members come back
+    # as the very tuples passed in
+    rng = random.Random(5)
+    for _ in range(40):
+        pos = {tuple(rng.choice((0, 1, 2, Fraction(1, 2), Fraction(2, 3),
+                                 Fraction(-1, 6))) for _ in range(3))
+               for _ in range(rng.randint(1, 12))} - {(0, 0, 0)}
+        want = [w for w in sorted(pos)
+                if not any(tuple(a - b for a, b in zip(w, v)) in pos
+                           for v in pos)]
+        got = _indecomposable(list(pos))
+        assert got == want
+        assert all(any(w is v for v in pos) for w in got)
+    assert _indecomposable([]) == []
 
 
 def test_minimal_candidates(algebras):
