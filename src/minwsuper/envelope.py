@@ -11,6 +11,14 @@ in normal order (``word`` empty, ``x`` after its last letter, or an even
 ``x`` repeating it) is the word with ``x`` appended and is built on the spot;
 only products that need rewriting go into the letter cache.
 
+A product ``a * b`` of two elements is the sum over the terms cb wb of
+``b`` of cb (a wb), and a wb folds all of ``a`` letter by letter through
+wb, so a word that the folds of several words of ``a`` reach is multiplied
+by the next letter once.  The folds of the prefixes of b's words are kept
+for the call, so words of ``b`` with a common prefix share its fold;
+nothing outlives the call.  By associativity the sum is the word-pair sum
+of ca cb (wa wb).
+
 The adjoint action of one letter, ``ad(x, a) = [x, a]``, is what the
 invariance check of every W-algebra element asks for, and it meets the
 same few words again and again.  So each [x, w] for a letter x and a
@@ -178,10 +186,24 @@ class PBWAlgebra:
         return cur
 
     def mul(self, a, b):
+        """a * b as the sum of cb * (a * wb) over the terms cb wb of ``b``.
+        Each a * wb folds all of ``a`` letter by letter, from the longest
+        prefix of wb that this call has already folded."""
+        # prefix of a word of b -> a * prefix; this call's own
+        folded = {(): a}
         out = {}
-        for wa, ca in a.items():
-            for wb, cb in b.items():
-                axpy(out, ca * cb, self._mul_word(wa, wb))
+        for wb, cb in b.items():
+            n = len(wb)
+            while wb[:n] not in folded:
+                n -= 1
+            cur = folded[wb[:n]]
+            for m in range(n, len(wb)):
+                x = wb[m]
+                nxt = {}
+                for w, c in cur.items():
+                    axpy(nxt, c, self._mul_letter(w, x))
+                cur = folded[wb[:m + 1]] = nxt
+            axpy(out, cb, cur)
         return out
 
     def from_words(self, pairs):

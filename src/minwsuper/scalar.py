@@ -17,6 +17,14 @@ operation dispatches through ``Fraction``'s operators or renormalizes.
 Only a value with a nonzero radical term keeps a term dict; see
 :class:`Scalar`.
 
+:func:`axpy`, the sparse accumulation that straightening runs on, keeps
+one-atom values in that kernel too.  It reads a value that is rational or
+a single term q*sqrt(k) as (k, q), with k = 1 for a rational; a rational
+times q'*sqrt(k), q*sqrt(k) times q'*sqrt(k) (which is q*q'*k) and
+q*sqrt(k) plus q'*sqrt(k) are one or two kernel calls.  Any other mix
+takes the Scalar operators.  The engine's irrational coefficients are such
+single terms in sqrt(-2).
+
 :func:`sqrt` writes the square root of a rational as a rational multiple of
 one ``sqrt(k)``.  The engine takes only sqrt(-2) and the midline norm, which
 reduces to it.
@@ -524,35 +532,80 @@ def axpy(out, c, vec):
     if not c:
         return
     get = out.get
-    # a Scalar c times the shared ONE of a normal-order append is c itself;
-    # an int or Fraction c is still multiplied, so every entry is a Scalar.
-    # A rational Scalar c, a rational Scalar entry and a rational Scalar (or
-    # absent) sum meet in the int kernel; any other mix takes the operators.
-    one = q = None
+    # One int kernel for one-atom values.  A Scalar c, an entry and the
+    # running sum that are each rational or one term q*sqrt(k) are read as
+    # (k, q), k = 1 for a rational: rational * q'sqrt(k) = (q q')sqrt(k),
+    # q sqrt(k) * q' sqrt(k) = q q' k and q sqrt(k) + q' sqrt(k) =
+    # (q + q')sqrt(k), each through _qmul/_qadd.  Any other mix takes the
+    # Scalar operators.  A Scalar c times the shared ONE of a normal-order
+    # append is c itself; an int or Fraction c is still multiplied, so
+    # every entry is a Scalar.
+    one = kc = None
     if c.__class__ is Scalar:
         one = _ONE
-        if c._v.__class__ is not dict:
-            q = c._v
+        qc = c._v
+        if qc.__class__ is not dict:
+            kc = 1
+        elif len(qc) == 1:
+            (kc, qc), = qc.items()
+            qk = _qmul(qc, kc)
     for key, v in vec.items():
         cur = get(key)
+        k = None
         if v is one:
-            cv = c
-        elif (q is not None and v.__class__ is Scalar
-              and v._v.__class__ is not dict
-              and (cur is None or cur.__class__ is Scalar
-                   and cur._v.__class__ is not dict)):
-            w = _qmul(q, v._v)
-            if cur is not None:
-                w = _qadd(cur._v, w)
-            if w:
-                res = _new(Scalar)
-                res._v = w
-                out[key] = res
-            elif cur is not None:
-                del out[key]
-            continue
+            if cur is None:
+                out[key] = c
+                continue
+            if kc is not None:
+                k, w = kc, qc
+        elif kc is not None and v.__class__ is Scalar:
+            w = v._v
+            if w.__class__ is not dict:
+                if not w:
+                    continue
+                k = kc
+                w = _qmul(qc, w)
+            elif len(w) == 1:
+                (k, w), = w.items()
+                if kc == 1:
+                    w = _qmul(qc, w)
+                elif k == kc:
+                    k = 1
+                    w = _qmul(qk, w)
+                else:
+                    k = None
+        if k is None:
+            cv = c if v is one else c * v
         else:
-            cv = c * v
+            # c * v is the nonzero w*sqrt(k); a running sum on the same
+            # atom adds in the kernel
+            if cur is None:
+                res = _new(Scalar)
+                res._v = w if k == 1 else {k: w}
+                out[key] = res
+                continue
+            if cur.__class__ is Scalar:
+                u = cur._v
+                if u.__class__ is not dict:
+                    if k == 1:
+                        w = _qadd(u, w)
+                        if w:
+                            res = _new(Scalar)
+                            res._v = w
+                            out[key] = res
+                        else:
+                            del out[key]
+                        continue
+                elif k in u and len(u) == 1:
+                    w = _qadd(u[k], w)
+                    if w:
+                        res = _new(Scalar)
+                        res._v = {k: w}
+                        out[key] = res
+                    else:
+                        del out[key]
+                    continue
+            cv = _wrap(w if k == 1 else {k: w})
         if cur is None:
             if cv:
                 out[key] = cv

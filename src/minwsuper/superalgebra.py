@@ -434,11 +434,13 @@ def _finish(family, params, mats, parity, labels, cartan, even_dim, eliminators)
     dim = len(mats)
     products = {(i, j): _mat_mul(mats[i], mats[j])
                 for i in range(dim) for j in range(dim)}
+    # each unordered pair is solved once: [j, i] = -(-1)^{|i||j|} [i, j]
     bracket = {}
     for i in range(dim):
-        for j in range(dim):
+        for j in range(i, dim):
+            odd = parity[i] and parity[j]
             z = dict(products[i, j])
-            axpy(z, 1 if (parity[i] and parity[j]) else -1, products[j, i])
+            axpy(z, 1 if odd else -1, products[j, i])
             if not z:
                 continue
             sol = solver.solve(z)
@@ -446,7 +448,11 @@ def _finish(family, params, mats, parity, labels, cartan, even_dim, eliminators)
                 raise PreconditionError("target outside the matrix span")
             co = {k: v for k, v in sol.items() if isinstance(k, int)}
             if co:
-                bracket[i, j] = dict(sorted(co.items()))
+                bracket[i, j] = row = dict(sorted(co.items()))
+                if j != i:
+                    bracket[j, i] = {k: v if odd else -v
+                                     for k, v in row.items()}
+    bracket = dict(sorted(bracket.items()))
     form = {key: scalar(v) for key, m in products.items()
             if (v := _supertrace(m, even_dim))}
     return LieSuperalgebra(family, params, labels, parity, bracket, form, cartan)

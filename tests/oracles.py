@@ -28,6 +28,9 @@ span under the brackets of all its pairs rather than reaching basis
 letters by brackets with a generating set, and
 ``assert_exact_recipes`` sums the recipes of that reaching with
 ``axpy``, where the package solves for them.
+``mul_reference`` multiplies two elements word pair by word pair,
+where the package folds the whole left factor through each right word
+and shares the folds of common prefixes.
 ``cartan_product_reference`` multiplies two ordered monomials of the
 Cartan subquotient by the sign-and-odd-square rule that the subquotient
 used before it multiplied through the presented algebra of its relation
@@ -587,6 +590,17 @@ def commutator_reference(pbw, a, b):
             c = ca * cb
             axpy(out, c, pbw._mul_word(wa, wb))
             axpy(out, c if pa and pb else -c, pbw._mul_word(wb, wa))
+    return out
+
+
+def mul_reference(pbw, a, b):
+    """The product a b summed word pair by word pair: ca cb (wa wb) for
+    each term ca wa of ``a`` and cb wb of ``b``, every word product
+    straightened on its own."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            axpy(out, ca * cb, pbw._mul_word(wa, wb))
     return out
 
 

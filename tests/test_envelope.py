@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from minwsuper.cartanw import build_cartan_w
 from minwsuper.envelope import PBWAlgebra, kazhdan_weights, render_element
 from minwsuper.errors import PreconditionError
 from minwsuper.grading import grade
@@ -12,7 +13,7 @@ from minwsuper.scalar import HALF, ONE, ZERO, axpy, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
 from minwsuper.wgen import workspace
 
-from oracles import (commutator_reference, free_normal_form,
+from oracles import (commutator_reference, free_normal_form, mul_reference,
                      theta_cas_reference)
 
 
@@ -295,6 +296,37 @@ def test_commutator_matches_reference_on_lifts(name):
             commutator_reference(pbw, cas, lift), x
         assert pbw.commutator(lift, cas) == \
             commutator_reference(pbw, lift, cas), x
+
+
+def _seeded_element(rng, pbw, terms=5, maxlen=3):
+    """The normal form of a few seeded words over the letters of ``pbw``,
+    with rational and sqrt(-2) coefficients."""
+    letters = len(pbw.parity)
+    pairs = []
+    for _ in range(terms):
+        word = [rng.randrange(letters) for _ in range(rng.randint(0, maxlen))]
+        c = scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        pairs.append((word, c * sqrt(-2) if rng.random() < 0.5 else c))
+    return pbw.from_words(pairs)
+
+
+@pytest.mark.parametrize("name", ["sl:2|1", "spo:2|3"])
+def test_mul_matches_word_pair_reference(name):
+    # mul folds all of a through each word of b and shares the folds of
+    # common prefixes; the word-pair sum gives the same dict in U(g), the
+    # presented U(g, e) and the Cartan subquotient
+    gr = grade(build_algebra(name))
+    wal = workspace(gr)
+    gens = wal.generators
+    uge = PBWAlgebra.presented([gen.name for gen in gens],
+                               [gen.parity for gen in gens],
+                               wal.closed_form_table)
+    rng = random.Random(name)
+    for pbw in (wal.pbw, uge, build_cartan_w(gr).pbw):
+        assert pbw.mul({}, pbw.unit()) == pbw.mul(pbw.unit(), {}) == {}
+        for _ in range(8):
+            a, b = (_seeded_element(rng, pbw) for _ in range(2))
+            assert pbw.mul(a, b) == mul_reference(pbw, a, b), (name, a, b)
 
 
 def test_commutator_matches_reference_on_mixed_elements():

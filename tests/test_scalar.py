@@ -316,14 +316,25 @@ def test_radical_coefficients_are_canonical(a, b, p):
         assert radical_coefficients_canonical(x), x._v
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.one_of(
-    rationals, scalars)), max_size=6), st.one_of(rationals, scalars))
-def test_axpy_matches_operators(entries, c):
-    # the kernel path of axpy gives what the Scalar operators give
-    # odd keys hold Scalars, even keys whatever was drawn; the sum starts
-    # rational at keys 0 and 1, irrational at 2 and absent at 3
+# one-atom values q*sqrt(k), the operands of axpy's int kernel: k = 1 is
+# a rational, and q = 0 makes a zero Scalar
+atoms = st.builds(lambda k, q: Scalar({k: q}), st.sampled_from((1, -2, 2)),
+                  coeffs)
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.one_of(
+    rationals, scalars, atoms, st.just(ZERO))), max_size=8),
+    st.one_of(rationals, scalars, atoms),
+    st.lists(st.one_of(scalars, atoms), min_size=2, max_size=2))
+def test_axpy_matches_operators(entries, c, sums):
+    # the kernel path of axpy gives what the Scalar operators give, for a
+    # rational, one-radical or general c, with zero entries among those
+    # drawn; odd keys hold Scalars, even keys whatever was drawn; the sum
+    # starts rational at keys 0 and 1, irrational at 2, absent at 3 and
+    # drawn (rational, one-radical or general) at 4 and 5
     vec = {key: scalar(v) if key % 2 else v for key, v in entries}
     out = {0: scalar(3), 1: ONE, 2: sqrt(-2)}
+    out.update({key: s for key, s in enumerate(sums, 4) if s})
     want = dict(out)
     axpy(out, scalar(c), vec)
     for key, v in vec.items():
@@ -331,7 +342,7 @@ def test_axpy_matches_operators(entries, c):
     assert out == {k: v for k, v in want.items() if v}
     assert all(type(v) is Scalar and v for v in out.values())
     assert all(is_canonical(v._v) or radical_coefficients_canonical(v)
-               for v in out.values())
+               and set(v._v) != {1} for v in out.values())
 
 
 @settings(max_examples=15, deadline=None)
@@ -392,6 +403,24 @@ def test_axpy_rules():
     # a stored zero in the added vector is skipped, not copied
     axpy(out, ONE, {"z": ZERO})
     assert "z" not in out
+
+
+def test_axpy_one_atom_kernel():
+    # q sqrt(k) times a rational, q sqrt(k) times q' sqrt(k), and sums on one
+    # atom meet in the int kernel; the values stored are canonical
+    r = sqrt(-2)
+    third = Fraction(1, 3)
+    out = {"sum": r * 3, "rat": HALF}
+    axpy(out, r * third, {"sum": scalar(2), "rat": r * 3, "new": r,
+                          "zero": ZERO, "other": sqrt(2)})
+    assert out == {"sum": r * Fraction(11, 3), "rat": Fraction(-3, 2),
+                   "new": Fraction(-2, 3), "other": Scalar({-1: 2 * third})}
+    assert out["sum"]._v == {-2: Fraction(11, 3)}
+    assert out["rat"]._v == Fraction(-3, 2)
+    assert out["new"]._v == Fraction(-2, 3)
+    # a one-atom sum that cancels deletes its key, radical or rational
+    axpy(out, r, {"sum": scalar(Fraction(-11, 3)), "new": r * -third})
+    assert out == {"rat": Fraction(-3, 2), "other": Scalar({-1: 2 * third})}
 
 
 def test_axpy_keeps_a_scalar_multiple_of_one():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,27 @@ def test_realizations_frozen(desc):
     text = json.dumps(build_algebra(desc).to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         FROZEN_REALIZATION_DIGESTS[desc]
+
+
+@pytest.mark.parametrize("desc", ["sl:2|1", "spo:2|3"])
+def test_build_solves_each_unordered_pair_once(desc, monkeypatch):
+    # [j, i] is read off [i, j] by the supersign, so the structure
+    # constants of a build with no eliminators take one solve per unordered
+    # pair with a nonzero bracket; the builder's own kernels are not counted
+    calls = []
+    real = LinearSolver.solve
+
+    def spy(self, vec):
+        if sys._getframe(1).f_code is superalgebra._finish.__code__:
+            calls.append(vec)
+        return real(self, vec)
+    monkeypatch.setattr(LinearSolver, "solve", spy)
+    g = build_algebra(desc)
+    assert len(calls) == sum(1 for i, j in g._bracket if i <= j)
+    assert list(g._bracket) == sorted(g._bracket)
+    for (i, j), row in g._bracket.items():
+        sign = 1 if g.parity[i] and g.parity[j] else -1
+        assert g._bracket[j, i] == {k: sign * v for k, v in row.items()}
 
 
 def test_validate_clean(algebras):
