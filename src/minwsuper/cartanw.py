@@ -25,7 +25,8 @@ from .envelope import PBWAlgebra, from_exponents, render_element
 from .errors import ConsistencyError, PreconditionError, check_type
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
 from .superalgebra import LinearSolver, _indecomposable, _rational_tuple
-from .wgen import WElement, _check_exponents, _workspace_of, workspace
+from .wgen import (WElement, _checked_coords, _monomial_text, _workspace_of,
+                   workspace)
 
 class NotHomogeneousError(PreconditionError):
     """Raised for elements mixing several restricted weights.
@@ -46,10 +47,8 @@ class CartanWElement:
     __slots__ = ("cw", "coords")
 
     def __init__(self, cw, coords):
-        _check_exponents(coords, cw.parities)
         self.cw = cw
-        coords = {e: scalar(c) for e, c in coords.items()}
-        self.coords = {e: c for e, c in coords.items() if c}
+        self.coords = _checked_coords(coords, cw.parities)
 
     def is_zero(self):
         return not self.coords
@@ -99,17 +98,10 @@ class CartanWElement:
         return hash((id(self.cw), tuple(sorted(self.coords))))
 
     def render(self):
-        parts = []
-        for expo, c in sorted(self.coords.items(),
-                              key=lambda kv: (sum(kv[0]), kv[0])):
-            mono = []
-            for name, n in zip(self.cw.names, expo):
-                if n == 1:
-                    mono.append(name + "'")
-                elif n > 1:
-                    mono.append("%s'^%d" % (name, n))
-            word = "*".join(mono) if mono else "1"
-            parts.append("(%s)*%s" % (c.render(), word))
+        names = [name + "'" for name in self.cw.names]
+        parts = ["(%s)*%s" % (c.render(), _monomial_text(names, expo))
+                 for expo, c in sorted(self.coords.items(),
+                                       key=lambda kv: (sum(kv[0]), kv[0]))]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -384,7 +376,7 @@ def restricted_weight(x):
     if len(comps) < 2:
         return tuple(Fraction(n, den) for n in next(iter(comps), zero))
     split = {tuple(Fraction(n, den) for n in wt):
-             WElement(wal, part, wal.pbw.kazhdan_degree(part), x.flavor)
+             WElement(wal, part, x.flavor)
              for wt, part in sorted(comps.items())}
     raise NotHomogeneousError(
         "not homogeneous: %d distinct restricted weights %s"

@@ -233,17 +233,7 @@ class Scalar:
                 return res
             a, b = b, a
         if b.__class__ is not dict:
-            # only the rational term moves, so the sum stays irrational
-            if not b:
-                return _wrap(a)
-            out = dict(a)
-            acc = out.get(1)
-            tot = b if acc is None else _qadd(acc, b)
-            if tot:
-                out[1] = tot
-            else:
-                del out[1]
-            return _wrap(out)
+            b = {1: b}
         out = dict(a)
         for key, val in b.items():
             acc = out.get(key)
@@ -300,15 +290,9 @@ class Scalar:
         out = {}
         for ka, va in a.items():
             for kb, vb in b.items():
-                val = _qmul(va, vb)
-                if ka == 1:
-                    key = kb
-                elif kb == 1:
-                    key = ka
-                else:
-                    g = gcd(ka, kb)
-                    key = (ka // g) * (kb // g)
-                    val = _qmul(val, g if ka > 0 or kb > 0 else -g)
+                g = gcd(ka, kb)
+                key = (ka // g) * (kb // g)
+                val = _qmul(_qmul(va, vb), g if ka > 0 or kb > 0 else -g)
                 acc = out.get(key)
                 tot = val if acc is None else _qadd(acc, val)
                 if tot:

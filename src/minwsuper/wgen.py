@@ -69,15 +69,17 @@ def _entry(gens, source, a, b):
     return coords
 
 
+def _monomial_text(names, expo):
+    """``name`` or ``name^n`` per nonzero exponent, joined by ``*``;
+    ``1`` for the empty monomial."""
+    parts = [name if n == 1 else "%s^%d" % (name, n)
+             for name, n in zip(names, expo) if n]
+    return "*".join(parts) or "1"
+
+
 def render_monomial(wal, expo):
     """Human-readable ordered monomial, e.g. ``y1*C^2``."""
-    parts = []
-    for gen, n in zip(wal.generators, expo):
-        if n == 1:
-            parts.append(gen.name)
-        elif n > 1:
-            parts.append("%s^%d" % (gen.name, n))
-    return "*".join(parts) if parts else "1"
+    return _monomial_text([gen.name for gen in wal.generators], expo)
 
 
 def _render_coords(wal, coords):
@@ -89,21 +91,24 @@ def _render_coords(wal, coords):
 class WElement:
     """An invariant coset in the finite quotient.
 
-    ``value`` is a normal-form dict free of the lowest root vector;
-    ``flavor`` records which twisted adjoint action certified it
-    ("refined" for the full degree -1 block, "finite" for the block
-    with the midline letter removed).  Its coordinates over the ordered
+    ``value`` is a normal-form dict free of the lowest root vector, and
+    ``kdeg`` is its Kazhdan degree; ``flavor`` records which twisted
+    adjoint action certified it ("refined" for the full degree -1 block,
+    "finite" for the block with the midline letter removed).  Its coordinates over the ordered
     generator monomials are straightened on first use and kept.
     """
 
-    __slots__ = ("wal", "value", "kdeg", "flavor", "_coords")
+    __slots__ = ("wal", "value", "flavor", "_coords")
 
-    def __init__(self, wal, value, kdeg, flavor, coords=None):
+    def __init__(self, wal, value, flavor, coords=None):
         self.wal = wal
         self.value = value
-        self.kdeg = kdeg
         self.flavor = flavor
         self._coords = coords
+
+    @property
+    def kdeg(self):
+        return self.wal.pbw.kazhdan_degree(self.value)
 
     def is_zero(self):
         return not self.value
@@ -114,8 +119,7 @@ class WElement:
         if (self.flavor == "finite"
                 or self.wal.grading.parity_type == "even"):
             return self
-        return WElement(self.wal, self.value, self.kdeg, "finite",
-                        self._coords)
+        return WElement(self.wal, self.value, "finite", self._coords)
 
     def _coordinates(self):
         """``pbw_coordinates`` of the value, straightened once; callers
@@ -216,7 +220,7 @@ class WAlgebra:
                 "coset not %s-invariant: ad %s leaves %s" % (
                     flavor, self.algebra.labels[letter],
                     render_element(self.pbw, residual)))
-        return WElement(self, value, self.pbw.kazhdan_degree(value), flavor)
+        return WElement(self, value, flavor)
 
     @property
     def weight_data(self):
@@ -266,8 +270,7 @@ class WAlgebra:
         value = {}
         for i, c in x.items():
             axpy(value, c, self.theta_letter(i).value)
-        return WElement(self, value, self.pbw.kazhdan_degree(value),
-                        "refined")
+        return WElement(self, value, "refined")
 
     def theta_zero(self, v):
         """Tail-corrected lift of a degree-0 centralizer element."""
@@ -591,7 +594,7 @@ class WAlgebra:
         for expo, c in coords.items():
             axpy(value, c, self.monomial(expo))
         flavor = "finite" if self.grading.parity_type == "odd" else "refined"
-        return WElement(self, value, self.pbw.kazhdan_degree(value), flavor)
+        return WElement(self, value, flavor)
 
     def _straightened_table(self):
         """Every pairwise supercommutator of generators, straightened from
@@ -914,10 +917,11 @@ def pbw_coordinates(x):
     return dict(x._coordinates())
 
 
-def _check_exponents(keys, parities):
-    """Raise unless each key holds one non-negative int exponent per
-    generator of the given parities, at most 1 on an odd one."""
-    for expo in keys:
+def _checked_coords(coords, parities):
+    """The nonzero coefficients of ``coords`` as Scalars, after checking
+    that each key holds one non-negative int exponent per generator of
+    the given parities, at most 1 on an odd one."""
+    for expo in coords:
         if not (type(expo) is tuple and len(expo) == len(parities)
                 and all(type(n) is int and n >= 0 for n in expo)
                 and all(n <= 1 for n, p in zip(expo, parities) if p)):
@@ -925,6 +929,8 @@ def _check_exponents(keys, parities):
                 "exponent tuple %r does not hold one non-negative int per "
                 "generator (%d), at most 1 on an odd one"
                 % (expo, len(parities)))
+    coords = {e: scalar(c) for e, c in coords.items()}
+    return {e: c for e, c in coords.items() if c}
 
 
 def evaluate_coordinates(grading, coords):
@@ -932,8 +938,8 @@ def evaluate_coordinates(grading, coords):
     monomials; each key holds one non-negative int exponent per
     generator, at most 1 on an odd one."""
     wal = workspace(grading)
-    _check_exponents(coords, [gen.parity for gen in wal.generators])
-    return wal.evaluate_coordinates({e: scalar(c) for e, c in coords.items()})
+    return wal.evaluate_coordinates(_checked_coords(
+        coords, [gen.parity for gen in wal.generators]))
 
 
 def verify_relations(grading):

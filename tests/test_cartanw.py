@@ -255,13 +255,14 @@ def test_restricted_weight_mixed_split(gradings):
     th = wal.theta_letter(gr.hes[0]).as_finite()
     value = dict(mixed.value)
     axpy(value, ONE, th.value)
-    x = wgen.WElement(wal, value, pbw.kazhdan_degree(value), "finite")
+    x = wgen.WElement(wal, value, "finite")
     with pytest.raises(NotHomogeneousError) as info:
         restricted_weight(x)
     parts = info.value.components
     assert len(parts) == 2
     rebuilt = {}
     for part in parts.values():
+        assert part.kdeg == pbw.kazhdan_degree(part.value)
         axpy(rebuilt, ONE, part.value)
     assert rebuilt == x.value
 

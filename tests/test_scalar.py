@@ -90,6 +90,23 @@ def test_mul_against_sympy(a, b):
     assert sympy_equals(a + b, to_sympy(a) + to_sympy(b))
 
 
+@settings(max_examples=25, deadline=None)
+@given(scalars, rationals)
+def test_add_against_sympy(a, p):
+    # a rational plus a term dict, from either side and with p as a
+    # Scalar or a plain rational, adds p to the rational term only
+    q = scalar(p)
+    want = to_sympy(a) + p
+    for got in (a + q, q + a, a + p, p + a, a - (-q), q - (-a)):
+        assert sympy_equals(got, want)
+        assert radical_coefficients_canonical(got), got._v
+    # a sum that cancels the rational term leaves the radical terms
+    r = a._terms.get(1, 0)
+    got = a + scalar(-r)
+    assert sympy_equals(got, to_sympy(a) - r)
+    assert 1 not in got._terms
+
+
 @given(scalars, scalars)
 def test_hash_consistency(a, b):
     if a == b:

@@ -112,6 +112,21 @@ def test_kazhdan_degrees(gradings):
     assert wal.generators[wal.generator_index("C")].weight == 4
 
 
+def test_kdeg_is_derived_from_the_value(gradings):
+    # kdeg is read off the value by every constructor: a lift, its
+    # finite copy, a W-product and an element evaluated from coordinates
+    mg = gradings["spo:2|3"]
+    wal = wgen.workspace(mg)
+    w = wgen.theta_w(mg, {mg.gs[0]: ONE})
+    fin = w.as_finite()
+    assert fin is not w
+    xy = wgen.w_multiply(fin, wgen.casimir_C(mg).as_finite())
+    back = wgen.evaluate_coordinates(mg, wgen.pbw_coordinates(xy))
+    for x in (w, fin, xy, back):
+        assert x.kdeg == wal.pbw.kazhdan_degree(x.value)
+    assert (w.kdeg, fin.kdeg, xy.kdeg, back.kdeg) == (3, 3, 7, 7)
+
+
 def test_theta_v_rejects_wrong_degree(gradings):
     mg = gradings["osp:1|2"]
     with pytest.raises(PreconditionError):
@@ -542,9 +557,9 @@ def test_coordinates_are_straightened_once(gradings, monkeypatch):
     products = [wgen.w_multiply(a, b) for a in gens for b in gens]
     x = max((p for p in products if not any(restricted_weight(p))),
             key=lambda p: len(p.value))
-    pi_x = project_pi(wgen.WElement(wal, x.value, x.kdeg, x.flavor))
+    pi_x = project_pi(wgen.WElement(wal, x.value, x.flavor))
     gen = wal.generators[-1].element
-    refined = wgen.WElement(wal, gen.value, gen.kdeg, gen.flavor)
+    refined = wgen.WElement(wal, gen.value, gen.flavor)
     calls = []
     straighten = wgen.WAlgebra.pbw_coordinates
 
@@ -835,6 +850,19 @@ def test_damaged_closed_form_falls_back(name, sample, monkeypatch):
         acc(entry, unit, ONE)
     assert calls == []
     assert wal.closed_form_table == want
+    assert not wal.verify_relations()["ok"]
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="verify_relations never reads the (C, C) entry")
+@pytest.mark.parametrize("name", ["sl:2|1", "spo:2|3"])
+def test_damaged_cc_entry_fails_the_report(name):
+    # +1 on the unit term of the closed (C, C) entry alone: the
+    # certificate straightens (C, C) in U(g) and falls back, yet the
+    # report brackets C only with the other generators and stays ok
+    wal = wgen.WAlgebra(grade(build_algebra(name)))
+    acc(wal.closed_form_table[("C", "C")], (0,) * len(wal.generators), ONE)
+    assert wal._certified_table() is None
     assert not wal.verify_relations()["ok"]
 
 
