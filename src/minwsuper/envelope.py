@@ -19,13 +19,13 @@ for the call, so words of ``b`` with a common prefix share its fold;
 nothing outlives the call.  By associativity the sum is the word-pair sum
 of ca cb (wa wb).
 
-The adjoint action of one letter, ``ad(x, a) = [x, a]``, is what the
-invariance check of every W-algebra element asks for, and it meets the
-same few words again and again.  So each [x, w] for a letter x and a
-normal word w is built once, as x w - (-1)^{|x||w|} w x, and kept in the
-adjoint cache next to the letter cache, empty when the two products
-cancel; a word whose letters all supercommute with x has [x, w] = 0 and
-is neither built nor cached.
+The adjoint action of one letter, ``ad(x, a) = [x, a]``, serves the
+invariance check of each generator lift and the super-Leibniz commutator
+below, and both meet the same few words again and again.  So each [x, w]
+for a letter x and a normal word w is built once, as
+x w - (-1)^{|x||w|} w x, and kept in the adjoint cache next to the
+letter cache, empty when the two products cancel; a word whose letters
+all supercommute with x has [x, w] = 0 and is neither built nor cached.
 
 A commutator [a, b] follows the super-Leibniz rule: each letter of a word
 of ``a`` is replaced in turn by its bracket with one parity part of ``b``,

@@ -6,10 +6,7 @@ generator map attaches a correcting tail to every centralizer element
 of degree 0 or 1; together with one Casimir element (and, in type odd,
 the bare midline coset) these close under supercommutators.
 
-Each basis letter is lifted by its tail formula and certified once; the
-lift of a combination of letters is the same combination of letter
-lifts, since the tail formulas and the twisted adjoint action are both
-linear.  The Casimir element is likewise built and certified once.
+Each generator is certified once, where it is built (``WElement``).
 
 ``closed_form_table`` states every generator supercommutator in
 closed form, from the structure constants of g and c0 alone: the
@@ -92,10 +89,15 @@ class WElement:
     """An invariant coset in the finite quotient.
 
     ``value`` is a normal-form dict free of the lowest root vector, and
-    ``kdeg`` is its Kazhdan degree; ``flavor`` records which twisted
-    adjoint action certified it ("refined" for the full degree -1 block,
-    "finite" for the block with the midline letter removed).  Its coordinates over the ordered
-    generator monomials are straightened on first use and kept.
+    ``kdeg`` is its Kazhdan degree; ``flavor`` names the twisted adjoint
+    action that kills it: "refined" for the full degree -1 block, "finite"
+    without the midline letter.  Only generators are certified, where
+    they are built; the rest inherit.  For a letter x of either set,
+    ad_x(ab) = ad_x(a) b +- a ad_x(b), U(g)(f-1) is a left ideal, and
+    U(g)(f-1) b lies in it when [f, b] does, as f is in both sets; so the
+    invariant cosets of a flavor form a subalgebra, closed under sums,
+    products, supercommutators and weight components.  Coordinates over
+    the ordered generator monomials are straightened once and kept.
     """
 
     __slots__ = ("wal", "value", "flavor", "_coords")
@@ -263,9 +265,7 @@ class WAlgebra:
         return self.project(out)
 
     def _combine_letters(self, x):
-        """Sum of c * theta_letter(i) over x; certified without a new check,
-        because the tail formulas and the twisted adjoint action are both
-        linear, so a combination of invariant letter lifts is invariant."""
+        """Sum of c * theta_letter(i) over x."""
         x = {i: scalar(c) for i, c in x.items()}
         value = {}
         for i, c in x.items():
@@ -352,8 +352,7 @@ class WAlgebra:
     def theta_mid(self):
         if self.grading.parity_type != "odd":
             raise PreconditionError("no midline generator in type even")
-        value = {(self.grading.vmid,): ONE}
-        return self.certify(value, "finite")
+        return self.generators[self.generator_index("F")].element
 
     @property
     def generators(self):
@@ -372,7 +371,7 @@ class WAlgebra:
         put(gr.xs, gr.ys, gr.fs, gr.gs)
         if gr.parity_type == "odd":
             out.append(Generator("F", gr.vmid, self.weights[gr.vmid], 1,
-                                 self.theta_mid()))
+                                 self.certify({(gr.vmid,): ONE}, "finite")))
         put(gr.hes)
         out.append(Generator("C", None, 4, 0, self.casimir()))
         put([] if gr.gmid is None else [gr.gmid], gr.fstars, gr.gstars,
@@ -894,12 +893,12 @@ def _shared_workspace(a, b):
 
 def w_multiply(a, b):
     wal = _shared_workspace(a, b)
-    return wal.certify(wal.mul_raw(a.value, b.value), a.flavor)
+    return WElement(wal, wal.mul_raw(a.value, b.value), a.flavor)
 
 
 def w_commutator(a, b):
     wal = _shared_workspace(a, b)
-    return wal.certify(wal.comm_raw(a.value, b.value), a.flavor)
+    return WElement(wal, wal.comm_raw(a.value, b.value), a.flavor)
 
 
 def compute_c0(grading):
@@ -921,7 +920,7 @@ def _checked_coords(coords, parities):
     """The nonzero coefficients of ``coords`` as Scalars, after checking
     that each key holds one non-negative int exponent per generator of
     the given parities, at most 1 on an odd one."""
-    for expo in coords:
+    for expo in check_type(coords, dict):
         if not (type(expo) is tuple and len(expo) == len(parities)
                 and all(type(n) is int and n >= 0 for n in expo)
                 and all(n <= 1 for n, p in zip(expo, parities) if p)):

@@ -314,6 +314,13 @@ def test_dominance_matches_root_combinations(name, theta, top):
         assert rr.dominates(lam, up) == (not any(combo)), (name, combo)
 
 
+@pytest.mark.xfail(strict=True, raises=ConsistencyError,
+                   reason="the indecomposable restricted roots of psl:n|n, "
+                   "n >= 4, come out linearly dependent")
+def test_restricted_roots_build_on_psl44():
+    restricted_roots(grade(build_algebra("psl:4|4")))
+
+
 @pytest.mark.parametrize("name, positive, reason", [
     # two indecomposable roots on a rank-one torus
     ("spo:4|1", ((2,), (3,)), "dependent"),

@@ -30,18 +30,19 @@ entry must equal the explicit raiser-square reference, since Theta(g_mid) is odd
 must be multiplicative on seeded products of the weight-zero pool, drawn
 among all its pairs, up to Kazhdan degree 12: straightening peels one
 ordered monomial per leading word, so no degree is too large to
-coordinate.
+coordinate.  One seeded product of the pool, of Kazhdan degree 8 or
+less, must pass the invariance check that products inherit unchecked.
 The JSON of every row's matrix realization, taken together, must match
-one frozen SHA-256, and that of the big rows below another.
+one frozen SHA-256, and that of each pair of big rows below another.
 The sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
 
     MINWSUPER_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
 
-The big rows psl:7|7 (dim 194) and spo:14|7 (dim 224) run with
-``MINWSUPER_BIG=1``: ``validate`` is clean on its generating-set path,
-with exact recipes, the relation report is ``ok`` with its
-commutator table certified from a generating set, and their
-realizations match their frozen SHA-256.
+The big rows psl:7|7 (dim 194), spo:14|7 (dim 224), spo:18|9 (dim 369)
+and psl:10|10 (dim 398) run with ``MINWSUPER_BIG=1``: ``validate`` is
+clean on its generating-set path, with exact recipes, the relation
+report is ``ok`` with its commutator table certified from a generating
+set, and the realizations of each pair match their frozen SHA-256.
 
     MINWSUPER_BIG=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
 """
@@ -68,6 +69,7 @@ from oracles import (assert_exact_recipes, casimir_vs_quadratic_reference,
 
 MAX_DIM = 50
 BIG_ROWS = ["psl:7|7", "spo:14|7"]
+BIGGER_ROWS = ["spo:18|9", "psl:10|10"]
 # descriptor -> {(parity type, r, s): (c0, epsilon or None)} for each
 # class of minimal roots other than the default grading's, as
 # ``Scalar.render`` prints them: regression freezes of the current build
@@ -96,11 +98,14 @@ EXTRA_CLASSES = {
     "spo:4|6": {("even", 8, 4): ("2", None)},
 }
 # Regression freezes, not independent truths: one sha256 over the sorted
-# JSON of every realization in ``ladder()`` order, and one over the big rows
+# JSON of every realization in ``ladder()`` order, and one over each
+# list of big rows
 LADDER_REALIZATIONS_DIGEST = \
     "c88455be981f4041dd866dc349b5ae926361e1d909535e583a3edfd7efee9147"
 BIG_REALIZATIONS_DIGEST = \
     "6c474a294d5c190edb7656f66d085af8b51717269783e3860e993e3af6ef80b1"
+BIGGER_REALIZATIONS_DIGEST = \
+    "c74e68613bf933a822e854dcb0d9c477c3a6e4969ad822f5391a20a43b01e3a0"
 # the words the PBW normal form is checked on per row
 FREE_WORDS = 10
 # the products pi is checked on per row
@@ -190,6 +195,7 @@ def _realizations_digest(rows):
                     reason="big rows run only with MINWSUPER_BIG=1")
 def test_big_realizations_frozen():
     assert _realizations_digest(BIG_ROWS) == BIG_REALIZATIONS_DIGEST
+    assert _realizations_digest(BIGGER_ROWS) == BIGGER_REALIZATIONS_DIGEST
 
 
 @pytest.mark.skipif(os.environ.get("MINWSUPER_SWEEP") != "1",
@@ -200,7 +206,7 @@ def test_ladder_realizations_frozen():
 
 @pytest.mark.skipif(os.environ.get("MINWSUPER_BIG") != "1",
                     reason="big rows run only with MINWSUPER_BIG=1")
-@pytest.mark.parametrize("desc", BIG_ROWS)
+@pytest.mark.parametrize("desc", BIG_ROWS + BIGGER_ROWS)
 def test_big_row_validates_and_verifies(desc, monkeypatch):
     g = build_algebra(desc)
     _clean_on_generating_letters(g, monkeypatch)
@@ -270,3 +276,6 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
     for x, y in random.Random(desc).sample(pairs, PI_PRODUCTS):
         assert project_pi(wgen.w_multiply(x, y)) == \
             project_pi(x) * project_pi(y), desc
+    xy = wgen.w_multiply(*random.Random(desc).choice(
+        [(x, y) for x, y in pairs if x.kdeg + y.kdeg <= 8]))
+    assert wal.certify(xy.value, xy.flavor) == xy, desc

@@ -371,6 +371,17 @@ def test_evaluate_coordinates_rejects_bad_exponents():
     assert wal._mono_cache == cached
 
 
+@pytest.mark.parametrize("coords", [None, 5, [((0, 0, 0, 0), ONE)]])
+def test_coordinates_must_be_a_dict(gradings, coords):
+    # both entry points name the type they got, rather than raising a
+    # bare TypeError from iterating it
+    mg = gradings["sl:2|1"]
+    with pytest.raises(PreconditionError, match=type(coords).__name__):
+        wgen.evaluate_coordinates(mg, coords)
+    with pytest.raises(PreconditionError, match=type(coords).__name__):
+        cartanw.CartanWElement(build_cartan_w(mg), coords)
+
+
 def test_monomial_counts_match_graded_dimension(gradings):
     for name in ["osp:1|2", "sl:2|1", "spo:2|3"]:
         wal = wgen.workspace(gradings[name])
@@ -546,6 +557,58 @@ def test_certify_reports_the_commutator_residual(gradings):
     assert str(err.value).endswith(
         "ad %s leaves %s" % (wal.algebra.labels[bad],
                              render_element(wal.pbw, residual)))
+
+
+@pytest.mark.parametrize("name", ["osp:1|2", "sl:2|1", "spo:2|3", "spo:2|5"])
+def test_derived_elements_inherit_invariance(name, monkeypatch):
+    # generators are certified once each, where they are built; seeded
+    # products and supercommutators of them, in both flavors, coordinates
+    # evaluated back and restricted-weight components make no check of
+    # their own, yet each passes one
+    mg = grade(build_algebra(name))
+    wal = wgen.workspace(mg)
+    flavors = []
+    real = wgen.WAlgebra.certify
+    monkeypatch.setattr(wgen.WAlgebra, "certify",
+                        lambda self, value, flavor: flavors.append(flavor)
+                        or real(self, value, flavor))
+    odd = mg.parity_type == "odd"
+    if odd:
+        F = wgen.theta_F(mg)
+        assert wgen.theta_F(mg) is F and F.flavor == "finite"
+        assert flavors.count("finite") == 1
+    gens = [gen.element for gen in wal.generators]
+    assert len(flavors) == len(gens)
+    rng = random.Random(name)
+    derived = []
+    for pool in ([x for x in gens if x.flavor == "refined"],
+                 [x.as_finite() for x in gens]):
+        for _ in range(6):
+            a, b = rng.choice(pool), rng.choice(pool)
+            derived += [wgen.w_multiply(a, b), wgen.w_commutator(a, b)]
+    assert len(flavors) == len(gens)
+    assert {x.flavor for x in derived} == (
+        {"refined", "finite"} if odd else {"refined"})
+    monkeypatch.undo()
+    for x in derived:
+        assert wal.certify(x.value, x.flavor) == x
+    # coordinates evaluated back, and the restricted-weight components of
+    # one ordered monomial of each generator plus a product
+    evaluated = [wgen.evaluate_coordinates(mg, wgen.pbw_coordinates(x))
+                 for x in derived[::3]]
+    coords = wgen.pbw_coordinates(derived[0])
+    for k in range(len(gens)):
+        acc(coords, tuple(int(i == k) for i in range(len(gens))), ONE)
+    mixed = wgen.evaluate_coordinates(mg, coords)
+    if len({restricted_weight(x) for x in gens}) > 1:
+        with pytest.raises(cartanw.NotHomogeneousError) as err:
+            restricted_weight(mixed)
+        evaluated += err.value.components.values()
+    else:
+        assert name == "osp:1|2"
+        evaluated.append(mixed)
+    for x in evaluated:
+        assert wal.certify(x.value, x.flavor) == x
 
 
 def test_coordinates_are_straightened_once(gradings, monkeypatch):
