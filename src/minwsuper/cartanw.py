@@ -17,14 +17,15 @@ surviving slots, which are built once per presentation and carry the
 closing shift that makes the projection an algebra homomorphism.
 """
 
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 
 from .envelope import PBWAlgebra, from_exponents, render_element
 from .errors import ConsistencyError, PreconditionError, check_type
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from .superalgebra import LinearSolver, _indecomposable, _rational_tuple
+from .superalgebra import (LinearSolver, _indecomposable,
+                           _over_common_denominator, _rational_tuple)
 from .wgen import (WElement, _checked_coords, _monomial_text, _workspace_of,
                    workspace)
 
@@ -245,11 +246,11 @@ def build_cartan_w(grading):
     images["C"] = wal.project(c_val)
 
     for name in names:
-        bad = wal.project(pbw.ad(gr.f, images[name]))
-        if bad:
+        bad = pbw.is_invariant(images[name], (gr.f,), wal.project)
+        if bad is not None:
             raise ConsistencyError(
                 "derived %s' is not invariant under the lowest root "
-                "vector: %s" % (name, render_element(pbw, bad)))
+                "vector: %s" % (name, render_element(pbw, bad[1])))
 
     table = _relation_table(names, gr.parity_type)
     unit_expo = (0,) * len(names)
@@ -317,7 +318,7 @@ def simple_module(cw, lam, c=None):
     """The module with highest weight ``lam`` (and level ``c`` if even)."""
     check_type(cw, CartanWAlgebra)
     hnames = [n for n in cw.names if n not in ("F", "C", "E")]
-    lam = tuple(scalar(v) for v in lam)
+    lam = tuple(scalar(v) for v in check_type(lam, Iterable))
     if len(lam) != len(hnames):
         raise PreconditionError(
             "weight needs one value per torus generator (%d given, "
@@ -360,12 +361,9 @@ def restricted_weight(x):
     """
     wal = _workspace_of(x)
     if wal._moving is None:
-        # letters of weight zero add nothing, so only the others are
-        # summed, as ints over one common denominator
-        lw = wal.grading.letter_weights
-        den = lcm(*(c.denominator for wt in lw for c in wt))
-        wal._moving = den, {i: tuple(int(c * den) for c in wt)
-                            for i, wt in enumerate(lw) if any(wt)}
+        # letters of weight zero add nothing, so only the others are summed
+        den, ints = _over_common_denominator(wal.grading.letter_weights)
+        wal._moving = den, {i: wt for i, wt in enumerate(ints) if any(wt)}
     den, moving = wal._moving
     zero = (0,) * len(wal.grading.hes)
     comps = {}
@@ -376,7 +374,7 @@ def restricted_weight(x):
     if len(comps) < 2:
         return tuple(Fraction(n, den) for n in next(iter(comps), zero))
     split = {tuple(Fraction(n, den) for n in wt):
-             WElement(wal, part, x.flavor)
+             WElement(wal, part)
              for wt, part in sorted(comps.items())}
     raise NotHomogeneousError(
         "not homogeneous: %d distinct restricted weights %s"

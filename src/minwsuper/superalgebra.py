@@ -722,6 +722,13 @@ def _weights_of_basis(g):
     return weights
 
 
+def _over_common_denominator(vectors):
+    """(den, ints): each vector as ints over den, the lcm of denominators."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    return den, [tuple(c.numerator * (den // c.denominator) for c in v)
+                 for v in vectors]
+
+
 def minimal_root_candidates(g, weights):
     """Even roots theta with integral short ad-h spectrum and dim g(2) = 1.
 
@@ -734,11 +741,10 @@ def minimal_root_candidates(g, weights):
     root -> degree).
     """
     position = {c: t for t, c in enumerate(g.cartan)}
-    den = math.lcm(*(c.denominator for w in weights for c in w))
+    den, keys = _over_common_denominator(weights)
     seen = {}  # int weight -> (weight, its letters)
-    for i, w in enumerate(weights):
-        if any(w):
-            key = tuple(c.numerator * (den // c.denominator) for c in w)
+    for i, (w, key) in enumerate(zip(weights, keys)):
+        if any(key):
             seen.setdefault(key, (w, []))[1].append(i)
     roots = dict.fromkeys(w for w, _ in seen.values())
     cands = {}
@@ -755,8 +761,8 @@ def minimal_root_candidates(g, weights):
                     "[e, f] leaves the Cartan at %s" % (root,))
             h[position[i]] = c.as_fraction()
         # alpha(h) = 2 (h . alpha) / (h . theta), on h over its denominator
-        hden = math.lcm(*(c.denominator for c in h.values()))
-        hint = [(t, c.numerator * (hden // c.denominator)) for t, c in h.items()]
+        hden, (hvals,) = _over_common_denominator([h.values()])
+        hint = list(zip(h, hvals))
         height = sum(c * theta[t] for t, c in hint)
         if not height:
             continue
@@ -870,12 +876,9 @@ def root_decomposition(g, theta=None):
 
 def _indecomposable(positive):
     """The members of ``positive`` (nonzero weight tuples of ints or
-    Fractions) that are not the sum of two members, sorted.  The
-    differences are taken on int tuples over one common denominator."""
-    pos = set(positive)
-    den = math.lcm(*(c.denominator for w in pos for c in w))
-    scaled = {tuple(c.numerator * (den // c.denominator) for c in w): w
-              for w in pos}
+    Fractions) that are not the sum of two members, sorted."""
+    pos = list(set(positive))
+    scaled = dict(zip(_over_common_denominator(pos)[1], pos))
     return sorted(w for key, w in scaled.items()
                   if not any(tuple(r - b for r, b in zip(key, beta)) in scaled
                              for beta in scaled))

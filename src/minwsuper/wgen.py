@@ -6,7 +6,8 @@ generator map attaches a correcting tail to every centralizer element
 of degree 0 or 1; together with one Casimir element (and, in type odd,
 the bare midline coset) these close under supercommutators.
 
-Each generator is certified once, where it is built (``WElement``).
+Each generator is certified once, where it is built, and every element
+formed from generators inherits finite invariance (``WElement``).
 
 ``closed_form_table`` states every generator supercommutator in
 closed form, from the structure constants of g and c0 alone: the
@@ -86,27 +87,28 @@ def _render_coords(wal, coords):
 
 
 class WElement:
-    """An invariant coset in the finite quotient.
+    """An element of U(g,e): an invariant coset in the finite quotient.
 
     ``value`` is a normal-form dict free of the lowest root vector, and
-    ``kdeg`` is its Kazhdan degree; ``flavor`` names the twisted adjoint
-    action that kills it: "refined" for the full degree -1 block, "finite"
-    without the midline letter.  Only generators are certified, where
-    they are built; the rest inherit.  For a letter x of either set,
-    ad_x(ab) = ad_x(a) b +- a ad_x(b), U(g)(f-1) is a left ideal, and
-    U(g)(f-1) b lies in it when [f, b] does, as f is in both sets; so the
-    invariant cosets of a flavor form a subalgebra, closed under sums,
-    products, supercommutators and weight components.  Coordinates over
-    the ordered generator monomials are straightened once and kept.
+    ``kdeg`` is its Kazhdan degree.  Only generators are certified, where
+    they are built: F for nzero, f and the degree -1 block without the
+    midline letter ("finite"), the others for nprime, f and the whole
+    block ("refined").  nzero lies in nprime, so all are finite-invariant.
+    For a letter x of nzero, ad_x(ab) = ad_x(a) b +- a ad_x(b), U(g)(f-1)
+    is a left ideal, and U(g)(f-1) b lies in it when [f, b] does, as f is
+    in nzero; so the finite-invariant cosets form a subalgebra, and sums,
+    products, supercommutators, coordinate evaluations and weight
+    components inherit finite invariance.  No more holds in general: on
+    spo:2|3, F C is not refined-invariant.  Coordinates over the ordered
+    generator monomials are straightened once and kept.
     """
 
-    __slots__ = ("wal", "value", "flavor", "_coords")
+    __slots__ = ("wal", "value", "_coords")
 
-    def __init__(self, wal, value, flavor, coords=None):
+    def __init__(self, wal, value):
         self.wal = wal
         self.value = value
-        self.flavor = flavor
-        self._coords = coords
+        self._coords = None
 
     @property
     def kdeg(self):
@@ -116,12 +118,8 @@ class WElement:
         return not self.value
 
     def as_finite(self):
-        # both certificates name the same action when the parity type
-        # is even, so only the odd case actually relaxes anything
-        if (self.flavor == "finite"
-                or self.wal.grading.parity_type == "even"):
-            return self
-        return WElement(self.wal, self.value, "finite", self._coords)
+        """The element itself, as every W-element is finite-invariant."""
+        return self
 
     def _coordinates(self):
         """``pbw_coordinates`` of the value, straightened once; callers
@@ -222,7 +220,7 @@ class WAlgebra:
                 "coset not %s-invariant: ad %s leaves %s" % (
                     flavor, self.algebra.labels[letter],
                     render_element(self.pbw, residual)))
-        return WElement(self, value, flavor)
+        return WElement(self, value)
 
     @property
     def weight_data(self):
@@ -270,18 +268,18 @@ class WAlgebra:
         value = {}
         for i, c in x.items():
             axpy(value, c, self.theta_letter(i).value)
-        return WElement(self, value, "refined")
+        return WElement(self, value)
 
     def theta_zero(self, v):
         """Tail-corrected lift of a degree-0 centralizer element."""
-        if any(i not in self.ge0_letters for i in v):
+        if any(i not in self.ge0_letters for i in check_type(v, dict)):
             raise PreconditionError("element is not in the degree-0 "
                                     "centralizer span")
         return self._combine_letters(v)
 
     def theta_one(self, w):
         """Tail-corrected lift of a degree-1 element."""
-        if any(i not in self.g1_letters for i in w):
+        if any(i not in self.g1_letters for i in check_type(w, dict)):
             raise PreconditionError("element is not in the degree-1 span")
         return self._combine_letters(w)
 
@@ -592,8 +590,7 @@ class WAlgebra:
         value = {}
         for expo, c in coords.items():
             axpy(value, c, self.monomial(expo))
-        flavor = "finite" if self.grading.parity_type == "odd" else "refined"
-        return WElement(self, value, flavor)
+        return WElement(self, value)
 
     def _straightened_table(self):
         """Every pairwise supercommutator of generators, straightened from
@@ -885,20 +882,17 @@ def _shared_workspace(a, b):
     """The workspace of two elements that may be combined."""
     if _workspace_of(a) is not _workspace_of(b):
         raise PreconditionError("elements live over different gradings")
-    if a.flavor != b.flavor:
-        raise PreconditionError("elements carry different invariance "
-                                "certificates; convert with as_finite")
     return a.wal
 
 
 def w_multiply(a, b):
     wal = _shared_workspace(a, b)
-    return WElement(wal, wal.mul_raw(a.value, b.value), a.flavor)
+    return WElement(wal, wal.mul_raw(a.value, b.value))
 
 
 def w_commutator(a, b):
     wal = _shared_workspace(a, b)
-    return WElement(wal, wal.comm_raw(a.value, b.value), a.flavor)
+    return WElement(wal, wal.comm_raw(a.value, b.value))
 
 
 def compute_c0(grading):

@@ -312,9 +312,9 @@ def casimir_vs_quadratic_reference(wal):
 
 def weight_zero_pool(wal):
     """The weight-zero generators, and the products a b of generators of
-    opposite nonzero restricted weight, as elements certified for the
-    finite action: the products the projection pi is tested on."""
-    gens = [g.element.as_finite() for g in wal.generators]
+    opposite nonzero restricted weight: the products the projection pi is
+    tested on."""
+    gens = [g.element for g in wal.generators]
     pool = []
     for a in gens:
         wa = restricted_weight(a)

@@ -81,6 +81,15 @@ def test_build_is_cached(gradings):
     assert build_cartan_w(gr) is build_cartan_w(gr)
 
 
+def test_build_refuses_a_non_invariant_image():
+    # a damaged E turns C' into a coset the lowest root vector moves
+    gr = grade(build_algebra("spo:2|3"))
+    gr.E = {gr.e: ONE}
+    with pytest.raises(ConsistencyError, match="derived C' is not invariant "
+                       "under the lowest root vector: "):
+        build_cartan_w(gr)
+
+
 def test_dropped_grading_is_released():
     # the grading owns its workspace and everything cached on it, so
     # dropping the grading frees the lot
@@ -224,6 +233,13 @@ def test_simple_module_errors(gradings):
         simple_module(cw_even, [0, 0])
     with pytest.raises(PreconditionError):
         simple_module(cw_odd, [0, 1])
+    # a weight that is not a sequence names its type; a value that is not
+    # a number stays a TypeError, as for every coefficient
+    for lam in (None, 5):
+        with pytest.raises(PreconditionError, match=type(lam).__name__):
+            simple_module(cw_odd, lam)
+    with pytest.raises(TypeError):
+        simple_module(cw_odd, [0.5])
 
 
 # -- restricted weights --------------------------------------------------
@@ -251,11 +267,11 @@ def test_restricted_weight_mixed_split(gradings):
     gr = gradings["spo:2|3"]
     wal = wgen.workspace(gr)
     pbw = wal.pbw
-    mixed = wal.theta_letter(gr.xstars[0]).as_finite()
-    th = wal.theta_letter(gr.hes[0]).as_finite()
+    mixed = wal.theta_letter(gr.xstars[0])
+    th = wal.theta_letter(gr.hes[0])
     value = dict(mixed.value)
     axpy(value, ONE, th.value)
-    x = wgen.WElement(wal, value, "finite")
+    x = wgen.WElement(wal, value)
     with pytest.raises(NotHomogeneousError) as info:
         restricted_weight(x)
     parts = info.value.components
@@ -355,7 +371,7 @@ def test_projection_torus_image(gradings):
     gr = gradings["spo:2|3"]
     wal = wgen.workspace(gr)
     cw = build_cartan_w(gr)
-    th = wal.theta_letter(gr.hes[0]).as_finite()
+    th = wal.theta_letter(gr.hes[0])
     img = project_pi(th)
     delta = wal.weight_data.delta_bar[0]
     want = cw.gen("h1") + cw.unit().scale(scalar(delta))
@@ -369,7 +385,7 @@ def test_projection_raiser_image(gradings):
     g = wal.algebra
     ve = g.bracket({gr.vmid: ONE}, {gr.e: ONE})
     s2 = sqrt(-2)
-    img = project_pi(wgen.theta_w(gr, ve).as_finite()).scale(s2)
+    img = project_pi(wgen.theta_w(gr, ve)).scale(s2)
     assert (img - cw.gen("E")).is_zero()
 
 
@@ -388,7 +404,7 @@ def test_projection_critical_bracket(gradings):
     gr = gradings["osp:1|2"]
     wal = wgen.workspace(gr)
     cw = build_cartan_w(gr)
-    tg = wal.theta_letter(gr.gmid).as_finite()
+    tg = wal.theta_letter(gr.gmid)
     br = wgen.w_commutator(tg, tg)
     img = project_pi(br)
     want = cw.gen("C").scale(q(-1, 2)) - cw.unit().scale(q(1, 16))
@@ -404,7 +420,7 @@ def test_projection_even_shift_restores_torus(gradings):
         wal = wgen.workspace(gr)
         cw = build_cartan_w(gr)
         for i in gr.hes:
-            th = wal.theta_letter(i).as_finite()
+            th = wal.theta_letter(i)
             assert project_pi(th) == cw.gen(wal.algebra.labels[i]), name
 
 
@@ -424,7 +440,7 @@ def test_projection_odd_shift_moves_casimir(gradings):
                            for r, d in zip(wd.rho_e0_bar, wd.delta_bar))
         for letter, c in wal.dual_cartan(functional).items():
             raw += cw.gen(labels[letter]).scale(c)
-        cas = wal.casimir().as_finite()
+        cas = wal.casimir()
         assert project_pi(cas) == raw + wal.epsilon(), name
 
 
@@ -432,14 +448,14 @@ def test_projection_rejects_nonzero_weight(gradings):
     gr = gradings["spo:2|3"]
     wal = wgen.workspace(gr)
     with pytest.raises(PreconditionError):
-        project_pi(wal.theta_letter(gr.xstars[0]).as_finite())
+        project_pi(wal.theta_letter(gr.xstars[0]))
 
 
 def test_kernel_membership(gradings):
     gr = gradings["spo:2|3"]
     wal = wgen.workspace(gr)
-    tx = wal.theta_letter(gr.xs[0]).as_finite()
-    txs = wal.theta_letter(gr.xstars[0]).as_finite()
+    tx = wal.theta_letter(gr.xs[0])
+    txs = wal.theta_letter(gr.xstars[0])
     fwd = wgen.w_multiply(tx, txs)
     rev = wgen.w_multiply(txs, tx)
     assert project_pi(fwd).is_zero()
@@ -483,7 +499,7 @@ def test_projection_triple_product(gradings):
     gr = gradings["osp:1|2"]
     wal = wgen.workspace(gr)
     tf = wal.theta_mid()
-    tg = wal.theta_letter(gr.gmid).as_finite()
+    tg = wal.theta_letter(gr.gmid)
     triple = wgen.w_multiply(wgen.w_multiply(tf, tg), tf)
     lhs = project_pi(triple)
     rhs = project_pi(tf) * project_pi(tg) * project_pi(tf)

@@ -105,7 +105,7 @@ def test_kazhdan_degrees(gradings):
     wal = wgen.workspace(mg)
     v = wgen.theta_v(mg, {mg.xs[0]: ONE})
     w = wgen.theta_w(mg, {mg.gs[0]: ONE})
-    assert v.kdeg == 2 and v.flavor == "refined"
+    assert v.kdeg == 2 and wal.certify(v.value, "refined") == v
     assert w.kdeg == 3
     assert wgen.casimir_C(mg).kdeg == 4
     assert wgen.theta_F(mg).kdeg == 1
@@ -113,18 +113,16 @@ def test_kazhdan_degrees(gradings):
 
 
 def test_kdeg_is_derived_from_the_value(gradings):
-    # kdeg is read off the value by every constructor: a lift, its
-    # finite copy, a W-product and an element evaluated from coordinates
+    # kdeg is read off the value by every constructor: a lift, a
+    # W-product and an element evaluated from coordinates
     mg = gradings["spo:2|3"]
     wal = wgen.workspace(mg)
     w = wgen.theta_w(mg, {mg.gs[0]: ONE})
-    fin = w.as_finite()
-    assert fin is not w
-    xy = wgen.w_multiply(fin, wgen.casimir_C(mg).as_finite())
+    xy = wgen.w_multiply(w, wgen.casimir_C(mg))
     back = wgen.evaluate_coordinates(mg, wgen.pbw_coordinates(xy))
-    for x in (w, fin, xy, back):
+    for x in (w, xy, back):
         assert x.kdeg == wal.pbw.kazhdan_degree(x.value)
-    assert (w.kdeg, fin.kdeg, xy.kdeg, back.kdeg) == (3, 3, 7, 7)
+    assert (w.kdeg, xy.kdeg, back.kdeg) == (3, 7, 7)
 
 
 def test_theta_v_rejects_wrong_degree(gradings):
@@ -190,7 +188,13 @@ def test_wrong_argument_types_are_typed_errors(name, arg):
 def test_theta_F_needs_a_midline(gradings):
     with pytest.raises(PreconditionError):
         wgen.theta_F(gradings["sl:2|1"])
-    assert wgen.theta_F(gradings["osp:1|2"]).flavor == "finite"
+    # F is certified for the action without the midline letter, which
+    # it does not commute with
+    mg = gradings["osp:1|2"]
+    wal, F = wgen.workspace(mg), wgen.theta_F(mg)
+    assert wal.certify(F.value, "finite") == F
+    with pytest.raises(ConsistencyError):
+        wal.certify(F.value, "refined")
 
 
 def test_theta_v_is_linear(gradings):
@@ -208,7 +212,7 @@ def test_theta_v_is_linear(gradings):
             want = wal.certify(direct(x), "refined")
             got = lift(mg, x)
             assert got.value == want.value
-            assert (got.kdeg, got.flavor) == (want.kdeg, want.flavor)
+            assert got == want and got.kdeg == want.kdeg
     # sl:2|1 has a single degree-0 letter, spo:2|3 several of each degree
     wal = wgen.workspace(gradings["spo:2|3"])
     assert min(len(wal.ge0_letters), len(wal.g1_letters)) >= 3
@@ -261,10 +265,7 @@ def test_casimir_commutes(gradings):
     wal = wgen.workspace(mg)
     C = wgen.casimir_C(mg)
     for gen in wal.generators:
-        other = gen.element if gen.element.flavor == C.flavor \
-            else gen.element.as_finite()
-        probe = C if other.flavor == C.flavor else C.as_finite()
-        assert wgen.w_commutator(probe, other).is_zero()
+        assert wgen.w_commutator(C, gen.element).is_zero(), gen.name
 
 
 def test_midline_squares_to_one(gradings):
@@ -273,12 +274,28 @@ def test_midline_squares_to_one(gradings):
     assert got.value == {(): ONE}
 
 
-def test_multiply_needs_matching_certificates(gradings):
+def test_midline_multiplies_casimir(gradings):
+    # F and C multiply like any two W-elements: from either order the
+    # product is the ordered monomial F*C, it is finite-invariant but not
+    # refined-invariant, and [F, C] = 0; only elements over two gradings
+    # are refused
+    for name in NAMES:
+        mg = gradings[name]
+        if mg.parity_type != "odd":
+            continue
+        wal = wgen.workspace(mg)
+        F, C = wgen.theta_F(mg), wgen.casimir_C(mg)
+        fc = tuple(int(gen.name in ("F", "C")) for gen in wal.generators)
+        for x in (wgen.w_multiply(F, C), wgen.w_multiply(C, F)):
+            assert wgen.pbw_coordinates(x) == {fc: ONE}, name
+            assert wal.certify(x.value, "finite") == x
+            with pytest.raises(ConsistencyError):
+                wal.certify(x.value, "refined")
+        assert wgen.w_commutator(F, C).is_zero(), name
+    assert "spo:2|3" in NAMES
     mg = gradings["osp:1|2"]
-    with pytest.raises(PreconditionError):
-        wgen.w_multiply(wgen.theta_F(mg), wgen.casimir_C(mg))
-    with pytest.raises(PreconditionError):
-        wgen.w_multiply(wgen.casimir_C(mg),
+    with pytest.raises(PreconditionError, match="different gradings"):
+        wgen.w_multiply(wgen.theta_F(mg),
                         wgen.casimir_C(gradings["spo:2|3"]))
 
 
@@ -288,7 +305,7 @@ def test_multiply_is_associative(gradings):
     rng = random.Random(9)
     gens = wal.generators
     for _ in range(12):
-        a, b, c = (gens[rng.randrange(len(gens))].element.as_finite()
+        a, b, c = (gens[rng.randrange(len(gens))].element
                    for _ in range(3))
         left = wgen.w_multiply(wgen.w_multiply(a, b), c)
         right = wgen.w_multiply(a, wgen.w_multiply(b, c))
@@ -336,7 +353,7 @@ def test_straightening_round_trips(gradings):
             x = wgen.evaluate_coordinates(
                 mg, {tuple(0 for _ in gens): scalar(rng.randint(-3, 3))})
             for _ in range(rng.randint(1, 4)):
-                pick = gens[rng.randrange(len(gens))].element.as_finite()
+                pick = gens[rng.randrange(len(gens))].element
                 x = wgen.w_multiply(x, pick)
             back = wgen.evaluate_coordinates(mg, wgen.pbw_coordinates(x))
             assert back.value == x.value
@@ -380,6 +397,18 @@ def test_coordinates_must_be_a_dict(gradings, coords):
         wgen.evaluate_coordinates(mg, coords)
     with pytest.raises(PreconditionError, match=type(coords).__name__):
         cartanw.CartanWElement(build_cartan_w(mg), coords)
+
+
+@pytest.mark.parametrize("lift", ["theta_v", "theta_w"])
+@pytest.mark.parametrize("element", [None, 5, "pairs"])
+def test_lift_input_must_be_a_dict(gradings, lift, element):
+    # a lift names the type it got, rather than raising a bare TypeError
+    # from iterating it or calling a list of pairs outside the span
+    mg = gradings["spo:2|3"]
+    if element == "pairs":
+        element = [(mg.xs[0] if lift == "theta_v" else mg.gs[0], ONE)]
+    with pytest.raises(PreconditionError, match=type(element).__name__):
+        getattr(wgen, lift)(mg, element)
 
 
 def test_monomial_counts_match_graded_dimension(gradings):
@@ -511,7 +540,7 @@ def test_cached_values_stay_read_only():
         mg = grade(build_algebra(name))
         wal = wgen.workspace(mg)
         cw = build_cartan_w(mg)
-        gens = [gen.element.as_finite() for gen in wal.generators]
+        gens = [gen.element for gen in wal.generators]
 
         def work():
             assert wgen.verify_relations(mg)["ok"], name
@@ -561,10 +590,12 @@ def test_certify_reports_the_commutator_residual(gradings):
 
 @pytest.mark.parametrize("name", ["osp:1|2", "sl:2|1", "spo:2|3", "spo:2|5"])
 def test_derived_elements_inherit_invariance(name, monkeypatch):
-    # generators are certified once each, where they are built; seeded
-    # products and supercommutators of them, in both flavors, coordinates
-    # evaluated back and restricted-weight components make no check of
-    # their own, yet each passes one
+    # generators are certified once each, where they are built, F for the
+    # finite action and the others for the refined one; seeded products
+    # and supercommutators of them, coordinates evaluated back and
+    # restricted-weight components make no check of their own, yet each is
+    # finite-invariant, and the products and supercommutators of
+    # generators other than F are refined-invariant too
     mg = grade(build_algebra(name))
     wal = wgen.workspace(mg)
     flavors = []
@@ -575,23 +606,23 @@ def test_derived_elements_inherit_invariance(name, monkeypatch):
     odd = mg.parity_type == "odd"
     if odd:
         F = wgen.theta_F(mg)
-        assert wgen.theta_F(mg) is F and F.flavor == "finite"
-        assert flavors.count("finite") == 1
+        assert wgen.theta_F(mg) is F and flavors.count("finite") == 1
     gens = [gen.element for gen in wal.generators]
-    assert len(flavors) == len(gens)
+    assert sorted(flavors) == ["finite"] * odd + ["refined"] * (
+        len(gens) - odd)
     rng = random.Random(name)
     derived = []
-    for pool in ([x for x in gens if x.flavor == "refined"],
-                 [x.as_finite() for x in gens]):
+    for pool in ([gen.element for gen in wal.generators if gen.name != "F"],
+                 gens):
         for _ in range(6):
             a, b = rng.choice(pool), rng.choice(pool)
             derived += [wgen.w_multiply(a, b), wgen.w_commutator(a, b)]
     assert len(flavors) == len(gens)
-    assert {x.flavor for x in derived} == (
-        {"refined", "finite"} if odd else {"refined"})
     monkeypatch.undo()
+    for x in derived[:12]:
+        assert wal.certify(x.value, "refined") == x
     for x in derived:
-        assert wal.certify(x.value, x.flavor) == x
+        assert wal.certify(x.value, "finite") == x
     # coordinates evaluated back, and the restricted-weight components of
     # one ordered monomial of each generator plus a product
     evaluated = [wgen.evaluate_coordinates(mg, wgen.pbw_coordinates(x))
@@ -608,7 +639,7 @@ def test_derived_elements_inherit_invariance(name, monkeypatch):
         assert name == "osp:1|2"
         evaluated.append(mixed)
     for x in evaluated:
-        assert wal.certify(x.value, x.flavor) == x
+        assert wal.certify(x.value, "finite") == x
 
 
 def test_coordinates_are_straightened_once(gradings, monkeypatch):
@@ -616,13 +647,11 @@ def test_coordinates_are_straightened_once(gradings, monkeypatch):
     assert mg.parity_type == "odd"
     wal = wgen.workspace(mg)
     build_cartan_w(mg)
-    gens = [gen.element.as_finite() for gen in wal.generators]
+    gens = [gen.element for gen in wal.generators]
     products = [wgen.w_multiply(a, b) for a in gens for b in gens]
     x = max((p for p in products if not any(restricted_weight(p))),
             key=lambda p: len(p.value))
-    pi_x = project_pi(wgen.WElement(wal, x.value, x.flavor))
-    gen = wal.generators[-1].element
-    refined = wgen.WElement(wal, gen.value, gen.flavor)
+    pi_x = project_pi(wgen.WElement(wal, x.value))
     calls = []
     straighten = wgen.WAlgebra.pbw_coordinates
 
@@ -640,11 +669,9 @@ def test_coordinates_are_straightened_once(gradings, monkeypatch):
     assert wgen.pbw_coordinates(x) == want
     assert project_pi(x) == pi_x
     assert len(calls) == 1
-    # as_finite keeps the coordinates its source already found
-    assert refined.flavor == "refined"
-    want = wgen.pbw_coordinates(refined)
-    assert wgen.pbw_coordinates(refined.as_finite()) == want
-    assert len(calls) == 2
+    # as_finite, which the benchmark pool still calls, is the element
+    # itself, coordinates and all
+    assert all(x.as_finite() is x for x in gens + [x])
 
 
 def test_commutator_table_covers_all_pairs(gradings):
