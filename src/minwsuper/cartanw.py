@@ -255,7 +255,8 @@ def build_cartan_w(grading):
     table = _relation_table(names, gr.parity_type)
     unit_expo = (0,) * len(names)
     for a, b in combinations_with_replacement(names, 2):
-        diff = wal.comm_raw(images[a], images[b])
+        # the images are only f-invariant: no term of nzero is skipped
+        diff = wal.project(pbw.commutator(images[a], images[b]))
         for expo, c in table[(a, b)].items():
             if expo == unit_expo:
                 acc(diff, (), -c)

@@ -22,10 +22,12 @@ of ca cb (wa wb).
 The adjoint action of one letter, ``ad(x, a) = [x, a]``, serves the
 invariance check of each generator lift and the super-Leibniz commutator
 below, and both meet the same few words again and again.  So each [x, w]
-for a letter x and a normal word w is built once, as
-x w - (-1)^{|x||w|} w x, and kept in the adjoint cache next to the
-letter cache, empty when the two products cancel; a word whose letters
-all supercommute with x has [x, w] = 0 and is neither built nor cached.
+for a letter x and a normal word w = u v, v its last letter, is built
+once by the super-Leibniz rule [x, u v] = [x, u] v + (-1)^{|x||u|} u [x, v],
+[x, u] read from the same cache and [x, v] from the bracket row, and kept
+in the adjoint cache next to the letter cache, empty when it cancels; a
+word whose letters all supercommute with x has [x, w] = 0 and is neither
+built nor cached.
 
 A commutator [a, b] follows the super-Leibniz rule: each letter of a word
 of ``a`` is replaced in turn by its bracket with one parity part of ``b``,
@@ -213,13 +215,15 @@ class PBWAlgebra:
             axpy(out, scalar(coeff), self._mul_word((), tuple(word)))
         return out
 
-    def commutator(self, a, b):
+    def commutator(self, a, b, skip=()):
         """The superbracket a b - (-1)^{|a||b|} b a by the super-Leibniz
         rule: for each word x_1...x_m of ``a`` and each parity part b_p of
         ``b``, the sum over i of (-1)^{p |x_{i+1}...x_m|} x_1...x_{i-1}
         [x_i, b_p] x_{i+1}...x_m.  Each [x_i, b_p] is read through ``ad``
         once per letter and part, so the two full products of a word pair,
-        whose leading terms cancel, are never formed."""
+        whose leading terms cancel, are never formed.  The terms at a letter
+        x_i in ``skip`` are left out; a caller passes letters whose terms
+        it knows to vanish in its quotient."""
         parity = self.parity
         parts = {}
         for wb, cb in b.items():
@@ -233,7 +237,8 @@ class PBWAlgebra:
                     x = wa[i]
                     inner = memo.get((x, p))
                     if inner is None:
-                        inner = memo[(x, p)] = self.ad(x, bp)
+                        inner = memo[(x, p)] = (
+                            {} if x in skip else self.ad(x, bp))
                     if inner:
                         head, tail = wa[:i], wa[i + 1:]
                         mid = inner
@@ -255,20 +260,27 @@ class PBWAlgebra:
         if partners is None:
             partners = self._partners[x] = {
                 b for b in range(len(self.parity)) if self._nonzero(x, b)}
-        cache = self._ad_cache
-        odd = self.parity[x]
         for w, c in a.items():
-            if partners.isdisjoint(w):
-                continue
-            key = (x, w)
-            vec = cache.get(key)
-            if vec is None:
-                vec = dict(self._mul_word((x,), w))
-                axpy(vec, ONE if odd and self.word_parity(w) else -ONE,
-                     self._mul_letter(w, x))
-                cache[key] = vec
-            axpy(out, c, vec)
+            if not partners.isdisjoint(w):
+                axpy(out, c, self._ad_word(x, w, partners))
         return out
+
+    def _ad_word(self, x, w, partners):
+        """The adjoint-cache entry [x, w], built by the super-Leibniz rule
+        over the last letter v of w = u v; w meets ``partners``, the
+        letters x does not supercommute with."""
+        vec = self._ad_cache.get((x, w))
+        if vec is None:
+            vec = {}
+            head, v = w[:-1], w[-1]
+            if not partners.isdisjoint(head):
+                for u, cu in self._ad_word(x, head, partners).items():
+                    axpy(vec, cu, self._mul_letter(u, v))
+            odd = self.parity[x] and self.word_parity(head)
+            for u, cu in self._row(x, v):
+                axpy(vec, -cu if odd else cu, self._mul_word(head, u))
+            self._ad_cache[(x, w)] = vec
+        return vec
 
     # -- filtration and quotients -------------------------------------------
 

@@ -163,6 +163,7 @@ class WAlgebra:
         self.pbw = PBWAlgebra(grading.algebra, weights=self.weights)
         self.nb = neg_one_bases(grading)
         self.sub = admissible_subalgebras(grading)
+        self._nzero = frozenset(self.sub["nzero"])
         self.ge0_letters = (tuple(grading.hes) + tuple(grading.xs)
                             + tuple(grading.xstars) + tuple(grading.ys)
                             + tuple(grading.ystars))
@@ -202,13 +203,21 @@ class WAlgebra:
         return self.project(self.pbw.mul(a, b))
 
     def comm_raw(self, a, b):
-        return self.project(self.pbw.commutator(a, b))
+        """project([a, b]) for a finite-invariant ``b``, as every generator
+        and ``WElement`` is.  The terms at letters x_i of nzero are skipped:
+        [x_i, b] = R (f - 1), and the later letters of a normal word have
+        degree -1 or -2 and commute with f, so each lies in U(g)(f - 1)."""
+        return self.project(self.pbw.commutator(a, b, skip=self._nzero))
 
     def word_weight(self, word):
         return sum(self.weights[i] for i in word)
 
     def invariance_letters(self, flavor):
-        return self.sub["nprime"] if flavor == "refined" else self.sub["nzero"]
+        """nprime for a "refined" certificate, nzero for a "finite" one."""
+        if flavor not in ("refined", "finite"):
+            raise PreconditionError("invariance flavor %r is neither "
+                                    "'refined' nor 'finite'" % (flavor,))
+        return self.sub["nprime" if flavor == "refined" else "nzero"]
 
     def certify(self, value, flavor):
         """Wrap a coset after checking the twisted adjoint action kills it."""
@@ -628,19 +637,22 @@ class WAlgebra:
         E(x, r) that are linear and not of two degree-1 generators:
         Theta_y = sum mu E(x, r) + sum nu Theta_s over x, s in X and r
         reached before y.  The pairs with a seed, and (C, C), (C, F),
-        (F, F), are straightened in U(g) and must equal E.  Every other
-        pair (y, b), y reached first, must satisfy super Jacobi,
+        (F, F), are formed in U(g) by ``comm_raw`` and must equal E
+        evaluated on the ordered monomials, whose coordinates are unique.
+        Every other pair (y, b), y reached first, must satisfy super Jacobi,
 
             Q = sum mu ([x, E(r, b)] - (-1)^{|x||r|} [r, E(x, b)])
                 + sum nu E(s, b) == E(y, b),
 
         in the presented algebra of E, where Q is not formed when its
-        entries are empty.  Q reads pairs of a seed, pairs (r, k) with r
-        reached before y and weight sum at most that of (y, b), and rows
-        met in straightening, of a smaller weight sum.  So induction on
-        (Kazhdan weight sum, reaching position of the earlier member)
-        proves every E(y, b).  The table holds the U(g) entries and owned
-        copies of the closed ones.  Any failed check falls back to
+        entries are empty.  Each [x, w] of Q is built by the super-Leibniz
+        rule over w, reading the rows (x, v) of the bracketing letter x and
+        rows met in straightening, of a smaller weight sum.  So Q reads
+        pairs of a seed, pairs (r, k) with r reached before y and weight
+        sum at most that of (y, b), and rows of a smaller weight sum, and
+        induction on (Kazhdan weight sum, reaching position of the earlier
+        member) proves every E(y, b).  The table holds owned copies of the
+        closed entries.  Any failed check falls back to
         ``_straightened_table``, so a damaged closed form gives the same
         table, and the same report, as before.
         """
@@ -666,11 +678,12 @@ class WAlgebra:
         table = {}
         for p, q in combinations_with_replacement(range(len(gens)), 2):
             key = (gens[p].name, gens[q].name)
+            table[key] = dict(closed[key])
             y, b = sorted((p, q), key=lambda k: rank.get(k, len(gens)))
             if y not in recipes or b in seeds:
-                table[key] = self.pbw_coordinates(self.comm_raw(
-                    gens[p].element.value, gens[q].element.value))
-                if table[key] != closed[key]:
+                if self.comm_raw(gens[p].element.value,
+                                 gens[q].element.value) != \
+                        self.evaluate_coordinates(closed[key]).value:
                     return None
                 continue
             got = {}
@@ -687,7 +700,6 @@ class WAlgebra:
                          bracket(r, xb))
             if got != _entry(gens, closed, y, b):
                 return None
-            table[key] = dict(closed[key])
         return table
 
     # -- the relation suite ----------------------------------------------
@@ -739,8 +751,11 @@ class WAlgebra:
 
         def diff(a, b):
             """The table entry of [gens[a], gens[b]] minus its closed form."""
-            out = dict(_entry(gens, table, a, b))
-            axpy(out, -ONE, _entry(gens, closed, a, b))
+            entry, want = _entry(gens, table, a, b), _entry(gens, closed, a, b)
+            if entry == want:
+                return {}
+            out = dict(entry)
+            axpy(out, -ONE, want)
             return out
 
         def brackets(ident, pairs):

@@ -242,36 +242,50 @@ def test_commutator_matches_products(setups):
         assert mixed, name
 
 
+def _ad_cases():
+    """(name, algebra): U(g) of five algebras on a fresh PBWAlgebra each,
+    and the presented U(g, e) of spo:2|3 on its certified table."""
+    for name in ["osp:1|2", "sl:2|1", "spo:2|3", "psl:2|2", "psl:3|3"]:
+        yield name, _setup(name)[1]
+    wal = workspace(grade(build_algebra("spo:2|3")))
+    gens = wal.generators
+    yield "U(g,e) of spo:2|3", PBWAlgebra.presented(
+        [gen.name for gen in gens], [gen.parity for gen in gens],
+        wal.commutator_table)
+
+
 def test_ad_matches_commutator():
-    # [x, a] read from the adjoint cache is the superbracket with the
-    # letter, as the word-pair reference sums it (``commutator`` itself
-    # reads ``ad``), for every letter (odd ones, whose [x, x] reduces an odd
-    # square, and the lowest root vector f among them)
+    # [x, a] read from the adjoint cache, whose entries [x, u v] are built
+    # from [x, u] and the row [x, v] by the super-Leibniz rule, is the
+    # superbracket with the letter, as the word-pair reference sums it from
+    # the two products (``commutator`` itself reads ``ad``), for every
+    # letter (odd ones, whose [x, x] reduces an odd square, and the last
+    # one, f in U(g), among them)
     rng = random.Random(23)
     cancelled = 0
-    for name in ["osp:1|2", "sl:2|1", "spo:2|3", "psl:2|2"]:
-        mg = grade(build_algebra(name))
-        pbw = PBWAlgebra(mg.algebra, weights=kazhdan_weights(mg))
-        dim = mg.algebra.dim
+    for name, pbw in _ad_cases():
+        dim = len(pbw.parity)
         odd_squares = 0
         for _ in range(2):
             a = _random_element(rng, pbw, dim)
             for x in range(dim):
                 b = dict(a)
-                axpy(b, ONE, pbw.from_words([((x,), ONE),
+                long_word = tuple(rng.randrange(dim) for _ in range(5))
+                axpy(b, ONE, pbw.from_words([((x,), ONE), (long_word, ONE),
                                              ((x, rng.randrange(dim)), HALF)]))
                 want = commutator_reference(pbw, pbw.inject({x: ONE}), b)
                 assert pbw.ad(x, b) == want, (name, x)
-                odd_squares += mg.algebra.parity[x] and (x,) in b
+                odd_squares += pbw.parity[x] and (x,) in b
         assert odd_squares, name
-        assert pbw.ad(mg.f, {}) == {}
-        # every cached [x, w], an empty one included, is the superbracket
-        assert pbw._ad_cache, name
+        assert pbw.ad(dim - 1, {}) == {}
+        # every cached [x, w], the prefixes the rule met and an empty one
+        # included, is the superbracket
+        assert len(pbw._ad_cache) > dim, name
         for (x, w), vec in pbw._ad_cache.items():
             assert vec == commutator_reference(pbw, pbw.inject({x: ONE}),
                                                {w: ONE}), (name, x, w)
             cancelled += not vec
-    # a bracket whose two products cancel is kept too, not rebuilt
+    # a bracket that cancels is kept too, not rebuilt
     assert cancelled
 
 

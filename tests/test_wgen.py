@@ -197,6 +197,20 @@ def test_theta_F_needs_a_midline(gradings):
         wal.certify(F.value, "refined")
 
 
+def test_invariance_flavor_must_be_named(gradings):
+    # only "refined" (nprime) and "finite" (nzero) name a letter set; a
+    # misspelt flavor is refused, not read as the weaker finite check
+    mg = gradings["osp:1|2"]
+    wal, F = wgen.workspace(mg), wgen.theta_F(mg)
+    assert wal.invariance_letters("refined") == wal.sub["nprime"]
+    assert wal.invariance_letters("finite") == wal.sub["nzero"]
+    for flavor in ("Refined", None, "", "nzero"):
+        with pytest.raises(PreconditionError):
+            wal.invariance_letters(flavor)
+        with pytest.raises(PreconditionError):
+            wal.certify(F.value, flavor)
+
+
 def test_theta_v_is_linear(gradings):
     # lifts are assembled from letter lifts; on a combination of letters
     # they must agree with the tail formula applied to the whole element,
@@ -297,6 +311,60 @@ def test_midline_multiplies_casimir(gradings):
     with pytest.raises(PreconditionError, match="different gradings"):
         wgen.w_multiply(wgen.theta_F(mg),
                         wgen.casimir_C(gradings["spo:2|3"]))
+
+
+def test_letters_after_nzero_commute_with_f(gradings):
+    # the precondition of comm_raw's skip: degrees do not increase along
+    # the letters, f is last and alone in degree -2, nzero lies in degree
+    # -1 or -2, so every letter a normal word has after one of nzero
+    # commutes with f
+    for name in [*NAMES, "spo:2|5", "psl:3|3", "spo:8|1"]:
+        mg = gradings.get(name) or grade(build_algebra(name))
+        g, deg = mg.algebra, mg.degrees
+        assert all(a >= b for a, b in zip(deg, deg[1:])), name
+        assert mg.f == g.dim - 1 and deg.count(-2) == 1, name
+        nzero = wgen.workspace(mg).sub["nzero"]
+        assert all(deg[x] < 0 for x in nzero), name
+        assert not any(g.bracket({y: ONE}, {mg.f: ONE})
+                       for y in range(min(nzero), g.dim)), name
+
+
+@pytest.mark.parametrize("name", ["osp:1|2", "sl:2|1", "spo:2|3", "spo:2|5"])
+def test_comm_raw_skips_only_vanishing_terms(name):
+    # comm_raw leaves out the super-Leibniz terms at letters of nzero; on
+    # every pair of generators, F included, and on seeded products and
+    # supercommutators of them, it equals the projection of the full
+    # commutator, and the skip leaves out some nonzero term of U(g)
+    mg = grade(build_algebra(name))
+    wal = wgen.workspace(mg)
+    gens = [gen.element for gen in wal.generators]
+    rng = random.Random(name)
+    derived = []
+    for _ in range(4):
+        a, b = rng.choice(gens), rng.choice(gens)
+        derived += [wgen.w_multiply(a, b), wgen.w_commutator(a, b)]
+    nzero, skipped = frozenset(wal.sub["nzero"]), 0
+    for a in gens + derived:
+        for b in gens + derived[:2]:
+            full = wal.pbw.commutator(a.value, b.value)
+            assert wal.comm_raw(a.value, b.value) == wal.project(full), name
+            skipped += wal.pbw.commutator(a.value, b.value,
+                                          skip=nzero) != full
+    # values are free of f, so nothing is skipped when nzero is f alone
+    assert skipped or len(nzero) == 1, name
+
+
+def test_skip_needs_finite_invariance():
+    # negative control: the Cartan subquotient's images are only
+    # f-invariant, and skipping nzero against them changes the bracket
+    # of some generator lift with some image
+    mg = grade(build_algebra("spo:2|3"))
+    wal, images = wgen.workspace(mg), build_cartan_w(mg).images
+    nzero = frozenset(wal.sub["nzero"])
+    lifts = [gen.element.value for gen in wal.generators]
+    assert any(wal.project(wal.pbw.commutator(a, b, skip=nzero))
+               != wal.project(wal.pbw.commutator(a, b))
+               for a in lifts for b in images.values())
 
 
 def test_multiply_is_associative(gradings):
