@@ -40,10 +40,11 @@ The same rule straightens any presentation: letters with parities and a
 bracket row [a, b] over normal words per pair.  U(g) hands out g's rows
 in place as one-letter words; ``PBWAlgebra.presented`` reads the upper
 triangle over exponent tuples in which U(g, e) and its Cartan subquotient
-state their relations, the reversed pair with the supersign.  For a table
-not known to come from an algebra, associativity on triples of letters is
-the overlap check of the diamond lemma (de Graaf, *Lie Algebras: Theory
-and Algorithms*, ch. 6).
+state their relations, turning each row into words on its first read and
+the reversed pair by the supersign.  For a table not known to come from
+an algebra, associativity on triples of letters is the overlap check of
+the diamond lemma (de Graaf, *Lie Algebras: Theory and Algorithms*,
+ch. 6).
 """
 
 from .errors import PreconditionError, check_type
@@ -88,16 +89,23 @@ class PBWAlgebra:
     def presented(cls, names, parities, table):
         """The algebra on letters 0, 1, ... named ``names``, of the given
         parities, with [x_i, x_j] = ``table[(names[i], names[j])]`` over
-        exponent tuples for i <= j, 0 where it has none; no g or weights."""
-        pos = {n: k for k, n in enumerate(names)}
-        rows = {(pos[a], pos[b]): from_exponents(entry)
-                for (a, b), entry in table.items() if entry}
-        for (i, j), row in list(rows.items()):
-            if i != j:
-                rows[j, i] = {w: c if parities[i] and parities[j] else -c
-                              for w, c in row.items()}
+        exponent tuples for i <= j, 0 where it has none; no g or weights.
+        Each row is turned into words on its first read, the reversed pair
+        (j, i) with the supersign, so a row of ``table`` may still be filled
+        after the build as long as nothing has read it."""
+        rows = {}
+
+        def row(a, b):
+            got = rows.get((a, b))
+            if got is None:
+                i, j = sorted((a, b))
+                got = from_exponents(table.get((names[i], names[j])) or {})
+                if a > b and not (parities[a] and parities[b]):
+                    got = {w: -c for w, c in got.items()}
+                got = rows[a, b] = tuple(got.items())
+            return got
+
         pbw = object.__new__(cls)
-        row = lambda a, b: rows.get((a, b), {}).items()
         pbw._start(tuple(parities), row, row)
         pbw.g = pbw.weights = None
         return pbw

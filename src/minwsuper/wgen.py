@@ -21,12 +21,15 @@ every other pair is derived by the super Jacobi identity in the closed
 form's presented algebra, and induction on (Kazhdan weight sum,
 reaching position) proves the rest.
 Any failed check falls back to straightening every pair in U(g).
+The workspace keeps one presented U(g, e), ``WAlgebra.uge``, built in
+``closed_form_table`` and handed out once ``commutator_table`` has
+certified it, or rebuilt it over the straightened table.
 ``verify_relations`` reads that table by generator position, and every
 group that checks a table entry reads the entry minus its closed form;
 coordinates over ordered monomials are unique, so equal entries certify
 the presentation.  Theta_Cas, the Casimir of g(0)# lifted by Theta, is
-stated once, in the closed form's presented algebra, and the report
-brackets it there with every degree-0 generator.  The raiser square
+stated once, in ``uge``, and the report brackets it there with every
+degree-0 generator.  The raiser square
 Theta(g_mid)^2 is formed from the lifts and must be half the closed
 (g_mid, g_mid) entry, since Theta(g_mid) is odd.  ``pbw_coordinates``
 expresses invariants in ordered monomials of the generators by a
@@ -39,8 +42,7 @@ monomials themselves are kept.
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .envelope import (PBWAlgebra, from_exponents, kazhdan_weights,
-                       render_element)
+from .envelope import PBWAlgebra, kazhdan_weights, render_element
 from .errors import ConsistencyError, PreconditionError, check_type
 from .grading import (MinimalGrading, admissible_subalgebras, neg_one_bases,
                       weights_delta_rho)
@@ -185,6 +187,8 @@ class WAlgebra:
         self._c0_pairs = 0
         self._wd = None
         self._casimir = None
+        # the presented U(g, e) and Theta_Cas in it, kept by ``_present``
+        self._uge = None
         self._cas = None
         self._table = None
         self._closed = None
@@ -468,21 +472,24 @@ class WAlgebra:
 
         with t = ([w1, w2], f) and Theta_Cas summed over
         ``_quadratic_pairs``.  The products Theta_a Theta_b of degree-0
-        letters are straightened in the presented algebra of Theta's
-        degree-0 brackets; that algebra and Theta_Cas in it are kept in
-        ``_cas``.  ``verify_relations`` reads every table entry minus this
-        one, brackets that Theta_Cas with each degree-0 generator, and
-        checks Theta(g_mid)^2 against half the (g_mid, g_mid) entry.
+        letters are straightened in the workspace's one presented U(g, e),
+        built here over this table before its pair entries are filled: it
+        reads each row on first use, and these products read only rows of
+        two degree-0 generators, which are filled first.  Theta_Cas is
+        formed in it, and the two are kept in ``_uge`` and ``_cas``.
+        ``verify_relations`` reads every table entry minus this one,
+        brackets that Theta_Cas with each degree-0 generator, and checks
+        Theta(g_mid)^2 against half the (g_mid, g_mid) entry.
         """
         if self._closed is not None:
             return self._closed
         g, gr, gens = self.algebra, self.grading, self.generators
-        pos, parity, ge0 = self._lead_pos, g.parity, self.ge0_letters
+        pos, parity = self._lead_pos, g.parity
 
         def mono(*ks):
             return tuple(map(ks.count, range(len(gens))))
 
-        table, pairs, degree0 = {}, [], {}
+        table, pairs = {}, []
         for ga, gb in combinations_with_replacement(gens, 2):
             key = (ga.name, gb.name)
             if "C" in key or "F" in key:
@@ -493,18 +500,12 @@ class WAlgebra:
             else:
                 table[key] = {mono(pos[i]): c for i, c in g.bracket(
                     {ga.letter: ONE}, {gb.letter: ONE}).items()}
-                if ga.letter in ge0 and gb.letter in ge0:
-                    degree0[key] = table[key]
-        zero = PBWAlgebra.presented([gen.name for gen in gens],
-                                    [gen.parity for gen in gens], degree0)
+        self._present(table)
+        uge, cas = self._uge, self._cas
 
         def lift(x):
             """Theta of a degree-0 vector, over one-letter words."""
             return {(pos[i],): c for i, c in x.items()}
-
-        cas = zero.from_words(((pos[a], pos[b]), c)
-                              for a, b, c in self._quadratic_pairs())
-        self._cas = (zero, cas)
 
         # #[w, z_k] and #[z*_k, w] for every degree-1 letter w, over k
         left = {w: [gr.sharp(g.bracket({w: ONE}, z)) for z in self.nb["z"]]
@@ -523,9 +524,9 @@ class WAlgebra:
             half_sign = -HALF if parity[w1] and parity[w2] else HALF
             for l1, r2, l2, r1 in zip(left[w1], right[w2], left[w2],
                                       right[w1]):
-                axpy(out, -HALF, zero.mul(lift(l1), lift(r2)))
-                axpy(out, half_sign, zero.mul(lift(l2), lift(r1)))
-            return zero.exponents(out)
+                axpy(out, -HALF, uge.mul(lift(l1), lift(r2)))
+                axpy(out, half_sign, uge.mul(lift(l2), lift(r1)))
+            return uge.exponents(out)
 
         for key, w1, w2 in pairs:
             table[key] = pair(w1, w2)
@@ -644,37 +645,54 @@ class WAlgebra:
             Q = sum mu ([x, E(r, b)] - (-1)^{|x||r|} [r, E(x, b)])
                 + sum nu E(s, b) == E(y, b),
 
-        in the presented algebra of E, where Q is not formed when its
-        entries are empty.  Each [x, w] of Q is built by the super-Leibniz
-        rule over w, reading the rows (x, v) of the bracketing letter x and
-        rows met in straightening, of a smaller weight sum.  So Q reads
+        in ``_uge``, the presented algebra of E that ``closed_form_table``
+        built, where each E(p, b) of Q is its row [p, b].  Each [x, w] of
+        Q is built by the super-Leibniz rule over w, reading the rows
+        (x, v) of the bracketing letter x and rows met in straightening,
+        of a smaller weight sum.  So Q reads
         pairs of a seed, pairs (r, k) with r reached before y and weight
         sum at most that of (y, b), and rows of a smaller weight sum, and
         induction on (Kazhdan weight sum, reaching position of the earlier
-        member) proves every E(y, b).  The table holds owned copies of the
-        closed entries.  Any failed check falls back to
-        ``_straightened_table``, so a damaged closed form gives the same
-        table, and the same report, as before.
+        member) proves every E(y, b).  Q is compared with the closed entry
+        as it stands, not with a row the algebra read before: a row read
+        in the pair expansion and changed since must not pass.  The table
+        holds owned copies of the closed entries.  Any failed check falls
+        back to ``_straightened_table``, so a damaged closed form gives the
+        same table, and the same report, as before; ``_uge`` and Theta_Cas
+        are then rebuilt once over that table, so no damaged row stays in
+        the kept algebra.
         """
         if self._table is None:
             self._table = self._certified_table()
             if self._table is None:
                 self._table = self._straightened_table()
+                self._present(self._table)
         return self._table
+
+    @property
+    def uge(self):
+        """The presented U(g, e), on the generators in order: the one
+        ``PBWAlgebra.presented`` of this workspace.  It is handed out only
+        after ``commutator_table`` has certified the closed form it reads,
+        or rebuilt it over the straightened table."""
+        self.commutator_table
+        return self._uge
+
+    def _present(self, table):
+        """Keep the presented U(g, e) over ``table`` in ``_uge`` and
+        Theta_Cas, summed over ``_quadratic_pairs`` in it, in ``_cas``."""
+        gens, pos = self.generators, self._lead_pos
+        self._uge = PBWAlgebra.presented([gen.name for gen in gens],
+                                         [gen.parity for gen in gens], table)
+        self._cas = self._uge.from_words(
+            ((pos[a], pos[b]), c) for a, b, c in self._quadratic_pairs())
 
     def _certified_table(self):
         """The table proved equal to the closed form, or None."""
         gens, closed = self.generators, self.closed_form_table
         seeds, order, recipes = self._reach(closed)
         rank = {k: t for t, k in enumerate(order)}
-        uge = PBWAlgebra.presented([gen.name for gen in gens],
-                                   [gen.parity for gen in gens], closed)
-
-        def bracket(x, coords):
-            """[x, coords] in the presented algebra, over exponents."""
-            return uge.exponents(uge.commutator({(x,): ONE},
-                                                from_exponents(coords)))
-
+        uge = self._uge
         table = {}
         for p, q in combinations_with_replacement(range(len(gens)), 2):
             key = (gens[p].name, gens[q].name)
@@ -686,19 +704,18 @@ class WAlgebra:
                         self.evaluate_coordinates(closed[key]).value:
                     return None
                 continue
-            got = {}
+            # a closed entry E(z, b) is read as the row ad(z, b) of ``uge``
+            got, word = {}, {(b,): ONE}
             for (x, r), c in recipes[y].items():
-                xb = _entry(gens, closed, x, b)
+                xb = uge.ad(x, word)
                 if r is None:
                     axpy(got, c, xb)
                     continue
-                rb = _entry(gens, closed, r, b)
-                if rb:
-                    axpy(got, c, bracket(x, rb))
-                if xb:
-                    axpy(got, c if gens[x].parity and gens[r].parity else -c,
-                         bracket(r, xb))
-            if got != _entry(gens, closed, y, b):
+                axpy(got, c, uge.ad(x, uge.ad(r, word)))
+                axpy(got, c if gens[x].parity and gens[r].parity else -c,
+                     uge.ad(r, xb))
+            # the closed entry as it stands, not a row ``uge`` read before
+            if uge.exponents(got) != _entry(gens, closed, y, b):
                 return None
         return table
 
@@ -730,6 +747,10 @@ class WAlgebra:
         return None
 
     def verify_relations(self):
+        """The relation report: each identity group with its cases and
+        failures.  It reads ``commutator_table`` first, so every group
+        that brackets in ``uge``, casimir-vs-quadratic with its Theta_Cas,
+        reads a certified algebra."""
         gr, g, pbw = self.grading, self.algebra, self.pbw
         gens, lead = self.generators, self._lead_pos
         table, closed = self.commutator_table, self.closed_form_table
@@ -780,11 +801,11 @@ class WAlgebra:
               self.evaluate_coordinates(diff(pos_c, k)).value)
              for k, gen in enumerate(gens) if k != pos_c))
 
-        zero, cas = self._cas
+        uge, cas = self.uge, self._cas
         run("casimir-vs-quadratic",
             (("[Cas,%s]" % g.labels[a],
-              self.evaluate_coordinates(zero.exponents(
-                  zero.commutator(cas, {(lead[a],): ONE}))).value)
+              self.evaluate_coordinates(uge.exponents(
+                  uge.commutator(cas, {(lead[a],): ONE}))).value)
              for a in self.ge0_letters))
 
         if gr.parity_type == "odd":

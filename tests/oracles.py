@@ -13,8 +13,10 @@ it uses the package's exact solvers.  The raiser-square reference
 spells out Theta(g_mid)^2 term by term, where the package reads it as
 half the closed-form (g_mid, g_mid) entry; ``theta_cas_reference``
 multiplies Theta_Cas from the lifts in U(g), where the package brackets
-the one of the closed form's presented algebra; and the weight-zero pool
-holds the products the projection pi is checked on.
+the one of ``wal.uge``; and the weight-zero pool holds the products the
+projection pi is checked on.  ``c0_epsilon_law`` states c0 and epsilon
+by laws in r - s and the kind of theta, where the package averages the
+degree-1 pair expansion.
 ``pbw_coordinates_reference`` is the straightener as it was before the
 leading-word peel: it echelons the top parts of every ordered monomial
 of each Kazhdan degree and restricted weight and solves against them; a
@@ -44,7 +46,7 @@ from minwsuper.envelope import render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.scalar import HALF, ONE, ZERO, Scalar, acc, axpy, scalar
 from minwsuper.superalgebra import (LieSuperalgebra, LinearSolver,
-                                   _rational_inverse)
+                                   _rational_inverse, parse_descriptor)
 from minwsuper.wgen import w_multiply
 
 
@@ -285,11 +287,33 @@ def raiser_square_reference(wal):
     return out
 
 
+def c0_epsilon_law(descriptor, grading):
+    """(c0, epsilon) of ``grading`` by laws fitted on every minimal-root
+    grading of the ladder, not derived, with x = r - s: c0 = (3x - 4)/8
+    for theta in a gl block (gl, sl, psl), (5x - 6)/16 for theta in sp(2n)
+    of spo(2n|m) = osp(m|2n) and x/2 for theta in so(m); epsilon =
+    x^2/16 in type odd, None in type even.  On spo(2n|m) theta lies in
+    sp(2n) exactly when one of its first n Cartan coordinates is nonzero;
+    r and s alone do not tell the kind, as the sp(2) and so(4) roots of
+    spo:2|4 share them."""
+    family, (p, _) = parse_descriptor(descriptor)
+    x = grading.r - grading.s
+    if family != "spo":
+        c0 = Fraction(3 * x - 4, 8)
+    elif any(grading.theta[:p // 2]):
+        c0 = Fraction(5 * x - 6, 16)
+    else:
+        c0 = Fraction(x, 2)
+    if grading.parity_type != "odd":
+        return c0, None
+    return c0, Fraction(x * x, 16)
+
+
 def theta_cas_reference(wal):
     """Theta_Cas in U(g): the sum of c Theta_a Theta_b over the
     workspace's ``_quadratic_pairs``, each product multiplied from the
     letter lifts, certified for the twisted adjoint action.  The package
-    forms Theta_Cas only in the presented algebra of the closed form."""
+    forms Theta_Cas only in ``wal.uge``."""
     value = {}
     for a, b, c in wal._quadratic_pairs():
         axpy(value, c, wal.mul_raw(wal.theta_letter(a).value,

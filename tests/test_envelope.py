@@ -244,14 +244,11 @@ def test_commutator_matches_products(setups):
 
 def _ad_cases():
     """(name, algebra): U(g) of five algebras on a fresh PBWAlgebra each,
-    and the presented U(g, e) of spo:2|3 on its certified table."""
+    and the workspace's presented U(g, e) of spo:2|3, whose adjoint cache
+    the certificate of its table has filled."""
     for name in ["osp:1|2", "sl:2|1", "spo:2|3", "psl:2|2", "psl:3|3"]:
         yield name, _setup(name)[1]
-    wal = workspace(grade(build_algebra("spo:2|3")))
-    gens = wal.generators
-    yield "U(g,e) of spo:2|3", PBWAlgebra.presented(
-        [gen.name for gen in gens], [gen.parity for gen in gens],
-        wal.commutator_table)
+    yield "U(g,e) of spo:2|3", workspace(grade(build_algebra("spo:2|3"))).uge
 
 
 def test_ad_matches_commutator():
@@ -328,15 +325,11 @@ def _seeded_element(rng, pbw, terms=5, maxlen=3):
 def test_mul_matches_word_pair_reference(name):
     # mul folds all of a through each word of b and shares the folds of
     # common prefixes; the word-pair sum gives the same dict in U(g), the
-    # presented U(g, e) and the Cartan subquotient
+    # workspace's presented U(g, e) and the Cartan subquotient
     gr = grade(build_algebra(name))
     wal = workspace(gr)
-    gens = wal.generators
-    uge = PBWAlgebra.presented([gen.name for gen in gens],
-                               [gen.parity for gen in gens],
-                               wal.closed_form_table)
     rng = random.Random(name)
-    for pbw in (wal.pbw, uge, build_cartan_w(gr).pbw):
+    for pbw in (wal.pbw, wal.uge, build_cartan_w(gr).pbw):
         assert pbw.mul({}, pbw.unit()) == pbw.mul(pbw.unit(), {}) == {}
         for _ in range(8):
             a, b = (_seeded_element(rng, pbw) for _ in range(2))

@@ -10,13 +10,14 @@ its grading's rebased adapted algebra, PBW normal forms of seeded words
 of length 2 to 4 must equal those of the free rewriter in ``oracles``.
 Its relation report must be ``ok``, its commutator table must be
 certified from a generating set, with no fallback to straightening every
-pair, and its commutator table in closed form must equal the one
-straightened from the lifts in U(g), entry for entry.  Theta_Cas
-multiplied from the lifts in U(g) must commute there with every
-degree-0 lift, as the report's closed-form Theta_Cas does in
-the presented algebra.  The presented algebra of that closed form,
-U(g, e) on ordered generator monomials, must be associative on seeded
-triples of generators: the overlap check of the diamond lemma.  On the
+pair, its workspace must have built one presented U(g, e), the one
+``wal.uge`` hands out, and its commutator table in closed form must
+equal the one straightened from the lifts in U(g), entry for entry.
+Theta_Cas multiplied from the lifts in U(g) must commute there with
+every degree-0 lift, as the report's Theta_Cas does in ``wal.uge``.
+That kept algebra, U(g, e) on ordered generator monomials over the
+certified closed form, must be associative on seeded triples of
+generators: the overlap check of the diamond lemma.  On the
 grading of every minimal root, the restricted roots must build, which
 certifies that the positive ones are simplicial: the
 indecomposable ones are independent, and every positive one is a
@@ -42,7 +43,8 @@ The big rows psl:7|7 (dim 194), spo:14|7 (dim 224), spo:18|9 (dim 369)
 and psl:10|10 (dim 398) run with ``MINWSUPER_BIG=1``: ``validate`` is
 clean on its generating-set path, with exact recipes, the relation
 report is ``ok`` with its commutator table certified from a generating
-set, and the realizations of each pair match their frozen SHA-256.
+set and one presented U(g, e) built, and the realizations of each pair
+match their frozen SHA-256.
 
     MINWSUPER_BIG=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
 """
@@ -169,15 +171,22 @@ def _clean_on_generating_letters(g, monkeypatch):
 
 
 def _certified_report(wal, monkeypatch):
-    """The relation report of ``wal``, asserting that its commutator
-    table was certified without a fallback and equals the closed form."""
-    calls = []
+    """The cold relation report of ``wal``, asserting that its commutator
+    table was certified without a fallback and equals the closed form,
+    and that the workspace built its presented U(g, e) once, the one
+    ``wal.uge`` hands out."""
+    calls, built = [], []
     real = wgen.WAlgebra._straightened_table
+    present = PBWAlgebra.presented.__func__
     with monkeypatch.context() as patch:
         patch.setattr(wgen.WAlgebra, "_straightened_table",
                       lambda self: calls.append(self) or real(self))
+        patch.setattr(PBWAlgebra, "presented", classmethod(
+            lambda cls, *args: built.append(present(cls, *args))
+            or built[-1]))
         rep = wal.verify_relations()
     assert calls == [], wal.algebra.display
+    assert built == [wal.uge], wal.algebra.display
     assert rep["ok"], [i for i in rep["identities"] if i["failures"]]
     assert wal.closed_form_table == wal.commutator_table
     return rep
@@ -256,10 +265,7 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
     _certified_report(wal, monkeypatch)
     assert wal.closed_form_table == wal._straightened_table()
     assert casimir_vs_quadratic_reference(wal)["failures"] == [], desc
-    gens = wal.generators
-    uge = PBWAlgebra.presented([gen.name for gen in gens],
-                               [gen.parity for gen in gens],
-                               wal.closed_form_table)
+    gens, uge = wal.generators, wal.uge
     rng = random.Random(desc)
     for _ in range(TRIPLES):
         x, y, z = ({(rng.randrange(len(gens)),): ONE} for _ in range(3))

@@ -14,12 +14,13 @@ from minwsuper.envelope import (PBWAlgebra, from_exponents, kazhdan_weights,
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.grading import WeightData, grade
 from minwsuper.scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from minwsuper.superalgebra import _seeds, build_algebra, validate
+from minwsuper.superalgebra import (_seeds, _weights_of_basis, build_algebra,
+                                   minimal_root_candidates, validate)
 
-from oracles import (assert_exact_recipes, casimir_vs_quadratic_reference,
-                     count_bounded_monomials, monomials_of_weight,
-                     pbw_coordinates_reference, raiser_square_reference,
-                     weight_zero_pool)
+from oracles import (assert_exact_recipes, c0_epsilon_law,
+                     casimir_vs_quadratic_reference, count_bounded_monomials,
+                     monomials_of_weight, pbw_coordinates_reference,
+                     raiser_square_reference, weight_zero_pool)
 
 NAMES = ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1", "psl:2|2", "gl:2|1"]
 
@@ -72,6 +73,24 @@ def test_c0_family_regression():
 def test_epsilon_family_regression():
     for name, want in EPSILON_VALUES.items():
         assert wgen.compute_epsilon(grade(build_algebra(name))) == want
+
+
+def test_c0_epsilon_laws_on_every_minimal_root():
+    """c0 and epsilon obey ``c0_epsilon_law`` on the grading of every
+    minimal root of the frozen rows, spo:2|4's so(4) roots among them,
+    whose r and s are those of its sp(2) root.  The laws are fitted on
+    the ladder, not derived, so they add checks next to the freezes."""
+    gradings = 0
+    for name in sorted(C0_VALUES):
+        g = build_algebra(name)
+        for theta in minimal_root_candidates(g, _weights_of_basis(g)):
+            gr = grade(g, theta)
+            c0, epsilon = c0_epsilon_law(name, gr)
+            assert wgen.compute_c0(gr) == c0, (name, theta)
+            if epsilon is not None:
+                assert wgen.compute_epsilon(gr) == epsilon, (name, theta)
+            gradings += 1
+    assert gradings == 66
 
 
 def test_c0_same_for_every_source_pair(gradings):
@@ -383,15 +402,12 @@ def test_multiply_is_associative(gradings):
 @pytest.mark.parametrize("name", ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1",
                                   "psl:2|2", "sl:3|1", "spo:2|5"])
 def test_presentation_multiplies_like_straightening(name):
-    # the presented algebra of the closed-form table is U(g, e) on ordered
+    # the workspace's presented algebra is U(g, e) on ordered
     # monomials: a product of two of 1-3 generators has the coordinates
     # that straightening their product in U(g) gives, and products of
     # three associate
     wal = wgen.workspace(grade(build_algebra(name)))
-    gens = wal.generators
-    uge = PBWAlgebra.presented([gen.name for gen in gens],
-                               [gen.parity for gen in gens],
-                               wal.closed_form_table)
+    gens, uge = wal.generators, wal.uge
     rng = random.Random(name)
 
     def monomial():
@@ -968,17 +984,22 @@ def test_damaged_reports_frozen(name, damage):
         DAMAGED_REPORT_DIGESTS[(name, damage)]
 
 
-def _damaged_workspaces(name, sample):
+def _damaged_workspaces(name, sample=None):
     """(label, workspace) for c0 + 1 and for +1 on the unit term of each
-    closed entry in a seeded sample of ``sample`` of them, applied
-    before the commutator table is built."""
-    wal = wgen.WAlgebra(grade(build_algebra(name)))
+    closed entry in a seeded sample of ``sample`` of them, or of every one
+    when ``sample`` is None, applied after the closed form, and the
+    presented U(g, e) over it, are built and before the commutator table
+    is."""
+    mg = grade(build_algebra(name))
+    wal = wgen.WAlgebra(mg)
     wal._c0 = wal.c0 + 1
     yield "c0", wal
     keys = sorted(wal.closed_form_table)
+    if sample is not None:
+        keys = random.Random(name).sample(keys, min(sample, len(keys)))
     unit = (0,) * len(wal.generators)
-    for key in random.Random(name).sample(keys, min(sample, len(keys))):
-        wal = wgen.WAlgebra(grade(build_algebra(name)))
+    for key in keys:
+        wal = wgen.WAlgebra(mg)
         acc(wal.closed_form_table[key], unit, ONE)
         yield key, wal
 
@@ -1009,6 +1030,63 @@ def test_damaged_closed_form_falls_back(name, sample, monkeypatch):
     assert calls == []
     assert wal.closed_form_table == want
     assert not wal.verify_relations()["ok"]
+
+
+@pytest.mark.parametrize("name,entries", [("sl:2|1", 10), ("spo:2|3", 36),
+                                          ("spo:2|5", 153), ("psl:2|2", 36)])
+def test_every_damaged_closed_entry_fails_the_certificate(name, entries):
+    # +1 on the unit term of any one closed entry fails the certificate,
+    # also where the pair expansion read that entry's row into the
+    # presented U(g, e) before the damage: each derived entry is compared
+    # with the closed entry as it stands, not with the row read before
+    labels = []
+    for label, wal in _damaged_workspaces(name):
+        assert wal._certified_table() is None, (name, label)
+        labels.append(label)
+    assert len(labels) == entries + 1, name
+
+
+def _presented_builds(monkeypatch):
+    """The list each ``PBWAlgebra.presented`` build appends its algebra
+    to from now on."""
+    built = []
+    real = PBWAlgebra.presented.__func__
+    monkeypatch.setattr(PBWAlgebra, "presented", classmethod(
+        lambda cls, *args: built.append(real(cls, *args)) or built[-1]))
+    return built
+
+
+@pytest.mark.parametrize("name", ["spo:2|3", "sl:2|1", "spo:2|5",
+                                  "psl:3|3"])
+def test_one_presented_algebra_per_workspace(name, monkeypatch):
+    # a cold report builds U(g, e) once, in closed_form_table, and the
+    # certificate, the casimir group and ``uge`` read that one; ``uge``
+    # hands it out only after the table is certified
+    built = _presented_builds(monkeypatch)
+    mg = grade(build_algebra(name))
+    wal = wgen.WAlgebra(mg)
+    assert wal.verify_relations()["ok"], name
+    assert built == [wal.uge], name
+    wal = wgen.WAlgebra(mg)
+    uge = wal.uge
+    assert wal._table is not None and built[1:] == [uge], name
+    # a damaged closed entry, the longest of two degree-0 generators, whose
+    # row the pair expansion may have read, falls back; U(g, e) is built
+    # once more, over the straightened table, so the kept algebra holds
+    # the true row
+    wal = wgen.WAlgebra(mg)
+    gens, closed = wal.generators, wal.closed_form_table
+    p, q = max(((p, q) for p in range(len(gens)) for q in range(p, len(gens))
+                if {gens[p].letter, gens[q].letter} <= set(wal.ge0_letters)),
+               key=lambda pq: len(closed[(gens[pq[0]].name,
+                                          gens[pq[1]].name)]))
+    key = (gens[p].name, gens[q].name)
+    want = dict(closed[key])
+    acc(closed[key], (0,) * len(gens), ONE)
+    wal.verify_relations()
+    assert built[2:] == [built[2], wal.uge] and built[2] is not wal.uge, name
+    assert wal.commutator_table[key] == want, name
+    assert wal.uge.exponents(wal.uge.ad(p, {(q,): ONE})) == want, name
 
 
 @pytest.mark.xfail(strict=True,
