@@ -24,10 +24,8 @@ from itertools import combinations_with_replacement
 from .envelope import PBWAlgebra, from_exponents, render_element
 from .errors import ConsistencyError, PreconditionError, check_type
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from .superalgebra import (LinearSolver, _indecomposable,
-                           _over_common_denominator, _rational_tuple)
-from .wgen import (WElement, _checked_coords, _monomial_text, _workspace_of,
-                   workspace)
+from .superalgebra import LinearSolver, _indecomposable, _rational_tuple
+from .wgen import _checked_coords, _monomial_text, _workspace_of, workspace
 
 class NotHomogeneousError(PreconditionError):
     """Raised for elements mixing several restricted weights.
@@ -355,27 +353,24 @@ def simple_module(cw, lam, c=None):
 
 
 def restricted_weight(x):
-    """Common weight of all words of ``x``; the zero element has weight 0.
+    """Common weight of the monomials of ``x``; 0 for the zero element.
 
     Raises :class:`NotHomogeneousError` with the weight decomposition
     when several weights occur.
     """
     wal = _workspace_of(x)
-    if wal._moving is None:
-        # letters of weight zero add nothing, so only the others are summed
-        den, ints = _over_common_denominator(wal.grading.letter_weights)
-        wal._moving = den, {i: wt for i, wt in enumerate(ints) if any(wt)}
-    den, moving = wal._moving
-    zero = (0,) * len(wal.grading.hes)
+    lw = wal.grading.letter_weights
+    # each generator has its letter's weight and C has 0; sum the others
+    moving = [(k, lw[gen.letter]) for k, gen in enumerate(wal.generators)
+              if gen.letter is not None and any(lw[gen.letter])]
+    zero = (Fraction(0),) * len(wal.grading.hes)
     comps = {}
-    for word, c in x.value.items():
-        steps = [moving[i] for i in word if i in moving]
-        wt = tuple(map(sum, zip(*steps))) if steps else zero
-        comps.setdefault(wt, {})[word] = c
+    for expo, c in x._coordinates().items():
+        steps = (wt for k, wt in moving for _ in range(expo[k]))
+        comps.setdefault(tuple(map(sum, zip(zero, *steps))), {})[expo] = c
     if len(comps) < 2:
-        return tuple(Fraction(n, den) for n in next(iter(comps), zero))
-    split = {tuple(Fraction(n, den) for n in wt):
-             WElement(wal, part)
+        return next(iter(comps), zero)
+    split = {wt: wal.evaluate_coordinates(part)
              for wt, part in sorted(comps.items())}
     raise NotHomogeneousError(
         "not homogeneous: %d distinct restricted weights %s"

@@ -90,23 +90,26 @@ class PBWAlgebra:
         """The algebra on letters 0, 1, ... named ``names``, of the given
         parities, with [x_i, x_j] = ``table[(names[i], names[j])]`` over
         exponent tuples for i <= j, 0 where it has none; no g or weights.
-        Each row is turned into words on its first read, the reversed pair
-        (j, i) with the supersign, so a row of ``table`` may still be filled
-        after the build as long as nothing has read it."""
+        Each nonempty row is turned into words on its first read, the
+        reversed pair (j, i) with the supersign, so a row of ``table`` may
+        still be filled after the build as long as nothing has read it."""
         rows = {}
+
+        def entry(a, b):
+            return table.get((names[min(a, b)], names[max(a, b)]))
 
         def row(a, b):
             got = rows.get((a, b))
             if got is None:
-                i, j = sorted((a, b))
-                got = from_exponents(table.get((names[i], names[j])) or {})
+                got = entry(a, b)
+                got = from_exponents(got) if got else {}
                 if a > b and not (parities[a] and parities[b]):
                     got = {w: -c for w, c in got.items()}
                 got = rows[a, b] = tuple(got.items())
             return got
 
         pbw = object.__new__(cls)
-        pbw._start(tuple(parities), row, row)
+        pbw._start(tuple(parities), entry, row)
         pbw.g = pbw.weights = None
         return pbw
 

@@ -7,42 +7,37 @@ of degree 0 or 1; together with one Casimir element (and, in type odd,
 the bare midline coset) these close under supercommutators.
 
 Each generator is certified once, where it is built, and every element
-formed from generators inherits finite invariance (``WElement``).
+formed from generators inherits finite invariance (``WElement``).  A
+W-element lives on its coordinates over the ordered generator monomials.
 
 ``closed_form_table`` states every generator supercommutator in
 closed form, from the structure constants of g and c0 alone: the
-presentation by Theta_v, Theta_w, C and F.  ``commutator_table``, the
-brackets of the lifts, certifies the closed form from a generating set,
-by the argument of ``superalgebra._reach`` that lets
-``superalgebra.validate`` check Jacobi on generating letters alone:
-every generator is reached from seeds X by closed brackets with them,
-the pairs with a seed (and those among C and F) are formed in U(g),
-every other pair is derived by the super Jacobi identity in the closed
-form's presented algebra, and induction on (Kazhdan weight sum,
-reaching position) proves the rest.
-Any failed check falls back to straightening every pair in U(g).
-The workspace keeps one presented U(g, e), ``WAlgebra.uge``, built in
-``closed_form_table`` and handed out once ``commutator_table`` has
-certified it, or rebuilt it over the straightened table.
-``verify_relations`` reads that table by generator position, and every
-group that checks a table entry reads the entry minus its closed form;
-coordinates over ordered monomials are unique, so equal entries certify
-the presentation.  Theta_Cas, the Casimir of g(0)# lifted by Theta, is
-stated once, in ``uge``, and the report brackets it there with every
-degree-0 generator.  The raiser square
-Theta(g_mid)^2 is formed from the lifts and must be half the closed
-(g_mid, g_mid) entry, since Theta(g_mid) is odd.  ``pbw_coordinates``
-expresses invariants in ordered monomials of the generators by a
-triangular peel: the top part of an ordered monomial is led by the
-product of its generators' leading letters, so the leading word of a
-coset's top part names the next monomial to subtract.  Only the ordered
-monomials themselves are kept.
+presentation by Theta_v, Theta_w, C and F.  ``commutator_table``
+certifies it from a generating set, by the argument of
+``superalgebra._reach``, or falls back to straightening every pair in
+U(g).  The workspace keeps one presented U(g, e) over the certified
+table, ``WAlgebra.uge``; ``w_multiply`` and ``w_commutator`` are its
+product and supercommutator on coordinates.  ``verify_relations`` reads
+the table by generator position, and every group that checks a table
+entry reads the entry minus its closed form; coordinates over ordered
+monomials are unique, so equal entries certify the presentation.
+Theta_Cas, the Casimir of g(0)# lifted by Theta, is stated once, in
+``uge``, and the report brackets it there with every degree-0
+generator.  The raiser square Theta(g_mid)^2 is formed from the lifts
+and must be half the closed (g_mid, g_mid) entry, since Theta(g_mid) is
+odd.  ``pbw_coordinates`` peels a coset of U(g) to its coordinates: the
+top part of an ordered monomial is led by the product of its
+generators' leading letters, so the leading word of a coset's top part
+names the next monomial to subtract.  It serves the sides that U(g)
+checks on its own: the straightened table, and elements built from a
+value.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .envelope import PBWAlgebra, kazhdan_weights, render_element
+from .envelope import (PBWAlgebra, from_exponents, kazhdan_weights,
+                       render_element)
 from .errors import ConsistencyError, PreconditionError, check_type
 from .grading import (MinimalGrading, admissible_subalgebras, neg_one_bases,
                       weights_delta_rho)
@@ -89,50 +84,59 @@ def _render_coords(wal, coords):
 
 
 class WElement:
-    """An element of U(g,e): an invariant coset in the finite quotient.
-
-    ``value`` is a normal-form dict free of the lowest root vector, and
-    ``kdeg`` is its Kazhdan degree.  Only generators are certified, where
-    they are built: F for nzero, f and the degree -1 block without the
-    midline letter ("finite"), the others for nprime, f and the whole
-    block ("refined").  nzero lies in nprime, so all are finite-invariant.
-    For a letter x of nzero, ad_x(ab) = ad_x(a) b +- a ad_x(b), U(g)(f-1)
-    is a left ideal, and U(g)(f-1) b lies in it when [f, b] does, as f is
-    in nzero; so the finite-invariant cosets form a subalgebra, and sums,
-    products, supercommutators, coordinate evaluations and weight
-    components inherit finite invariance.  No more holds in general: on
-    spo:2|3, F C is not refined-invariant.  Coordinates over the ordered
-    generator monomials are straightened once and kept.
+    """An element of U(g,e), an invariant coset in the finite quotient,
+    kept as its coordinates over the ordered generator monomials.  Its
+    normal-form ``value``, free of the lowest root vector, is evaluated on
+    first read, and ``WElement(wal, value)`` is peeled once.
+    Only generators are certified, where they are built: F for nzero, f
+    and the degree -1 block without the midline letter ("finite"), the
+    others for nprime, f and the whole block ("refined").  nzero lies in
+    nprime, so all are finite-invariant.  For a letter x of nzero,
+    ad_x(ab) = ad_x(a) b +- a ad_x(b), U(g)(f-1) is a left ideal, and
+    U(g)(f-1) b lies in it when [f, b] does, as f is in nzero; so the
+    finite-invariant cosets form a subalgebra, and sums, products,
+    supercommutators, coordinate evaluations and weight components
+    inherit finite invariance.  No more holds in general: on spo:2|3, F C
+    is not refined-invariant.
     """
 
-    __slots__ = ("wal", "value", "_coords")
+    __slots__ = ("wal", "_value", "_coords")
 
     def __init__(self, wal, value):
         self.wal = wal
-        self.value = value
+        self._value = value
         self._coords = None
 
     @property
+    def value(self):
+        if self._value is None:
+            self._value = {}
+            for expo, c in self._coords.items():
+                axpy(self._value, c, self.wal.monomial(expo))
+        return self._value
+
+    @property
     def kdeg(self):
-        return self.wal.pbw.kazhdan_degree(self.value)
+        gens = self.wal.generators
+        return max((sum(n * gen.weight for n, gen in zip(expo, gens))
+                    for expo in self._coordinates()), default=None)
 
     def is_zero(self):
-        return not self.value
+        return not self._coordinates()
 
     def as_finite(self):
         """The element itself, as every W-element is finite-invariant."""
         return self
 
     def _coordinates(self):
-        """``pbw_coordinates`` of the value, straightened once; callers
-        only read the dict."""
+        """The coordinates, peeled once from a value; callers read only."""
         if self._coords is None:
-            self._coords = self.wal.pbw_coordinates(self.value)
+            self._coords = self.wal.pbw_coordinates(self._value)
         return self._coords
 
     def __eq__(self, other):
         return (isinstance(other, WElement) and self.wal is other.wal
-                and self.value == other.value)
+                and self._coordinates() == other._coordinates())
 
     def __repr__(self):
         return "WElement(%s)" % render_element(self.wal.pbw, self.value)
@@ -192,11 +196,9 @@ class WAlgebra:
         self._cas = None
         self._table = None
         self._closed = None
-        # memo slots of cartanw.build_cartan_w, cartanw.restricted_roots
-        # and cartanw.restricted_weight
+        # memo slots of cartanw.build_cartan_w and cartanw.restricted_roots
         self._cartan = None
         self._roots = None
-        self._moving = None
 
     # -- quotient arithmetic --------------------------------------------
 
@@ -390,6 +392,9 @@ class WAlgebra:
         self._name_pos = {gen.name: k for k, gen in enumerate(out)}
         self._lead_pos = {gr.e if gen.letter is None else gen.letter: k
                           for k, gen in enumerate(out)}
+        for k, gen in enumerate(out):
+            gen.element._coords = {
+                tuple(int(i == k) for i in range(len(out))): ONE}
         self._gens = out
         return out
 
@@ -477,9 +482,6 @@ class WAlgebra:
         reads each row on first use, and these products read only rows of
         two degree-0 generators, which are filled first.  Theta_Cas is
         formed in it, and the two are kept in ``_uge`` and ``_cas``.
-        ``verify_relations`` reads every table entry minus this one,
-        brackets that Theta_Cas with each degree-0 generator, and checks
-        Theta(g_mid)^2 against half the (g_mid, g_mid) entry.
         """
         if self._closed is not None:
             return self._closed
@@ -597,10 +599,10 @@ class WAlgebra:
         return coords
 
     def evaluate_coordinates(self, coords):
-        value = {}
-        for expo, c in coords.items():
-            axpy(value, c, self.monomial(expo))
-        return WElement(self, value)
+        """The element with coordinates ``coords``, which it keeps."""
+        x = WElement(self, None)
+        x._coords = coords
+        return x
 
     def _straightened_table(self):
         """Every pairwise supercommutator of generators, straightened from
@@ -914,21 +916,21 @@ def _workspace_of(x):
     return check_type(x, WElement).wal
 
 
-def _shared_workspace(a, b):
-    """The workspace of two elements that may be combined."""
+def _presented(op, a, b):
+    """``op`` of ``wal.uge`` on the coordinates of two elements."""
     if _workspace_of(a) is not _workspace_of(b):
         raise PreconditionError("elements live over different gradings")
-    return a.wal
+    uge = a.wal.uge
+    words = [from_exponents(x._coordinates()) for x in (a, b)]
+    return a.wal.evaluate_coordinates(uge.exponents(op(uge, *words)))
 
 
 def w_multiply(a, b):
-    wal = _shared_workspace(a, b)
-    return WElement(wal, wal.mul_raw(a.value, b.value))
+    return _presented(PBWAlgebra.mul, a, b)
 
 
 def w_commutator(a, b):
-    wal = _shared_workspace(a, b)
-    return WElement(wal, wal.comm_raw(a.value, b.value))
+    return _presented(PBWAlgebra.commutator, a, b)
 
 
 def compute_c0(grading):

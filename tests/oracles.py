@@ -15,8 +15,8 @@ half the closed-form (g_mid, g_mid) entry; ``theta_cas_reference``
 multiplies Theta_Cas from the lifts in U(g), where the package brackets
 the one of ``wal.uge``; and the weight-zero pool holds the products the
 projection pi is checked on.  ``c0_epsilon_law`` states c0 and epsilon
-by laws in r - s and the kind of theta, where the package averages the
-degree-1 pair expansion.
+by laws in r - s and the kind of theta (``theta_kind``), where the
+package averages the degree-1 pair expansion.
 ``pbw_coordinates_reference`` is the straightener as it was before the
 leading-word peel: it echelons the top parts of every ordered monomial
 of each Kazhdan degree and restricted weight and solves against them; a
@@ -287,23 +287,26 @@ def raiser_square_reference(wal):
     return out
 
 
+def theta_kind(descriptor, grading):
+    """Where theta lies: "gl" in a gl block (gl, sl, psl), and "sp" in
+    sp(2n) or "so" in so(m) of spo(2n|m) = osp(m|2n).  On spo(2n|m) theta
+    lies in sp(2n) exactly when one of its first n Cartan coordinates is
+    nonzero; r and s alone do not tell the kind, as the sp(2) and so(4)
+    roots of spo:2|4 share them."""
+    family, (p, _) = parse_descriptor(descriptor)
+    if family != "spo":
+        return "gl"
+    return "sp" if any(grading.theta[:p // 2]) else "so"
+
+
 def c0_epsilon_law(descriptor, grading):
     """(c0, epsilon) of ``grading`` by laws fitted on every minimal-root
-    grading of the ladder, not derived, with x = r - s: c0 = (3x - 4)/8
-    for theta in a gl block (gl, sl, psl), (5x - 6)/16 for theta in sp(2n)
-    of spo(2n|m) = osp(m|2n) and x/2 for theta in so(m); epsilon =
-    x^2/16 in type odd, None in type even.  On spo(2n|m) theta lies in
-    sp(2n) exactly when one of its first n Cartan coordinates is nonzero;
-    r and s alone do not tell the kind, as the sp(2) and so(4) roots of
-    spo:2|4 share them."""
-    family, (p, _) = parse_descriptor(descriptor)
+    grading of the ladder, not derived, with x = r - s and the kind of
+    ``theta_kind``: c0 = (3x - 4)/8 for "gl", (5x - 6)/16 for "sp" and
+    x/2 for "so"; epsilon = x^2/16 in type odd, None in type even."""
     x = grading.r - grading.s
-    if family != "spo":
-        c0 = Fraction(3 * x - 4, 8)
-    elif any(grading.theta[:p // 2]):
-        c0 = Fraction(5 * x - 6, 16)
-    else:
-        c0 = Fraction(x, 2)
+    c0 = {"gl": Fraction(3 * x - 4, 8), "sp": Fraction(5 * x - 6, 16),
+          "so": Fraction(x, 2)}[theta_kind(descriptor, grading)]
     if grading.parity_type != "odd":
         return c0, None
     return c0, Fraction(x * x, 16)

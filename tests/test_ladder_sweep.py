@@ -21,18 +21,21 @@ generators: the overlap check of the diamond lemma.  On the
 grading of every minimal root, the restricted roots must build, which
 certifies that the positive ones are simplicial: the
 indecomposable ones are independent, and every positive one is a
-nonnegative integer combination of them.  A class of minimal roots is
-a value of (parity type, r, s); on one root of every class other than
-the default grading's, the relation report must be ``ok`` on the
-certificate path, the closed form must equal the straightened table,
-and c0 (and epsilon in type odd) must match ``EXTRA_CLASSES``.  On
-every row of parity type odd, half the closed-form (g_mid, g_mid)
-entry must equal the explicit raiser-square reference, since Theta(g_mid) is odd.  On every row, pi
-must be multiplicative on seeded products of the weight-zero pool, drawn
-among all its pairs, up to Kazhdan degree 12: straightening peels one
-ordered monomial per leading word, so no degree is too large to
-coordinate.  One seeded product of the pool, of Kazhdan degree 8 or
-less, must pass the invariance check that products inherit unchecked.
+nonnegative integer combination of them, and c0 (and epsilon in type
+odd) must obey the fitted laws of ``oracles.c0_epsilon_law``.  A class
+of minimal roots is a value of (parity type, r, s, kind of theta), the
+kind as ``oracles.theta_kind`` reads it; on one root of every class
+other than the default grading's, the relation report must be ``ok`` on
+the certificate path, the closed form must equal the straightened
+table, and c0 (and epsilon in type odd) must match ``EXTRA_CLASSES``.
+On every row of parity type odd, half the closed-form (g_mid, g_mid)
+entry must equal the explicit raiser-square reference, since
+Theta(g_mid) is odd.  On every row, pi must be multiplicative on
+seeded products of the weight-zero pool, drawn among all its pairs, up
+to Kazhdan degree 12, each formed on coordinates in ``wal.uge``.  One
+seeded product of the pool, of Kazhdan degree 8 or less, must have the
+coordinates that peeling the U(g) product of its factors gives, and
+must pass the invariance check that products inherit unchecked.
 The JSON of every row's matrix realization, taken together, must match
 one frozen SHA-256, and that of each pair of big rows below another.
 The sweep takes minutes, so it runs only with ``MINWSUPER_SWEEP=1`` set:
@@ -43,8 +46,8 @@ The big rows psl:7|7 (dim 194), spo:14|7 (dim 224), spo:18|9 (dim 369)
 and psl:10|10 (dim 398) run with ``MINWSUPER_BIG=1``: ``validate`` is
 clean on its generating-set path, with exact recipes, the relation
 report is ``ok`` with its commutator table certified from a generating
-set and one presented U(g, e) built, and the realizations of each pair
-match their frozen SHA-256.
+set and one presented U(g, e) built, c0 and epsilon obey the fitted
+laws, and the realizations of each pair match their frozen SHA-256.
 
     MINWSUPER_BIG=1 PYTHONPATH=src python -m pytest -q tests/test_ladder_sweep.py
 """
@@ -65,39 +68,43 @@ from minwsuper.superalgebra import (_reach, _seed_letters, _weights_of_basis,
                                     build_algebra, minimal_root_candidates,
                                     root_decomposition, validate)
 
-from oracles import (assert_exact_recipes, casimir_vs_quadratic_reference,
-                     free_normal_form, generated_dimension, gram_minimal_roots,
-                     raiser_square_reference, weight_form, weight_zero_pool)
+from oracles import (assert_exact_recipes, c0_epsilon_law,
+                     casimir_vs_quadratic_reference, free_normal_form,
+                     generated_dimension, gram_minimal_roots,
+                     raiser_square_reference, theta_kind, weight_form,
+                     weight_zero_pool)
 
 MAX_DIM = 50
 BIG_ROWS = ["psl:7|7", "spo:14|7"]
 BIGGER_ROWS = ["spo:18|9", "psl:10|10"]
-# descriptor -> {(parity type, r, s): (c0, epsilon or None)} for each
-# class of minimal roots other than the default grading's, as
-# ``Scalar.render`` prints them: regression freezes of the current build
+# descriptor -> {(parity type, r, s, kind of theta): (c0, epsilon or
+# None)} for each class of minimal roots other than the default grading's,
+# as ``Scalar.render`` prints them: regression freezes of the current
+# build, each also checked by ``c0_epsilon_law``
 EXTRA_CLASSES = {
-    "gl:2|3": {("even", 4, 2): ("1/4", None)},
-    "gl:2|4": {("even", 4, 4): ("-1/2", None)},
-    "gl:2|5": {("even", 4, 6): ("-5/4", None)},
-    "gl:3|2": {("even", 6, 0): ("7/4", None)},
-    "gl:3|4": {("even", 6, 4): ("1/4", None)},
-    "gl:4|2": {("even", 8, 0): ("5/2", None)},
-    "gl:4|3": {("even", 8, 2): ("7/4", None)},
-    "gl:5|2": {("even", 10, 0): ("13/4", None)},
-    "sl:2|3": {("even", 4, 2): ("1/4", None)},
-    "sl:2|4": {("even", 4, 4): ("-1/2", None)},
-    "sl:2|5": {("even", 4, 6): ("-5/4", None)},
-    "sl:3|2": {("even", 6, 0): ("7/4", None)},
-    "sl:3|4": {("even", 6, 4): ("1/4", None)},
-    "sl:4|2": {("even", 8, 0): ("5/2", None)},
-    "sl:4|3": {("even", 8, 2): ("7/4", None)},
-    "sl:5|2": {("even", 10, 0): ("13/4", None)},
-    "spo:2|5": {("even", 4, 2): ("1", None)},
-    "spo:2|6": {("even", 4, 4): ("0", None)},
-    "spo:2|7": {("even", 4, 6): ("-1", None)},
-    "spo:4|4": {("even", 8, 0): ("4", None)},
-    "spo:4|5": {("even", 8, 2): ("3", None)},
-    "spo:4|6": {("even", 8, 4): ("2", None)},
+    "gl:2|3": {("even", 4, 2, "gl"): ("1/4", None)},
+    "gl:2|4": {("even", 4, 4, "gl"): ("-1/2", None)},
+    "gl:2|5": {("even", 4, 6, "gl"): ("-5/4", None)},
+    "gl:3|2": {("even", 6, 0, "gl"): ("7/4", None)},
+    "gl:3|4": {("even", 6, 4, "gl"): ("1/4", None)},
+    "gl:4|2": {("even", 8, 0, "gl"): ("5/2", None)},
+    "gl:4|3": {("even", 8, 2, "gl"): ("7/4", None)},
+    "gl:5|2": {("even", 10, 0, "gl"): ("13/4", None)},
+    "sl:2|3": {("even", 4, 2, "gl"): ("1/4", None)},
+    "sl:2|4": {("even", 4, 4, "gl"): ("-1/2", None)},
+    "sl:2|5": {("even", 4, 6, "gl"): ("-5/4", None)},
+    "sl:3|2": {("even", 6, 0, "gl"): ("7/4", None)},
+    "sl:3|4": {("even", 6, 4, "gl"): ("1/4", None)},
+    "sl:4|2": {("even", 8, 0, "gl"): ("5/2", None)},
+    "sl:4|3": {("even", 8, 2, "gl"): ("7/4", None)},
+    "sl:5|2": {("even", 10, 0, "gl"): ("13/4", None)},
+    "spo:2|4": {("even", 4, 0, "so"): ("2", None)},
+    "spo:2|5": {("even", 4, 2, "so"): ("1", None)},
+    "spo:2|6": {("even", 4, 4, "so"): ("0", None)},
+    "spo:2|7": {("even", 4, 6, "so"): ("-1", None)},
+    "spo:4|4": {("even", 8, 0, "so"): ("4", None)},
+    "spo:4|5": {("even", 8, 2, "so"): ("3", None)},
+    "spo:4|6": {("even", 8, 4, "so"): ("2", None)},
 }
 # Regression freezes, not independent truths: one sha256 over the sorted
 # JSON of every realization in ``ladder()`` order, and one over each
@@ -110,8 +117,8 @@ BIGGER_REALIZATIONS_DIGEST = \
     "c74e68613bf933a822e854dcb0d9c477c3a6e4969ad822f5391a20a43b01e3a0"
 # the words the PBW normal form is checked on per row
 FREE_WORDS = 10
-# the products pi is checked on per row
-PI_PRODUCTS = 6
+# the products pi is checked on per row, or every pair of a smaller pool
+PI_PRODUCTS = 24
 # the generator triples the presented U(g, e) must associate on per row
 TRIPLES = 200
 
@@ -145,8 +152,9 @@ def test_ladder_rows():
     assert set(EXTRA_CLASSES) == {
         row for row in rows if row[:3] in ("gl:", "sl:")
         and min(map(int, row[3:].split("|"))) >= 2} | {
-        "spo:2|5", "spo:2|6", "spo:2|7", "spo:4|4", "spo:4|5", "spo:4|6"}
-    assert sum(map(len, EXTRA_CLASSES.values())) == 22
+        "spo:2|4", "spo:2|5", "spo:2|6", "spo:2|7", "spo:4|4", "spo:4|5",
+        "spo:4|6"}
+    assert sum(map(len, EXTRA_CLASSES.values())) == 23
 
 
 def _clean_on_generating_letters(g, monkeypatch):
@@ -192,6 +200,14 @@ def _certified_report(wal, monkeypatch):
     return rep
 
 
+def _assert_c0_epsilon_law(desc, gr):
+    """c0, and epsilon in type odd, of ``gr`` obey ``c0_epsilon_law``."""
+    c0, epsilon = c0_epsilon_law(desc, gr)
+    assert wgen.compute_c0(gr) == c0, (desc, gr.theta)
+    if epsilon is not None:
+        assert wgen.compute_epsilon(gr) == epsilon, (desc, gr.theta)
+
+
 def _realizations_digest(rows):
     digest = hashlib.sha256()
     for desc in rows:
@@ -219,7 +235,9 @@ def test_ladder_realizations_frozen():
 def test_big_row_validates_and_verifies(desc, monkeypatch):
     g = build_algebra(desc)
     _clean_on_generating_letters(g, monkeypatch)
-    _certified_report(wgen.workspace(grade(g)), monkeypatch)
+    gr = grade(g)
+    _assert_c0_epsilon_law(desc, gr)
+    _certified_report(wgen.workspace(gr), monkeypatch)
 
 
 @pytest.mark.skipif(os.environ.get("MINWSUPER_SWEEP") != "1",
@@ -238,20 +256,24 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
     tt = pair(rd.theta, rd.theta)
     assert all(rd.degree[a] == 2 * pair(a, rd.theta) / tt
                for a in rd.roots), desc
+    def key(gr):
+        return gr.parity_type, gr.r, gr.s, theta_kind(desc, gr)
+
     default = grade(g)
     classes = {}
     for theta in cands:
         gr = grade(g, theta)
         # building them certifies that the positive ones are simplicial
         restricted_roots(gr)
-        classes.setdefault((gr.parity_type, gr.r, gr.s), gr)
+        _assert_c0_epsilon_law(desc, gr)
+        classes.setdefault(key(gr), gr)
     extra = {}
-    for key, gr in classes.items():
-        if key != (default.parity_type, default.r, default.s):
+    for cls, gr in classes.items():
+        if cls != key(default):
             other = wgen.workspace(gr)
             rep = _certified_report(other, monkeypatch)
             assert other.closed_form_table == other._straightened_table()
-            extra[key] = (rep["c0"], rep["epsilon"])
+            extra[cls] = (rep["c0"], rep["epsilon"])
     assert extra == EXTRA_CLASSES.get(desc, {}), desc
     wal = wgen.workspace(default)
     adapted = wal.algebra
@@ -279,9 +301,17 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
         assert half == raiser_square_reference(wal), desc
     pool = weight_zero_pool(wal)
     pairs = [(x, y) for x in pool for y in pool]
-    for x, y in random.Random(desc).sample(pairs, PI_PRODUCTS):
+    for x, y in random.Random(desc).sample(pairs,
+                                           min(PI_PRODUCTS, len(pairs))):
         assert project_pi(wgen.w_multiply(x, y)) == \
             project_pi(x) * project_pi(y), desc
-    xy = wgen.w_multiply(*random.Random(desc).choice(
-        [(x, y) for x, y in pairs if x.kdeg + y.kdeg <= 8]))
+    # one seeded product, formed in wal.uge, against U(g): its coordinates
+    # are those of the U(g) product of the values, pi is multiplicative on
+    # it, and it passes the invariance check that products inherit
+    x, y = random.Random(desc).choice(
+        [(x, y) for x, y in pairs if x.kdeg + y.kdeg <= 8])
+    xy = wgen.w_multiply(x, y)
+    assert wgen.pbw_coordinates(xy) == wal.pbw_coordinates(
+        wal.mul_raw(x.value, y.value)), desc
+    assert project_pi(xy) == project_pi(x) * project_pi(y), desc
     assert wal.certify(xy.value, "finite") == xy, desc

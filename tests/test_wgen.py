@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from minwsuper import cartanw, wgen
+from minwsuper import cartanw, envelope, wgen
 from minwsuper.cartanw import build_cartan_w, project_pi, restricted_weight
 from minwsuper.envelope import (PBWAlgebra, from_exponents, kazhdan_weights,
                                render_element)
@@ -132,8 +132,9 @@ def test_kazhdan_degrees(gradings):
 
 
 def test_kdeg_is_derived_from_the_value(gradings):
-    # kdeg is read off the value by every constructor: a lift, a
-    # W-product and an element evaluated from coordinates
+    # kdeg, read off the coordinates, is the Kazhdan degree of the value
+    # for every constructor: a lift, a W-product and an element evaluated
+    # from coordinates
     mg = gradings["spo:2|3"]
     wal = wgen.workspace(mg)
     w = wgen.theta_w(mg, {mg.gs[0]: ONE})
@@ -427,6 +428,47 @@ def test_presentation_multiplies_like_straightening(name):
         assert uge.mul(uge.mul(x, y), z) == uge.mul(x, uge.mul(y, z)), name
 
 
+def _assert_products_match_ug(wal, x, y):
+    """w_multiply and w_commutator of x and y, formed on coordinates in
+    ``wal.uge``, have the coordinates that peeling the U(g) product and
+    supercommutator of the values gives, and kdeg is the Kazhdan degree
+    of each value."""
+    xy, comm = wgen.w_multiply(x, y), wgen.w_commutator(x, y)
+    assert wgen.pbw_coordinates(xy) == wal.pbw_coordinates(
+        wal.mul_raw(x.value, y.value))
+    assert wgen.pbw_coordinates(comm) == wal.pbw_coordinates(
+        wal.comm_raw(x.value, y.value))
+    for z in (x, y, xy, comm):
+        assert z.kdeg == wal.pbw.kazhdan_degree(z.value)
+
+
+@pytest.mark.parametrize("name", ["spo:2|3", "sl:2|1"])
+def test_pool_products_match_ug(name):
+    # every ordered product of the weight-zero pool, the stream workload's
+    wal = wgen.workspace(grade(build_algebra(name)))
+    pool = weight_zero_pool(wal)
+    for x in pool:
+        for y in pool:
+            _assert_products_match_ug(wal, x, y)
+
+
+@pytest.mark.parametrize("name", ["osp:1|2", "spo:2|5"])
+def test_seeded_products_match_ug(name):
+    # up to four seeded pairs of pool elements and generators per Kazhdan
+    # degree of their product, up to 10
+    wal = wgen.workspace(grade(build_algebra(name)))
+    elems = weight_zero_pool(wal) + [gen.element for gen in wal.generators]
+    pairs = [(x, y) for x in elems for y in elems]
+    random.Random(name).shuffle(pairs)
+    seen = {}
+    for x, y in pairs:
+        d = x.kdeg + y.kdeg
+        if d <= 10 and seen.get(d, 0) < 4:
+            seen[d] = seen.get(d, 0) + 1
+            _assert_products_match_ug(wal, x, y)
+    assert max(seen) == (8 if name == "osp:1|2" else 10), seen
+
+
 def test_straightening_round_trips(gradings):
     rng = random.Random(41)
     for name in ["osp:1|2", "sl:2|1", "spo:2|3"]:
@@ -436,11 +478,16 @@ def test_straightening_round_trips(gradings):
         for _ in range(25):
             x = wgen.evaluate_coordinates(
                 mg, {tuple(0 for _ in gens): scalar(rng.randint(-3, 3))})
+            ref = x.value
             for _ in range(rng.randint(1, 4)):
                 pick = gens[rng.randrange(len(gens))].element
                 x = wgen.w_multiply(x, pick)
+                ref = wal.mul_raw(ref, pick.value)
+            # the product chain in U(g) peels to the coordinates of the one
+            # in U(g, e), and those evaluate back to it
+            assert wal.pbw_coordinates(ref) == wgen.pbw_coordinates(x)
             back = wgen.evaluate_coordinates(mg, wgen.pbw_coordinates(x))
-            assert back.value == x.value
+            assert back.value == x.value == ref
 
 
 def test_coordinates_of_unit(gradings):
@@ -576,11 +623,12 @@ def test_peel_rejects_dependent_generators():
 def test_high_degree_pool_products():
     # products of Kazhdan degree 8 and more on spo:8|1, where an echelon
     # of every ordered monomial of the degree holds 28,865 monomials at
-    # degree 8: their coordinates evaluate back and pi is multiplicative.
-    # Degree 10 at most keeps it to seconds: w_multiply alone takes
-    # several seconds on a degree-12 product
+    # degree 8: the U(g) product peels to their coordinates and pi is
+    # multiplicative.  Degree 10 at most keeps it to seconds: the U(g)
+    # product alone takes several seconds at degree 12
     mg = grade(build_algebra("spo:8|1"))
-    pool = weight_zero_pool(wgen.workspace(mg))
+    wal = wgen.workspace(mg)
+    pool = weight_zero_pool(wal)
     pairs = [(x, y) for x in pool for y in pool if 8 <= x.kdeg + y.kdeg <= 10]
     random.Random(8).shuffle(pairs)
     checked = []
@@ -588,8 +636,8 @@ def test_high_degree_pool_products():
         xy = wgen.w_multiply(x, y)
         if xy.kdeg < 8:
             continue
-        back = wgen.evaluate_coordinates(mg, wgen.pbw_coordinates(xy))
-        assert back.value == xy.value
+        assert wgen.pbw_coordinates(xy) == wal.pbw_coordinates(
+            wal.mul_raw(x.value, y.value))
         assert project_pi(xy) == project_pi(x) * project_pi(y)
         checked.append(xy.kdeg)
         if len(checked) == 6:
@@ -599,14 +647,20 @@ def test_high_degree_pool_products():
 
 def _cache_snapshot(wal, cw):
     """Rendered copies of every cached value that sums read from."""
-    pbw = wal.pbw
+    pbw, uge = wal.pbw, wal.uge
 
     def r(value):
         return render_element(pbw, value)
 
+    def words(value):
+        return sorted((w, c.render()) for w, c in value.items())
+
     return {
         "letters": {key: r(v) for key, v in pbw._cache.items()},
         "adjoints": {key: r(v) for key, v in pbw._ad_cache.items()},
+        "uge letters": {key: words(v) for key, v in uge._cache.items()},
+        "uge adjoints": {key: words(v) for key, v in uge._ad_cache.items()},
+        "cas": words(wal._cas),
         "monomials": {key: r(v) for key, v in wal._mono_cache.items()},
         "thetas": {key: r(v.value) for key, v in wal._theta_cache.items()},
         "casimir": r(wal.casimir().value),
@@ -727,35 +781,50 @@ def test_derived_elements_inherit_invariance(name, monkeypatch):
 
 
 def test_coordinates_are_straightened_once(gradings, monkeypatch):
+    # products and supercommutators are formed on coordinates in wal.uge,
+    # and their restricted weights and pi images read those coordinates:
+    # none of it multiplies or peels in U(g).  A product's value is
+    # evaluated once, on its first read, and an element built from a value
+    # is peeled once
     mg = gradings["spo:2|3"]
     assert mg.parity_type == "odd"
     wal = wgen.workspace(mg)
+    wal.uge  # certifies the table and presents U(g, e)
     build_cartan_w(mg)
     gens = [gen.element for gen in wal.generators]
-    products = [wgen.w_multiply(a, b) for a in gens for b in gens]
-    x = max((p for p in products if not any(restricted_weight(p))),
-            key=lambda p: len(p.value))
-    pi_x = project_pi(wgen.WElement(wal, x.value))
-    calls = []
-    straighten = wgen.WAlgebra.pbw_coordinates
-
-    def spy(self, value):
-        calls.append(value)
-        return straighten(self, value)
-
-    monkeypatch.setattr(wgen.WAlgebra, "pbw_coordinates", spy)
-    coords = wgen.pbw_coordinates(x)
-    assert project_pi(x) == pi_x
-    assert len(calls) == 1
+    mul_raw = wgen.WAlgebra.mul_raw
+    calls = {"mul_raw": [], "pbw_coordinates": []}
+    for method, seen in calls.items():
+        real = getattr(wgen.WAlgebra, method)
+        monkeypatch.setattr(wgen.WAlgebra, method,
+                            lambda self, *args, real=real, seen=seen:
+                            seen.append(args) or real(self, *args))
+    products = [(a, b, wgen.w_multiply(a, b)) for a in gens for b in gens]
+    brackets = [wgen.w_commutator(a, b) for a in gens for b in gens]
+    zero = [x for x in [p for _, _, p in products] + brackets
+            if not any(restricted_weight(x))]
+    images = [project_pi(x) for x in zero]
+    a, b, x = max((t for t in products if not any(restricted_weight(t[2]))),
+                  key=lambda t: len(wgen.pbw_coordinates(t[2])))
+    assert len(images) > len(gens)
+    assert calls == {"mul_raw": [], "pbw_coordinates": []}
+    value = x.value
+    assert x.value is value and calls["pbw_coordinates"] == []
+    assert value == mul_raw(wal, a.value, b.value)
+    # an element built from the value is peeled once, and only once
+    calls["mul_raw"].clear()
+    y = wgen.WElement(wal, dict(value))
+    assert y == x and restricted_weight(y) == restricted_weight(x)
+    assert project_pi(y) == project_pi(x)
     # the caller owns the returned dict: changing it changes nothing later
+    coords = wgen.pbw_coordinates(y)
     want = dict(coords)
     coords.clear()
-    assert wgen.pbw_coordinates(x) == want
-    assert project_pi(x) == pi_x
-    assert len(calls) == 1
+    assert wgen.pbw_coordinates(y) == want == wgen.pbw_coordinates(x)
+    assert calls["pbw_coordinates"] == [(y.value,)]
     # as_finite, which the benchmark pool still calls, is the element
     # itself, coordinates and all
-    assert all(x.as_finite() is x for x in gens + [x])
+    assert all(z.as_finite() is z for z in gens + [x, y])
 
 
 def test_commutator_table_covers_all_pairs(gradings):
@@ -1087,6 +1156,19 @@ def test_one_presented_algebra_per_workspace(name, monkeypatch):
     assert built[2:] == [built[2], wal.uge] and built[2] is not wal.uge, name
     assert wal.commutator_table[key] == want, name
     assert wal.uge.exponents(wal.uge.ad(p, {(q,): ONE})) == want, name
+
+
+@pytest.mark.parametrize("name", ["spo:2|5", "psl:3|3"])
+def test_presented_rows_skip_empty_entries(name, monkeypatch):
+    # a cold report reads a letter's partners off which of its table
+    # entries are nonempty, and turns only nonempty entries into words
+    seen = []
+    real = envelope.from_exponents
+    monkeypatch.setattr(envelope, "from_exponents",
+                        lambda coords: seen.append(dict(coords))
+                        or real(coords))
+    assert wgen.WAlgebra(grade(build_algebra(name))).verify_relations()["ok"]
+    assert seen and all(seen), name
 
 
 @pytest.mark.xfail(strict=True,
