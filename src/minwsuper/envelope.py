@@ -14,9 +14,7 @@ only products that need rewriting go into the letter cache.
 A product ``a * b`` of two elements is the sum over the terms cb wb of
 ``b`` of cb (a wb), and a wb folds all of ``a`` letter by letter through
 wb, so a word that the folds of several words of ``a`` reach is multiplied
-by the next letter once.  The folds of the prefixes of b's words are kept
-for the call, so words of ``b`` with a common prefix share its fold;
-nothing outlives the call.  By associativity the sum is the word-pair sum
+by the next letter once.  By associativity the sum is the word-pair sum
 of ca cb (wa wb).
 
 The adjoint action of one letter, ``ad(x, a) = [x, a]``, serves the
@@ -185,38 +183,30 @@ class PBWAlgebra:
         self._cache[key] = out
         return out
 
-    def _mul_word(self, wa, wb):
-        """Normal form of the word product wa * wb; may be a cached dict
-        of the letter cache, so callers only read it."""
-        if not wb:
-            return {wa: ONE}
-        cur = self._mul_letter(wa, wb[0])
-        for x in wb[1:]:
+    def _fold(self, cur, word):
+        """cur * word, all of ``cur`` folded letter by letter through
+        ``word``; callers only read the result, which may be ``cur``."""
+        for x in word:
             nxt = {}
             for w, c in cur.items():
                 axpy(nxt, c, self._mul_letter(w, x))
             cur = nxt
         return cur
 
+    def _mul_word(self, wa, wb):
+        """Normal form of the word product wa * wb; may be a cached dict
+        of the letter cache, so callers only read it."""
+        if not wb:
+            return {wa: ONE}
+        cur = self._mul_letter(wa, wb[0])
+        return self._fold(cur, wb[1:]) if len(wb) > 1 else cur
+
     def mul(self, a, b):
-        """a * b as the sum of cb * (a * wb) over the terms cb wb of ``b``.
-        Each a * wb folds all of ``a`` letter by letter, from the longest
-        prefix of wb that this call has already folded."""
-        # prefix of a word of b -> a * prefix; this call's own
-        folded = {(): a}
+        """a * b as the sum of cb * (a * wb) over the terms cb wb of ``b``,
+        each a * wb folding all of ``a`` through wb."""
         out = {}
         for wb, cb in b.items():
-            n = len(wb)
-            while wb[:n] not in folded:
-                n -= 1
-            cur = folded[wb[:n]]
-            for m in range(n, len(wb)):
-                x = wb[m]
-                nxt = {}
-                for w, c in cur.items():
-                    axpy(nxt, c, self._mul_letter(w, x))
-                cur = folded[wb[:m + 1]] = nxt
-            axpy(out, cb, cur)
+            axpy(out, cb, self._fold(a, wb))
         return out
 
     def from_words(self, pairs):

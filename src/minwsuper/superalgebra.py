@@ -911,6 +911,7 @@ def _generic_functional(g, roots, theta, degree):
     A root lies on the theta line exactly when 2 alpha = alpha(h) theta.
     """
     th = _diagonal_coordinates(g, theta)
+    coords = {root: _diagonal_coordinates(g, root) for root in roots}
     d = len(th)
     power = 1
     while True:
@@ -918,8 +919,7 @@ def _generic_functional(g, roots, theta, degree):
         base = sum(wi * ci for wi, ci in zip(w, th))
 
         def value(root):
-            c = _diagonal_coordinates(g, root)
-            e0 = sum(wi * ci for wi, ci in zip(w, c))
+            e0 = sum(wi * ci for wi, ci in zip(w, coords[root]))
             return e0 - base * Fraction(degree[root], 2)
 
         eta = {root: value(root) for root in roots}

@@ -6,9 +6,10 @@ generator map attaches a correcting tail to every centralizer element
 of degree 0 or 1; together with one Casimir element (and, in type odd,
 the bare midline coset) these close under supercommutators.
 
-Each generator is certified once, where it is built, and every element
-formed from generators inherits finite invariance (``WElement``).  A
-W-element lives on its coordinates over the ordered generator monomials.
+Each generator is built and certified once, in ``WAlgebra.generators``,
+and every element formed from generators inherits finite invariance
+(``WElement``).  A W-element lives on its coordinates over the ordered
+generator monomials.
 
 ``closed_form_table`` states every generator supercommutator in
 closed form, from the structure constants of g and c0 alone: the
@@ -179,6 +180,7 @@ class WAlgebra:
             g1.append(grading.gmid)
         self.g1_letters = tuple(g1)
         self._centralizer = frozenset(grading.centralizer_letters())
+        # letter -> its generator's element, filled with the generator list
         self._theta_cache = {}
         # exponent tuple -> ordered monomial, the one straightening cache
         self._mono_cache = {}
@@ -190,7 +192,6 @@ class WAlgebra:
         self._c0 = None
         self._c0_pairs = 0
         self._wd = None
-        self._casimir = None
         # the presented U(g, e) and Theta_Cas in it, kept by ``_present``
         self._uge = None
         self._cas = None
@@ -278,12 +279,12 @@ class WAlgebra:
         return self.project(out)
 
     def _combine_letters(self, x):
-        """Sum of c * theta_letter(i) over x."""
-        x = {i: scalar(c) for i, c in x.items()}
-        value = {}
+        """Sum of c * theta_letter(i) over x, on the generators' unit
+        coordinates."""
+        coords = {}
         for i, c in x.items():
-            axpy(value, c, self.theta_letter(i).value)
-        return WElement(self, value)
+            axpy(coords, scalar(c), self.theta_letter(i)._coords)
+        return self.evaluate_coordinates(coords)
 
     def theta_zero(self, v):
         """Tail-corrected lift of a degree-0 centralizer element."""
@@ -299,20 +300,12 @@ class WAlgebra:
         return self._combine_letters(w)
 
     def theta_letter(self, i):
-        """Lift of one basis letter, built by its tail formula and certified
-        once per workspace."""
-        cached = self._theta_cache.get(i)
-        if cached is None:
-            if i in self.ge0_letters:
-                value = self._lift_zero({i: ONE})
-            elif i in self.g1_letters:
-                value = self._lift_one({i: ONE})
-            else:
-                raise PreconditionError("letter %s carries no generator"
-                                        % self.algebra.labels[i])
-            cached = self.certify(value, "refined")
-            self._theta_cache[i] = cached
-        return cached
+        """The lift of one basis letter: its generator's element."""
+        self.generators  # fills the letter map with the list
+        lift = self._theta_cache.get(i) if type(i) is int else None
+        if lift is None:
+            raise PreconditionError("letter %r carries no lift" % (i,))
+        return lift
 
     def dual_cartan(self, values):
         """The h^e vector representing a functional through the form."""
@@ -335,16 +328,17 @@ class WAlgebra:
         return out
 
     def casimir(self):
-        """The distinguished central element; leading coset 2e.
+        """The distinguished central element C of the generator list."""
+        return self.generators[self.generator_index("C")].element
+
+    def _casimir_lift(self):
+        """The coset of C; leading coset 2e.
 
         The constant term is pinned by the degree-1 pair expansion: with
         the dual-pair normalization used here, centrality alone leaves the
         constant free, so it is fixed to make the expansion hold exactly
         (the shift against the naive normal-ordered sum is (s-r)^2/16).
-        Built and certified once per workspace.
         """
-        if self._casimir is not None:
-            return self._casimir
         gr, g, pbw = self.grading, self.algebra, self.pbw
         h = pbw.inject({gr.hth: ONE})
         out = {(): scalar(Fraction((gr.s - gr.r) ** 2, 16))}
@@ -359,8 +353,7 @@ class WAlgebra:
             ez = g.bracket(evec, zst)
             if ez:
                 axpy(out, sign + sign, pbw.mul(pbw.inject(ez), pbw.inject(z)))
-        self._casimir = self.certify(self.project(out), "refined")
-        return self._casimir
+        return self.project(out)
 
     def theta_mid(self):
         if self.grading.parity_type != "odd":
@@ -369,7 +362,9 @@ class WAlgebra:
 
     @property
     def generators(self):
-        """Ordered generator list; the module-basis order used everywhere."""
+        """Ordered generator list; the module-basis order used everywhere,
+        and the one place where a lift is built and certified: a lettered
+        one by its tail formula, also kept in ``_theta_cache``, and C."""
         if self._gens is not None:
             return self._gens
         gr, g = self.grading, self.algebra
@@ -378,15 +373,20 @@ class WAlgebra:
         def put(*runs):
             for letters in runs:
                 for i in letters:
+                    lift = (self._lift_zero if i in self.ge0_letters
+                            else self._lift_one)
+                    elem = self._theta_cache[i] = self.certify(
+                        lift({i: ONE}), "refined")
                     out.append(Generator(g.labels[i], i, self.weights[i],
-                                         g.parity[i], self.theta_letter(i)))
+                                         g.parity[i], elem))
 
         put(gr.xs, gr.ys, gr.fs, gr.gs)
         if gr.parity_type == "odd":
             out.append(Generator("F", gr.vmid, self.weights[gr.vmid], 1,
                                  self.certify({(gr.vmid,): ONE}, "finite")))
         put(gr.hes)
-        out.append(Generator("C", None, 4, 0, self.casimir()))
+        out.append(Generator("C", None, 4, 0,
+                             self.certify(self._casimir_lift(), "refined")))
         put([] if gr.gmid is None else [gr.gmid], gr.fstars, gr.gstars,
             gr.xstars, gr.ystars)
         self._name_pos = {gen.name: k for k, gen in enumerate(out)}

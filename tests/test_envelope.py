@@ -323,9 +323,11 @@ def _seeded_element(rng, pbw, terms=5, maxlen=3):
 
 @pytest.mark.parametrize("name", ["sl:2|1", "spo:2|3"])
 def test_mul_matches_word_pair_reference(name):
-    # mul folds all of a through each word of b and shares the folds of
-    # common prefixes; the word-pair sum gives the same dict in U(g), the
-    # workspace's presented U(g, e) and the Cartan subquotient
+    # mul folds all of a through each word of b on its own; the word-pair
+    # sum gives the same dict in U(g), the workspace's presented U(g, e)
+    # and the Cartan subquotient.  In U(g), seeded elements are also
+    # multiplied, on either side, by every degree-1 lift and by the
+    # product of each with the next, whose words share prefixes
     gr = grade(build_algebra(name))
     wal = workspace(gr)
     rng = random.Random(name)
@@ -334,6 +336,14 @@ def test_mul_matches_word_pair_reference(name):
         for _ in range(8):
             a, b = (_seeded_element(rng, pbw) for _ in range(2))
             assert pbw.mul(a, b) == mul_reference(pbw, a, b), (name, a, b)
+    pbw = wal.pbw
+    lifts = [wal.theta_letter(w).value for w in wal.g1_letters]
+    lifts += [pbw.mul(x, y) for x, y in zip(lifts, lifts[1:] + lifts[:1])]
+    assert any(u != v and u[:2] == v[:2] for u in lifts[-1] for v in lifts[-1])
+    for lift in lifts:
+        a = _seeded_element(rng, pbw)
+        assert pbw.mul(a, lift) == mul_reference(pbw, a, lift), name
+        assert pbw.mul(lift, a) == mul_reference(pbw, lift, a), name
 
 
 def test_commutator_matches_reference_on_mixed_elements():

@@ -827,6 +827,57 @@ def test_coordinates_are_straightened_once(gradings, monkeypatch):
     assert all(z.as_finite() is z for z in gens + [x, y])
 
 
+def test_lifts_are_read_from_the_generator_list(monkeypatch):
+    # on a fresh workspace the generator list holds every lift: theta_letter,
+    # casimir_C and theta_F hand out its elements, and theta_v and theta_w
+    # sum its unit coordinates, so neither their products nor the pi images
+    # of those multiply or peel in U(g)
+    mg = grade(build_algebra("spo:2|3"))
+    wal = wgen.workspace(mg)
+    calls = {"mul_raw": [], "pbw_coordinates": []}
+    for method, seen in calls.items():
+        real = getattr(wgen.WAlgebra, method)
+        monkeypatch.setattr(wgen.WAlgebra, method,
+                            lambda self, *args, real=real, seen=seen:
+                            seen.append(args) or real(self, *args))
+    gens = wal.generators
+    for gen in gens:
+        if gen.letter in wal.ge0_letters + wal.g1_letters:
+            assert wal.theta_letter(gen.letter) is gen.element, gen.name
+    assert wgen.casimir_C(mg) is gens[wal.generator_index("C")].element
+    assert wgen.theta_F(mg) is gens[wal.generator_index("F")].element
+    assert calls == {"mul_raw": [], "pbw_coordinates": []}
+    # the table's certificate checks its seed pairs in U(g)
+    wal.uge
+    build_cartan_w(mg)
+    for seen in calls.values():
+        seen.clear()
+    x = mg.xs[0]
+    unit = tuple(int(k == wal.generator_index(mg.algebra.labels[x]))
+                 for k in range(len(gens)))
+    assert wgen.pbw_coordinates(wgen.theta_v(mg, {x: 2})) == {unit: ONE + ONE}
+    images = []
+    for v in wal.ge0_letters:
+        for w in wal.g1_letters:
+            xy = wgen.w_multiply(wgen.theta_v(mg, {v: ONE}),
+                                 wgen.theta_w(mg, {w: ONE}))
+            if not xy.is_zero() and not any(restricted_weight(xy)):
+                images.append(project_pi(xy))
+    assert images
+    assert calls == {"mul_raw": [], "pbw_coordinates": []}
+
+
+def test_theta_letter_takes_only_lifted_letters(gradings):
+    # a letter that leads no lift, the midline letter of F among them, an
+    # int out of range or anything but an int is a PreconditionError, not
+    # a bare IndexError or TypeError
+    mg = gradings["spo:2|3"]
+    wal = wgen.workspace(mg)
+    for bad in (999, -1, mg.e, mg.f, mg.vmid, True, 1.0, "x", None, [0]):
+        with pytest.raises(PreconditionError):
+            wal.theta_letter(bad)
+
+
 def test_commutator_table_covers_all_pairs(gradings):
     wal = wgen.workspace(gradings["sl:2|1"])
     table = wal.commutator_table
