@@ -14,7 +14,12 @@ cosets decompose along restricted weights, every ordered monomial that
 touches a letter with nonzero weight is dropped, and the survivors are
 rewritten in the abstract presentation through the images of the
 surviving slots, which are built once per presentation and carry the
-closing shift that makes the projection an algebra homomorphism.
+closing shift that makes the projection an algebra homomorphism.  Each
+presentation also owns ``_pi_images``, the image of every weight-zero
+monomial ``project_pi`` has met, keyed by its exponent tuple over the
+W-generators; only monomials of elements already found to have weight
+zero are filed, so a later call whose monomials are all filed needs no
+weight pass.
 """
 
 from collections.abc import Iterable
@@ -135,8 +140,9 @@ class CartanWAlgebra:
         self.rendered_images = rendered_images
         self._idx = {n: k for k, n in enumerate(names)}
         self.pbw = PBWAlgebra.presented(names, parities, relations)
-        # memo slot of _survivor_slots
+        # memo slot of _survivor_slots, and project_pi's monomial images
         self._survivors = None
+        self._pi_images = {}
 
     # -- element constructors -------------------------------------------
 
@@ -500,23 +506,36 @@ def project_pi(x):
     h' to h' - delta when r is even.  Without the shift the projection is
     linear but not multiplicative.  So pi(Theta(h)) is h' + delta(h) when
     r is odd and h' when r is even.
+
+    The image of each monomial is read once: ``cw._pi_images``, owned by
+    the presentation, maps an exponent tuple over the W-generators to
+    the coordinates of its image, ``{}`` for a dropped monomial.  Only
+    monomials of an ``x`` found to have weight 0 are filed, so every key
+    has weight 0, and an ``x`` whose monomials are all filed skips the
+    weight pass.
     """
     wal = _workspace_of(x)
     cw = build_cartan_w(wal.grading)
-    wt = restricted_weight(x)
-    if any(wt):
-        raise PreconditionError(
-            "projection only applies at restricted weight zero; this "
-            "element has weight %s" % (wt,))
-    survivors = _survivor_slots(cw)
-    keep = {slot for slot, _ in survivors}
+    coords, memo = x._coordinates(), cw._pi_images
+    missing = coords.keys() - memo.keys()
+    if missing:
+        wt = restricted_weight(x)
+        if any(wt):
+            raise PreconditionError(
+                "projection only applies at restricted weight zero; this "
+                "element has weight %s" % (wt,))
+        survivors = _survivor_slots(cw)
+        keep = {slot for slot, _ in survivors}
+        for expo in missing:
+            if any(n and k not in keep for k, n in enumerate(expo)):
+                memo[expo] = {}
+                continue
+            term = cw.unit()
+            for slot, image in survivors:
+                for _ in range(expo[slot]):
+                    term = term * image
+            memo[expo] = term.coords
     out = {}
-    for expo, c in x._coordinates().items():
-        if any(n and k not in keep for k, n in enumerate(expo)):
-            continue
-        term = cw.unit()
-        for slot, image in survivors:
-            for _ in range(expo[slot]):
-                term = term * image
-        axpy(out, c, term.coords)
+    for expo, c in coords.items():
+        axpy(out, c, memo[expo])
     return _wrap(cw, out)

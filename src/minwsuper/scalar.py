@@ -492,8 +492,8 @@ HALF = Scalar.rational(Fraction(1, 2))
 # owns: start from ``{}`` or ``dict(x)``.  Never accumulate into a dict a
 # cache holds (a PBW product, an adjoint-cache [x, w], a cached monomial or
 # generator lift, the Casimir, a Cartan image, a survivor slot image of the
-# projection, the coords of an existing element, the coordinates of a
-# W-element).
+# projection, a π image of a monomial, the coords of an existing element,
+# the coordinates of a W-element).
 
 
 def acc(out, key, c):

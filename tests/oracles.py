@@ -36,12 +36,15 @@ and shares the folds of common prefixes.
 ``cartan_product_reference`` multiplies two ordered monomials of the
 Cartan subquotient by the sign-and-odd-square rule that the subquotient
 used before it multiplied through the presented algebra of its relation
-table.
+table.  ``project_pi_reference`` is pi as it was before the monomial
+images were kept: a weight pass on every call, then each monomial's
+image multiplied afresh from the survivor slot images.
 """
 
 from fractions import Fraction
 
-from minwsuper.cartanw import restricted_weight
+from minwsuper.cartanw import (CartanWElement, _survivor_slots,
+                               build_cartan_w, restricted_weight)
 from minwsuper.envelope import render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.scalar import HALF, ONE, ZERO, Scalar, acc, axpy, scalar
@@ -652,3 +655,27 @@ def cartan_product_reference(cw, ea, eb):
     for expo, c in terms:
         acc(out, expo, c)
     return out
+
+
+def project_pi_reference(x):
+    """pi of a weight-zero W-element with no memo: every monomial that
+    touches a dropped slot vanishes, and each other one is the product of
+    its survivor slot images, formed on every call."""
+    cw = build_cartan_w(x.wal.grading)
+    wt = restricted_weight(x)
+    if any(wt):
+        raise PreconditionError(
+            "projection only applies at restricted weight zero; this "
+            "element has weight %s" % (wt,))
+    survivors = _survivor_slots(cw)
+    keep = {slot for slot, _ in survivors}
+    out = {}
+    for expo, c in x._coordinates().items():
+        if any(n and k not in keep for k, n in enumerate(expo)):
+            continue
+        term = cw.unit()
+        for slot, image in survivors:
+            for _ in range(expo[slot]):
+                term = term * image
+        axpy(out, c, term.coords)
+    return CartanWElement(cw, out)

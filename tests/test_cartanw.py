@@ -19,8 +19,8 @@ from minwsuper.grading import grade
 from minwsuper.scalar import HALF, ONE, ZERO, Scalar, axpy, scalar, sqrt
 from minwsuper.superalgebra import build_algebra
 
-from oracles import (cartan_product_reference, root_combinations,
-                     weight_zero_pool)
+from oracles import (cartan_product_reference, project_pi_reference,
+                     root_combinations, weight_zero_pool)
 
 ODD_NAMES = ["osp:1|2", "spo:2|3", "spo:4|1"]
 EVEN_NAMES = ["sl:2|1", "gl:2|1", "psl:2|2"]
@@ -504,6 +504,75 @@ def test_projection_triple_product(gradings):
     lhs = project_pi(triple)
     rhs = project_pi(tf) * project_pi(tg) * project_pi(tf)
     assert (lhs - rhs).is_zero()
+
+
+def _weight_zero_products(name):
+    """The weight-zero pool and every ordered product of two of its
+    elements on spo:2|3 and sl:2|1; elsewhere 24 seeded weight-zero
+    products of two pool elements or generators."""
+    wal = wgen.workspace(grade(build_algebra(name)))
+    pool = weight_zero_pool(wal)
+    if name in ("spo:2|3", "sl:2|1"):
+        return wal, pool + [wgen.w_multiply(x, y) for x in pool for y in pool]
+    elems = pool + [gen.element for gen in wal.generators]
+    pairs = [(x, y) for x in elems for y in elems
+             if not any(a + b for a, b in zip(restricted_weight(x),
+                                              restricted_weight(y)))]
+    return wal, [wgen.w_multiply(x, y)
+                 for x, y in random.Random(name).sample(pairs, 24)]
+
+
+@pytest.mark.parametrize("name", ["spo:2|3", "sl:2|1", "osp:1|2", "spo:2|5"])
+def test_projection_matches_reference(name):
+    # each element projected from a cold memo, then again from its own
+    # entries; then all of them in turn, so later ones meet a memo that
+    # holds some of their monomials, and once more from a full memo
+    wal, elems = _weight_zero_products(name)
+    cw = build_cartan_w(wal.grading)
+    refs = [project_pi_reference(x) for x in elems]
+    for x, ref in zip(elems, refs):
+        cw._pi_images.clear()
+        assert project_pi(x) == ref, name
+        assert project_pi(x) == ref, name
+    cw._pi_images.clear()
+    for _ in range(2):
+        assert [project_pi(x) for x in elems] == refs, name
+    # only weight-zero monomials are ever filed
+    assert cw._pi_images
+    for expo in cw._pi_images:
+        one = wal.evaluate_coordinates({expo: ONE})
+        assert not any(restricted_weight(one)), (name, expo)
+
+
+def test_projection_errors_leave_a_warm_memo_alone(gradings):
+    gr = gradings["spo:2|3"]
+    wal = wgen.workspace(gr)
+    cw = build_cartan_w(gr)
+    pool = weight_zero_pool(wal)
+    for x in pool:
+        project_pi(x)
+    memo = {expo: dict(image) for expo, image in cw._pi_images.items()}
+    raising = wal.theta_letter(gr.xstars[0])
+    wt = restricted_weight(raising)
+    with pytest.raises(PreconditionError) as err:
+        project_pi(raising)
+    assert not isinstance(err.value, NotHomogeneousError)
+    assert str(err.value) == (
+        "projection only applies at restricted weight zero; this element "
+        "has weight %s" % (wt,))
+    # a filed weight-zero element plus one monomial of nonzero weight
+    coords = dict(pool[-1]._coordinates())
+    (expo, _), = raising._coordinates().items()
+    mixed = wal.evaluate_coordinates({**coords, expo: ONE})
+    with pytest.raises(NotHomogeneousError) as split:
+        restricted_weight(mixed)
+    with pytest.raises(NotHomogeneousError) as err:
+        project_pi(mixed)
+    assert str(err.value) == str(split.value)
+    assert err.value.components == split.value.components
+    assert len(err.value.components) == 2
+    assert project_pi(wal.evaluate_coordinates({})) == cw.zero()
+    assert cw._pi_images == memo
 
 
 # -- arithmetic details ---------------------------------------------------

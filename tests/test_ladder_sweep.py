@@ -34,7 +34,8 @@ Theta(g_mid) is odd.  On every row, pi must be multiplicative on
 seeded products of the weight-zero pool, drawn among all its pairs, up
 to Kazhdan degree 12, each formed on coordinates in ``wal.uge``.  One
 seeded product of the pool, of Kazhdan degree 8 or less, must have the
-coordinates that peeling the U(g) product of its factors gives, and
+coordinates that peeling the U(g) product of its factors gives, must
+have the pi image that ``project_pi_reference`` forms with no memo, and
 must pass the invariance check that products inherit unchecked.
 The JSON of every row's matrix realization, taken together, must match
 one frozen SHA-256, and that of each pair of big rows below another.
@@ -71,8 +72,8 @@ from minwsuper.superalgebra import (_reach, _seed_letters, _weights_of_basis,
 from oracles import (assert_exact_recipes, c0_epsilon_law,
                      casimir_vs_quadratic_reference, free_normal_form,
                      generated_dimension, gram_minimal_roots,
-                     raiser_square_reference, theta_kind, weight_form,
-                     weight_zero_pool)
+                     project_pi_reference, raiser_square_reference,
+                     theta_kind, weight_form, weight_zero_pool)
 
 MAX_DIM = 50
 BIG_ROWS = ["psl:7|7", "spo:14|7"]
@@ -307,11 +308,13 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
             project_pi(x) * project_pi(y), desc
     # one seeded product, formed in wal.uge, against U(g): its coordinates
     # are those of the U(g) product of the values, pi is multiplicative on
-    # it, and it passes the invariance check that products inherit
+    # it and agrees with pi formed afresh with no memo, and it passes the
+    # invariance check that products inherit
     x, y = random.Random(desc).choice(
         [(x, y) for x, y in pairs if x.kdeg + y.kdeg <= 8])
     xy = wgen.w_multiply(x, y)
     assert wgen.pbw_coordinates(xy) == wal.pbw_coordinates(
         wal.mul_raw(x.value, y.value)), desc
     assert project_pi(xy) == project_pi(x) * project_pi(y), desc
+    assert project_pi(xy) == project_pi_reference(xy), desc
     assert wal.certify(xy.value, "finite") == xy, desc

@@ -667,6 +667,7 @@ def _cache_snapshot(wal, cw):
         "images": {key: r(v) for key, v in cw.images.items()},
         "survivors": [(slot, image.render()) for slot, image
                       in cartanw._survivor_slots(cw)],
+        "pi images": {key: words(v) for key, v in cw._pi_images.items()},
         "letter_weights": wal.grading.letter_weights,
     }
 
@@ -693,7 +694,9 @@ def test_cached_values_stay_read_only():
 
         work()
         before = _cache_snapshot(wal, cw)
+        assert before["pi images"], name
         work()
+        # no entry added to any cache, pi's monomial images included
         assert _cache_snapshot(wal, cw) == before, name
 
 
