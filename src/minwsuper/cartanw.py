@@ -63,9 +63,7 @@ class CartanWElement:
         return _wrap(self.cw, out)
 
     def __sub__(self, other):
-        out = dict(self.coords)
-        axpy(out, -ONE, self.cw.coerce(other).coords)
-        return _wrap(self.cw, out)
+        return self + -self.cw.coerce(other)
 
     def __neg__(self):
         return self.scale(-ONE)
@@ -92,7 +90,11 @@ class CartanWElement:
         return self.cw._apply(self.cw.pbw.commutator, self, other)
 
     def coefficient(self, expo):
-        return self.coords.get(tuple(expo), ZERO)
+        """The coefficient of one ordered monomial, its exponents (a tuple
+        or list) checked as the constructor checks a key."""
+        expo = tuple(check_type(expo, Iterable))
+        _checked_coords({expo: ONE}, self.cw.parities)
+        return self.coords.get(expo, ZERO)
 
     def __eq__(self, other):
         return (isinstance(other, CartanWElement) and self.cw is other.cw
@@ -184,14 +186,9 @@ class CartanWAlgebra:
 
     # -- reporting ---------------------------------------------------------
 
-    def relation_label(self, a, b):
-        return "[%s',%s']" % (a, b)
-
     def as_json_dict(self):
-        rel = {}
-        for (a, b), rhs in sorted(self.relations.items()):
-            rel[self.relation_label(a, b)] = \
-                CartanWElement(self, rhs).render()
+        rel = {"[%s',%s']" % (a, b): CartanWElement(self, rhs).render()
+               for (a, b), rhs in sorted(self.relations.items())}
         return {
             "parity_type": self.parity_type,
             "generators": [
@@ -222,27 +219,23 @@ def build_cartan_w(grading):
     if wal._cartan is not None:
         return wal._cartan
     g, gr, pbw = wal.algebra, grading, wal.pbw
-
-    def inj(vec):
-        return pbw.inject(vec)
-
     hnames = [g.labels[i] for i in gr.hes]
     images = {}
     for name, i in zip(hnames, gr.hes):
-        images[name] = inj({i: ONE})
-    h_word = inj({gr.hth: ONE})
-    c_val = inj({gr.e: scalar(2)})
+        images[name] = pbw.inject({i: ONE})
+    h_word = pbw.inject({gr.hth: ONE})
+    c_val = pbw.inject({gr.e: scalar(2)})
     axpy(c_val, HALF, pbw.mul(h_word, h_word))
     if gr.parity_type == "odd":
         names = ("F",) + tuple(hnames) + ("C", "E")
         parities = (1,) + (0,) * len(hnames) + (0, 1)
-        images["F"] = inj(gr.F)
-        e_val = inj(gr.E)
-        axpy(e_val, HALF, pbw.mul(inj(gr.F), h_word))
-        axpy(e_val, -scalar(Fraction(3, 4)), inj(gr.F))
+        images["F"] = pbw.inject(gr.F)
+        e_val = pbw.inject(gr.E)
+        axpy(e_val, HALF, pbw.mul(pbw.inject(gr.F), h_word))
+        axpy(e_val, -scalar(Fraction(3, 4)), pbw.inject(gr.F))
         images["E"] = wal.project(e_val)
         axpy(c_val, -scalar(Fraction(3, 2)), h_word)
-        axpy(c_val, ONE, pbw.mul(inj(gr.F), inj(gr.E)))
+        axpy(c_val, ONE, pbw.mul(pbw.inject(gr.F), pbw.inject(gr.E)))
     else:
         names = tuple(hnames) + ("C",)
         parities = (0,) * len(hnames) + (0,)

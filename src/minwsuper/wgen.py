@@ -4,7 +4,11 @@ The ambient object is the finite quotient: enveloping-algebra normal
 forms with trailing runs of the lowest root vector replaced by 1.  The
 generator map attaches a correcting tail to every centralizer element
 of degree 0 or 1; together with one Casimir element (and, in type odd,
-the bare midline coset) these close under supercommutators.
+the bare midline coset) these close under supercommutators.  The
+correcting tail is stated once, in ``WAlgebra._tail``: tail(y) =
+sum_k z_k [z*_k, y] over the degree -1 dual bases {z_k}, {z*_k}.  A
+degree-0 lift is v - tail(v)/2, a degree-1 lift w - tail(w) + 1/3 sum_a
+z_a tail([z*_a, w]) - 2/3 [w, f].
 
 Each generator is built and certified once, in ``WAlgebra.generators``,
 and every element formed from generators inherits finite invariance
@@ -246,41 +250,43 @@ class WAlgebra:
 
     # -- generators -------------------------------------------------------
 
-    def _lift_zero(self, v):
-        """The tail formula for a degree-0 centralizer element."""
+    def _tail(self, out, c, x, y):
+        """out += c x tail(y) in U(g), for a vector ``y`` of g and a left
+        factor ``x`` of U(g), added term by term as (x z_k) [z*_k, y].
+        Summing in place keeps the words of a lift in the order of its
+        formula written out: a word whose running sum passes through zero
+        moves to the end."""
         g, pbw = self.algebra, self.pbw
-        out = pbw.inject(v)
         for z, zst in zip(self.nb["z"], self.nb["zstar"]):
-            w = g.bracket(zst, v)
-            if w:
-                axpy(out, -HALF, pbw.mul(pbw.inject(z), pbw.inject(w)))
+            zy = g.bracket(zst, y)
+            if zy:
+                axpy(out, c, pbw.mul(pbw.mul(x, pbw.inject(z)),
+                                     pbw.inject(zy)))
+
+    def _lift_zero(self, v):
+        """The lift of a degree-0 centralizer element: v - tail(v)/2."""
+        out = self.pbw.inject(v)
+        self._tail(out, -HALF, self.pbw.unit(), v)
         return self.project(out)
 
     def _lift_one(self, w):
-        """The tail formula for a degree-1 element."""
+        """The lift of a degree-1 element: w - tail(w) + 1/3 sum_a z_a
+        tail([z*_a, w]) - 2/3 [w, f]."""
         g, pbw = self.algebra, self.pbw
         out = pbw.inject(w)
+        self._tail(out, -ONE, pbw.unit(), w)
         for z, zst in zip(self.nb["z"], self.nb["zstar"]):
-            zw = g.bracket(zst, w)
-            if zw:
-                axpy(out, -ONE, pbw.mul(pbw.inject(z), pbw.inject(zw)))
-        for za, zsa in zip(self.nb["z"], self.nb["zstar"]):
-            inner = g.bracket(zsa, w)
-            if not inner:
-                continue
-            for zb, zsb in zip(self.nb["z"], self.nb["zstar"]):
-                core = g.bracket(zsb, inner)
-                if core:
-                    axpy(out, THIRD, pbw.mul(
-                        pbw.mul(pbw.inject(za), pbw.inject(zb)),
-                        pbw.inject(core)))
+            self._tail(out, THIRD, pbw.inject(z), g.bracket(zst, w))
         wf = g.bracket(w, {self.grading.f: ONE})
         axpy(out, -(THIRD + THIRD), pbw.inject(wf))
         return self.project(out)
 
-    def _combine_letters(self, x):
+    def _theta(self, x, letters, span):
         """Sum of c * theta_letter(i) over x, on the generators' unit
-        coordinates."""
+        coordinates, after checking that x lies in the span of
+        ``letters``."""
+        if any(i not in letters for i in check_type(x, dict)):
+            raise PreconditionError("element is not in the %s span" % span)
         coords = {}
         for i, c in x.items():
             axpy(coords, scalar(c), self.theta_letter(i)._coords)
@@ -288,16 +294,11 @@ class WAlgebra:
 
     def theta_zero(self, v):
         """Tail-corrected lift of a degree-0 centralizer element."""
-        if any(i not in self.ge0_letters for i in check_type(v, dict)):
-            raise PreconditionError("element is not in the degree-0 "
-                                    "centralizer span")
-        return self._combine_letters(v)
+        return self._theta(v, self.ge0_letters, "degree-0 centralizer")
 
     def theta_one(self, w):
         """Tail-corrected lift of a degree-1 element."""
-        if any(i not in self.g1_letters for i in check_type(w, dict)):
-            raise PreconditionError("element is not in the degree-1 span")
-        return self._combine_letters(w)
+        return self._theta(w, self.g1_letters, "degree-1")
 
     def theta_letter(self, i):
         """The lift of one basis letter: its generator's element."""

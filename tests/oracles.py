@@ -39,6 +39,11 @@ used before it multiplied through the presented algebra of its relation
 table.  ``project_pi_reference`` is pi as it was before the monomial
 images were kept: a weight pass on every call, then each monomial's
 image multiplied afresh from the survivor slot images.
+``lift_reference`` spells out the tail formulas of the letter lifts term
+by term, the double sum of a degree-1 lift over products (z_a z_b) of
+dual basis letters, where the package adds every correcting tail
+sum_k z_k [z*_k, .], the inner sums of that double sum too, through one
+helper.
 """
 
 from fractions import Fraction
@@ -679,3 +684,37 @@ def project_pi_reference(x):
                 term = term * image
         axpy(out, c, term.coords)
     return CartanWElement(cw, out)
+
+
+def lift_reference(wal, x):
+    """The lift of ``x``, a vector of g of degree 0 or 1, by its tail
+    formula written out: x - 1/2 sum_k z_k [z*_k, x] in degree 0, and in
+    degree 1 x - sum_k z_k [z*_k, x] + 1/3 sum_{a,b} (z_a z_b)
+    [z*_b, [z*_a, x]] - 2/3 [x, f], projected to the finite quotient."""
+    g, pbw = wal.algebra, wal.pbw
+    third = scalar(Fraction(1, 3))
+    pairs = list(zip(wal.nb["z"], wal.nb["zstar"]))
+    out = pbw.inject(x)
+    if all(i in wal.ge0_letters for i in x):
+        for z, zst in pairs:
+            w = g.bracket(zst, x)
+            if w:
+                axpy(out, -HALF, pbw.mul(pbw.inject(z), pbw.inject(w)))
+        return wal.project(out)
+    for z, zst in pairs:
+        zw = g.bracket(zst, x)
+        if zw:
+            axpy(out, -ONE, pbw.mul(pbw.inject(z), pbw.inject(zw)))
+    for za, zsa in pairs:
+        inner = g.bracket(zsa, x)
+        if not inner:
+            continue
+        for zb, zsb in pairs:
+            core = g.bracket(zsb, inner)
+            if core:
+                axpy(out, third, pbw.mul(
+                    pbw.mul(pbw.inject(za), pbw.inject(zb)),
+                    pbw.inject(core)))
+    wf = g.bracket(x, {wal.grading.f: ONE})
+    axpy(out, -(third + third), pbw.inject(wf))
+    return wal.project(out)

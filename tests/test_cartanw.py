@@ -624,6 +624,13 @@ def test_element_rejects_bad_exponents(gradings):
     F = odd.gen("F")
     assert CartanWElement(odd, {(1, 0, 0, 0): ONE}) == F
     assert F * F == odd.unit().scale(q(-1))
+    # coefficient reads an exponent by the same rule, a list as its tuple
+    assert F.coefficient((1, 0, 0, 0)) == F.coefficient([1, 0, 0, 0]) == ONE
+    assert F.coefficient([0, 0, 0, 0]) == ZERO
+    for expo in ((1,), (1, 0, 0, 0, 0), 5, (2, 0, 0, 0), (0, -1, 0, 0),
+                 (True, 0, 0, 0), (0, 1.0, 0, 0)):
+        with pytest.raises(PreconditionError):
+            F.coefficient(expo)
 
 
 def test_element_coerces_coefficients(gradings):

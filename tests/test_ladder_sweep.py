@@ -8,11 +8,14 @@ reached from them by an exact recipe, and the full triple loop never
 runs.  Its root pass must agree with the Gram-inverse oracle.  On
 its grading's rebased adapted algebra, PBW normal forms of seeded words
 of length 2 to 4 must equal those of the free rewriter in ``oracles``.
-Its relation report must be ``ok``, its commutator table must be
-certified from a generating set, with no fallback to straightening every
-pair, its workspace must have built one presented U(g, e), the one
-``wal.uge`` hands out, and its commutator table in closed form must
-equal the one straightened from the lifts in U(g), entry for entry.
+On that grading, every generator lifted by a tail formula must equal the
+formula written out in ``oracles.lift_reference``, with the same words in
+the same order, and the relation report must be ``ok``, its commutator
+table must be certified from a generating set, with no fallback to
+straightening every pair, its workspace must have built one presented
+U(g, e), the one ``wal.uge`` hands out, and its commutator table in
+closed form must equal the one straightened from the lifts in U(g),
+entry for entry.
 Theta_Cas multiplied from the lifts in U(g) must commute there with
 every degree-0 lift, as the report's Theta_Cas does in ``wal.uge``.
 That kept algebra, U(g, e) on ordered generator monomials over the
@@ -72,8 +75,9 @@ from minwsuper.superalgebra import (_reach, _seed_letters, _weights_of_basis,
 from oracles import (assert_exact_recipes, c0_epsilon_law,
                      casimir_vs_quadratic_reference, free_normal_form,
                      generated_dimension, gram_minimal_roots,
-                     project_pi_reference, raiser_square_reference,
-                     theta_kind, weight_form, weight_zero_pool)
+                     lift_reference, project_pi_reference,
+                     raiser_square_reference, theta_kind, weight_form,
+                     weight_zero_pool)
 
 MAX_DIM = 50
 BIG_ROWS = ["psl:7|7", "spo:14|7"]
@@ -285,6 +289,11 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
             word, ONE, range(adapted.dim),
             lambda i, j: adapted.bracket({i: ONE}, {j: ONE}),
             lambda i: adapted.parity[i]), (desc, word)
+    for gen in wal.generators:
+        if gen.letter is not None and gen.name != "F":
+            want = lift_reference(wal, {gen.letter: ONE})
+            assert list(gen.element.value.items()) == list(want.items()), \
+                (desc, gen.name)
     _certified_report(wal, monkeypatch)
     assert wal.closed_form_table == wal._straightened_table()
     assert casimir_vs_quadratic_reference(wal)["failures"] == [], desc

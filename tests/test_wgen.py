@@ -19,8 +19,9 @@ from minwsuper.superalgebra import (_seeds, _weights_of_basis, build_algebra,
 
 from oracles import (assert_exact_recipes, c0_epsilon_law,
                      casimir_vs_quadratic_reference, count_bounded_monomials,
-                     monomials_of_weight, pbw_coordinates_reference,
-                     raiser_square_reference, weight_zero_pool)
+                     lift_reference, monomials_of_weight,
+                     pbw_coordinates_reference, raiser_square_reference,
+                     weight_zero_pool)
 
 NAMES = ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1", "psl:2|2", "gl:2|1"]
 
@@ -251,6 +252,23 @@ def test_theta_v_is_linear(gradings):
     wal = wgen.workspace(gradings["spo:2|3"])
     assert min(len(wal.ge0_letters), len(wal.g1_letters)) >= 3
 
+
+
+@pytest.mark.parametrize("name", ["osp:1|2", "sl:2|1", "spo:2|3", "spo:2|5",
+                                  "psl:3|3", "spo:4|3"])
+def test_lifts_match_the_written_out_tail(name):
+    # every generator lifted by a tail formula, each lettered one but the
+    # bare midline coset F, is that formula written out term by term, with
+    # the same words in the same order
+    wal = wgen.workspace(grade(build_algebra(name)))
+    lettered = [gen for gen in wal.generators
+                if gen.letter is not None and gen.name != "F"]
+    assert len(lettered) == len(wal.ge0_letters) + len(wal.g1_letters)
+    for gen in lettered:
+        want = lift_reference(wal, {gen.letter: ONE})
+        assert gen.element.value == want, (name, gen.name)
+        assert list(gen.element.value.items()) == list(want.items()), \
+            (name, gen.name)
 
 def test_raiser_lift_small_case(gradings):
     # on osp:1|2 the degree-one generator closes over three words
