@@ -13,7 +13,7 @@ from .cartanw import (
     restricted_weight,
     simple_module,
 )
-from .envelope import PBWAlgebra, kazhdan_weights
+from .envelope import PBWAlgebra
 from .grading import MinimalGrading, grade
 from .scalar import Scalar, scalar
 from .superalgebra import LieSuperalgebra, build_algebra, validate
@@ -24,6 +24,7 @@ from .wgen import (
     compute_c0,
     compute_epsilon,
     evaluate_coordinates,
+    kazhdan_weights,
     pbw_coordinates,
     theta_F,
     theta_v,

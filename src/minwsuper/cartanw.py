@@ -131,15 +131,13 @@ class CartanWAlgebra:
     the certified relation table.
     """
 
-    def __init__(self, grading, names, parities, relations, images,
-                 rendered_images):
+    def __init__(self, grading, names, parities, relations, images):
         self.grading = grading
         self.parity_type = grading.parity_type
         self.names = names
         self.parities = parities
         self.relations = relations
         self.images = images
-        self.rendered_images = rendered_images
         self._idx = {n: k for k, n in enumerate(names)}
         self.pbw = PBWAlgebra.presented(names, parities, relations)
         # memo slot of _survivor_slots, and project_pi's monomial images
@@ -187,6 +185,7 @@ class CartanWAlgebra:
     # -- reporting ---------------------------------------------------------
 
     def as_json_dict(self):
+        labels = self.grading.algebra.labels
         rel = {"[%s',%s']" % (a, b): CartanWElement(self, rhs).render()
                for (a, b), rhs in sorted(self.relations.items())}
         return {
@@ -195,7 +194,8 @@ class CartanWAlgebra:
                 {"name": n + "'", "parity": p}
                 for n, p in zip(self.names, self.parities)],
             "relations": rel,
-            "images": dict(self.rendered_images),
+            "images": {n + "'": render_element(labels, self.images[n])
+                       for n in self.names},
         }
 
 
@@ -247,7 +247,7 @@ def build_cartan_w(grading):
         if bad is not None:
             raise ConsistencyError(
                 "derived %s' is not invariant under the lowest root "
-                "vector: %s" % (name, render_element(pbw, bad[1])))
+                "vector: %s" % (name, render_element(g.labels, bad[1])))
 
     table = _relation_table(names, gr.parity_type)
     unit_expo = (0,) * len(names)
@@ -262,11 +262,9 @@ def build_cartan_w(grading):
         if diff:
             raise ConsistencyError(
                 "derived bracket [%s',%s'] disagrees with the tabulated "
-                "relation by %s" % (a, b, render_element(pbw, diff)))
+                "relation by %s" % (a, b, render_element(g.labels, diff)))
 
-    rendered = {n + "'": render_element(pbw, images[n]) for n in names}
-    wal._cartan = CartanWAlgebra(grading, names, parities, table, images,
-                                 rendered)
+    wal._cartan = CartanWAlgebra(grading, names, parities, table, images)
     return wal._cartan
 
 

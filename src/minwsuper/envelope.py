@@ -43,17 +43,13 @@ the reversed pair by the supersign.  For a table not known to come from
 an algebra, associativity on triples of letters is the overlap check of
 the diamond lemma (de Graaf, *Lie Algebras: Theory and Algorithms*,
 ch. 6).
+
+An algebra keeps only what it multiplies with; the Kazhdan filtration and
+the letter names belong to the W-superalgebra workspace in ``wgen``.
 """
 
-from .errors import PreconditionError, check_type
-from .grading import MinimalGrading
+from .errors import PreconditionError
 from .scalar import HALF, ONE, acc, axpy, scalar
-
-
-def kazhdan_weights(grading):
-    """Letter weights of the Kazhdan filtration: ad-h degree plus two."""
-    check_type(grading, MinimalGrading)
-    return {i: d + 2 for i, d in enumerate(grading.degrees)}
 
 
 def from_exponents(coords):
@@ -66,9 +62,9 @@ class PBWAlgebra:
     """U(g) with straightening; the letters are the basis indices of g.
     ``presented`` builds the algebra of a presentation instead.
 
-    ``weights`` maps each letter to its Kazhdan weight.  Multiplication is
-    letter-by-letter with memoization, so repeated products of the same
-    generators stay cheap.
+    It holds only what it multiplies with: letter parities, bracket rows
+    and its caches.  Multiplication is letter-by-letter with memoization,
+    so repeated products of the same generators stay cheap.
 
     Elements are plain dicts; the algebra only multiplies them.  Sums and
     multiples are formed with ``scalar.acc``/``scalar.axpy`` into a dict
@@ -76,18 +72,16 @@ class PBWAlgebra:
     may be a letter-cache entry.
     """
 
-    def __init__(self, g, weights):
+    def __init__(self, g):
         bracket = g.bracket_basis
         self._start(g.parity, bracket,
                     lambda a, b: [((k,), c) for k, c in bracket(a, b).items()])
-        self.g = g
-        self.weights = dict(weights)
 
     @classmethod
     def presented(cls, names, parities, table):
         """The algebra on letters 0, 1, ... named ``names``, of the given
         parities, with [x_i, x_j] = ``table[(names[i], names[j])]`` over
-        exponent tuples for i <= j, 0 where it has none; no g or weights.
+        exponent tuples for i <= j, 0 where it has none.
         Each nonempty row is turned into words on its first read, the
         reversed pair (j, i) with the supersign, so a row of ``table`` may
         still be filled after the build as long as nothing has read it."""
@@ -108,7 +102,6 @@ class PBWAlgebra:
 
         pbw = object.__new__(cls)
         pbw._start(tuple(parities), entry, row)
-        pbw.g = pbw.weights = None
         return pbw
 
     def _start(self, parity, nonzero, row):
@@ -283,12 +276,7 @@ class PBWAlgebra:
             self._ad_cache[(x, w)] = vec
         return vec
 
-    # -- filtration and quotients -------------------------------------------
-
-    def kazhdan_degree(self, a):
-        if not a:
-            return None
-        return max(sum(self.weights[i] for i in w) for w in a)
+    # -- quotients -----------------------------------------------------------
 
     def project_qfin(self, a, f_letter):
         """Image in U/(U (f - 1)); strips trailing runs of f."""
@@ -311,11 +299,10 @@ class PBWAlgebra:
         return None
 
 
-def render_element(pbw, a):
-    """Sorted, human-readable form; mainly for reports and errors."""
+def render_element(labels, a):
+    """Sorted, human-readable form over ``labels``; for reports and errors."""
     if not a:
         return "0"
-    labels = pbw.g.labels
     parts = []
     for w in sorted(a, key=lambda w: (len(w), w)):
         body = "*".join(labels[i] for i in w) if w else "1"

@@ -23,11 +23,12 @@ a single term q*sqrt(k) as (k, q), with k = 1 for a rational; a rational
 times q'*sqrt(k), q*sqrt(k) times q'*sqrt(k) (which is q*q'*k) and
 q*sqrt(k) plus q'*sqrt(k) are one or two kernel calls.  Any other mix
 takes the Scalar operators.  The engine's irrational coefficients are such
-single terms in sqrt(-2).
+single terms: in sqrt(-2) when theta is +2 eps_i and in sqrt(2) when it is
+-2 eps_i, where pi's images hold terms in sqrt(-1) and sqrt(-2) as well.
 
 :func:`sqrt` writes the square root of a rational as a rational multiple of
-one ``sqrt(k)``.  The engine takes only sqrt(-2) and the midline norm, which
-reduces to it.
+one ``sqrt(k)``.  The engine takes sqrt(-2) for F and the midline norm,
+which is sqrt(-2) or sqrt(2) by the sign of theta.
 """
 
 from __future__ import annotations
@@ -520,7 +521,8 @@ def axpy(out, c, vec):
     # running sum that are each rational or one term q*sqrt(k) are read as
     # (k, q), k = 1 for a rational: rational * q'sqrt(k) = (q q')sqrt(k),
     # q sqrt(k) * q' sqrt(k) = q q' k and q sqrt(k) + q' sqrt(k) =
-    # (q + q')sqrt(k), each through _qmul/_qadd.  Any other mix takes the
+    # (q + q')sqrt(k), each through _qmul/_qadd; the radical k is -2 or 2
+    # by the grading, or -1 in pi's images.  Any other mix takes the
     # Scalar operators.  A Scalar c times the shared ONE of a normal-order
     # append is c itself; an int or Fraction c is still multiplied, so
     # every entry is a Scalar.

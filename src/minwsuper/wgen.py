@@ -41,8 +41,7 @@ value.
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .envelope import (PBWAlgebra, from_exponents, kazhdan_weights,
-                       render_element)
+from .envelope import PBWAlgebra, from_exponents, render_element
 from .errors import ConsistencyError, PreconditionError, check_type
 from .grading import (MinimalGrading, admissible_subalgebras, neg_one_bases,
                       weights_delta_rho)
@@ -52,6 +51,12 @@ from .superalgebra import _reach, _seeds
 RELATION_SUITE = "minimal-w-relations/1"
 
 THIRD = scalar(Fraction(1, 3))
+
+
+def kazhdan_weights(grading):
+    """Letter weights of the Kazhdan filtration: ad-h degree plus two."""
+    check_type(grading, MinimalGrading)
+    return {i: d + 2 for i, d in enumerate(grading.degrees)}
 
 
 def _vec_sub(x, y):
@@ -144,7 +149,8 @@ class WElement:
                 and self._coordinates() == other._coordinates())
 
     def __repr__(self):
-        return "WElement(%s)" % render_element(self.wal.pbw, self.value)
+        return "WElement(%s)" % render_element(self.wal.algebra.labels,
+                                              self.value)
 
 
 class Generator:
@@ -161,9 +167,9 @@ class Generator:
 class WAlgebra:
     """Workspace tied to one minimal grading, which owns it.
 
-    Holds the weighted normal-form algebra, the degree -1 dual bases
-    and lazily built generators, plus the data derived from them
-    elsewhere; every public module function routes through the
+    Holds the Kazhdan filtration, the normal-form algebra, the degree -1
+    dual bases and lazily built generators, plus the data derived from
+    them elsewhere; every public module function routes through the
     grading's one workspace so repeated queries share the caches.
     """
 
@@ -171,7 +177,7 @@ class WAlgebra:
         self.grading = grading
         self.algebra = grading.algebra
         self.weights = kazhdan_weights(grading)
-        self.pbw = PBWAlgebra(grading.algebra, weights=self.weights)
+        self.pbw = PBWAlgebra(grading.algebra)
         self.nb = neg_one_bases(grading)
         self.sub = admissible_subalgebras(grading)
         self._nzero = frozenset(self.sub["nzero"])
@@ -223,6 +229,10 @@ class WAlgebra:
     def word_weight(self, word):
         return sum(self.weights[i] for i in word)
 
+    def kazhdan_degree(self, a):
+        """The top Kazhdan weight of a word of ``a``; None for 0."""
+        return max(map(self.word_weight, a), default=None)
+
     def invariance_letters(self, flavor):
         """nprime for a "refined" certificate, nzero for a "finite" one."""
         if flavor not in ("refined", "finite"):
@@ -239,7 +249,7 @@ class WAlgebra:
             raise ConsistencyError(
                 "coset not %s-invariant: ad %s leaves %s" % (
                     flavor, self.algebra.labels[letter],
-                    render_element(self.pbw, residual)))
+                    render_element(self.algebra.labels, residual)))
         return WElement(self, value)
 
     @property
@@ -576,7 +586,7 @@ class WAlgebra:
         peeled = set()
         work = dict(value)
         while work:
-            d = self.pbw.kazhdan_degree(work)
+            d = self.kazhdan_degree(work)
             lead = [w for w in work if self.word_weight(w) == d
                     and all(i in pos for i in w)]
             if not lead:
@@ -754,7 +764,7 @@ class WAlgebra:
         failures.  It reads ``commutator_table`` first, so every group
         that brackets in ``uge``, casimir-vs-quadratic with its Theta_Cas,
         reads a certified algebra."""
-        gr, g, pbw = self.grading, self.algebra, self.pbw
+        gr, g = self.grading, self.algebra
         gens, lead = self.generators, self._lead_pos
         table, closed = self.commutator_table, self.closed_form_table
         identities = []
@@ -763,7 +773,7 @@ class WAlgebra:
             if not isinstance(residual, dict):
                 return str(residual)
             if all(isinstance(k, tuple) for k in residual):
-                return render_element(pbw, residual)
+                return render_element(g.labels, residual)
             return " + ".join("(%s)*%s" % (c.render(), g.labels[i])
                               for i, c in sorted(residual.items()))
 

@@ -31,8 +31,8 @@ letters by brackets with a generating set, and
 ``assert_exact_recipes`` sums the recipes of that reaching with
 ``axpy``, where the package solves for them.
 ``mul_reference`` multiplies two elements word pair by word pair,
-where the package folds the whole left factor through each right word
-and shares the folds of common prefixes.
+where the package folds the whole left factor through each right word,
+each right word on its own.
 ``cartan_product_reference`` multiplies two ordered monomials of the
 Cartan subquotient by the sign-and-odd-square rule that the subquotient
 used before it multiplied through the presented algebra of its relation
@@ -336,12 +336,12 @@ def casimir_vs_quadratic_reference(wal):
     """The report's casimir-vs-quadratic group read from U(g): the
     commutator of ``theta_cas_reference`` with the lift of every degree-0
     letter, each nonzero one a failure with its rendered residual."""
-    cas = theta_cas_reference(wal)
-    cases = [("[Cas,%s]" % wal.algebra.labels[a],
+    cas, labels = theta_cas_reference(wal), wal.algebra.labels
+    cases = [("[Cas,%s]" % labels[a],
               wal.comm_raw(cas, wal.theta_letter(a).value))
              for a in wal.ge0_letters]
     return {"id": "casimir-vs-quadratic", "cases": len(cases), "failures": [
-        {"case": label, "residual": render_element(wal.pbw, residual)}
+        {"case": label, "residual": render_element(labels, residual)}
         for label, residual in cases if residual]}
 
 
@@ -582,7 +582,7 @@ def pbw_coordinates_reference(wal, value, echelons=None):
     # C is the one generator without a letter, and it has weight zero
     letters = [gen.letter for gen in wal.generators]
     while work:
-        d = wal.pbw.kazhdan_degree(work)
+        d = wal.kazhdan_degree(work)
         solver = echelons.get((d, wt))
         if solver is None:
             solver = echelons[(d, wt)] = LinearSolver()

@@ -199,7 +199,7 @@ def test_simple_module_checks_the_odd_square(gradings):
     table = dict(cw.relations)
     table[("F", "F")] = {e: c + c for e, c in table[("F", "F")].items()}
     damaged = cartanw.CartanWAlgebra(cw.grading, cw.names, cw.parities,
-                                     table, cw.images, cw.rendered_images)
+                                     table, cw.images)
     with pytest.raises(ConsistencyError, match="squares to"):
         simple_module(damaged, [0])
 
@@ -266,7 +266,6 @@ def test_restricted_weight_of_ladder(gradings):
 def test_restricted_weight_mixed_split(gradings):
     gr = gradings["spo:2|3"]
     wal = wgen.workspace(gr)
-    pbw = wal.pbw
     mixed = wal.theta_letter(gr.xstars[0])
     th = wal.theta_letter(gr.hes[0])
     value = dict(mixed.value)
@@ -278,7 +277,7 @@ def test_restricted_weight_mixed_split(gradings):
     assert len(parts) == 2
     rebuilt = {}
     for part in parts.values():
-        assert part.kdeg == pbw.kazhdan_degree(part.value)
+        assert part.kdeg == wal.kazhdan_degree(part.value)
         axpy(rebuilt, ONE, part.value)
     assert rebuilt == x.value
 
@@ -542,6 +541,45 @@ def test_projection_matches_reference(name):
     for expo in cw._pi_images:
         one = wal.evaluate_coordinates({expo: ONE})
         assert not any(restricted_weight(one)), (name, expo)
+
+
+def _radicals(values):
+    """The radicands k of the sqrt(k) terms, k != 1, among ``values``."""
+    return {k for c in values if not c.is_rational() for k in c._v} - {1}
+
+
+@pytest.mark.parametrize("name,products,root_minus_one",
+                         [("spo:2|3", 144, 16), ("spo:4|1", 196, 20)])
+def test_root2_grading_report_and_pi(name, products, root_minus_one,
+                                     monkeypatch):
+    # at theta = -2 eps_1 the adapted brackets carry sqrt(2), not
+    # sqrt(-2), and F' = sqrt(-2) v_mid puts sqrt(2), sqrt(-1) and
+    # sqrt(-2) side by side into pi's images: the certified report, the
+    # closed form and pi hold there too
+    g = build_algebra(name)
+    theta = tuple(-c for c in grade(g).theta)
+    assert theta == (-2, 0)
+    wal = wgen.workspace(grade(g, theta))
+    calls = []
+    real = wgen.WAlgebra._straightened_table
+    monkeypatch.setattr(wgen.WAlgebra, "_straightened_table",
+                        lambda self: calls.append(self) or real(self))
+    assert wal.verify_relations()["ok"], name
+    assert calls == [], name
+    assert wal.closed_form_table == real(wal), name
+    assert _radicals(c for entry in wal.commutator_table.values()
+                     for c in entry.values()) == {2}, name
+    pool = weight_zero_pool(wal)
+    assert len(pool) ** 2 == products, name
+    mixed = 0
+    for x in pool:
+        for y in pool:
+            xy = wgen.w_multiply(x, y)
+            image = project_pi(xy)
+            assert image == project_pi(x) * project_pi(y), name
+            assert image == project_pi_reference(xy), name
+            mixed += -1 in _radicals(image.coords.values())
+    assert mixed == root_minus_one, name
 
 
 def test_projection_errors_leave_a_warm_memo_alone(gradings):

@@ -1,12 +1,16 @@
 """Straightening, Kazhdan filtration, finite quotient projection."""
 
+import ast
+import inspect
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from minwsuper import envelope
 from minwsuper.cartanw import build_cartan_w
-from minwsuper.envelope import PBWAlgebra, kazhdan_weights, render_element
+from minwsuper.envelope import PBWAlgebra, render_element
 from minwsuper.errors import PreconditionError
 from minwsuper.grading import grade
 from minwsuper.scalar import HALF, ONE, ZERO, axpy, scalar, sqrt
@@ -19,7 +23,7 @@ from oracles import (commutator_reference, free_normal_form, mul_reference,
 
 def _setup(name):
     mg = grade(build_algebra(name))
-    return mg, PBWAlgebra(mg.algebra, weights=kazhdan_weights(mg))
+    return mg, PBWAlgebra(mg.algebra)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +61,7 @@ def test_partner_sets_are_built_on_first_ad():
     # only a letter that ``ad`` was asked about gets its partner set
     mg = grade(build_algebra("spo:2|3"))
     g = mg.algebra
-    pbw = PBWAlgebra(g, weights=kazhdan_weights(mg))
+    pbw = PBWAlgebra(g)
     assert pbw._partners == {}
     pbw.ad(mg.e, {(mg.f,): ONE})
     assert pbw._partners == {mg.e: {b for b in range(g.dim)
@@ -131,32 +135,63 @@ def test_odd_square_rule(setups):
 
 def test_kazhdan_letter_weights(setups):
     mg, pbw = setups["osp:1|2"]
-    assert pbw.kazhdan_degree({(mg.e,): ONE}) == 4
-    assert pbw.kazhdan_degree({(mg.hth,): ONE}) == 2
-    assert pbw.kazhdan_degree({(mg.vmid,): ONE}) == 1
-    assert pbw.kazhdan_degree({(mg.f,): ONE}) == 0
-    assert pbw.kazhdan_degree(pbw.unit()) == 0
-    assert pbw.kazhdan_degree({}) is None
+    wal = workspace(mg)
+    assert wal.kazhdan_degree({(mg.e,): ONE}) == 4
+    assert wal.kazhdan_degree({(mg.hth,): ONE}) == 2
+    assert wal.kazhdan_degree({(mg.vmid,): ONE}) == 1
+    assert wal.kazhdan_degree({(mg.f,): ONE}) == 0
+    assert wal.kazhdan_degree(pbw.unit()) == 0
+    assert wal.kazhdan_degree({}) is None
+
+
+def test_envelope_keeps_only_what_it_multiplies_with():
+    # the Kazhdan filtration and the letter labels belong to the workspace:
+    # envelope imports only errors and scalar, U(g) is built from g alone
+    # and keeps neither g nor weights, and the workspace's Kazhdan degree
+    # is the top weight sum of a word
+    imports = []
+    for node in ast.walk(ast.parse(Path(envelope.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imports += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports.append("." * node.level + (node.module or ""))
+    assert sorted(imports) == [".errors", ".scalar"]
+    assert list(inspect.signature(PBWAlgebra).parameters) == ["g"]
+    mg = grade(build_algebra("spo:2|3"))
+    pbw = PBWAlgebra(mg.algebra)
+    presented = build_cartan_w(mg).pbw
+    for algebra in (pbw, presented):
+        assert not hasattr(algebra, "g") and not hasattr(algebra, "weights")
+    wal, dim = workspace(mg), mg.algebra.dim
+    rng = random.Random(41)
+    for _ in range(20):
+        a = {}
+        for word in _random_words(rng, dim, rng.randint(1, 4)):
+            axpy(a, scalar(rng.randint(1, 5)), pbw.from_words([(word, ONE)]))
+        want = max((sum(mg.degrees[i] + 2 for i in w) for w in a),
+                   default=None)
+        assert wal.kazhdan_degree(a) == want, a
+    assert wal.kazhdan_degree({}) is None
 
 
 def test_kazhdan_filtration_multiplicative(setups):
     rng = random.Random(31)
     for name, (mg, pbw) in setups.items():
-        dim = mg.algebra.dim
+        dim, kdeg = mg.algebra.dim, workspace(mg).kazhdan_degree
         for _ in range(10):
             wa = next(_random_words(rng, dim, 1, 4))
             wb = next(_random_words(rng, dim, 1, 4))
             a, b = pbw.from_words([(wa, ONE)]), pbw.from_words([(wb, ONE)])
             if not a or not b:
                 continue
-            da, db = pbw.kazhdan_degree(a), pbw.kazhdan_degree(b)
+            da, db = kdeg(a), kdeg(b)
             prod = pbw.mul(a, b)
             if prod:
-                assert pbw.kazhdan_degree(prod) <= da + db, name
+                assert kdeg(prod) <= da + db, name
             comm = pbw.commutator(a, b)
             if comm:
                 # the associated graded algebra is supercommutative
-                assert pbw.kazhdan_degree(comm) < da + db, (name, wa, wb)
+                assert kdeg(comm) < da + db, (name, wa, wb)
 
 
 def test_finite_quotient_kills_ideal(setups):
@@ -352,7 +387,7 @@ def test_commutator_matches_reference_on_mixed_elements():
     rng = random.Random(37)
     for name in KERNEL_NAMES:
         mg = grade(build_algebra(name))
-        pbw = PBWAlgebra(mg.algebra, weights=kazhdan_weights(mg))
+        pbw = PBWAlgebra(mg.algebra)
         dim = mg.algebra.dim
         mixed = 0
         for _ in range(8):
@@ -373,7 +408,7 @@ def test_letter_cache_holds_no_appends():
     wal = workspace(grade(build_algebra("spo:2|3")))
     wal.commutator_table
     pbw = wal.pbw
-    parity = pbw.g.parity
+    parity = pbw.parity
     assert pbw._cache
     for word, x in pbw._cache:
         assert word, x
@@ -384,6 +419,7 @@ def test_letter_cache_holds_no_appends():
 
 def test_render_element(setups):
     mg, pbw = setups["osp:1|2"]
-    assert render_element(pbw, {}) == "0"
-    out = render_element(pbw, {(mg.e,): ONE, (): scalar(2)})
+    labels = mg.algebra.labels
+    assert render_element(labels, {}) == "0"
+    out = render_element(labels, {(mg.e,): ONE, (): scalar(2)})
     assert "e" in out and "(2)" in out

@@ -31,12 +31,18 @@ kind as ``oracles.theta_kind`` reads it; on one root of every class
 other than the default grading's, the relation report must be ``ok`` on
 the certificate path, the closed form must equal the straightened
 table, and c0 (and epsilon in type odd) must match ``EXTRA_CLASSES``.
+A class holds both theta and -theta, so on every row of parity type odd
+the grading of -theta, for theta the default grading's root, gets its own
+certified report and the seeded pi products below: -theta must be a
+minimal root, and its adapted brackets carry sqrt(2) where those of theta
+carry sqrt(-2).
 On every row of parity type odd, half the closed-form (g_mid, g_mid)
 entry must equal the explicit raiser-square reference, since
 Theta(g_mid) is odd.  On every row, pi must be multiplicative on
 seeded products of the weight-zero pool, drawn among all its pairs, up
-to Kazhdan degree 12, each formed on coordinates in ``wal.uge``.  One
-seeded product of the pool, of Kazhdan degree 8 or less, must have the
+to Kazhdan degree 12, each formed on coordinates in ``wal.uge``, and
+must equal the image that ``project_pi_reference`` forms with no memo.
+One seeded product of the pool, of Kazhdan degree 8 or less, must have the
 coordinates that peeling the U(g) product of its factors gives, must
 have the pi image that ``project_pi_reference`` forms with no memo, and
 must pass the invariance check that products inherit unchecked.
@@ -205,6 +211,20 @@ def _certified_report(wal, monkeypatch):
     return rep
 
 
+def _pi_products(wal, desc):
+    """The ordered pairs of the weight-zero pool of ``wal``, after pi is
+    checked on seeded products of them, each formed on coordinates in
+    ``wal.uge``: multiplicative, and equal to ``project_pi_reference``."""
+    pool = weight_zero_pool(wal)
+    pairs = [(x, y) for x in pool for y in pool]
+    for x, y in random.Random(desc).sample(pairs,
+                                           min(PI_PRODUCTS, len(pairs))):
+        xy = wgen.w_multiply(x, y)
+        assert project_pi(xy) == project_pi(x) * project_pi(y), desc
+        assert project_pi(xy) == project_pi_reference(xy), desc
+    return pairs
+
+
 def _assert_c0_epsilon_law(desc, gr):
     """c0, and epsilon in type odd, of ``gr`` obey ``c0_epsilon_law``."""
     c0, epsilon = c0_epsilon_law(desc, gr)
@@ -280,6 +300,14 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
             assert other.closed_form_table == other._straightened_table()
             extra[cls] = (rep["c0"], rep["epsilon"])
     assert extra == EXTRA_CLASSES.get(desc, {}), desc
+    if default.parity_type == "odd":
+        # theta and -theta share a class, but the adapted brackets of -theta
+        # carry sqrt(2) where those of theta carry sqrt(-2)
+        neg = tuple(-c for c in default.theta)
+        assert neg in cands, desc
+        other = wgen.workspace(grade(g, neg))
+        _certified_report(other, monkeypatch)
+        _pi_products(other, desc)
     wal = wgen.workspace(default)
     adapted = wal.algebra
     rng = random.Random(desc)
@@ -309,12 +337,7 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
         axpy(half, HALF, wal.evaluate_coordinates(
             wal.closed_form_table[(gmid, gmid)]).value)
         assert half == raiser_square_reference(wal), desc
-    pool = weight_zero_pool(wal)
-    pairs = [(x, y) for x in pool for y in pool]
-    for x, y in random.Random(desc).sample(pairs,
-                                           min(PI_PRODUCTS, len(pairs))):
-        assert project_pi(wgen.w_multiply(x, y)) == \
-            project_pi(x) * project_pi(y), desc
+    pairs = _pi_products(wal, desc)
     # one seeded product, formed in wal.uge, against U(g): its coordinates
     # are those of the U(g) product of the values, pi is multiplicative on
     # it and agrees with pi formed afresh with no memo, and it passes the
