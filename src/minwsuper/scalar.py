@@ -459,10 +459,10 @@ _ONE = _wrap(1)
 
 
 def scalar(x):
-    """Coerce an int, Fraction or Scalar to a Scalar."""
+    """Coerce an int, Fraction or Scalar to a Scalar; a bool is refused."""
     if x.__class__ is Scalar:
         return x
-    v = _value(x)
+    v = None if x.__class__ is bool else _value(x)
     if v is None:
         raise TypeError("cannot coerce %r to Scalar" % (x,))
     return _wrap(v)

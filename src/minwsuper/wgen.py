@@ -98,16 +98,16 @@ class WElement:
     kept as its coordinates over the ordered generator monomials.  Its
     normal-form ``value``, free of the lowest root vector, is evaluated on
     first read, and ``WElement(wal, value)`` is peeled once.
-    Only generators are certified, where they are built: F for nzero, f
-    and the degree -1 block without the midline letter ("finite"), the
-    others for nprime, f and the whole block ("refined").  nzero lies in
-    nprime, so all are finite-invariant.  For a letter x of nzero,
+    Only generators are certified, where they are built: F for the letters
+    of nzero, f and the degree -1 block without the midline letter, the
+    others for those of nprime, f and the whole block.  nzero lies in
+    nprime, so all are nzero-invariant.  For a letter x of nzero,
     ad_x(ab) = ad_x(a) b +- a ad_x(b), U(g)(f-1) is a left ideal, and
     U(g)(f-1) b lies in it when [f, b] does, as f is in nzero; so the
-    finite-invariant cosets form a subalgebra, and sums, products,
+    nzero-invariant cosets form a subalgebra, and sums, products,
     supercommutators, coordinate evaluations and weight components
-    inherit finite invariance.  No more holds in general: on spo:2|3, F C
-    is not refined-invariant.
+    inherit nzero invariance.  No more holds in general: on spo:2|3, F C
+    is not nprime-invariant.
     """
 
     __slots__ = ("wal", "_value", "_coords")
@@ -233,22 +233,15 @@ class WAlgebra:
         """The top Kazhdan weight of a word of ``a``; None for 0."""
         return max(map(self.word_weight, a), default=None)
 
-    def invariance_letters(self, flavor):
-        """nprime for a "refined" certificate, nzero for a "finite" one."""
-        if flavor not in ("refined", "finite"):
-            raise PreconditionError("invariance flavor %r is neither "
-                                    "'refined' nor 'finite'" % (flavor,))
-        return self.sub["nprime" if flavor == "refined" else "nzero"]
-
-    def certify(self, value, flavor):
-        """Wrap a coset after checking the twisted adjoint action kills it."""
-        bad = self.pbw.is_invariant(value, self.invariance_letters(flavor),
-                                    project=self.project)
+    def certify(self, value, letters):
+        """Wrap a coset after checking that the twisted adjoint action of
+        each of ``letters`` kills it."""
+        bad = self.pbw.is_invariant(value, letters, project=self.project)
         if bad is not None:
             letter, residual = bad
             raise ConsistencyError(
-                "coset not %s-invariant: ad %s leaves %s" % (
-                    flavor, self.algebra.labels[letter],
+                "coset not invariant: ad %s leaves %s" % (
+                    self.algebra.labels[letter],
                     render_element(self.algebra.labels, residual)))
         return WElement(self, value)
 
@@ -302,14 +295,6 @@ class WAlgebra:
             axpy(coords, scalar(c), self.theta_letter(i)._coords)
         return self.evaluate_coordinates(coords)
 
-    def theta_zero(self, v):
-        """Tail-corrected lift of a degree-0 centralizer element."""
-        return self._theta(v, self.ge0_letters, "degree-0 centralizer")
-
-    def theta_one(self, w):
-        """Tail-corrected lift of a degree-1 element."""
-        return self._theta(w, self.g1_letters, "degree-1")
-
     def theta_letter(self, i):
         """The lift of one basis letter: its generator's element."""
         self.generators  # fills the letter map with the list
@@ -338,10 +323,6 @@ class WAlgebra:
         out += [(ys, y, -ONE) for y, ys in zip(gr.ys, gr.ystars)]
         return out
 
-    def casimir(self):
-        """The distinguished central element C of the generator list."""
-        return self.generators[self.generator_index("C")].element
-
     def _casimir_lift(self):
         """The coset of C; leading coset 2e.
 
@@ -366,11 +347,6 @@ class WAlgebra:
                 axpy(out, sign + sign, pbw.mul(pbw.inject(ez), pbw.inject(z)))
         return self.project(out)
 
-    def theta_mid(self):
-        if self.grading.parity_type != "odd":
-            raise PreconditionError("no midline generator in type even")
-        return self.generators[self.generator_index("F")].element
-
     @property
     def generators(self):
         """Ordered generator list; the module-basis order used everywhere,
@@ -378,7 +354,7 @@ class WAlgebra:
         one by its tail formula, also kept in ``_theta_cache``, and C."""
         if self._gens is not None:
             return self._gens
-        gr, g = self.grading, self.algebra
+        gr, g, sub = self.grading, self.algebra, self.sub
         out = []
 
         def put(*runs):
@@ -387,17 +363,17 @@ class WAlgebra:
                     lift = (self._lift_zero if i in self.ge0_letters
                             else self._lift_one)
                     elem = self._theta_cache[i] = self.certify(
-                        lift({i: ONE}), "refined")
+                        lift({i: ONE}), sub["nprime"])
                     out.append(Generator(g.labels[i], i, self.weights[i],
                                          g.parity[i], elem))
 
         put(gr.xs, gr.ys, gr.fs, gr.gs)
         if gr.parity_type == "odd":
-            out.append(Generator("F", gr.vmid, self.weights[gr.vmid], 1,
-                                 self.certify({(gr.vmid,): ONE}, "finite")))
+            mid = self.certify({(gr.vmid,): ONE}, sub["nzero"])
+            out.append(Generator("F", gr.vmid, self.weights[gr.vmid], 1, mid))
         put(gr.hes)
-        out.append(Generator("C", None, 4, 0,
-                             self.certify(self._casimir_lift(), "refined")))
+        cas = self.certify(self._casimir_lift(), sub["nprime"])
+        out.append(Generator("C", None, 4, 0, cas))
         put([] if gr.gmid is None else [gr.gmid], gr.fstars, gr.gstars,
             gr.xstars, gr.ystars)
         self._name_pos = {gen.name: k for k, gen in enumerate(out)}
@@ -907,19 +883,29 @@ def workspace(grading):
 
 
 def theta_v(grading, v):
-    return workspace(grading).theta_zero(v)
+    """Tail-corrected lift of a degree-0 centralizer element."""
+    wal = workspace(grading)
+    return wal._theta(v, wal.ge0_letters, "degree-0 centralizer")
 
 
 def theta_w(grading, w):
-    return workspace(grading).theta_one(w)
+    """Tail-corrected lift of a degree-1 element."""
+    wal = workspace(grading)
+    return wal._theta(w, wal.g1_letters, "degree-1")
 
 
 def casimir_C(grading):
-    return workspace(grading).casimir()
+    """The distinguished central element C of the generator list."""
+    wal = workspace(grading)
+    return wal.generators[wal.generator_index("C")].element
 
 
 def theta_F(grading):
-    return workspace(grading).theta_mid()
+    """The midline generator F of an odd grading."""
+    wal = workspace(grading)
+    if grading.parity_type != "odd":
+        raise PreconditionError("no midline generator in type even")
+    return wal.generators[wal.generator_index("F")].element
 
 
 def _workspace_of(x):

@@ -48,6 +48,7 @@ helper.
 
 from fractions import Fraction
 
+from minwsuper import wgen
 from minwsuper.cartanw import (CartanWElement, _survivor_slots,
                                build_cartan_w, restricted_weight)
 from minwsuper.envelope import render_element
@@ -270,7 +271,7 @@ def raiser_square_reference(wal):
     gr, g, wd = wal.grading, wal.algebra, wal.weight_data
     quarter = scalar(Fraction(1, 4))
     out = {}
-    axpy(out, -quarter, wal.casimir().value)
+    axpy(out, -quarter, wgen.casimir_C(gr).value)
     acc(out, (), quarter * wal.c0)
     for a, row in zip(wd.letters, wd.inverse):
         for b, c in zip(wd.letters, row):
@@ -287,11 +288,11 @@ def raiser_square_reference(wal):
         left = gr.sharp(g.bracket(gmid, wal.nb["z"][k]))
         right = gr.sharp(g.bracket(wal.nb["zstar"][k], gmid))
         if left and right:
-            axpy(out, -ONE, wal.mul_raw(wal.theta_zero(left).value,
-                                        wal.theta_zero(right).value))
+            axpy(out, -ONE, wal.mul_raw(wgen.theta_v(gr, left).value,
+                                        wgen.theta_v(gr, right).value))
     net = tuple(2 * (a + b) for a, b in zip(wd.rho_e0_bar, wd.delta_bar))
     if any(net):
-        axpy(out, quarter, wal.theta_zero(wal.dual_cartan(net)).value)
+        axpy(out, quarter, wgen.theta_v(gr, wal.dual_cartan(net)).value)
     return out
 
 
@@ -329,7 +330,7 @@ def theta_cas_reference(wal):
     for a, b, c in wal._quadratic_pairs():
         axpy(value, c, wal.mul_raw(wal.theta_letter(a).value,
                                    wal.theta_letter(b).value))
-    return wal.certify(value, "refined").value
+    return wal.certify(value, wal.sub["nprime"]).value
 
 
 def casimir_vs_quadratic_reference(wal):

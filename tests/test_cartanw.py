@@ -238,8 +238,11 @@ def test_simple_module_errors(gradings):
     for lam in (None, 5):
         with pytest.raises(PreconditionError, match=type(lam).__name__):
             simple_module(cw_odd, lam)
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            simple_module(cw_odd, [bad])
     with pytest.raises(TypeError):
-        simple_module(cw_odd, [0.5])
+        simple_module(cw_even, [0, 0], c=False)
 
 
 # -- restricted weights --------------------------------------------------
@@ -248,8 +251,8 @@ def test_simple_module_errors(gradings):
 def test_restricted_weight_of_survivors(gradings):
     gr = gradings["spo:2|3"]
     wal = wgen.workspace(gr)
-    assert restricted_weight(wal.casimir()) == (Fraction(0),)
-    assert restricted_weight(wal.theta_mid()) == (Fraction(0),)
+    assert restricted_weight(wgen.casimir_C(gr)) == (Fraction(0),)
+    assert restricted_weight(wgen.theta_F(gr)) == (Fraction(0),)
     assert restricted_weight(wal.theta_letter(gr.gmid)) == (Fraction(0),)
 
 
@@ -393,7 +396,7 @@ def test_projection_midline_image(gradings):
     wal = wgen.workspace(gr)
     cw = build_cartan_w(gr)
     s2 = sqrt(-2)
-    img = project_pi(wal.theta_mid()).scale(s2)
+    img = project_pi(wgen.theta_F(gr)).scale(s2)
     assert (img - cw.gen("F")).is_zero()
 
 
@@ -439,7 +442,7 @@ def test_projection_odd_shift_moves_casimir(gradings):
                            for r, d in zip(wd.rho_e0_bar, wd.delta_bar))
         for letter, c in wal.dual_cartan(functional).items():
             raw += cw.gen(labels[letter]).scale(c)
-        cas = wal.casimir()
+        cas = wgen.casimir_C(gr)
         assert project_pi(cas) == raw + wal.epsilon(), name
 
 
@@ -497,7 +500,7 @@ def test_projection_multiplicative_even(gradings):
 def test_projection_triple_product(gradings):
     gr = gradings["osp:1|2"]
     wal = wgen.workspace(gr)
-    tf = wal.theta_mid()
+    tf = wgen.theta_F(gr)
     tg = wal.theta_letter(gr.gmid)
     triple = wgen.w_multiply(wgen.w_multiply(tf, tg), tf)
     lhs = project_pi(triple)
@@ -680,8 +683,14 @@ def test_element_coerces_coefficients(gradings):
     assert isinstance(x.coefficient(unit), Scalar)
     assert x.render() == "(2)*1 + (1/3)*h1'"
     assert repr(x) == "CartanWElement((2)*1 + (1/3)*h1')"
-    with pytest.raises(TypeError):
-        CartanWElement(cw, {unit: 0.5})
+    # a float or a bool is refused, as scalar() refuses them
+    for bad in (0.5, True, False):
+        with pytest.raises(TypeError):
+            CartanWElement(cw, {unit: bad})
+        with pytest.raises(TypeError):
+            x.scale(bad)
+        with pytest.raises(TypeError):
+            cw.coerce(bad)
 
 
 def test_workspace_functions_reject_other_elements(gradings):

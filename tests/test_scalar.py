@@ -123,8 +123,12 @@ def test_coercion():
     assert scalar(Fraction(2, 7)) * 7 == scalar(2)
     assert 2 / scalar(4) == HALF
     assert 1 - HALF == HALF
-    with pytest.raises(TypeError):
-        scalar("nope")
+    # a float or a bool is no coefficient, though the operators read a
+    # bool operand as 0 or 1
+    for bad in ("nope", 0.5, True, False):
+        with pytest.raises(TypeError):
+            scalar(bad)
+    assert ONE + True == scalar(2)
 
 
 def test_as_fraction():

@@ -1,12 +1,15 @@
 """Invariant generators, the quadratic constants, straightening."""
 
+import ast
 import hashlib
+import inspect
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import minwsuper
 from minwsuper import cartanw, envelope, wgen
 from minwsuper.cartanw import build_cartan_w, project_pi, restricted_weight
 from minwsuper.envelope import PBWAlgebra, from_exponents, render_element
@@ -124,7 +127,7 @@ def test_kazhdan_degrees(gradings):
     wal = wgen.workspace(mg)
     v = wgen.theta_v(mg, {mg.xs[0]: ONE})
     w = wgen.theta_w(mg, {mg.gs[0]: ONE})
-    assert v.kdeg == 2 and wal.certify(v.value, "refined") == v
+    assert v.kdeg == 2 and wal.certify(v.value, wal.sub["nprime"]) == v
     assert w.kdeg == 3
     assert wgen.casimir_C(mg).kdeg == 4
     assert wgen.theta_F(mg).kdeg == 1
@@ -155,8 +158,8 @@ def test_theta_v_rejects_wrong_degree(gradings):
 
 def test_lifts_and_coordinates_coerce_coefficients(gradings):
     # coefficients are coerced to Scalar, as CartanWElement does: an int
-    # or Fraction gives the same element as its Scalar, and a float is a
-    # TypeError, even a float zero
+    # or Fraction gives the same element as its Scalar, and a float or a
+    # bool is a TypeError, even a float zero or False
     mg = gradings["spo:2|3"]
     x, g = mg.xs[0], mg.gs[0]
     half = scalar(Fraction(1, 2))
@@ -166,7 +169,7 @@ def test_lifts_and_coordinates_coerce_coefficients(gradings):
     zero = (0,) * len(wgen.workspace(mg).generators)
     assert wgen.evaluate_coordinates(mg, {zero: Fraction(1, 2)}) == \
         wgen.evaluate_coordinates(mg, {zero: half})
-    for bad in (0.0, 0.5):
+    for bad in (0.0, 0.5, True, False):
         with pytest.raises(TypeError):
             wgen.theta_v(mg, {x: bad})
         with pytest.raises(TypeError):
@@ -208,27 +211,37 @@ def test_wrong_argument_types_are_typed_errors(name, arg):
 def test_theta_F_needs_a_midline(gradings):
     with pytest.raises(PreconditionError):
         wgen.theta_F(gradings["sl:2|1"])
-    # F is certified for the action without the midline letter, which
-    # it does not commute with
+    # F is certified for the letters of nzero, the action without the
+    # midline letter, which it does not commute with
     mg = gradings["osp:1|2"]
     wal, F = wgen.workspace(mg), wgen.theta_F(mg)
-    assert wal.certify(F.value, "finite") == F
+    assert wal.certify(F.value, wal.sub["nzero"]) == F
     with pytest.raises(ConsistencyError):
-        wal.certify(F.value, "refined")
+        wal.certify(F.value, wal.sub["nprime"])
 
 
-def test_invariance_flavor_must_be_named(gradings):
-    # only "refined" (nprime) and "finite" (nzero) name a letter set; a
-    # misspelt flavor is refused, not read as the weaker finite check
-    mg = gradings["osp:1|2"]
-    wal, F = wgen.workspace(mg), wgen.theta_F(mg)
-    assert wal.invariance_letters("refined") == wal.sub["nprime"]
-    assert wal.invariance_letters("finite") == wal.sub["nzero"]
-    for flavor in ("Refined", None, "", "nzero"):
-        with pytest.raises(PreconditionError):
-            wal.invariance_letters(flavor)
-        with pytest.raises(PreconditionError):
-            wal.certify(F.value, flavor)
+def test_each_generator_has_one_entry_point():
+    # certify checks the letter set it is handed, with no flavor name to
+    # map to one, and each generator is fetched by its module function
+    # alone, which keeps its signature and its export
+    params = inspect.signature(wgen.WAlgebra.certify).parameters
+    assert list(params) == ["self", "value", "letters"]
+    for name in ("invariance_letters", "theta_zero", "theta_one", "casimir",
+                 "theta_mid"):
+        assert not hasattr(wgen.WAlgebra, name), name
+    with open(wgen.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)}
+    assert not strings & {"refined", "finite"}
+    for func, args in ((wgen.theta_v, ["grading", "v"]),
+                       (wgen.theta_w, ["grading", "w"]),
+                       (wgen.casimir_C, ["grading"]),
+                       (wgen.theta_F, ["grading"])):
+        assert list(inspect.signature(func).parameters) == args
+        assert getattr(minwsuper, func.__name__) is func
+        assert func.__name__ in minwsuper.__all__
 
 
 def test_theta_v_is_linear(gradings):
@@ -243,7 +256,7 @@ def test_theta_v_is_linear(gradings):
                 (wal.ge0_letters, wgen.theta_v, wal._lift_zero),
                 (wal.g1_letters, wgen.theta_w, wal._lift_one)):
             x = dict(zip(letters, coeffs))
-            want = wal.certify(direct(x), "refined")
+            want = wal.certify(direct(x), wal.sub["nprime"])
             got = lift(mg, x)
             assert got.value == want.value
             assert got == want and got.kdeg == want.kdeg
@@ -327,8 +340,8 @@ def test_midline_squares_to_one(gradings):
 
 def test_midline_multiplies_casimir(gradings):
     # F and C multiply like any two W-elements: from either order the
-    # product is the ordered monomial F*C, it is finite-invariant but not
-    # refined-invariant, and [F, C] = 0; only elements over two gradings
+    # product is the ordered monomial F*C, it is nzero-invariant but not
+    # nprime-invariant, and [F, C] = 0; only elements over two gradings
     # are refused
     for name in NAMES:
         mg = gradings[name]
@@ -339,9 +352,9 @@ def test_midline_multiplies_casimir(gradings):
         fc = tuple(int(gen.name in ("F", "C")) for gen in wal.generators)
         for x in (wgen.w_multiply(F, C), wgen.w_multiply(C, F)):
             assert wgen.pbw_coordinates(x) == {fc: ONE}, name
-            assert wal.certify(x.value, "finite") == x
+            assert wal.certify(x.value, wal.sub["nzero"]) == x
             with pytest.raises(ConsistencyError):
-                wal.certify(x.value, "refined")
+                wal.certify(x.value, wal.sub["nprime"])
         assert wgen.w_commutator(F, C).is_zero(), name
     assert "spo:2|3" in NAMES
     mg = gradings["osp:1|2"]
@@ -631,7 +644,8 @@ def test_peel_rejects_dependent_generators():
                 and (gens[p].weight, gens[p].parity)
                 == (gens[q].weight, gens[q].parity))
     theta_a = wal.theta_letter(gens[a].letter)
-    both = wal.theta_zero({gens[a].letter: ONE, gens[b].letter: ONE})
+    both = wgen.theta_v(wal.grading,
+                        {gens[a].letter: ONE, gens[b].letter: ONE})
     gens[a].element = gens[b].element = both
     with pytest.raises(ConsistencyError):
         wal.pbw_coordinates(theta_a.value)
@@ -680,7 +694,7 @@ def _cache_snapshot(wal, cw):
         "cas": words(wal._cas),
         "monomials": {key: r(v) for key, v in wal._mono_cache.items()},
         "thetas": {key: r(v.value) for key, v in wal._theta_cache.items()},
-        "casimir": r(wal.casimir().value),
+        "casimir": r(wgen.casimir_C(wal.grading).value),
         "images": {key: r(v) for key, v in cw.images.items()},
         "survivors": [(slot, image.render()) for slot, image
                       in cartanw._survivor_slots(cw)],
@@ -721,10 +735,10 @@ def test_second_certify_adds_no_cache_entry(gradings):
     wal = wgen.workspace(gradings["spo:2|3"])
     gens = [gen.element for gen in wal.generators]
     value = wal.mul_raw(gens[-1].value, gens[0].value)
-    first = wal.certify(value, "refined")
+    first = wal.certify(value, wal.sub["nprime"])
     sizes = (len(wal.pbw._cache), len(wal.pbw._ad_cache))
     assert sizes[1]
-    second = wal.certify(value, "refined")
+    second = wal.certify(value, wal.sub["nprime"])
     assert (len(wal.pbw._cache), len(wal.pbw._ad_cache)) == sizes
     assert second == first
 
@@ -734,13 +748,13 @@ def test_certify_reports_the_commutator_residual(gradings):
     # superbracket with the first letter that leaves one
     wal = wgen.workspace(gradings["spo:2|3"])
     value = {(wal.grading.e,): ONE}
-    letters = wal.invariance_letters("refined")
+    letters = wal.sub["nprime"]
     bad = next(b for b in letters if wal.project(
         wal.pbw.commutator(wal.pbw.inject({b: ONE}), value)))
     residual = wal.project(wal.pbw.commutator(wal.pbw.inject({bad: ONE}),
                                               value))
     with pytest.raises(ConsistencyError) as err:
-        wal.certify(value, "refined")
+        wal.certify(value, letters)
     assert str(err.value).endswith(
         "ad %s leaves %s" % (wal.algebra.labels[bad],
                              render_element(wal.algebra.labels, residual)))
@@ -749,25 +763,30 @@ def test_certify_reports_the_commutator_residual(gradings):
 @pytest.mark.parametrize("name", ["osp:1|2", "sl:2|1", "spo:2|3", "spo:2|5"])
 def test_derived_elements_inherit_invariance(name, monkeypatch):
     # generators are certified once each, where they are built, F for the
-    # finite action and the others for the refined one; seeded products
+    # letters of nzero and the others for those of nprime; seeded products
     # and supercommutators of them, coordinates evaluated back and
     # restricted-weight components make no check of their own, yet each is
-    # finite-invariant, and the products and supercommutators of
-    # generators other than F are refined-invariant too
+    # nzero-invariant, and the products and supercommutators of
+    # generators other than F are nprime-invariant too
     mg = grade(build_algebra(name))
     wal = wgen.workspace(mg)
-    flavors = []
+    nzero, nprime = wal.sub["nzero"], wal.sub["nprime"]
+    letter_sets = []
     real = wgen.WAlgebra.certify
-    monkeypatch.setattr(wgen.WAlgebra, "certify",
-                        lambda self, value, flavor: flavors.append(flavor)
-                        or real(self, value, flavor))
+
+    def spy(self, value, letters):
+        letter_sets.append(letters)
+        return real(self, value, letters)
+
+    monkeypatch.setattr(wgen.WAlgebra, "certify", spy)
     odd = mg.parity_type == "odd"
     if odd:
+        assert nzero != nprime
         F = wgen.theta_F(mg)
-        assert wgen.theta_F(mg) is F and flavors.count("finite") == 1
+        assert wgen.theta_F(mg) is F and letter_sets.count(nzero) == 1
     gens = [gen.element for gen in wal.generators]
-    assert sorted(flavors) == ["finite"] * odd + ["refined"] * (
-        len(gens) - odd)
+    assert sorted(letter_sets) == sorted([nzero] * odd + [nprime] * (
+        len(gens) - odd))
     rng = random.Random(name)
     derived = []
     for pool in ([gen.element for gen in wal.generators if gen.name != "F"],
@@ -775,12 +794,12 @@ def test_derived_elements_inherit_invariance(name, monkeypatch):
         for _ in range(6):
             a, b = rng.choice(pool), rng.choice(pool)
             derived += [wgen.w_multiply(a, b), wgen.w_commutator(a, b)]
-    assert len(flavors) == len(gens)
+    assert len(letter_sets) == len(gens)
     monkeypatch.undo()
     for x in derived[:12]:
-        assert wal.certify(x.value, "refined") == x
+        assert wal.certify(x.value, nprime) == x
     for x in derived:
-        assert wal.certify(x.value, "finite") == x
+        assert wal.certify(x.value, nzero) == x
     # coordinates evaluated back, and the restricted-weight components of
     # one ordered monomial of each generator plus a product
     evaluated = [wgen.evaluate_coordinates(mg, wgen.pbw_coordinates(x))
@@ -797,7 +816,7 @@ def test_derived_elements_inherit_invariance(name, monkeypatch):
         assert name == "osp:1|2"
         evaluated.append(mixed)
     for x in evaluated:
-        assert wal.certify(x.value, "finite") == x
+        assert wal.certify(x.value, nzero) == x
 
 
 def test_coordinates_are_straightened_once(gradings, monkeypatch):
