@@ -9,10 +9,11 @@ dual root-vector bases, and the weight functionals precomputed.
 
 from fractions import Fraction
 
-from .errors import ConsistencyError, check_type
+from .errors import ConsistencyError, PreconditionError, check_type
 from .scalar import HALF, ONE, ZERO, acc, axpy, scalar, sqrt
 from .superalgebra import (LieSuperalgebra, _rational_inverse,
-                           _rational_kernel, root_decomposition)
+                           _rational_kernel, _rational_tuple,
+                           _weights_of_basis, root_decomposition)
 
 
 def _neg(root):
@@ -50,10 +51,10 @@ class MinimalGrading:
       us, vs           -- degree -1 bases with the standard chi-pairings
       fs/fstars        -- [e, u_i] and [e, u*_i], i up to s/2
       gs/gstars, gmid  -- odd analogues; gmid = [v_mid, e] when r is odd
-      degrees          -- ad-h degree per basis letter
+      letter_weights,  -- each letter's weight on the adapted Cartan
+      degrees             hes + (hth,), split into its restricted weight
+                          (zero on the Cartan) and its int ad-h degree
       spaces           -- degree -> tuple of letters
-      letter_weights   -- restricted weight (values on the hes letters)
-                          per basis letter, zero on the Cartan letters
     """
 
     def __init__(self, g, theta=None):
@@ -201,13 +202,9 @@ class MinimalGrading:
                                    labels=[lab for lab, _ in order])
         self._letter_vectors = tuple(dict(v) for _, v in order)
 
-        self._roots_new = tuple(self._root_of(v) for _, v in order)
-        zero = tuple(Fraction(0) for _ in self.hes)
-        self.letter_weights = tuple(
-            zero if rt is None else self.restrict_weight(rt)
-            for rt in self._roots_new)
-        self.degrees = tuple(
-            degree[rt] if rt is not None else 0 for rt in self._roots_new)
+        weights = _weights_of_basis(self.algebra)
+        self.letter_weights = tuple(w[:-1] for w in weights)
+        self.degrees = tuple(int(w[-1]) for w in weights)
         spaces = {}
         for i, d in enumerate(self.degrees):
             spaces.setdefault(d, []).append(i)
@@ -238,7 +235,10 @@ class MinimalGrading:
 
     def root_of_letter(self, i):
         """Root of letter i over the base Cartan; None on the Cartan."""
-        return self._roots_new[i]
+        if type(i) is not int or not 0 <= i < self.algebra.dim:
+            raise PreconditionError("%r is not a letter of the adapted "
+                                    "algebra" % (i,))
+        return self._root_of(self._letter_vectors[i])
 
     def dims_per_degree(self):
         g = self.algebra
@@ -265,12 +265,14 @@ class MinimalGrading:
     def restrict_weight(self, root):
         """Values of a base-Cartan weight tuple on the h^e letters."""
         cartan = list(self.base.cartan)
+        root = _rational_tuple(root, len(cartan),
+                               "weight %r is not %d rationals")
         out = []
         for j in self.hes:
             vec = self._letter_vectors[j]
             val = Fraction(0)
             for b, coeff in vec.items():
-                val += Fraction(root[cartan.index(b)]) * coeff.as_fraction()
+                val += root[cartan.index(b)] * coeff.as_fraction()
             out.append(val)
         return tuple(out)
 

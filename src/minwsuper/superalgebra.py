@@ -729,33 +729,29 @@ def _over_common_denominator(vectors):
                  for v in vectors]
 
 
-def minimal_root_candidates(g, weights):
+def minimal_root_candidates(g, spaces):
     """Even roots theta with integral short ad-h spectrum and dim g(2) = 1.
 
     h is the coroot [e_theta, e_-theta], read from the bracket table and
     scaled so that theta(h) = 2.  By invariance it is (e, f) times the
     vector dual to theta, so alpha(h) = 2(alpha, theta)/(theta, theta)
     with no form and no inverse.  The pass runs on int weights over one
-    common denominator, which alpha(h) does not see.  Returns a dict,
-    sorted by root, of theta -> (coroot over the Cartan letters,
-    root -> degree).
+    common denominator, which alpha(h) does not see.  ``spaces`` maps
+    each root to its letters (``RootDatum.spaces``); the result maps
+    each theta, sorted, to (coroot over the Cartan letters, root -> degree).
     """
     position = {c: t for t, c in enumerate(g.cartan)}
-    den, keys = _over_common_denominator(weights)
-    seen = {}  # int weight -> (weight, its letters)
-    for i, (w, key) in enumerate(zip(weights, keys)):
-        if any(key):
-            seen.setdefault(key, (w, []))[1].append(i)
-    roots = dict.fromkeys(w for w, _ in seen.values())
+    den, keys = _over_common_denominator(spaces)
+    letters = dict(zip(keys, spaces.values()))
     cands = {}
-    for theta, (root, idxs) in seen.items():
+    for root, theta, idxs in zip(spaces, keys, spaces.values()):
         if any(g.parity[i] for i in idxs):
             continue
-        neg = seen.get(tuple(-c for c in theta))
+        neg = letters.get(tuple(-c for c in theta))
         if not neg:
             continue
         h = {}
-        for i, c in g.bracket_basis(idxs[0], neg[1][0]).items():
+        for i, c in g.bracket_basis(idxs[0], neg[0]).items():
             if i not in position:
                 raise ConsistencyError(
                     "[e, f] leaves the Cartan at %s" % (root,))
@@ -766,14 +762,14 @@ def minimal_root_candidates(g, weights):
         height = sum(c * theta[t] for t, c in hint)
         if not height:
             continue
-        degree = {}
+        degree = []
         top = 0
-        for alpha, (_, jdxs) in seen.items():
-            ev, rest = divmod(2 * sum(c * alpha[t] for t, c in hint), height)
+        for alpha, key, jdxs in zip(spaces, keys, spaces.values()):
+            ev, rest = divmod(2 * sum(c * key[t] for t, c in hint), height)
             if rest or abs(ev) > 2:
                 break
             if ev:
-                degree[alpha] = ev
+                degree.append((alpha, ev))
             if ev == 2:
                 top += len(jdxs)
         else:
@@ -783,9 +779,8 @@ def minimal_root_candidates(g, weights):
                           for t, c in sorted(h.items())}
                 # keys copied from a dict keep their hashes: only the
                 # nonzero degrees hash a Fraction root again
-                out = dict.fromkeys(roots, 0)
-                for alpha, d in degree.items():
-                    out[seen[alpha][0]] = d
+                out = dict.fromkeys(spaces, 0)
+                out.update(degree)
                 cands[root] = coroot, out
     return dict(sorted(cands.items()))
 
@@ -824,15 +819,15 @@ def root_decomposition(g, theta=None):
     list is checked against the candidates.
     """
     weights = _weights_of_basis(g)
-    cands = minimal_root_candidates(g, weights)
+    spaces = {}
+    for i, w in enumerate(weights):
+        if any(w):
+            spaces.setdefault(w, []).append(i)
+    cands = minimal_root_candidates(g, spaces)
     if not cands:
         raise PreconditionError("no minimal root exists for %s" % g.display)
-    zero = tuple(Fraction(0) for _ in g.cartan)
-    spaces = {}
-    for i in range(g.dim):
-        if weights[i] != zero:
-            spaces.setdefault(weights[i], []).append(i)
-        elif i not in g.cartan:
+    for i, w in enumerate(weights):
+        if not any(w) and i not in g.cartan:
             raise ConsistencyError("weight-zero vector %d outside Cartan" % i)
     parity = {}
     for root, idxs in spaces.items():

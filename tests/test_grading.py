@@ -402,6 +402,44 @@ def test_letter_weights_match_per_root_sums(gradings):
             assert net == twice, name
 
 
+def test_letter_data_on_every_minimal_root():
+    # the letter weights and degrees, read off the adapted Cartan, are the
+    # restriction and the degree of each letter's root, on every grading
+    for name in ("spo:2|3", "spo:2|5", "psl:3|3", "sl:3|2"):
+        g = build_algebra(name)
+        spaces = root_decomposition(g).spaces
+        for theta in superalgebra.minimal_root_candidates(g, spaces):
+            mg = grade(g, theta)
+            zero = tuple(Fraction(0) for _ in mg.hes)
+            for i in range(mg.algebra.dim):
+                root = mg.root_of_letter(i)
+                weight, degree = mg.letter_weights[i], mg.degrees[i]
+                assert all(type(c) is Fraction for c in weight), (name, i)
+                assert type(degree) is int, (name, i)
+                if root is None:
+                    assert i in mg.hes + (mg.hth,), (name, i)
+                    assert (weight, degree) == (zero, 0), (name, i)
+                else:
+                    assert weight == mg.restrict_weight(root), (name, i)
+                    assert degree == mg.rd.degree[root], (name, i)
+
+
+def test_letter_queries_reject_bad_input(gradings):
+    mg = grade(build_algebra("sl:3|2"))
+    assert len(mg.base.cartan) == 4
+    assert mg.restrict_weight(list(mg.theta)) == (0,) * len(mg.hes)
+    for root in [(0,) * 6, (0.5, 0, 0, 0), (1,), None, "abcd"]:
+        with pytest.raises(PreconditionError):
+            mg.restrict_weight(root)
+    mg = gradings["spo:2|3"]
+    with pytest.raises(PreconditionError):
+        mg.restrict_weight((True, False))
+    assert mg.root_of_letter(mg.f) == tuple(-c for c in mg.theta)
+    for i in (-1, mg.algebra.dim, 999, True, "x", 1.0, None):
+        with pytest.raises(PreconditionError):
+            mg.root_of_letter(i)
+
+
 def test_delta_from_dual_roots(gradings):
     # the same weight computed through the dual gamma* system
     for name, mg in gradings.items():
@@ -509,14 +547,16 @@ def test_grade_ignores_the_form_scale():
 
 def test_grade_makes_one_root_pass(monkeypatch):
     # the root datum owns the weights, the candidates with their coroots
-    # and degrees, and no inverse of the Cartan Gram matrix
+    # and degrees, and no inverse of the Cartan Gram matrix; the letter
+    # data are the weights of the adapted algebra, read once
     calls = {}
     for name in ("_weights_of_basis", "minimal_root_candidates"):
         original = getattr(superalgebra, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args, **kwargs)
+        def counted(g, *args, _name=name, _original=original, **kwargs):
+            key = (_name, id(g))
+            calls[key] = calls.get(key, 0) + 1
+            return _original(g, *args, **kwargs)
         for module in (superalgebra, grading):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
@@ -528,8 +568,10 @@ def test_grade_makes_one_root_pass(monkeypatch):
     for module in (superalgebra, grading):
         monkeypatch.setattr(module, "_rational_inverse", recorded)
     g = build_algebra("spo:2|3")
-    grade(g)
-    assert calls == {"_weights_of_basis": 1, "minimal_root_candidates": 1}
+    gr = grade(g)
+    assert calls == {("_weights_of_basis", id(g)): 1,
+                     ("_weights_of_basis", id(gr.algebra)): 1,
+                     ("minimal_root_candidates", id(g)): 1}
     assert inverted
 
     # inversions of the Cartan Gram matrix, or of any multiple of it such

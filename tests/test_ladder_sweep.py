@@ -272,11 +272,10 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
     g = build_algebra(desc)
     assert g.dim <= MAX_DIM, desc
     _clean_on_generating_letters(g, monkeypatch)
-    weights = _weights_of_basis(g)
-    cands = minimal_root_candidates(g, weights)
-    want = gram_minimal_roots(g, weights)
-    assert list(cands) == list(want) and cands == want, desc
     rd = root_decomposition(g)
+    cands = minimal_root_candidates(g, rd.spaces)
+    want = gram_minimal_roots(g, _weights_of_basis(g))
+    assert list(cands) == list(want) and cands == want, desc
     pair = weight_form(g)
     tt = pair(rd.theta, rd.theta)
     assert all(rd.degree[a] == 2 * pair(a, rd.theta) / tt

@@ -515,8 +515,8 @@ def test_indecomposable_over_mixed_denominators():
 
 def test_minimal_candidates(algebras):
     g = algebras["osp:1|2"]
-    cands = minimal_root_candidates(g, _weights_of_basis(g))
     rd = root_decomposition(g)
+    cands = minimal_root_candidates(g, rd.spaces)
     assert rd.theta in cands
     assert tuple(-c for c in rd.theta) in cands
     assert len(cands) == 2
@@ -526,7 +526,7 @@ def test_minimal_candidates(algebras):
 
 def test_theta_hint_respected(algebras):
     g = algebras["spo:2|3"]
-    cands = minimal_root_candidates(g, _weights_of_basis(g))
+    cands = minimal_root_candidates(g, root_decomposition(g).spaces)
     other = next(c for c in cands if c != root_decomposition(g).theta)
     rd = root_decomposition(g, theta=other)
     assert rd.theta == other
@@ -537,11 +537,10 @@ def test_root_pass_matches_gram_oracle(algebras):
     # the coroot [e_theta, e_-theta] gives the same candidates, coroots and
     # degrees as pairing through the inverted Cartan Gram matrix
     for desc, g in algebras.items():
-        weights = _weights_of_basis(g)
-        cands = minimal_root_candidates(g, weights)
-        want = gram_minimal_roots(g, weights)
-        assert list(cands) == list(want) and cands == want, desc
         rd = root_decomposition(g)
+        cands = minimal_root_candidates(g, rd.spaces)
+        want = gram_minimal_roots(g, _weights_of_basis(g))
+        assert list(cands) == list(want) and cands == want, desc
         pair = weight_form(g)
         tt = pair(rd.theta, rd.theta)
         assert all(rd.degree[a] == 2 * pair(a, rd.theta) / tt
@@ -553,7 +552,7 @@ def test_root_pass_types():
     # Fraction tuples, degrees ints and coroot values Scalars
     for desc in ("gl:3|1", "psl:3|3", "spo:4|3"):
         g = build_algebra(desc)
-        cands = minimal_root_candidates(g, _weights_of_basis(g))
+        cands = minimal_root_candidates(g, root_decomposition(g).spaces)
         assert cands, desc
         for theta, (coroot, degree) in cands.items():
             assert type(theta) is tuple, desc

@@ -16,8 +16,9 @@ from minwsuper.envelope import PBWAlgebra, from_exponents, render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.grading import WeightData, grade
 from minwsuper.scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from minwsuper.superalgebra import (_seeds, _weights_of_basis, build_algebra,
-                                   minimal_root_candidates, validate)
+from minwsuper.superalgebra import (_seeds, build_algebra,
+                                   minimal_root_candidates,
+                                   root_decomposition, validate)
 
 from oracles import (assert_exact_recipes, c0_epsilon_law,
                      casimir_vs_quadratic_reference, count_bounded_monomials,
@@ -86,7 +87,8 @@ def test_c0_epsilon_laws_on_every_minimal_root():
     gradings = 0
     for name in sorted(C0_VALUES):
         g = build_algebra(name)
-        for theta in minimal_root_candidates(g, _weights_of_basis(g)):
+        spaces = root_decomposition(g).spaces
+        for theta in minimal_root_candidates(g, spaces):
             gr = grade(g, theta)
             c0, epsilon = c0_epsilon_law(name, gr)
             assert wgen.compute_c0(gr) == c0, (name, theta)
