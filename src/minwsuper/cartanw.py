@@ -153,10 +153,11 @@ class CartanWAlgebra:
         return _wrap(self, {(0,) * len(self.names): ONE})
 
     def gen(self, name):
-        if name not in self._idx:
-            raise PreconditionError("no generator named %r" % name)
+        k = self._idx.get(name) if isinstance(name, str) else None
+        if k is None:
+            raise PreconditionError("no generator named %r" % (name,))
         expo = [0] * len(self.names)
-        expo[self._idx[name]] = 1
+        expo[k] = 1
         return _wrap(self, {tuple(expo): ONE})
 
     def generators(self):

@@ -125,8 +125,8 @@ class PBWAlgebra:
         """A coordinate dict over letters, as a degree-one element."""
         out = {}
         for i, c in x.items():
-            if i not in range(len(self.parity)):
-                raise PreconditionError("letter %s not in this algebra" % i)
+            if type(i) is not int or not 0 <= i < len(self.parity):
+                raise PreconditionError("letter %r not in this algebra" % (i,))
             if c:
                 out[(i,)] = c
         return out

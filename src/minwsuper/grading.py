@@ -130,8 +130,7 @@ class MinimalGrading:
             if len(idxs) != 1:
                 raise ConsistencyError("middle root space is not a line")
             x = {idxs[0]: ONE}
-            c = chi0(work.bracket(x, x)).as_fraction()
-            rt = sqrt(c)
+            rt = sqrt(chi0(work.bracket(x, x)))
             vs[(self.r - 1) // 2] = {j: v / rt for j, v in x.items()}
 
         # degree 0 dual root-vector bases, against the invariant form

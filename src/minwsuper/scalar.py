@@ -8,6 +8,14 @@ rationals, so this form is canonical and exact equality is equality of the
 term dicts.  Multiplication uses ``sqrt(m) * sqrt(n) = +-g * sqrt(mn / g**2)``
 with ``g = gcd(m, n)``, negative when both ``m`` and ``n`` are.
 
+:func:`scalar` is the one coercion into Scalar: it reads an int, a Fraction
+or a Scalar and raises TypeError on anything else, a bool, a float or a str
+among them.  ``Scalar(terms)`` reads each coefficient through it,
+:func:`sqrt` its argument and :meth:`Scalar.parse` each factor of a literal
+in the grammar :meth:`Scalar.render` writes: an optional sign, then terms
+joined by ``+`` or ``-``, with spaces only around those signs, each term a
+``*``-product of ``n``, ``n/d`` and ``sqrt(k)`` in ASCII digits.
+
 Every rational here, a Scalar's own value or a term coefficient, is
 canonical: an ``int`` when integral, else a :class:`fractions.Fraction` in
 lowest terms.  :func:`_qmul`, :func:`_qadd` and :func:`_qneg` are the one
@@ -33,6 +41,7 @@ which is sqrt(-2) or sqrt(2) by the sign of theta.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -56,8 +65,6 @@ def _factor(n):
 
 def _sqfree_split(n):
     """Write n = outer**2 * core with core square-free; sign stays on core."""
-    if n == 0:
-        raise ValueError("0 has no square-free core")
     outer = core = 1
     for p, e in _factor(n).items():
         outer *= p ** (e // 2)
@@ -145,11 +152,15 @@ def _canon(q):
 
 
 def _value(x):
-    """The slot value of a Scalar, int or Fraction; None for other types."""
-    if x.__class__ is Scalar:
+    """The slot value of a Scalar, int or Fraction (read as it is); None for
+    other types.  A bool reads as 0 or 1: only :func:`scalar` refuses it."""
+    cls = x.__class__
+    if cls is Scalar:
         return x._v
-    if x.__class__ is int:
+    if cls is int:
         return x
+    if cls is Fraction:
+        return _canon(x)
     if isinstance(x, (int, Fraction)):
         return _canon(Fraction(x))
     return None
@@ -176,11 +187,16 @@ class Scalar:
 
     __slots__ = ("_v",)
 
-    def __init__(self, terms=None):
-        """``terms`` maps nonzero integers k to the coefficient of sqrt(k)."""
+    def __init__(self, terms):
+        """``terms`` is a dict mapping nonzero ints k to the coefficient of
+        sqrt(k), each coefficient read by :func:`scalar`."""
+        if not isinstance(terms, dict):
+            raise TypeError("Scalar takes a dict of terms, not %r" % (terms,))
         total = _ZERO
-        for key, val in (terms or {}).items():
-            total = total + sqrt(key) * Fraction(val)
+        for key, val in terms.items():
+            if type(key) is not int:
+                raise TypeError("radicand %r is not an int" % (key,))
+            total = total + sqrt(key) * scalar(val)
         self._v = total._v
 
     @property
@@ -190,20 +206,6 @@ class Scalar:
         if v.__class__ is dict:
             return v
         return {1: Fraction(v)} if v else {}
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def rational(x):
-        return _wrap(_canon(Fraction(x)))
-
-    @staticmethod
-    def zero():
-        return _ZERO
-
-    @staticmethod
-    def one():
-        return _ONE
 
     # -- predicates ---------------------------------------------------
 
@@ -216,7 +218,7 @@ class Scalar:
     def as_fraction(self):
         """The underlying rational; raises if radical terms are present."""
         if self._v.__class__ is dict:
-            raise ValueError("scalar %s is not rational" % self)
+            raise PreconditionError("scalar %s is not rational" % self)
         return Fraction(self._v)
 
     # -- ring operations ----------------------------------------------
@@ -400,66 +402,52 @@ class Scalar:
 
     @staticmethod
     def parse(text):
-        """Inverse of :meth:`render`; accepts the same flat sum-of-terms grammar.
+        """Inverse of :meth:`render`, reading exactly its grammar.
 
-        A malformed literal raises ``PreconditionError`` naming it.
+        A literal is an optional sign, then terms joined by ``+`` or ``-``
+        with spaces allowed only around those signs; a term is a
+        ``*``-product of factors ``n``, ``n/d`` and ``sqrt(k)`` (``k``
+        with an optional ``-``), all in ASCII digits.  Each factor is read
+        by :func:`scalar` or :func:`sqrt`.  A malformed literal raises
+        ``PreconditionError`` naming it.
         """
         if not isinstance(text, str):
             raise PreconditionError("scalar literal %r is not a string" % (text,))
+        total = _ZERO
+        pos = 0
         try:
-            return Scalar._parse_sum(text.replace(" ", ""))
-        except (ValueError, ZeroDivisionError) as exc:
+            while True:
+                m = _TERM.match(text, pos)
+                if m is None:
+                    raise PreconditionError("no term at offset %d" % pos)
+                term = -_ONE if "-" in m.group(1) else _ONE
+                for factor in m.group(2).split("*"):
+                    term = term * (sqrt(int(factor[5:-1])) if factor[0] == "s"
+                                   else scalar(Fraction(factor)))
+                total = total + term
+                pos = m.end()
+                if pos == len(text):
+                    return total
+        except (PreconditionError, ZeroDivisionError) as exc:
             raise PreconditionError(
                 "bad scalar literal %r: %s" % (text, exc)) from exc
 
-    @staticmethod
-    def _parse_sum(s):
-        if not s:
-            raise ValueError("empty scalar literal")
-        # split on top-level + and - (no parentheses except inside sqrt())
-        chunks = []
-        start = 0
-        depth = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch in "+-" and depth == 0 and i > start:
-                chunks.append(s[start:i])
-                start = i
-        chunks.append(s[start:])
-        total = _ZERO
-        for chunk in chunks:
-            total = total + Scalar._parse_term(chunk)
-        return total
 
-    @staticmethod
-    def _parse_term(chunk):
-        sign = 1
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:]
-        if not chunk:
-            raise ValueError("dangling sign")
-        term = Scalar.rational(sign)
-        for factor in chunk.split("*"):
-            if factor.startswith("sqrt(") and factor.endswith(")"):
-                term = term * sqrt(int(factor[5:-1]))
-            elif factor:
-                term = term * Fraction(factor)
-            else:
-                raise ValueError("empty factor in %r" % chunk)
-        return term
-
-
+# one term of render's grammar with the sign before it: an optional sign at
+# the start of the literal, else a sign after a factor with spaces allowed
+# around it; then a *-product of factors n, n/d and sqrt(k), ASCII digits
+_FACTOR = r"(?:[0-9]+(?:/[0-9]+)?|sqrt\(-?[0-9]+\))"
+_TERM = re.compile(r"(^[+-]?|(?<=[0-9)]) *[+-] *)(%s(?:\*%s)*)"
+                   % (_FACTOR, _FACTOR))
 _ZERO = _wrap(0)
 _ONE = _wrap(1)
 
 
 def scalar(x):
-    """Coerce an int, Fraction or Scalar to a Scalar; a bool is refused."""
+    """The one coercion into Scalar: an int, a Fraction or a Scalar is read
+    as it is, and anything else, a bool, a float or a str among them,
+    raises TypeError.  ``Scalar(terms)``, :func:`sqrt` and
+    :meth:`Scalar.parse` read their numbers through it."""
     if x.__class__ is Scalar:
         return x
     v = None if x.__class__ is bool else _value(x)
@@ -469,9 +457,12 @@ def scalar(x):
 
 
 def sqrt(q):
-    """sqrt(q) of a nonzero rational q, as mult * sqrt(core) with core a
-    square-free integer (no atom when q is a rational square)."""
-    q = Fraction(q)
+    """sqrt(q) of a nonzero rational q, read by :func:`scalar`, as
+    mult * sqrt(core) with core a square-free integer (no atom when q is a
+    rational square).  A zero or irrational q raises PreconditionError."""
+    q = scalar(q).as_fraction()
+    if not q:
+        raise PreconditionError("sqrt(0) is no radical")
     outer, core = _sqfree_split(q.numerator * q.denominator)
     mult = _canon(Fraction(outer, q.denominator))
     return _wrap(mult if core == 1 else {core: mult})
@@ -479,7 +470,7 @@ def sqrt(q):
 
 ZERO = _ZERO
 ONE = _ONE
-HALF = Scalar.rational(Fraction(1, 2))
+HALF = scalar(Fraction(1, 2))
 
 
 # -- sparse accumulation ---------------------------------------------------

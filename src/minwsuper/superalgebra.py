@@ -205,6 +205,8 @@ class LieSuperalgebra:
     def with_form_scaled(self, c):
         """The same algebra with the form times c; it owns its bracket rows."""
         c = scalar(c)
+        if not c:
+            raise PreconditionError("the form cannot be scaled by zero")
         form = {key: v * c for key, v in self.form.items()}
         bracket = {key: dict(row) for key, row in self._bracket.items()}
         return LieSuperalgebra(self.family, self.params, self.labels,
@@ -284,10 +286,11 @@ def parse_descriptor(text):
     if not isinstance(text, str) or ":" not in text:
         raise UnsupportedFamilyError("bad algebra descriptor %r" % (text,))
     fam, _, rest = text.partition(":")
-    try:
-        params = tuple(int(p) for p in rest.split("|"))
-    except ValueError:
+    params = rest.split("|")
+    # ASCII digits only; int() also reads "1_0", "+2" and non-ASCII digits
+    if not all(p.isascii() and p.isdigit() for p in params):
         raise UnsupportedFamilyError("bad parameters in %r" % text)
+    params = tuple(map(int, params))
     fam = fam.strip().lower()
     if fam == "osp":
         # osp(m|2n) preserves the same form as spo(2n|m)

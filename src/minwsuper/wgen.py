@@ -387,9 +387,10 @@ class WAlgebra:
 
     def generator_index(self, name):
         self.generators  # builds the position maps with the list
-        if name not in self._name_pos:
-            raise PreconditionError("no generator named %r" % name)
-        return self._name_pos[name]
+        k = self._name_pos.get(name) if isinstance(name, str) else None
+        if k is None:
+            raise PreconditionError("no generator named %r" % (name,))
+        return k
 
     # -- structural constants ----------------------------------------------
 

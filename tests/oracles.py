@@ -53,7 +53,7 @@ from minwsuper.cartanw import (CartanWElement, _survivor_slots,
                                build_cartan_w, restricted_weight)
 from minwsuper.envelope import render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
-from minwsuper.scalar import HALF, ONE, ZERO, Scalar, acc, axpy, scalar
+from minwsuper.scalar import HALF, ONE, ZERO, acc, axpy, scalar
 from minwsuper.superalgebra import (LieSuperalgebra, LinearSolver,
                                    _rational_inverse, parse_descriptor)
 from minwsuper.wgen import w_multiply
@@ -81,7 +81,7 @@ def free_normal_form(word, coeff, order, bracket, parity):
                 break
         if spot < 0:
             key = tuple(w)
-            acc = result.get(key, Scalar.zero()) + c
+            acc = result.get(key, ZERO) + c
             if acc:
                 result[key] = acc
             else:
@@ -93,9 +93,9 @@ def free_normal_form(word, coeff, order, bracket, parity):
         if a == b:
             # odd square: x x = [x, x] / 2
             for k, v in br.items():
-                stack.append((head + (k,) + tail, c * v * Scalar.rational(Fraction(1, 2))))
+                stack.append((head + (k,) + tail, c * v * HALF))
         else:
-            sign = Scalar.rational(-1) if parity(a) and parity(b) else Scalar.one()
+            sign = -ONE if parity(a) and parity(b) else ONE
             stack.append((head + (b, a) + tail, c * sign))
             for k, v in br.items():
                 stack.append((head + (k,) + tail, c * v))

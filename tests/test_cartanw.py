@@ -76,6 +76,13 @@ def test_generator_layout(gradings):
     assert cw.parities == (0, 0, 0)
 
 
+def test_gen_rejects_unknown_names(gradings):
+    cw = build_cartan_w(gradings["spo:2|3"])
+    for bad in ("Z", [], ("F",), None):
+        with pytest.raises(PreconditionError, match="no generator named"):
+            cw.gen(bad)
+
+
 def test_build_is_cached(gradings):
     gr = gradings["spo:2|3"]
     assert build_cartan_w(gr) is build_cartan_w(gr)

@@ -57,6 +57,14 @@ def test_inject_rejects_outside_letters(setups):
             pbw.inject({mg.e: ONE, bad: ONE})
 
 
+def test_inject_takes_only_int_letters(setups):
+    # True and 1.0 both lie in range(dim), but neither is a letter
+    mg, pbw = setups["spo:2|3"]
+    for bad in (True, 1.0):
+        with pytest.raises(PreconditionError):
+            pbw.inject({bad: ONE})
+
+
 def test_partner_sets_are_built_on_first_ad():
     # only a letter that ``ad`` was asked about gets its partner set
     mg = grade(build_algebra("spo:2|3"))

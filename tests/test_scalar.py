@@ -119,7 +119,7 @@ def test_zero_inverse_raises():
 
 
 def test_coercion():
-    assert scalar(3) == Scalar.rational(3)
+    assert scalar(3) == Scalar({1: 3})
     assert scalar(Fraction(2, 7)) * 7 == scalar(2)
     assert 2 / scalar(4) == HALF
     assert 1 - HALF == HALF
@@ -129,6 +129,19 @@ def test_coercion():
         with pytest.raises(TypeError):
             scalar(bad)
     assert ONE + True == scalar(2)
+    # Scalar(terms) reads its coefficients through scalar() and takes
+    # only int radicands, and only a dict of terms
+    for bad in ("1", 0.5, True):
+        for terms in ({2: bad}, {bad: 1}, bad):
+            with pytest.raises(TypeError):
+                Scalar(terms)
+    assert Scalar({2: Fraction(4, 2)}) == 2 * sqrt(2)
+
+
+def test_scalar_is_the_only_coercion():
+    # ZERO, ONE and scalar() are the one way to each of these values
+    for name in ("rational", "zero", "one"):
+        assert not hasattr(Scalar, name), name
 
 
 def test_as_fraction():
@@ -144,7 +157,7 @@ def test_as_fraction():
 def test_inverse_of_one_plus_sqrt_minus_two():
     r2 = sqrt(-2)
     got = (ONE + r2).inv()
-    third = Scalar.rational(Fraction(1, 3))
+    third = scalar(Fraction(1, 3))
     assert got == third - third * r2
     assert got.render() == "1/3 - 1/3*sqrt(-2)"
     assert (ONE + r2) * got == ONE
@@ -170,6 +183,8 @@ def test_parse_forms():
 @pytest.mark.parametrize("literal", [
     "1/0", "abc", "sqrt(x)", "sqrt(0)", "sqrt(1/2)", "2**3", "", "-",
     "1 + ", "sqrt(2", "2*sqrt(3)/0",
+    # render writes none of these
+    "1 2", "0.5", "1e3", "1_000", "sqrt(1_0)", "7 ",
 ])
 def test_parse_rejects_malformed_literals(literal):
     # one typed error for every malformed literal, naming it; still a
@@ -205,8 +220,18 @@ def test_sqrt_values():
     assert sqrt(Fraction(-9, 4)) == Scalar({-1: Fraction(3, 2)})
     assert sqrt(9) == scalar(3)
     assert sqrt(16) == scalar(4)
-    with pytest.raises(ValueError):
-        sqrt(0)
+    assert sqrt(scalar(-2)) == sqrt(-2)
+    for zero in (0, Fraction(0), ZERO):
+        with pytest.raises(PreconditionError):
+            sqrt(zero)
+    with pytest.raises(PreconditionError):
+        Scalar({0: 1})
+    with pytest.raises(PreconditionError):
+        sqrt(sqrt(2))
+    # the radicand is read through scalar()
+    for bad in ("2", 1.5, True):
+        with pytest.raises(TypeError):
+            sqrt(bad)
 
 
 def test_sqrt_products_close():

@@ -55,7 +55,9 @@ def test_descriptor_parsing():
     for bad in ("sl:2|2", "gl:3|3", "q:3", "d21a:1", "spo:3|2", "sl:2", "x",
                 "gl:0|3", "sl:0|2", "spo:0|3", "spo:2|0",
                 ("sl", (2.5, 1)), ("osp", (1, 2.0)), ("spo", (2, True)),
-                ("sl", ("2", "1")), ("gl", 5)):
+                ("sl", ("2", "1")), ("gl", 5),
+                # ASCII digits only: int() reads each of these
+                "gl:1_0|2", "spo:\u0662|3", "spo:+2|3"):
         with pytest.raises(UnsupportedFamilyError):
             parse_descriptor(bad)
 
@@ -218,6 +220,13 @@ def test_form_scaled_copy_owns_its_brackets():
         assert validate(g) == DAMAGED_CONSTANT_REPORT, damaged
         assert other.to_json_dict()["bracket"] == rows, damaged
         assert validate(other) == [], damaged
+
+
+def test_form_scaled_by_zero_is_refused():
+    # a zero form has no inverse: grade would divide by zero
+    for zero in (0, Fraction(0), ZERO):
+        with pytest.raises(PreconditionError):
+            build_algebra("sl:2|1").with_form_scaled(zero)
 
 
 def test_rebase_rejects_a_basis_it_cannot_invert():

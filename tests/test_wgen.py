@@ -136,6 +136,13 @@ def test_kazhdan_degrees(gradings):
     assert wal.generators[wal.generator_index("C")].weight == 4
 
 
+def test_generator_index_rejects_unknown_names(gradings):
+    wal = wgen.workspace(gradings["spo:2|3"])
+    for bad in ("Z", [], ("C",), None):
+        with pytest.raises(PreconditionError, match="no generator named"):
+            wal.generator_index(bad)
+
+
 def test_kdeg_is_derived_from_the_value(gradings):
     # kdeg, read off the coordinates, is the Kazhdan degree of the value
     # for every constructor: a lift, a W-product and an element evaluated
