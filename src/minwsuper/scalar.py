@@ -25,14 +25,12 @@ operation dispatches through ``Fraction``'s operators or renormalizes.
 Only a value with a nonzero radical term keeps a term dict; see
 :class:`Scalar`.
 
-:func:`axpy`, the sparse accumulation that straightening runs on, keeps
-one-atom values in that kernel too.  It reads a value that is rational or
-a single term q*sqrt(k) as (k, q), with k = 1 for a rational; a rational
-times q'*sqrt(k), q*sqrt(k) times q'*sqrt(k) (which is q*q'*k) and
-q*sqrt(k) plus q'*sqrt(k) are one or two kernel calls.  Any other mix
-takes the Scalar operators.  The engine's irrational coefficients are such
-single terms: in sqrt(-2) when theta is +2 eps_i and in sqrt(2) when it is
--2 eps_i, where pi's images hold terms in sqrt(-1) and sqrt(-2) as well.
+:func:`axpy`, the sparse accumulation that straightening runs on, has one
+kernel path: a rational times a rational into an absent or rational running
+sum is one :func:`_qmul` and at most one :func:`_qadd`.  Every radical or
+mixed term takes the Scalar operators.  The engine's irrational
+coefficients lie in sqrt(-2) when theta is +2 eps_i and in sqrt(2) when it
+is -2 eps_i, and pi's images hold terms in sqrt(-1) and sqrt(-2) as well.
 
 :func:`sqrt` writes the square root of a rational as a rational multiple of
 one ``sqrt(k)``.  The engine takes sqrt(-2) for F and the midline norm,
@@ -136,8 +134,8 @@ def _qneg(a):
 def _wrap(v):
     """The Scalar whose slot holds ``v``: a canonical rational or term dict.
 
-    The rational branches of ``+``, ``-`` and ``*`` inline this and the
-    kernel's int-by-int case; the extra call was a measurable share of
+    The rational branches of ``+`` and ``*`` inline this and the kernel's
+    int-by-int case; the extra call was a measurable share of
     their cost."""
     res = _new(Scalar)
     res._v = v
@@ -168,7 +166,7 @@ def _value(x):
 
 def _from_terms(terms):
     """The Scalar of a term dict whose radical terms may have cancelled."""
-    if any(key != 1 for key in terms):
+    if len(terms) > (1 in terms):
         return _wrap(terms)
     return _wrap(terms.get(1, 0))
 
@@ -259,12 +257,6 @@ class Scalar:
         b = other._v if other.__class__ is Scalar else _value(other)
         if b is None:
             return NotImplemented
-        a = self._v
-        if a.__class__ is not dict and b.__class__ is not dict:
-            res = _new(Scalar)
-            res._v = (a - b if a.__class__ is b.__class__ is int
-                      else _qadd(a, _qneg(b)))
-            return res
         return self + -_wrap(b)
 
     def __rsub__(self, other):
@@ -344,7 +336,8 @@ class Scalar:
         return _wrap(b) * self.inv()
 
     def __pow__(self, n):
-        if not isinstance(n, int):
+        # an int exponent only; a bool is refused as everywhere else
+        if n.__class__ is not int:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
@@ -508,81 +501,46 @@ def axpy(out, c, vec):
     if not c:
         return
     get = out.get
-    # One int kernel for one-atom values.  A Scalar c, an entry and the
-    # running sum that are each rational or one term q*sqrt(k) are read as
-    # (k, q), k = 1 for a rational: rational * q'sqrt(k) = (q q')sqrt(k),
-    # q sqrt(k) * q' sqrt(k) = q q' k and q sqrt(k) + q' sqrt(k) =
-    # (q + q')sqrt(k), each through _qmul/_qadd; the radical k is -2 or 2
-    # by the grading, or -1 in pi's images.  Any other mix takes the
-    # Scalar operators.  A Scalar c times the shared ONE of a normal-order
-    # append is c itself; an int or Fraction c is still multiplied, so
-    # every entry is a Scalar.
-    one = kc = None
+    # One int kernel: a rational Scalar c times a rational Scalar entry,
+    # into an absent or rational running sum, is one _qmul and at most one
+    # _qadd.  Every other term, radical or mixed, takes the Scalar
+    # operators c * v and cur + cv.  A Scalar c times the shared ONE of a
+    # normal-order append is c itself; an int or Fraction c is still
+    # multiplied, so every entry is a Scalar.
+    one = qc = None
     if c.__class__ is Scalar:
         one = _ONE
-        qc = c._v
-        if qc.__class__ is not dict:
-            kc = 1
-        elif len(qc) == 1:
-            (kc, qc), = qc.items()
-            qk = _qmul(qc, kc)
+        if c._v.__class__ is not dict:
+            qc = c._v
     for key, v in vec.items():
         cur = get(key)
-        k = None
         if v is one:
             if cur is None:
                 out[key] = c
                 continue
-            if kc is not None:
-                k, w = kc, qc
-        elif kc is not None and v.__class__ is Scalar:
-            w = v._v
-            if w.__class__ is not dict:
-                if not w:
-                    continue
-                k = kc
-                w = _qmul(qc, w)
-            elif len(w) == 1:
-                (k, w), = w.items()
-                if kc == 1:
-                    w = _qmul(qc, w)
-                elif k == kc:
-                    k = 1
-                    w = _qmul(qk, w)
-                else:
-                    k = None
-        if k is None:
-            cv = c if v is one else c * v
-        else:
-            # c * v is the nonzero w*sqrt(k); a running sum on the same
-            # atom adds in the kernel
+            cv = c
+        elif (qc is not None and v.__class__ is Scalar
+              and v._v.__class__ is not dict):
+            if not v._v:
+                continue
+            w = _qmul(qc, v._v)
             if cur is None:
                 res = _new(Scalar)
-                res._v = w if k == 1 else {k: w}
+                res._v = w
                 out[key] = res
                 continue
-            if cur.__class__ is Scalar:
-                u = cur._v
-                if u.__class__ is not dict:
-                    if k == 1:
-                        w = _qadd(u, w)
-                        if w:
-                            res = _new(Scalar)
-                            res._v = w
-                            out[key] = res
-                        else:
-                            del out[key]
-                        continue
-                elif k in u and len(u) == 1:
-                    w = _qadd(u[k], w)
-                    if w:
-                        res = _new(Scalar)
-                        res._v = {k: w}
-                        out[key] = res
-                    else:
-                        del out[key]
-                    continue
-            cv = _wrap(w if k == 1 else {k: w})
+            if cur.__class__ is Scalar and cur._v.__class__ is not dict:
+                w = _qadd(cur._v, w)
+                if w:
+                    res = _new(Scalar)
+                    res._v = w
+                    out[key] = res
+                else:
+                    del out[key]
+                continue
+            cv = _wrap(w)
+        else:
+            cv = c * v
         if cur is None:
             if cv:
                 out[key] = cv

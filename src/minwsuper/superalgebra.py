@@ -291,7 +291,7 @@ def parse_descriptor(text):
     if not all(p.isascii() and p.isdigit() for p in params):
         raise UnsupportedFamilyError("bad parameters in %r" % text)
     params = tuple(map(int, params))
-    fam = fam.strip().lower()
+    # the family as written: no case folding, no spaces
     if fam == "osp":
         # osp(m|2n) preserves the same form as spo(2n|m)
         if len(params) != 2 or params[1] % 2:
@@ -802,24 +802,13 @@ def _rational_tuple(x, n, message):
     return tuple(Fraction(c) for c in entries)
 
 
-def _root_hint(theta, roots, rank):
-    """The root a theta hint names: an index into ``roots``, or a sequence
-    of ``rank`` ints or Fractions; anything else, bools included, is
-    rejected."""
-    if isinstance(theta, int) and not isinstance(theta, bool):
-        if not 0 <= theta < len(roots):
-            raise PreconditionError("root index %d out of range" % theta)
-        return roots[theta]
-    return _rational_tuple(
-        theta, rank, "theta hint %r is neither a root index nor %d rationals")
-
-
 def root_decomposition(g, theta=None):
     """Roots, parities and the positive/simple system adapted to theta.
 
     The one owner of the minimal-root policy: ``theta`` None picks the
-    canonical minimal root; a root tuple or an index into the sorted root
-    list is checked against the candidates.
+    canonical minimal root; a hint is a root tuple, a sequence of rank
+    ints or Fractions, checked against the candidates.  Anything else, an
+    index into the root list, bools and floats among them, is refused.
     """
     weights = _weights_of_basis(g)
     spaces = {}
@@ -848,7 +837,9 @@ def root_decomposition(g, theta=None):
         # canonical pick: coordinate-lex maximum (first sp / first block root)
         theta = max(cands)
     else:
-        theta = _root_hint(theta, roots, len(g.cartan))
+        theta = _rational_tuple(
+            theta, len(g.cartan),
+            "theta hint %r is not a sequence of %d rationals")
         if theta not in cands:
             raise PreconditionError("root %s is not minimal; valid "
                                     "candidates: %s" % (theta, list(cands)))

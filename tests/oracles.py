@@ -44,6 +44,9 @@ by term, the double sum of a degree-1 lift over products (z_a z_b) of
 dual basis letters, where the package adds every correcting tail
 sum_k z_k [z*_k, .], the inner sums of that double sum too, through one
 helper.
+``overlap_failures`` is the complete overlap check of the diamond lemma
+on a presented algebra: every descending triple of generators, where the
+sweep once drew only seeded ones.
 """
 
 from fractions import Fraction
@@ -627,6 +630,24 @@ def commutator_reference(pbw, a, b):
             axpy(out, c, pbw._mul_word(wa, wb))
             axpy(out, c if pa and pb else -c, pbw._mul_word(wb, wa))
     return out
+
+
+def overlap_failures(pbw, n):
+    """The overlap check of the diamond lemma on a presented algebra
+    ``pbw`` with generators 0, ..., n-1: for every triple k >= j >= i,
+    (x_k x_j) x_i must equal x_k (x_j x_i).  Returns the number of
+    triples checked and the list of those (k, j, i) that fail."""
+    gen = [{(k,): ONE} for k in range(n)]
+    mul = pbw.mul
+    count, bad = 0, []
+    for i in range(n):
+        for j in range(i, n):
+            ji = mul(gen[j], gen[i])
+            for k in range(j, n):
+                count += 1
+                if mul(mul(gen[k], gen[j]), gen[i]) != mul(gen[k], ji):
+                    bad.append((k, j, i))
+    return count, bad
 
 
 def mul_reference(pbw, a, b):

@@ -20,7 +20,9 @@ Theta_Cas multiplied from the lifts in U(g) must commute there with
 every degree-0 lift, as the report's Theta_Cas does in ``wal.uge``.
 That kept algebra, U(g, e) on ordered generator monomials over the
 certified closed form, must be associative on seeded triples of
-generators: the overlap check of the diamond lemma.  On the
+generators and on every triple k >= j >= i of them: the complete overlap
+check of the diamond lemma, which the presented algebra of the Cartan
+subquotient's relation table must pass too.  On the
 grading of every minimal root, the restricted roots must build, which
 certifies that the positive ones are simplicial: the
 indecomposable ones are independent, and every positive one is a
@@ -70,7 +72,7 @@ import random
 import pytest
 
 from minwsuper import superalgebra, wgen
-from minwsuper.cartanw import project_pi, restricted_roots
+from minwsuper.cartanw import build_cartan_w, project_pi, restricted_roots
 from minwsuper.envelope import PBWAlgebra
 from minwsuper.grading import grade
 from minwsuper.scalar import HALF, ONE, axpy
@@ -81,7 +83,7 @@ from minwsuper.superalgebra import (_reach, _seed_letters, _weights_of_basis,
 from oracles import (assert_exact_recipes, c0_epsilon_law,
                      casimir_vs_quadratic_reference, free_normal_form,
                      generated_dimension, gram_minimal_roots,
-                     lift_reference, project_pi_reference,
+                     lift_reference, overlap_failures, project_pi_reference,
                      raiser_square_reference, theta_kind, weight_form,
                      weight_zero_pool)
 
@@ -330,6 +332,9 @@ def test_ladder_validates_and_verifies(desc, monkeypatch):
         x, y, z = ({(rng.randrange(len(gens)),): ONE} for _ in range(3))
         assert uge.mul(uge.mul(x, y), z) == uge.mul(x, uge.mul(y, z)), \
             (desc, x, y, z)
+    cw = build_cartan_w(default)
+    for pbw, n in ((uge, len(gens)), (cw.pbw, len(cw.names))):
+        assert overlap_failures(pbw, n)[1] == [], desc
     if wal.grading.parity_type == "odd":
         gmid = adapted.labels[wal.grading.gmid]
         half = {}

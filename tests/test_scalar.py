@@ -136,6 +136,10 @@ def test_coercion():
             with pytest.raises(TypeError):
                 Scalar(terms)
     assert Scalar({2: Fraction(4, 2)}) == 2 * sqrt(2)
+    # the exponent of ** is an int, never a bool or a float
+    for bad in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            ONE ** bad
 
 
 def test_scalar_is_the_only_coercion():
@@ -362,8 +366,8 @@ def test_radical_coefficients_are_canonical(a, b, p):
         assert radical_coefficients_canonical(x), x._v
 
 
-# one-atom values q*sqrt(k), the operands of axpy's int kernel: k = 1 is
-# a rational, and q = 0 makes a zero Scalar
+# one-atom values q*sqrt(k), the shapes of the engine's coefficients: k = 1
+# is a rational, and q = 0 makes a zero Scalar
 atoms = st.builds(lambda k, q: Scalar({k: q}), st.sampled_from((1, -2, 2)),
                   coeffs)
 
@@ -386,6 +390,49 @@ def test_axpy_matches_operators(entries, c, sums):
     for key, v in vec.items():
         want[key] = want.get(key, ZERO) + scalar(c) * v
     assert out == {k: v for k, v in want.items() if v}
+    assert all(type(v) is Scalar and v for v in out.values())
+    assert all(is_canonical(v._v) or radical_coefficients_canonical(v)
+               and set(v._v) != {1} for v in out.values())
+
+
+# deterministic axpy cases, one per term shape that once had a one-radical
+# kernel of its own: (sum before, c, vec, key order after).  The orders
+# are those that kernel gave (at f8548ab): a present key keeps its place,
+# a new key is appended and a cancelled key is deleted
+_R, _S, _I = sqrt(-2), sqrt(2), sqrt(-1)
+_THIRD = scalar(Fraction(1, 3))
+AXPY_CASES = [
+    # sqrt(-2) * sqrt(-2) into rational sums, one of which cancels
+    ({"a": scalar(3), "b": scalar(2), "c": HALF}, _R,
+     {"b": _R, "n": _R * _THIRD, "a": _R}, ["a", "c", "n"]),
+    # sqrt(2) * sqrt(-1) makes sqrt(-2): new, onto a sqrt(-2) sum, cancelling
+    ({"x": _R, "y": ONE, "z": -_R}, _S, {"n": _I, "z": _I, "x": 2 * _I,
+                                         "y": _I}, ["x", "y", "n"]),
+    # radical running sums that cancel delete their keys
+    ({"p": 3 * _R, "q": ONE, "t": _R + 1, "u": -_S}, _R,
+     {"u": -_I, "p": scalar(-3), "t": -HALF * _R, "v": ONE},
+     ["q", "t", "v"]),
+    # int and Fraction entries, a zero among them, with a radical c
+    ({"i": _R, "k": ONE}, _R, {"f": Fraction(1, 2), "i": -1, "k": 4, "j": 0},
+     ["k", "f"]),
+    # a multi-term c onto rational, radical, general and absent sums
+    ({"a": ONE, "b": _R, "c": ONE + _R, "d": _S}, ONE + _R,
+     {"d": _S, "n": _R, "c": -ONE, "a": ONE, "b": _THIRD},
+     ["a", "b", "d", "n"]),
+]
+
+
+@pytest.mark.parametrize("before, c, vec, order", AXPY_CASES)
+def test_axpy_radical_cases(before, c, vec, order):
+    # every radical or mixed term gives what the Scalar operators give, a
+    # canonical Scalar, in the key order of the one-radical kernel
+    out = dict(before)
+    want = dict(before)
+    for key, v in vec.items():
+        want[key] = want.get(key, ZERO) + c * v
+    axpy(out, c, vec)
+    assert out == {k: v for k, v in want.items() if v}
+    assert list(out) == order
     assert all(type(v) is Scalar and v for v in out.values())
     assert all(is_canonical(v._v) or radical_coefficients_canonical(v)
                and set(v._v) != {1} for v in out.values())
@@ -453,7 +500,7 @@ def test_axpy_rules():
 
 def test_axpy_one_atom_kernel():
     # q sqrt(k) times a rational, q sqrt(k) times q' sqrt(k), and sums on one
-    # atom meet in the int kernel; the values stored are canonical
+    # atom store canonical values
     r = sqrt(-2)
     third = Fraction(1, 3)
     out = {"sum": r * 3, "rat": HALF}

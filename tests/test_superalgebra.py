@@ -57,7 +57,9 @@ def test_descriptor_parsing():
                 ("sl", (2.5, 1)), ("osp", (1, 2.0)), ("spo", (2, True)),
                 ("sl", ("2", "1")), ("gl", 5),
                 # ASCII digits only: int() reads each of these
-                "gl:1_0|2", "spo:\u0662|3", "spo:+2|3"):
+                "gl:1_0|2", "spo:\u0662|3", "spo:+2|3",
+                # the family as written: no spaces, no case folding
+                " SPO :2|3", "SPO:2|3", "Osp:1|2"):
         with pytest.raises(UnsupportedFamilyError):
             parse_descriptor(bad)
 

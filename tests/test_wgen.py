@@ -22,7 +22,7 @@ from minwsuper.superalgebra import (_seeds, build_algebra,
 
 from oracles import (assert_exact_recipes, c0_epsilon_law,
                      casimir_vs_quadratic_reference, count_bounded_monomials,
-                     lift_reference, monomials_of_weight,
+                     lift_reference, monomials_of_weight, overlap_failures,
                      pbw_coordinates_reference, raiser_square_reference,
                      weight_zero_pool)
 
@@ -437,6 +437,31 @@ def test_multiply_is_associative(gradings):
         left = wgen.w_multiply(wgen.w_multiply(a, b), c)
         right = wgen.w_multiply(a, wgen.w_multiply(b, c))
         assert left.value == right.value
+
+
+def test_every_generator_triple_associates():
+    """The complete overlap check of the diamond lemma: on each row of
+    ``C0_VALUES``, every triple k >= j >= i of generators associates in
+    ``wal.uge``, and of the Cartan subquotient in its presented algebra."""
+    counts = [0, 0]
+    for name in sorted(C0_VALUES):
+        gr = grade(build_algebra(name))
+        wal, cw = wgen.workspace(gr), build_cartan_w(gr)
+        for k, (pbw, n) in enumerate([(wal.uge, len(wal.generators)),
+                                      (cw.pbw, len(cw.names))]):
+            count, bad = overlap_failures(pbw, n)
+            assert bad == [], (name, k, bad[:5])
+            counts[k] += count
+    assert counts == [7886, 233]
+    # negative control: a doubled (g_mid, g_mid) entry breaks associativity
+    wal = wgen.workspace(grade(build_algebra("spo:2|3")))
+    table = dict(wal.commutator_table)
+    gmid = table["gmid", "gmid"]
+    table["gmid", "gmid"] = {e: 2 * c for e, c in gmid.items()}
+    gens = wal.generators
+    damaged = PBWAlgebra.presented([gen.name for gen in gens],
+                                   [gen.parity for gen in gens], table)
+    assert overlap_failures(damaged, len(gens))[1]
 
 
 @pytest.mark.parametrize("name", ["osp:1|2", "sl:2|1", "spo:2|3", "spo:4|1",
