@@ -336,9 +336,9 @@ class Scalar:
         return _wrap(b) * self.inv()
 
     def __pow__(self, n):
-        # an int exponent only; a bool is refused as everywhere else
+        # an int exponent only, no bool; no other type's __rpow__ answers
         if n.__class__ is not int:
-            return NotImplemented
+            raise TypeError("exponent %r is not an int" % (n,))
         if n < 0:
             return self.inv() ** (-n)
         result = _ONE

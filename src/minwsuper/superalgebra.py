@@ -7,6 +7,8 @@ from an explicit matrix basis rather than copied from tables.  Each
 builder keeps every vector it builds: spo's kernel vectors are weight
 vectors as they come (``_build_spo``), and psl leaves out the one sl
 Cartan letter that the identity matrix makes redundant (``_finish``).
+Every bracket table is filled one unordered pair i <= j at a time, [j, i]
+by super-skew symmetry (Kac 1977); ``validate`` checks that symmetry.
 """
 
 from __future__ import annotations
@@ -136,6 +138,13 @@ def _supertrace(m, even_dim):
                Fraction(0))
 
 
+def _store_skew(bracket, i, j, row, odd):
+    """[i, j] = row and [j, i] = -(-1)^{|i||j|} row, ``odd`` being |i||j|."""
+    bracket[i, j] = row
+    if j != i:
+        bracket[j, i] = {k: v if odd else -v for k, v in row.items()}
+
+
 # ---------------------------------------------------------------------------
 # the algebra object
 # ---------------------------------------------------------------------------
@@ -145,7 +154,7 @@ class LieSuperalgebra:
     """Finite-dimensional Lie superalgebra given by structure constants.
 
     Elements are sparse coordinate dicts {basis index: Scalar}.  The object
-    is immutable after construction.
+    is immutable after construction, both tables in (i, j) key order.
     """
 
     def __init__(self, family, params, labels, parity, bracket, form, cartan,
@@ -155,8 +164,8 @@ class LieSuperalgebra:
         self.labels = tuple(labels)
         self.parity = tuple(parity)
         self.dim = len(labels)
-        self._bracket = bracket  # dict (i, j) -> dict k -> Scalar
-        self.form = form  # dict (i, j) -> Scalar, nonzero entries only
+        self._bracket = dict(sorted(bracket.items()))  # (i, j) -> {k: Scalar}
+        self.form = dict(sorted(form.items()))  # nonzero Scalars only
         self.cartan = tuple(cartan)
         self.display = display or "%s:%s" % (family, "|".join(map(str, params)))
 
@@ -220,7 +229,9 @@ class LieSuperalgebra:
         independent.  Each old letter is solved over the new basis once:
         those n rows are the inverse of the change of basis, and the
         coordinates of a bracket are the same combination of them as the
-        bracket is of the old letters.  Brackets and the form are exact.
+        bracket is of the old letters.  Brackets and the form are exact,
+        each pair i <= j once and (j, i) by the supersign, for a super-skew
+        algebra with a supersymmetric form (``validate`` checks both).
         """
         n = len(new_basis)
         if n != self.dim:
@@ -235,16 +246,18 @@ class LieSuperalgebra:
             if not solver.add(t, vec):
                 raise PreconditionError("rebase vectors are dependent at %d" % t)
         inverse = [solver.solve({a: ONE}) for a in range(n)]
-        bracket = {}
-        for i in range(n):
-            for j in range(n):
+        bracket, form = {}, {}
+        for i, x in enumerate(new_basis):
+            for j in range(i, n):
+                y, odd = new_basis[j], parity[i] and parity[j]
                 coords = {}
-                for a, c in self.bracket(new_basis[i], new_basis[j]).items():
+                for a, c in self.bracket(x, y).items():
                     axpy(coords, c, inverse[a])
                 if coords:
-                    bracket[(i, j)] = dict(sorted(coords.items()))
-        form = {(i, j): v for i in range(n) for j in range(n)
-                if (v := self.pair(new_basis[i], new_basis[j]))}
+                    _store_skew(bracket, i, j, dict(sorted(coords.items())), odd)
+                if v := self.pair(x, y):
+                    form[j, i] = -v if odd else v
+                    form[i, j] = v
         labels = labels or ["b%d" % i for i in range(n)]
         return LieSuperalgebra(self.family, self.params, labels, parity,
                                bracket, form, new_cartan, self.display)
@@ -421,7 +434,9 @@ def _build_spo(twon, m):
 
 def _finish(family, params, mats, parity, labels, cartan, even_dim, eliminators):
     """Compute structure constants and form from the matrix basis,
-    taken modulo the span of ``eliminators``.
+    taken modulo the span of ``eliminators``, one pair i <= j at a time:
+    X_i X_j and X_j X_i give [i, j] by one solve, [j, i] by ``_store_skew``
+    and both form entries as supertraces.
 
     psl(n|n) is sl(n|n) modulo the identity matrix.  Over the sl Cartan
     letters the identity has coefficient -1 on H_{2n-1} (+1 when n = 1),
@@ -435,15 +450,17 @@ def _finish(family, params, mats, parity, labels, cartan, even_dim, eliminators)
         if not solver.add(i, bm):
             raise PreconditionError("matrix basis is dependent at %d" % i)
     dim = len(mats)
-    products = {(i, j): _mat_mul(mats[i], mats[j])
-                for i in range(dim) for j in range(dim)}
-    # each unordered pair is solved once: [j, i] = -(-1)^{|i||j|} [i, j]
-    bracket = {}
+    bracket, form = {}, {}
     for i in range(dim):
         for j in range(i, dim):
             odd = parity[i] and parity[j]
-            z = dict(products[i, j])
-            axpy(z, 1 if odd else -1, products[j, i])
+            ij = _mat_mul(mats[i], mats[j])
+            ji = ij if j == i else _mat_mul(mats[j], mats[i])
+            for key, m in (((i, j), ij), ((j, i), ji)):
+                if v := _supertrace(m, even_dim):
+                    form[key] = scalar(v)
+            z = dict(ij)
+            axpy(z, 1 if odd else -1, ji)
             if not z:
                 continue
             sol = solver.solve(z)
@@ -451,13 +468,7 @@ def _finish(family, params, mats, parity, labels, cartan, even_dim, eliminators)
                 raise PreconditionError("target outside the matrix span")
             co = {k: v for k, v in sol.items() if isinstance(k, int)}
             if co:
-                bracket[i, j] = row = dict(sorted(co.items()))
-                if j != i:
-                    bracket[j, i] = {k: v if odd else -v
-                                     for k, v in row.items()}
-    bracket = dict(sorted(bracket.items()))
-    form = {key: scalar(v) for key, m in products.items()
-            if (v := _supertrace(m, even_dim))}
+                _store_skew(bracket, i, j, dict(sorted(co.items())), odd)
     return LieSuperalgebra(family, params, labels, parity, bracket, form, cartan)
 
 
@@ -535,50 +546,38 @@ def _jacobi_failures(g, first):
     """A "jacobi: (i,j,k)" line for every triple with i in ``first`` where
     [i, [j, k]] differs from [[i, j], k] + sgn [j, [i, k]], in loop order.
 
-    Only the triples where some term reads a stored row are visited, j
-    and then k ascending, so the lines come in the dense loop's order.
-    With P the stored partners of i, [i, [j, k]] needs a component of
-    [j, k] in P; [[i, j], k] needs j in P and [t, k] stored for a t in
-    [i, j]; [j, [i, k]] needs k in P and [j, t] stored for a t in [i, k].
-    On every other triple all three sides are empty, so it holds.
+    For each i the three sides go term by term into one defect per (j, k)
+    from the stored rows: with P the stored partners of i, [i, [j, k]]
+    from the [j, k] with a component in P, [[i, j], k] from j in P and
+    [j, [i, k]] from k in P.  Every other triple has three empty sides,
+    so it holds.  The sorted (j, k) with a nonzero defect give the lines
+    in the dense loop's order.
     """
-    rows = g._bracket
-    none = {}
+    rows, parity = g._bracket, g.parity
     right, left, by_output = {}, {}, {}
     for (j, k), row in rows.items():
         right.setdefault(j, []).append(k)
         left.setdefault(k, []).append(j)
-        for t in row:
-            by_output.setdefault(t, []).append((j, k))
+        for t, c in row.items():
+            by_output.setdefault(t, []).append((j, k, c))
     failures = []
     for i in first:
         partners = right.get(i, ())
-        triples = {}
+        defect = {}
         for t in partners:
-            for j, k in by_output.get(t, ()):
-                triples.setdefault(j, set()).add(k)
+            for j, k, c in by_output.get(t, ()):
+                axpy(defect.setdefault((j, k), {}), c, rows[i, t])
         for j in partners:
-            ks = triples.setdefault(j, set())
-            for t in rows[(i, j)]:
-                ks.update(right.get(t, ()))
+            for t, c in rows[i, j].items():
+                for k in right.get(t, ()):
+                    axpy(defect.setdefault((j, k), {}), -c, rows[t, k])
         for k in partners:
-            for t in rows[(i, k)]:
+            for t, c in rows[i, k].items():
                 for j in left.get(t, ()):
-                    triples.setdefault(j, set()).add(k)
-        for j in sorted(triples):
-            ij = rows.get((i, j), none)
-            sgn = -ONE if (g.parity[i] and g.parity[j]) else ONE
-            for k in sorted(triples[j]):
-                lhs = {}
-                for t, v in rows.get((j, k), none).items():
-                    axpy(lhs, v, rows.get((i, t), none))
-                rhs = {}
-                for t, v in ij.items():
-                    axpy(rhs, v, rows.get((t, k), none))
-                for t, v in rows.get((i, k), none).items():
-                    axpy(rhs, sgn * v, rows.get((j, t), none))
-                if lhs != rhs:
-                    failures.append("jacobi: (%d,%d,%d)" % (i, j, k))
+                    axpy(defect.setdefault((j, k), {}),
+                         c if parity[i] and parity[j] else -c, rows[j, t])
+        failures += ["jacobi: (%d,%d,%d)" % (i, j, k)
+                     for j, k in sorted(defect) if defect[j, k]]
     return failures
 
 
@@ -593,7 +592,9 @@ def validate(g):
     reports anything, or a triple with i in X fails, every triple is
     checked and the report is the same as the full loop's.  Either way
     only the triples where some side reads a stored bracket row are
-    visited: on the others both sides are empty, so the identity holds.
+    visited, into one defect per (j, k) and i: on the others both sides
+    are empty.  The skew and supersymmetry checks read (i, j) and (j, i)
+    both: they check what the builders write by the supersign.
     """
     report = []
     dim = check_type(g, LieSuperalgebra).dim

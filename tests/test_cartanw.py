@@ -150,6 +150,28 @@ def test_center_even_is_everything(gradings):
     assert len(center_basis(cw)) == 3
 
 
+def test_center_basis_reads_the_relations(gradings):
+    # the even slots, each commuting with every generator; a unit term on
+    # a row with an even slot, off the diagonal or on it, is refused
+    for name, gr in gradings.items():
+        cw = build_cartan_w(gr)
+        basis = center_basis(cw)
+        assert basis == [cw.gen(n) for n, p in zip(cw.names, cw.parities)
+                         if not p], name
+        for z in basis:
+            for x in cw.generators():
+                assert (z * x - x * z).is_zero(), name
+    cw = build_cartan_w(gradings["spo:2|3"])
+    unit = (0,) * len(cw.names)
+    for pair in [("h1", "C"), ("F", "h1"), ("h1", "h1")]:
+        table = dict(cw.relations)
+        table[pair] = {unit: ONE}
+        damaged = cartanw.CartanWAlgebra(cw.grading, cw.names, cw.parities,
+                                         table, cw.images)
+        with pytest.raises(ConsistencyError, match="fails to commute"):
+            center_basis(damaged)
+
+
 def test_central_preimages(gradings):
     # the enveloping-algebra Casimir of the small subalgebra is central
     # there and lands exactly on the derived C' image

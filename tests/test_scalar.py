@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -136,10 +137,13 @@ def test_coercion():
             with pytest.raises(TypeError):
                 Scalar(terms)
     assert Scalar({2: Fraction(4, 2)}) == 2 * sqrt(2)
-    # the exponent of ** is an int, never a bool or a float
-    for bad in (True, False, 2.0):
-        with pytest.raises(TypeError):
+    # the exponent of ** is an int, never a bool, a float or a Fraction,
+    # and the error names it
+    for bad in (True, False, 2.0, Fraction(2), Fraction(1, 2)):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
             ONE ** bad
+    with pytest.raises(TypeError, match=re.escape(repr(Fraction(2)))):
+        sqrt(2) ** Fraction(2)
 
 
 def test_scalar_is_the_only_coercion():

@@ -119,6 +119,31 @@ def test_build_solves_each_unordered_pair_once(desc, monkeypatch):
         assert g._bracket[j, i] == {k: sign * v for k, v in row.items()}
 
 
+@pytest.mark.parametrize("desc", ["sl:2|1", "spo:2|3"])
+def test_rebase_brackets_each_unordered_pair_once(desc, monkeypatch):
+    # rebase writes [j, i] and (j, i) from [i, j] and (i, j), so the
+    # adapted table takes one bracket of new letters per pair i <= j
+    g = build_algebra(desc)
+    calls = []
+    real = superalgebra.LieSuperalgebra.bracket
+
+    def spy(self, x, y):
+        if sys._getframe(1).f_code is superalgebra.LieSuperalgebra.rebase.__code__:
+            calls.append((x, y))
+        return real(self, x, y)
+    monkeypatch.setattr(superalgebra.LieSuperalgebra, "bracket", spy)
+    alg = grade(g).algebra
+    n = alg.dim
+    assert len(calls) == n * (n + 1) // 2
+    assert list(alg._bracket) == sorted(alg._bracket)
+    assert list(alg.form) == sorted(alg.form)
+    for (i, j), row in alg._bracket.items():
+        assert list(row) == sorted(row)
+        sign = 1 if alg.parity[i] and alg.parity[j] else -1
+        assert alg._bracket[j, i] == {k: sign * v for k, v in row.items()}
+    assert validate(alg) == []
+
+
 def test_validate_clean(algebras):
     for desc, g in algebras.items():
         assert validate(g) == [], desc
