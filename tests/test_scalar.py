@@ -142,8 +142,6 @@ def test_coercion():
     for bad in (True, False, 2.0, Fraction(2), Fraction(1, 2)):
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
             ONE ** bad
-    with pytest.raises(TypeError, match=re.escape(repr(Fraction(2)))):
-        sqrt(2) ** Fraction(2)
 
 
 def test_scalar_is_the_only_coercion():

@@ -125,13 +125,14 @@ def test_rebase_brackets_each_unordered_pair_once(desc, monkeypatch):
     # adapted table takes one bracket of new letters per pair i <= j
     g = build_algebra(desc)
     calls = []
-    real = superalgebra.LieSuperalgebra.bracket
+    cls = superalgebra.LieSuperalgebra
+    real = cls.bracket
 
     def spy(self, x, y):
-        if sys._getframe(1).f_code is superalgebra.LieSuperalgebra.rebase.__code__:
+        if sys._getframe(1).f_code is cls.rebase.__code__:
             calls.append((x, y))
         return real(self, x, y)
-    monkeypatch.setattr(superalgebra.LieSuperalgebra, "bracket", spy)
+    monkeypatch.setattr(cls, "bracket", spy)
     alg = grade(g).algebra
     n = alg.dim
     assert len(calls) == n * (n + 1) // 2
