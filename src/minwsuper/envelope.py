@@ -288,13 +288,11 @@ class PBWAlgebra:
             acc(out, w[:m], c)
         return out
 
-    def is_invariant(self, a, ad_letters, project=None):
-        """None when every ad letter kills ``a``; else (letter, residual)."""
+    def is_invariant(self, a, ad_letters, project):
+        """None when every ad letter kills ``a`` up to ``project``; else
+        (letter, residual)."""
         for b in ad_letters:
-            res = self.ad(b, a)
-            if project is not None:
-                res = project(res)
-            if res:
+            if res := project(self.ad(b, a)):
                 return (b, res)
         return None
 

@@ -70,7 +70,6 @@ class MinimalGrading:
     def _build(self):
         g, rd = self.base, self.rd
         cartan = list(g.cartan)
-        k = len(cartan)
 
         # sl(2) part: e spans the theta space, f is scaled so that [e, f]
         # is the coroot h, and the form so that (e, f) = 1, which makes
@@ -152,9 +151,8 @@ class MinimalGrading:
         self.l = len(ys)
 
         # h^e is the kernel of theta inside the Cartan
-        hes = []
-        for coeffs in _rational_kernel([[Fraction(c) for c in rd.theta]], k):
-            hes.append({cartan[i]: scalar(c) for i, c in enumerate(coeffs) if c})
+        hes = [{cartan[i]: c for i, c in coeffs.items()}
+               for coeffs in _rational_kernel([{0: c} for c in rd.theta])]
 
         fs = [work.bracket(e_vec, u) for u in us[: self.s // 2]]
         fstars = [work.bracket(e_vec, us[self.s - 1 - i])
@@ -297,15 +295,14 @@ def grade(g, theta=None):
 def neg_one_bases(grading):
     """The degree -1 letters and their duals: <z*_a, z_b> = delta_ab."""
     s, r = grading.s, grading.r
-    us = [{i: ONE} for i in grading.us]
-    vs = [{i: ONE} for i in grading.vs]
     zstars = []
     for a in range(s):
         sign = ONE if a < s // 2 else -ONE
         zstars.append({grading.us[s - 1 - a]: sign})
     for a in range(r):
         zstars.append({grading.vs[r - 1 - a]: ONE})
-    return {"u": us, "v": vs, "z": us + vs, "zstar": zstars}
+    return {"z": [{i: ONE} for i in grading.us + grading.vs],
+            "zstar": zstars}
 
 
 def admissible_subalgebras(grading):

@@ -22,7 +22,8 @@ from .scalar import ONE, ZERO, acc, axpy, scalar
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: one sparse echelon, with Fraction adapters
+# exact linear algebra: one sparse echelon; the kernel reads sparse columns
+# and gives sparse Scalar vectors, the inverse is a Fraction adapter
 # ---------------------------------------------------------------------------
 
 
@@ -78,8 +79,10 @@ class LinearSolver:
         return len(self.rows)
 
 
-def _rational_kernel(rows, ncols):
-    """Basis of the right kernel of a rational matrix (rows of length ncols).
+def _rational_kernel(columns):
+    """Basis of the right kernel of a rational matrix given by its
+    columns, sparse dicts over mutually ordered row keys.  Each vector is
+    a dict of its nonzero Scalars over the column positions, ascending.
 
     Columns enter one solver in order; each column that depends on the
     earlier ones gives e_c minus its unique expression over the independent
@@ -87,15 +90,11 @@ def _rational_kernel(rows, ncols):
     """
     solver = LinearSolver()
     basis = []
-    for c in range(ncols):
-        column = {i: row[c] for i, row in enumerate(rows) if row[c]}
-        if solver.add(c, column):
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
-        for t, x in solver.solve(column).items():
-            vec[t] = -x.as_fraction()
-        basis.append(tuple(vec))
+    for c, column in enumerate(columns):
+        if not solver.add(c, column):
+            vec = {t: -x for t, x in sorted(solver.solve(column).items())}
+            vec[c] = ONE
+            basis.append(vec)
     return basis
 
 
@@ -379,9 +378,12 @@ def _build_spo(twon, m):
     """spo(2n|m) as the matrices X with B(Xu, v) + (-1)^{|X||u|} B(u, Xv)
     = 0, solved entrywise for each parity of X.
 
-    The condition at (a, b) reads the positions (a', b) and (b', a),
-    with i' the index that B pairs with i, and the Cartan weight of both
-    is -eps_a - eps_b.  So the condition matrix is block-diagonal by
+    Each position (c, a) gives its column of the condition as a dict of
+    the stored entries: X[c, a] enters the condition at (a, c') with
+    B(c, c') and at (c', a) with (-1)^{|X||c'|} B(c', c), with i' the
+    index that B pairs with i.  Keyed by (row, col), the conditions pivot
+    as the dense rows would.  The Cartan weight of the condition at
+    (a, b) is -eps_a - eps_b, so the condition matrix is block-diagonal by
     weight (Kac 1977), every kernel vector of ``_rational_kernel`` has
     one weight, read off any of its entries, and those of nonzero weight
     are independent of the Cartan.  The weight-zero ones span the
@@ -401,25 +403,20 @@ def _build_spo(twon, m):
     def weight_of(a, b):
         return tuple(hm.get((a, a), 0) - hm.get((b, b), 0) for hm in cartan_mats)
 
+    partner = {i: j for i, j in phi}
+
     roots = []  # (weight, parity, kernel position, matrix)
     for px in (0, 1):
         positions = [(c, a) for c in range(d) for a in range(d)
                      if (par(c) + par(a)) % 2 == px]
-        pos_index = {p: t for t, p in enumerate(positions)}
-        rows = []
-        for a in range(d):
-            for b in range(d):
-                row = [0] * len(positions)
-                for c in range(d):
-                    if (c, b) in phi and (c, a) in pos_index:
-                        row[pos_index[c, a]] += phi[c, b]
-                    if (a, c) in phi and (c, b) in pos_index:
-                        sign = -1 if (px and par(a)) else 1
-                        row[pos_index[c, b]] += sign * phi[a, c]
-                if any(row):
-                    rows.append(row)
-        for t, vec in enumerate(_rational_kernel(rows, len(positions))):
-            mat = {positions[s]: v for s, v in enumerate(vec) if v}
+        columns = []
+        for c, a in positions:
+            p = partner[c]
+            column = {(a, p): phi[c, p]}
+            acc(column, (p, a), -phi[p, c] if px and par(p) else phi[p, c])
+            columns.append(column)
+        for t, vec in enumerate(_rational_kernel(columns)):
+            mat = {positions[s]: v for s, v in vec.items()}
             wt = weight_of(*next(iter(mat)))
             if any(wt):
                 roots.append((wt, px, t, mat))
@@ -542,6 +539,17 @@ def _reach(todo, seeds, bracket):
     return X, order, recipes
 
 
+def _row_indexes(rows):
+    """Indexes of the stored [j, k]: j -> k, k -> j and t -> (j, k, [j,k]_t)."""
+    right, left, by_output = {}, {}, {}
+    for (j, k), row in rows.items():
+        right.setdefault(j, []).append(k)
+        left.setdefault(k, []).append(j)
+        for t, c in row.items():
+            by_output.setdefault(t, []).append((j, k, c))
+    return right, left, by_output
+
+
 def _jacobi_failures(g, first):
     """A "jacobi: (i,j,k)" line for every triple with i in ``first`` where
     [i, [j, k]] differs from [[i, j], k] + sgn [j, [i, k]], in loop order.
@@ -554,12 +562,7 @@ def _jacobi_failures(g, first):
     in the dense loop's order.
     """
     rows, parity = g._bracket, g.parity
-    right, left, by_output = {}, {}, {}
-    for (j, k), row in rows.items():
-        right.setdefault(j, []).append(k)
-        left.setdefault(k, []).append(j)
-        for t, c in row.items():
-            by_output.setdefault(t, []).append((j, k, c))
+    right, left, by_output = _row_indexes(rows)
     failures = []
     for i in first:
         partners = right.get(i, ())
@@ -594,7 +597,8 @@ def validate(g):
     only the triples where some side reads a stored bracket row are
     visited, into one defect per (j, k) and i: on the others both sides
     are empty.  The skew and supersymmetry checks read (i, j) and (j, i)
-    both: they check what the builders write by the supersign.
+    both: they check what the builders write by the supersign.  Every
+    check reads only stored entries, invariance too: see its comment.
     """
     report = []
     dim = check_type(g, LieSuperalgebra).dim
@@ -631,26 +635,24 @@ def validate(g):
         if v != sign * form.get((j, i), ZERO):
             report.append("form not supersymmetric at (%d,%d)" % (i, j))
 
-    # invariance per (i, j): the vector ([i,j], k) - (i, [j,k]) over k,
-    # from the form rows and the bracket rows of j read by output index
+    # invariance: per i, one defect per j of ([i,j], k) - (i, [j,k]) over
+    # k, from each stored [i, j] and each stored [j, k] with a component
+    # t that i pairs with; for every other j both sides are 0, and the
+    # sorted j give the dense loop's report
     form_rows = {}
     for (i, j), v in form.items():
         form_rows.setdefault(i, {})[j] = v
-    by_output = {}  # (j, t) -> {k: [j,k]_t}
-    for (j, k), row in rows.items():
-        for t, c in row.items():
-            by_output.setdefault((j, t), {})[k] = c
+    right, _, by_output = _row_indexes(rows)
     for i in range(dim):
-        row_i = form_rows.get(i, none)
-        for j in range(dim):
-            diff = {}
-            for t, c in rows.get((i, j), none).items():
-                axpy(diff, c, form_rows.get(t, none))
-            for t, f in row_i.items():
-                axpy(diff, -f, by_output.get((j, t), none))
-            if diff:
-                report.append("form not invariant at (%d,%d,%d)"
-                              % (i, j, min(diff)))
+        defect = {}
+        for j in right.get(i, ()):
+            for t, c in rows[i, j].items():
+                axpy(defect.setdefault(j, {}), c, form_rows.get(t, none))
+        for t, f in form_rows.get(i, none).items():
+            for j, k, c in by_output.get(t, ()):
+                acc(defect.setdefault(j, {}), k, -f * c)
+        report += ["form not invariant at (%d,%d,%d)" % (i, j, min(defect[j]))
+                   for j in sorted(defect) if defect[j]]
 
     solver = LinearSolver()
     for i in range(dim):

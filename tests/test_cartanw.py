@@ -65,6 +65,33 @@ def test_even_presentation_commutative(gradings):
                 assert a.bracket(b).is_zero()
 
 
+def test_build_rejects_a_wrong_tabulated_relation(monkeypatch):
+    # negative control: with [F', F'] tabulated as -1, not -2, the derived
+    # bracket disagrees with the table; a fresh grading, so no memo
+    real = cartanw._relation_table
+
+    def wrong(names, parity_type):
+        table = real(names, parity_type)
+        table[("F", "F")] = {(0,) * len(names): scalar(-1)}
+        return table
+
+    monkeypatch.setattr(cartanw, "_relation_table", wrong)
+    with pytest.raises(ConsistencyError, match=r"derived bracket \[F',F'\] "
+                       "disagrees with the tabulated relation"):
+        build_cartan_w(grade(build_algebra("spo:2|3")))
+
+
+def test_equal_elements_hash_equal(gradings):
+    # h1' as a generator and as the projection of its lift: equal, with
+    # equal hashes, so a set keeps one of them
+    gr = gradings["sl:2|1"]
+    cw = build_cartan_w(gr)
+    a = cw.gen("h1")
+    b = project_pi(wgen.workspace(gr).theta_letter(gr.hes[0]))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_generator_layout(gradings):
     cw = build_cartan_w(gradings["osp:1|2"])
     assert cw.names == ("F", "C", "E")

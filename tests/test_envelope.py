@@ -224,14 +224,15 @@ def test_finite_quotient_strips_trailing(setups):
 
 
 def test_quadratic_casimir_invariance(setups):
-    # ef + fe + h^2/2 commutes with the whole sl2 triple
+    # ef + fe + h^2/2 commutes with the whole sl2 triple in U(g); the
+    # projection ``dict`` only copies
     mg, pbw = setups["osp:1|2"]
     e, h, f = mg.e, mg.hth, mg.f
     omega = pbw.from_words([
         ((e, f), ONE), ((f, e), ONE), ((h, h), HALF)])
-    assert pbw.is_invariant(omega, (e, h, f)) is None
+    assert pbw.is_invariant(omega, (e, h, f), dict) is None
     # and the odd letter sees it too, via the five-part table
-    res = pbw.is_invariant(omega, (mg.vmid,))
+    res = pbw.is_invariant(omega, (mg.vmid,), dict)
     assert res is not None  # sl2 Casimir is not the full Casimir here
     letter, residual = res
     assert letter == mg.vmid and residual

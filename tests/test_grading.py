@@ -236,12 +236,9 @@ def test_chi_nzero_kernel(gradings):
         alg = mg.algebra
         sub = admissible_subalgebras(mg)
         space = [i for i in range(alg.dim) if mg.degrees[i] >= -1]
-        rows = []
-        for b in sub["nzero"]:
-            rows.append([
-                mg.chi(alg.bracket({b: ONE}, {x: ONE})).as_fraction()
-                for x in space])
-        ker = _rational_kernel(rows, len(space))
+        ker = _rational_kernel([
+            {t: mg.chi(alg.bracket({b: ONE}, {x: ONE}))
+             for t, b in enumerate(sub["nzero"])} for x in space])
         want = len(mg.centralizer_letters()) + (mg.r % 2)
         assert len(ker) == want, name
         # membership: every claimed kernel vector really lies in it

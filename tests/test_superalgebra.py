@@ -407,7 +407,23 @@ def _damage_cartan_row(g, rng):
     acc(g._bracket.setdefault((x, h), {}), k, -ONE)
 
 
-DAMAGES = (_damage_constant, _damage_zero_row, _damage_cartan_row)
+def _damage_form(g, rng):
+    """A stored form entry grown, with its supersymmetric partner; or, half
+    the time, a new entry off the diagonal stored one way only."""
+    c = scalar(rng.choice((1, -1, 2, Fraction(1, 2))))
+    if rng.random() < 0.5:
+        i, j = rng.choice(sorted(g.form))
+        acc(g.form, (i, j), c)
+        if i != j:
+            acc(g.form, (j, i), -c if g.parity[i] and g.parity[j] else c)
+    else:
+        key = rng.choice([(i, j) for i in range(g.dim) for j in range(g.dim)
+                          if i != j and (i, j) not in g.form])
+        g.form[key] = c
+
+
+DAMAGES = (_damage_constant, _damage_zero_row, _damage_cartan_row,
+           _damage_form)
 
 
 @pytest.mark.parametrize("desc", ["osp:1|2", "sl:2|1", "gl:2|1", "spo:2|3",
@@ -736,14 +752,17 @@ def test_rational_kernel_matches_sympy():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
         rank = rng.randint(0, min(nrows, ncols))
         rows = _random_matrix(rng, nrows, ncols, rank)
-        got = _rational_kernel(rows, ncols)
+        got = _rational_kernel([{i: row[c] for i, row in enumerate(rows)}
+                                for c in range(ncols)])
         want = _to_sympy(rows).nullspace()
         # the same free-column basis, vector for vector
-        assert [list(v) for v in got] == [_from_sympy(w) for w in want]
-        assert all(type(x) is Fraction for v in got for x in v)
-    basis = _rational_kernel([], 3)
-    assert basis == [tuple(Fraction(int(i == j)) for j in range(3))
-                     for i in range(3)]
+        assert ([[v.get(c, ZERO) for c in range(ncols)] for v in got]
+                == [_from_sympy(w) for w in want])
+        # nonzero Scalars only, in ascending column order
+        assert all(type(x) is Scalar and x for v in got for x in v.values())
+        assert all(list(v) == sorted(v) for v in got)
+    basis = _rational_kernel([{}, {}, {}])
+    assert basis == [{i: ONE} for i in range(3)]
 
 
 def test_rational_inverse_matches_sympy():

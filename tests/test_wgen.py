@@ -275,6 +275,29 @@ def test_theta_v_is_linear(gradings):
 
 
 
+def test_shape_report_names_each_damage(gradings):
+    # negative controls: a damaged copy of a lift's value, wrapped as a
+    # generator, fails the shape check with the message of its damage
+    wal = wgen.workspace(gradings["spo:2|3"])
+    gens = {gen.name: gen for gen in wal.generators}
+    x1, g1, C = gens["x1"], gens["g1"], gens["C"]
+    h1 = gens["h1"].letter  # a centralizer letter, of x1's weight 2
+    assert wal.word_weight((h1,)) == x1.weight < g1.weight
+    assert h1 in wal._centralizer
+    cases = ((x1, {(x1.letter,): scalar(2)}, "leading coefficient 2"),
+             (C, {(gradings["spo:2|3"].e,): ONE}, "leading coefficient 1"),
+             (x1, {(h1, h1): ONE}, "tail word above the leading degree"),
+             (x1, {(h1,): ONE}, "linear tail word at the leading degree"),
+             (g1, {(h1,): ONE}, "tail word inside the centralizer span"))
+    for gen, change, message in cases:
+        assert wal._shape_report(gen) is None, gen.name
+        value = dict(gen.element.value)
+        value.update(change)
+        bad = wgen.Generator(gen.name, gen.letter, gen.weight, gen.parity,
+                             wgen.WElement(wal, value))
+        assert wal._shape_report(bad) == message
+
+
 @pytest.mark.parametrize("name", ["osp:1|2", "sl:2|1", "spo:2|3", "spo:2|5",
                                   "psl:3|3", "spo:4|3"])
 def test_lifts_match_the_written_out_tail(name):
