@@ -30,9 +30,9 @@ built nor cached.
 A commutator [a, b] follows the super-Leibniz rule: each letter of a word
 of ``a`` is replaced in turn by its bracket with one parity part of ``b``,
 read through ``ad``, with the sign of moving that part past the letters
-after it.  So the adjoint cache is also the commutator's memo, and the
-two full products of a word pair, whose leading terms cancel, are never
-formed.
+after it.  The adjoint cache is the only memo of [x, .]: the commutator
+keeps none of its own, and the two full products of a word pair, whose
+leading terms cancel, are never formed.
 
 The same rule straightens any presentation: letters with parities and a
 bracket row [a, b] over normal words per pair.  U(g) hands out g's rows
@@ -121,13 +121,20 @@ class PBWAlgebra:
     def unit(self):
         return {(): ONE}
 
+    def _term(self, word, c):
+        """``c`` read by ``scalar``, once each letter of ``word`` is an int
+        letter of this algebra; ``inject`` and ``from_words`` read every
+        term through it."""
+        for i in word:
+            if type(i) is not int or not 0 <= i < len(self.parity):
+                raise PreconditionError("letter %r not in this algebra" % (i,))
+        return scalar(c)
+
     def inject(self, x):
         """A coordinate dict over letters, as a degree-one element."""
         out = {}
         for i, c in x.items():
-            if type(i) is not int or not 0 <= i < len(self.parity):
-                raise PreconditionError("letter %r not in this algebra" % (i,))
-            if c:
+            if c := self._term((i,), c):
                 out[(i,)] = c
         return out
 
@@ -206,34 +213,31 @@ class PBWAlgebra:
         """Normal form of arbitrary (word, coeff) pairs."""
         out = {}
         for word, coeff in pairs:
-            axpy(out, scalar(coeff), self._mul_word((), tuple(word)))
+            word = tuple(word)
+            axpy(out, self._term(word, coeff), self._mul_word((), word))
         return out
 
     def commutator(self, a, b, skip=()):
         """The superbracket a b - (-1)^{|a||b|} b a by the super-Leibniz
         rule: for each word x_1...x_m of ``a`` and each parity part b_p of
         ``b``, the sum over i of (-1)^{p |x_{i+1}...x_m|} x_1...x_{i-1}
-        [x_i, b_p] x_{i+1}...x_m.  Each [x_i, b_p] is read through ``ad``
-        once per letter and part, so the two full products of a word pair,
-        whose leading terms cancel, are never formed.  The terms at a letter
-        x_i in ``skip`` are left out; a caller passes letters whose terms
-        it knows to vanish in its quotient."""
+        [x_i, b_p] x_{i+1}...x_m.  Each [x_i, b_p] is ``ad(x_i, b_p)``, whose
+        words come from the adjoint cache, the one memo of [x, .], so the
+        two full products of a word pair, whose leading terms cancel, are
+        never formed.  The terms at a letter x_i in ``skip`` are left out;
+        a caller passes letters whose terms it knows to vanish in its
+        quotient."""
         parity = self.parity
         parts = {}
         for wb, cb in b.items():
             parts.setdefault(self.word_parity(wb), {})[wb] = cb
-        memo = {}
         out = {}
         for wa, ca in a.items():
             for p, bp in parts.items():
                 odd_tail = 0
                 for i in range(len(wa) - 1, -1, -1):
                     x = wa[i]
-                    inner = memo.get((x, p))
-                    if inner is None:
-                        inner = memo[(x, p)] = (
-                            {} if x in skip else self.ad(x, bp))
-                    if inner:
+                    if x not in skip and (inner := self.ad(x, bp)):
                         head, tail = wa[:i], wa[i + 1:]
                         mid = inner
                         if head:

@@ -550,9 +550,10 @@ def _row_indexes(rows):
     return right, left, by_output
 
 
-def _jacobi_failures(g, first):
+def _jacobi_failures(g, first, indexes):
     """A "jacobi: (i,j,k)" line for every triple with i in ``first`` where
-    [i, [j, k]] differs from [[i, j], k] + sgn [j, [i, k]], in loop order.
+    [i, [j, k]] differs from [[i, j], k] + sgn [j, [i, k]], in loop order;
+    ``indexes`` is ``_row_indexes`` of g's stored rows.
 
     For each i the three sides go term by term into one defect per (j, k)
     from the stored rows: with P the stored partners of i, [i, [j, k]]
@@ -562,7 +563,7 @@ def _jacobi_failures(g, first):
     in the dense loop's order.
     """
     rows, parity = g._bracket, g.parity
-    right, left, by_output = _row_indexes(rows)
+    right, left, by_output = indexes
     failures = []
     for i in first:
         partners = right.get(i, ())
@@ -618,9 +619,11 @@ def validate(g):
             if br.get(k, ZERO) != -sign * rev.get(k, ZERO):
                 report.append("skew: [%d,%d] vs [%d,%d] at %d" % (i, j, j, i, k))
 
+    indexes = _row_indexes(rows)
     if report or _jacobi_failures(g, _reach(
-            range(dim), _seed_letters(g), lambda x, r: rows.get((x, r)))[0]):
-        report += _jacobi_failures(g, range(dim))
+            range(dim), _seed_letters(g), lambda x, r: rows.get((x, r)))[0],
+            indexes):
+        report += _jacobi_failures(g, range(dim), indexes)
 
     none = {}
 
@@ -642,7 +645,7 @@ def validate(g):
     form_rows = {}
     for (i, j), v in form.items():
         form_rows.setdefault(i, {})[j] = v
-    right, _, by_output = _row_indexes(rows)
+    right, _, by_output = indexes
     for i in range(dim):
         defect = {}
         for j in right.get(i, ()):

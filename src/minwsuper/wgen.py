@@ -200,7 +200,6 @@ class WAlgebra:
         self._name_pos = None
         self._lead_pos = None
         self._c0 = None
-        self._c0_pairs = 0
         self._wd = None
         # the presented U(g, e) and Theta_Cas in it, kept by ``_present``
         self._uge = None
@@ -436,7 +435,6 @@ class WAlgebra:
                     "normalization constant differs between degree-1 pairs: "
                     "%s vs %s" % (seen[0].render(), other.render()))
         self._c0 = seen[0]
-        self._c0_pairs = len(seen)
 
     def epsilon(self):
         if self.grading.parity_type != "odd":

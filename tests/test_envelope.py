@@ -65,6 +65,35 @@ def test_inject_takes_only_int_letters(setups):
             pbw.inject({bad: ONE})
 
 
+def test_inject_reads_coefficients_through_scalar(setups):
+    # an int coefficient is stored as a Scalar, so the element renders; a
+    # float or a bool is no coefficient
+    mg, pbw = setups["sl:2|1"]
+    x = pbw.inject({0: 2})
+    assert x == {(0,): scalar(2)} and type(x[(0,)]) is type(ONE)
+    assert render_element(mg.algebra.labels, x) == \
+        render_element(mg.algebra.labels, {(0,): scalar(2)})
+    assert pbw.inject({0: 0}) == {}
+    for bad in (2.5, True):
+        with pytest.raises(TypeError):
+            pbw.inject({0: bad})
+
+
+def test_from_words_checks_letters_and_coefficients(setups):
+    # the same letter and coefficient checks as ``inject``
+    mg, pbw = setups["sl:2|1"]
+    dim = mg.algebra.dim
+    assert pbw.from_words([((0,), 2)]) == pbw.inject({0: 2})
+    for bad in (99, dim, -1, "a", True, 1.0):
+        with pytest.raises(PreconditionError):
+            pbw.from_words([((bad,), 1)])
+        with pytest.raises(PreconditionError):
+            pbw.from_words([((0, bad), ONE)])
+    for bad in (2.5, True):
+        with pytest.raises(TypeError):
+            pbw.from_words([((0,), bad)])
+
+
 def test_partner_sets_are_built_on_first_ad():
     # only a letter that ``ad`` was asked about gets its partner set
     mg = grade(build_algebra("spo:2|3"))

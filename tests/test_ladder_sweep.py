@@ -185,8 +185,8 @@ def _clean_on_generating_letters(g, monkeypatch):
     real = superalgebra._jacobi_failures
     with monkeypatch.context() as patch:
         patch.setattr(superalgebra, "_jacobi_failures",
-                      lambda g, first: calls.append(list(first))
-                      or real(g, first))
+                      lambda g, first, indexes: calls.append(list(first))
+                      or real(g, first, indexes))
         assert validate(g) == [], g.display
     assert calls == [letters], g.display
 

@@ -277,9 +277,9 @@ def _spy_jacobi(monkeypatch):
     calls = []
     real = superalgebra._jacobi_failures
 
-    def spy(g, first):
+    def spy(g, first, indexes):
         calls.append(list(first))
-        return real(g, first)
+        return real(g, first, indexes)
     monkeypatch.setattr(superalgebra, "_jacobi_failures", spy)
     return calls
 
@@ -369,6 +369,35 @@ def test_damage_outside_the_generating_letters_is_reported(monkeypatch):
     assert any(v.startswith("jacobi") for v in report)
     assert report == validate_reference(g)
     assert len(calls) == 2 and calls[1] == list(range(g.dim))
+
+
+def test_validate_builds_the_row_indexes_once(monkeypatch):
+    # both Jacobi passes and the invariance check share one build of the
+    # stored-row indexes: on a clean algebra (one Jacobi pass), on damage
+    # outside X (two passes) and on a skew damage (the full pass alone)
+    builds = []
+    real = superalgebra._row_indexes
+    monkeypatch.setattr(superalgebra, "_row_indexes",
+                        lambda rows: builds.append(1) or real(rows))
+    calls = _spy_jacobi(monkeypatch)
+    clean = build_algebra("sl:2|3")
+    outside = build_algebra("sl:2|3")
+    letters = set(_letters(outside, _seed_letters(outside)))
+    key = next((i, j) for (i, j), row in sorted(outside._bracket.items())
+               if i not in letters and j not in letters and i != j)
+    t = next(iter(outside._bracket[key]))
+    sign = -1 if outside.parity[key[0]] and outside.parity[key[1]] else 1
+    acc(outside._bracket[key], t, ONE)
+    acc(outside._bracket[key[::-1]], t, -sign * ONE)
+    skew = build_algebra("sl:2|1")
+    acc(skew._bracket[next(k for k, v in skew._bracket.items() if v)],
+        0, ONE)
+    for g, passes in ((clean, 1), (outside, 2), (skew, 1)):
+        del builds[:], calls[:]
+        report = validate(g)
+        assert len(builds) == 1 and len(calls) == passes, g.display
+        assert report == validate_reference(g), g.display
+        assert bool(report) == (g is not clean), g.display
 
 
 def _damage_constant(g, rng):

@@ -103,7 +103,10 @@ def test_c0_same_for_every_source_pair(gradings):
     # the workspace errors out unless they all agree
     wal = wgen.workspace(gradings["spo:2|3"])
     wal.c0
-    assert wal._c0_pairs >= 2
+    g, fvec = wal.algebra, {wal.grading.f: ONE}
+    pairs = [(w1, w2) for w1 in wal.g1_letters for w2 in wal.g1_letters
+             if g.pair(g.bracket({w1: ONE}, {w2: ONE}), fvec)]
+    assert len(pairs) >= 2
 
 
 def test_epsilon_needs_a_midline(gradings):
@@ -1097,6 +1100,37 @@ def test_certificate_recipes_are_exact(name):
     seeds = _seeds({k: lw[gens[k].letter] for k in todo
                     if gens[k].weight == 2})
     assert_exact_recipes(todo, seeds, entry, reach)
+
+
+@pytest.mark.parametrize("name,theta,seed,reached", [
+    ("gl:2|3", None, "h2", ["h3", "h4"]),
+    ("sl:3|2", (-1, -1, 1, 0), "h1", ["h2"]),
+])
+def test_certificate_runs_seed_terms(name, theta, seed, reached, monkeypatch):
+    # a recipe term nu Theta_s on a seed s: the certificate reads the
+    # seed's own row E(s, b) for it, and the term is needed: with the nu
+    # terms dropped from the recipes the certificate fails
+    wal = wgen.WAlgebra(grade(build_algebra(name), theta))
+    names = [gen.name for gen in wal.generators]
+    seeds, _, recipes = wal._reach(wal.closed_form_table)
+    nu = {names[y]: [names[x] for (x, r) in recipes[y] if r is None]
+          for y in recipes}
+    assert names.index(seed) in seeds, name
+    assert {y for y, xs in nu.items() if xs} == set(reached), name
+    assert all(nu[y] == [seed] for y in reached), name
+    table = wal._certified_table()
+    assert table is not None and table == wal._straightened_table(), name
+    assert wal.verify_relations()["ok"], name
+    real = wgen.WAlgebra._reach
+
+    def without_nu(self, closed):
+        seeds, order, recipes = real(self, closed)
+        return seeds, order, {y: {k: c for k, c in rec.items()
+                                  if k[1] is not None}
+                              for y, rec in recipes.items()}
+    monkeypatch.setattr(wgen.WAlgebra, "_reach", without_nu)
+    assert wgen.WAlgebra(grade(build_algebra(name), theta)) \
+        ._certified_table() is None, name
 
 
 @pytest.mark.parametrize("name,pairs", [("spo:2|3", 24), ("spo:2|5", 78),
