@@ -27,8 +27,9 @@ Only a value with a nonzero radical term keeps a term dict; see
 
 :func:`axpy`, the sparse accumulation that straightening runs on, has one
 kernel path: a rational times a rational into an absent or rational running
-sum is one :func:`_qmul` and at most one :func:`_qadd`.  Every radical or
-mixed term takes the Scalar operators.  The engine's irrational
+sum multiplies and adds ints inline and calls :func:`_qmul` and
+:func:`_qadd` only for a Fraction operand.  Every radical or mixed term
+takes the Scalar operators.  The engine's irrational
 coefficients lie in sqrt(-2) when theta is +2 eps_i and in sqrt(2) when it
 is -2 eps_i, and pi's images hold terms in sqrt(-1) and sqrt(-2) as well.
 
@@ -498,20 +499,25 @@ def acc(out, key, c):
 
 def axpy(out, c, vec):
     """out += c * vec, for a sparse dict ``vec``."""
-    if not c:
+    # One int kernel: a rational Scalar c times a rational Scalar entry,
+    # into an absent or rational running sum, multiplies and adds inline
+    # when both operands are ints, as the Scalar operators do, and through
+    # _qmul and _qadd when either is a Fraction.  Every other term, radical
+    # or mixed, takes the Scalar operators c * v and cur + cv.  A Scalar c
+    # times the shared ONE of a normal-order append is c itself; an int or
+    # Fraction c is still multiplied, so every entry is a Scalar.
+    one = qc = qint = None
+    if c.__class__ is Scalar:
+        qc = c._v
+        if not qc:
+            return
+        one = _ONE
+        if qc.__class__ is dict:
+            qc = None
+        qint = qc.__class__ is int
+    elif not c:
         return
     get = out.get
-    # One int kernel: a rational Scalar c times a rational Scalar entry,
-    # into an absent or rational running sum, is one _qmul and at most one
-    # _qadd.  Every other term, radical or mixed, takes the Scalar
-    # operators c * v and cur + cv.  A Scalar c times the shared ONE of a
-    # normal-order append is c itself; an int or Fraction c is still
-    # multiplied, so every entry is a Scalar.
-    one = qc = None
-    if c.__class__ is Scalar:
-        one = _ONE
-        if c._v.__class__ is not dict:
-            qc = c._v
     for key, v in vec.items():
         cur = get(key)
         if v is one:
@@ -520,17 +526,17 @@ def axpy(out, c, vec):
                 continue
             cv = c
         elif (qc is not None and v.__class__ is Scalar
-              and v._v.__class__ is not dict):
-            if not v._v:
+              and (q := v._v).__class__ is not dict):
+            if not q:
                 continue
-            w = _qmul(qc, v._v)
+            w = qc * q if qint and q.__class__ is int else _qmul(qc, q)
             if cur is None:
                 res = _new(Scalar)
                 res._v = w
                 out[key] = res
                 continue
-            if cur.__class__ is Scalar and cur._v.__class__ is not dict:
-                w = _qadd(cur._v, w)
+            if cur.__class__ is Scalar and (s := cur._v).__class__ is not dict:
+                w = s + w if s.__class__ is w.__class__ is int else _qadd(s, w)
                 if w:
                     res = _new(Scalar)
                     res._v = w

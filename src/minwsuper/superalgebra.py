@@ -8,13 +8,17 @@ builder keeps every vector it builds: spo's kernel vectors are weight
 vectors as they come (``_build_spo``), and psl leaves out the one sl
 Cartan letter that the identity matrix makes redundant (``_finish``).
 Every bracket table is filled one unordered pair i <= j at a time, [j, i]
-by super-skew symmetry (Kac 1977); ``validate`` checks that symmetry.
+by super-skew symmetry (Kac 1977); ``validate`` checks that symmetry, and
+then checks the Jacobi identity on the pairs j <= k alone, since on a
+super-skew table J(i, k, j) = -(-1)^{|j||k|} J(i, j, k).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
+from operator import mul
 
 from .errors import (ConsistencyError, PreconditionError,
                      UnsupportedFamilyError, check_type)
@@ -230,7 +234,9 @@ class LieSuperalgebra:
         coordinates of a bracket are the same combination of them as the
         bracket is of the old letters.  Brackets and the form are exact,
         each pair i <= j once and (j, i) by the supersign, for a super-skew
-        algebra with a supersymmetric form (``validate`` checks both).
+        algebra with a supersymmetric form (``validate`` checks both), and
+        only the pairs whose supports meet a stored bracket row or form
+        entry are formed: every other pair is empty by bilinearity.
         """
         n = len(new_basis)
         if n != self.dim:
@@ -245,9 +251,16 @@ class LieSuperalgebra:
             if not solver.add(t, vec):
                 raise PreconditionError("rebase vectors are dependent at %d" % t)
         inverse = [solver.solve({a: ONE}) for a in range(n)]
+        meets, holders = {}, {}
+        for a, b in [*self._bracket, *self.form]:
+            meets.setdefault(a, set()).add(b)
+        for j, y in enumerate(new_basis):
+            for b in y:
+                holders.setdefault(b, []).append(j)
         bracket, form = {}, {}
         for i, x in enumerate(new_basis):
-            for j in range(i, n):
+            for j in sorted({j for a in x for b in meets.get(a, ())
+                             for j in holders.get(b, ()) if j >= i}):
                 y, odd = new_basis[j], parity[i] and parity[j]
                 coords = {}
                 for a, c in self.bracket(x, y).items():
@@ -550,7 +563,7 @@ def _row_indexes(rows):
     return right, left, by_output
 
 
-def _jacobi_failures(g, first, indexes):
+def _jacobi_failures(g, first, indexes, unordered=False):
     """A "jacobi: (i,j,k)" line for every triple with i in ``first`` where
     [i, [j, k]] differs from [[i, j], k] + sgn [j, [i, k]], in loop order;
     ``indexes`` is ``_row_indexes`` of g's stored rows.
@@ -561,25 +574,42 @@ def _jacobi_failures(g, first, indexes):
     [j, [i, k]] from k in P.  Every other triple has three empty sides,
     so it holds.  The sorted (j, k) with a nonzero defect give the lines
     in the dense loop's order.
+
+    ``unordered`` forms only the defects with j <= k.  On a homogeneous,
+    super-skew table the Jacobiator is super-skew in its last two
+    arguments, J(i, k, j) = -(-1)^{|j||k|} J(i, j, k), so those decide
+    every triple (Kac 1977); the diagonal stays, as J(i, j, j) need not
+    vanish for odd j.  The caller must have checked parity and skew first.
     """
     rows, parity = g._bracket, g.parity
     right, left, by_output = indexes
+    if unordered:
+        by_output = {t: [(j, k, c) for j, k, c in entries if j <= k]
+                     for t, entries in by_output.items()}
     failures = []
     for i in first:
         partners = right.get(i, ())
-        defect = {}
+        odd = parity[i]
+        defect = defaultdict(dict)
         for t in partners:
+            row = rows[i, t]
             for j, k, c in by_output.get(t, ()):
-                axpy(defect.setdefault((j, k), {}), c, rows[i, t])
+                axpy(defect[j, k], c, row)
         for j in partners:
             for t, c in rows[i, j].items():
+                c = -c
                 for k in right.get(t, ()):
-                    axpy(defect.setdefault((j, k), {}), -c, rows[t, k])
+                    if unordered and k < j:
+                        continue
+                    axpy(defect[j, k], c, rows[t, k])
         for k in partners:
             for t, c in rows[i, k].items():
+                neg = -c
                 for j in left.get(t, ()):
-                    axpy(defect.setdefault((j, k), {}),
-                         c if parity[i] and parity[j] else -c, rows[j, t])
+                    if unordered and j > k:
+                        continue
+                    axpy(defect[j, k], c if odd and parity[j] else neg,
+                         rows[j, t])
         failures += ["jacobi: (%d,%d,%d)" % (i, j, k)
                      for j, k in sorted(defect) if defect[j, k]]
     return failures
@@ -592,12 +622,15 @@ def validate(g):
     superderivation of the stored bracket, so when every stored bracket
     is homogeneous it is checked only for the letters X that ``_reach``
     finds over the stored rows from the ``_seed_letters``; its docstring
-    gives the argument.  If the parity or skew check
-    reports anything, or a triple with i in X fails, every triple is
-    checked and the report is the same as the full loop's.  Either way
-    only the triples where some side reads a stored bracket row are
-    visited, into one defect per (j, k) and i: on the others both sides
-    are empty.  The skew and supersymmetry checks read (i, j) and (j, i)
+    gives the argument.  That pass is reached only when the parity and
+    skew checks report nothing, so the Jacobiator is super-skew in its
+    last two arguments, J(i, k, j) = -(-1)^{|j||k|} J(i, j, k), and it
+    forms only the pairs j <= k, the diagonal included.  If the parity
+    or skew check reports anything, or a triple with i in X fails, every
+    triple is checked and the report is the same as the full loop's.
+    Either way only the triples where some side reads a stored bracket
+    row are visited, into one defect per (j, k) and i: on the others both
+    sides are empty.  The skew and supersymmetry checks read (i, j) and (j, i)
     both: they check what the builders write by the supersign.  Every
     check reads only stored entries, invariance too: see its comment.
     """
@@ -622,7 +655,7 @@ def validate(g):
     indexes = _row_indexes(rows)
     if report or _jacobi_failures(g, _reach(
             range(dim), _seed_letters(g), lambda x, r: rows.get((x, r)))[0],
-            indexes):
+            indexes, unordered=True):
         report += _jacobi_failures(g, range(dim), indexes)
 
     none = {}
@@ -647,13 +680,14 @@ def validate(g):
         form_rows.setdefault(i, {})[j] = v
     right, _, by_output = indexes
     for i in range(dim):
-        defect = {}
+        defect = defaultdict(dict)
         for j in right.get(i, ()):
             for t, c in rows[i, j].items():
-                axpy(defect.setdefault(j, {}), c, form_rows.get(t, none))
+                axpy(defect[j], c, form_rows.get(t, none))
         for t, f in form_rows.get(i, none).items():
+            f = -f
             for j, k, c in by_output.get(t, ()):
-                acc(defect.setdefault(j, {}), k, -f * c)
+                acc(defect[j], k, f * c)
         report += ["form not invariant at (%d,%d,%d)" % (i, j, min(defect[j]))
                    for j in sorted(defect) if defect[j]]
 
@@ -897,28 +931,30 @@ def _diagonal_coordinates(g, root):
 
 
 def _generic_functional(g, roots, theta, degree):
-    """Values of a functional vanishing on theta and nowhere else.
+    """Values of a functional vanishing on theta and nowhere else, as ints.
 
     Starts from strictly decreasing weights along the matrix diagonal
     (so the usual ordering of the standard basis functionals), then
     projects out the theta component along the coroot, whose value on a
     root is ``degree[root]`` (2 on theta).  Degenerate seeds get bumped.
     A root lies on the theta line exactly when 2 alpha = alpha(h) theta.
+    The diagonal coordinates run as ints over their one common
+    denominator den, so every value is 2 den times the rational one: the
+    signs and the order are the same.
     """
-    th = _diagonal_coordinates(g, theta)
-    coords = {root: _diagonal_coordinates(g, root) for root in roots}
+    _, ints = _over_common_denominator(
+        [_diagonal_coordinates(g, root) for root in roots])
+    th = ints[roots.index(theta)]
+    degrees = [degree[root] for root in roots]
+    off_line = [any(2 * a != e * t for a, t in zip(root, theta))
+                for root, e in zip(roots, degrees)]
     d = len(th)
     power = 1
     while True:
-        w = [Fraction((d - i) ** power) for i in range(d)]
-        base = sum(wi * ci for wi, ci in zip(w, th))
-
-        def value(root):
-            e0 = sum(wi * ci for wi, ci in zip(w, coords[root]))
-            return e0 - base * Fraction(degree[root], 2)
-
-        eta = {root: value(root) for root in roots}
-        if all(eta[r] for r in roots
-               if any(2 * a != degree[r] * t for a, t in zip(r, theta))):
-            return eta
+        w = [(d - i) ** power for i in range(d)]
+        base = sum(map(mul, w, th))
+        eta = [2 * sum(map(mul, w, key)) - base * e
+               for key, e in zip(ints, degrees)]
+        if all(v for v, off in zip(eta, off_line) if off):
+            return dict(zip(roots, eta))
         power += 1

@@ -21,7 +21,9 @@ package averages the degree-1 pair expansion.
 leading-word peel: it echelons the top parts of every ordered monomial
 of each Kazhdan degree and restricted weight and solves against them; a
 caller may pass a dict that keeps those echelons between calls on one
-workspace.  ``validate_reference`` is
+workspace.  ``generic_functional_reference`` is the functional of
+``root_decomposition`` on Fractions, as it was before it ran on ints over
+one common denominator.  ``validate_reference`` is
 ``validate`` as it was before it certified the Jacobi identity from a
 generating set: it checks every triple; ``rebase_reference`` solves
 every bracket over the new basis, where the package combines the
@@ -58,7 +60,8 @@ from minwsuper.envelope import render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.scalar import HALF, ONE, ZERO, acc, axpy, scalar
 from minwsuper.superalgebra import (LieSuperalgebra, LinearSolver,
-                                   _rational_inverse, parse_descriptor)
+                                   _diagonal_coordinates, _rational_inverse,
+                                   parse_descriptor)
 from minwsuper.wgen import w_multiply
 
 
@@ -503,6 +506,34 @@ def validate_reference(g):
             if g.bracket_basis(a, b):
                 report.append("cartan not abelian at (%d,%d)" % (a, b))
     return report
+
+
+def generic_functional_reference(g, roots, theta, degree):
+    """Values of a functional vanishing on theta and nowhere else.
+
+    Starts from strictly decreasing weights along the matrix diagonal
+    (so the usual ordering of the standard basis functionals), then
+    projects out the theta component along the coroot, whose value on a
+    root is ``degree[root]`` (2 on theta).  Degenerate seeds get bumped.
+    A root lies on the theta line exactly when 2 alpha = alpha(h) theta.
+    """
+    th = _diagonal_coordinates(g, theta)
+    coords = {root: _diagonal_coordinates(g, root) for root in roots}
+    d = len(th)
+    power = 1
+    while True:
+        w = [Fraction((d - i) ** power) for i in range(d)]
+        base = sum(wi * ci for wi, ci in zip(w, th))
+
+        def value(root):
+            e0 = sum(wi * ci for wi, ci in zip(w, coords[root]))
+            return e0 - base * Fraction(degree[root], 2)
+
+        eta = {root: value(root) for root in roots}
+        if all(eta[r] for r in roots
+               if any(2 * a != degree[r] * t for a, t in zip(r, theta))):
+            return eta
+        power += 1
 
 
 def rebase_reference(g, new_basis, new_cartan, labels=None):

@@ -56,8 +56,16 @@ def test_rebased_algebra_still_validates(gradings):
 
 def test_rebase_matches_one_solve_per_bracket(gradings):
     # combining the solved old letters gives the rows and form that
-    # solving each bracket over the new basis gives, value for value
-    for name, mg in gradings.items():
+    # solving each bracket over the new basis gives, value for value, on
+    # the default gradings and on every minimal root of spo:2|5 and psl:3|3
+    extra = []
+    for name in ("spo:2|5", "psl:3|3"):
+        g = build_algebra(name)
+        spaces = root_decomposition(g).spaces
+        extra += [("%s %s" % (name, theta), grade(g, theta))
+                  for theta in superalgebra.minimal_root_candidates(g, spaces)]
+    assert len(extra) > 2
+    for name, mg in [*gradings.items(), *extra]:
         alg = mg.algebra
         ref = rebase_reference(mg.base.with_form_scaled(mg.scale),
                                list(mg._letter_vectors), alg.cartan,

@@ -185,8 +185,9 @@ def _clean_on_generating_letters(g, monkeypatch):
     real = superalgebra._jacobi_failures
     with monkeypatch.context() as patch:
         patch.setattr(superalgebra, "_jacobi_failures",
-                      lambda g, first, indexes: calls.append(list(first))
-                      or real(g, first, indexes))
+                      lambda g, first, indexes, unordered=False:
+                      calls.append(list(first))
+                      or real(g, first, indexes, unordered=unordered))
         assert validate(g) == [], g.display
     assert calls == [letters], g.display
 

@@ -27,7 +27,8 @@ from minwsuper.superalgebra import (
 )
 
 from oracles import (assert_exact_recipes, generated_dimension,
-                     gram_minimal_roots, validate_reference, weight_form)
+                     gram_minimal_roots, rebase_reference, validate_reference,
+                     weight_form)
 
 DIMS = {
     "osp:1|2": (3, 2),
@@ -121,8 +122,9 @@ def test_build_solves_each_unordered_pair_once(desc, monkeypatch):
 
 @pytest.mark.parametrize("desc", ["sl:2|1", "spo:2|3"])
 def test_rebase_brackets_each_unordered_pair_once(desc, monkeypatch):
-    # rebase writes [j, i] and (j, i) from [i, j] and (i, j), so the
-    # adapted table takes one bracket of new letters per pair i <= j
+    # rebase writes [j, i] and (j, i) from [i, j] and (i, j), and forms
+    # only the pairs whose supports meet a stored bracket row or form
+    # entry: one bracket of new letters per such pair i <= j, in order
     g = build_algebra(desc)
     calls = []
     cls = superalgebra.LieSuperalgebra
@@ -133,9 +135,24 @@ def test_rebase_brackets_each_unordered_pair_once(desc, monkeypatch):
             calls.append((x, y))
         return real(self, x, y)
     monkeypatch.setattr(cls, "bracket", spy)
-    alg = grade(g).algebra
+    mg = grade(g)
+    alg = mg.algebra
     n = alg.dim
-    assert len(calls) == n * (n + 1) // 2
+    work = mg.base.with_form_scaled(mg.scale)
+    vectors = list(mg._letter_vectors)
+    stored = set(work._bracket) | set(work.form)
+    meeting = [(i, j) for i in range(n) for j in range(i, n)
+               if any((a, b) in stored
+                      for a in vectors[i] for b in vectors[j])]
+    assert calls == [(vectors[i], vectors[j]) for i, j in meeting]
+    assert len(meeting) < n * (n + 1) // 2
+    # every skipped pair is empty where each bracket is solved afresh
+    ref = rebase_reference(work, vectors, alg.cartan)
+    for i in range(n):
+        for j in range(i, n):
+            if (i, j) not in meeting:
+                assert not ref.bracket_basis(i, j), (i, j)
+                assert (i, j) not in ref.form, (i, j)
     assert list(alg._bracket) == sorted(alg._bracket)
     assert list(alg.form) == sorted(alg.form)
     for (i, j), row in alg._bracket.items():
@@ -184,7 +201,7 @@ def test_validate_detects_damage():
     key = next(k for k, v in g._bracket.items() if v)
     tgt = next(iter(g._bracket[key]))
     g._bracket[key][tgt] = g._bracket[key][tgt] + ONE
-    assert validate(g) == DAMAGED_CONSTANT_REPORT
+    assert validate(g) == DAMAGED_CONSTANT_REPORT == validate_reference(g)
     # a zero bracket made nonzero, skew-consistently so that only the
     # Jacobi and invariance checks can see it, must be reported as well
     g = build_algebra("sl:2|1")
@@ -199,7 +216,7 @@ def test_validate_detects_damage():
     report = validate(g)
     assert any(v.startswith("jacobi") for v in report)
     assert any(v.startswith("form not invariant") for v in report)
-    assert report == DAMAGED_ZERO_REPORT
+    assert report == DAMAGED_ZERO_REPORT == validate_reference(g)
 
 
 # Regression freezes, not independent truths: the full reports of two
@@ -226,12 +243,12 @@ def test_validate_detects_form_damage():
     g = build_algebra("sl:2|1")
     assert (0, 0) in g.form
     g.form[(0, 0)] = g.form[(0, 0)] + ONE
-    assert validate(g) == DAMAGED_DIAGONAL_FORM_REPORT
+    assert validate(g) == DAMAGED_DIAGONAL_FORM_REPORT == validate_reference(g)
     # an entry pairing an even with an odd letter, stored one way only
     g = build_algebra("sl:2|1")
     assert (g.parity[0], g.parity[3]) == (0, 1) and (0, 3) not in g.form
     g.form[(0, 3)] = ONE
-    assert validate(g) == DAMAGED_ODD_FORM_REPORT
+    assert validate(g) == DAMAGED_ODD_FORM_REPORT == validate_reference(g)
 
 
 def test_form_scaled_copy_owns_its_brackets():
@@ -246,6 +263,7 @@ def test_form_scaled_copy_owns_its_brackets():
         tgt = next(iter(g._bracket[key]))
         g._bracket[key][tgt] = g._bracket[key][tgt] + ONE
         assert validate(g) == DAMAGED_CONSTANT_REPORT, damaged
+        assert validate(g) == validate_reference(g), damaged
         assert other.to_json_dict()["bracket"] == rows, damaged
         assert validate(other) == [], damaged
 
@@ -277,9 +295,9 @@ def _spy_jacobi(monkeypatch):
     calls = []
     real = superalgebra._jacobi_failures
 
-    def spy(g, first, indexes):
+    def spy(g, first, indexes, unordered=False):
         calls.append(list(first))
-        return real(g, first, indexes)
+        return real(g, first, indexes, unordered=unordered)
     monkeypatch.setattr(superalgebra, "_jacobi_failures", spy)
     return calls
 
@@ -369,6 +387,32 @@ def test_damage_outside_the_generating_letters_is_reported(monkeypatch):
     assert any(v.startswith("jacobi") for v in report)
     assert report == validate_reference(g)
     assert len(calls) == 2 and calls[1] == list(range(g.dim))
+
+
+def test_odd_self_bracket_damage_is_caught_on_the_diagonal(monkeypatch):
+    # [j, j] of an odd letter is symmetric, so +1 on one of its components
+    # is skew-consistent and only the Jacobi pass can see it; the
+    # unordered pass keeps the diagonal j = k, where J(i, j, j) need not
+    # vanish for odd j, and reports it there
+    g = build_algebra("sl:2|3")
+    j = g.parity.index(1)
+    k = next(k for k in range(g.dim) if g.parity[k] == 0)
+    acc(g._bracket.setdefault((j, j), {}), k, ONE)
+    passes = []
+    real = superalgebra._jacobi_failures
+
+    def spy(g, first, indexes, unordered=False):
+        failures = real(g, first, indexes, unordered=unordered)
+        passes.append((unordered, failures))
+        return failures
+    monkeypatch.setattr(superalgebra, "_jacobi_failures", spy)
+    report = validate(g)
+    assert [unordered for unordered, _ in passes] == [True, False]
+    triples = [tuple(map(int, line[len("jacobi: ("):-1].split(",")))
+               for line in passes[0][1]]
+    assert triples and all(b <= c for _, b, c in triples)
+    assert any(b == c == j for _, b, c in triples)
+    assert report == validate_reference(g)
 
 
 def test_validate_builds_the_row_indexes_once(monkeypatch):

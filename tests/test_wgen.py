@@ -16,11 +16,12 @@ from minwsuper.envelope import PBWAlgebra, from_exponents, render_element
 from minwsuper.errors import ConsistencyError, PreconditionError
 from minwsuper.grading import WeightData, grade
 from minwsuper.scalar import HALF, ONE, ZERO, acc, axpy, scalar
-from minwsuper.superalgebra import (_seeds, build_algebra,
+from minwsuper.superalgebra import (_indecomposable, _seeds, build_algebra,
                                    minimal_root_candidates,
                                    root_decomposition, validate)
 
 from oracles import (assert_exact_recipes, c0_epsilon_law,
+                     generic_functional_reference,
                      casimir_vs_quadratic_reference, count_bounded_monomials,
                      lift_reference, monomials_of_weight, overlap_failures,
                      pbw_coordinates_reference, raiser_square_reference,
@@ -96,6 +97,35 @@ def test_c0_epsilon_laws_on_every_minimal_root():
                 assert wgen.compute_epsilon(gr) == epsilon, (name, theta)
             gradings += 1
     assert gradings == 66
+
+
+def test_int_functional_induces_the_rational_positive_system():
+    """``root_decomposition`` runs its generic functional on ints over one
+    common denominator.  Its positive system and simple-root order are
+    the ones that ``oracles.generic_functional_reference``, the functional
+    on Fractions, induces, on every minimal root of the frozen rows, with
+    theta = -2 eps_i gradings whose brackets carry sqrt(2) among them."""
+    gradings = minus = 0
+    for name in sorted(C0_VALUES):
+        g = build_algebra(name)
+        cands = minimal_root_candidates(g, root_decomposition(g).spaces)
+        for theta, (_, degree) in cands.items():
+            rd = root_decomposition(g, theta)
+            eta = generic_functional_reference(g, rd.roots, theta, degree)
+            positive = {r for r in rd.roots
+                        if eta[r] > 0 or (eta[r] == 0 and degree[r] > 0)}
+            half = tuple(c / 2 for c in theta)
+            last = half if half in rd.spaces else theta
+            simple = sorted((r for r in _indecomposable(positive)
+                             if r != last), key=lambda r: (eta[r], r))
+            assert rd.positive == positive, (name, theta)
+            assert rd.simple == simple + [last], (name, theta)
+            gradings += 1
+            if g.family == "spo" and -2 in theta[:g.params[0] // 2]:
+                rows = grade(g, theta).algebra._bracket.values()
+                minus += any(v._v.__class__ is dict and 2 in v._v
+                             for row in rows for v in row.values())
+    assert gradings == 66 and minus > 0
 
 
 def test_c0_same_for_every_source_pair(gradings):
